@@ -7,11 +7,12 @@ plus a self-interaction through the constant background: with
     d/dt u_n = i (mu(n) + n * sum_l lambda_l c^l) u_n + g_n(t),
 
 where g_n collects products of strictly lower supported modes.  Solving the
-modes in increasing order therefore yields, up to quadrature error, the
-*exact* solution of the truncated system, which in turn agrees with the
-full equation on all retained modes.  The stiff dispersive factor is
-handled by exact integrating factors, so there is no step-size stability
-constraint.
+modes in increasing order, each over all of [0, T] in one
+``quadrature.oscillatory_march`` before the next, therefore yields, up to
+quadrature error, the *exact* solution of the truncated system, which in
+turn agrees with the full equation on all retained modes.  The stiff
+dispersive factor is handled by exact integrating factors, so there is no
+step-size stability constraint.
 
 The module also provides the linear (degree-0) closed form, the
 weak-formulation residual checker, and the transform to the mean-zero
@@ -22,14 +23,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb
 from typing import Callable, Optional
 
 import numpy as np
 
 from .phase import support_semigroup
 from .quadrature import (DEFAULT_POINTS, OverflowGuardError, PanelGrid,
-                         QuadratureError, RADIANS_PER_PANEL)
+                         QuadratureError, RADIANS_PER_PANEL,
+                         oscillatory_march, tail_ratio)
 from .spectral import (DispersionKind, EquationSpec, SpectralState,
                        dispersion_mu, dispersion_symbol, power)
 from .trajectory import Trajectory
@@ -60,80 +62,6 @@ def nonlinear_forcing(state: SpectralState, spec: EquationSpec, n: int) -> compl
     return complex(total)
 
 
-# -- decomposition tables ----------------------------------------------------
-
-def _multisets(target: int, parts: int, cands_desc: list) -> list:
-    """Nonincreasing `parts`-tuples from cands_desc summing to target,
-    with their permutation counts."""
-    out = []
-
-    def rec(rem, left, start, cur):
-        if left == 0:
-            if rem == 0:
-                out.append(tuple(cur))
-            return
-        for i in range(start, len(cands_desc)):
-            v = cands_desc[i]
-            if v * left < rem:
-                break               # candidates are descending
-            if v > rem:
-                continue
-            cur.append(v)
-            rec(rem - v, left - 1, i, cur)
-            cur.pop()
-
-    rec(target, parts, 0, [])
-    result = []
-    for tup in out:
-        mult = 1
-        counts = {}
-        for v in tup:
-            counts[v] = counts.get(v, 0) + 1
-        perms = factorial(parts)
-        for c in counts.values():
-            perms //= factorial(c)
-        result.append((tup, perms))
-    return result
-
-
-class _ForcingTables:
-    """Per target mode, index arrays into the support rows for every
-    nonlinearity degree, with multinomial weights."""
-
-    def __init__(self, support: np.ndarray, spec: EquationSpec):
-        pos = {int(v): r for r, v in enumerate(support)}
-        self.per_row = []
-        for n in support:
-            n = int(n)
-            entries = {}
-            if n >= 1:
-                cands = sorted((int(v) for v in support if v < n), reverse=True)
-                for deg, lam in spec.nonlin_coeffs.items():
-                    if deg < 1:
-                        continue    # degree 0 is pure self-interaction
-                    rows = _multisets(n, deg + 1, cands)
-                    if rows:
-                        idx = np.array([[pos[v] for v in tup] for tup, _ in rows])
-                        wts = np.array([float(w) for _, w in rows])
-                        entries[deg] = (idx, wts)
-            self.per_row.append(entries)
-
-    def forcing(self, row: int, n: int, spec: EquationSpec,
-                vals: np.ndarray) -> Optional[np.ndarray]:
-        """Forcing of mode ``n`` (one support row) at the panel nodes,
-        excluding the self-interaction term.  ``vals`` holds this panel's
-        node values for all lower rows."""
-        entries = self.per_row[row]
-        if not entries:
-            return None
-        acc = None
-        for deg, (idx, wts) in entries.items():
-            prod = np.prod(vals[idx], axis=1)      # (rows, q)
-            term = spec.nonlin_coeffs[deg] * (1j * n / (deg + 1)) * (wts @ prod)
-            acc = term if acc is None else acc + term
-        return acc
-
-
 # -- cascade integrator -------------------------------------------------------
 
 def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
@@ -149,9 +77,18 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
     zero); otherwise every mode up to the truncation is integrated, which is
     slower but lets the support confinement emerge numerically.
 
+    Modes are solved in increasing order, each over the whole grid in one
+    ``oscillatory_march``.  With ``u = c + w`` (``w`` the modes >= 1), the
+    forcing of mode n is ``i n sum_j a_j (w^j)(n)`` over ``j >= 2``, where
+    ``(w^j)(n) = sum_{0<m<n} w(m) (w^{j-1})(n-m)`` needs only solved modes
+    and ``a_j`` collects the binomial terms of ``(c + w)^{l+1}``.  A
+    nonlinearity of degree k >= 2 keeps ``k - 1`` arrays the size of the
+    trajectory for the powers of ``w``.
+
     Raises QuadratureError when the Chebyshev tails still exceed ``tol``
     after ``max_refinements`` panel doublings, and OverflowGuardError when a
-    mode magnitude passes ``overflow_guard``.
+    mode magnitude passes ``overflow_guard``; as modes are solved in
+    increasing order, the error names the lowest mode that passes it.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -176,14 +113,20 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
     omega = mu + support * shift
     freq = 2.0 * float(np.max(np.abs(mu) + support * abs(shift))) + 1.0
 
-    tables = _ForcingTables(support, spec)
+    # a_j = sum_l lambda_l C(l+1, j) c^(l+1-j) / (l+1); j = 1 is the shift
+    weights = {}
+    for deg, lam in spec.nonlin_coeffs.items():
+        for j in range(2, deg + 2):
+            weights[j] = weights.get(j, 0.0) + (
+                lam * comb(deg + 1, j) * c0 ** (deg + 1 - j) / (deg + 1))
+    weights = {j: a for j, a in weights.items() if a != 0}
     init = phi.coeffs[support]
 
     grid = PanelGrid.for_frequency(T, freq, q=q,
                                    radians_per_panel=radians_per_panel)
     for _ in range(max_refinements + 1):
-        values, worst_tail, worst_mode = _march(grid, support, omega, c0, init,
-                                                tables, spec, overflow_guard)
+        values, worst_tail, worst_mode = _solve_rows(
+            grid, support, omega, c0, init, weights, overflow_guard)
         if worst_tail <= tol:
             return Trajectory(spec=spec, grid=grid, modes=support,
                               values=values, truncation=M,
@@ -196,49 +139,48 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
         worst_mode=worst_mode, tail=worst_tail)
 
 
-def _march(grid, support, omega, c0, init, tables, spec, overflow_guard):
-    sch = grid.scheme
-    n_rows = support.size
-    out = np.empty((n_rows, grid.n_panels, grid.q), dtype=complex)
-    carry = np.array(init, dtype=complex)
-    times = grid.node_times()
-    widths = grid.widths()
-    worst_tail, worst_mode = 0.0, None
+def _solve_rows(grid, support, omega, c0, init, weights, overflow_guard):
+    """Solve the support rows in increasing order on one grid.  Returns the
+    node values, the worst Chebyshev tail ratio and the mode it occurs at."""
+    shape = (grid.n_panels, grid.q)
+    values = np.empty((support.size,) + shape, dtype=complex)
     start = 1 if support[0] == 0 else 0
-    for p in range(grid.n_panels):
-        h = widths[p]
-        dt = times[p] - grid.breaks[p]
-        vals = np.zeros((n_rows, grid.q), dtype=complex)
-        if start == 1:
-            vals[0, :] = c0
-        for r in range(start, n_rows):
-            n = int(support[r])
-            g = tables.forcing(r, n, spec, vals)
-            ph = np.exp(1j * omega[r] * dt)
-            if g is None:
-                vals[r, :] = ph * carry[r]
-                carry[r] = np.exp(1j * omega[r] * h) * carry[r]
-            else:
-                psi = g / ph
-                J = 0.5 * h * (sch.antideriv_nodes @ psi)
-                vals[r, :] = ph * (carry[r] + J)
-                carry[r] = np.exp(1j * omega[r] * h) * (
-                    carry[r] + 0.5 * h * (sch.antideriv_end @ psi))
-        out[:, p, :] = vals
-        if np.max(np.abs(carry), initial=0.0) > overflow_guard:
-            n_bad = int(support[int(np.argmax(np.abs(carry)))])
+    if start:
+        values[0] = c0
+    row_of = {int(n): r for r, n in enumerate(support)}
+    top = max(weights, default=1)
+    # powers[j] holds (w^j) on every row; w^1 is the trajectory itself
+    powers = {1: values}
+    powers.update((j, np.zeros_like(values)) for j in range(2, top))
+    g = np.empty(shape, dtype=complex)
+    prod = np.empty(shape, dtype=complex)
+    worst_tail, worst_mode = 0.0, None
+    for r in range(start, support.size):
+        n = int(support[r])
+        pairs = [(i, row_of[n - int(support[i])]) for i in range(start, r)
+                 if n - int(support[i]) in row_of]
+        # powers below the top are kept for later rows; (w^top)(n) is
+        # summed in place into the forcing i n sum_j a_j (w^j)(n)
+        g.fill(0.0)
+        for j in range(2, top + 1):
+            acc = powers[j][r] if j < top else g
+            for i, i_rest in pairs:
+                acc += np.multiply(values[i], powers[j - 1][i_rest], out=prod)
+        g *= 1j * n * weights.get(top, 0.0)
+        for j in range(2, top):
+            if j in weights:
+                g += (1j * n * weights[j]) * powers[j][r]
+        try:
+            values[r] = oscillatory_march(grid, omega[r:r + 1], g[None],
+                                          init[r:r + 1], overflow_guard)[0]
+        except OverflowGuardError as exc:
             raise OverflowGuardError(
-                f"mode {n_bad} exceeded {overflow_guard:g} at "
-                f"t={grid.breaks[p + 1]:g}")
-        coeffs = vals @ sch.coeff_map.T
-        tail = np.max(np.abs(coeffs[:, -2:]), axis=1)
-        scale = np.maximum(np.max(np.abs(coeffs), axis=1), 1e-300)
-        ratios = np.where(scale > 1e-290, tail / scale, 0.0)
-        r_bad = int(np.argmax(ratios))
-        if ratios[r_bad] > worst_tail:
-            worst_tail = float(ratios[r_bad])
-            worst_mode = int(support[r_bad])
-    return out, worst_tail, worst_mode
+                f"mode {n} exceeded {overflow_guard:g} at t={exc.time:g}",
+                time=exc.time) from None
+        ratio = tail_ratio(values[r], grid.scheme)
+        if ratio > worst_tail:
+            worst_tail, worst_mode = ratio, n
+    return values, worst_tail, worst_mode
 
 
 # -- closed forms --------------------------------------------------------------

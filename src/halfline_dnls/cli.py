@@ -22,7 +22,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,7 @@ from .gauge import (compatibility_defects, compatible_gauge_data,
 from .inflation import (CrossValidationConfig, ExperimentConfig,
                         cross_validate, run_experiment)
 from .normalform import picard_solve
-from .phase import certify_phase_bound, worker_count
+from .phase import certify_phase_bound
 from .spectral import DispersionKind, EquationSpec, SpectralState
 
 __all__ = ["RunManifest", "dispatch", "main"]
@@ -192,8 +191,7 @@ def _cmd_gauge(args) -> int:
 
 def _cmd_phase_check(args) -> int:
     t0 = time.perf_counter()
-    cert = certify_phase_bound(args.alpha, args.k, args.cap,
-                               workers=worker_count())
+    cert = certify_phase_bound(args.alpha, args.k, args.cap)
     manifest = RunManifest(
         subcommand="phase-check",
         parameters={"alpha": args.alpha, "k": args.k, "cap": args.cap},
@@ -270,14 +268,7 @@ def _cmd_batch(args) -> int:
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         _log(f"batch config error: {exc}")
         return 2
-    workers = min(worker_count(), max(1, len(experiments)))
-    results = []
-    if workers == 1 or len(experiments) <= 1:
-        for item in enumerate(experiments):
-            results.append(_run_batch_entry(item))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_batch_entry, enumerate(experiments)))
+    results = [_run_batch_entry(item) for item in enumerate(experiments)]
 
     malformed = [(i, status) for i, rep, status in results
                  if status.startswith("malformed")]
@@ -295,7 +286,7 @@ def _cmd_batch(args) -> int:
     lines = [f"# {line}" for line in manifest.csv_lines()]
     lines.append(NormReport.CSV_HEADER)
     any_fail = False
-    for i, report, status in sorted(results, key=lambda item: item[0]):
+    for i, report, status in results:
         if status == "unsupported-regime" or status.startswith("error"):
             # flagged or crashed: reported in place of a data row
             doc = report

@@ -20,8 +20,6 @@ confines the support of solutions.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterable, Optional, Sequence
@@ -33,7 +31,6 @@ __all__ = [
     "phase_lower_bound",
     "certify_phase_bound",
     "support_semigroup",
-    "worker_count",
 ]
 
 # relative slack for the bound check when alpha is not an integer: the bound
@@ -117,15 +114,6 @@ class PhaseCertificate:
         return d
 
 
-def worker_count() -> int:
-    """Worker cap from HALFLINE_DNLS_THREADS (>= 1); defaults to 1."""
-    raw = os.environ.get("HALFLINE_DNLS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _check_block(alpha, k, cap, leading: int) -> Optional[tuple]:
     # tuples are enumerated nonincreasing (sorted representatives only);
     # Phi is permutation symmetric, so this prunes the (k+1)! orderings
@@ -137,33 +125,24 @@ def _check_block(alpha, k, cap, leading: int) -> Optional[tuple]:
     return None
 
 
-def certify_phase_bound(alpha: float, k: int, index_cap: int,
-                        workers: Optional[int] = None) -> PhaseCertificate:
+def certify_phase_bound(alpha: float, k: int,
+                        index_cap: int) -> PhaseCertificate:
     """Exhaustively check ``|Phi| >= (alpha-1) max^(alpha-1) smax`` over all
     (k+1)-tuples with entries in ``1..index_cap``.
 
     Integer alpha is checked in exact integer arithmetic.  Returns the first
-    violating tuple if any.  Work is partitioned by leading (largest) index
-    and may run on several threads; verdicts are merged by logical AND.
+    violating tuple if any.  Work is partitioned by leading (largest) index.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if index_cap < 1:
         raise ValueError("index_cap must be >= 1")
-    workers = worker_count() if workers is None else max(1, workers)
     total = math.comb(index_cap + k, k + 1)
-    leads = range(1, index_cap + 1)
     counterexample = None
-    if workers == 1:
-        for lead in leads:
-            counterexample = _check_block(alpha, k, index_cap, lead)
-            if counterexample is not None:
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for res in pool.map(lambda m: _check_block(alpha, k, index_cap, m), leads):
-                if res is not None and counterexample is None:
-                    counterexample = res
+    for lead in range(1, index_cap + 1):
+        counterexample = _check_block(alpha, k, index_cap, lead)
+        if counterexample is not None:
+            break
     return PhaseCertificate(
         alpha=float(alpha), k=int(k), index_cap=int(index_cap),
         passed=counterexample is None,

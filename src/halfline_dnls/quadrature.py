@@ -49,7 +49,11 @@ class QuadratureError(RuntimeError):
 
 
 class OverflowGuardError(RuntimeError):
-    """A mode magnitude exceeded the configured overflow guard."""
+    """A mode magnitude exceeded the configured overflow guard at ``time``."""
+
+    def __init__(self, message, time=None):
+        super().__init__(message)
+        self.time = time
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,46 +176,57 @@ def tail_ratio(values: np.ndarray, scheme: PanelScheme) -> float:
 
     ``values`` has node values along its last axis.  A small ratio certifies
     that the interpolant resolves the sampled function on this panel.
+    Panels whose largest coefficient is below 1e-290 count as resolved
+    (ratio 0): their tails are round-off of a negligible row.
     """
     coeffs = values @ scheme.coeff_map.T
     tail = np.max(np.abs(coeffs[..., -2:]), axis=-1)
     scale = np.max(np.abs(coeffs), axis=-1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(scale > 0, tail / np.maximum(scale, 1e-300), 0.0)
+        ratio = np.where(scale > 1e-290, tail / np.maximum(scale, 1e-300), 0.0)
     return float(np.max(ratio)) if ratio.size else 0.0
 
 
 def oscillatory_march(grid: PanelGrid, omega: np.ndarray, forcing: np.ndarray,
                       init: np.ndarray, overflow_guard: float = 1e100
                       ) -> np.ndarray:
-    """Solve ``u' = i omega u + F`` for all modes at once.
+    """Solve ``u' = i omega u + F`` for every row, over all panels at once.
 
-    ``forcing`` holds F at all panel nodes, shape (n_modes, n_panels, q);
-    ``init`` the values at t = 0.  Integrating factors are accumulated
-    panel-relative, so complex omega (growing modes) stays overflow safe up
-    to the guard.  Returns node values with the same shape as ``forcing``.
+    ``forcing`` holds F at all panel nodes, shape (n_rows, n_panels, q);
+    ``init`` the values at t = 0.  Panel phases, the slow factor
+    ``e^{-i omega (t-a)} F`` and its antiderivatives are formed for all
+    panels in one pass; only the carry across panel ends is a loop.
+    Integrating factors are panel-relative, so complex omega (growing modes)
+    stays overflow safe up to the guard, which is checked at every panel
+    end.  Returns node values with the same shape as ``forcing``.
     """
     sch = grid.scheme
     if forcing.shape != (omega.size, grid.n_panels, grid.q):
         raise ValueError(f"forcing shape {forcing.shape} does not match "
                          f"({omega.size}, {grid.n_panels}, {grid.q})")
-    out = np.empty_like(forcing)
-    carry = np.array(init, dtype=complex)
-    times = grid.node_times()
-    widths = grid.widths()
-    for p in range(grid.n_panels):
-        h = widths[p]
-        dt = times[p] - grid.breaks[p]          # (q,)
-        ph = np.exp(1j * omega[:, None] * dt[None, :])
-        psi = forcing[:, p, :] / ph
-        J = 0.5 * h * (psi @ sch.antideriv_nodes.T)
-        Jend = 0.5 * h * (psi @ sch.antideriv_end)
-        out[:, p, :] = ph * (carry[:, None] + J)
-        carry = np.exp(1j * omega * h) * (carry + Jend)
-        if np.max(np.abs(carry), initial=0.0) > overflow_guard:
-            n_bad = int(np.argmax(np.abs(carry)))
+    h = grid.widths()
+    dt = grid.node_times() - grid.breaks[:-1, None]      # (n_panels, q)
+    ph = 1j * omega[:, None, None] * dt[None, :, :]
+    np.exp(ph, out=ph)
+    psi = forcing / ph
+    J = psi @ sch.antideriv_nodes.T
+    J *= 0.5 * h[:, None]
+    Jend = 0.5 * h * (psi @ sch.antideriv_end)           # (n_rows, n_panels)
+    del psi
+    step = np.exp(1j * omega[None, :] * h[:, None])      # (n_panels, n_rows)
+    carry = np.empty_like(step)
+    c = np.array(init, dtype=complex)
+    for p, (step_p, jend_p) in enumerate(zip(step, Jend.T)):
+        carry[p] = c
+        c = step_p * (c + jend_p)
+        if np.abs(c).max(initial=0.0) > overflow_guard:
+            n_bad = int(np.argmax(np.abs(c)))
+            t_bad = float(grid.breaks[p + 1])
             raise OverflowGuardError(
                 f"mode magnitude exceeded {overflow_guard:g} at t="
-                f"{grid.breaks[p + 1]:g} (mode row {n_bad}); "
-                "growing background makes the truncated system blow up")
-    return out
+                f"{t_bad:g} (mode row {n_bad}); "
+                "growing background makes the truncated system blow up",
+                time=t_bad)
+    J += carry.T[:, :, None]
+    J *= ph
+    return J

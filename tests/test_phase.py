@@ -78,13 +78,6 @@ def test_certify_float_alpha_with_slack():
     assert cert.passed
 
 
-def test_certify_threaded_matches_sequential():
-    a = certify_phase_bound(3, 2, 15, workers=1)
-    b = certify_phase_bound(3, 2, 15, workers=4)
-    assert a.passed == b.passed
-    assert a.tuples_checked == b.tuples_checked
-
-
 def test_certify_counterexample_detection():
     # alpha = 1 gives bound 0 which every tuple meets; a synthetic violation
     # needs alpha < 1, which the bound rejects -- instead check that the

@@ -7,6 +7,25 @@ from halfline_dnls import OverflowGuardError, PanelGrid
 from halfline_dnls.quadrature import oscillatory_march, panel_scheme, tail_ratio
 
 
+def reference_march(grid, omega, forcing, init):
+    """Scalar oracle: the panel-by-panel integrating-factor march."""
+    sch = grid.scheme
+    out = np.empty_like(forcing)
+    carry = np.array(init, dtype=complex)
+    times = grid.node_times()
+    widths = grid.widths()
+    for p in range(grid.n_panels):
+        h = widths[p]
+        dt = times[p] - grid.breaks[p]
+        ph = np.exp(1j * omega[:, None] * dt[None, :])
+        psi = forcing[:, p, :] / ph
+        J = 0.5 * h * (psi @ sch.antideriv_nodes.T)
+        Jend = 0.5 * h * (psi @ sch.antideriv_end)
+        out[:, p, :] = ph * (carry[:, None] + J)
+        carry = np.exp(1j * omega * h) * (carry + Jend)
+    return out
+
+
 def test_antiderivative_of_polynomial_is_exact():
     sch = panel_scheme(12)
     x = sch.nodes
@@ -49,6 +68,15 @@ def test_tail_ratio_flags_unresolved():
     rough = np.exp(1j * 60.0 * sch.nodes)
     assert tail_ratio(smooth, sch) < 1e-12
     assert tail_ratio(rough, sch) > 1e-3
+
+
+def test_tail_ratio_ignores_negligible_rows():
+    # a row of size ~1e-300 is round-off, not an unresolved function
+    sch = panel_scheme(24)
+    rough = np.exp(1j * 60.0 * sch.nodes)
+    assert tail_ratio(1e-300 * rough, sch) == 0.0
+    assert tail_ratio(np.stack([1e-300 * rough, np.exp(1j * 3.0 * sch.nodes)]),
+                      sch) < 1e-12
 
 
 def test_grid_locate_and_refine():
@@ -100,3 +128,23 @@ def test_march_growing_mode_and_overflow_guard():
     with pytest.raises(OverflowGuardError):
         oscillatory_march(grid, np.array([-500.0j]), forcing,
                           np.array([1.0 + 0j]))
+
+
+@pytest.mark.parametrize("omega", [
+    [40.0, -7.0, 0.0],                      # real
+    [12.0 - 3.0j, -5.0 - 1.5j, 2.0 - 6.0j],  # growing, Im omega < 0
+    [12.0 + 3.0j, -5.0 + 1.5j, 2.0 + 6.0j],  # decaying, Im omega > 0
+])
+def test_march_matches_scalar_reference(omega):
+    rng = np.random.default_rng(11)
+    omega = np.array(omega, dtype=complex)
+    grid = PanelGrid.for_frequency(1.5, 2 * 40.0)
+    times = grid.node_times()
+    forcing = np.stack([
+        (0.3 + 0.1j) * np.exp(1j * b * times) + 0.2 * np.cos(times)
+        for b in rng.uniform(-20.0, 20.0, size=omega.size)])
+    init = np.array([1.0, 2.0j, -0.5 + 0.5j])
+    ref = reference_march(grid, omega, forcing, init)
+    got = oscillatory_march(grid, omega, forcing, init)
+    for r in range(omega.size):
+        assert np.max(np.abs(got[r] - ref[r])) <= 1e-13 * np.max(np.abs(ref[r]))
