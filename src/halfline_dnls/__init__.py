@@ -31,8 +31,9 @@ from .gauge import (GaugeWeight, SecularSlopeError, compatibility_defects,
                     gauge_exp, gauge_lambda, gauge_picard_solve,
                     gauge_system_rhs, primitive_from_zero)
 from .inflation import (CrossValidationConfig, ExperimentConfig, NormReport,
-                        build_inflation_data, choose_N, cross_validate,
-                        inflation_time, minimum_regularity, run_experiment)
+                        UnsupportedRegimeError, build_inflation_data, choose_N,
+                        cross_validate, inflation_time, minimum_regularity,
+                        run_experiment)
 
 __all__ = [
     "__version__",
@@ -58,7 +59,8 @@ __all__ = [
     "exp_coeffs", "gauge_exp", "gauge_system_rhs", "compatible_gauge_data",
     "gauge_picard_solve", "compatibility_defects", "conjugation_defect",
     # inflation lab
-    "minimum_regularity", "build_inflation_data", "inflation_time",
+    "UnsupportedRegimeError", "minimum_regularity", "build_inflation_data",
+    "inflation_time",
     "choose_N", "ExperimentConfig", "NormReport", "run_experiment",
     "CrossValidationConfig", "cross_validate",
 ]

@@ -357,28 +357,15 @@ def weak_residual(traj: Trajectory, m: int, window: TimeWindow) -> complex:
     int_theta = 0.0 + 0.0j
     int_dtheta = 0.0 + 0.0j
     int_pow = {deg: 0.0 + 0.0j for deg in degs}
-    row = traj._row(m)
     for p in range(grid.n_panels):
         wq = 0.5 * widths[p] * sch.weights
-        tp = times[p]
-        th = window.value(tp)
-        dth = window.derivative(tp)
-        um = traj.values[row, p, :] if row is not None else np.zeros(grid.q,
-                                                                     dtype=complex)
-        int_theta += np.sum(wq * th * um)
-        int_dtheta += np.sum(wq * dth * um)
+        th = window.value(times[p])
+        # modes above m cannot reach mode m of a one-sided product
         dense = traj.panel_node_values(p, dense=True)[: m + 1]
+        int_theta += np.sum(wq * th * dense[m])
+        int_dtheta += np.sum(wq * window.derivative(times[p]) * dense[m])
         for deg in degs:
-            if deg == 0:
-                pv = um
-            else:
-                pv = np.empty(grid.q, dtype=complex)
-                for i in range(grid.q):
-                    acc = dense[:, i]
-                    for _ in range(deg):
-                        acc = np.convolve(acc, dense[:, i])[: m + 1]
-                    pv[i] = acc[m]
-            int_pow[deg] += np.sum(wq * th * pv)
+            int_pow[deg] += np.sum(wq * th * power(dense, deg + 1)[m])
 
     theta0 = complex(window.value(np.array([0.0]))[0])
     lhs = -int_dtheta - phi_m * theta0 - 1j * mu_m * int_theta

@@ -12,14 +12,15 @@ Subcommands map one-to-one onto the library pipelines:
 
 Data goes to stdout or files, logs to stderr.  Every output embeds its
 RunManifest (parameters, version, tolerances, wall-clock).  Exit codes:
-0 all checks passed, 1 an identity failed, 2 usage error.
+0 all checks passed, 1 an identity failed or a solver gave up, 2 usage
+error or refused input (bad values, unsupported regime, malformed or
+unreadable files).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -31,7 +32,8 @@ from .cascade import cascade_integrate
 from .gauge import (compatibility_defects, compatible_gauge_data,
                     gauge_picard_solve)
 from .inflation import (CrossValidationConfig, ExperimentConfig,
-                        cross_validate, run_experiment)
+                        UnsupportedRegimeError, cross_validate,
+                        run_experiment)
 from .normalform import picard_solve
 from .phase import certify_phase_bound
 from .spectral import DispersionKind, EquationSpec, SpectralState
@@ -76,14 +78,18 @@ def _log(msg: str):
 
 
 def _load_state(arg: str, modes: int | None = None) -> SpectralState:
-    """Parse a state from inline JSON or a file path; optionally pad to a
-    requested truncation."""
-    if os.path.exists(arg):
+    """Parse a state from inline JSON (an object, starting with ``{``) or
+    else from the file at that path; optionally pad to a requested
+    truncation."""
+    if arg.lstrip().startswith("{"):
+        doc = json.loads(arg)
+    else:
         with open(arg, encoding="utf-8") as fh:
             doc = json.load(fh)
-    else:
-        doc = json.loads(arg)
-    state = SpectralState.from_dict(doc)
+    try:
+        state = SpectralState.from_dict(doc)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed state {arg!r}: {exc!r}") from exc
     if modes is not None and state.truncation != modes:
         if state.truncation < modes:
             c = np.zeros(modes + 1, dtype=complex)
@@ -244,11 +250,9 @@ def _run_batch_entry(entry):
     index, doc = entry
     try:
         config = ExperimentConfig.from_dict(doc)
-    except (KeyError, TypeError) as exc:
-        return index, None, f"malformed: {exc}"
-    except ValueError as exc:
-        if "outside the supported regimes" in str(exc) or "below the required" in str(exc):
-            return index, doc, "unsupported-regime"
+    except UnsupportedRegimeError:
+        return index, doc, "unsupported-regime"
+    except (KeyError, TypeError, ValueError) as exc:
         return index, None, f"malformed: {exc}"
     try:
         report = run_experiment(config)
@@ -398,7 +402,12 @@ def dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
+        # refused input (including UnsupportedRegimeError) or a file that
+        # cannot be read or written
+        _log(f"error: {exc}")
+        return 2
+    except RuntimeError as exc:
         _log(f"error: {exc}")
         return 1
 

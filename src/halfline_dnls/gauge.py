@@ -11,27 +11,29 @@ nonlinearities carry no derivative, so a plain Duhamel/Picard iteration
 converges for small data.  All ingredients (primitive, exponential, point
 values at x = 0) are computed in coefficient space; the exponential of a
 series with lowest mode >= 1 terminates after M convolution powers and is
-therefore exact at the truncation.
+therefore exact at the truncation.  Every function below takes coefficient
+arrays of shape ``(M+1, ...)`` (mode axis first, trailing axes a batch of
+nodes or times), so the solver evaluates its right-hand side on the whole
+panel grid in one call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from .normalform import MaxIterationsError, NonContractionError
+from .normalform import PicardLog, SmallnessReport, iterate_fixed_point
 from .quadrature import (DEFAULT_POINTS, PanelGrid, RADIANS_PER_PANEL,
                          oscillatory_march)
-from .spectral import (EquationSpec, SpectralState, convolve,
-                       derivative_coeffs, dispersion_mu, power, sobolev_norm)
-from .trajectory import Trajectory, sup_sobolev_diff
+from .spectral import (EquationSpec, SpectralState, _along_modes, _as_coeffs,
+                       convolve, derivative_coeffs, dispersion_mu, power,
+                       sobolev_norm)
+from .trajectory import Trajectory
 
 __all__ = [
     "GaugeWeight",
     "SecularSlopeError",
-    "GaugePicardLog",
     "primitive_from_zero",
     "gauge_lambda",
     "exp_coeffs",
@@ -57,41 +59,39 @@ class GaugeWeight:
 
     ``periodic_coeffs`` is normalized so the point value at x = 0 vanishes;
     ``secular_slope`` is the coefficient of x (the mean of the integrand)
-    and is zero whenever the integrand is mean-zero.
+    and is zero whenever the integrand is mean-zero.  For a batch,
+    ``periodic_coeffs`` has shape ``(M+1, ...)`` and ``secular_slope`` the
+    trailing batch shape.
     """
 
     periodic_coeffs: np.ndarray
-    secular_slope: complex
+    secular_slope: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.periodic_coeffs, dtype=complex)
-        c.flags.writeable = False
-        object.__setattr__(self, "periodic_coeffs", c)
-        object.__setattr__(self, "secular_slope", complex(self.secular_slope))
+        for name in ("periodic_coeffs", "secular_slope"):
+            a = np.array(getattr(self, name), dtype=complex)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def truncation(self) -> int:
-        return self.periodic_coeffs.size - 1
+        return self.periodic_coeffs.shape[0] - 1
 
 
-def _coeffs(a) -> np.ndarray:
-    return np.asarray(getattr(a, "coeffs", a), dtype=complex)
-
-
-def point_value(a) -> complex:
-    """Value at x = 0: the plain mode sum (absolutely convergent here)."""
-    return complex(np.sum(_coeffs(a)))
+def point_value(a):
+    """Value at x = 0: the plain mode sum (absolutely convergent here), one
+    per batch column."""
+    return np.sum(_as_coeffs(a), axis=0)
 
 
 def primitive_from_zero(g) -> GaugeWeight:
     """``int_0^x g``: slope ``g(0)`` plus the periodic part ``g(n)/(in)``,
     with the constant chosen so the value at x = 0 is zero."""
-    c = _coeffs(g)
+    c = _as_coeffs(g)
     p = np.zeros_like(c)
-    n = np.arange(1, c.size)
-    p[1:] = c[1:] / (1j * n)
-    p[0] = -np.sum(p[1:])
-    return GaugeWeight(periodic_coeffs=p, secular_slope=complex(c[0]))
+    p[1:] = c[1:] / (1j * _along_modes(np.arange(1, c.shape[0]), c))
+    p[0] = -np.sum(p[1:], axis=0)
+    return GaugeWeight(periodic_coeffs=p, secular_slope=c[0])
 
 
 def gauge_lambda(u, k: int) -> GaugeWeight:
@@ -100,33 +100,36 @@ def gauge_lambda(u, k: int) -> GaugeWeight:
     Requires mean-zero ``u^k`` (automatic for mean-zero one-sided u), else
     the primitive would not be periodic.
     """
-    cu = _coeffs(u)
+    cu = _as_coeffs(u)
     if k < 1:
         raise ValueError("k must be >= 1")
     g = power(cu, k) / 2j
-    if abs(g[0]) > MEAN_TOL:
+    mean = float(np.max(np.abs(g[0])))
+    if mean > MEAN_TOL:
         raise SecularSlopeError(
-            f"u^k has mean {g[0]:.3e}; its primitive is not periodic "
+            f"u^k has mean of size {mean:.3e}; its primitive is not periodic "
             "(u must be mean-zero)")
     return primitive_from_zero(g)
 
 
 def exp_coeffs(lam) -> np.ndarray:
-    """Coefficients of ``e^{lam}`` for a one-sided series.
+    """Coefficients of ``e^{lam}`` for a one-sided series, column by column
+    of an ``(M+1, ...)`` array.
 
     The positive-mode part has lowest mode >= 1, so its j-th power starts at
     mode j and the exponential series terminates after M terms: the result
-    is exact at the truncation.  The mode-0 part contributes the scalar
-    factor ``e^{lam(0)}``.
+    is exact at the truncation.  The mode-0 part contributes the factor
+    ``e^{lam(0)}`` of each column.
     """
-    c = _coeffs(lam)
+    c = _as_coeffs(lam)
     pos = np.array(c)
     pos[0] = 0.0
     out = np.zeros_like(c)
     out[0] = 1.0
     term = out.copy()
-    for j in range(1, c.size):
-        term = np.convolve(term, pos)[: c.size] / j
+    for j in range(1, c.shape[0]):
+        term = convolve(term, pos)
+        term /= j
         if not np.any(term):
             break
         out += term
@@ -135,9 +138,10 @@ def exp_coeffs(lam) -> np.ndarray:
 
 def gauge_exp(w: GaugeWeight, c: complex = 1.0) -> np.ndarray:
     """``e^{c Lambda}`` of a periodic gauge weight (zero secular slope)."""
-    if abs(w.secular_slope) > SLOPE_TOL:
+    slope = float(np.max(np.abs(w.secular_slope)))
+    if slope > SLOPE_TOL:
         raise SecularSlopeError(
-            f"secular slope {w.secular_slope:.3e} != 0: the exponential of a "
+            f"secular slope of size {slope:.3e} != 0: the exponential of a "
             "non-periodic weight has no Fourier series")
     return exp_coeffs(c * w.periodic_coeffs)
 
@@ -157,31 +161,30 @@ def gauge_system_rhs(u, gu, k: int) -> tuple:
     exponential.  The k-1 terms are absent for k = 1.  The primitive in the
     bracket is tracked with its secular slope; a non-negligible slope aborts
     (it cannot occur for mean-zero one-sided data, where the integrand's
-    mean vanishes identically).
+    mean vanishes identically).  ``u`` and ``gu`` are ``(M+1, ...)`` arrays
+    of one shape; every column (node) is evaluated at once.
     """
-    cu, cg = _coeffs(u), _coeffs(gu)
-    if cu.size != cg.size:
-        raise ValueError("u and gu must share one truncation")
-    lam = gauge_lambda(cu, k)
-    eL = exp_coeffs(lam.periodic_coeffs)
+    cu, cg = _as_coeffs(u), _as_coeffs(gu)
+    if cu.shape != cg.shape:
+        raise ValueError("u and gu must share one truncation and batch shape")
+    eL = exp_coeffs(gauge_lambda(cu, k).periodic_coeffs)
     f_rhs = convolve(convolve(power(cu, k), eL), cg)
 
     base = convolve(power(cu, k - 1), eL)
     gu2 = convolve(cg, cg)
-    kterm = k * convolve(base, gu2)
-    bracket = np.zeros_like(cu)
-    bracket[0] = point_value(convolve(base, cg))
+    # the bracket's point value enters as a mode-0 factor: a plain multiple
+    point = point_value(convolve(base, cg))
+    g_rhs = k * convolve(base, gu2)
+    g_rhs += ((1 / 4j) * point_value(cu) ** (2 * k) - (k / 2) * point) * cg
     if k >= 2:
         integrand = convolve(convolve(power(cu, k - 2), convolve(eL, eL)), gu2)
         prim = primitive_from_zero(integrand)
-        if abs(prim.secular_slope) > SLOPE_TOL:
+        slope = float(np.max(np.abs(prim.secular_slope)))
+        if slope > SLOPE_TOL:
             raise SecularSlopeError(
-                f"integral term has secular slope {prim.secular_slope:.3e}; "
+                f"integral term has secular slope of size {slope:.3e}; "
                 "refusing to continue with a non-periodic right-hand side")
-        bracket = bracket + (k - 1) * prim.periodic_coeffs
-    u0 = point_value(cu)
-    g_rhs = (kterm - (k / 2) * convolve(bracket, cg)
-             + (1 / 4j) * (u0 ** (2 * k)) * cg)
+        g_rhs -= (k / 2) * (k - 1) * convolve(prim.periodic_coeffs, cg)
     return f_rhs, g_rhs
 
 
@@ -190,29 +193,6 @@ def compatible_gauge_data(phi: SpectralState, k: int) -> SpectralState:
     lam = gauge_lambda(phi.coeffs, k)
     psi = convolve(exp_coeffs(-lam.periodic_coeffs), derivative_coeffs(phi.coeffs))
     return SpectralState(psi, time=phi.time)
-
-
-@dataclass
-class GaugePicardLog:
-    iterations: list = field(default_factory=list)
-    converged: bool = False
-    final_residual: float = float("nan")
-    phi_h1: float = float("nan")
-    psi_h1: float = float("nan")
-
-    def record(self, i: int, diff: float, ratio: Optional[float]):
-        self.iterations.append((i, diff, ratio))
-
-    @property
-    def ratios(self) -> list:
-        return [r for _, _, r in self.iterations if r is not None]
-
-    def write_csv(self, fh, manifest_lines=()):
-        for line in manifest_lines:
-            fh.write(f"# {line}\n")
-        fh.write("iteration,sup_h1_difference,ratio\n")
-        for i, d, r in self.iterations:
-            fh.write(f"{i},{d!r},{'' if r is None else repr(r)}\n")
 
 
 def gauge_picard_solve(phi: SpectralState, psi: SpectralState, k: int,
@@ -224,10 +204,11 @@ def gauge_picard_solve(phi: SpectralState, psi: SpectralState, k: int,
 
     Starts from the free evolutions of ``(phi, psi)`` and iterates until the
     sup-in-time H^1 increment of both components is below ``tol``.  Returns
-    ``(trajectory of u, trajectory of gu, GaugePicardLog)``.
+    ``(trajectory of u, trajectory of gu, PicardLog)``.
 
     ``smallness_threshold`` bounds ``|phi|_H1 + |psi|_H1``; it is a
-    pragmatic stand-in for the contraction smallness condition.
+    pragmatic stand-in for the contraction smallness condition, reported as
+    the log's ``smallness``.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -236,69 +217,43 @@ def gauge_picard_solve(phi: SpectralState, psi: SpectralState, k: int,
         raise ValueError("phi and psi must share one truncation")
     if abs(phi.coeffs[0]) > MEAN_TOL or abs(psi.coeffs[0]) > MEAN_TOL:
         raise ValueError("gauge solver needs mean-zero data")
-    log = GaugePicardLog(phi_h1=sobolev_norm(phi, 1.0),
-                         psi_h1=sobolev_norm(psi, 1.0))
-    if log.phi_h1 + log.psi_h1 > smallness_threshold and not allow_unsafe:
+    phi_h1 = sobolev_norm(phi, 1.0)
+    lhs = phi_h1 + sobolev_norm(psi, 1.0)
+    log = PicardLog(smallness=SmallnessReport(
+        accepted=lhs <= smallness_threshold, phi_h1=phi_h1, lhs=lhs,
+        rhs=smallness_threshold, boundary_constants={},
+        bulk_kernel_constants={}, horizon=T))
+    if not log.smallness.accepted and not allow_unsafe:
         raise ValueError(
-            f"|phi|_H1 + |psi|_H1 = {log.phi_h1 + log.psi_h1:.4g} exceeds the "
-            f"smallness threshold {smallness_threshold}; pass "
-            "allow_unsafe=True to iterate anyway")
+            f"|phi|_H1 + |psi|_H1 = {lhs:.4g} exceeds the smallness "
+            f"threshold {smallness_threshold}; pass allow_unsafe=True to "
+            "iterate anyway")
 
     spec = EquationSpec.pure_power(k, 2.0)
     mu = dispersion_mu(2.0, np.arange(M + 1)).astype(complex)
     grid = PanelGrid.for_frequency(T, 2.0 * float(mu[-1].real) + 1.0, q=q,
                                    radians_per_panel=radians_per_panel)
-    times = grid.node_times()
     phi_c = np.asarray(phi.coeffs, dtype=complex)
     psi_c = np.asarray(psi.coeffs, dtype=complex)
 
-    shape = (M + 1, grid.n_panels, grid.q)
-    u_vals = np.empty(shape, dtype=complex)
-    g_vals = np.empty(shape, dtype=complex)
-    for p in range(grid.n_panels):
-        E = np.exp(1j * np.outer(mu, times[p]))
-        u_vals[:, p, :] = phi_c[:, None] * E
-        g_vals[:, p, :] = psi_c[:, None] * E
+    # iterates stack u and gu on axis 1: shape (M+1, 2, n_panels, q), so one
+    # sup-in-time increment covers both components
+    def apply(x):
+        f_rhs, g_rhs = gauge_system_rhs(x[:, 0], x[:, 1], k)
+        return np.stack([oscillatory_march(grid, mu, f_rhs, phi_c),
+                         oscillatory_march(grid, mu, g_rhs, psi_c)], axis=1)
 
-    prev_diff = None
-    bad = 0
-    for it in range(1, max_iter + 1):
-        f_rhs = np.empty(shape, dtype=complex)
-        g_rhs = np.empty(shape, dtype=complex)
-        for p in range(grid.n_panels):
-            for i in range(grid.q):
-                f_rhs[:, p, i], g_rhs[:, p, i] = gauge_system_rhs(
-                    u_vals[:, p, i], g_vals[:, p, i], k)
-        new_u = oscillatory_march(grid, mu, f_rhs, phi_c)
-        new_g = oscillatory_march(grid, mu, g_rhs, psi_c)
-        diff = max(sup_sobolev_diff(new_u, u_vals),
-                   sup_sobolev_diff(new_g, g_vals))
-        ratio = None if prev_diff in (None, 0.0) else diff / prev_diff
-        log.record(it, diff, ratio)
-        u_vals, g_vals = new_u, new_g
-        if diff <= tol:
-            log.converged = True
-            break
-        if ratio is not None and ratio >= 1.0:
-            bad += 1
-            if bad >= 2 and diff > 10 * tol:
-                raise NonContractionError(
-                    f"gauge iterates stopped contracting (ratio {ratio:.3f}); "
-                    f"|phi|_H1 + |psi|_H1 = {log.phi_h1 + log.psi_h1:.4g}")
-        else:
-            bad = 0
-        prev_diff = diff
-    if not log.converged:
-        raise MaxIterationsError(
-            f"gauge iteration: no convergence after {max_iter} iterations; "
-            f"last increment {log.iterations[-1][1]:.3e}")
-    log.final_residual = log.iterations[-1][1]
+    x = iterate_fixed_point(
+        apply,
+        np.stack([phi_c, psi_c], axis=1)[:, :, None, None]
+        * np.exp(1j * mu[:, None, None, None] * grid.node_times()),
+        log, tol, max_iter)
 
     modes = np.arange(M + 1)
-    traj_u = Trajectory(spec=spec, grid=grid, modes=modes, values=u_vals,
+    traj_u = Trajectory(spec=spec, grid=grid, modes=modes, values=x[:, 0],
                         truncation=M, quadrature_tolerance=tol,
                         initial_state=phi, variable="u")
-    traj_g = Trajectory(spec=spec, grid=grid, modes=modes, values=g_vals,
+    traj_g = Trajectory(spec=spec, grid=grid, modes=modes, values=x[:, 1],
                         truncation=M, quadrature_tolerance=tol,
                         initial_state=psi, variable="gu")
     return traj_u, traj_g, log
@@ -313,15 +268,10 @@ def compatibility_defects(traj_u: Trajectory, traj_gu: Trajectory, k: int,
     """
     if ts is None:
         ts = traj_u.sample_times
-    out = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        cu = traj_u.coeffs_at(t)
-        cg = traj_gu.coeffs_at(t)
-        lam = gauge_lambda(cu, k)
-        target = convolve(exp_coeffs(-lam.periodic_coeffs),
-                          derivative_coeffs(cu))
-        out[i] = sobolev_norm(cg - target, 0.0)
-    return out
+    cu = traj_u.dense_at(ts)
+    lam = gauge_lambda(cu, k)
+    target = convolve(exp_coeffs(-lam.periodic_coeffs), derivative_coeffs(cu))
+    return np.linalg.norm(traj_gu.dense_at(ts) - target, axis=0)
 
 
 def conjugation_defect(f, f_t, lam, lam_t) -> float:
@@ -334,8 +284,8 @@ def conjugation_defect(f, f_t, lam, lam_t) -> float:
     dLambda/dt at one instant; the identity is exact in truncated arithmetic
     so the returned value is pure round-off.
     """
-    cf, cft = _coeffs(f), _coeffs(f_t)
-    cl, clt = _coeffs(lam), _coeffs(lam_t)
+    cf, cft = _as_coeffs(f), _as_coeffs(f_t)
+    cl, clt = _as_coeffs(lam), _as_coeffs(lam_t)
     if not (cf.size == cft.size == cl.size == clt.size):
         raise ValueError("all inputs must share one truncation")
     n = np.arange(cf.size, dtype=float)

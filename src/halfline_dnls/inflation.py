@@ -32,9 +32,9 @@ from .normalform import picard_solve
 from .phase import support_semigroup
 from .spectral import (EquationSpec, SpectralState, dispersion_symbol,
                        sobolev_norm)
-from .trajectory import Trajectory
 
 __all__ = [
+    "UnsupportedRegimeError",
     "minimum_regularity",
     "build_inflation_data",
     "inflation_time",
@@ -55,13 +55,18 @@ SCOPE_NOTE = (
     "contribution N^sigma |u(T, N)|.")
 
 
+class UnsupportedRegimeError(ValueError):
+    """Parameters outside the regimes the pipelines support: alpha not 2
+    and below 3, or data regularity s below the required s0."""
+
+
 def minimum_regularity(alpha: float) -> float:
     """Smallest data regularity the uniqueness pipelines support."""
     if alpha == 2:
         return 2.0
     if alpha >= 3:
         return 1.0
-    raise ValueError(
+    raise UnsupportedRegimeError(
         f"alpha = {alpha} is outside the supported regimes (2 or >= 3); "
         "the window 2 < alpha < 3 is an open problem")
 
@@ -127,8 +132,9 @@ class ExperimentConfig:
             raise ValueError("epsilon must be positive")
         s0 = minimum_regularity(self.alpha)
         if self.s < s0:
-            raise ValueError(f"s = {self.s} below the required s0 = {s0} "
-                             f"for alpha = {self.alpha}")
+            raise UnsupportedRegimeError(
+                f"s = {self.s} below the required s0 = {s0} "
+                f"for alpha = {self.alpha}")
 
     @property
     def truncation(self) -> int:
@@ -364,13 +370,6 @@ class CrossReport:
         return d
 
 
-def _dense_at(traj: Trajectory, ts) -> np.ndarray:
-    out = np.empty((traj.truncation + 1, len(ts)), dtype=complex)
-    for i, t in enumerate(ts):
-        out[:, i] = traj.coeffs_at(t)
-    return out
-
-
 def cross_validate(config: CrossValidationConfig) -> CrossReport:
     """Solve the same data with two independent pipelines and report the
     max mode-wise sup-in-time coefficient disagreement (in the original
@@ -383,7 +382,7 @@ def cross_validate(config: CrossValidationConfig) -> CrossReport:
     spec = EquationSpec.pure_power(k, alpha)
     traj_u = cascade_integrate(phi, spec, T, tol=config.cascade_tol)
     ts = np.linspace(0.0, T, config.n_compare)
-    u_cascade = _dense_at(traj_u, ts)
+    u_cascade = traj_u.dense_at(ts)
     n = np.arange(phi.truncation + 1)
 
     if alpha == 2:
@@ -393,7 +392,7 @@ def cross_validate(config: CrossValidationConfig) -> CrossReport:
         psi = compatible_gauge_data(phi, k)
         gu_traj, gg_traj, log = gauge_picard_solve(
             phi, psi, k, T, tol=config.picard_tol)
-        u_other = _dense_at(gu_traj, ts)
+        u_other = gu_traj.dense_at(ts)
         defect = float(np.max(compatibility_defects(gu_traj, gg_traj, k, ts)))
         disagreement = float(np.max(np.abs(u_cascade - u_other)))
         return CrossReport(pipelines=("cascade", "gauge"),
@@ -403,7 +402,7 @@ def cross_validate(config: CrossValidationConfig) -> CrossReport:
 
     if abs(phi.coeffs[0]) == 0:
         v_traj, log = picard_solve(phi, spec, T, tol=config.picard_tol)
-        v_vals = _dense_at(v_traj, ts)
+        v_vals = v_traj.dense_at(ts)
         mu = dispersion_symbol(spec, n)
         u_other = v_vals * np.exp(1j * np.outer(mu, ts))
         pipelines = ("cascade", "normal-form")
@@ -417,7 +416,7 @@ def cross_validate(config: CrossValidationConfig) -> CrossReport:
         w0[0] = 0.0
         v_traj, log = picard_solve(SpectralState(w0, phi.time), w_spec, T,
                                    tol=config.picard_tol)
-        v_vals = _dense_at(v_traj, ts)
+        v_vals = v_traj.dense_at(ts)
         mu = dispersion_symbol(w_spec, n)
         w_vals = v_vals * np.exp(1j * np.outer(mu, ts))
         shift = spec.self_coupling(m0)

@@ -27,12 +27,12 @@ decomposition exponentials.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable
 
 import numpy as np
 
 from .quadrature import DEFAULT_POINTS, PanelGrid, RADIANS_PER_PANEL
-from .spectral import EquationSpec, SpectralState, dispersion_mu
+from .spectral import EquationSpec, SpectralState, dispersion_mu, power
 from .trajectory import Trajectory, sup_sobolev_diff
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "ContractionThresholdError",
     "NonContractionError",
     "MaxIterationsError",
+    "iterate_fixed_point",
     "picard_solve",
 ]
 
@@ -56,6 +57,48 @@ class NonContractionError(RuntimeError):
 
 class MaxIterationsError(RuntimeError):
     """Iteration budget exhausted before reaching tolerance."""
+
+
+def iterate_fixed_point(apply: Callable[[np.ndarray], np.ndarray],
+                        x: np.ndarray, log: "PicardLog", tol: float,
+                        max_iter: int) -> np.ndarray:
+    """Iterate ``x <- apply(x)`` on dense node-value tensors shaped
+    ``(modes, ...)`` until the sup-in-time H^1 increment is ``<= tol``.
+
+    Records ``(iteration, increment, ratio)`` in ``log``; on convergence
+    sets ``log.final_residual`` to the increment of one more application of
+    ``apply`` and returns the last iterate.  Raises NonContractionError
+    after two non-contracting steps in a row (unless within 10 tol) and
+    MaxIterationsError when ``max_iter`` applications do not converge.
+    The initial iterate is not kept once the first application is done.
+    """
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    prev_diff = None
+    bad_ratios = 0
+    for it in range(1, max_iter + 1):
+        new = apply(x)
+        diff = sup_sobolev_diff(new, x)
+        ratio = None if prev_diff in (None, 0.0) else diff / prev_diff
+        log.iterations.append((it, diff, ratio))
+        x = new
+        if diff <= tol:
+            log.converged = True
+            log.final_residual = sup_sobolev_diff(apply(x), x)
+            return x
+        if ratio is not None and ratio >= 1.0:
+            bad_ratios += 1
+            if bad_ratios >= 2 and diff > 10 * tol:
+                raise NonContractionError(
+                    f"iterates stopped contracting (ratio {ratio:.3f} at "
+                    f"iteration {it}); smallness lhs {log.smallness.lhs:.4g}, "
+                    f"rhs {log.smallness.rhs:.4g}")
+        else:
+            bad_ratios = 0
+        prev_diff = diff
+    raise MaxIterationsError(
+        f"no convergence after {max_iter} iterations; last increment "
+        f"{diff:.3e}")
 
 
 def _ordered_compositions(n: int, parts: int):
@@ -101,10 +144,12 @@ def _build_table(M: int, deg: int, mu: np.ndarray) -> _Table:
 class SmallnessReport:
     """Result of the a-priori contraction-ball check.
 
-    The bound constants are certified at the working truncation from the
-    cached phase table (kernel maxima) and Young's convolution inequality;
-    the check mirrors the continuity argument
+    For the normal form the bound constants are certified at the working
+    truncation from the cached phase table (kernel maxima) and Young's
+    convolution inequality; the check mirrors the continuity argument
     ``|phi| + N-bound(2|phi|) + N-bound(|phi|) + T * B-bound(2|phi|) < 2|phi|``.
+    The gauge solver reports ``lhs = |phi|_H1 + |psi|_H1`` against
+    ``rhs = smallness_threshold`` and has no bound constants.
     """
 
     accepted: bool
@@ -176,18 +221,11 @@ class NormalFormOperators:
     def _velocity_from_u(self, U: np.ndarray) -> np.ndarray:
         """i n e^{it mu(n)} d/dt v_n expressed through convolution powers of
         the positive part of u; this is what the time derivative inserts
-        into the bulk term."""
-        M1, nt = U.shape
+        into the bulk term.  Columns of U are times."""
         pos = np.array(U)
         pos[0] = 0.0
-        out = np.zeros_like(U)
-        for deg, lam in self.spec.nonlin_coeffs.items():
-            for i in range(nt):
-                col = pos[:, i]
-                acc = col
-                for _ in range(deg):
-                    acc = np.convolve(acc, col)[:M1]
-                out[:, i] += lam / (deg + 1) * acc
+        out = sum(lam / (deg + 1) * power(pos, deg + 1)
+                  for deg, lam in self.spec.nonlin_coeffs.items())
         return 1j * self.n_vec[:, None] * out
 
     def _bulk_from_u(self, U: np.ndarray, vel: np.ndarray) -> np.ndarray:
@@ -319,15 +357,16 @@ class NormalFormOperators:
 
 @dataclass
 class PicardLog:
-    """Convergence history of the fixed-point iteration."""
+    """Convergence history of a fixed-point iteration (normal form or gauge).
+
+    ``final_residual`` is the sup-in-time H^1 increment of one more map
+    application after convergence, not the last recorded increment.
+    """
 
     smallness: SmallnessReport
     iterations: list = field(default_factory=list)   # (iter, sup-H1 diff, ratio)
     converged: bool = False
     final_residual: float = float("nan")
-
-    def record(self, i: int, diff: float, ratio: Optional[float]):
-        self.iterations.append((i, diff, ratio))
 
     @property
     def ratios(self) -> list:
@@ -374,34 +413,14 @@ def picard_solve(phi: SpectralState, spec: EquationSpec, T: float,
     grid = PanelGrid.for_frequency(T, freq, q=q,
                                    radians_per_panel=radians_per_panel)
     phi_c = np.asarray(phi.coeffs, dtype=complex)
-    v_vals = np.broadcast_to(phi_c[:, None, None],
-                             (M + 1, grid.n_panels, grid.q)).copy()
-    prev_diff = None
-    bad_ratios = 0
-    for it in range(1, max_iter + 1):
-        new = ops._apply_map_tensor(v_vals, grid, phi_c)
-        diff = sup_sobolev_diff(new, v_vals)
-        ratio = None if prev_diff in (None, 0.0) else diff / prev_diff
-        log.record(it, diff, ratio)
-        v_vals = new
-        if diff <= tol:
-            log.converged = True
-            break
-        if ratio is not None and ratio >= 1.0:
-            bad_ratios += 1
-            if bad_ratios >= 2 and diff > 10 * tol:
-                raise NonContractionError(
-                    f"iterates stopped contracting (ratio {ratio:.3f} at "
-                    f"iteration {it}); |phi|_H1 = {log.smallness.phi_h1:.4g}")
-        else:
-            bad_ratios = 0
-        prev_diff = diff
-    if not log.converged:
-        raise MaxIterationsError(
-            f"no convergence after {max_iter} iterations; last increment "
-            f"{log.iterations[-1][1]:.3e}")
-    final = ops._apply_map_tensor(v_vals, grid, phi_c)
-    log.final_residual = sup_sobolev_diff(final, v_vals)
+    # a copy, not a broadcast view of phi: with the view, the heap left by
+    # one solve raised the peak RSS of later solves in the same process (by
+    # up to ~4 MB on the benchmark's verify workload)
+    v_vals = iterate_fixed_point(
+        lambda v: ops._apply_map_tensor(v, grid, phi_c),
+        np.broadcast_to(phi_c[:, None, None],
+                        (M + 1, grid.n_panels, grid.q)).copy(),
+        log, tol, max_iter)
     traj = Trajectory(spec=spec, grid=grid, modes=np.arange(M + 1),
                       values=v_vals, truncation=M, quadrature_tolerance=tol,
                       initial_state=phi, variable="v")

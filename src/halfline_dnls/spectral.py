@@ -6,7 +6,10 @@ are nonnegative, products are lower triangular in frequency: entry ``n`` of a
 convolution depends only on entries ``<= n`` of the factors, so truncated
 results agree exactly with the untruncated ones on the retained modes.  That
 exactness is the backbone of every consistency check in this package; there
-is deliberately no collocation grid and no FFT.
+is deliberately no collocation grid and no FFT.  The product kernel takes
+arrays of shape ``(M+1, ...)``: axis 0 is the mode axis and any trailing
+axes are a batch (panel nodes, sample times), so a whole trajectory is
+multiplied in one call.
 
 Convention: the analysis integral carries a ``1/2pi`` factor, so the
 coefficient vector of a constant ``c`` is ``c * delta_0``.
@@ -37,7 +40,8 @@ __all__ = [
 
 
 class TruncationMismatchError(ValueError):
-    """Raised when two coefficient vectors of different truncation meet."""
+    """Raised when two coefficient arrays of different truncation (or of
+    different batch shape) meet."""
 
 
 class DispersionKind(Enum):
@@ -47,9 +51,14 @@ class DispersionKind(Enum):
 
 def _as_coeffs(a) -> np.ndarray:
     c = np.asarray(getattr(a, "coeffs", a), dtype=complex)
-    if c.ndim != 1:
-        raise ValueError(f"coefficient vector must be 1-D, got shape {c.shape}")
+    if c.ndim == 0:
+        raise ValueError("coefficients need a mode axis, got a scalar")
     return c
+
+
+def _along_modes(v: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """A per-mode vector shaped to broadcast against ``c`` along axis 0."""
+    return v.reshape(v.shape + (1,) * (c.ndim - 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,39 +198,52 @@ class EquationSpec:
         )
 
 
-def _check_same_truncation(a: np.ndarray, b: np.ndarray):
-    if a.size != b.size:
-        raise TruncationMismatchError(
-            f"truncations differ: {a.size - 1} vs {b.size - 1}")
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``out[n] = sum_{m<=n} a[m] b[n-m]`` along axis 0 by direct
+    shift-and-add.  Rows of ``a`` that are zero in every column add nothing
+    and are skipped, so modes that no pair of supported modes reaches stay
+    exactly 0."""
+    out = np.zeros_like(a)
+    size = a.shape[0]
+    rows = np.any(a, axis=tuple(range(1, a.ndim)))
+    for m in np.flatnonzero(rows).tolist():
+        out[m:] += a[m] * b[: size - m]
+    return out
 
 
 def convolve(a, b) -> np.ndarray:
     """Coefficient product ``(a*b)(n) = sum_{m=0}^{n} a(m) b(n-m)``.
 
-    Both inputs must share one truncation M; entries ``n <= M`` of the result
-    are exact because no discarded mode can reach them.
+    Both inputs are arrays of one shape ``(M+1, ...)``: axis 0 holds the
+    modes and the trailing axes are a batch, multiplied column by column.
+    Entries ``n <= M`` of the result are exact because no discarded mode can
+    reach them.
     """
     ca, cb = _as_coeffs(a), _as_coeffs(b)
-    _check_same_truncation(ca, cb)
-    return np.convolve(ca, cb)[: ca.size]
+    if ca.shape != cb.shape:
+        raise TruncationMismatchError(
+            f"coefficient arrays differ: truncations {ca.shape[0] - 1} vs "
+            f"{cb.shape[0] - 1}, shapes {ca.shape} vs {cb.shape}")
+    return _product(ca, cb)
 
 
 def power(a, j: int) -> np.ndarray:
-    """j-fold coefficient product; ``j = 0`` returns the identity delta_0."""
+    """j-fold coefficient product of an ``(M+1, ...)`` array, column by
+    column; ``j = 0`` returns the identity delta_0 in every column."""
     c = _as_coeffs(a)
     if j < 0:
         raise ValueError("power exponent must be >= 0")
     out = np.zeros_like(c)
     out[0] = 1.0
     base = c
-    # binary powering; each convolve is exact on the retained modes
+    # binary powering; each product is exact on the retained modes
     e = j
     while e:
         if e & 1:
-            out = np.convolve(out, base)[: c.size]
+            out = _product(out, base)
         e >>= 1
         if e:
-            base = np.convolve(base, base)[: c.size]
+            base = _product(base, base)
     return out
 
 
@@ -231,15 +253,18 @@ def sobolev_norm(u, s: float) -> float:
     At ``s = 0`` this is the L^2 norm (Parseval).
     """
     c = _as_coeffs(u)
+    if c.ndim != 1:
+        raise ValueError(f"coefficient vector must be 1-D, got shape {c.shape}")
     n = np.arange(c.size, dtype=float)
     w = (1.0 + n * n) ** float(s)
     return float(np.sqrt(np.sum(w * (c.real**2 + c.imag**2))))
 
 
 def derivative_coeffs(u) -> np.ndarray:
-    """Coefficients of the spatial derivative: ``(u_x)(n) = i n u(n)``."""
+    """Coefficients of the spatial derivative: ``(u_x)(n) = i n u(n)``, for
+    an ``(M+1, ...)`` array."""
     c = _as_coeffs(u)
-    return 1j * np.arange(c.size) * c
+    return 1j * _along_modes(np.arange(c.shape[0]), c) * c
 
 
 def dispersion_mu(alpha: float, n, kind: DispersionKind = DispersionKind.SCHRODINGER):

@@ -91,6 +91,11 @@ class Trajectory:
             dense[self.modes] = c @ tx
         return dense
 
+    def dense_at(self, ts) -> np.ndarray:
+        """Dense coefficients at each time of ``ts``, shape
+        (truncation+1, len(ts)): mode axis first, times as the batch."""
+        return np.stack([self.coeffs_at(t) for t in ts], axis=1)
+
     def state_at(self, t: float) -> SpectralState:
         return SpectralState(self.coeffs_at(t), time=float(t))
 

@@ -117,6 +117,42 @@ def test_cross_validate(tmp_path, capsys):
     assert doc["report"]["max_disagreement"] < 1e-8
 
 
+def test_simulate_negative_horizon_is_input_error(tmp_path, capsys):
+    phi = _phi_file(tmp_path, {1: (0.1, 0.0)}, 4)
+    assert dispatch(["simulate", "--alpha", "2", "--k", "1", "--phi", phi,
+                     "--T", "-1"]) == 2
+    assert "T must be positive" in capsys.readouterr().err
+
+
+def test_missing_phi_file_is_input_error(tmp_path, capsys):
+    missing = str(tmp_path / "nonexistent.json")
+    assert dispatch(["simulate", "--alpha", "2", "--k", "1", "--phi", missing,
+                     "--T", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert missing in err
+    assert "Expecting value" not in err
+
+
+def test_malformed_phi_is_input_error(capsys):
+    assert dispatch(["simulate", "--alpha", "2", "--k", "1",
+                     "--phi", '{"time": 0}', "--T", "0.5"]) == 2
+    assert "malformed state" in capsys.readouterr().err
+
+
+def test_inline_phi_json(capsys):
+    phi = json.dumps({"time": 0.0, "coeffs": [[0, 0], [0.1, 0], [0, 0]]})
+    assert dispatch(["simulate", "--alpha", "2", "--k", "1", "--phi", phi,
+                     "--T", "0.25"]) == 0
+    assert json.loads(capsys.readouterr().out)["trajectory"]["truncation"] == 2
+
+
+def test_cross_validate_unsupported_regime(tmp_path, capsys):
+    phi = _phi_file(tmp_path, {1: (0.05, 0.0)}, 8)
+    assert dispatch(["cross-validate", "--alpha", "2.5", "--k", "1",
+                     "--phi", phi, "--T", "0.5"]) == 2
+    assert "outside the supported regimes" in capsys.readouterr().err
+
+
 def test_batch_empty_list(tmp_path, capsys):
     cfg = tmp_path / "batch.json"
     cfg.write_text(json.dumps({"experiments": []}))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfline_dnls import (EquationSpec, SecularSlopeError, SpectralState,
                            cascade_integrate, compatibility_defects,
@@ -64,7 +66,58 @@ def test_gauge_weight_requires_mean_zero():
         gauge_lambda(delta(0, 4, 0.5) + delta(1, 4, 0.1), 1)
 
 
+def test_batched_weight_per_column():
+    # a batch of nodes gives each column its own primitive and slope
+    rng = np.random.default_rng(14)
+    u = 0.1 * (rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5)))
+    u[0] = 0.0
+    w = gauge_lambda(u, 2)
+    assert w.truncation == 7
+    for i in range(5):
+        col = gauge_lambda(u[:, i], 2)
+        assert np.max(np.abs(w.periodic_coeffs[:, i]
+                             - col.periodic_coeffs)) < 1e-16
+        assert w.secular_slope[i] == col.secular_slope == 0
+    with pytest.raises(SecularSlopeError):
+        gauge_lambda(u + delta(0, 7, 0.5)[:, None], 1)
+
+
 # -- truncated exponential ---------------------------------------------------------
+
+def exp_oracle(lam):
+    """The per-node series with np.convolve that exp_coeffs batches."""
+    c = np.asarray(lam, dtype=complex)
+    pos = np.array(c)
+    pos[0] = 0.0
+    out = np.zeros_like(c)
+    out[0] = 1.0
+    term = out.copy()
+    for j in range(1, c.size):
+        term = np.convolve(term, pos)[: c.size] / j
+        if not np.any(term):
+            break
+        out += term
+    return np.exp(c[0]) * out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 6), st.integers(1, 3),
+       st.integers(0, 2**32 - 1))
+def test_batched_exp_matches_per_node_oracle(M, B, step, seed):
+    # equal to the per-node oracle on (M+1, B), and modes off the multiples
+    # of ``step`` stay exactly 0
+    rng = np.random.default_rng(seed)
+    lam = 0.5 * (rng.standard_normal((M + 1, B))
+                 + 1j * rng.standard_normal((M + 1, B)))
+    off = np.arange(M + 1) % step != 0
+    lam[off] = 0.0
+    got = exp_coeffs(lam)
+    for i in range(B):
+        ref = exp_oracle(lam[:, i])
+        bound = np.abs(exp_oracle(np.abs(lam[:, i])))
+        assert np.all(np.abs(got[:, i] - ref) <= 1e-13 * np.maximum(1.0, bound))
+    assert np.all(got[off] == 0)
+
 
 def test_exp_of_zero():
     assert np.array_equal(exp_coeffs(np.zeros(6, dtype=complex)), delta(0, 5))
@@ -81,10 +134,15 @@ def test_exp_single_mode_closed_form():
 
 
 def test_exp_inverse_pair():
+    # one vector, then a (12, 4, 3) batch of them
     rng = np.random.default_rng(23)
-    lam = 0.3 * (rng.standard_normal(12) + 1j * rng.standard_normal(12))
-    prod = convolve(exp_coeffs(lam), exp_coeffs(-lam))
-    assert np.max(np.abs(prod - delta(0, 11))) < 1e-13
+    for shape in ((12,), (12, 4, 3)):
+        lam = 0.3 * (rng.standard_normal(shape)
+                     + 1j * rng.standard_normal(shape))
+        prod = convolve(exp_coeffs(lam), exp_coeffs(-lam))
+        one = np.zeros(shape, dtype=complex)
+        one[0] = 1.0
+        assert np.max(np.abs(prod - one)) < 1e-13
 
 
 def test_exp_truncation_independence():
@@ -137,6 +195,23 @@ def test_rhs_k1_single_mode_oracle():
     assert np.max(np.abs(g_got - g_exp)) < 1e-14
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rhs_batch_matches_per_node_oracle(k):
+    # the solver evaluates the right-hand side on all (panel, node) columns
+    # at once; each column must equal the per-node call it replaces
+    rng = np.random.default_rng(40 + k)
+    shape = (11, 3, 4)
+    u = 0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    gu = 0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    u[0] = gu[0] = 0.0
+    f, g = gauge_system_rhs(u, gu, k)
+    for p, i in np.ndindex(3, 4):
+        f_ref, g_ref = gauge_system_rhs(u[:, p, i], gu[:, p, i], k)
+        scale = max(np.max(np.abs(f_ref)), np.max(np.abs(g_ref)))
+        assert np.max(np.abs(f[:, p, i] - f_ref)) <= 1e-13 * scale
+        assert np.max(np.abs(g[:, p, i] - g_ref)) <= 1e-13 * scale
+
+
 def test_rhs_zero_state():
     z = np.zeros(8, dtype=complex)
     f, g = gauge_system_rhs(z, z, 1)
@@ -176,6 +251,16 @@ def test_gauge_solver_matches_cascade(k):
         assert np.max(np.abs(tu.coeffs_at(t) - ref.coeffs_at(t))) < 1e-8
     defects = compatibility_defects(tu, tg, k)
     assert np.max(defects) < 1e-8
+
+
+def test_gauge_solver_reports_smallness():
+    phi = SpectralState.from_modes({1: 0.05}, 8)
+    psi = compatible_gauge_data(phi, 1)
+    _, _, log = gauge_picard_solve(phi, psi, 1, 0.5)
+    rep = log.smallness
+    assert rep.accepted and rep.rhs == 0.25
+    assert rep.phi_h1 == sobolev_norm(phi, 1.0)
+    assert rep.lhs == rep.phi_h1 + sobolev_norm(psi, 1.0)
 
 
 def test_gauge_solver_rejects_large_data():

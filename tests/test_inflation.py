@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from halfline_dnls import (ExperimentConfig, build_inflation_data, choose_N,
-                           inflation_time, minimum_regularity,
-                           run_experiment, sobolev_norm)
+from halfline_dnls import (ExperimentConfig, UnsupportedRegimeError,
+                           build_inflation_data, choose_N, inflation_time,
+                           minimum_regularity, run_experiment, sobolev_norm)
 
 
 # -- data -----------------------------------------------------------------------
@@ -91,14 +91,14 @@ def test_choose_N_minimality():
 # -- config validation ---------------------------------------------------------------
 
 def test_config_rejects_open_regime():
-    with pytest.raises(ValueError, match="open problem"):
+    with pytest.raises(UnsupportedRegimeError, match="open problem"):
         ExperimentConfig(N=8, s=2.0, sigma=0.0, k=1, alpha=2.5)
 
 
 def test_config_rejects_low_regularity():
-    with pytest.raises(ValueError, match="below the required"):
+    with pytest.raises(UnsupportedRegimeError, match="below the required"):
         ExperimentConfig(N=8, s=1.0, sigma=0.0, k=1, alpha=2.0)
-    with pytest.raises(ValueError, match="below the required"):
+    with pytest.raises(UnsupportedRegimeError, match="below the required"):
         ExperimentConfig(N=8, s=0.5, sigma=0.0, k=1, alpha=3.0)
 
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from halfline_dnls import (ContractionThresholdError, EquationSpec,
-                           NormalFormOperators, PanelGrid, SpectralState,
-                           Trajectory, cascade_integrate, picard_solve,
-                           sobolev_norm)
+                           MaxIterationsError, NormalFormOperators, PanelGrid,
+                           SpectralState, Trajectory, cascade_integrate,
+                           compatible_gauge_data, gauge_picard_solve,
+                           picard_solve, sobolev_norm)
 from halfline_dnls.spectral import dispersion_mu
 
 
@@ -99,6 +100,32 @@ def test_bulk_single_mode_hand_value():
     assert out[3] == pytest.approx(direct, rel=1e-13)
 
 
+def velocity_oracle(ops, U):
+    """The per-column np.convolve loop that _velocity_from_u batches."""
+    M1, nt = U.shape
+    pos = np.array(U)
+    pos[0] = 0.0
+    out = np.zeros_like(U)
+    for deg, lam in ops.spec.nonlin_coeffs.items():
+        for i in range(nt):
+            col = pos[:, i]
+            acc = col
+            for _ in range(deg):
+                acc = np.convolve(acc, col)[:M1]
+            out[:, i] += lam / (deg + 1) * acc
+    return 1j * ops.n_vec[:, None] * out
+
+
+def test_velocity_matches_per_column_oracle():
+    M = 12
+    ops = NormalFormOperators(EquationSpec(3.0, {1: 1.0, 2: -0.5j, 3: 0.25}), M)
+    rng = np.random.default_rng(21)
+    U = 0.2 * (rng.standard_normal((M + 1, 24))
+               + 1j * rng.standard_normal((M + 1, 24)))
+    ref = velocity_oracle(ops, U)
+    assert np.max(np.abs(ops._velocity_from_u(U) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 # -- fixed-point map -----------------------------------------------------------------
 
 def _constant_trajectory(phi, T, freq):
@@ -157,12 +184,34 @@ def test_picard_agrees_with_cascade_k2():
         assert np.max(np.abs(u_from_v - u_traj.coeffs_at(t))) < 1e-10
 
 
-def test_picard_fixed_point_residual():
+def _solve_normal_form(tol, max_iter=40):
     phi = state({1: 0.05, 2: 0.05}, 12)
+    return picard_solve(phi, EquationSpec.pure_power(1, 3.0), 1.0, tol=tol,
+                        max_iter=max_iter)[-1]
+
+
+def _solve_gauge(tol, max_iter=60):
+    phi = state({1: 0.05, 2: 0.02}, 12)
+    psi = compatible_gauge_data(phi, 1)
+    return gauge_picard_solve(phi, psi, 1, 1.0, tol=tol,
+                              max_iter=max_iter)[-1]
+
+
+@pytest.mark.parametrize("solve", [_solve_normal_form, _solve_gauge])
+def test_picard_fixed_point_residual(solve):
+    # the residual is one more map application after convergence, so for a
+    # contraction it lies below the last recorded increment
     tol = 1e-10
-    traj, log = picard_solve(phi, EquationSpec.pure_power(1, 3.0), 1.0, tol=tol)
+    log = solve(tol)
     assert log.converged
     assert log.final_residual <= 10 * tol
+    assert log.final_residual < log.iterations[-1][1]
+
+
+@pytest.mark.parametrize("solve", [_solve_normal_form, _solve_gauge])
+def test_picard_max_iterations(solve):
+    with pytest.raises(MaxIterationsError, match="after 1 iterations"):
+        solve(1e-10, max_iter=1)
 
 
 def test_picard_ratios_shrink_with_data():

@@ -88,6 +88,69 @@ def test_convolve_associative_to_reassociation_tolerance(xs, ys, zs):
     assert np.max(np.abs(left - right)) <= 1e-13 * scale
 
 
+# -- batches over trailing axes ----------------------------------------------------
+
+def convolve_oracle(a, b):
+    """Column-by-column ``np.convolve``: the scalar product the batched
+    kernel replaces."""
+    out = np.empty_like(a)
+    for i in np.ndindex(a.shape[1:]):
+        col = (slice(None),) + i
+        out[col] = np.convolve(a[col], b[col])[: a.shape[0]]
+    return out
+
+
+def power_oracle(a, j):
+    out = np.zeros_like(a)
+    out[0] = 1.0
+    for _ in range(j):
+        out = convolve_oracle(out, a)
+    return out
+
+
+def batch(rng, M, B, step):
+    """(M+1, B) draws supported on the multiples of ``step``, with a few
+    whole columns zeroed."""
+    a = rng.standard_normal((M + 1, B)) + 1j * rng.standard_normal((M + 1, B))
+    a[np.arange(M + 1) % step != 0] = 0.0
+    a[:, rng.random(B) < 0.2] = 0.0
+    return a
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 6), st.integers(1, 3),
+       st.integers(0, 5), st.integers(0, 2**32 - 1))
+def test_batched_products_match_column_oracle(M, B, step, j, seed):
+    # batches on (M+1, B): equal to the column-by-column np.convolve oracle,
+    # and modes off the multiples of ``step`` (no pair of supported modes
+    # reaches them) stay exactly 0
+    rng = np.random.default_rng(seed)
+    a, b = batch(rng, M, B, step), batch(rng, M, B, step)
+    off = np.arange(M + 1) % step != 0
+    for got, ref, bound in (
+            (convolve(a, b), convolve_oracle(a, b),
+             convolve_oracle(np.abs(a), np.abs(b))),
+            (power(a, j), power_oracle(a, j), power_oracle(np.abs(a), j))):
+        assert got.shape == (M + 1, B)
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, bound))
+        assert np.all(got[off] == 0)
+        assert np.all(got[:, ~np.any(a, axis=0)][1:] == 0)
+
+
+def test_convolve_batch_shape_mismatch():
+    with pytest.raises(TruncationMismatchError):
+        convolve(np.ones((4, 3), dtype=complex), np.ones((4, 2), dtype=complex))
+
+
+def test_batched_derivative_per_column():
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal((6, 2, 3)) + 1j * rng.standard_normal((6, 2, 3))
+    got = derivative_coeffs(c)
+    for i in np.ndindex(2, 3):
+        col = (slice(None),) + i
+        assert np.array_equal(got[col], derivative_coeffs(c[col]))
+
+
 # -- power ----------------------------------------------------------------------
 
 def test_power_of_single_mode():
