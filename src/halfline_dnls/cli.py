@@ -191,6 +191,9 @@ def _cmd_gauge(args) -> int:
         "gauge_identity_defects": [[float(t), float(d)]
                                    for t, d in zip(ts, defects)],
         "converged": log.converged,
+        "final_residual": log.final_residual,
+        "smallness": log.smallness.to_dict(),
+        "iterations": [[i, d, r] for i, d, r in log.iterations],
     }, manifest, args.out)
     return 0 if log.converged else 1
 

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 __all__ = [
     "PhaseTuple",
     "PhaseCertificate",
@@ -114,15 +116,32 @@ class PhaseCertificate:
         return d
 
 
-def _check_block(alpha, k, cap, leading: int) -> Optional[tuple]:
+def _check_block(alpha, k: int, leading: int, dtype) -> tuple:
+    """Check every nonincreasing (k+1)-tuple with largest entry ``leading``.
+
+    Returns ``(count, counterexample)``: the first violating tuple in
+    enumeration order and the number of tuples up to and including it, or
+    the block size and ``None``.  Integer ``alpha`` is evaluated in
+    ``dtype`` (``int64`` or exact Python ints); other ``alpha`` in floats.
+    """
     # tuples are enumerated nonincreasing (sorted representatives only);
     # Phi is permutation symmetric, so this prunes the (k+1)! orderings
-    for rest in combinations_with_replacement(range(leading, 0, -1), k):
-        t = (leading, *rest)
-        pt = PhaseTuple.build(alpha, t)
-        if not pt.satisfies_bound():
-            return t
-    return None
+    t = np.array([(leading, *rest) for rest in
+                  combinations_with_replacement(range(leading, 0, -1), k)],
+                 dtype=dtype)
+    if _is_integer_alpha(alpha):
+        a = int(alpha)
+        phi = -(t.sum(axis=1) ** a) + (t ** a).sum(axis=1)
+        ok = np.abs(phi) >= (a - 1) * leading ** (a - 1) * t[:, 1]
+    else:
+        af = float(alpha)
+        phi = -np.power(t.sum(axis=1), af) + np.power(t, af).sum(axis=1)
+        bound = (af - 1.0) * math.pow(leading, af - 1.0) * t[:, 1]
+        ok = np.abs(phi) >= bound * (1.0 - FLOAT_ALPHA_SLACK)
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        return int(bad[0]) + 1, tuple(int(n) for n in t[bad[0]])
+    return len(t), None
 
 
 def certify_phase_bound(alpha: float, k: int,
@@ -130,23 +149,35 @@ def certify_phase_bound(alpha: float, k: int,
     """Exhaustively check ``|Phi| >= (alpha-1) max^(alpha-1) smax`` over all
     (k+1)-tuples with entries in ``1..index_cap``.
 
-    Integer alpha is checked in exact integer arithmetic.  Returns the first
-    violating tuple if any.  Work is partitioned by leading (largest) index.
+    Integer alpha is checked in exact integer arithmetic: ``int64`` while
+    ``((k+1) * index_cap)^alpha`` (which bounds every term) fits, Python
+    ints beyond.  The scan runs one leading (largest) index at a time and
+    stops at the first violating tuple; ``tuples_checked`` counts the tuples
+    up to and including it.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if index_cap < 1:
         raise ValueError("index_cap must be >= 1")
-    total = math.comb(index_cap + k, k + 1)
+    if alpha < 1:
+        raise ValueError("the bound requires alpha >= 1")
+    if not _is_integer_alpha(alpha):
+        dtype = float
+    elif ((k + 1) * index_cap) ** int(alpha) < 2**63:
+        dtype = np.int64
+    else:
+        dtype = object
+    checked = 0
     counterexample = None
     for lead in range(1, index_cap + 1):
-        counterexample = _check_block(alpha, k, index_cap, lead)
+        count, counterexample = _check_block(alpha, k, lead, dtype)
+        checked += count
         if counterexample is not None:
             break
     return PhaseCertificate(
         alpha=float(alpha), k=int(k), index_cap=int(index_cap),
         passed=counterexample is None,
-        tuples_checked=total,
+        tuples_checked=checked,
         counterexample=counterexample,
     )
 

@@ -26,7 +26,11 @@ def sup_sobolev_diff(a: np.ndarray, b: np.ndarray, s: float = 1.0) -> float:
     tensors shaped (modes, ...)."""
     n = np.arange(a.shape[0], dtype=float)
     w = (1.0 + n * n) ** float(s)
-    sq = np.einsum("m,m...->...", w, np.abs(a - b) ** 2)
+    # one mode at a time: temporaries of one mode's size, not the tensor's
+    sq = np.zeros(a.shape[1:])
+    for m in range(a.shape[0]):
+        d = a[m] - b[m]
+        sq += w[m] * (d.real * d.real + d.imag * d.imag)
     return float(np.sqrt(np.max(sq)))
 
 

@@ -90,6 +90,13 @@ def test_gauge_outputs(tmp_path, capsys):
     assert doc["converged"] is True
     defects = [d for _, d in doc["gauge_identity_defects"]]
     assert max(defects) < 1e-8
+    # the same solver log as `picard`: residual, smallness report, history
+    assert 0.0 <= doc["final_residual"] < 1e-10
+    assert doc["smallness"]["accepted"] is True
+    assert doc["smallness"]["ball_lhs"] < doc["smallness"]["ball_rhs"]
+    iters = doc["iterations"]
+    assert [i for i, _, _ in iters] == list(range(1, len(iters) + 1))
+    assert iters[-1][1] <= 1e-10 and iters[0][2] is None
 
 
 def test_inflate_headline_number(tmp_path, capsys):

@@ -8,6 +8,7 @@ from halfline_dnls import (ContractionThresholdError, EquationSpec,
                            SpectralState, Trajectory, cascade_integrate,
                            compatible_gauge_data, gauge_picard_solve,
                            picard_solve, sobolev_norm)
+from halfline_dnls.normalform import _MAP_BLOCK_PANELS
 from halfline_dnls.spectral import dispersion_mu
 
 
@@ -152,6 +153,45 @@ def test_integral_map_on_constant_data():
               + ops.boundary_term(phi, t) - ops.boundary_term(phi, 0.0))
     # the bulk integral of a constant state is not zero but fourth order
     assert np.max(np.abs(out.coeffs_at(t) - direct)) < 5e-6
+
+
+def apply_map_oracle(ops, v_vals, grid, phi):
+    """The per-panel map: one panel's (M+1, q) node values at a time, with
+    the bulk integral carried across panels as a running sum."""
+    sch = grid.scheme
+    times = grid.node_times()
+    widths = grid.widths()
+    n_phi0 = ops.boundary_term(phi, 0.0)
+    out = np.empty_like(v_vals)
+    carry = np.zeros(ops.truncation + 1, dtype=complex)
+    for p in range(grid.n_panels):
+        E = np.exp(1j * np.outer(ops.mu, times[p]))
+        U = v_vals[:, p, :] * E
+        Ec = np.conj(E)
+        n_vals = ops._boundary_from_u(U) * Ec
+        b_vals = ops._bulk_from_u(U, ops._velocity_from_u(U)) * Ec
+        J = 0.5 * widths[p] * (b_vals @ sch.antideriv_nodes.T)
+        out[:, p, :] = (phi[:, None] + n_vals - n_phi0[:, None]
+                        + carry[:, None] + J)
+        carry = carry + 0.5 * widths[p] * (b_vals @ sch.antideriv_end)
+    return out
+
+
+# fewer panels than one block, an exact multiple of the block, a remainder
+@pytest.mark.parametrize("n_panels", [5, 2 * _MAP_BLOCK_PANELS,
+                                      2 * _MAP_BLOCK_PANELS + 5])
+def test_apply_map_matches_per_panel_oracle(n_panels):
+    M = 10
+    ops = NormalFormOperators(EquationSpec(3.0, {1: 1.0, 2: -0.5j}), M)
+    grid = PanelGrid.for_frequency(0.3, 1.0, q=12, n_panels=n_panels)
+    rng = np.random.default_rng(n_panels)
+    shape = (M + 1, n_panels, grid.q)
+    v = 0.05 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    v[0] = 0.0
+    phi = v[:, 0, 0].copy()
+    ref = apply_map_oracle(ops, v, grid, phi)
+    got = ops._apply_map_tensor(v, grid, phi)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_integral_map_zero_data():

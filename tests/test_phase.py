@@ -1,13 +1,15 @@
 """Resonance phase values, the lower bound, and the support semigroup."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfline_dnls import (PhaseTuple, certify_phase_bound, phase_lower_bound,
-                           resonance_phase, support_semigroup)
+from halfline_dnls import (PhaseTuple, certify_phase_bound, phase,
+                           phase_lower_bound, resonance_phase,
+                           support_semigroup)
 
 
 def test_phase_alpha2_pair():
@@ -85,6 +87,58 @@ def test_certify_counterexample_detection():
     cert = certify_phase_bound(2, 1, 6)
     # multisets of size 2 with entries <= 6
     assert cert.tuples_checked == 21
+
+
+def certify_oracle(alpha, k, cap):
+    """The scalar scan: one PhaseTuple per nonincreasing tuple, in the
+    certificate's order; returns (passed, tuples_checked, counterexample)."""
+    checked = 0
+    for lead in range(1, cap + 1):
+        for rest in itertools.combinations_with_replacement(
+                range(lead, 0, -1), k):
+            checked += 1
+            t = (lead, *rest)
+            if not PhaseTuple.build(alpha, t).satisfies_bound():
+                return False, checked, t
+    return True, checked, None
+
+
+@pytest.mark.parametrize("alpha,k,cap,python_ints", [
+    (2, 3, 30, False), (4, 2, 30, False), (9, 3, 30, False),
+    (13, 2, 40, True), (20, 3, 10, True),
+    (1, 2, 12, False), (2.5, 2, 20, False), (3.7, 1, 40, False),
+])
+def test_certify_matches_scalar_oracle(alpha, k, cap, python_ints):
+    # integer alpha with ((k+1) cap)^alpha >= 2^63 is checked in Python ints
+    assert (((k + 1) * cap) ** alpha >= 2**63) == python_ints
+    cert = certify_phase_bound(alpha, k, cap)
+    assert (cert.passed, cert.tuples_checked, cert.counterexample) == \
+        certify_oracle(alpha, k, cap)
+    assert cert.tuples_checked == math.comb(cap + k, k + 1)
+
+
+# (2.5, 1, 6): (1, 1) and (2, 2) pass, (2, 1) is the third tuple scanned;
+# (3, 3, 1, 1) sits inside its leading-index block, (2, 1) and (3, 1, 1) end it
+@pytest.mark.parametrize("alpha,k,cap,slack,checked,counterexample", [
+    (2.5, 1, 6, -1.2, 3, (2, 1)),
+    (3.5, 2, 9, -5.0, 10, (3, 1, 1)),
+    (2.2, 3, 7, -6.0, 11, (3, 3, 1, 1)),
+])
+def test_certify_stops_at_first_counterexample(monkeypatch, alpha, k, cap,
+                                               slack, checked,
+                                               counterexample):
+    # a negative slack demands |Phi| >= (1 - slack) bound, which some tuples
+    # early in the scan violate
+    monkeypatch.setattr(phase, "FLOAT_ALPHA_SLACK", slack)
+    cert = certify_phase_bound(alpha, k, cap)
+    assert (cert.passed, cert.tuples_checked, cert.counterexample) == \
+        (False, checked, counterexample) == certify_oracle(alpha, k, cap)
+    assert cert.to_dict()["counterexample"] == list(counterexample)
+
+
+def test_certify_rejects_alpha_below_one():
+    with pytest.raises(ValueError, match="alpha >= 1"):
+        certify_phase_bound(0.5, 1, 4)
 
 
 # -- support semigroup --------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from halfline_dnls import (EquationSpec, SpectralState, cascade_integrate,
                            sobolev_norm)
+from halfline_dnls.trajectory import sup_sobolev_diff
 
 
 @pytest.fixture(scope="module")
@@ -76,3 +77,22 @@ def test_csv_output(traj):
     assert lines[0] == "# demo"
     assert lines[1] == "t,n,abs,arg"
     assert len(lines) == 2 + len(traj.sample_times) * traj.modes.size
+
+
+def sup_sobolev_diff_oracle(a, b, s=1.0):
+    # whole-tensor einsum of the weighted squared moduli
+    n = np.arange(a.shape[0], dtype=float)
+    sq = np.einsum("m,m...->...", (1.0 + n * n) ** s, np.abs(a - b) ** 2)
+    return float(np.sqrt(np.max(sq)))
+
+
+@pytest.mark.parametrize("shape", [(9,), (9, 5), (17, 33, 24)])
+@pytest.mark.parametrize("s", [0.0, 1.0, 2.5])
+def test_sup_sobolev_diff_matches_einsum_oracle(shape, s):
+    rng = np.random.default_rng(len(shape))
+    a, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for _ in range(2))
+    b[3] = a[3]
+    ref = sup_sobolev_diff_oracle(a, b, s)
+    assert sup_sobolev_diff(a, b, s) == pytest.approx(ref, rel=1e-14)
+    assert sup_sobolev_diff(a, a, s) == 0.0
