@@ -29,9 +29,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .phase import support_semigroup
-from .quadrature import (DEFAULT_POINTS, OverflowGuardError, PanelGrid,
-                         QuadratureError, RADIANS_PER_PANEL,
-                         oscillatory_march, tail_ratio)
+from .quadrature import (OVERFLOW_GUARD, OverflowGuardError, PanelGrid,
+                         QuadratureError, oscillatory_march, tail_ratio)
 from .spectral import (DispersionKind, EquationSpec, SpectralState,
                        dispersion_mu, dispersion_symbol, power)
 from .trajectory import Trajectory
@@ -46,6 +45,9 @@ __all__ = [
     "standard_windows",
     "weak_residual",
 ]
+
+# panel doublings tried after the first grid before giving up
+MAX_REFINEMENTS = 3
 
 
 def nonlinear_forcing(state: SpectralState, spec: EquationSpec, n: int) -> complex:
@@ -65,11 +67,8 @@ def nonlinear_forcing(state: SpectralState, spec: EquationSpec, n: int) -> compl
 # -- cascade integrator -------------------------------------------------------
 
 def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
-                      tol: float = 1e-10, restrict_support: bool = True,
-                      q: int = DEFAULT_POINTS,
-                      radians_per_panel: float = RADIANS_PER_PANEL,
-                      max_refinements: int = 3,
-                      overflow_guard: float = 1e100) -> Trajectory:
+                      tol: float = 1e-10, restrict_support: bool = True
+                      ) -> Trajectory:
     """Evolve ``phi`` under ``spec`` up to time T.
 
     With ``restrict_support`` the solver tracks only the additive semigroup
@@ -86,9 +85,9 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
     trajectory for the powers of ``w``.
 
     Raises QuadratureError when the Chebyshev tails still exceed ``tol``
-    after ``max_refinements`` panel doublings, and OverflowGuardError when a
-    mode magnitude passes ``overflow_guard``; as modes are solved in
-    increasing order, the error names the lowest mode that passes it.
+    after ``MAX_REFINEMENTS`` panel doublings, and OverflowGuardError when a
+    mode magnitude passes ``quadrature.OVERFLOW_GUARD``; as modes are solved
+    in increasing order, the error names the lowest mode that passes it.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -100,8 +99,7 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
         support = np.arange(M + 1)
 
     if support.size == 0:
-        grid = PanelGrid.for_frequency(T, 1.0, q=q,
-                                       radians_per_panel=radians_per_panel)
+        grid = PanelGrid.for_frequency(T, 1.0)
         values = np.zeros((0, grid.n_panels, grid.q), dtype=complex)
         return Trajectory(spec=spec, grid=grid, modes=support, values=values,
                           truncation=M, quadrature_tolerance=tol,
@@ -122,11 +120,10 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
     weights = {j: a for j, a in weights.items() if a != 0}
     init = phi.coeffs[support]
 
-    grid = PanelGrid.for_frequency(T, freq, q=q,
-                                   radians_per_panel=radians_per_panel)
-    for _ in range(max_refinements + 1):
+    grid = PanelGrid.for_frequency(T, freq)
+    for _ in range(MAX_REFINEMENTS + 1):
         values, worst_tail, worst_mode = _solve_rows(
-            grid, support, omega, c0, init, weights, overflow_guard)
+            grid, support, omega, c0, init, weights)
         if worst_tail <= tol:
             return Trajectory(spec=spec, grid=grid, modes=support,
                               values=values, truncation=M,
@@ -139,7 +136,7 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
         worst_mode=worst_mode, tail=worst_tail)
 
 
-def _solve_rows(grid, support, omega, c0, init, weights, overflow_guard):
+def _solve_rows(grid, support, omega, c0, init, weights):
     """Solve the support rows in increasing order on one grid.  Returns the
     node values, the worst Chebyshev tail ratio and the mode it occurs at."""
     shape = (grid.n_panels, grid.q)
@@ -172,10 +169,10 @@ def _solve_rows(grid, support, omega, c0, init, weights, overflow_guard):
                 g += (1j * n * weights[j]) * powers[j][r]
         try:
             values[r] = oscillatory_march(grid, omega[r:r + 1], g[None],
-                                          init[r:r + 1], overflow_guard)[0]
+                                          init[r:r + 1])[0]
         except OverflowGuardError as exc:
             raise OverflowGuardError(
-                f"mode {n} exceeded {overflow_guard:g} at t={exc.time:g}",
+                f"mode {n} exceeded {OVERFLOW_GUARD:g} at t={exc.time:g}",
                 time=exc.time) from None
         ratio = tail_ratio(values[r], grid.scheme)
         if ratio > worst_tail:
@@ -208,68 +205,48 @@ def mean_zero_transform(traj: Trajectory, m0: Optional[complex] = None
     """Recenter a trajectory around its conserved mean.
 
     With ``c = sum_l lambda_l m0^l``, mode n >= 1 is multiplied by
-    ``e^{-i t c n}`` and m0 is subtracted from mode 0.  The result solves the
-    recentered equation whose nonlinearity coefficients are
-    ``lambda'_j = sum_{l>=j} lambda_l C(l, j) m0^{l-j}`` (j >= 1): no
-    degree-0 term survives, so the new data is mean-zero with no transport.
+    ``e^{-i t c n}`` and m0 is subtracted from mode 0.  The result solves
+    ``traj.spec.recentered(m0)``, the equation with no degree-0 term, so the
+    new data is mean-zero with no transport.
     """
-    spec = traj.spec
     if m0 is None:
         m0 = complex(traj.initial_state.coeffs[0])
     m0 = complex(m0)
-    shift = spec.self_coupling(m0)
+    shift = traj.spec.self_coupling(m0)
     if shift.imag > 0:
         warnings.warn(
             "recentering multiplier grows in time (Im of the self-coupling "
             "is positive); the truncated transform stays finite but is "
             "exponentially ill-conditioned", stacklevel=2)
-    new_coeffs = {}
-    for j in range(1, spec.max_degree + 1):
-        lam_j = sum(lam * comb(deg, j) * m0 ** (deg - j)
-                    for deg, lam in spec.nonlin_coeffs.items()
-                    if deg >= max(j, 1))
-        if lam_j != 0:
-            new_coeffs[j] = lam_j
-    if not new_coeffs:
-        raise ValueError("no nonlinear term survives recentering a linear equation")
-    w_spec = EquationSpec(alpha=spec.alpha, nonlin_coeffs=new_coeffs,
-                          dispersion_kind=spec.dispersion_kind)
-
-    times = traj.grid.node_times()
-    mult = np.exp(-1j * shift * traj.modes[:, None, None].astype(float)
-                  * times[None, :, :])
-    w_vals = traj.values * mult
-    w_init = np.array(traj.initial_state.coeffs)
-    w_init[0] -= m0
-    r0 = np.searchsorted(traj.modes, 0)
-    if r0 < traj.modes.size and traj.modes[r0] == 0:
-        w_vals[r0] -= m0
-    return Trajectory(spec=w_spec, grid=traj.grid, modes=traj.modes,
-                      values=w_vals, truncation=traj.truncation,
-                      quadrature_tolerance=traj.quadrature_tolerance,
-                      initial_state=SpectralState(w_init, traj.initial_state.time),
-                      variable="w")
+    return _shift_frame(traj, -m0, -shift, traj.spec.recentered(m0), "w")
 
 
 def mean_zero_inverse(w_traj: Trajectory, m0: complex,
                       original_spec: EquationSpec) -> Trajectory:
     """Undo mean_zero_transform; exact inverse multipliers."""
     m0 = complex(m0)
-    shift = original_spec.self_coupling(m0)
-    times = w_traj.grid.node_times()
-    mult = np.exp(1j * shift * w_traj.modes[:, None, None].astype(float)
+    return _shift_frame(w_traj, m0, original_spec.self_coupling(m0),
+                        original_spec, "u")
+
+
+def _shift_frame(traj: Trajectory, m0: complex, shift: complex,
+                 spec: EquationSpec, variable: str) -> Trajectory:
+    """Multiply mode n by ``e^{i t shift n}`` and add m0 to mode 0; the
+    result is a trajectory of ``spec``."""
+    times = traj.grid.node_times()
+    mult = np.exp(1j * shift * traj.modes[:, None, None].astype(float)
                   * times[None, :, :])
-    u_vals = w_traj.values * mult
-    u_init = np.array(w_traj.initial_state.coeffs)
-    u_init[0] += m0
-    r0 = np.searchsorted(w_traj.modes, 0)
-    if r0 < w_traj.modes.size and w_traj.modes[r0] == 0:
-        u_vals[r0] += m0
-    return Trajectory(spec=original_spec, grid=w_traj.grid, modes=w_traj.modes,
-                      values=u_vals, truncation=w_traj.truncation,
-                      quadrature_tolerance=w_traj.quadrature_tolerance,
-                      initial_state=SpectralState(u_init, w_traj.initial_state.time),
-                      variable="u")
+    vals = traj.values * mult
+    init = np.array(traj.initial_state.coeffs)
+    init[0] += m0
+    r0 = np.searchsorted(traj.modes, 0)
+    if r0 < traj.modes.size and traj.modes[r0] == 0:
+        vals[r0] += m0
+    return Trajectory(spec=spec, grid=traj.grid, modes=traj.modes,
+                      values=vals, truncation=traj.truncation,
+                      quadrature_tolerance=traj.quadrature_tolerance,
+                      initial_state=SpectralState(init, traj.initial_state.time),
+                      variable=variable)
 
 
 # -- weak-formulation residual --------------------------------------------------

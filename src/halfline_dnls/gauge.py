@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .normalform import PicardLog, SmallnessReport, iterate_fixed_point
-from .quadrature import (DEFAULT_POINTS, PanelGrid, RADIANS_PER_PANEL,
-                         oscillatory_march)
+from .quadrature import PanelGrid, oscillatory_march
 from .spectral import (EquationSpec, SpectralState, _along_modes, _as_coeffs,
                        convolve, derivative_coeffs, dispersion_mu, power,
                        sobolev_norm)
@@ -47,6 +46,9 @@ __all__ = [
 
 MEAN_TOL = 1e-12
 SLOPE_TOL = 1e-10
+# bound on |phi|_H1 + |psi|_H1 for the Picard iteration: a pragmatic
+# stand-in for the contraction smallness condition
+SMALLNESS_THRESHOLD = 0.25
 
 
 class SecularSlopeError(ValueError):
@@ -197,18 +199,16 @@ def compatible_gauge_data(phi: SpectralState, k: int) -> SpectralState:
 
 def gauge_picard_solve(phi: SpectralState, psi: SpectralState, k: int,
                        T: float, tol: float = 1e-10, max_iter: int = 60,
-                       smallness_threshold: float = 0.25,
-                       allow_unsafe: bool = False, q: int = DEFAULT_POINTS,
-                       radians_per_panel: float = RADIANS_PER_PANEL) -> tuple:
+                       allow_unsafe: bool = False) -> tuple:
     """Picard iteration on the Duhamel form of the gauge system.
 
     Starts from the free evolutions of ``(phi, psi)`` and iterates until the
     sup-in-time H^1 increment of both components is below ``tol``.  Returns
     ``(trajectory of u, trajectory of gu, PicardLog)``.
 
-    ``smallness_threshold`` bounds ``|phi|_H1 + |psi|_H1``; it is a
-    pragmatic stand-in for the contraction smallness condition, reported as
-    the log's ``smallness``.
+    Data with ``|phi|_H1 + |psi|_H1`` above ``SMALLNESS_THRESHOLD`` is
+    refused unless ``allow_unsafe``; the check is reported as the log's
+    ``smallness``.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -220,19 +220,18 @@ def gauge_picard_solve(phi: SpectralState, psi: SpectralState, k: int,
     phi_h1 = sobolev_norm(phi, 1.0)
     lhs = phi_h1 + sobolev_norm(psi, 1.0)
     log = PicardLog(smallness=SmallnessReport(
-        accepted=lhs <= smallness_threshold, phi_h1=phi_h1, lhs=lhs,
-        rhs=smallness_threshold, boundary_constants={},
+        accepted=lhs <= SMALLNESS_THRESHOLD, phi_h1=phi_h1, lhs=lhs,
+        rhs=SMALLNESS_THRESHOLD, boundary_constants={},
         bulk_kernel_constants={}, horizon=T))
     if not log.smallness.accepted and not allow_unsafe:
         raise ValueError(
             f"|phi|_H1 + |psi|_H1 = {lhs:.4g} exceeds the smallness "
-            f"threshold {smallness_threshold}; pass allow_unsafe=True to "
+            f"threshold {SMALLNESS_THRESHOLD}; pass allow_unsafe=True to "
             "iterate anyway")
 
     spec = EquationSpec.pure_power(k, 2.0)
     mu = dispersion_mu(2.0, np.arange(M + 1)).astype(complex)
-    grid = PanelGrid.for_frequency(T, 2.0 * float(mu[-1].real) + 1.0, q=q,
-                                   radians_per_panel=radians_per_panel)
+    grid = PanelGrid.for_frequency(T, 2.0 * float(mu[-1].real) + 1.0)
     phi_c = np.asarray(phi.coeffs, dtype=complex)
     psi_c = np.asarray(psi.coeffs, dtype=complex)
 

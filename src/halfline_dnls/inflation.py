@@ -322,6 +322,13 @@ def run_experiment(config: ExperimentConfig,
 
 # -- cross-pipeline validation ---------------------------------------------------
 
+# solver tolerances of the two pipelines and the number of equispaced
+# comparison times on [0, T]
+CASCADE_TOL = 1e-10
+PICARD_TOL = 1e-11
+N_COMPARE = 201
+
+
 @dataclass(frozen=True)
 class CrossValidationConfig:
     """Compare the cascade against the independent uniqueness pipeline."""
@@ -331,9 +338,6 @@ class CrossValidationConfig:
     k: int
     T: float
     tolerance: Optional[float] = None     # default: 1e-8 (alpha>=3), 1e-6 (alpha=2)
-    cascade_tol: float = 1e-10
-    picard_tol: float = 1e-11
-    n_compare: int = 201
 
     def resolved_tolerance(self) -> float:
         if self.tolerance is not None:
@@ -380,8 +384,8 @@ def cross_validate(config: CrossValidationConfig) -> CrossReport:
     minimum_regularity(alpha)     # validates the regime
     tol = config.resolved_tolerance()
     spec = EquationSpec.pure_power(k, alpha)
-    traj_u = cascade_integrate(phi, spec, T, tol=config.cascade_tol)
-    ts = np.linspace(0.0, T, config.n_compare)
+    traj_u = cascade_integrate(phi, spec, T, tol=CASCADE_TOL)
+    ts = np.linspace(0.0, T, N_COMPARE)
     u_cascade = traj_u.dense_at(ts)
     n = np.arange(phi.truncation + 1)
 
@@ -391,17 +395,17 @@ def cross_validate(config: CrossValidationConfig) -> CrossReport:
                              "(the gauge weight requires it)")
         psi = compatible_gauge_data(phi, k)
         gu_traj, gg_traj, log = gauge_picard_solve(
-            phi, psi, k, T, tol=config.picard_tol)
+            phi, psi, k, T, tol=PICARD_TOL)
         u_other = gu_traj.dense_at(ts)
         defect = float(np.max(compatibility_defects(gu_traj, gg_traj, k, ts)))
         disagreement = float(np.max(np.abs(u_cascade - u_other)))
         return CrossReport(pipelines=("cascade", "gauge"),
                            max_disagreement=disagreement, tolerance=tol,
-                           n_compare=config.n_compare, gauge_defect=defect,
+                           n_compare=N_COMPARE, gauge_defect=defect,
                            log=log)
 
     if abs(phi.coeffs[0]) == 0:
-        v_traj, log = picard_solve(phi, spec, T, tol=config.picard_tol)
+        v_traj, log = picard_solve(phi, spec, T, tol=PICARD_TOL)
         v_vals = v_traj.dense_at(ts)
         mu = dispersion_symbol(spec, n)
         u_other = v_vals * np.exp(1j * np.outer(mu, ts))
@@ -410,12 +414,11 @@ def cross_validate(config: CrossValidationConfig) -> CrossReport:
         # recenter, solve the polynomial equation for w in normal form,
         # then map back to the original frame
         m0 = complex(phi.coeffs[0])
-        w_ref = mean_zero_transform(traj_u, m0)
-        w_spec = w_ref.spec
+        w_spec = spec.recentered(m0)
         w0 = np.array(phi.coeffs)
         w0[0] = 0.0
         v_traj, log = picard_solve(SpectralState(w0, phi.time), w_spec, T,
-                                   tol=config.picard_tol)
+                                   tol=PICARD_TOL)
         v_vals = v_traj.dense_at(ts)
         mu = dispersion_symbol(w_spec, n)
         w_vals = v_vals * np.exp(1j * np.outer(mu, ts))
@@ -426,4 +429,4 @@ def cross_validate(config: CrossValidationConfig) -> CrossReport:
 
     disagreement = float(np.max(np.abs(u_cascade - u_other)))
     return CrossReport(pipelines=pipelines, max_disagreement=disagreement,
-                       tolerance=tol, n_compare=config.n_compare, log=log)
+                       tolerance=tol, n_compare=N_COMPARE, log=log)

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import DEFAULT_POINTS, PanelGrid, RADIANS_PER_PANEL
+from .quadrature import PanelGrid
 from .spectral import EquationSpec, SpectralState, dispersion_mu, power
 from .trajectory import Trajectory, sup_sobolev_diff
 
@@ -158,7 +158,7 @@ class SmallnessReport:
     convolution inequality; the check mirrors the continuity argument
     ``|phi| + N-bound(2|phi|) + N-bound(|phi|) + T * B-bound(2|phi|) < 2|phi|``.
     The gauge solver reports ``lhs = |phi|_H1 + |psi|_H1`` against
-    ``rhs = smallness_threshold`` and has no bound constants.
+    ``rhs = gauge.SMALLNESS_THRESHOLD`` and has no bound constants.
     """
 
     accepted: bool
@@ -208,23 +208,27 @@ class NormalFormOperators:
 
     # -- batched kernels on u-values (columns = times) ----------------------
 
-    def _scatter(self, tab: _Table, contrib: np.ndarray, out: np.ndarray):
-        if tab.parts.shape[0] == 0:
-            return
-        sums = np.add.reduceat(contrib, tab.seg_starts, axis=0)
-        out[tab.unique_targets] += sums
+    def _contract(self, deg: int, U: np.ndarray, last: np.ndarray
+                  ) -> np.ndarray:
+        """Per target mode n, the sum over the ordered compositions
+        ``n = n_1 + ... + n_{deg+1}`` of
+        ``U[n_1] ... U[n_deg] last[n_{deg+1}] / Phi``."""
+        tab = self.tables[deg]
+        out = np.zeros_like(U)
+        if tab.parts.shape[0]:
+            contrib = (tab.inv_phi[:, None]
+                       * np.prod(U[tab.parts[:, :-1]], axis=1)
+                       * last[tab.parts[:, -1]])
+            out[tab.unique_targets] = np.add.reduceat(contrib, tab.seg_starts,
+                                                      axis=0)
+        return out
 
     def _boundary_from_u(self, U: np.ndarray) -> np.ndarray:
         """N without the outer e^{-it mu(n)} factor; U holds e^{it mu} v."""
         out = np.zeros_like(U)
         for deg, lam in self.spec.nonlin_coeffs.items():
-            tab = self.tables[deg]
-            if tab.parts.shape[0] == 0:
-                continue
-            prod = np.prod(U[tab.parts], axis=1)
-            acc = np.zeros_like(U)
-            self._scatter(tab, tab.inv_phi[:, None] * prod, acc)
-            out += lam / (deg + 1) * self.n_vec[:, None] * acc
+            out += (lam / (deg + 1) * self.n_vec[:, None]
+                    * self._contract(deg, U, U))
         return out
 
     def _velocity_from_u(self, U: np.ndarray) -> np.ndarray:
@@ -241,14 +245,7 @@ class NormalFormOperators:
         """B without the outer e^{-it mu(n)} factor."""
         out = np.zeros_like(U)
         for deg, lam in self.spec.nonlin_coeffs.items():
-            tab = self.tables[deg]
-            if tab.parts.shape[0] == 0:
-                continue
-            first = np.prod(U[tab.parts[:, :-1]], axis=1)
-            contrib = tab.inv_phi[:, None] * first * vel[tab.parts[:, -1]]
-            acc = np.zeros_like(U)
-            self._scatter(tab, contrib, acc)
-            out -= lam * self.n_vec[:, None] * acc
+            out -= lam * self.n_vec[:, None] * self._contract(deg, U, vel)
         return out
 
     def _u_from_v(self, v_cols: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -400,9 +397,7 @@ class PicardLog:
 
 def picard_solve(phi: SpectralState, spec: EquationSpec, T: float,
                  tol: float = 1e-10, max_iter: int = 40,
-                 allow_unsafe: bool = False, q: int = DEFAULT_POINTS,
-                 radians_per_panel: float = RADIANS_PER_PANEL
-                 ) -> tuple:
+                 allow_unsafe: bool = False) -> tuple:
     """Iterate the reduced map from ``v = phi`` until the sup-in-time H^1
     increment drops below ``tol``.
 
@@ -428,8 +423,7 @@ def picard_solve(phi: SpectralState, spec: EquationSpec, T: float,
             f"{log.smallness.rhs:.4g}); pass allow_unsafe=True to override")
 
     freq = 2.0 * float(np.max(ops.mu)) + 1.0
-    grid = PanelGrid.for_frequency(T, freq, q=q,
-                                   radians_per_panel=radians_per_panel)
+    grid = PanelGrid.for_frequency(T, freq)
     phi_c = np.asarray(phi.coeffs, dtype=complex)
     # a copy, not a broadcast view of phi: with the view, the heap left by
     # one solve raised the peak RSS of later solves in the same process (by

@@ -10,9 +10,9 @@ Gauss-Legendre nodes, represented by its Chebyshev interpolant, and
 antidifferentiated exactly in coefficient space; the same interpolant
 provides dense output between nodes.  Panels are sized so that the largest
 oscillation frequency completes only a few radians per panel, which keeps
-the interpolation error near machine precision; integrators re-run with a
+the interpolation error near machine precision; the cascade re-runs with a
 doubled panel count when the Chebyshev tail estimate exceeds the requested
-tolerance.
+tolerance.  The panel sizing and the overflow guard are module constants.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ __all__ = [
 DEFAULT_POINTS = 24
 # radians of the fastest oscillation allowed per panel
 RADIANS_PER_PANEL = 8.0
+# largest mode magnitude a march may reach before it stops with an error
+OVERFLOW_GUARD = 1e100
 
 
 class QuadratureError(RuntimeError):
@@ -49,7 +51,7 @@ class QuadratureError(RuntimeError):
 
 
 class OverflowGuardError(RuntimeError):
-    """A mode magnitude exceeded the configured overflow guard at ``time``."""
+    """A mode magnitude exceeded ``OVERFLOW_GUARD`` at ``time``."""
 
     def __init__(self, message, time=None):
         super().__init__(message)
@@ -121,18 +123,16 @@ class PanelGrid:
     scheme: PanelScheme
 
     @classmethod
-    def for_frequency(cls, horizon: float, max_frequency: float,
-                      q: int = DEFAULT_POINTS,
-                      radians_per_panel: float = RADIANS_PER_PANEL,
-                      n_panels: int | None = None) -> "PanelGrid":
+    def for_frequency(cls, horizon: float, max_frequency: float) -> "PanelGrid":
+        """The grid whose panels each advance ``max_frequency`` by at most
+        ``RADIANS_PER_PANEL`` radians, on the default scheme."""
         if horizon <= 0:
             raise ValueError("horizon must be positive")
-        if n_panels is None:
-            n_panels = max(1, int(np.ceil(horizon * max(max_frequency, 1.0)
-                                          / radians_per_panel)))
+        n_panels = max(1, int(np.ceil(horizon * max(max_frequency, 1.0)
+                                      / RADIANS_PER_PANEL)))
         breaks = np.linspace(0.0, horizon, n_panels + 1)
         breaks.flags.writeable = False
-        return cls(breaks=breaks, scheme=panel_scheme(q))
+        return cls(breaks=breaks, scheme=panel_scheme())
 
     @property
     def n_panels(self) -> int:
@@ -188,8 +188,7 @@ def tail_ratio(values: np.ndarray, scheme: PanelScheme) -> float:
 
 
 def oscillatory_march(grid: PanelGrid, omega: np.ndarray, forcing: np.ndarray,
-                      init: np.ndarray, overflow_guard: float = 1e100
-                      ) -> np.ndarray:
+                      init: np.ndarray) -> np.ndarray:
     """Solve ``u' = i omega u + F`` for every row, over all panels at once.
 
     ``forcing`` holds F at all panel nodes, shape (n_rows, n_panels, q);
@@ -197,8 +196,8 @@ def oscillatory_march(grid: PanelGrid, omega: np.ndarray, forcing: np.ndarray,
     ``e^{-i omega (t-a)} F`` and its antiderivatives are formed for all
     panels in one pass; only the carry across panel ends is a loop.
     Integrating factors are panel-relative, so complex omega (growing modes)
-    stays overflow safe up to the guard, which is checked at every panel
-    end.  Returns node values with the same shape as ``forcing``.
+    stays overflow safe up to ``OVERFLOW_GUARD``, which is checked at every
+    panel end.  Returns node values with the same shape as ``forcing``.
     """
     sch = grid.scheme
     if forcing.shape != (omega.size, grid.n_panels, grid.q):
@@ -219,11 +218,11 @@ def oscillatory_march(grid: PanelGrid, omega: np.ndarray, forcing: np.ndarray,
     for p, (step_p, jend_p) in enumerate(zip(step, Jend.T)):
         carry[p] = c
         c = step_p * (c + jend_p)
-        if np.abs(c).max(initial=0.0) > overflow_guard:
+        if np.abs(c).max(initial=0.0) > OVERFLOW_GUARD:
             n_bad = int(np.argmax(np.abs(c)))
             t_bad = float(grid.breaks[p + 1])
             raise OverflowGuardError(
-                f"mode magnitude exceeded {overflow_guard:g} at t="
+                f"mode magnitude exceeded {OVERFLOW_GUARD:g} at t="
                 f"{t_bad:g} (mode row {n_bad}); "
                 "growing background makes the truncated system blow up",
                 time=t_bad)

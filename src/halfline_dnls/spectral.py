@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from math import comb
 from typing import Mapping
 
 import numpy as np
@@ -177,6 +178,25 @@ class EquationSpec:
         """``sum_l lambda_l c^l``: coefficient of the self-interaction of
         mode n induced by a constant background ``c`` (mode-0 amplitude)."""
         return sum(lam * c**deg for deg, lam in self.nonlin_coeffs.items())
+
+    def recentered(self, m0: complex) -> "EquationSpec":
+        """The equation of ``w = u - m0`` in the frame that removes the
+        self-coupling of the background ``m0``: coefficients
+        ``lambda'_j = sum_{l>=j} lambda_l C(l, j) m0^{l-j}`` for j >= 1, so
+        no degree-0 (transport) term survives."""
+        m0 = complex(m0)
+        new_coeffs = {}
+        for j in range(1, self.max_degree + 1):
+            lam_j = sum(lam * comb(deg, j) * m0 ** (deg - j)
+                        for deg, lam in self.nonlin_coeffs.items()
+                        if deg >= j)
+            if lam_j != 0:
+                new_coeffs[j] = lam_j
+        if not new_coeffs:
+            raise ValueError("no nonlinear term survives recentering a "
+                             "linear equation")
+        return EquationSpec(alpha=self.alpha, nonlin_coeffs=new_coeffs,
+                            dispersion_kind=self.dispersion_kind)
 
     def to_dict(self) -> dict:
         return {

@@ -9,6 +9,7 @@ from halfline_dnls import (ContractionThresholdError, EquationSpec,
                            compatible_gauge_data, gauge_picard_solve,
                            picard_solve, sobolev_norm)
 from halfline_dnls.normalform import _MAP_BLOCK_PANELS
+from halfline_dnls.quadrature import panel_scheme
 from halfline_dnls.spectral import dispersion_mu
 
 
@@ -183,7 +184,8 @@ def apply_map_oracle(ops, v_vals, grid, phi):
 def test_apply_map_matches_per_panel_oracle(n_panels):
     M = 10
     ops = NormalFormOperators(EquationSpec(3.0, {1: 1.0, 2: -0.5j}), M)
-    grid = PanelGrid.for_frequency(0.3, 1.0, q=12, n_panels=n_panels)
+    grid = PanelGrid(breaks=np.linspace(0.0, 0.3, n_panels + 1),
+                     scheme=panel_scheme(12))
     rng = np.random.default_rng(n_panels)
     shape = (M + 1, n_panels, grid.q)
     v = 0.05 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))

@@ -197,6 +197,22 @@ def test_power_two_mode_binomial_oracle(k):
 
 # -- sobolev norms ---------------------------------------------------------------
 
+def test_recentered_spec_binomial_coefficients():
+    # lambda'_j = sum_{l>=j} lambda_l C(l, j) m0^{l-j}: no degree-0 term
+    spec = EquationSpec(alpha=3.0, nonlin_coeffs={0: 0.5, 1: 1.0, 2: -0.5j})
+    m0 = 0.2 - 0.1j
+    w = spec.recentered(m0)
+    assert set(w.nonlin_coeffs) == {1, 2}
+    assert w.nonlin_coeffs[1] == pytest.approx(1.0 + 2 * (-0.5j) * m0)
+    assert w.nonlin_coeffs[2] == -0.5j
+    assert (w.alpha, w.dispersion_kind) == (spec.alpha, spec.dispersion_kind)
+
+
+def test_recentered_linear_equation_rejected():
+    with pytest.raises(ValueError, match="no nonlinear term"):
+        EquationSpec.pure_power(0, 2.0).recentered(0.3)
+
+
 def test_sobolev_norm_zero_state():
     assert sobolev_norm(np.zeros(6, dtype=complex), 2.5) == 0.0
 

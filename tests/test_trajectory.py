@@ -5,9 +5,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import chebval
 
-from halfline_dnls import (EquationSpec, SpectralState, cascade_integrate,
-                           sobolev_norm)
+from halfline_dnls import (EquationSpec, PanelGrid, SpectralState, Trajectory,
+                           cascade_integrate, sobolev_norm)
+from halfline_dnls.quadrature import panel_scheme
 from halfline_dnls.trajectory import sup_sobolev_diff
 
 
@@ -33,11 +37,52 @@ def test_dense_output_continuous_across_breaks(traj):
     assert np.max(np.abs(left - right)) < 1e-10
 
 
+def coeffs_at_oracle(traj, t):
+    # the coefficient path: the panel's Chebyshev coefficients, then chebval
+    p, x = traj.grid.locate(t)
+    coeffs = traj.values[:, p, :] @ traj.grid.scheme.coeff_map.T
+    dense = np.zeros(traj.truncation + 1, dtype=complex)
+    dense[traj.modes] = [chebval(x, c) for c in coeffs]
+    return dense
+
+
+def test_dense_output_matches_coefficient_oracle(traj):
+    ts = np.concatenate([np.linspace(0.0, traj.horizon, 37),
+                         traj.grid.breaks[1:-1:7]])
+    ref = np.stack([coeffs_at_oracle(traj, t) for t in ts], axis=1)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(traj.dense_at(ts) - ref)) <= 1e-14 * scale
+    for n in traj.modes:
+        got = traj.mode_values(int(n), ts)
+        assert np.max(np.abs(got - ref[n])) <= 1e-14 * scale
+
+
 def test_sample_times_cover_endpoints(traj):
     ts = traj.sample_times
     assert ts[0] == 0.0
     assert ts[-1] == traj.horizon
     assert ts.size <= 258
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10**5))
+@example(256)
+@example(257)
+@example(513)
+@example(10**5)
+def test_sample_times_at_most_257_with_endpoints(n_panels):
+    # only the grid matters: a trajectory with no tracked modes
+    grid = PanelGrid(breaks=np.linspace(0.0, 2.0, n_panels + 1),
+                     scheme=panel_scheme())
+    empty = Trajectory(spec=EquationSpec.pure_power(1, 2.0), grid=grid,
+                       modes=np.zeros(0, dtype=int),
+                       values=np.zeros((0, n_panels, grid.q), dtype=complex),
+                       truncation=1, quadrature_tolerance=1e-10,
+                       initial_state=SpectralState(np.zeros(2)))
+    ts = empty.sample_times
+    assert ts.size <= 257
+    assert ts[0] == 0.0 and ts[-1] == 2.0
+    assert np.all(np.diff(ts) > 0)
 
 
 def test_state_at_endpoints(traj):
