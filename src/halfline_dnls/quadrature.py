@@ -8,10 +8,14 @@ by exact integrating factors ``e^{i omega_n (t - a)}`` on short panels.  On
 each panel the slow factor ``e^{-i omega_n (t-a)} F_n`` is sampled at
 Gauss-Legendre nodes, represented by its Chebyshev interpolant, and
 antidifferentiated exactly in coefficient space; the same interpolant
-provides dense output between nodes.  Panels are sized so that the largest
-oscillation frequency completes only a few radians per panel, which keeps
-the interpolation error near machine precision; the cascade re-runs with a
-doubled panel count when the Chebyshev tail estimate exceeds the requested
+provides dense output between nodes.  The carry from one panel end to the
+next is a linear recurrence, solved in closed form over blocks of panels
+with integrating factors taken from the breaks directly, so its phase and
+modulus errors do not grow with the panel count.  Panels are sized so that
+the largest oscillation frequency completes only a few radians per panel,
+which keeps the interpolation error near machine precision; the cascade
+re-runs with a doubled panel count when the Chebyshev tail estimate,
+measured against the whole state on each panel, exceeds the requested
 tolerance.  The panel sizing and the overflow guard are module constants.
 """
 
@@ -160,8 +164,11 @@ class PanelGrid:
         breaks.flags.writeable = False
         return PanelGrid(breaks=breaks, scheme=self.scheme)
 
-    def locate(self, t: float) -> tuple[int, float]:
-        """Panel index and local coordinate x in [-1, 1] for a time t."""
+    def locate(self, t):
+        """Panel index and local coordinate x in [-1, 1] for a time t, or
+        arrays of both for an array of times (one searchsorted)."""
+        if isinstance(t, np.ndarray) and t.ndim:
+            return self._locate_all(t.astype(float, copy=False))
         if not 0.0 <= t <= self.horizon * (1 + 1e-12):
             raise ValueError(f"time {t} outside [0, {self.horizon}]")
         p = int(np.searchsorted(self.breaks, t, side="right") - 1)
@@ -170,21 +177,43 @@ class PanelGrid:
         x = 2.0 * (t - a) / (b - a) - 1.0
         return p, float(min(1.0, max(-1.0, x)))
 
+    def _locate_all(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        inside = (ts >= 0.0) & (ts <= self.horizon * (1 + 1e-12))
+        if not inside.all():
+            raise ValueError(f"time {ts[~inside][0]} outside "
+                             f"[0, {self.horizon}]")
+        p = np.clip(np.searchsorted(self.breaks, ts, side="right") - 1,
+                    0, self.n_panels - 1)
+        a, b = self.breaks[p], self.breaks[p + 1]
+        return p, np.clip(2.0 * (ts - a) / (b - a) - 1.0, -1.0, 1.0)
 
-def tail_ratio(values: np.ndarray, scheme: PanelScheme) -> float:
-    """Largest relative magnitude of the last two Chebyshev coefficients.
 
-    ``values`` has node values along its last axis.  A small ratio certifies
-    that the interpolant resolves the sampled function on this panel.
+def tail_ratio(values: np.ndarray, scheme: PanelScheme,
+               by_row: bool = False) -> float | np.ndarray:
+    """Largest magnitude of the last two Chebyshev coefficients, relative
+    to the largest coefficient of the whole state on the same panel.
+
+    ``values`` has node values along its last axis; for two or more axes,
+    axis 0 holds the rows of one state and the axes between are panels.
+    Measuring each row against the whole state keeps rows of negligible
+    size (round-off of the state) from counting as unresolved.  A small
+    ratio certifies that the interpolants resolve the sampled state.
     Panels whose largest coefficient is below 1e-290 count as resolved
-    (ratio 0): their tails are round-off of a negligible row.
+    (ratio 0).  Returns the largest ratio, or with ``by_row`` the largest
+    ratio of each row as an array.
     """
-    coeffs = values @ scheme.coeff_map.T
-    tail = np.max(np.abs(coeffs[..., -2:]), axis=-1)
-    scale = np.max(np.abs(coeffs), axis=-1)
+    rows = values if values.ndim > 1 else values[None]
+    tails = np.empty(rows.shape[:-1])
+    scale = np.zeros(rows.shape[1:-1])
+    # one row at a time keeps the temporaries at one row's size
+    for r, row in enumerate(rows):
+        mag = np.abs(row @ scheme.coeff_map.T)
+        tails[r] = np.max(mag[..., -2:], axis=-1)
+        np.maximum(scale, np.max(mag, axis=-1), out=scale)
     with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(scale > 1e-290, tail / np.maximum(scale, 1e-300), 0.0)
-    return float(np.max(ratio)) if ratio.size else 0.0
+        ratio = np.where(scale > 1e-290, tails / np.maximum(scale, 1e-300), 0.0)
+    per_row = ratio.reshape(len(rows), -1).max(axis=1, initial=0.0)
+    return per_row if by_row else float(per_row.max(initial=0.0))
 
 
 def oscillatory_march(grid: PanelGrid, omega: np.ndarray, forcing: np.ndarray,
@@ -193,11 +222,22 @@ def oscillatory_march(grid: PanelGrid, omega: np.ndarray, forcing: np.ndarray,
 
     ``forcing`` holds F at all panel nodes, shape (n_rows, n_panels, q);
     ``init`` the values at t = 0.  Panel phases, the slow factor
-    ``e^{-i omega (t-a)} F`` and its antiderivatives are formed for all
-    panels in one pass; only the carry across panel ends is a loop.
-    Integrating factors are panel-relative, so complex omega (growing modes)
-    stays overflow safe up to ``OVERFLOW_GUARD``, which is checked at every
-    panel end.  Returns node values with the same shape as ``forcing``.
+    ``e^{-i omega (t-a)} F`` and its antiderivatives ``Jend`` over each
+    panel are formed for all panels in one pass.  The carry across panel
+    ends, ``c_{p+1} = e^{i omega h_p} (c_p + Jend_p)``, is a linear
+    recurrence, solved in closed form over blocks of panels starting at
+    break s:
+
+        c_{s+i} = E_i (c_s + sum_{j<i} Jend_{s+j} / E_j),
+        E_i = e^{i omega (t_{s+i} - t_s)},
+
+    with each ``E_i`` computed from the breaks directly, not as a product
+    of panel steps.  A block spans as many panels as keep ``|E|`` and
+    ``1/|E|`` within ``OVERFLOW_GUARD`` for the largest ``|Im omega|``, so
+    rows with real omega take the whole grid in one block.  Each block's
+    carries are checked against ``OVERFLOW_GUARD``; the error names the
+    first panel end past it and the row.  Returns node values with the
+    same shape as ``forcing``.
     """
     sch = grid.scheme
     if forcing.shape != (omega.size, grid.n_panels, grid.q):
@@ -212,20 +252,33 @@ def oscillatory_march(grid: PanelGrid, omega: np.ndarray, forcing: np.ndarray,
     J *= 0.5 * h[:, None]
     Jend = 0.5 * h * (psi @ sch.antideriv_end)           # (n_rows, n_panels)
     del psi
-    step = np.exp(1j * omega[None, :] * h[:, None])      # (n_panels, n_rows)
-    carry = np.empty_like(step)
+    # |E| <= e^{growth * block} <= OVERFLOW_GUARD, and so is 1/|E|
+    growth = float(np.max(np.abs(omega.imag), initial=0.0) * h.max())
+    n = grid.n_panels
+    block = n if growth == 0.0 else int(
+        min(n, max(1, np.log(OVERFLOW_GUARD) // growth)))
+    carry = np.empty_like(Jend)          # carry[:, p]: value at breaks[p]
     c = np.array(init, dtype=complex)
-    for p, (step_p, jend_p) in enumerate(zip(step, Jend.T)):
-        carry[p] = c
-        c = step_p * (c + jend_p)
-        if np.abs(c).max(initial=0.0) > OVERFLOW_GUARD:
-            n_bad = int(np.argmax(np.abs(c)))
-            t_bad = float(grid.breaks[p + 1])
+    for s in range(0, n, block):
+        e = min(s + block, n)
+        E = np.exp(1j * omega[:, None]
+                   * (grid.breaks[s:e + 1] - grid.breaks[s]))
+        ends = np.cumsum(Jend[:, s:e] / E[:, :-1], axis=1)
+        ends += c[:, None]
+        ends *= E[:, 1:]                 # values at breaks[s+1 .. e]
+        over = np.abs(ends) > OVERFLOW_GUARD
+        if over.any():
+            i = int(np.argmax(over.any(axis=0)))
+            n_bad = int(np.argmax(np.abs(ends[:, i])))
+            t_bad = float(grid.breaks[s + i + 1])
             raise OverflowGuardError(
                 f"mode magnitude exceeded {OVERFLOW_GUARD:g} at t="
                 f"{t_bad:g} (mode row {n_bad}); "
                 "growing background makes the truncated system blow up",
                 time=t_bad)
-    J += carry.T[:, :, None]
+        carry[:, s] = c
+        carry[:, s + 1:e] = ends[:, :-1]
+        c = ends[:, -1]
+    J += carry[:, :, None]
     J *= ph
     return J

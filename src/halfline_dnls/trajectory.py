@@ -75,23 +75,24 @@ class Trajectory:
             return int(idx)
         return None
 
-    def _interpolant_row(self, t: float) -> tuple[int, np.ndarray]:
-        """Panel of time t and the row that maps that panel's node values
-        to the value of their Chebyshev interpolant at t."""
-        p, x = self.grid.locate(t)
-        # T_0(x), ..., T_{q-1}(x) by chebvander's recurrence on Python
-        # floats (bit-identical to it): for one point chebvander takes ~55 us
-        # in array overhead, this loop ~3 us (2-core x86-64 VM)
-        tx = [1.0, x]
+    def _interpolant_rows(self, ts):
+        """Panel of each time of ``ts`` and the row that maps that panel's
+        node values to the value of their Chebyshev interpolant there: an
+        int and a (q,) row for one time, arrays (n,) and (n, q) for n."""
+        p, x = self.grid.locate(ts)
+        # T_0(x), ..., T_{q-1}(x) by chebvander's recurrence (bit-identical
+        # to it); on one Python float this takes ~3 us, chebvander ~55 us in
+        # array overhead (2-core x86-64 VM)
+        tx = [np.ones_like(x) if isinstance(x, np.ndarray) else 1.0, x]
         for _ in range(2, self.grid.q):
             tx.append(2.0 * x * tx[-1] - tx[-2])
-        return p, np.array(tx) @ self.grid.scheme.coeff_map
+        return p, np.array(tx).T @ self.grid.scheme.coeff_map
 
     # -- dense output --------------------------------------------------------
 
     def coeffs_at(self, t: float) -> np.ndarray:
         """Dense coefficient vector (length truncation+1) at time t."""
-        p, row = self._interpolant_row(t)
+        p, row = self._interpolant_rows(t)
         dense = np.zeros(self.truncation + 1, dtype=complex)
         if self.modes.size:
             dense[self.modes] = self.values[:, p, :] @ row
@@ -108,14 +109,11 @@ class Trajectory:
     def mode_values(self, n: int, ts) -> np.ndarray:
         """Mode n evaluated at an array of times."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.zeros(ts.size, dtype=complex)
         r = self._row(n)
         if r is None:
-            return out
-        for i, t in enumerate(ts):
-            p, row = self._interpolant_row(t)
-            out[i] = self.values[r, p, :] @ row
-        return out
+            return np.zeros(ts.size, dtype=complex)
+        p, rows = self._interpolant_rows(ts)
+        return np.einsum("iq,iq->i", self.values[r, p, :], rows)
 
     def mode_derivative_values(self, n: int, panel: int) -> np.ndarray:
         """d/dt of mode n at the nodes of one panel."""

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from halfline_dnls import (DispersionKind, EquationSpec, OverflowGuardError,
-                           SpectralState, Trajectory, cascade_integrate,
-                           linear_solve, mean_zero_inverse,
+                           QuadratureError, SpectralState, Trajectory,
+                           cascade_integrate, linear_solve, mean_zero_inverse,
                            mean_zero_transform, nonlinear_forcing,
                            sobolev_norm, standard_windows, weak_residual)
+from halfline_dnls import cascade, quadrature
 
 
 def state(modes, M, time=0.0):
@@ -172,8 +173,11 @@ def test_restricted_matches_unrestricted():
     spec = EquationSpec.pure_power(1, 2.0)
     t_r = cascade_integrate(phi, spec, 0.6, restrict_support=True)
     t_f = cascade_integrate(phi, spec, 0.6, restrict_support=False)
-    for t in (0.0, 0.3, 0.6):
-        assert np.max(np.abs(t_r.coeffs_at(t) - t_f.coeffs_at(t))) < 1e-13
+    # the extra rows are exact zeros, so the semigroup rows match exactly
+    assert np.array_equal(t_r.grid.breaks, t_f.grid.breaks)
+    rows = np.searchsorted(t_f.modes, t_r.modes)
+    assert np.array_equal(t_f.modes[rows], t_r.modes)
+    assert np.array_equal(t_f.values[rows], t_r.values)
 
 
 def test_truncation_exactness():
@@ -212,6 +216,28 @@ def test_overflow_guard_trips():
     spec = EquationSpec.pure_power(1, 2.0)
     with pytest.raises(OverflowGuardError, match=r"mode 12\b"):
         cascade_integrate(phi, spec, 1.0)
+
+
+@pytest.mark.parametrize("M,panels", [(56, 197), (64, 257)])
+def test_negligible_high_modes_pass_on_first_grid(M, panels):
+    # modes near 0.05^M are round-off of the state: measured against their
+    # own size their tails looked unresolved and the solve raised
+    phi = state({1: 0.05, 2: 0.05}, M)
+    traj = cascade_integrate(phi, EquationSpec.pure_power(1, 2.0), 0.25)
+    assert traj.n_panels == panels
+
+
+def test_under_resolved_grid_raises_naming_worst_mode(monkeypatch):
+    # 200 radians per panel cannot be resolved by 24 nodes
+    monkeypatch.setattr(quadrature, "RADIANS_PER_PANEL", 200.0)
+    monkeypatch.setattr(cascade, "MAX_REFINEMENTS", 0)
+    phi = state({1: 0.1, 2: 0.05j}, 8)
+    with pytest.raises(QuadratureError) as info:
+        cascade_integrate(phi, EquationSpec.pure_power(1, 2.0), 1.0)
+    err = info.value
+    assert err.tail > 1e-10
+    assert err.worst_mode in range(1, 9)
+    assert f"at mode {err.worst_mode}" in str(err)
 
 
 # -- linear closed forms -----------------------------------------------------------

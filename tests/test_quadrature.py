@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from halfline_dnls import OverflowGuardError, PanelGrid
-from halfline_dnls.quadrature import oscillatory_march, panel_scheme, tail_ratio
+from halfline_dnls.quadrature import (OVERFLOW_GUARD, oscillatory_march,
+                                      panel_scheme, tail_ratio)
 
 
 def reference_march(grid, omega, forcing, init):
-    """Scalar oracle: the panel-by-panel integrating-factor march."""
+    """Scalar oracle: the panel-by-panel integrating-factor march, which
+    stops at the first panel end where a row passes OVERFLOW_GUARD."""
     sch = grid.scheme
     out = np.empty_like(forcing)
     carry = np.array(init, dtype=complex)
@@ -23,6 +25,10 @@ def reference_march(grid, omega, forcing, init):
         Jend = 0.5 * h * (psi @ sch.antideriv_end)
         out[:, p, :] = ph * (carry[:, None] + J)
         carry = np.exp(1j * omega * h) * (carry + Jend)
+        if np.abs(carry).max() > OVERFLOW_GUARD:
+            raise OverflowGuardError(
+                f"(mode row {int(np.argmax(np.abs(carry)))})",
+                time=float(grid.breaks[p + 1]))
     return out
 
 
@@ -146,5 +152,57 @@ def test_march_matches_scalar_reference(omega):
     init = np.array([1.0, 2.0j, -0.5 + 0.5j])
     ref = reference_march(grid, omega, forcing, init)
     got = oscillatory_march(grid, omega, forcing, init)
+    for r in range(omega.size):
+        assert np.max(np.abs(got[r] - ref[r])) <= 1e-13 * np.max(np.abs(ref[r]))
+
+
+@pytest.mark.parametrize("omega", [300.0 - 0.5j, 300.0 + 0.5j])
+def test_march_modulus_accuracy(omega):
+    # integrating factors taken from the breaks directly keep |u| at
+    # e^{-Im(omega) t} to round-off over 1500 panels; a product of 1500
+    # rounded panel steps drifts by 1e-13
+    grid = PanelGrid.for_frequency(20.0, 600.0)
+    assert grid.n_panels == 1500
+    forcing = np.zeros((1, grid.n_panels, grid.q), dtype=complex)
+    vals = oscillatory_march(grid, np.array([omega]), forcing,
+                             np.array([1.0 + 0j]))
+    exact = np.exp(-omega.imag * grid.node_times())
+    assert np.max(np.abs(np.abs(vals[0]) - exact) / exact) <= 1e-14
+
+
+def test_guard_names_first_crossing_inside_a_block():
+    # row 1 sets the block length (52 panels of h = 0.08).  Row 0 reaches
+    # 1.5e100 at panel end 51, where row 1 is at 0.8e100; at the block's
+    # last end row 1 is the larger, but row 0 passed the guard first
+    grid = PanelGrid.for_frequency(6.0, 100.0)
+    omega = np.array([3.0 - 40.0j, -2.0 - 55.0j, 1.0])
+    times = grid.node_times()
+    forcing = np.stack([0.1 * np.cos(3.0 * times)] * 3).astype(complex)
+    t51 = grid.breaks[51]
+    init = np.array([1.5e100 * np.exp(-40.0 * t51),
+                     0.8e100 * np.exp(-55.0 * t51), 1.0], dtype=complex)
+    with pytest.raises(OverflowGuardError, match=r"\(mode row 0\)") as ref:
+        reference_march(grid, omega, forcing, init)
+    block = int(np.log(OVERFLOW_GUARD) // (55.0 * grid.widths().max()))
+    p_ref = int(np.searchsorted(grid.breaks, ref.value.time))
+    assert block < grid.n_panels and p_ref % block != 0
+    with pytest.raises(OverflowGuardError, match=r"\(mode row 0\)") as got:
+        oscillatory_march(grid, omega, forcing, init)
+    assert got.value.time == ref.value.time
+
+
+def test_march_strong_decay_in_blocks():
+    # Im(omega) h ~ 4 per panel: whole-grid factors 1/E would overflow, so
+    # the march runs in blocks shorter than the grid
+    grid = PanelGrid.for_frequency(5.0, 4001.0)
+    assert grid.n_panels == 2501
+    omega = np.array([1.0 + 2000.0j, 3.0])
+    times = grid.node_times()
+    forcing = np.stack([(0.5 + 0.2j) * np.exp(7.0j * times),
+                        np.cos(2.0 * times)]).astype(complex)
+    init = np.array([1.0 + 1.0j, -0.5 + 0j])
+    got = oscillatory_march(grid, omega, forcing, init)
+    ref = reference_march(grid, omega, forcing, init)
+    assert np.all(np.isfinite(got))
     for r in range(omega.size):
         assert np.max(np.abs(got[r] - ref[r])) <= 1e-13 * np.max(np.abs(ref[r]))

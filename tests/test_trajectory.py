@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy.polynomial.chebyshev import chebval
+from numpy.polynomial.chebyshev import chebval, chebvander
 
 from halfline_dnls import (EquationSpec, PanelGrid, SpectralState, Trajectory,
                            cascade_integrate, sobolev_norm)
@@ -55,6 +55,36 @@ def test_dense_output_matches_coefficient_oracle(traj):
     for n in traj.modes:
         got = traj.mode_values(int(n), ts)
         assert np.max(np.abs(got - ref[n])) <= 1e-14 * scale
+
+
+def mode_values_oracle(traj, n, ts):
+    # one time at a time: locate, then one Chebyshev row through chebvander
+    r = int(np.searchsorted(traj.modes, n))
+    out = []
+    for t in ts:
+        p, x = traj.grid.locate(float(t))
+        row = chebvander(np.array([x]), traj.grid.q - 1)[0]
+        out.append(traj.values[r, p] @ (row @ traj.grid.scheme.coeff_map))
+    return np.array(out)
+
+
+def test_mode_values_match_per_time_oracle(traj):
+    # breaks, their neighbours and both endpoints, in no particular order
+    breaks = traj.grid.breaks
+    ts = np.concatenate([breaks[::5], breaks[1:-1:9] * (1 + 1e-13),
+                         breaks[1:-1:11] * (1 - 1e-13),
+                         np.random.default_rng(3).uniform(0.0, traj.horizon, 40)])
+    for n in traj.modes:
+        ref = mode_values_oracle(traj, int(n), ts)
+        got = traj.mode_values(int(n), ts)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_mode_values_reject_times_outside_horizon(traj):
+    with pytest.raises(ValueError, match="outside"):
+        traj.mode_values(1, [0.5, -1e-3])
+    with pytest.raises(ValueError, match="outside"):
+        traj.mode_values(1, np.array([traj.horizon * 1.01, 0.2]))
 
 
 def test_sample_times_cover_endpoints(traj):
