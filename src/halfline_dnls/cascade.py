@@ -85,7 +85,7 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
     trajectory for the powers of ``w``.
 
     Raises QuadratureError when the Chebyshev tails, each measured against
-    the whole state on its panel, still exceed ``tol`` after
+    all marched modes on its panel, still exceed ``tol`` after
     ``MAX_REFINEMENTS`` panel doublings, and OverflowGuardError when a
     mode magnitude passes ``quadrature.OVERFLOW_GUARD``; as modes are solved
     in increasing order, the error names the lowest mode that passes it.
@@ -140,7 +140,7 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
 def _solve_rows(grid, support, omega, c0, init, weights):
     """Solve the support rows in increasing order on one grid.  Returns the
     node values, the worst Chebyshev tail ratio and the mode it occurs at;
-    tails are measured against the whole state on each panel."""
+    tails are measured against all marched rows on each panel."""
     shape = (grid.n_panels, grid.q)
     values = np.empty((support.size,) + shape, dtype=complex)
     start = 1 if support[0] == 0 else 0
@@ -148,29 +148,22 @@ def _solve_rows(grid, support, omega, c0, init, weights):
         values[0] = c0
     row_of = {int(n): r for r, n in enumerate(support)}
     top = max(weights, default=1)
-    # powers[j] holds (w^j) on every row; w^1 is the trajectory itself.
-    # live[j][r] is False while row r of powers[j] is exactly zero: a pair
-    # with a zero factor adds exact zeros, so it is skipped
+    # powers[j] holds (w^j) on every row; w^1 is the trajectory itself
     powers = {1: values}
     powers.update((j, np.zeros_like(values)) for j in range(2, top))
-    live = {j: np.zeros(support.size, dtype=bool) for j in powers}
     g = np.empty(shape, dtype=complex)
     prod = np.empty(shape, dtype=complex)
     for r in range(start, support.size):
         n = int(support[r])
         pairs = [(i, row_of[n - int(support[i])]) for i in range(start, r)
-                 if n - int(support[i]) in row_of and live[1][i]]
+                 if n - int(support[i]) in row_of]
         # powers below the top are kept for later rows; (w^top)(n) is
         # summed in place into the forcing i n sum_j a_j (w^j)(n)
         g.fill(0.0)
         for j in range(2, top + 1):
             acc = powers[j][r] if j < top else g
             for i, i_rest in pairs:
-                if live[j - 1][i_rest]:
-                    acc += np.multiply(values[i], powers[j - 1][i_rest],
-                                       out=prod)
-            if j < top:
-                live[j][r] = acc.any()
+                acc += np.multiply(values[i], powers[j - 1][i_rest], out=prod)
         g *= 1j * n * weights.get(top, 0.0)
         for j in range(2, top):
             if j in weights:
@@ -182,10 +175,13 @@ def _solve_rows(grid, support, omega, c0, init, weights):
             raise OverflowGuardError(
                 f"mode {n} exceeded {OVERFLOW_GUARD:g} at t={exc.time:g}",
                 time=exc.time) from None
-        live[1][r] = values[r].any()
-    ratios = tail_ratio(values, grid.scheme, by_row=True)
+    # the constant mode 0 is set, not marched: it is not checked and does
+    # not set the scale of the marched rows
+    ratios = tail_ratio(values[start:], grid.scheme)
+    if not ratios.size:
+        return values, 0.0, None
     worst = int(np.argmax(ratios))
-    return values, float(ratios[worst]), int(support[worst])
+    return values, float(ratios[worst]), int(support[start + worst])
 
 
 # -- closed forms --------------------------------------------------------------

@@ -10,13 +10,14 @@ Gauss-Legendre nodes, represented by its Chebyshev interpolant, and
 antidifferentiated exactly in coefficient space; the same interpolant
 provides dense output between nodes.  The carry from one panel end to the
 next is a linear recurrence, solved in closed form over blocks of panels
-with integrating factors taken from the breaks directly, so its phase and
-modulus errors do not grow with the panel count.  Panels are sized so that
-the largest oscillation frequency completes only a few radians per panel,
-which keeps the interpolation error near machine precision; the cascade
-re-runs with a doubled panel count when the Chebyshev tail estimate,
-measured against the whole state on each panel, exceeds the requested
-tolerance.  The panel sizing and the overflow guard are module constants.
+with integrating factors taken from the breaks directly, so its modulus
+error no longer grows with the panel count; its phase error is still set
+by the rounding of ``omega * t``.  Panels are sized so that the largest
+oscillation frequency completes only a few radians per panel, which keeps
+the interpolation error near machine precision; the cascade re-runs with a
+doubled panel count when the Chebyshev tail estimate, measured against all
+marched modes on each panel, exceeds the requested tolerance.  The panel
+sizing and the overflow guard are module constants.
 """
 
 from __future__ import annotations
@@ -188,32 +189,30 @@ class PanelGrid:
         return p, np.clip(2.0 * (ts - a) / (b - a) - 1.0, -1.0, 1.0)
 
 
-def tail_ratio(values: np.ndarray, scheme: PanelScheme,
-               by_row: bool = False) -> float | np.ndarray:
-    """Largest magnitude of the last two Chebyshev coefficients, relative
-    to the largest coefficient of the whole state on the same panel.
+def tail_ratio(values: np.ndarray, scheme: PanelScheme) -> np.ndarray:
+    """Largest magnitude of the last two Chebyshev coefficients of each row,
+    relative to the largest coefficient of all rows on the same panel.
 
-    ``values`` has node values along its last axis; for two or more axes,
-    axis 0 holds the rows of one state and the axes between are panels.
-    Measuring each row against the whole state keeps rows of negligible
-    size (round-off of the state) from counting as unresolved.  A small
-    ratio certifies that the interpolants resolve the sampled state.
-    Panels whose largest coefficient is below 1e-290 count as resolved
-    (ratio 0).  Returns the largest ratio, or with ``by_row`` the largest
-    ratio of each row as an array.
+    ``values`` holds node values of shape (rows, panels, q).  Measuring each
+    row against all rows keeps rows of negligible size (round-off of the
+    others) from counting as unresolved.  A small ratio certifies that the
+    row's interpolants resolve it.  Panels whose largest coefficient is
+    below 1e-290 count as resolved (ratio 0).  Returns the largest ratio of
+    each row, shape (rows,).
     """
-    rows = values if values.ndim > 1 else values[None]
-    tails = np.empty(rows.shape[:-1])
-    scale = np.zeros(rows.shape[1:-1])
+    if values.ndim != 3:
+        raise ValueError(f"values must have shape (rows, panels, q), "
+                         f"got {values.shape}")
+    tails = np.empty(values.shape[:2])
+    scale = np.zeros(values.shape[1])
     # one row at a time keeps the temporaries at one row's size
-    for r, row in enumerate(rows):
+    for r, row in enumerate(values):
         mag = np.abs(row @ scheme.coeff_map.T)
-        tails[r] = np.max(mag[..., -2:], axis=-1)
-        np.maximum(scale, np.max(mag, axis=-1), out=scale)
+        tails[r] = np.max(mag[:, -2:], axis=1)
+        np.maximum(scale, np.max(mag, axis=1), out=scale)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(scale > 1e-290, tails / np.maximum(scale, 1e-300), 0.0)
-    per_row = ratio.reshape(len(rows), -1).max(axis=1, initial=0.0)
-    return per_row if by_row else float(per_row.max(initial=0.0))
+    return np.max(ratio, axis=1, initial=0.0)
 
 
 def oscillatory_march(grid: PanelGrid, omega: np.ndarray, forcing: np.ndarray,

@@ -240,6 +240,21 @@ def test_under_resolved_grid_raises_naming_worst_mode(monkeypatch):
     assert f"at mode {err.worst_mode}" in str(err)
 
 
+def test_background_does_not_mask_under_resolved_mode(monkeypatch):
+    # one panel over T=8 leaves mode 1 (omega = 2) under-resolved, with a
+    # tail of 2.3e-8 of its size; against the background c0 = 1, a thousand
+    # times larger and never marched, the tail would read 1.6e-11 < tol
+    monkeypatch.setattr(quadrature, "RADIANS_PER_PANEL", 1e4)
+    phi = state({0: 1.0, 1: 1e-3}, 1)
+    spec = EquationSpec.pure_power(1, 2.0)
+    monkeypatch.setattr(cascade, "MAX_REFINEMENTS", 0)
+    with pytest.raises(QuadratureError) as info:
+        cascade_integrate(phi, spec, 8.0)
+    assert info.value.worst_mode == 1
+    monkeypatch.setattr(cascade, "MAX_REFINEMENTS", 3)
+    assert cascade_integrate(phi, spec, 8.0).n_panels > 1
+
+
 # -- linear closed forms -----------------------------------------------------------
 
 def test_linear_norm_growth_complex_coefficient():

@@ -69,20 +69,37 @@ def test_endpoint_evaluation_rows():
 
 
 def test_tail_ratio_flags_unresolved():
+    # one row on one panel
     sch = panel_scheme(24)
-    smooth = np.exp(1j * 3.0 * sch.nodes)
-    rough = np.exp(1j * 60.0 * sch.nodes)
-    assert tail_ratio(smooth, sch) < 1e-12
-    assert tail_ratio(rough, sch) > 1e-3
+    smooth = np.exp(1j * 3.0 * sch.nodes)[None, None]
+    rough = np.exp(1j * 60.0 * sch.nodes)[None, None]
+    assert tail_ratio(smooth, sch).max() < 1e-12
+    assert tail_ratio(rough, sch).max() > 1e-3
 
 
 def test_tail_ratio_ignores_negligible_rows():
     # a row of size ~1e-300 is round-off, not an unresolved function
     sch = panel_scheme(24)
+    rough = np.exp(1j * 60.0 * sch.nodes)[None, None]
+    smooth = np.exp(1j * 3.0 * sch.nodes)[None, None]
+    assert tail_ratio(1e-300 * rough, sch).max() == 0.0
+    assert tail_ratio(np.concatenate([1e-300 * rough, smooth]),
+                      sch).max() < 1e-12
+
+
+def test_tail_ratio_scale_is_per_panel():
+    # rows are measured against all rows on the same panel, not on others:
+    # row 0 is rough on panel 1, where every row is of size 1e-6
+    sch = panel_scheme(24)
+    smooth = np.exp(1j * 3.0 * sch.nodes)
     rough = np.exp(1j * 60.0 * sch.nodes)
-    assert tail_ratio(1e-300 * rough, sch) == 0.0
-    assert tail_ratio(np.stack([1e-300 * rough, np.exp(1j * 3.0 * sch.nodes)]),
-                      sch) < 1e-12
+    values = np.array([[smooth, 1e-6 * rough],
+                       [1e-6 * rough, 1e-6 * smooth]])
+    ratios = tail_ratio(values, sch)
+    assert ratios.shape == (2,)
+    assert ratios[0] > 1e-3 and ratios[1] < 1e-5
+    with pytest.raises(ValueError, match="rows, panels, q"):
+        tail_ratio(values[0], sch)
 
 
 def test_grid_locate_and_refine():
