@@ -163,6 +163,7 @@ def _cmd_picard(args) -> int:
         "trajectory": traj.to_dict(),
         "converged": log.converged,
         "final_residual": log.final_residual,
+        "chebyshev_tail": log.tail,
         "smallness": log.smallness.to_dict(),
         "iterations": [[i, d, r] for i, d, r in log.iterations],
     }, manifest, args.out)
@@ -192,6 +193,7 @@ def _cmd_gauge(args) -> int:
                                    for t, d in zip(ts, defects)],
         "converged": log.converged,
         "final_residual": log.final_residual,
+        "chebyshev_tail": log.tail,
         "smallness": log.smallness.to_dict(),
         "iterations": [[i, d, r] for i, d, r in log.iterations],
     }, manifest, args.out)

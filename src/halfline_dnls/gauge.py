@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .normalform import PicardLog, SmallnessReport, iterate_fixed_point
+from .normalform import (PicardLog, SmallnessReport, check_tail,
+                         iterate_fixed_point)
 from .quadrature import PanelGrid, oscillatory_march
 from .spectral import (EquationSpec, SpectralState, _along_modes, _as_coeffs,
                        convolve, derivative_coeffs, dispersion_mu, power,
@@ -208,7 +209,8 @@ def gauge_picard_solve(phi: SpectralState, psi: SpectralState, k: int,
 
     Data with ``|phi|_H1 + |psi|_H1`` above ``SMALLNESS_THRESHOLD`` is
     refused unless ``allow_unsafe``; the check is reported as the log's
-    ``smallness``.
+    ``smallness``.  Raises QuadratureError when the Chebyshev tail of the
+    final iterate exceeds ``tol`` (see ``normalform.check_tail``).
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -247,6 +249,7 @@ def gauge_picard_solve(phi: SpectralState, psi: SpectralState, k: int,
         np.stack([phi_c, psi_c], axis=1)[:, :, None, None]
         * np.exp(1j * mu[:, None, None, None] * grid.node_times()),
         log, tol, max_iter)
+    check_tail(log, grid, tol, {"u": x[:, 0], "gu": x[:, 1]})
 
     modes = np.arange(M + 1)
     traj_u = Trajectory(spec=spec, grid=grid, modes=modes, values=x[:, 0],

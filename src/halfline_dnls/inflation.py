@@ -258,8 +258,9 @@ def run_experiment(config: ExperimentConfig,
     # (b) support containment in {0, N, 2N, ...}
     allowed = support_semigroup({0, N}, M)
     off_rows = [r for r, n in enumerate(traj.modes) if int(n) not in allowed]
-    off_mass = (float(np.max(np.abs(traj.values[off_rows])))
-                if off_rows else 0.0)
+    # one row at a time: a fancy index would copy every off-semigroup row
+    off_mass = max((float(np.max(np.abs(traj.values[r]))) for r in off_rows),
+                   default=0.0)
     note = ("solver restricted to the support semigroup"
             if restrict_support else "all modes integrated")
     checks["support_containment"] = CheckResult(off_mass <= 1e-14, off_mass,

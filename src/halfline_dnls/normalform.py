@@ -31,18 +31,21 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import PanelGrid
-from .spectral import EquationSpec, SpectralState, dispersion_mu, power
+from .quadrature import PanelGrid, QuadratureError, tail_ratio
+from .spectral import (EquationSpec, SpectralState, _product, dispersion_mu,
+                       power)
 from .trajectory import Trajectory, sup_sobolev_diff
 
-# Panels per block of the fixed-point map.  The table gathers in
-# ``_boundary_from_u`` and ``_bulk_from_u`` are memory-bound, so the block is
-# kept small.  Measured on ``picard_solve`` at alpha=3, k=1, M=16, T=1 (1025
-# panels, 5 iterations) on a 2-core x86-64 VM, blocks of 1, 8, 16, 32 and 128
-# panels and the whole grid took 2.09, 0.89, 0.75, 0.72, 1.20 and 1.50 s at
-# tracemalloc peaks of 14.6, 15.4, 16.8, 19.8, 37.4 and 195.7 MB: 16 is as
-# fast as 32 with a lower peak.
-_MAP_BLOCK_PANELS = 16
+# Panels per block of the fixed-point map: a block's node values are one
+# batch of (M+1, panels * q) columns, so larger blocks pay the Python loop
+# of the truncated products fewer times but hold larger temporaries.
+# Measured with ``bench/run.py --workload verify --seed 1 --seconds 45`` (one
+# scaled run each, 2-core x86-64 VM), blocks of 16, 32 and 64 panels gave a
+# ``latency_p50_s`` of 0.699, 0.663 and 0.664 s at a ``peak_rss_mb`` of
+# 64.6, 65.8 and 68.4 MB; ``picard_solve`` at alpha=3, k=1, M=16, T=1 (1025
+# panels) peaks at 15.1, 16.1 and 18.2 MB under tracemalloc, and at 67.4 MB
+# with the whole grid as one block.  32 is as fast as 64 at a lower peak.
+_MAP_BLOCK_PANELS = 32
 
 __all__ = [
     "NormalFormOperators",
@@ -52,6 +55,7 @@ __all__ = [
     "NonContractionError",
     "MaxIterationsError",
     "iterate_fixed_point",
+    "check_tail",
     "picard_solve",
 ]
 
@@ -119,34 +123,49 @@ def _ordered_compositions(n: int, parts: int):
             yield (first,) + rest
 
 
-@dataclass(frozen=True, eq=False)
-class _Table:
-    parts: np.ndarray          # (R, deg+1) mode indices, ordered compositions
-    target: np.ndarray         # (R,)
-    phi: np.ndarray            # (R,) resonance phases, all nonzero
-    inv_phi: np.ndarray
-    seg_starts: np.ndarray     # row ranges per unique target
-    unique_targets: np.ndarray
+def _phases(mu: np.ndarray, target: np.ndarray, parts: np.ndarray
+            ) -> np.ndarray:
+    """Resonance phases ``-mu(n) + sum_j mu(n_j)`` of the compositions
+    ``n = n_1 + ... + n_{deg+1}`` given as rows of ``parts``."""
+    return -mu[target] + np.sum(mu[parts], axis=1)
 
 
-def _build_table(M: int, deg: int, mu: np.ndarray) -> _Table:
-    parts_list, targets = [], []
-    for n in range(deg + 1, M + 1):
-        for tup in _ordered_compositions(n, deg + 1):
-            parts_list.append(tup)
-            targets.append(n)
-    if not parts_list:
-        empty = np.zeros((0, deg + 1), dtype=int)
-        z = np.zeros(0)
-        return _Table(empty, z.astype(int), z, z, z.astype(int), z.astype(int))
-    parts = np.array(parts_list, dtype=int)
-    target = np.array(targets, dtype=int)
-    phi = -mu[target] + np.sum(mu[parts], axis=1)
-    if np.any(phi == 0):
-        raise ValueError("vanishing resonance phase; normal form needs alpha > 1")
-    starts = np.flatnonzero(np.r_[True, target[1:] != target[:-1]])
-    return _Table(parts=parts, target=target, phi=phi, inv_phi=1.0 / phi,
-                  seg_starts=starts, unique_targets=target[starts])
+def _weight_tensor(M: int, deg: int, mu: np.ndarray) -> np.ndarray:
+    """``W[n, n_1, ..., n_deg] = 1/Phi`` for every ordered composition
+    ``n = n_1 + ... + n_deg + n_{deg+1}`` into positive parts, and 0 on
+    every other entry (a part 0, or ``n_{deg+1} <= 0``): ``(M+1)^(deg+1)``
+    entries."""
+    W = np.zeros((M + 1,) * (deg + 1))
+    rows = [(n,) + tup for n in range(deg + 1, M + 1)
+            for tup in _ordered_compositions(n, deg + 1)]
+    if rows:
+        comps = np.array(rows, dtype=int)
+        phi = _phases(mu, comps[:, 0], comps[:, 1:])
+        if np.any(phi == 0):
+            raise ValueError("vanishing resonance phase; normal form needs "
+                             "alpha > 1")
+        W[tuple(comps[:, :-1].T)] = 1.0 / phi
+    return W
+
+
+def _weighted_contract(W: np.ndarray, U: np.ndarray, last: np.ndarray
+                       ) -> np.ndarray:
+    """``out[n] = sum W[n, n_1..n_d] U[n_1] ... U[n_d] last[n - n_1 - ...
+    - n_d]`` over ``n_1..n_d``, with ``d = W.ndim - 1`` and ``L =
+    U.shape[0]`` target modes.  The first part is an outer shift-and-add
+    whose inner sum, ``W[a + m, a, ...]`` over the ``L - a`` targets m, is
+    a contraction of degree ``d - 1``; degree 1 is the weighted truncated
+    product."""
+    L = U.shape[0]
+    if W.ndim == 2:
+        return _product(U, last, W[:, :L])
+    out = np.zeros_like(U)
+    rows = np.any(U, axis=tuple(range(1, U.ndim)))
+    for a in np.flatnonzero(rows).tolist():
+        if np.any(W[a:, a]):
+            out[a:] += U[a] * _weighted_contract(W[a:, a], U[:L - a],
+                                                 last[:L - a])
+    return out
 
 
 @dataclass(frozen=True)
@@ -154,7 +173,7 @@ class SmallnessReport:
     """Result of the a-priori contraction-ball check.
 
     For the normal form the bound constants are certified at the working
-    truncation from the cached phase table (kernel maxima) and Young's
+    truncation from the cached weight tensors (kernel maxima) and Young's
     convolution inequality; the check mirrors the continuity argument
     ``|phi| + N-bound(2|phi|) + N-bound(|phi|) + T * B-bound(2|phi|) < 2|phi|``.
     The gauge solver reports ``lhs = |phi|_H1 + |psi|_H1`` against
@@ -184,7 +203,8 @@ class SmallnessReport:
 
 
 class NormalFormOperators:
-    """Cached phase tables and the reduced operators at one truncation.
+    """Cached ``1/Phi`` weight tensors and the reduced operators at one
+    truncation.
 
     Requires mean-zero data and nonlinearity degrees >= 1; alpha > 1 so that
     every cached phase is nonzero.
@@ -203,8 +223,8 @@ class NormalFormOperators:
         self.mu = dispersion_mu(spec.alpha, np.arange(truncation + 1),
                                 spec.dispersion_kind)
         self.n_vec = np.arange(truncation + 1, dtype=float)
-        self.tables = {deg: _build_table(truncation, deg, self.mu)
-                       for deg in spec.nonlin_coeffs}
+        self.weights = {deg: _weight_tensor(truncation, deg, self.mu)
+                        for deg in spec.nonlin_coeffs}
 
     # -- batched kernels on u-values (columns = times) ----------------------
 
@@ -213,15 +233,7 @@ class NormalFormOperators:
         """Per target mode n, the sum over the ordered compositions
         ``n = n_1 + ... + n_{deg+1}`` of
         ``U[n_1] ... U[n_deg] last[n_{deg+1}] / Phi``."""
-        tab = self.tables[deg]
-        out = np.zeros_like(U)
-        if tab.parts.shape[0]:
-            contrib = (tab.inv_phi[:, None]
-                       * np.prod(U[tab.parts[:, :-1]], axis=1)
-                       * last[tab.parts[:, -1]])
-            out[tab.unique_targets] = np.add.reduceat(contrib, tab.seg_starts,
-                                                      axis=0)
-        return out
+        return _weighted_contract(self.weights[deg], U, last)
 
     def _boundary_from_u(self, U: np.ndarray) -> np.ndarray:
         """N without the outer e^{-it mu(n)} factor; U holds e^{it mu} v."""
@@ -292,10 +304,15 @@ class NormalFormOperators:
             # the block's (nb, q) node values as nb*q columns of one batch
             E = np.exp(1j * np.outer(self.mu, times[blk]))
             U = v_vals[:, blk, :].reshape(M1, nb * q) * E
-            Ec = np.conj(E)
-            n_vals = self._boundary_from_u(U) * Ec
+            # in place: E is not needed past U, and the block's temporaries
+            # set the solver's peak memory
+            Ec = np.conj(E, out=E)
+            n_vals = self._boundary_from_u(U)
+            n_vals *= Ec
             vel = self._velocity_from_u(U)
-            b_vals = (self._bulk_from_u(U, vel) * Ec).reshape(M1, nb, q)
+            b_vals = self._bulk_from_u(U, vel)
+            b_vals *= Ec
+            b_vals = b_vals.reshape(M1, nb, q)
             hw = half_widths[blk]
             out[:, blk, :] = (n_vals.reshape(M1, nb, q)
                               + hw[:, None] * (b_vals @ sch.antideriv_nodes.T))
@@ -332,15 +349,20 @@ class NormalFormOperators:
         ell1 = float(np.sqrt(np.sum(1.0 / (1.0 + n[1:] ** 2))))
         c_boundary, kappa_bulk = {}, {}
         for deg, lam in self.spec.nonlin_coeffs.items():
-            tab = self.tables[deg]
-            if tab.parts.shape[0] == 0:
+            nz = np.nonzero(self.weights[deg])
+            if nz[0].size == 0:
                 c_boundary[deg] = 0.0
                 kappa_bulk[deg] = 0.0
                 continue
-            maxpart = np.max(tab.parts, axis=1)
-            rho = np.max(tab.target * jap[tab.target]
-                         / ((deg + 1) * np.abs(tab.phi) * jap[maxpart]))
-            kappa = np.max(tab.target * jap[tab.target] / np.abs(tab.phi))
+            # the compositions are the support of W: n, n_1..n_deg and the
+            # last part n - n_1 - ... - n_deg
+            target = nz[0]
+            parts = np.column_stack(nz[1:] + (target - sum(nz[1:]),))
+            phi = np.abs(_phases(self.mu, target, parts))
+            maxpart = np.max(parts, axis=1)
+            rho = np.max(target * jap[target]
+                         / ((deg + 1) * phi * jap[maxpart]))
+            kappa = np.max(target * jap[target] / phi)
             c_boundary[deg] = float(abs(lam) * rho * (deg + 1) * ell1**deg)
             kappa_bulk[deg] = float(kappa)
         return c_boundary, kappa_bulk, ell1
@@ -376,12 +398,15 @@ class PicardLog:
 
     ``final_residual`` is the sup-in-time H^1 increment of one more map
     application after convergence, not the last recorded increment.
+    ``tail`` is the worst Chebyshev tail of the returned iterate, measured
+    by ``check_tail``.
     """
 
     smallness: SmallnessReport
     iterations: list = field(default_factory=list)   # (iter, sup-H1 diff, ratio)
     converged: bool = False
     final_residual: float = float("nan")
+    tail: float = float("nan")
 
     @property
     def ratios(self) -> list:
@@ -395,6 +420,28 @@ class PicardLog:
             fh.write(f"{i},{d!r},{'' if r is None else repr(r)}\n")
 
 
+def check_tail(log: PicardLog, grid: PanelGrid, tol: float,
+               components: dict) -> None:
+    """Certify that the grid resolves the converged iterate.
+
+    ``components`` maps a name to node values of shape (M+1, panels, q).
+    Modes >= 1 of each component are measured against each other on each
+    panel (``quadrature.tail_ratio``); mode 0 is constant for the mean-zero
+    data both Picard solvers take.  Records the worst tail in ``log.tail``
+    and raises QuadratureError naming its mode when it exceeds ``tol``.
+    """
+    tails = {name: tail_ratio(values[1:], grid.scheme)
+             for name, values in components.items()}
+    name = max(tails, key=lambda k: tails[k].max())
+    mode = int(np.argmax(tails[name])) + 1
+    log.tail = float(tails[name][mode - 1])
+    if log.tail > tol:
+        raise QuadratureError(
+            f"Picard iterate not resolved on {grid.n_panels} panels: "
+            f"Chebyshev tail {log.tail:.3e} > tol {tol:.3e} at mode {mode} "
+            f"of {name}", worst_mode=mode, tail=log.tail)
+
+
 def picard_solve(phi: SpectralState, spec: EquationSpec, T: float,
                  tol: float = 1e-10, max_iter: int = 40,
                  allow_unsafe: bool = False) -> tuple:
@@ -404,6 +451,8 @@ def picard_solve(phi: SpectralState, spec: EquationSpec, T: float,
     Returns ``(trajectory of v, PicardLog)``.  The contraction is certified
     only for ``alpha >= 3`` and data inside the smallness ball; outside that
     regime pass ``allow_unsafe=True`` to iterate anyway (no guarantee).
+    Raises QuadratureError when the Chebyshev tail of the final iterate
+    exceeds ``tol`` (see ``check_tail``).
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -433,6 +482,7 @@ def picard_solve(phi: SpectralState, spec: EquationSpec, T: float,
         np.broadcast_to(phi_c[:, None, None],
                         (M + 1, grid.n_panels, grid.q)).copy(),
         log, tol, max_iter)
+    check_tail(log, grid, tol, {"v": v_vals})
     traj = Trajectory(spec=spec, grid=grid, modes=np.arange(M + 1),
                       values=v_vals, truncation=M, quadrature_tolerance=tol,
                       initial_state=phi, variable="v")

@@ -218,16 +218,22 @@ class EquationSpec:
         )
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _product(a: np.ndarray, b: np.ndarray,
+             weight: np.ndarray | None = None) -> np.ndarray:
     """``out[n] = sum_{m<=n} a[m] b[n-m]`` along axis 0 by direct
-    shift-and-add.  Rows of ``a`` that are zero in every column add nothing
-    and are skipped, so modes that no pair of supported modes reaches stay
-    exactly 0."""
+    shift-and-add.  With ``weight``, of shape ``(M+1, M+1)``, the term of
+    shift m in target n is ``(weight[n, m] a[m]) b[n-m]``.  Rows of ``a``
+    that are zero in every column, and shifts whose weight column is zero,
+    add nothing and are skipped, so modes that no pair of supported modes
+    reaches stay exactly 0."""
     out = np.zeros_like(a)
     size = a.shape[0]
     rows = np.any(a, axis=tuple(range(1, a.ndim)))
+    if weight is not None:
+        rows &= np.any(weight, axis=0)
     for m in np.flatnonzero(rows).tolist():
-        out[m:] += a[m] * b[: size - m]
+        am = a[m] if weight is None else _along_modes(weight[m:, m], a) * a[m]
+        out[m:] += am * b[: size - m]
     return out
 
 

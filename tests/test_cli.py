@@ -76,6 +76,7 @@ def test_picard_outputs(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["converged"] is True
     assert doc["smallness"]["accepted"] is True
+    assert 0.0 <= doc["chebyshev_tail"] <= 1e-10
     rows = log_csv.read_text().splitlines()
     assert rows[1] == "iteration,sup_h1_difference,ratio"
     assert len(rows) >= 3
@@ -92,6 +93,7 @@ def test_gauge_outputs(tmp_path, capsys):
     assert max(defects) < 1e-8
     # the same solver log as `picard`: residual, smallness report, history
     assert 0.0 <= doc["final_residual"] < 1e-10
+    assert 0.0 <= doc["chebyshev_tail"] <= 1e-10
     assert doc["smallness"]["accepted"] is True
     assert doc["smallness"]["ball_lhs"] < doc["smallness"]["ball_rhs"]
     iters = doc["iterations"]

@@ -8,8 +8,9 @@ from halfline_dnls import (ContractionThresholdError, EquationSpec,
                            SpectralState, Trajectory, cascade_integrate,
                            compatible_gauge_data, gauge_picard_solve,
                            picard_solve, sobolev_norm)
+from halfline_dnls import quadrature
 from halfline_dnls.normalform import _MAP_BLOCK_PANELS
-from halfline_dnls.quadrature import panel_scheme
+from halfline_dnls.quadrature import QuadratureError, panel_scheme
 from halfline_dnls.spectral import dispersion_mu
 
 
@@ -128,6 +129,99 @@ def test_velocity_matches_per_column_oracle():
     assert np.max(np.abs(ops._velocity_from_u(U) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+# -- weighted contraction -------------------------------------------------------------
+
+def composition_table(ops, deg):
+    """Every ordered composition ``n = n_1 + ... + n_{deg+1}`` into
+    positive parts, ``n <= M``, in lexicographic order: target, parts and
+    resonance phase per row."""
+    def comps(n, k):
+        if k == 1:
+            yield (n,)
+            return
+        for first in range(1, n - k + 2):
+            for rest in comps(n - first, k - 1):
+                yield (first,) + rest
+    rows = [(n,) + c for n in range(deg + 1, ops.truncation + 1)
+            for c in comps(n, deg + 1)]
+    table = np.array(rows, dtype=int).reshape(-1, deg + 2)
+    target, parts = table[:, 0], table[:, 1:]
+    phi = -ops.mu[target] + np.sum(ops.mu[parts], axis=1)
+    return target, parts, phi
+
+
+def contract_oracle(ops, deg, U, last):
+    """The gather contraction: ``U[parts]`` per composition, a product, a
+    multiply by 1/Phi and a segmented sum per target."""
+    target, parts, phi = composition_table(ops, deg)
+    out = np.zeros_like(U)
+    if target.size:
+        contrib = ((1.0 / phi)[:, None] * np.prod(U[parts[:, :-1]], axis=1)
+                   * last[parts[:, -1]])
+        starts = np.flatnonzero(np.r_[True, target[1:] != target[:-1]])
+        out[target[starts]] = np.add.reduceat(contrib, starts, axis=0)
+    return out
+
+
+def _random_columns(rng, M, cols, sparse):
+    U = (rng.standard_normal((M + 1, cols))
+         + 1j * rng.standard_normal((M + 1, cols)))
+    U[0] = 0.0
+    if sparse:
+        # two generators: modes outside their semigroup are reached by no
+        # composition
+        keep = np.zeros(M + 1, dtype=bool)
+        keep[[2, 3]] = True
+        U[~keep] = 0.0
+    return U
+
+
+@pytest.mark.parametrize("coeffs", [{1: 1.0}, {2: 1.0}, {3: 1.0},
+                                    {1: 1.0, 2: -0.5j}])
+@pytest.mark.parametrize("M", [4, 10, 16])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_contract_matches_gather_oracle(coeffs, M, sparse):
+    ops = NormalFormOperators(EquationSpec(3.0, coeffs), M)
+    rng = np.random.default_rng(M + 7 * len(coeffs))
+    U = _random_columns(rng, M, 20, sparse)
+    for last in (U, _random_columns(rng, M, 20, sparse)):
+        for deg in coeffs:
+            ref = contract_oracle(ops, deg, U, last)
+            got = ops._contract(deg, U, last)
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref),
+                                                               initial=0.0)
+            # no composition reaches these modes: exact zeros
+            reached = np.zeros(M + 1, dtype=bool)
+            target, parts, _ = composition_table(ops, deg)
+            live = np.all(np.any(U[parts[:, :-1]], axis=2), axis=1) \
+                & np.any(last[parts[:, -1]], axis=1)
+            reached[target[live]] = True
+            assert np.all(got[~reached] == 0)
+
+
+@pytest.mark.parametrize("coeffs", [{1: 1.0}, {2: 1.0}, {3: 1.0},
+                                    {1: 1.0, 2: -0.5j}])
+@pytest.mark.parametrize("alpha", [3.0, 3.25, 4.5])
+def test_young_constants_match_composition_table(coeffs, alpha):
+    # the smallness check accepts or refuses data through these constants,
+    # so reading them from the weight tensor must not move a bit (at
+    # alpha = 3.25, k = 1, taking Phi as 1/W moves kappa by one ulp)
+    M = 16
+    ops = NormalFormOperators(EquationSpec(alpha, coeffs), M)
+    n = ops.n_vec
+    jap = np.sqrt(1.0 + n**2)
+    ell1 = float(np.sqrt(np.sum(1.0 / (1.0 + n[1:] ** 2))))
+    c_boundary, kappa_bulk, got_ell1 = ops.young_constants()
+    assert got_ell1 == ell1
+    for deg, lam in coeffs.items():
+        target, parts, phi = composition_table(ops, deg)
+        rho = np.max(target * jap[target]
+                     / ((deg + 1) * np.abs(phi) * jap[np.max(parts, axis=1)]))
+        kappa = np.max(target * jap[target] / np.abs(phi))
+        assert c_boundary[deg] == float(abs(lam) * rho * (deg + 1) * ell1**deg)
+        assert kappa_bulk[deg] == float(kappa)
+
+
 # -- fixed-point map -----------------------------------------------------------------
 
 def _constant_trajectory(phi, T, freq):
@@ -178,8 +272,10 @@ def apply_map_oracle(ops, v_vals, grid, phi):
     return out
 
 
-# fewer panels than one block, an exact multiple of the block, a remainder
-@pytest.mark.parametrize("n_panels", [5, 2 * _MAP_BLOCK_PANELS,
+# fewer panels than one block, exact multiples of the block, remainders
+@pytest.mark.parametrize("n_panels", [5, _MAP_BLOCK_PANELS,
+                                      _MAP_BLOCK_PANELS + 5,
+                                      2 * _MAP_BLOCK_PANELS,
                                       2 * _MAP_BLOCK_PANELS + 5])
 def test_apply_map_matches_per_panel_oracle(n_panels):
     M = 10
@@ -248,6 +344,21 @@ def test_picard_fixed_point_residual(solve):
     assert log.converged
     assert log.final_residual <= 10 * tol
     assert log.final_residual < log.iterations[-1][1]
+    # the grid resolves the final iterate to round-off
+    assert 0.0 <= log.tail <= 1e-14
+
+
+@pytest.mark.parametrize("solve, worst", [(_solve_normal_form, "mode 6 of v"),
+                                           (_solve_gauge, "mode 6 of gu")])
+def test_picard_under_resolved_grid_raises_naming_mode(solve, worst,
+                                                       monkeypatch):
+    # 1000 radians of the fastest oscillation per panel (4 panels for the
+    # normal form, 1 for the gauge pair): the iteration still converges,
+    # the grid does not resolve the iterate
+    monkeypatch.setattr(quadrature, "RADIANS_PER_PANEL", 1000.0)
+    with pytest.raises(QuadratureError, match=f"at {worst}$") as info:
+        solve(1e-10)
+    assert info.value.worst_mode == 6 and info.value.tail > 1e-10
 
 
 @pytest.mark.parametrize("solve", [_solve_normal_form, _solve_gauge])
