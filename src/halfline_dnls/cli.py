@@ -24,6 +24,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -206,6 +207,7 @@ def _cmd_phase_check(args) -> int:
     manifest = RunManifest(
         subcommand="phase-check",
         parameters={"alpha": args.alpha, "k": args.k, "cap": args.cap},
+        outputs=[args.out] if args.out else [],
         duration_seconds=time.perf_counter() - t0)
     _emit_json({"certificate": cert.to_dict()}, manifest, args.out)
     return 0 if cert.passed else 1
@@ -246,6 +248,7 @@ def _cmd_cross_validate(args) -> int:
         subcommand="cross-validate",
         parameters={"alpha": args.alpha, "k": args.k, "T": args.T},
         tolerances={"disagreement": report.tolerance},
+        outputs=[args.out] if args.out else [],
         duration_seconds=time.perf_counter() - t0)
     _emit_json({"report": report.to_dict()}, manifest, args.out)
     return 0 if report.passed else 1
@@ -318,7 +321,9 @@ def _cmd_batch(args) -> int:
     return 1 if any_fail else 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once and shared by every ``dispatch``."""
     p = argparse.ArgumentParser(
         prog="halfline-dnls",
         description="Coefficient-space solvers and verification lab for "

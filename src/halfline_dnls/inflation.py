@@ -409,28 +409,22 @@ def cross_validate(config: CrossValidationConfig) -> CrossReport:
                            n_compare=N_COMPARE, gauge_defect=defect,
                            log=log)
 
-    if abs(phi.coeffs[0]) == 0:
-        v_traj, log = picard_solve(phi, spec, T, tol=PICARD_TOL)
-        v_vals = v_traj.dense_at(ts)
-        mu = dispersion_symbol(spec, n)
-        u_other = v_vals * np.exp(1j * np.outer(mu, ts))
-        pipelines = ("cascade", "normal-form")
-    else:
-        # recenter, solve the polynomial equation for w in normal form,
-        # then map back to the original frame
-        m0 = complex(phi.coeffs[0])
-        w_spec = spec.recentered(m0)
-        w0 = np.array(phi.coeffs)
-        w0[0] = 0.0
-        v_traj, log = picard_solve(SpectralState(w0, phi.time), w_spec, T,
-                                   tol=PICARD_TOL)
-        v_vals = v_traj.dense_at(ts)
-        mu = dispersion_symbol(w_spec, n)
-        w_vals = v_vals * np.exp(1j * np.outer(mu, ts))
-        shift = spec.self_coupling(m0)
-        u_other = w_vals * np.exp(1j * shift * np.outer(n, ts))
-        u_other[0, :] += m0
-        pipelines = ("cascade", "normal-form-recentered")
+    # recenter, solve the polynomial equation for w in normal form, then
+    # map back to the original frame; mean-zero data is the case m0 = 0
+    m0 = complex(phi.coeffs[0])
+    w_spec = spec.recentered(m0)
+    w0 = np.array(phi.coeffs)
+    w0[0] = 0.0
+    v_traj, log = picard_solve(SpectralState(w0, phi.time), w_spec, T,
+                               tol=PICARD_TOL)
+    v_vals = v_traj.dense_at(ts)
+    mu = dispersion_symbol(w_spec, n)
+    w_vals = v_vals * np.exp(1j * np.outer(mu, ts))
+    shift = spec.self_coupling(m0)
+    u_other = w_vals * np.exp(1j * shift * np.outer(n, ts))
+    u_other[0, :] += m0
+    pipelines = ("cascade", "normal-form" if m0 == 0
+                 else "normal-form-recentered")
 
     disagreement = float(np.max(np.abs(u_cascade - u_other)))
     return CrossReport(pipelines=pipelines, max_disagreement=disagreement,

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .quadrature import PanelGrid, QuadratureError, tail_ratio
-from .spectral import (EquationSpec, SpectralState, _product, dispersion_mu,
+from .spectral import (EquationSpec, SpectralState, convolve, dispersion_mu,
                        power)
 from .trajectory import Trajectory, sup_sobolev_diff
 
@@ -158,7 +158,7 @@ def _weighted_contract(W: np.ndarray, U: np.ndarray, last: np.ndarray
     product."""
     L = U.shape[0]
     if W.ndim == 2:
-        return _product(U, last, W[:, :L])
+        return convolve(U, last, weight=W[:, :L])
     out = np.zeros_like(U)
     rows = np.any(U, axis=tuple(range(1, U.ndim)))
     for a in np.flatnonzero(rows).tolist():

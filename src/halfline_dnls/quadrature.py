@@ -72,20 +72,16 @@ class PanelScheme:
     interpolant.  ``antideriv_nodes`` and ``antideriv_end`` give node/right-
     endpoint values of the antiderivative vanishing at -1 (multiply by h/2
     for a panel of width h); ``deriv_nodes`` gives node values of d/dx
-    (multiply by 2/h).  ``eval_left``/``eval_right`` evaluate the
-    interpolant at the panel ends.
+    (multiply by 2/h).
     """
 
     q: int
     nodes: np.ndarray
     weights: np.ndarray
-    vander: np.ndarray
     coeff_map: np.ndarray
     antideriv_nodes: np.ndarray
     antideriv_end: np.ndarray
     deriv_nodes: np.ndarray
-    eval_left: np.ndarray
-    eval_right: np.ndarray
 
 
 @lru_cache(maxsize=8)
@@ -111,13 +107,10 @@ def panel_scheme(q: int = DEFAULT_POINTS) -> PanelScheme:
         e[j] = 1.0
         D[: q - 1, j] = _cheb.chebder(e)
     DN = V @ D @ A
-    left = (_cheb.chebvander(np.array([-1.0]), q - 1) @ A)[0]
-    right = (_cheb.chebvander(np.array([1.0]), q - 1) @ A)[0]
-    for arr in (x, w, V, A, P, end, DN, left, right):
+    for arr in (x, w, A, P, end, DN):
         arr.flags.writeable = False
-    return PanelScheme(q=q, nodes=x, weights=w, vander=V, coeff_map=A,
-                       antideriv_nodes=P, antideriv_end=end, deriv_nodes=DN,
-                       eval_left=left, eval_right=right)
+    return PanelScheme(q=q, nodes=x, weights=w, coeff_map=A,
+                       antideriv_nodes=P, antideriv_end=end, deriv_nodes=DN)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,19 +159,10 @@ class PanelGrid:
         return PanelGrid(breaks=breaks, scheme=self.scheme)
 
     def locate(self, t):
-        """Panel index and local coordinate x in [-1, 1] for a time t, or
-        arrays of both for an array of times (one searchsorted)."""
-        if isinstance(t, np.ndarray) and t.ndim:
-            return self._locate_all(t.astype(float, copy=False))
-        if not 0.0 <= t <= self.horizon * (1 + 1e-12):
-            raise ValueError(f"time {t} outside [0, {self.horizon}]")
-        p = int(np.searchsorted(self.breaks, t, side="right") - 1)
-        p = min(max(p, 0), self.n_panels - 1)
-        a, b = self.breaks[p], self.breaks[p + 1]
-        x = 2.0 * (t - a) / (b - a) - 1.0
-        return p, float(min(1.0, max(-1.0, x)))
-
-    def _locate_all(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Panel index and local coordinate x in [-1, 1] of each time of
+        ``t``: arrays of both for an array of times (one searchsorted), an
+        ``(int, float)`` pair for a scalar time."""
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
         inside = (ts >= 0.0) & (ts <= self.horizon * (1 + 1e-12))
         if not inside.all():
             raise ValueError(f"time {ts[~inside][0]} outside "
@@ -186,7 +170,10 @@ class PanelGrid:
         p = np.clip(np.searchsorted(self.breaks, ts, side="right") - 1,
                     0, self.n_panels - 1)
         a, b = self.breaks[p], self.breaks[p + 1]
-        return p, np.clip(2.0 * (ts - a) / (b - a) - 1.0, -1.0, 1.0)
+        x = np.clip(2.0 * (ts - a) / (b - a) - 1.0, -1.0, 1.0)
+        if np.ndim(t) == 0:
+            return int(p[0]), float(x[0])
+        return p, x
 
 
 def tail_ratio(values: np.ndarray, scheme: PanelScheme) -> np.ndarray:

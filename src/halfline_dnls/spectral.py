@@ -237,39 +237,42 @@ def _product(a: np.ndarray, b: np.ndarray,
     return out
 
 
-def convolve(a, b) -> np.ndarray:
+def convolve(a, b, weight: np.ndarray | None = None) -> np.ndarray:
     """Coefficient product ``(a*b)(n) = sum_{m=0}^{n} a(m) b(n-m)``.
 
     Both inputs are arrays of one shape ``(M+1, ...)``: axis 0 holds the
     modes and the trailing axes are a batch, multiplied column by column.
     Entries ``n <= M`` of the result are exact because no discarded mode can
-    reach them.
+    reach them.  ``weight``, of shape ``(M+1, M+1)``, scales the term of
+    shift m in target n by ``weight[n, m]``.
     """
     ca, cb = _as_coeffs(a), _as_coeffs(b)
     if ca.shape != cb.shape:
         raise TruncationMismatchError(
             f"coefficient arrays differ: truncations {ca.shape[0] - 1} vs "
             f"{cb.shape[0] - 1}, shapes {ca.shape} vs {cb.shape}")
-    return _product(ca, cb)
+    return _product(ca, cb, weight)
 
 
 def power(a, j: int) -> np.ndarray:
     """j-fold coefficient product of an ``(M+1, ...)`` array, column by
-    column; ``j = 0`` returns the identity delta_0 in every column."""
+    column; ``j = 0`` returns the identity delta_0 in every column and
+    ``j = 1`` a copy of ``a``."""
     c = _as_coeffs(a)
     if j < 0:
         raise ValueError("power exponent must be >= 0")
-    out = np.zeros_like(c)
-    out[0] = 1.0
-    base = c
-    # binary powering; each product is exact on the retained modes
-    e = j
-    while e:
-        if e & 1:
-            out = _product(out, base)
-        e >>= 1
-        if e:
-            base = _product(base, base)
+    # binary powering from the lowest set bit: bit_length - 1 squarings and
+    # popcount - 1 further products, each exact on the retained modes
+    out = None
+    while j:
+        if j & 1:
+            out = c.copy() if out is None else _product(out, c)
+        j >>= 1
+        if j:
+            c = _product(c, c)
+    if out is None:
+        out = np.zeros_like(c)
+        out[0] = 1.0
     return out
 
 

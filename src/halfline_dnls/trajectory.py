@@ -75,45 +75,51 @@ class Trajectory:
             return int(idx)
         return None
 
-    def _interpolant_rows(self, ts):
-        """Panel of each time of ``ts`` and the row that maps that panel's
-        node values to the value of their Chebyshev interpolant there: an
-        int and a (q,) row for one time, arrays (n,) and (n, q) for n."""
+    def _evaluate(self, ns: np.ndarray, ts) -> np.ndarray:
+        """Modes ``ns`` (1-D) at each time of ``ts`` (a scalar is one time),
+        shape (ns.size, len(ts)); untracked modes are 0.  One locate, one
+        Chebyshev row per time, and one contraction over (times, rows, q)
+        that copies only the tracked rows asked for, on the panels of
+        ``ts``.  Both products are stacks of one matrix-vector product per
+        time, so a time gives the same bits alone as in any batch of
+        times."""
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
         p, x = self.grid.locate(ts)
         # T_0(x), ..., T_{q-1}(x) by chebvander's recurrence (bit-identical
-        # to it); on one Python float this takes ~3 us, chebvander ~55 us in
-        # array overhead (2-core x86-64 VM)
-        tx = [np.ones_like(x) if isinstance(x, np.ndarray) else 1.0, x]
+        # to it); times coeff_map, the row that evaluates the panel's
+        # interpolant at x
+        tx = [np.ones_like(x), x]
         for _ in range(2, self.grid.q):
             tx.append(2.0 * x * tx[-1] - tx[-2])
-        return p, np.array(tx).T @ self.grid.scheme.coeff_map
+        cheb = np.array(tx).T[:, None, :] @ self.grid.scheme.coeff_map
+        idx = np.searchsorted(self.modes, ns)
+        tracked = idx < self.modes.size
+        tracked[tracked] = self.modes[idx[tracked]] == ns[tracked]
+        out = np.zeros((ns.size, ts.size), dtype=complex)
+        rows = self.values[idx[tracked][None, :], p[:, None]]
+        out[tracked] = (rows @ cheb.transpose(0, 2, 1))[:, :, 0].T
+        return out
 
     # -- dense output --------------------------------------------------------
 
     def coeffs_at(self, t: float) -> np.ndarray:
         """Dense coefficient vector (length truncation+1) at time t."""
-        p, row = self._interpolant_rows(t)
-        dense = np.zeros(self.truncation + 1, dtype=complex)
-        if self.modes.size:
-            dense[self.modes] = self.values[:, p, :] @ row
-        return dense
+        return self._evaluate(np.arange(self.truncation + 1), t)[:, 0]
 
     def dense_at(self, ts) -> np.ndarray:
         """Dense coefficients at each time of ``ts``, shape
         (truncation+1, len(ts)): mode axis first, times as the batch."""
-        return np.stack([self.coeffs_at(t) for t in ts], axis=1)
+        return self.mode_values(np.arange(self.truncation + 1), ts)
 
     def state_at(self, t: float) -> SpectralState:
         return SpectralState(self.coeffs_at(t), time=float(t))
 
-    def mode_values(self, n: int, ts) -> np.ndarray:
-        """Mode n evaluated at an array of times."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        r = self._row(n)
-        if r is None:
-            return np.zeros(ts.size, dtype=complex)
-        p, rows = self._interpolant_rows(ts)
-        return np.einsum("iq,iq->i", self.values[r, p, :], rows)
+    def mode_values(self, n, ts) -> np.ndarray:
+        """Mode n at each time of ``ts``, shape (len(ts),); for an array of
+        modes, shape (len(n), len(ts)).  Untracked modes are 0."""
+        ns = np.asarray(n, dtype=int)
+        values = self._evaluate(ns.reshape(-1), ts)
+        return values.reshape(ns.shape + values.shape[1:])
 
     def mode_derivative_values(self, n: int, panel: int) -> np.ndarray:
         """d/dt of mode n at the nodes of one panel."""
@@ -148,7 +154,9 @@ class Trajectory:
 
     @property
     def samples(self) -> list:
-        return [self.state_at(t) for t in self.sample_times]
+        ts = self.sample_times
+        dense = self._evaluate(np.arange(self.truncation + 1), ts)
+        return [SpectralState(c, time=float(t)) for t, c in zip(ts, dense.T)]
 
     def final_state(self) -> SpectralState:
         return self.state_at(self.horizon)
@@ -174,8 +182,7 @@ class Trajectory:
             "horizon": self.horizon,
             "n_panels": int(self.n_panels),
             "tracked_modes": [int(n) for n in self.modes],
-            "samples": [self.state_at(t).to_dict()
-                        for t in self.sample_times],
+            "samples": [state.to_dict() for state in self.samples],
         }
 
     def to_json(self) -> str:
@@ -186,8 +193,8 @@ class Trajectory:
         for line in manifest_lines:
             fh.write(f"# {line}\n")
         fh.write("t,n,abs,arg\n")
-        for t in self.sample_times:
-            dense = self.coeffs_at(t)
-            for n in self.modes:
-                z = dense[n]
+        ts = self.sample_times
+        values = self._evaluate(self.modes, ts)
+        for t, column in zip(ts, values.T):
+            for n, z in zip(self.modes, column):
                 fh.write(f"{t!r},{int(n)},{abs(z)!r},{float(np.angle(z))!r}\n")

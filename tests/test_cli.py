@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from halfline_dnls.cli import RunManifest, dispatch
+from halfline_dnls.cli import RunManifest, build_parser, dispatch
 
 
 def _phi_file(tmp_path, modes, M, name="phi.json"):
@@ -36,6 +36,32 @@ def test_phase_check_pass(capsys):
     assert doc["certificate"]["pass"] is True
     assert doc["manifest"]["subcommand"] == "phase-check"
     assert "counterexample" not in doc["certificate"]
+
+
+@pytest.mark.parametrize("command", ["phase-check", "cross-validate"])
+def test_out_file_listed_in_manifest(tmp_path, capsys, command):
+    argv = {"phase-check": ["phase-check", "--alpha", "2", "--k", "1",
+                            "--cap", "10"],
+            "cross-validate": ["cross-validate", "--alpha", "3", "--k", "1",
+                               "--T", "0.25", "--phi",
+                               _phi_file(tmp_path, {1: (0.04, 0.0),
+                                                    2: (0.0, 0.04)}, 6)]}
+    out = tmp_path / "out.json"
+    assert dispatch(argv[command] + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text())["manifest"]["outputs"] == [str(out)]
+    assert dispatch(argv[command]) == 0
+    assert json.loads(capsys.readouterr().out)["manifest"]["outputs"] == []
+
+
+def test_dispatch_reuses_one_parser(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    # the shared parser keeps nothing from one call to the next
+    out = tmp_path / "cert.json"
+    args = ["phase-check", "--alpha", "2", "--k", "1", "--cap", "8"]
+    assert dispatch(args + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert dispatch(args) == 0
+    assert json.loads(capsys.readouterr().out)["certificate"]["pass"] is True
 
 
 def test_simulate_outputs(tmp_path, capsys):

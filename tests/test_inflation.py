@@ -205,6 +205,26 @@ def test_cross_validate_recentered_route():
     assert rep.passed
 
 
+def test_cross_validate_mean_zero_is_the_m0_zero_case():
+    # mean-zero data runs the recentered route at m0 = 0; it must give the
+    # bits of the direct route (normal form of the equation itself)
+    from halfline_dnls import (CrossValidationConfig, EquationSpec,
+                               SpectralState, cascade_integrate,
+                               cross_validate, picard_solve)
+    from halfline_dnls.inflation import CASCADE_TOL, N_COMPARE, PICARD_TOL
+    from halfline_dnls.spectral import dispersion_symbol
+    phi = SpectralState.from_modes({1: 0.04, 2: 0.03j}, 8)
+    spec, T = EquationSpec.pure_power(1, 3.0), 0.5
+    rep = cross_validate(CrossValidationConfig(phi=phi, alpha=3.0, k=1, T=T))
+    assert rep.pipelines == ("cascade", "normal-form")
+    ts = np.linspace(0.0, T, N_COMPARE)
+    u = cascade_integrate(phi, spec, T, tol=CASCADE_TOL).dense_at(ts)
+    v, _ = picard_solve(phi, spec, T, tol=PICARD_TOL)
+    mu = dispersion_symbol(spec, np.arange(9))
+    direct = v.dense_at(ts) * np.exp(1j * np.outer(mu, ts))
+    assert rep.max_disagreement == float(np.max(np.abs(u - direct)))
+
+
 def test_cross_validate_alpha2_requires_mean_zero():
     from halfline_dnls import CrossValidationConfig, SpectralState, cross_validate
     phi = SpectralState.from_modes({0: 0.1, 1: 0.02}, 8)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfline_dnls import OverflowGuardError, PanelGrid
 from halfline_dnls.quadrature import (OVERFLOW_GUARD, oscillatory_march,
@@ -61,13 +63,6 @@ def test_derivative_matrix():
     assert np.max(np.abs(got - (5 * x**4 - 4 * x))) < 1e-11
 
 
-def test_endpoint_evaluation_rows():
-    sch = panel_scheme(10)
-    f = 2 * sch.nodes**3 + 1
-    assert sch.eval_right @ f == pytest.approx(3.0, abs=1e-12)
-    assert sch.eval_left @ f == pytest.approx(-1.0, abs=1e-12)
-
-
 def test_tail_ratio_flags_unresolved():
     # one row on one panel
     sch = panel_scheme(24)
@@ -111,6 +106,41 @@ def test_grid_locate_and_refine():
     fine = grid.refined()
     assert fine.n_panels == 2 * grid.n_panels
     assert fine.horizon == grid.horizon
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_panels=st.integers(1, 300),
+       horizon=st.floats(1e-3, 1e3, allow_nan=False),
+       at_breaks=st.lists(st.integers(0, 300), max_size=12),
+       inside=st.lists(st.floats(0.0, 1.0), max_size=12))
+def test_locate_array_matches_each_scalar(n_panels, horizon, at_breaks,
+                                          inside):
+    # breaks, both endpoints (the right one also just past it, within the
+    # accepted round-off) and interior times: the array result equals the
+    # scalar one element by element, bit for bit
+    grid = PanelGrid(breaks=np.linspace(0.0, horizon, n_panels + 1),
+                     scheme=panel_scheme())
+    breaks = grid.breaks
+    ts = np.concatenate([[0.0, horizon, horizon * (1 + 1e-13)],
+                         breaks[np.array(at_breaks, dtype=int) % breaks.size],
+                         horizon * np.array(inside)])
+    ps, xs = grid.locate(ts)
+    assert ps.shape == xs.shape == ts.shape
+    for t, p, x in zip(ts, ps, xs):
+        q, y = grid.locate(float(t))
+        assert type(q) is int and type(y) is float
+        assert p == q
+        assert np.float64(x).tobytes() == np.float64(y).tobytes()
+    assert grid.locate(0.0) == (0, -1.0)
+    assert grid.locate(horizon) == (n_panels - 1, 1.0)
+
+
+def test_locate_rejects_times_outside_and_names_them():
+    grid = PanelGrid.for_frequency(2.0, 100.0)
+    with pytest.raises(ValueError, match="time -0.5 outside"):
+        grid.locate(-0.5)
+    with pytest.raises(ValueError, match="time 2.5 outside"):
+        grid.locate(np.array([1.0, 2.5, -1.0]))
 
 
 def test_march_pure_oscillation():

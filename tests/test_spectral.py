@@ -194,6 +194,31 @@ def test_power_zero_is_delta0():
     assert np.array_equal(power(np.ones(5, dtype=complex), 0), delta(0, 4))
 
 
+@pytest.mark.parametrize("j", range(7))
+def test_power_product_count(monkeypatch, j):
+    # binary powering from the lowest set bit: bit_length - 1 squarings and
+    # popcount - 1 further products, none of them by delta_0
+    from halfline_dnls import spectral
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return _product(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_product", counted)
+    rng = np.random.default_rng(j)
+    a = rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3))
+    got = power(a, j)
+    expected = bin(j).count("1") + j.bit_length() - 2 if j else 0
+    assert len(calls) == expected
+    assert not np.shares_memory(got, a)
+    ref = np.zeros_like(a)
+    ref[0] = 1.0
+    for _ in range(j):
+        ref = convolve(ref, a)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(complex_lists, st.integers(0, 5))
 def test_power_matches_iterated_convolution(xs, j):

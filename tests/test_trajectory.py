@@ -80,6 +80,23 @@ def test_mode_values_match_per_time_oracle(traj):
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+def test_batched_values_equal_one_time_values_bitwise(traj):
+    # a time gives the same bits alone as in a batch of times, on every
+    # output path that evaluates the same modes
+    ts = np.concatenate([traj.grid.breaks[::3],
+                         np.random.default_rng(4).uniform(0.0, traj.horizon,
+                                                          25)])
+    batch = traj.dense_at(ts)
+    modes = traj.mode_values(traj.modes, ts)
+    assert modes.shape == (traj.modes.size, ts.size)
+    for i, t in enumerate(ts):
+        alone = traj.coeffs_at(t)
+        assert np.array_equal(batch[:, i], alone)
+        assert np.array_equal(modes[:, i], alone[traj.modes])
+    for state, t in zip(traj.samples, traj.sample_times):
+        assert np.array_equal(state.coeffs, traj.coeffs_at(t))
+
+
 def test_mode_values_reject_times_outside_horizon(traj):
     with pytest.raises(ValueError, match="outside"):
         traj.mode_values(1, [0.5, -1e-3])
