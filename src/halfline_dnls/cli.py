@@ -10,8 +10,11 @@ Subcommands map one-to-one onto the library pipelines:
     cross-validate  cascade vs the independent pipeline
     batch           a JSON list of inflate configs -> summary CSV
 
-Data goes to stdout or files, logs to stderr.  Every output embeds its
-RunManifest (parameters, version, tolerances, wall-clock).  Exit codes:
+Each subcommand body only computes: it returns a ``_Result`` and one
+runner, ``_run``, does all output work.  Data goes to stdout or files, logs
+to stderr.  Every output embeds its RunManifest (parameters, version,
+tolerances, output files, wall-clock); a CSV carries it as its one
+``# manifest:`` first line.  Exit codes:
 0 all checks passed, 1 an identity failed or a solver gave up, 2 usage
 error or refused input (bad values, unsupported regime, malformed or
 unreadable files).
@@ -23,8 +26,9 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
+from typing import Callable, Optional, TextIO
 
 import numpy as np
 
@@ -32,7 +36,7 @@ from . import __version__
 from .cascade import cascade_integrate
 from .gauge import (compatibility_defects, compatible_gauge_data,
                     gauge_picard_solve)
-from .inflation import (CrossValidationConfig, ExperimentConfig,
+from .inflation import (CrossValidationConfig, ExperimentConfig, NormReport,
                         UnsupportedRegimeError, cross_validate,
                         run_experiment)
 from .normalform import picard_solve
@@ -54,24 +58,25 @@ class RunManifest:
     duration_seconds: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "parameters": self.parameters,
-            "version": self.version,
-            "tolerances": self.tolerances,
-            "outputs": self.outputs,
-            "duration_seconds": self.duration_seconds,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunManifest":
-        return cls(subcommand=d["subcommand"], parameters=d["parameters"],
-                   version=d["version"], tolerances=d["tolerances"],
-                   outputs=d["outputs"],
-                   duration_seconds=d["duration_seconds"])
+        """Inverse of ``to_dict``; keys that name no field are ignored."""
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
-    def csv_lines(self) -> list:
-        return [f"manifest: {json.dumps(self.to_dict(), sort_keys=True)}"]
+
+@dataclass
+class _Result:
+    """What a subcommand body hands the runner: its verdict, the manifest's
+    parameters and tolerances, the JSON document (None when the CSV is the
+    output) and a writer of the CSV body."""
+
+    passed: bool
+    parameters: dict
+    tolerances: dict = field(default_factory=dict)
+    doc: Optional[dict] = None
+    csv: Optional[Callable[[TextIO], None]] = None
 
 
 def _log(msg: str):
@@ -106,73 +111,89 @@ def _load_state(arg: str, modes: int | None = None) -> SpectralState:
     return state
 
 
-def _emit_json(doc: dict, manifest: RunManifest, out: str | None):
-    doc = {"manifest": manifest.to_dict(), **doc}
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        _log(f"wrote {out}")
+def _write(path: str | None, write: Callable[[TextIO], None]) -> None:
+    """``write`` to the file at ``path``, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            write(fh)
+        _log(f"wrote {path}")
     else:
-        print(text)
+        write(sys.stdout)
+
+
+def _run(args) -> int:
+    """Run one subcommand body and do its output work: time it, build the
+    RunManifest, write the CSV (``--csv``/``--log-csv``, or stdout for a
+    body without a JSON document) after one ``# manifest:`` line, write the
+    JSON with the manifest to ``--out`` or stdout, and return 0 when the
+    body passed, else 1."""
+    t0 = time.perf_counter()
+    result = args.func(args)
+    out = getattr(args, "out", None)
+    csv_path = getattr(args, "csv", None) or getattr(args, "log_csv", None)
+    manifest = RunManifest(
+        subcommand=args.command, parameters=result.parameters,
+        tolerances=result.tolerances,
+        outputs=[p for p in (out, csv_path) if p],
+        duration_seconds=time.perf_counter() - t0).to_dict()
+
+    def write_csv(fh):
+        fh.write(f"# manifest: {json.dumps(manifest, sort_keys=True)}\n")
+        result.csv(fh)
+
+    if result.csv is not None and (csv_path or result.doc is None):
+        _write(csv_path, write_csv)
+    if result.doc is not None:
+        text = json.dumps({"manifest": manifest, **result.doc}, indent=2,
+                          sort_keys=True)
+        _write(out, lambda fh: fh.write(text + "\n"))
+    return 0 if result.passed else 1
 
 
 # -- subcommand bodies -----------------------------------------------------------
 
 
-def _cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
-    phi = _load_state(args.phi, args.modes)
-    spec = EquationSpec.pure_power(args.k, args.alpha,
-                                   kind=DispersionKind(args.dispersion))
-    traj = cascade_integrate(phi, spec, args.T, tol=args.tol)
-    manifest = RunManifest(
-        subcommand="simulate",
-        parameters={"alpha": args.alpha, "k": args.k,
-                    "dispersion": args.dispersion, "T": args.T,
-                    "modes": phi.truncation},
-        tolerances={"quadrature": args.tol},
-        outputs=[p for p in (args.out, args.csv) if p],
-        duration_seconds=time.perf_counter() - t0)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            traj.write_csv(fh, manifest.csv_lines())
-        _log(f"wrote {args.csv}")
-    _emit_json({"trajectory": traj.to_dict()}, manifest, args.out)
-    return 0
-
-
-def _cmd_picard(args) -> int:
-    t0 = time.perf_counter()
-    phi = _load_state(args.phi)
-    spec = EquationSpec.pure_power(args.k, args.alpha)
-    traj, log = picard_solve(phi, spec, args.T, tol=args.tol,
-                             max_iter=args.max_iter,
-                             allow_unsafe=args.allow_unsafe)
-    manifest = RunManifest(
-        subcommand="picard",
-        parameters={"alpha": args.alpha, "k": args.k, "T": args.T,
-                    "max_iter": args.max_iter},
-        tolerances={"picard": args.tol},
-        outputs=[p for p in (args.out, args.log_csv) if p],
-        duration_seconds=time.perf_counter() - t0)
-    if args.log_csv:
-        with open(args.log_csv, "w", encoding="utf-8") as fh:
-            log.write_csv(fh, manifest.csv_lines())
-        _log(f"wrote {args.log_csv}")
-    _emit_json({
-        "trajectory": traj.to_dict(),
+def _log_doc(log) -> dict:
+    """The JSON fields of a Picard solver's log."""
+    return {
         "converged": log.converged,
         "final_residual": log.final_residual,
         "chebyshev_tail": log.tail,
         "smallness": log.smallness.to_dict(),
         "iterations": [[i, d, r] for i, d, r in log.iterations],
-    }, manifest, args.out)
-    return 0 if log.converged else 1
+    }
 
 
-def _cmd_gauge(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_simulate(args) -> _Result:
+    phi = _load_state(args.phi, args.modes)
+    spec = EquationSpec.pure_power(args.k, args.alpha,
+                                   kind=DispersionKind(args.dispersion))
+    traj = cascade_integrate(phi, spec, args.T, tol=args.tol)
+    return _Result(
+        passed=True,
+        parameters={"alpha": args.alpha, "k": args.k,
+                    "dispersion": args.dispersion, "T": args.T,
+                    "modes": phi.truncation},
+        tolerances={"quadrature": args.tol},
+        doc={"trajectory": traj.to_dict()}, csv=traj.write_csv)
+
+
+def _cmd_picard(args) -> _Result:
+    phi = _load_state(args.phi)
+    spec = EquationSpec.pure_power(args.k, args.alpha)
+    traj, log = picard_solve(phi, spec, args.T, tol=args.tol,
+                             max_iter=args.max_iter,
+                             allow_unsafe=args.allow_unsafe)
+    return _Result(
+        passed=log.converged,
+        parameters={"alpha": args.alpha, "k": args.k, "T": args.T,
+                    "max_iter": args.max_iter},
+        tolerances={"picard": args.tol},
+        doc={"trajectory": traj.to_dict(), **_log_doc(log)},
+        csv=log.write_csv)
+
+
+def _cmd_gauge(args) -> _Result:
     phi = _load_state(args.phi)
     psi = (_load_state(args.psi, phi.truncation) if args.psi
            else compatible_gauge_data(phi, args.k))
@@ -181,144 +202,94 @@ def _cmd_gauge(args) -> int:
                                              allow_unsafe=args.allow_unsafe)
     ts = traj_u.sample_times
     defects = compatibility_defects(traj_u, traj_g, args.k, ts)
-    manifest = RunManifest(
-        subcommand="gauge",
+    return _Result(
+        passed=log.converged,
         parameters={"k": args.k, "T": args.T, "modes": phi.truncation},
         tolerances={"picard": args.tol},
-        outputs=[args.out] if args.out else [],
-        duration_seconds=time.perf_counter() - t0)
-    _emit_json({
-        "u": traj_u.to_dict(),
-        "gu": traj_g.to_dict(),
-        "gauge_identity_defects": [[float(t), float(d)]
-                                   for t, d in zip(ts, defects)],
-        "converged": log.converged,
-        "final_residual": log.final_residual,
-        "chebyshev_tail": log.tail,
-        "smallness": log.smallness.to_dict(),
-        "iterations": [[i, d, r] for i, d, r in log.iterations],
-    }, manifest, args.out)
-    return 0 if log.converged else 1
+        doc={"u": traj_u.to_dict(), "gu": traj_g.to_dict(),
+             "gauge_identity_defects": [[float(t), float(d)]
+                                        for t, d in zip(ts, defects)],
+             **_log_doc(log)})
 
 
-def _cmd_phase_check(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_phase_check(args) -> _Result:
     cert = certify_phase_bound(args.alpha, args.k, args.cap)
-    manifest = RunManifest(
-        subcommand="phase-check",
+    return _Result(
+        passed=cert.passed,
         parameters={"alpha": args.alpha, "k": args.k, "cap": args.cap},
-        outputs=[args.out] if args.out else [],
-        duration_seconds=time.perf_counter() - t0)
-    _emit_json({"certificate": cert.to_dict()}, manifest, args.out)
-    return 0 if cert.passed else 1
+        doc={"certificate": cert.to_dict()})
 
 
-def _cmd_inflate(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_inflate(args) -> _Result:
     config = ExperimentConfig(N=args.N, s=args.s, sigma=args.sigma, k=args.k,
                               alpha=args.alpha, m_max=args.m_max,
                               epsilon=args.epsilon)
     report = run_experiment(config)
-    manifest = RunManifest(
-        subcommand="inflate",
+    return _Result(
+        passed=report.passed,
         parameters=config.to_dict(),
         tolerances={"identity": config.identity_tol,
                     "value": config.value_tol,
                     "quadrature": config.quadrature_tol},
-        outputs=[p for p in (args.out, args.csv) if p],
-        duration_seconds=time.perf_counter() - t0)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            for line in manifest.csv_lines():
-                fh.write(f"# {line}\n")
-            fh.write(report.CSV_HEADER + "\n")
-            fh.write(report.csv_row() + "\n")
-        _log(f"wrote {args.csv}")
-    _emit_json({"report": report.to_dict()}, manifest, args.out)
-    return 0 if report.passed else 1
+        doc={"report": report.to_dict()},
+        csv=lambda fh: fh.write(f"{report.CSV_HEADER}\n{report.csv_row()}\n"))
 
 
-def _cmd_cross_validate(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_cross_validate(args) -> _Result:
     phi = _load_state(args.phi)
     config = CrossValidationConfig(phi=phi, alpha=args.alpha, k=args.k,
                                    T=args.T, tolerance=args.tolerance)
     report = cross_validate(config)
-    manifest = RunManifest(
-        subcommand="cross-validate",
+    return _Result(
+        passed=report.passed,
         parameters={"alpha": args.alpha, "k": args.k, "T": args.T},
         tolerances={"disagreement": report.tolerance},
-        outputs=[args.out] if args.out else [],
-        duration_seconds=time.perf_counter() - t0)
-    _emit_json({"report": report.to_dict()}, manifest, args.out)
-    return 0 if report.passed else 1
+        doc={"report": report.to_dict()})
 
 
-def _run_batch_entry(entry):
-    index, doc = entry
-    try:
-        config = ExperimentConfig.from_dict(doc)
-    except UnsupportedRegimeError:
-        return index, doc, "unsupported-regime"
-    except (KeyError, TypeError, ValueError) as exc:
-        return index, None, f"malformed: {exc}"
-    try:
-        report = run_experiment(config)
-    except RuntimeError as exc:
-        return index, doc, f"error: {exc}"
-    return index, report, "pass" if report.passed else "fail"
+def _flagged_row(entry: dict, tag: str) -> str:
+    """A summary row for an experiment that gave no report."""
+    keys = ("N", "s", "sigma", "k", "alpha")
+    return ",".join([str(entry.get(key)) for key in keys] + [""] * 4 + [tag])
 
 
-def _cmd_batch(args) -> int:
-    t0 = time.perf_counter()
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        experiments = doc["experiments"] if isinstance(doc, dict) else doc
-        if not isinstance(experiments, list):
-            raise TypeError("expected a list of experiment configs")
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        _log(f"batch config error: {exc}")
-        return 2
-    results = [_run_batch_entry(item) for item in enumerate(experiments)]
+def _cmd_batch(args) -> _Result:
+    with open(args.config, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    entries = doc.get("experiments") if isinstance(doc, dict) else doc
+    if not isinstance(entries, list):
+        raise ValueError(f"batch config {args.config}: expected a list of "
+                         "experiment configs")
+    # every entry is parsed before any runs; None flags an unsupported regime
+    configs = []
+    for i, entry in enumerate(entries):
+        try:
+            configs.append(ExperimentConfig.from_dict(entry))
+        except UnsupportedRegimeError:
+            configs.append(None)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"experiment {i}: malformed config: {exc}") \
+                from exc
 
-    malformed = [(i, status) for i, rep, status in results
-                 if status.startswith("malformed")]
-    if malformed:
-        for i, status in malformed:
-            _log(f"experiment {i}: {status}")
-        return 2
-
-    from .inflation import NormReport
-    manifest = RunManifest(
-        subcommand="batch",
-        parameters={"config": args.config, "n_experiments": len(experiments)},
-        outputs=[args.csv] if args.csv else [],
-        duration_seconds=time.perf_counter() - t0)
-    lines = [f"# {line}" for line in manifest.csv_lines()]
-    lines.append(NormReport.CSV_HEADER)
-    any_fail = False
-    for i, report, status in results:
-        if status == "unsupported-regime" or status.startswith("error"):
-            # flagged or crashed: reported in place of a data row
-            doc = report
-            tag = "unsupported-regime" if status == "unsupported-regime" \
-                else "error"
-            lines.append(f"{doc.get('N')},{doc.get('s')},{doc.get('sigma')},"
-                         f"{doc.get('k')},{doc.get('alpha')},,,,,{tag}")
-            _log(f"experiment {i}: {status}")
-            any_fail = any_fail or tag == "error"
+    rows, passed = [NormReport.CSV_HEADER], True
+    for i, (entry, config) in enumerate(zip(entries, configs)):
+        if config is None:
+            _log(f"experiment {i}: unsupported-regime")
+            rows.append(_flagged_row(entry, "unsupported-regime"))
             continue
-        any_fail = any_fail or status == "fail"
-        lines.append(report.csv_row(status))
-    text = "\n".join(lines) + "\n"
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _log(f"wrote {args.csv}")
-    else:
-        sys.stdout.write(text)
-    return 1 if any_fail else 0
+        try:
+            report = run_experiment(config)
+        except RuntimeError as exc:
+            _log(f"experiment {i}: error: {exc}")
+            rows.append(_flagged_row(entry, "error"))
+            passed = False
+            continue
+        rows.append(report.csv_row())
+        passed = passed and report.passed
+    return _Result(
+        passed=passed,
+        parameters={"config": args.config, "n_experiments": len(entries)},
+        csv=lambda fh: fh.write("\n".join(rows) + "\n"))
 
 
 @lru_cache(maxsize=None)
@@ -411,7 +382,7 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return _run(args)
     except (ValueError, OSError) as exc:
         # refused input (including UnsupportedRegimeError) or a file that
         # cannot be read or written

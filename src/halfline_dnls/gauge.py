@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .normalform import (PicardLog, SmallnessReport, check_tail,
-                         iterate_fixed_point)
+from .normalform import (ContractionThresholdError, PicardLog,
+                         SmallnessReport, check_tail, iterate_fixed_point)
 from .quadrature import PanelGrid, oscillatory_march
 from .spectral import (EquationSpec, SpectralState, _along_modes, _as_coeffs,
                        convolve, derivative_coeffs, dispersion_mu, power,
@@ -208,9 +208,10 @@ def gauge_picard_solve(phi: SpectralState, psi: SpectralState, k: int,
     ``(trajectory of u, trajectory of gu, PicardLog)``.
 
     Data with ``|phi|_H1 + |psi|_H1`` above ``SMALLNESS_THRESHOLD`` is
-    refused unless ``allow_unsafe``; the check is reported as the log's
-    ``smallness``.  Raises QuadratureError when the Chebyshev tail of the
-    final iterate exceeds ``tol`` (see ``normalform.check_tail``).
+    refused with ContractionThresholdError unless ``allow_unsafe``; the
+    check is reported as the log's ``smallness``.  Raises QuadratureError
+    when the Chebyshev tail of the final iterate exceeds ``tol`` (see
+    ``normalform.check_tail``).
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -226,7 +227,7 @@ def gauge_picard_solve(phi: SpectralState, psi: SpectralState, k: int,
         rhs=SMALLNESS_THRESHOLD, boundary_constants={},
         bulk_kernel_constants={}, horizon=T))
     if not log.smallness.accepted and not allow_unsafe:
-        raise ValueError(
+        raise ContractionThresholdError(
             f"|phi|_H1 + |psi|_H1 = {lhs:.4g} exceeds the smallness "
             f"threshold {SMALLNESS_THRESHOLD}; pass allow_unsafe=True to "
             "iterate anyway")

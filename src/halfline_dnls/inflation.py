@@ -21,7 +21,7 @@ chain on the truncated system and tabulate the norms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -141,22 +141,12 @@ class ExperimentConfig:
         return self.m_max * self.N
 
     def to_dict(self) -> dict:
-        return {
-            "N": self.N, "s": self.s, "sigma": self.sigma, "k": self.k,
-            "alpha": self.alpha, "m_max": self.m_max, "epsilon": self.epsilon,
-            "identity_tol": self.identity_tol, "value_tol": self.value_tol,
-            "exponent_tol": self.exponent_tol,
-            "quadrature_tol": self.quadrature_tol,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        kwargs = {key: d[key] for key in ("N", "s", "sigma", "k", "alpha")}
-        for key in ("m_max", "epsilon", "identity_tol", "value_tol",
-                    "exponent_tol", "quadrature_tol"):
-            if key in d:
-                kwargs[key] = d[key]
-        return cls(**kwargs)
+        """Inverse of ``to_dict``; keys that name no field are ignored."""
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 @dataclass(frozen=True)

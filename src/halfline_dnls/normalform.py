@@ -412,9 +412,8 @@ class PicardLog:
     def ratios(self) -> list:
         return [r for _, _, r in self.iterations if r is not None]
 
-    def write_csv(self, fh, manifest_lines=()):
-        for line in manifest_lines:
-            fh.write(f"# {line}\n")
+    def write_csv(self, fh):
+        """Rows (iteration, sup_h1_difference, ratio) of the history."""
         fh.write("iteration,sup_h1_difference,ratio\n")
         for i, d, r in self.iterations:
             fh.write(f"{i},{d!r},{'' if r is None else repr(r)}\n")

@@ -78,11 +78,12 @@ class Trajectory:
     def _evaluate(self, ns: np.ndarray, ts) -> np.ndarray:
         """Modes ``ns`` (1-D) at each time of ``ts`` (a scalar is one time),
         shape (ns.size, len(ts)); untracked modes are 0.  One locate, one
-        Chebyshev row per time, and one contraction over (times, rows, q)
-        that copies only the tracked rows asked for, on the panels of
-        ``ts``.  Both products are stacks of one matrix-vector product per
-        time, so a time gives the same bits alone as in any batch of
-        times."""
+        Chebyshev row per time (a stack of one vector-matrix product per
+        time), and one elementwise contraction over (times, rows, q) that
+        copies only the tracked rows asked for, on the panels of ``ts``.
+        No sum depends on how many times or rows are asked for, so a time
+        gives the same bits alone as in any batch of times, and a mode the
+        same bits alone as among all modes."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         p, x = self.grid.locate(ts)
         # T_0(x), ..., T_{q-1}(x) by chebvander's recurrence (bit-identical
@@ -97,7 +98,7 @@ class Trajectory:
         tracked[tracked] = self.modes[idx[tracked]] == ns[tracked]
         out = np.zeros((ns.size, ts.size), dtype=complex)
         rows = self.values[idx[tracked][None, :], p[:, None]]
-        out[tracked] = (rows @ cheb.transpose(0, 2, 1))[:, :, 0].T
+        out[tracked] = (rows * cheb).sum(axis=-1).T
         return out
 
     # -- dense output --------------------------------------------------------
@@ -188,13 +189,12 @@ class Trajectory:
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
 
-    def write_csv(self, fh, manifest_lines=()) -> None:
+    def write_csv(self, fh) -> None:
         """Rows (t, n, abs, arg) for each sample time and tracked mode."""
-        for line in manifest_lines:
-            fh.write(f"# {line}\n")
         fh.write("t,n,abs,arg\n")
         ts = self.sample_times
         values = self._evaluate(self.modes, ts)
         for t, column in zip(ts, values.T):
             for n, z in zip(self.modes, column):
-                fh.write(f"{t!r},{int(n)},{abs(z)!r},{float(np.angle(z))!r}\n")
+                fh.write(f"{float(t)!r},{int(n)},{float(abs(z))!r},"
+                         f"{float(np.angle(z))!r}\n")

@@ -38,19 +38,74 @@ def test_phase_check_pass(capsys):
     assert "counterexample" not in doc["certificate"]
 
 
-@pytest.mark.parametrize("command", ["phase-check", "cross-validate"])
+def _file_run(tmp_path, command):
+    """argv of a small ``command`` run and its file options, in the order
+    the manifest lists their files."""
+    phi = _phi_file(tmp_path, {1: (0.02, 0.0), 2: (0.0, 0.02)}, 6)
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps({"experiments": [
+        {"N": 4, "s": 2.0, "sigma": 0.0, "k": 1, "alpha": 2.0, "m_max": 2}]}))
+    return {
+        "phase-check": (["phase-check", "--alpha", "2", "--k", "1",
+                         "--cap", "10"], ["--out"]),
+        "cross-validate": (["cross-validate", "--alpha", "3", "--k", "1",
+                            "--T", "0.25", "--phi", phi], ["--out"]),
+        "simulate": (["simulate", "--alpha", "2", "--k", "1", "--T", "0.25",
+                      "--phi", phi], ["--out", "--csv"]),
+        "picard": (["picard", "--alpha", "3", "--k", "1", "--T", "0.25",
+                    "--phi", phi], ["--out", "--log-csv"]),
+        "gauge": (["gauge", "--k", "1", "--T", "0.25", "--phi", phi],
+                  ["--out"]),
+        "inflate": (["inflate", "--N", "5", "--s", "2", "--sigma", "0",
+                     "--k", "1", "--alpha", "2", "--m-max", "2"],
+                    ["--out", "--csv"]),
+        "batch": (["batch", str(batch)], ["--csv"]),
+    }[command]
+
+
+def _manifest_line(text):
+    """The CSV's one manifest line, parsed; no other line is a comment."""
+    lines = text.splitlines()
+    assert lines[0].startswith("# manifest: ")
+    assert not any(line.startswith("#") for line in lines[1:])
+    return json.loads(lines[0][len("# manifest: "):])
+
+
+COMMANDS = ["phase-check", "cross-validate", "simulate", "picard", "gauge",
+            "inflate", "batch"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 def test_out_file_listed_in_manifest(tmp_path, capsys, command):
-    argv = {"phase-check": ["phase-check", "--alpha", "2", "--k", "1",
-                            "--cap", "10"],
-            "cross-validate": ["cross-validate", "--alpha", "3", "--k", "1",
-                               "--T", "0.25", "--phi",
-                               _phi_file(tmp_path, {1: (0.04, 0.0),
-                                                    2: (0.0, 0.04)}, 6)]}
-    out = tmp_path / "out.json"
-    assert dispatch(argv[command] + ["--out", str(out)]) == 0
-    assert json.loads(out.read_text())["manifest"]["outputs"] == [str(out)]
-    assert dispatch(argv[command]) == 0
-    assert json.loads(capsys.readouterr().out)["manifest"]["outputs"] == []
+    argv, options = _file_run(tmp_path, command)
+    paths = [str(tmp_path / f"file{i}") for i in range(len(options))]
+    files = [a for pair in zip(options, paths) for a in pair]
+    assert dispatch(argv + files) == 0
+    assert capsys.readouterr().out == ""
+    if command == "batch":
+        manifest = _manifest_line((tmp_path / "file0").read_text())
+    else:
+        manifest = json.loads((tmp_path / "file0").read_text())["manifest"]
+    assert manifest["subcommand"] == command
+    assert manifest["outputs"] == paths
+    # on stdout, the same run lists no files
+    assert dispatch(argv) == 0
+    out = capsys.readouterr().out
+    manifest = (_manifest_line(out) if command == "batch"
+                else json.loads(out)["manifest"])
+    assert manifest["outputs"] == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "picard", "inflate"])
+def test_csv_manifest_line_is_the_json_manifest(tmp_path, capsys, command):
+    argv, _ = _file_run(tmp_path, command)
+    out, csv = tmp_path / "out.json", tmp_path / "out.csv"
+    csv_flag = "--log-csv" if command == "picard" else "--csv"
+    assert dispatch(argv + ["--out", str(out), csv_flag, str(csv)]) == 0
+    manifest = json.loads(out.read_text())["manifest"]
+    assert _manifest_line(csv.read_text()) == manifest
+    assert manifest["outputs"] == [str(out), str(csv)]
+    capsys.readouterr()
 
 
 def test_dispatch_reuses_one_parser(tmp_path, capsys):
@@ -78,6 +133,10 @@ def test_simulate_outputs(tmp_path, capsys):
     lines = csv.read_text().splitlines()
     assert lines[0].startswith("# manifest:")
     assert lines[1] == "t,n,abs,arg"
+    # every data cell is a plain number under every numpy
+    for line in lines[2:]:
+        t, n, a, arg = line.split(",")
+        float(t), int(n), float(a), float(arg)
     capsys.readouterr()
 
 

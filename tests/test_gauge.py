@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfline_dnls import (EquationSpec, SecularSlopeError, SpectralState,
-                           cascade_integrate, compatibility_defects,
-                           compatible_gauge_data, conjugation_defect,
-                           convolve, exp_coeffs, gauge_exp, gauge_lambda,
+from halfline_dnls import (ContractionThresholdError, EquationSpec,
+                           SecularSlopeError, SpectralState, cascade_integrate,
+                           compatibility_defects, compatible_gauge_data,
+                           conjugation_defect, convolve, exp_coeffs,
+                           gauge_exp, gauge_lambda,
                            gauge_picard_solve, gauge_system_rhs,
-                           primitive_from_zero, sobolev_norm)
+                           picard_solve, primitive_from_zero, sobolev_norm)
 from halfline_dnls.gauge import point_value
 
 
@@ -268,6 +269,17 @@ def test_gauge_solver_rejects_large_data():
     psi = compatible_gauge_data(phi, 1)
     with pytest.raises(ValueError, match="smallness"):
         gauge_picard_solve(phi, psi, 1, 1.0)
+
+
+def test_both_picard_solvers_refuse_large_data_alike():
+    # one exception type for data outside the smallness ball, so callers
+    # (and the CLI's exit 2) treat the normal form and the gauge the same
+    phi = SpectralState.from_modes({1: 0.5}, 8)
+    with pytest.raises(ContractionThresholdError, match="smallness"):
+        gauge_picard_solve(phi, compatible_gauge_data(phi, 1), 1, 1.0)
+    with pytest.raises(ContractionThresholdError, match="contraction ball"):
+        picard_solve(SpectralState.from_modes({1: 5.0}, 6),
+                     EquationSpec.pure_power(1, 3.0), 0.5)
 
 
 def test_gauge_solver_requires_mean_zero():
