@@ -29,8 +29,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .phase import support_semigroup
-from .quadrature import (OVERFLOW_GUARD, OverflowGuardError, PanelGrid,
-                         QuadratureError, oscillatory_march, tail_ratio)
+from .quadrature import (MAX_REFINEMENTS, OVERFLOW_GUARD, OverflowGuardError,
+                         PanelGrid, QuadratureError, oscillatory_march,
+                         tail_ratio)
 from .spectral import (DispersionKind, EquationSpec, SpectralState,
                        dispersion_mu, dispersion_symbol, power)
 from .trajectory import Trajectory
@@ -45,10 +46,6 @@ __all__ = [
     "standard_windows",
     "weak_residual",
 ]
-
-# panel doublings tried after the first grid before giving up
-MAX_REFINEMENTS = 3
-
 
 def nonlinear_forcing(state: SpectralState, spec: EquationSpec, n: int) -> complex:
     """Mode-n value of ``(sum_l lambda_l u^l) u_x``.

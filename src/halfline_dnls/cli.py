@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -39,7 +40,7 @@ from .gauge import (compatibility_defects, compatible_gauge_data,
 from .inflation import (CrossValidationConfig, ExperimentConfig, NormReport,
                         UnsupportedRegimeError, cross_validate,
                         run_experiment)
-from .normalform import picard_solve
+from .normalform import MaxIterationsError, NonContractionError, picard_solve
 from .phase import certify_phase_bound
 from .spectral import DispersionKind, EquationSpec, SpectralState
 
@@ -83,15 +84,23 @@ def _log(msg: str):
     print(msg, file=sys.stderr)
 
 
+def _parse_json(text: str, where: str):
+    """``json.loads`` whose syntax errors are ValueErrors naming ``where``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: invalid JSON: {exc}") from exc
+
+
 def _load_state(arg: str, modes: int | None = None) -> SpectralState:
     """Parse a state from inline JSON (an object, starting with ``{``) or
     else from the file at that path; optionally pad to a requested
     truncation."""
     if arg.lstrip().startswith("{"):
-        doc = json.loads(arg)
+        doc = _parse_json(arg, "inline --phi")
     else:
         with open(arg, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = _parse_json(fh.read(), f"state file {arg}")
     try:
         state = SpectralState.from_dict(doc)
     except (KeyError, TypeError) as exc:
@@ -153,12 +162,23 @@ def _run(args) -> int:
 # -- subcommand bodies -----------------------------------------------------------
 
 
+# solver failures that carry the PicardLog of the iteration that gave up
+_FAILED_SOLVE = (MaxIterationsError, NonContractionError)
+
+
+def _finite_or_none(x: float):
+    """``x``, or None (JSON null) for the NaN of a value never measured."""
+    return None if math.isnan(x) else x
+
+
 def _log_doc(log) -> dict:
-    """The JSON fields of a Picard solver's log."""
+    """The JSON fields of a Picard solver's log; a failed solve has no
+    residual or tail, and they read null."""
     return {
         "converged": log.converged,
-        "final_residual": log.final_residual,
-        "chebyshev_tail": log.tail,
+        "final_residual": _finite_or_none(log.final_residual),
+        "chebyshev_tail": _finite_or_none(log.tail),
+        "grid_attempts": [[n, tail] for n, tail in log.grid_attempts],
         "smallness": log.smallness.to_dict(),
         "iterations": [[i, d, r] for i, d, r in log.iterations],
     }
@@ -181,35 +201,45 @@ def _cmd_simulate(args) -> _Result:
 def _cmd_picard(args) -> _Result:
     phi = _load_state(args.phi)
     spec = EquationSpec.pure_power(args.k, args.alpha)
-    traj, log = picard_solve(phi, spec, args.T, tol=args.tol,
-                             max_iter=args.max_iter,
-                             allow_unsafe=args.allow_unsafe)
+    try:
+        traj, log = picard_solve(phi, spec, args.T, tol=args.tol,
+                                 max_iter=args.max_iter,
+                                 allow_unsafe=args.allow_unsafe)
+        doc = {"trajectory": traj.to_dict()}
+    except _FAILED_SOLVE as exc:
+        # a failed solve still reports its iteration history
+        _log(f"error: {exc}")
+        log, doc = exc.log, {}
     return _Result(
         passed=log.converged,
         parameters={"alpha": args.alpha, "k": args.k, "T": args.T,
                     "max_iter": args.max_iter},
         tolerances={"picard": args.tol},
-        doc={"trajectory": traj.to_dict(), **_log_doc(log)},
-        csv=log.write_csv)
+        doc={**doc, **_log_doc(log)}, csv=log.write_csv)
 
 
 def _cmd_gauge(args) -> _Result:
     phi = _load_state(args.phi)
     psi = (_load_state(args.psi, phi.truncation) if args.psi
            else compatible_gauge_data(phi, args.k))
-    traj_u, traj_g, log = gauge_picard_solve(phi, psi, args.k, args.T,
-                                             tol=args.tol,
-                                             allow_unsafe=args.allow_unsafe)
-    ts = traj_u.sample_times
-    defects = compatibility_defects(traj_u, traj_g, args.k, ts)
+    try:
+        traj_u, traj_g, log = gauge_picard_solve(
+            phi, psi, args.k, args.T, tol=args.tol,
+            allow_unsafe=args.allow_unsafe)
+    except _FAILED_SOLVE as exc:
+        _log(f"error: {exc}")
+        log, doc = exc.log, {}
+    else:
+        ts = traj_u.sample_times
+        defects = compatibility_defects(traj_u, traj_g, args.k, ts)
+        doc = {"u": traj_u.to_dict(), "gu": traj_g.to_dict(),
+               "gauge_identity_defects": [[float(t), float(d)]
+                                          for t, d in zip(ts, defects)]}
     return _Result(
         passed=log.converged,
         parameters={"k": args.k, "T": args.T, "modes": phi.truncation},
         tolerances={"picard": args.tol},
-        doc={"u": traj_u.to_dict(), "gu": traj_g.to_dict(),
-             "gauge_identity_defects": [[float(t), float(d)]
-                                        for t, d in zip(ts, defects)],
-             **_log_doc(log)})
+        doc={**doc, **_log_doc(log)})
 
 
 def _cmd_phase_check(args) -> _Result:
@@ -255,7 +285,7 @@ def _flagged_row(entry: dict, tag: str) -> str:
 
 def _cmd_batch(args) -> _Result:
     with open(args.config, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = _parse_json(fh.read(), f"batch config {args.config}")
     entries = doc.get("experiments") if isinstance(doc, dict) else doc
     if not isinstance(entries, list):
         raise ValueError(f"batch config {args.config}: expected a list of "

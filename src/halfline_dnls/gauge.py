@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .normalform import (ContractionThresholdError, PicardLog,
-                         SmallnessReport, check_tail, iterate_fixed_point)
-from .quadrature import PanelGrid, oscillatory_march
+from .normalform import (ContractionThresholdError, SmallnessReport,
+                         iterate_fixed_point, solve_on_ladder)
+from .quadrature import oscillatory_march
 from .spectral import (EquationSpec, SpectralState, _along_modes, _as_coeffs,
                        convolve, derivative_coeffs, dispersion_mu, power,
                        sobolev_norm)
@@ -209,9 +209,14 @@ def gauge_picard_solve(phi: SpectralState, psi: SpectralState, k: int,
 
     Data with ``|phi|_H1 + |psi|_H1`` above ``SMALLNESS_THRESHOLD`` is
     refused with ContractionThresholdError unless ``allow_unsafe``; the
-    check is reported as the log's ``smallness``.  Raises QuadratureError
-    when the Chebyshev tail of the final iterate exceeds ``tol`` (see
-    ``normalform.check_tail``).
+    check is reported as the log's ``smallness``.
+
+    The solve runs on the coarsest grid of ``normalform.solve_on_ladder``
+    whose final iterate has a Chebyshev tail ``<= tol`` in both components
+    (see ``normalform.check_tail``); the finest grid is sized for the
+    fastest frequency ``2 mu(M) + 1``, and QuadratureError is raised when
+    even that grid does not resolve the iterate.  ``log.grid_attempts``
+    lists the grids tried.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -222,11 +227,11 @@ def gauge_picard_solve(phi: SpectralState, psi: SpectralState, k: int,
         raise ValueError("gauge solver needs mean-zero data")
     phi_h1 = sobolev_norm(phi, 1.0)
     lhs = phi_h1 + sobolev_norm(psi, 1.0)
-    log = PicardLog(smallness=SmallnessReport(
+    smallness = SmallnessReport(
         accepted=lhs <= SMALLNESS_THRESHOLD, phi_h1=phi_h1, lhs=lhs,
         rhs=SMALLNESS_THRESHOLD, boundary_constants={},
-        bulk_kernel_constants={}, horizon=T))
-    if not log.smallness.accepted and not allow_unsafe:
+        bulk_kernel_constants={}, horizon=T)
+    if not smallness.accepted and not allow_unsafe:
         raise ContractionThresholdError(
             f"|phi|_H1 + |psi|_H1 = {lhs:.4g} exceeds the smallness "
             f"threshold {SMALLNESS_THRESHOLD}; pass allow_unsafe=True to "
@@ -234,31 +239,36 @@ def gauge_picard_solve(phi: SpectralState, psi: SpectralState, k: int,
 
     spec = EquationSpec.pure_power(k, 2.0)
     mu = dispersion_mu(2.0, np.arange(M + 1)).astype(complex)
-    grid = PanelGrid.for_frequency(T, 2.0 * float(mu[-1].real) + 1.0)
     phi_c = np.asarray(phi.coeffs, dtype=complex)
     psi_c = np.asarray(psi.coeffs, dtype=complex)
 
     # iterates stack u and gu on axis 1: shape (M+1, 2, n_panels, q), so one
     # sup-in-time increment covers both components
-    def apply(x):
-        f_rhs, g_rhs = gauge_system_rhs(x[:, 0], x[:, 1], k)
-        return np.stack([oscillatory_march(grid, mu, f_rhs, phi_c),
-                         oscillatory_march(grid, mu, g_rhs, psi_c)], axis=1)
+    def solve(grid, log):
+        def apply(x):
+            f_rhs, g_rhs = gauge_system_rhs(x[:, 0], x[:, 1], k)
+            return np.stack([oscillatory_march(grid, mu, f_rhs, phi_c),
+                             oscillatory_march(grid, mu, g_rhs, psi_c)],
+                            axis=1)
 
-    x = iterate_fixed_point(
-        apply,
-        np.stack([phi_c, psi_c], axis=1)[:, :, None, None]
-        * np.exp(1j * mu[:, None, None, None] * grid.node_times()),
-        log, tol, max_iter)
-    check_tail(log, grid, tol, {"u": x[:, 0], "gu": x[:, 1]})
+        x = iterate_fixed_point(
+            apply,
+            np.stack([phi_c, psi_c], axis=1)[:, :, None, None]
+            * np.exp(1j * mu[:, None, None, None] * grid.node_times()),
+            log, tol, max_iter)
+        return {"u": x[:, 0], "gu": x[:, 1]}
 
+    grid, components, log = solve_on_ladder(
+        T, 2.0 * float(mu[-1].real) + 1.0, smallness, tol, solve)
     modes = np.arange(M + 1)
-    traj_u = Trajectory(spec=spec, grid=grid, modes=modes, values=x[:, 0],
-                        truncation=M, quadrature_tolerance=tol,
-                        initial_state=phi, variable="u")
-    traj_g = Trajectory(spec=spec, grid=grid, modes=modes, values=x[:, 1],
-                        truncation=M, quadrature_tolerance=tol,
-                        initial_state=psi, variable="gu")
+    traj_u = Trajectory(spec=spec, grid=grid, modes=modes,
+                        values=components["u"], truncation=M,
+                        quadrature_tolerance=tol, initial_state=phi,
+                        variable="u")
+    traj_g = Trajectory(spec=spec, grid=grid, modes=modes,
+                        values=components["gu"], truncation=M,
+                        quadrature_tolerance=tol, initial_state=psi,
+                        variable="gu")
     return traj_u, traj_g, log
 
 

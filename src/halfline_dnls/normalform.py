@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import PanelGrid, QuadratureError, tail_ratio
+from .quadrature import PanelGrid, QuadratureError, grid_ladder, tail_ratio
 from .spectral import (EquationSpec, SpectralState, convolve, dispersion_mu,
                        power)
 from .trajectory import Trajectory, sup_sobolev_diff
@@ -56,6 +56,7 @@ __all__ = [
     "MaxIterationsError",
     "iterate_fixed_point",
     "check_tail",
+    "solve_on_ladder",
     "picard_solve",
 ]
 
@@ -64,11 +65,20 @@ class ContractionThresholdError(ValueError):
     """Initial data too large for the certified contraction ball."""
 
 
-class NonContractionError(RuntimeError):
+class _IterationFailure(RuntimeError):
+    """A fixed-point iteration that gave up; ``log`` is its PicardLog, with
+    the history up to the failure."""
+
+    def __init__(self, message, log=None):
+        super().__init__(message)
+        self.log = log
+
+
+class NonContractionError(_IterationFailure):
     """Picard iterates stopped contracting."""
 
 
-class MaxIterationsError(RuntimeError):
+class MaxIterationsError(_IterationFailure):
     """Iteration budget exhausted before reaching tolerance."""
 
 
@@ -82,8 +92,9 @@ def iterate_fixed_point(apply: Callable[[np.ndarray], np.ndarray],
     sets ``log.final_residual`` to the increment of one more application of
     ``apply`` and returns the last iterate.  Raises NonContractionError
     after two non-contracting steps in a row (unless within 10 tol) and
-    MaxIterationsError when ``max_iter`` applications do not converge.
-    The initial iterate is not kept once the first application is done.
+    MaxIterationsError when ``max_iter`` applications do not converge;
+    either carries ``log`` as its ``log``.  The initial iterate is not kept
+    once the first application is done.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -105,13 +116,13 @@ def iterate_fixed_point(apply: Callable[[np.ndarray], np.ndarray],
                 raise NonContractionError(
                     f"iterates stopped contracting (ratio {ratio:.3f} at "
                     f"iteration {it}); smallness lhs {log.smallness.lhs:.4g}, "
-                    f"rhs {log.smallness.rhs:.4g}")
+                    f"rhs {log.smallness.rhs:.4g}", log=log)
         else:
             bad_ratios = 0
         prev_diff = diff
     raise MaxIterationsError(
         f"no convergence after {max_iter} iterations; last increment "
-        f"{diff:.3e}")
+        f"{diff:.3e}", log=log)
 
 
 def _ordered_compositions(n: int, parts: int):
@@ -399,7 +410,8 @@ class PicardLog:
     ``final_residual`` is the sup-in-time H^1 increment of one more map
     application after convergence, not the last recorded increment.
     ``tail`` is the worst Chebyshev tail of the returned iterate, measured
-    by ``check_tail``.
+    by ``check_tail``; ``grid_attempts`` holds ``(n_panels, tail)`` for
+    every grid the solve tried, coarsest first, the failed ones included.
     """
 
     smallness: SmallnessReport
@@ -407,6 +419,7 @@ class PicardLog:
     converged: bool = False
     final_residual: float = float("nan")
     tail: float = float("nan")
+    grid_attempts: list = field(default_factory=list)
 
     @property
     def ratios(self) -> list:
@@ -426,19 +439,51 @@ def check_tail(log: PicardLog, grid: PanelGrid, tol: float,
     ``components`` maps a name to node values of shape (M+1, panels, q).
     Modes >= 1 of each component are measured against each other on each
     panel (``quadrature.tail_ratio``); mode 0 is constant for the mean-zero
-    data both Picard solvers take.  Records the worst tail in ``log.tail``
-    and raises QuadratureError naming its mode when it exceeds ``tol``.
+    data both Picard solvers take.  Records the worst tail in ``log.tail``,
+    appends ``(grid.n_panels, tail)`` to ``log.grid_attempts``, and raises
+    QuadratureError naming the tail's mode when it exceeds ``tol``.
     """
     tails = {name: tail_ratio(values[1:], grid.scheme)
              for name, values in components.items()}
     name = max(tails, key=lambda k: tails[k].max())
     mode = int(np.argmax(tails[name])) + 1
     log.tail = float(tails[name][mode - 1])
+    log.grid_attempts.append((grid.n_panels, log.tail))
     if log.tail > tol:
         raise QuadratureError(
             f"Picard iterate not resolved on {grid.n_panels} panels: "
             f"Chebyshev tail {log.tail:.3e} > tol {tol:.3e} at mode {mode} "
             f"of {name}", worst_mode=mode, tail=log.tail)
+
+
+def solve_on_ladder(horizon: float, max_frequency: float,
+                    smallness: SmallnessReport, tol: float,
+                    solve: Callable[[PanelGrid, PicardLog], dict]) -> tuple:
+    """Run a Picard solve on the coarsest grid of
+    ``quadrature.grid_ladder(horizon, max_frequency)`` that resolves it.
+
+    ``solve(grid, log)`` iterates to convergence on ``grid``, recording in
+    ``log``, and returns the components ``check_tail`` measures.  Rungs are
+    tried coarsest first; the first whose tail is ``<= tol`` gives
+    ``(grid, components, log)``.  A QuadratureError moves on to the next
+    rung, except on the top rung (the grid sized for ``max_frequency``),
+    where it propagates.  Any other error propagates from the rung where it
+    occurs.  Every rung's log shares one ``grid_attempts`` list.
+    """
+    attempts = []
+    rungs = grid_ladder(horizon, max_frequency)
+    for grid in rungs:
+        log = PicardLog(smallness=smallness, grid_attempts=attempts)
+        components = solve(grid, log)
+        try:
+            check_tail(log, grid, tol, components)
+        except QuadratureError:
+            if grid is rungs[-1]:
+                raise
+            # the failed rung's iterate is not kept while the next one runs
+            del components
+            continue
+        return grid, components, log
 
 
 def picard_solve(phi: SpectralState, spec: EquationSpec, T: float,
@@ -450,8 +495,12 @@ def picard_solve(phi: SpectralState, spec: EquationSpec, T: float,
     Returns ``(trajectory of v, PicardLog)``.  The contraction is certified
     only for ``alpha >= 3`` and data inside the smallness ball; outside that
     regime pass ``allow_unsafe=True`` to iterate anyway (no guarantee).
-    Raises QuadratureError when the Chebyshev tail of the final iterate
-    exceeds ``tol`` (see ``check_tail``).
+
+    The solve runs on the coarsest grid of ``solve_on_ladder`` whose final
+    iterate has a Chebyshev tail ``<= tol`` (see ``check_tail``); the
+    finest grid is sized for the fastest frequency ``2 max(mu) + 1``, and
+    QuadratureError is raised when even that grid does not resolve the
+    iterate.  ``log.grid_attempts`` lists the grids tried.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -463,26 +512,30 @@ def picard_solve(phi: SpectralState, spec: EquationSpec, T: float,
             f"alpha={spec.alpha} is below the certified normal-form range "
             "(alpha >= 3); pass allow_unsafe=True to iterate anyway")
     ops = NormalFormOperators(spec, M)
-    log = PicardLog(smallness=ops.smallness_report(phi, T))
-    if not log.smallness.accepted and not allow_unsafe:
+    smallness = ops.smallness_report(phi, T)
+    if not smallness.accepted and not allow_unsafe:
         raise ContractionThresholdError(
-            f"|phi|_H1 = {log.smallness.phi_h1:.4g} fails the contraction "
-            f"ball check (lhs {log.smallness.lhs:.4g} >= rhs "
-            f"{log.smallness.rhs:.4g}); pass allow_unsafe=True to override")
+            f"|phi|_H1 = {smallness.phi_h1:.4g} fails the contraction "
+            f"ball check (lhs {smallness.lhs:.4g} >= rhs "
+            f"{smallness.rhs:.4g}); pass allow_unsafe=True to override")
 
-    freq = 2.0 * float(np.max(ops.mu)) + 1.0
-    grid = PanelGrid.for_frequency(T, freq)
     phi_c = np.asarray(phi.coeffs, dtype=complex)
-    # a copy, not a broadcast view of phi: with the view, the heap left by
-    # one solve raised the peak RSS of later solves in the same process (by
-    # up to ~4 MB on the benchmark's verify workload)
-    v_vals = iterate_fixed_point(
-        lambda v: ops._apply_map_tensor(v, grid, phi_c),
-        np.broadcast_to(phi_c[:, None, None],
-                        (M + 1, grid.n_panels, grid.q)).copy(),
-        log, tol, max_iter)
-    check_tail(log, grid, tol, {"v": v_vals})
+
+    def solve(grid, log):
+        # a copy, not a broadcast view of phi: with the view, the heap left
+        # by one solve raised the peak RSS of later solves in the same
+        # process (by up to ~4 MB on the benchmark's verify workload)
+        v_vals = iterate_fixed_point(
+            lambda v: ops._apply_map_tensor(v, grid, phi_c),
+            np.broadcast_to(phi_c[:, None, None],
+                            (M + 1, grid.n_panels, grid.q)).copy(),
+            log, tol, max_iter)
+        return {"v": v_vals}
+
+    grid, components, log = solve_on_ladder(
+        T, 2.0 * float(np.max(ops.mu)) + 1.0, smallness, tol, solve)
     traj = Trajectory(spec=spec, grid=grid, modes=np.arange(M + 1),
-                      values=v_vals, truncation=M, quadrature_tolerance=tol,
+                      values=components["v"], truncation=M,
+                      quadrature_tolerance=tol,
                       initial_state=phi, variable="v")
     return traj, log

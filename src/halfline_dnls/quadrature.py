@@ -16,8 +16,10 @@ by the rounding of ``omega * t``.  Panels are sized so that the largest
 oscillation frequency completes only a few radians per panel, which keeps
 the interpolation error near machine precision; the cascade re-runs with a
 doubled panel count when the Chebyshev tail estimate, measured against all
-marched modes on each panel, exceeds the requested tolerance.  The panel
-sizing and the overflow guard are module constants.
+marched modes on each panel, exceeds the requested tolerance, and the
+Picard solvers climb ``grid_ladder`` from coarse to fine until that
+estimate passes.  The panel sizing, the number of refinements and the
+overflow guard are module constants.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "QuadratureError",
     "OverflowGuardError",
     "panel_scheme",
+    "grid_ladder",
     "oscillatory_march",
     "tail_ratio",
 ]
@@ -42,6 +45,8 @@ __all__ = [
 DEFAULT_POINTS = 24
 # radians of the fastest oscillation allowed per panel
 RADIANS_PER_PANEL = 8.0
+# panel doublings between the coarsest and the finest grid a solver tries
+MAX_REFINEMENTS = 3
 # largest mode magnitude a march may reach before it stops with an error
 OVERFLOW_GUARD = 1e100
 
@@ -174,6 +179,18 @@ class PanelGrid:
         if np.ndim(t) == 0:
             return int(p[0]), float(x[0])
         return p, x
+
+
+def grid_ladder(horizon: float, max_frequency: float) -> list:
+    """The grids ``PanelGrid.for_frequency(horizon, max_frequency / 2**j)``
+    for ``j = MAX_REFINEMENTS, ..., 0``, coarsest first.  Rungs with equal
+    panel counts are one rung, and the last rung is always the grid for
+    ``max_frequency`` itself."""
+    rungs = {}
+    for j in range(MAX_REFINEMENTS, -1, -1):
+        grid = PanelGrid.for_frequency(horizon, max_frequency / 2**j)
+        rungs[grid.n_panels] = grid
+    return list(rungs.values())
 
 
 def tail_ratio(values: np.ndarray, scheme: PanelScheme) -> np.ndarray:

@@ -162,6 +162,10 @@ def test_picard_outputs(tmp_path, capsys):
     assert doc["converged"] is True
     assert doc["smallness"]["accepted"] is True
     assert 0.0 <= doc["chebyshev_tail"] <= 1e-10
+    # the accepted grid is the last one tried and the trajectory's grid
+    n_panels, tail = doc["grid_attempts"][-1]
+    assert n_panels == doc["trajectory"]["n_panels"]
+    assert tail == doc["chebyshev_tail"]
     rows = log_csv.read_text().splitlines()
     assert rows[1] == "iteration,sup_h1_difference,ratio"
     assert len(rows) >= 3
@@ -184,6 +188,47 @@ def test_gauge_outputs(tmp_path, capsys):
     iters = doc["iterations"]
     assert [i for i, _, _ in iters] == list(range(1, len(iters) + 1))
     assert iters[-1][1] <= 1e-10 and iters[0][2] is None
+    assert doc["grid_attempts"][-1] == [doc["u"]["n_panels"],
+                                        doc["chebyshev_tail"]]
+
+
+def test_failed_picard_solve_prints_its_log(tmp_path, capsys):
+    phi = _phi_file(tmp_path, {1: (0.05, 0.0), 2: (0.05, 0.0)}, 4)
+    log_csv = tmp_path / "log.csv"
+    code = dispatch(["picard", "--alpha", "3", "--k", "1", "--phi", phi,
+                     "--T", "0.5", "--max-iter", "1",
+                     "--log-csv", str(log_csv)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "no convergence after 1 iterations" in captured.err
+    doc = json.loads(captured.out)
+    assert doc["converged"] is False
+    assert "trajectory" not in doc
+    assert len(doc["iterations"]) == 1 and doc["iterations"][0][1] > 1e-10
+    # nothing was measured after the failure: null, not NaN
+    assert doc["final_residual"] is None and doc["chebyshev_tail"] is None
+    assert doc["grid_attempts"] == []
+    assert doc["smallness"]["accepted"] is True
+    rows = log_csv.read_text().splitlines()
+    manifest = json.dumps(doc["manifest"], sort_keys=True)
+    assert rows[0] == f"# manifest: {manifest}"
+    assert rows[1:] == ["iteration,sup_h1_difference,ratio",
+                        f"1,{doc['iterations'][0][1]!r},"]
+
+
+def test_failed_gauge_solve_prints_its_log(tmp_path, capsys):
+    # far outside the smallness ball the iterates stop contracting
+    phi = _phi_file(tmp_path, {1: (1.0, 0.0), 2: (1.0, 0.0)}, 8)
+    code = dispatch(["gauge", "--k", "1", "--phi", phi, "--T", "1",
+                     "--allow-unsafe"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "stopped contracting" in captured.err
+    doc = json.loads(captured.out)
+    assert doc["converged"] is False
+    assert not {"u", "gu", "gauge_identity_defects"} & set(doc)
+    assert doc["smallness"]["accepted"] is False
+    assert doc["iterations"][-1][2] >= 1.0
 
 
 def test_inflate_headline_number(tmp_path, capsys):
@@ -231,6 +276,22 @@ def test_malformed_phi_is_input_error(capsys):
     assert dispatch(["simulate", "--alpha", "2", "--k", "1",
                      "--phi", '{"time": 0}', "--T", "0.5"]) == 2
     assert "malformed state" in capsys.readouterr().err
+
+
+def test_phi_file_with_invalid_json_names_the_file(tmp_path, capsys):
+    phi = tmp_path / "phi.json"
+    phi.write_text("{not json")
+    assert dispatch(["simulate", "--alpha", "2", "--k", "1",
+                     "--phi", str(phi), "--T", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert f"state file {phi}: invalid JSON: Expecting property name" in err
+
+
+def test_inline_phi_with_invalid_json_says_inline(capsys):
+    assert dispatch(["simulate", "--alpha", "2", "--k", "1",
+                     "--phi", "{not json", "--T", "0.5"]) == 2
+    assert ("inline --phi: invalid JSON: Expecting property name"
+            in capsys.readouterr().err)
 
 
 def test_inline_phi_json(capsys):
@@ -293,6 +354,14 @@ def test_batch_malformed_config(tmp_path, capsys):
     cfg.write_text(json.dumps({"experiments": [{"s": 2.0}]}))
     assert dispatch(["batch", str(cfg)]) == 2
     capsys.readouterr()
+
+
+def test_batch_config_with_invalid_json_names_the_file(tmp_path, capsys):
+    cfg = tmp_path / "batch.json"
+    cfg.write_text("{not json")
+    assert dispatch(["batch", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"batch config {cfg}: invalid JSON: Expecting property name" in err
 
 
 def test_batch_unreadable_config(tmp_path, capsys):

@@ -9,8 +9,11 @@ from halfline_dnls import (ContractionThresholdError, EquationSpec,
                            compatible_gauge_data, gauge_picard_solve,
                            picard_solve, sobolev_norm)
 from halfline_dnls import quadrature
-from halfline_dnls.normalform import _MAP_BLOCK_PANELS
-from halfline_dnls.quadrature import QuadratureError, panel_scheme
+from halfline_dnls.gauge import gauge_system_rhs
+from halfline_dnls.normalform import (_MAP_BLOCK_PANELS, PicardLog,
+                                      iterate_fixed_point)
+from halfline_dnls.quadrature import (QuadratureError, oscillatory_march,
+                                      panel_scheme)
 from halfline_dnls.spectral import dispersion_mu
 
 
@@ -365,6 +368,107 @@ def test_picard_under_resolved_grid_raises_naming_mode(solve, worst,
 def test_picard_max_iterations(solve):
     with pytest.raises(MaxIterationsError, match="after 1 iterations"):
         solve(1e-10, max_iter=1)
+
+
+# -- grid ladder -------------------------------------------------------------------------
+
+def _fixed_grid_normal_form(phi, spec, T, tol=1e-10):
+    """Oracle: the normal-form iteration on the one grid sized for the
+    fastest frequency, with no ladder."""
+    M = phi.truncation
+    ops = NormalFormOperators(spec, M)
+    grid = PanelGrid.for_frequency(T, 2.0 * float(np.max(ops.mu)) + 1.0)
+    phi_c = np.asarray(phi.coeffs, dtype=complex)
+    log = PicardLog(smallness=ops.smallness_report(phi, T))
+    v = iterate_fixed_point(
+        lambda x: ops._apply_map_tensor(x, grid, phi_c),
+        np.broadcast_to(phi_c[:, None, None],
+                        (M + 1, grid.n_panels, grid.q)).copy(),
+        log, tol, 40)
+    return Trajectory(spec=spec, grid=grid, modes=np.arange(M + 1), values=v,
+                      truncation=M, quadrature_tolerance=tol,
+                      initial_state=phi, variable="v")
+
+
+def _fixed_grid_gauge(phi, psi, k, T, tol=1e-10):
+    """Oracle: the gauge Duhamel iteration on the one grid sized for the
+    fastest frequency, with no ladder; returns the trajectory of u."""
+    M = phi.truncation
+    mu = dispersion_mu(2.0, np.arange(M + 1)).astype(complex)
+    grid = PanelGrid.for_frequency(T, 2.0 * float(mu[-1].real) + 1.0)
+    phi_c = np.asarray(phi.coeffs, dtype=complex)
+    psi_c = np.asarray(psi.coeffs, dtype=complex)
+
+    def apply(x):
+        f_rhs, g_rhs = gauge_system_rhs(x[:, 0], x[:, 1], k)
+        return np.stack([oscillatory_march(grid, mu, f_rhs, phi_c),
+                         oscillatory_march(grid, mu, g_rhs, psi_c)], axis=1)
+
+    x0 = (np.stack([phi_c, psi_c], axis=1)[:, :, None, None]
+          * np.exp(1j * mu[:, None, None, None] * grid.node_times()))
+    x = iterate_fixed_point(apply, x0, PicardLog(smallness=None), tol, 60)
+    return Trajectory(spec=EquationSpec.pure_power(k, 2.0), grid=grid,
+                      modes=np.arange(M + 1), values=x[:, 0], truncation=M,
+                      quadrature_tolerance=tol, initial_state=phi,
+                      variable="u")
+
+
+def test_ladder_normal_form_matches_fixed_grid_oracle():
+    phi = state({1: 0.05, 2: 0.05}, 16)
+    spec = EquationSpec.pure_power(1, 3.0)
+    traj, log = picard_solve(phi, spec, 1.0)
+    oracle = _fixed_grid_normal_form(phi, spec, 1.0)
+    assert oracle.n_panels == 1025
+    assert traj.n_panels < oracle.n_panels
+    assert log.grid_attempts[-1] == (traj.n_panels, log.tail)
+    ts = np.linspace(0.0, 1.0, 201)
+    assert np.max(np.abs(traj.dense_at(ts) - oracle.dense_at(ts))) <= 1e-13
+
+
+def test_ladder_gauge_matches_fixed_grid_oracle():
+    phi = state({1: 0.05, 2: 0.02}, 16)
+    psi = compatible_gauge_data(phi, 1)
+    traj_u, _, log = gauge_picard_solve(phi, psi, 1, 1.0)
+    oracle = _fixed_grid_gauge(phi, psi, 1, 1.0)
+    assert oracle.n_panels == 65
+    assert traj_u.n_panels < oracle.n_panels
+    assert log.grid_attempts[-1] == (traj_u.n_panels, log.tail)
+    ts = np.linspace(0.0, 1.0, 201)
+    assert np.max(np.abs(traj_u.dense_at(ts) - oracle.dense_at(ts))) <= 1e-13
+
+
+def test_ladder_climbs_past_an_unresolved_coarse_grid():
+    # normal form: 9 panels leave a tail of ~2e-12 > tol = 1e-13, 17 resolve
+    # the iterate; gauge pair: 1 panel leaves ~9e-10 > 1e-10, 2 resolve it
+    _, nf_log = picard_solve(state({1: 0.05, 2: 0.05}, 8),
+                             EquationSpec.pure_power(1, 3.0), 0.5, tol=1e-13)
+    phi = state({1: 0.05, 2: 0.02}, 4)
+    _, traj_g, g_log = gauge_picard_solve(phi, compatible_gauge_data(phi, 1),
+                                          1, 1.0)
+    for log, tol, panels in ((nf_log, 1e-13, [9, 17]),
+                             (g_log, 1e-10, [1, 2])):
+        assert [n for n, _ in log.grid_attempts] == panels
+        (_, coarse), (_, fine) = log.grid_attempts
+        assert coarse > tol >= fine == log.tail
+        assert log.converged
+    assert traj_g.n_panels == 2
+
+
+def test_ladder_raises_from_the_top_rung(monkeypatch):
+    # rungs of 1, 2 and 4 panels all under-resolve the iterate: the error is
+    # the one the top rung, the grid sized for the fastest frequency, raises
+    monkeypatch.setattr(quadrature, "RADIANS_PER_PANEL", 1000.0)
+    with pytest.raises(QuadratureError, match="not resolved on 4 panels"):
+        _solve_normal_form(1e-10)
+
+
+@pytest.mark.parametrize("solve", [_solve_normal_form, _solve_gauge])
+def test_iteration_error_stops_the_ladder_and_carries_its_log(solve):
+    with pytest.raises(MaxIterationsError) as info:
+        solve(1e-10, max_iter=1)
+    log = info.value.log
+    assert not log.converged and len(log.iterations) == 1
+    assert log.grid_attempts == []        # raised on the coarsest rung
 
 
 def test_picard_ratios_shrink_with_data():

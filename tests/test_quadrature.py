@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfline_dnls import OverflowGuardError, PanelGrid
-from halfline_dnls.quadrature import (OVERFLOW_GUARD, oscillatory_march,
-                                      panel_scheme, tail_ratio)
+from halfline_dnls import OverflowGuardError, PanelGrid, quadrature
+from halfline_dnls.quadrature import (OVERFLOW_GUARD, grid_ladder,
+                                      oscillatory_march, panel_scheme,
+                                      tail_ratio)
 
 
 def reference_march(grid, omega, forcing, init):
@@ -106,6 +107,30 @@ def test_grid_locate_and_refine():
     fine = grid.refined()
     assert fine.n_panels == 2 * grid.n_panels
     assert fine.horizon == grid.horizon
+
+
+@pytest.mark.parametrize("horizon, freq, panels", [
+    (1.0, 2 * 16**3 + 1, [129, 257, 513, 1025]),   # normal form, M=16
+    (1.0, 2 * 16**2 + 1, [9, 17, 33, 65]),         # gauge pair, M=16
+    (0.5, 2 * 4**3 + 1, [2, 3, 5, 9]),
+    (1.0, 2 * 4**2 + 1, [1, 2, 3, 5]),
+])
+def test_grid_ladder_rungs(horizon, freq, panels):
+    rungs = grid_ladder(horizon, freq)
+    assert [g.n_panels for g in rungs] == panels
+    top = PanelGrid.for_frequency(horizon, freq)
+    assert np.array_equal(rungs[-1].breaks, top.breaks)
+    assert all(grid.horizon == horizon for grid in rungs)
+
+
+@pytest.mark.parametrize("radians, panels", [(1000.0, [1]), (200.0, [1, 2])])
+def test_grid_ladder_collapses_equal_rungs_and_keeps_the_top(monkeypatch,
+                                                             radians, panels):
+    # gauge pair at M=12: 289 radians per unit time over T=1
+    monkeypatch.setattr(quadrature, "RADIANS_PER_PANEL", radians)
+    rungs = grid_ladder(1.0, 289.0)
+    assert [g.n_panels for g in rungs] == panels
+    assert rungs[-1].n_panels == PanelGrid.for_frequency(1.0, 289.0).n_panels
 
 
 @settings(max_examples=60, deadline=None)
