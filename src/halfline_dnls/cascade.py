@@ -14,6 +14,12 @@ turn agrees with the full equation on all retained modes.  The stiff
 dispersive factor is handled by exact integrating factors, so there is no
 step-size stability constraint.
 
+The solve climbs ``quadrature.refined_ladder`` through
+``quadrature.solve_on_ladder`` and accepts a rung by step doubling: its
+Chebyshev tails must pass, and its dense output must agree with the rung
+before it, which bounds the error built up along the march as well as the
+per-panel interpolation error.
+
 The module also provides the linear (degree-0) closed form, the
 weak-formulation residual checker, and the transform to the mean-zero
 frame that removes the constant background from the nonlinearity.
@@ -29,9 +35,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .phase import support_semigroup
-from .quadrature import (MAX_REFINEMENTS, OVERFLOW_GUARD, OverflowGuardError,
-                         PanelGrid, QuadratureError, oscillatory_march,
-                         tail_ratio)
+from .quadrature import (OVERFLOW_GUARD, OverflowGuardError, PanelGrid,
+                         QuadratureError, oscillatory_march, refined_ladder,
+                         solve_on_ladder, tail_ratio)
 from .spectral import (DispersionKind, EquationSpec, SpectralState,
                        dispersion_mu, dispersion_symbol, power)
 from .trajectory import Trajectory
@@ -46,6 +52,10 @@ __all__ = [
     "standard_windows",
     "weak_residual",
 ]
+
+# equispaced times, both ends included, at which two successive rungs of a
+# cascade solve must agree
+AGREEMENT_TIMES = 201
 
 def nonlinear_forcing(state: SpectralState, spec: EquationSpec, n: int) -> complex:
     """Mode-n value of ``(sum_l lambda_l u^l) u_x``.
@@ -81,11 +91,22 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
     nonlinearity of degree k >= 2 keeps ``k - 1`` arrays the size of the
     trajectory for the powers of ``w``.
 
-    Raises QuadratureError when the Chebyshev tails, each measured against
-    all marched modes on its panel, still exceed ``tol`` after
-    ``MAX_REFINEMENTS`` panel doublings, and OverflowGuardError when a
-    mode magnitude passes ``quadrature.OVERFLOW_GUARD``; as modes are solved
-    in increasing order, the error names the lowest mode that passes it.
+    The solve climbs ``quadrature.refined_ladder``, sized for the fastest
+    frequency of the tracked modes, and accepts the first rung where two
+    things hold: the Chebyshev tails, each measured against all marched
+    modes on its panel, are ``<= tol``; and the dense output of the marched
+    modes at ``AGREEMENT_TIMES`` equispaced times differs from the previous
+    rung's by at most ``tol`` times the largest magnitude of the two (step
+    doubling).  The first rung is never accepted.  The returned
+    trajectory's ``grid_attempts`` holds ``(n_panels, tail, difference)``
+    per rung tried, the difference relative and None on the first rung.
+
+    Raises QuadratureError when no rung passes, naming the last rung's
+    panel count, the condition that failed and its worst mode, with the
+    rung record as ``grid_attempts``; also when a rung would pass
+    ``quadrature.NODE_BUDGET``.  Raises OverflowGuardError when a mode
+    magnitude passes ``quadrature.OVERFLOW_GUARD``; as modes are solved in
+    increasing order, the error names the lowest mode that passes it.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -96,12 +117,19 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
     else:
         support = np.arange(M + 1)
 
-    if support.size == 0:
-        grid = PanelGrid.for_frequency(T, 1.0)
-        values = np.zeros((0, grid.n_panels, grid.q), dtype=complex)
+    def trajectory(grid, values, attempts=()):
         return Trajectory(spec=spec, grid=grid, modes=support, values=values,
                           truncation=M, quadrature_tolerance=tol,
-                          initial_state=phi, variable="u")
+                          initial_state=phi, variable="u",
+                          grid_attempts=tuple(attempts))
+
+    # the constant mode 0 is set, not marched, and is not compared
+    marched = support[support > 0]
+    if marched.size == 0:
+        # zero or constant data: nothing is marched, and any grid is exact
+        grid = PanelGrid.for_frequency(T, 1.0)
+        return trajectory(grid, np.full((support.size, grid.n_panels, grid.q),
+                                        complex(phi.coeffs[0])))
 
     c0 = complex(phi.coeffs[0]) if support[0] == 0 else 0.0 + 0.0j
     shift = spec.self_coupling(c0)
@@ -117,21 +145,47 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
                 lam * comb(deg + 1, j) * c0 ** (deg + 1 - j) / (deg + 1))
     weights = {j: a for j, a in weights.items() if a != 0}
     init = phi.coeffs[support]
+    times = np.linspace(0.0, T, AGREEMENT_TIMES)
+    attempts = []
+    previous = None          # dense output of the rung before
 
-    grid = PanelGrid.for_frequency(T, freq)
-    for _ in range(MAX_REFINEMENTS + 1):
-        values, worst_tail, worst_mode = _solve_rows(
-            grid, support, omega, c0, init, weights)
-        if worst_tail <= tol:
-            return Trajectory(spec=spec, grid=grid, modes=support,
-                              values=values, truncation=M,
-                              quadrature_tolerance=tol, initial_state=phi,
-                              variable="u")
-        grid = grid.refined()
-    raise QuadratureError(
-        f"quadrature did not converge: worst Chebyshev tail {worst_tail:.3e} "
-        f"> tol {tol:.3e} at mode {worst_mode}",
-        worst_mode=worst_mode, tail=worst_tail)
+    def solve(grid):
+        values, tail, mode = _solve_rows(grid, support, omega, c0, init,
+                                         weights)
+        return trajectory(grid, values), tail, mode
+
+    def check(grid, solved):
+        nonlocal previous
+        traj, tail, tail_mode = solved
+        dense = traj._evaluate(marched, times)
+        difference = diff_mode = None
+        if previous is not None:
+            gaps = np.max(np.abs(dense - previous), axis=1)
+            scale = max(np.abs(dense).max(), np.abs(previous).max())
+            worst = int(np.argmax(gaps))
+            difference = float(gaps[worst] / scale) if scale else 0.0
+            diff_mode = int(marched[worst])
+        previous = dense
+        attempts.append((grid.n_panels, tail, difference))
+        where = f"cascade not resolved on {grid.n_panels} panels"
+        if tail > tol:
+            raise QuadratureError(
+                f"{where}: Chebyshev tail {tail:.3e} > tol {tol:.3e} at "
+                f"mode {tail_mode}", worst_mode=tail_mode, tail=tail)
+        if difference is None:
+            raise QuadratureError(
+                f"{where}: no coarser rung to compare it with (tail "
+                f"{tail:.3e}, worst at mode {tail_mode})",
+                worst_mode=tail_mode, tail=tail)
+        if difference > tol:
+            raise QuadratureError(
+                f"{where}: two-rung difference {difference:.3e} > tol "
+                f"{tol:.3e} against {attempts[-2][0]} panels at mode "
+                f"{diff_mode}", worst_mode=diff_mode, tail=tail)
+
+    grid, (traj, _, _) = solve_on_ladder(refined_ladder(T, freq),
+                                         support.size, solve, check, attempts)
+    return trajectory(grid, traj.values, attempts)
 
 
 def _solve_rows(grid, support, omega, c0, init, weights):
@@ -175,8 +229,6 @@ def _solve_rows(grid, support, omega, c0, init, weights):
     # the constant mode 0 is set, not marched: it is not checked and does
     # not set the scale of the marched rows
     ratios = tail_ratio(values[start:], grid.scheme)
-    if not ratios.size:
-        return values, 0.0, None
     worst = int(np.argmax(ratios))
     return values, float(ratios[worst]), int(support[start + worst])
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .normalform import (ContractionThresholdError, SmallnessReport,
-                         iterate_fixed_point, solve_on_ladder)
+                         iterate_fixed_point, picard_on_ladder)
 from .quadrature import oscillatory_march
 from .spectral import (EquationSpec, SpectralState, _along_modes, _as_coeffs,
                        convolve, derivative_coeffs, dispersion_mu, power,
@@ -211,7 +211,7 @@ def gauge_picard_solve(phi: SpectralState, psi: SpectralState, k: int,
     refused with ContractionThresholdError unless ``allow_unsafe``; the
     check is reported as the log's ``smallness``.
 
-    The solve runs on the coarsest grid of ``normalform.solve_on_ladder``
+    The solve runs on the coarsest grid of ``normalform.picard_on_ladder``
     whose final iterate has a Chebyshev tail ``<= tol`` in both components
     (see ``normalform.check_tail``); the finest grid is sized for the
     fastest frequency ``2 mu(M) + 1``, and QuadratureError is raised when
@@ -258,8 +258,8 @@ def gauge_picard_solve(phi: SpectralState, psi: SpectralState, k: int,
             log, tol, max_iter)
         return {"u": x[:, 0], "gu": x[:, 1]}
 
-    grid, components, log = solve_on_ladder(
-        T, 2.0 * float(mu[-1].real) + 1.0, smallness, tol, solve)
+    grid, components, log = picard_on_ladder(
+        T, 2.0 * float(mu[-1].real) + 1.0, 2 * (M + 1), smallness, tol, solve)
     modes = np.arange(M + 1)
     traj_u = Trajectory(spec=spec, grid=grid, modes=modes,
                         values=components["u"], truncation=M,

@@ -179,6 +179,8 @@ class NormReport:
     uT_norm_hsigma_full: float
     wN_magnitudes: list = field(default_factory=list)   # (t, |w_N(t)|)
     checks: dict = field(default_factory=dict)
+    # the cascade's (n_panels, tail, two-rung difference) per rung tried
+    grid_attempts: list = field(default_factory=list)
     scope_note: str = SCOPE_NOTE
 
     @property
@@ -198,6 +200,7 @@ class NormReport:
             "uT_norm_hsigma_full": self.uT_norm_hsigma_full,
             "wN_magnitudes": [[t, m] for t, m in self.wN_magnitudes],
             "checks": {k: v.to_dict() for k, v in self.checks.items()},
+            "grid_attempts": [list(a) for a in self.grid_attempts],
             "passed": self.passed,
             "scope_note": self.scope_note,
         }
@@ -312,6 +315,7 @@ def run_experiment(config: ExperimentConfig,
         uT_norm_hsigma_full=full,
         wN_magnitudes=w_mags,
         checks=checks,
+        grid_attempts=list(traj.grid_attempts),
     )
 
 

@@ -31,7 +31,8 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import PanelGrid, QuadratureError, grid_ladder, tail_ratio
+from .quadrature import (PanelGrid, QuadratureError, grid_ladder,
+                         solve_on_ladder, tail_ratio)
 from .spectral import (EquationSpec, SpectralState, convolve, dispersion_mu,
                        power)
 from .trajectory import Trajectory, sup_sobolev_diff
@@ -56,7 +57,7 @@ __all__ = [
     "MaxIterationsError",
     "iterate_fixed_point",
     "check_tail",
-    "solve_on_ladder",
+    "picard_on_ladder",
     "picard_solve",
 ]
 
@@ -456,34 +457,35 @@ def check_tail(log: PicardLog, grid: PanelGrid, tol: float,
             f"of {name}", worst_mode=mode, tail=log.tail)
 
 
-def solve_on_ladder(horizon: float, max_frequency: float,
-                    smallness: SmallnessReport, tol: float,
-                    solve: Callable[[PanelGrid, PicardLog], dict]) -> tuple:
+def picard_on_ladder(horizon: float, max_frequency: float, rows: int,
+                     smallness: SmallnessReport, tol: float,
+                     solve: Callable[[PanelGrid, PicardLog], dict]) -> tuple:
     """Run a Picard solve on the coarsest grid of
-    ``quadrature.grid_ladder(horizon, max_frequency)`` that resolves it.
+    ``quadrature.grid_ladder(horizon, max_frequency)`` that resolves it,
+    through ``quadrature.solve_on_ladder``.
 
     ``solve(grid, log)`` iterates to convergence on ``grid``, recording in
-    ``log``, and returns the components ``check_tail`` measures.  Rungs are
-    tried coarsest first; the first whose tail is ``<= tol`` gives
+    ``log``, and returns the components ``check_tail`` measures, ``rows``
+    node-value rows in all.  The first rung whose tail is ``<= tol`` gives
     ``(grid, components, log)``.  A QuadratureError moves on to the next
     rung, except on the top rung (the grid sized for ``max_frequency``),
     where it propagates.  Any other error propagates from the rung where it
     occurs.  Every rung's log shares one ``grid_attempts`` list.
     """
     attempts = []
-    rungs = grid_ladder(horizon, max_frequency)
-    for grid in rungs:
+
+    def solve_rung(grid):
         log = PicardLog(smallness=smallness, grid_attempts=attempts)
-        components = solve(grid, log)
-        try:
-            check_tail(log, grid, tol, components)
-        except QuadratureError:
-            if grid is rungs[-1]:
-                raise
-            # the failed rung's iterate is not kept while the next one runs
-            del components
-            continue
-        return grid, components, log
+        return log, solve(grid, log)
+
+    def check(grid, solved):
+        log, components = solved
+        check_tail(log, grid, tol, components)
+
+    grid, (log, components) = solve_on_ladder(
+        grid_ladder(horizon, max_frequency), rows, solve_rung, check,
+        attempts)
+    return grid, components, log
 
 
 def picard_solve(phi: SpectralState, spec: EquationSpec, T: float,
@@ -496,7 +498,7 @@ def picard_solve(phi: SpectralState, spec: EquationSpec, T: float,
     only for ``alpha >= 3`` and data inside the smallness ball; outside that
     regime pass ``allow_unsafe=True`` to iterate anyway (no guarantee).
 
-    The solve runs on the coarsest grid of ``solve_on_ladder`` whose final
+    The solve runs on the coarsest grid of ``picard_on_ladder`` whose final
     iterate has a Chebyshev tail ``<= tol`` (see ``check_tail``); the
     finest grid is sized for the fastest frequency ``2 max(mu) + 1``, and
     QuadratureError is raised when even that grid does not resolve the
@@ -532,8 +534,8 @@ def picard_solve(phi: SpectralState, spec: EquationSpec, T: float,
             log, tol, max_iter)
         return {"v": v_vals}
 
-    grid, components, log = solve_on_ladder(
-        T, 2.0 * float(np.max(ops.mu)) + 1.0, smallness, tol, solve)
+    grid, components, log = picard_on_ladder(
+        T, 2.0 * float(np.max(ops.mu)) + 1.0, M + 1, smallness, tol, solve)
     traj = Trajectory(spec=spec, grid=grid, modes=np.arange(M + 1),
                       values=components["v"], truncation=M,
                       quadrature_tolerance=tol,

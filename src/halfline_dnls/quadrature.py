@@ -12,20 +12,27 @@ provides dense output between nodes.  The carry from one panel end to the
 next is a linear recurrence, solved in closed form over blocks of panels
 with integrating factors taken from the breaks directly, so its modulus
 error no longer grows with the panel count; its phase error is still set
-by the rounding of ``omega * t``.  Panels are sized so that the largest
-oscillation frequency completes only a few radians per panel, which keeps
-the interpolation error near machine precision; the cascade re-runs with a
-doubled panel count when the Chebyshev tail estimate, measured against all
-marched modes on each panel, exceeds the requested tolerance, and the
-Picard solvers climb ``grid_ladder`` from coarse to fine until that
-estimate passes.  The panel sizing, the number of refinements and the
-overflow guard are module constants.
+by the rounding of ``omega * t``.
+
+Every solver runs on a ladder of grids, coarsest first, through the one
+climber ``solve_on_ladder``: it solves on a rung, checks the rung, and moves
+to the next rung when the check raises QuadratureError.  ``grid_ladder``
+gives rungs sized for fractions of the fastest frequency, up to the grid
+whose panels each advance that frequency by ``RADIANS_PER_PANEL`` radians;
+``refined_ladder`` continues it with ``MAX_REFINEMENTS`` panel doublings.
+A rung passes when the Chebyshev tail of its solution, measured against
+all rows on each panel (``tail_ratio``), is within tolerance; the cascade
+also asks that two successive rungs agree, which estimates the error built
+up along the march.  A rung whose node array would pass ``NODE_BUDGET``
+ends the climb before it allocates.  The panel sizing, the number of
+refinements, the node budget and the overflow guard are module constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import Callable, Iterable
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -38,6 +45,8 @@ __all__ = [
     "OverflowGuardError",
     "panel_scheme",
     "grid_ladder",
+    "refined_ladder",
+    "solve_on_ladder",
     "oscillatory_march",
     "tail_ratio",
 ]
@@ -49,15 +58,23 @@ RADIANS_PER_PANEL = 8.0
 MAX_REFINEMENTS = 3
 # largest mode magnitude a march may reach before it stops with an error
 OVERFLOW_GUARD = 1e100
+# most node values (rows x panels x q) a rung of a solve may hold: 800 MB
+# of complex128, which admits the 188,927 panels x 9 rows of the N=16,
+# alpha=3 inflation run
+NODE_BUDGET = 50_000_000
 
 
 class QuadratureError(RuntimeError):
-    """Quadrature failed to meet tolerance after refinement."""
+    """Quadrature failed to meet tolerance on every rung of a ladder.
+
+    ``grid_attempts`` is the record of the rungs tried, as the solver kept
+    it, when the error ended a ``solve_on_ladder`` climb."""
 
     def __init__(self, message, worst_mode=None, tail=None):
         super().__init__(message)
         self.worst_mode = worst_mode
         self.tail = tail
+        self.grid_attempts = []
 
 
 class OverflowGuardError(RuntimeError):
@@ -129,10 +146,14 @@ class PanelGrid:
     def for_frequency(cls, horizon: float, max_frequency: float) -> "PanelGrid":
         """The grid whose panels each advance ``max_frequency`` by at most
         ``RADIANS_PER_PANEL`` radians, on the default scheme."""
+        return cls.uniform(horizon, _panel_count(horizon, max_frequency))
+
+    @classmethod
+    def uniform(cls, horizon: float, n_panels: int) -> "PanelGrid":
+        """``n_panels`` equal panels over [0, horizon], on the default
+        scheme."""
         if horizon <= 0:
             raise ValueError("horizon must be positive")
-        n_panels = max(1, int(np.ceil(horizon * max(max_frequency, 1.0)
-                                      / RADIANS_PER_PANEL)))
         breaks = np.linspace(0.0, horizon, n_panels + 1)
         breaks.flags.writeable = False
         return cls(breaks=breaks, scheme=panel_scheme())
@@ -153,10 +174,17 @@ class PanelGrid:
         return np.diff(self.breaks)
 
     def node_times(self) -> np.ndarray:
-        """All node times, shape (n_panels, q)."""
+        """All node times, shape (n_panels, q): one read-only array per
+        grid, computed on the first call."""
+        return self._node_times
+
+    @cached_property
+    def _node_times(self) -> np.ndarray:
         a = self.breaks[:-1, None]
         b = self.breaks[1:, None]
-        return 0.5 * (a + b) + 0.5 * (b - a) * self.scheme.nodes[None, :]
+        times = 0.5 * (a + b) + 0.5 * (b - a) * self.scheme.nodes[None, :]
+        times.flags.writeable = False
+        return times
 
     def refined(self) -> "PanelGrid":
         breaks = np.linspace(0.0, self.horizon, 2 * self.n_panels + 1)
@@ -181,16 +209,81 @@ class PanelGrid:
         return p, x
 
 
+def _panel_count(horizon: float, max_frequency: float) -> int:
+    """Panels of ``PanelGrid.for_frequency(horizon, max_frequency)``."""
+    return max(1, int(np.ceil(horizon * max(max_frequency, 1.0)
+                              / RADIANS_PER_PANEL)))
+
+
+def _ladder_panels(horizon: float, max_frequency: float) -> list:
+    """Panel counts of the rungs of ``grid_ladder``, ascending."""
+    return sorted({_panel_count(horizon, max_frequency / 2**j)
+                   for j in range(MAX_REFINEMENTS + 1)})
+
+
 def grid_ladder(horizon: float, max_frequency: float) -> list:
     """The grids ``PanelGrid.for_frequency(horizon, max_frequency / 2**j)``
     for ``j = MAX_REFINEMENTS, ..., 0``, coarsest first.  Rungs with equal
     panel counts are one rung, and the last rung is always the grid for
     ``max_frequency`` itself."""
-    rungs = {}
-    for j in range(MAX_REFINEMENTS, -1, -1):
-        grid = PanelGrid.for_frequency(horizon, max_frequency / 2**j)
-        rungs[grid.n_panels] = grid
-    return list(rungs.values())
+    return [PanelGrid.uniform(horizon, n)
+            for n in _ladder_panels(horizon, max_frequency)]
+
+
+def refined_ladder(horizon: float, max_frequency: float):
+    """The rungs of ``grid_ladder(horizon, max_frequency)``, then
+    ``MAX_REFINEMENTS`` doublings of its top rung by ``PanelGrid.refined``.
+    Each rung is made only when a climb reaches it, so a climb that stops
+    early never holds the breaks of the finer rungs."""
+    for n in _ladder_panels(horizon, max_frequency):
+        grid = PanelGrid.uniform(horizon, n)
+        yield grid
+    for _ in range(MAX_REFINEMENTS):
+        grid = grid.refined()
+        yield grid
+
+
+def solve_on_ladder(rungs: Iterable[PanelGrid], rows: int,
+                    solve: Callable[[PanelGrid], object],
+                    check: Callable[[PanelGrid, object], None],
+                    attempts: list) -> tuple:
+    """Climb ``rungs`` (grids in increasing size) to the first that passes.
+
+    On each rung ``solve(grid)`` returns a solution and ``check(grid,
+    solution)`` raises QuadratureError when the rung does not resolve it,
+    recording the rung in ``attempts`` as it goes.  Returns ``(grid,
+    solution)`` of the first rung that passes.  A QuadratureError from
+    either moves the climb to the next rung, and the last rung's error
+    propagates; a failed rung's solution is dropped before the next rung
+    is solved.  A rung whose node array, ``rows`` x panels x q values,
+    would pass ``NODE_BUDGET`` raises QuadratureError naming its panel count
+    before ``solve`` runs, since every later rung is larger.  An error that
+    ends the climb carries ``attempts`` as ``grid_attempts``.
+    """
+    failure = None
+    for grid in rungs:
+        nodes = rows * grid.n_panels * grid.q
+        if nodes > NODE_BUDGET:
+            failure = QuadratureError(
+                f"{grid.n_panels} panels need {nodes:.3g} node values "
+                f"({rows} rows x {grid.n_panels} panels x {grid.q}), above "
+                f"the node budget {NODE_BUDGET:.3g}"
+                + (f"; the rung before failed: {failure}" if failure else ""),
+                worst_mode=getattr(failure, "worst_mode", None),
+                tail=getattr(failure, "tail", None))
+            break
+        try:
+            solution = solve(grid)
+            check(grid, solution)
+        except QuadratureError as exc:
+            # without its traceback the error keeps no frame, and so no
+            # solution, alive while the next rung is solved
+            failure = exc.with_traceback(None)
+            solution = None
+            continue
+        return grid, solution
+    failure.grid_attempts = attempts
+    raise failure
 
 
 def tail_ratio(values: np.ndarray, scheme: PanelScheme) -> np.ndarray:
@@ -241,15 +334,37 @@ def oscillatory_march(grid: PanelGrid, omega: np.ndarray, forcing: np.ndarray,
     carries are checked against ``OVERFLOW_GUARD``; the error names the
     first panel end past it and the row.  Returns node values with the
     same shape as ``forcing``.
+
+    When ``forcing`` and ``init`` are all zero the solution is zero and is
+    set, not marched: ``_march`` would end with ``J = +0`` and ``J *= ph``,
+    so that product alone gives its bits, signed zeros included.
     """
-    sch = grid.scheme
     if forcing.shape != (omega.size, grid.n_panels, grid.q):
         raise ValueError(f"forcing shape {forcing.shape} does not match "
                          f"({omega.size}, {grid.n_panels}, {grid.q})")
-    h = grid.widths()
+    ph = _panel_phases(grid, omega)
+    if forcing.any() or np.any(init):
+        return _march(grid, omega, forcing, init, ph)
+    J = np.zeros_like(ph)
+    J *= ph
+    return J
+
+
+def _panel_phases(grid: PanelGrid, omega: np.ndarray) -> np.ndarray:
+    """``e^{i omega (t - a)}`` at every node of every panel [a, b], shape
+    (rows, n_panels, q)."""
     dt = grid.node_times() - grid.breaks[:-1, None]      # (n_panels, q)
     ph = 1j * omega[:, None, None] * dt[None, :, :]
     np.exp(ph, out=ph)
+    return ph
+
+
+def _march(grid: PanelGrid, omega: np.ndarray, forcing: np.ndarray,
+           init: np.ndarray, ph: np.ndarray) -> np.ndarray:
+    """The quadrature and carry of ``oscillatory_march``, given the panel
+    phases ``ph``."""
+    sch = grid.scheme
+    h = grid.widths()
     psi = forcing / ph
     J = psi @ sch.antideriv_nodes.T
     J *= 0.5 * h[:, None]

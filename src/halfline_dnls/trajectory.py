@@ -40,6 +40,9 @@ class Trajectory:
 
     ``modes`` lists the tracked frequencies (sorted ascending);
     ``values[r, p, i]`` is mode ``modes[r]`` at node ``i`` of panel ``p``.
+    ``grid_attempts`` is the rung record of the cascade solve that made the
+    trajectory (see ``cascade.cascade_integrate``), and empty otherwise; the
+    Picard solvers keep theirs in their ``PicardLog``.
     """
 
     spec: EquationSpec
@@ -50,6 +53,7 @@ class Trajectory:
     quadrature_tolerance: float
     initial_state: SpectralState
     variable: str = "u"
+    grid_attempts: tuple = ()
 
     def __post_init__(self):
         m = np.asarray(self.modes, dtype=int)

@@ -11,10 +11,28 @@ from halfline_dnls import (DispersionKind, EquationSpec, OverflowGuardError,
                            mean_zero_transform, nonlinear_forcing,
                            sobolev_norm, standard_windows, weak_residual)
 from halfline_dnls import cascade, quadrature
+from halfline_dnls.cli import dispatch
+from halfline_dnls.inflation import build_inflation_data, inflation_time
 
 
 def state(modes, M, time=0.0):
     return SpectralState.from_modes(modes, M, time)
+
+
+def headline():
+    """Data, equation and horizon of the N=16, alpha=2 inflation run at
+    truncation 128 (s = 2.5, sigma = 0.5)."""
+    return (build_inflation_data(16, 2.5, 1, 128),
+            EquationSpec.pure_power(1, 2.0), inflation_time(16, 2.5, 0.5, 1))
+
+
+def fixed_grid_solve(monkeypatch, phi, spec, T, n_panels, **kwargs):
+    """The cascade on one fixed grid of ``n_panels``: the grid twice as the
+    ladder, so the two-rung difference is 0 and the tail check decides."""
+    grid = quadrature.PanelGrid.uniform(T, n_panels)
+    with monkeypatch.context() as m:
+        m.setattr(cascade, "refined_ladder", lambda *_: iter([grid, grid]))
+        return cascade_integrate(phi, spec, T, **kwargs)
 
 
 # -- nonlinear_forcing ------------------------------------------------------------
@@ -219,18 +237,24 @@ def test_overflow_guard_trips():
 
 
 @pytest.mark.parametrize("M,panels", [(56, 197), (64, 257)])
-def test_negligible_high_modes_pass_on_first_grid(M, panels):
+def test_negligible_high_modes_pass_on_first_grid(monkeypatch, M, panels):
     # modes near 0.05^M are round-off of the state: measured against their
-    # own size their tails looked unresolved and the solve raised
+    # own size their tails looked unresolved and the solve raised; `panels`
+    # is the grid sized for the fastest frequency, where the solve used to
+    # stop, and no rung of the climb may be finer
     phi = state({1: 0.05, 2: 0.05}, M)
-    traj = cascade_integrate(phi, EquationSpec.pure_power(1, 2.0), 0.25)
-    assert traj.n_panels == panels
+    spec = EquationSpec.pure_power(1, 2.0)
+    traj = cascade_integrate(phi, spec, 0.25)
+    assert traj.n_panels <= panels
+    oracle = fixed_grid_solve(monkeypatch, phi, spec, 0.25, panels)
+    ts = np.linspace(0.0, 0.25, 201)
+    assert np.max(np.abs(traj.dense_at(ts) - oracle.dense_at(ts))) <= 1e-14
 
 
 def test_under_resolved_grid_raises_naming_worst_mode(monkeypatch):
     # 200 radians per panel cannot be resolved by 24 nodes
     monkeypatch.setattr(quadrature, "RADIANS_PER_PANEL", 200.0)
-    monkeypatch.setattr(cascade, "MAX_REFINEMENTS", 0)
+    monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 0)
     phi = state({1: 0.1, 2: 0.05j}, 8)
     with pytest.raises(QuadratureError) as info:
         cascade_integrate(phi, EquationSpec.pure_power(1, 2.0), 1.0)
@@ -247,12 +271,119 @@ def test_background_does_not_mask_under_resolved_mode(monkeypatch):
     monkeypatch.setattr(quadrature, "RADIANS_PER_PANEL", 1e4)
     phi = state({0: 1.0, 1: 1e-3}, 1)
     spec = EquationSpec.pure_power(1, 2.0)
-    monkeypatch.setattr(cascade, "MAX_REFINEMENTS", 0)
+    monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 0)
     with pytest.raises(QuadratureError) as info:
         cascade_integrate(phi, spec, 8.0)
     assert info.value.worst_mode == 1
-    monkeypatch.setattr(cascade, "MAX_REFINEMENTS", 3)
+    monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 3)
     assert cascade_integrate(phi, spec, 8.0).n_panels > 1
+
+
+# -- the rung climb ----------------------------------------------------------------
+
+def test_headline_matches_a_fine_fixed_grid(monkeypatch):
+    # the ladder accepts 1481 panels, a quarter of the 5921 sized for the
+    # fastest frequency, after trying 741
+    phi, spec, T = headline()
+    traj = cascade_integrate(phi, spec, T)
+    assert [n for n, _, _ in traj.grid_attempts] == [741, 1481]
+    reference = fixed_grid_solve(monkeypatch, phi, spec, T, 11842)
+    ts = np.linspace(0.0, T, 201)
+    ref = reference.dense_at(ts)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(traj.dense_at(ts) - ref)) <= 1e-10 * scale
+
+
+def test_two_rung_check_rejects_a_rung_whose_tail_passes(monkeypatch):
+    # at 16 radians per panel the headline ladder starts at 371 panels; 371
+    # and 741 both pass their tails, but 371 is 1.8e-9 off, so 741 differs
+    # from it by more than tol and is refused; 1481 agrees with 741
+    monkeypatch.setattr(quadrature, "RADIANS_PER_PANEL", 16.0)
+    phi, spec, T = headline()
+    traj = cascade_integrate(phi, spec, T)
+    (n1, t1, d1), (n2, t2, d2), (n3, t3, d3) = traj.grid_attempts
+    assert (n1, n2, n3) == (371, 741, 1481) and traj.n_panels == n3
+    assert max(t1, t2, t3) <= 1e-10
+    assert d1 is None
+    assert d2 > 1e-10 >= d3
+
+
+def _small_data():
+    return state({1: 0.1, 2: 0.05j}, 8), EquationSpec.pure_power(1, 2.0), 1.0
+
+
+@pytest.mark.parametrize("data, radians, refinements, panels, condition", [
+    # one rung of one panel: 24 nodes cannot resolve 200 radians
+    (_small_data, 200.0, 0, [1], "Chebyshev tail"),
+    # 186, 371 and 742 panels: every tail but 186's passes, and 742 is
+    # 1.8e-9 off 371
+    (headline, 128.0, 1, [186, 371, 742], "two-rung difference"),
+])
+def test_last_rung_failure_names_panels_condition_and_mode(
+        monkeypatch, data, radians, refinements, panels, condition):
+    monkeypatch.setattr(quadrature, "RADIANS_PER_PANEL", radians)
+    monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", refinements)
+    phi, spec, T = data()
+    with pytest.raises(QuadratureError) as info:
+        cascade_integrate(phi, spec, T)
+    err = info.value
+    message = str(err)
+    assert f"on {panels[-1]} panels: {condition}" in message
+    assert err.worst_mode in range(1, phi.truncation + 1)
+    assert f"at mode {err.worst_mode}" in message
+    assert [n for n, _, _ in err.grid_attempts] == panels
+
+
+def test_dispersion_variants_pick_the_same_rung():
+    phi = state({1: 0.05, 2: 0.05j, 3: 0.02}, 12)
+    a, b = (cascade_integrate(
+        phi, EquationSpec.pure_power(1, 3.0, kind=kind), 0.5)
+        for kind in (DispersionKind.SCHRODINGER, DispersionKind.AIRY_TYPE))
+    assert len(a.grid_attempts) >= 2
+    assert a.grid_attempts == b.grid_attempts
+    assert np.array_equal(a.grid.breaks, b.grid.breaks)
+    assert a.values.tobytes() == b.values.tobytes()
+
+
+def test_node_budget_ends_the_climb_with_a_typed_error(monkeypatch, capsys):
+    # 9 rows x 24 nodes: 741 panels fit in the budget, 1481 do not
+    monkeypatch.setattr(quadrature, "NODE_BUDGET", 9 * 24 * 1000)
+    phi, spec, T = headline()
+    with pytest.raises(QuadratureError, match="1481 panels need") as info:
+        cascade_integrate(phi, spec, T)
+    assert [n for n, _, _ in info.value.grid_attempts] == [741]
+    code = dispatch(["inflate", "--N", "16", "--s", "2.5", "--sigma", "0.5",
+                     "--k", "1", "--alpha", "2", "--m-max", "8"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "1481 panels" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", [
+    EquationSpec.pure_power(1, 2.0),
+    EquationSpec.pure_power(2, 2.0),
+    EquationSpec.pure_power(3, 3.0),
+    EquationSpec(2.0, {1: 0.3 - 0.2j, 2: 0.1j}),
+], ids=["k1", "k2", "k3-alpha3", "complex"])
+def test_zero_rows_are_set_with_the_bits_of_the_march(monkeypatch, spec):
+    # rows whose forcing and initial value are exactly zero are set, not
+    # marched; against marching every row, the trajectory keeps its bits,
+    # the signed zeros included
+    phi = state({0: 0.3 - 0.2j, 4: 0.05}, 16)
+    fast = cascade_integrate(phi, spec, 0.5, restrict_support=False)
+
+    def full_march(grid, omega, forcing, init):
+        return quadrature._march(grid, omega, forcing, init,
+                                 quadrature._panel_phases(grid, omega))
+
+    monkeypatch.setattr(cascade, "oscillatory_march", full_march)
+    marched = cascade_integrate(phi, spec, 0.5, restrict_support=False)
+    assert fast.grid_attempts == marched.grid_attempts
+    assert fast.values.tobytes() == marched.values.tobytes()
+    zero = ~fast.values.any(axis=(1, 2))
+    assert zero[1:].sum() >= 8           # every mode off 4 N is zero
+    assert np.signbit(fast.values[zero].real).any()
 
 
 # -- linear closed forms -----------------------------------------------------------

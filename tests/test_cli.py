@@ -245,6 +245,18 @@ def test_inflate_headline_number(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_inflate_reports_the_cascade_rungs(capsys):
+    code = dispatch(["inflate", "--N", "8", "--s", "2", "--sigma", "0",
+                     "--k", "1", "--alpha", "2", "--m-max", "2"])
+    assert code == 0
+    rep = json.loads(capsys.readouterr().out)["report"]
+    (n0, _, diff0), *rest = rep["grid_attempts"]
+    assert diff0 is None and rest
+    n_last, tail_last, diff_last = rest[-1]
+    assert n_last > n0
+    assert max(tail_last, diff_last) <= rep["config"]["quadrature_tol"]
+
+
 def test_cross_validate(tmp_path, capsys):
     phi = _phi_file(tmp_path, {1: (0.05, 0.0), 2: (0.05, 0.0)}, 8)
     code = dispatch(["cross-validate", "--alpha", "3", "--k", "1",

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfline_dnls import OverflowGuardError, PanelGrid, quadrature
+from halfline_dnls import (OverflowGuardError, PanelGrid, QuadratureError,
+                           quadrature)
 from halfline_dnls.quadrature import (OVERFLOW_GUARD, grid_ladder,
                                       oscillatory_march, panel_scheme,
+                                      refined_ladder, solve_on_ladder,
                                       tail_ratio)
 
 
@@ -133,6 +135,78 @@ def test_grid_ladder_collapses_equal_rungs_and_keeps_the_top(monkeypatch,
     assert rungs[-1].n_panels == PanelGrid.for_frequency(1.0, 289.0).n_panels
 
 
+def test_refined_ladder_continues_the_ladder_by_doublings(monkeypatch):
+    calls = []
+    refined = PanelGrid.refined
+    monkeypatch.setattr(PanelGrid, "refined",
+                        lambda self: calls.append(1) or refined(self))
+    rungs = refined_ladder(1.0, 2 * 16**2 + 1)
+    first = [next(rungs).n_panels for _ in range(4)]
+    assert first == [g.n_panels for g in grid_ladder(1.0, 2 * 16**2 + 1)]
+    assert calls == []                 # a doubling is made when reached
+    assert [g.n_panels for g in rungs] == [130, 260, 520]
+    assert len(calls) == quadrature.MAX_REFINEMENTS
+
+
+def test_node_times_are_computed_once_and_read_only():
+    grid = PanelGrid.for_frequency(2.0, 100.0)
+    times = grid.node_times()
+    assert grid.node_times() is times
+    assert not times.flags.writeable
+    a, b = grid.breaks[:-1, None], grid.breaks[1:, None]
+    assert np.array_equal(
+        times, 0.5 * (a + b) + 0.5 * (b - a) * grid.scheme.nodes[None, :])
+
+
+def _ladder(*panels):
+    return [PanelGrid.uniform(1.0, n) for n in panels]
+
+
+def _check_at_least(n_pass, attempts):
+    """A check recording each rung and passing from ``n_pass`` panels."""
+    def check(grid, solution):
+        attempts.append((grid.n_panels, solution))
+        if grid.n_panels < n_pass:
+            raise QuadratureError(f"{grid.n_panels} panels too coarse",
+                                  worst_mode=grid.n_panels, tail=1.0)
+    return check
+
+
+def test_solve_on_ladder_returns_the_first_rung_that_passes():
+    attempts = []
+    grid, solution = solve_on_ladder(_ladder(1, 2, 4, 8), 3,
+                                     lambda g: -g.n_panels,
+                                     _check_at_least(4, attempts), attempts)
+    assert (grid.n_panels, solution) == (4, -4)
+    assert attempts == [(1, -1), (2, -2), (4, -4)]
+
+
+def test_solve_on_ladder_raises_the_last_rungs_error_with_the_record():
+    attempts = []
+    with pytest.raises(QuadratureError, match="^8 panels too coarse") as info:
+        solve_on_ladder(_ladder(1, 2, 4, 8), 3, lambda g: g.n_panels,
+                        _check_at_least(100, attempts), attempts)
+    assert info.value.worst_mode == 8
+    assert info.value.grid_attempts is attempts
+    assert [n for n, _ in attempts] == [1, 2, 4, 8]
+
+
+def test_solve_on_ladder_stops_at_the_node_budget_before_solving(monkeypatch):
+    # 3 rows x 4 panels x 24 nodes = 288 node values pass a budget of 200
+    monkeypatch.setattr(quadrature, "NODE_BUDGET", 200)
+    attempts, solved = [], []
+    with pytest.raises(QuadratureError) as info:
+        solve_on_ladder(_ladder(1, 2, 4, 8), 3,
+                        lambda g: solved.append(g.n_panels),
+                        _check_at_least(100, attempts), attempts)
+    err = info.value
+    assert solved == [1, 2]            # neither 4 nor 8 panels is solved
+    assert str(err).startswith("4 panels need 288 node values")
+    assert "2 panels too coarse" in str(err)
+    assert (err.worst_mode, err.tail) == (2, 1.0)
+    assert err.grid_attempts is attempts
+
+
 @settings(max_examples=60, deadline=None)
 @given(n_panels=st.integers(1, 300),
        horizon=st.floats(1e-3, 1e3, allow_nan=False),
@@ -179,6 +253,24 @@ def test_march_pure_oscillation():
     for r in range(2):
         exact = init[r] * np.exp(1j * omega[r] * times)
         assert np.max(np.abs(vals[r] - exact)) < 1e-12
+
+
+def test_zero_march_is_set_with_the_bits_of_the_full_march():
+    # forcing and initial values that are all (signed) zeros: the set
+    # solution keeps the bits of the quadrature and carry it skips, over
+    # real and complex omega and one or several carry blocks
+    rng = np.random.default_rng(3)
+    grid = PanelGrid.for_frequency(2.0, 400.0)
+    omega = np.array([150.0, -37.5, 3.0 - 0.2j, 0.0, -90.0 + 1000.0j])
+    signs = rng.choice([-1.0, 1.0], size=(2, 5, grid.n_panels, grid.q))
+    forcing = (0.0 * signs[0] + 1j * (0.0 * signs[1])).astype(complex)
+    init = np.array([0.0, -0.0, complex(-0.0, -0.0), 0.0, -0.0 + 0.0j])
+    fast = oscillatory_march(grid, omega, forcing, init)
+    full = quadrature._march(grid, omega, forcing, init,
+                             quadrature._panel_phases(grid, omega))
+    assert not fast.any()
+    assert np.signbit(fast.real).any() and np.signbit(fast.imag).any()
+    assert fast.tobytes() == full.tobytes()
 
 
 def test_march_forced_mode_against_closed_form():
