@@ -57,6 +57,7 @@ __all__ = [
 # cascade solve must agree
 AGREEMENT_TIMES = 201
 
+
 def nonlinear_forcing(state: SpectralState, spec: EquationSpec, n: int) -> complex:
     """Mode-n value of ``(sum_l lambda_l u^l) u_x``.
 
@@ -183,8 +184,8 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
                 f"{tol:.3e} against {attempts[-2][0]} panels at mode "
                 f"{diff_mode}", worst_mode=diff_mode, tail=tail)
 
-    grid, (traj, _, _) = solve_on_ladder(refined_ladder(T, freq),
-                                         support.size, solve, check, attempts)
+    grid, (traj, _, _) = solve_on_ladder(refined_ladder(T, freq), solve,
+                                         check, attempts, rows=support.size)
     return trajectory(grid, traj.values, attempts)
 
 

@@ -259,7 +259,7 @@ def gauge_picard_solve(phi: SpectralState, psi: SpectralState, k: int,
         return {"u": x[:, 0], "gu": x[:, 1]}
 
     grid, components, log = picard_on_ladder(
-        T, 2.0 * float(mu[-1].real) + 1.0, 2 * (M + 1), smallness, tol, solve)
+        T, 2.0 * float(mu[-1].real) + 1.0, smallness, tol, solve)
     modes = np.arange(M + 1)
     traj_u = Trajectory(spec=spec, grid=grid, modes=modes,
                         values=components["u"], truncation=M,

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cascade import cascade_integrate, mean_zero_transform
+from .cascade import AGREEMENT_TIMES, cascade_integrate, mean_zero_transform
 from .gauge import compatible_gauge_data, compatibility_defects, gauge_picard_solve
 from .normalform import picard_solve
 from .phase import support_semigroup
@@ -322,10 +322,11 @@ def run_experiment(config: ExperimentConfig,
 # -- cross-pipeline validation ---------------------------------------------------
 
 # solver tolerances of the two pipelines and the number of equispaced
-# comparison times on [0, T]
+# comparison times on [0, T], the times at which the cascade also compares
+# two rungs
 CASCADE_TOL = 1e-10
 PICARD_TOL = 1e-11
-N_COMPARE = 201
+N_COMPARE = AGREEMENT_TIMES
 
 
 @dataclass(frozen=True)

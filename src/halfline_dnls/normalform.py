@@ -457,7 +457,7 @@ def check_tail(log: PicardLog, grid: PanelGrid, tol: float,
             f"of {name}", worst_mode=mode, tail=log.tail)
 
 
-def picard_on_ladder(horizon: float, max_frequency: float, rows: int,
+def picard_on_ladder(horizon: float, max_frequency: float,
                      smallness: SmallnessReport, tol: float,
                      solve: Callable[[PanelGrid, PicardLog], dict]) -> tuple:
     """Run a Picard solve on the coarsest grid of
@@ -465,9 +465,9 @@ def picard_on_ladder(horizon: float, max_frequency: float, rows: int,
     through ``quadrature.solve_on_ladder``.
 
     ``solve(grid, log)`` iterates to convergence on ``grid``, recording in
-    ``log``, and returns the components ``check_tail`` measures, ``rows``
-    node-value rows in all.  The first rung whose tail is ``<= tol`` gives
-    ``(grid, components, log)``.  A QuadratureError moves on to the next
+    ``log``, and returns the components ``check_tail`` measures.  The
+    first rung whose tail is ``<= tol`` gives ``(grid, components, log)``.
+    A QuadratureError moves on to the next
     rung, except on the top rung (the grid sized for ``max_frequency``),
     where it propagates.  Any other error propagates from the rung where it
     occurs.  Every rung's log shares one ``grid_attempts`` list.
@@ -483,8 +483,7 @@ def picard_on_ladder(horizon: float, max_frequency: float, rows: int,
         check_tail(log, grid, tol, components)
 
     grid, (log, components) = solve_on_ladder(
-        grid_ladder(horizon, max_frequency), rows, solve_rung, check,
-        attempts)
+        grid_ladder(horizon, max_frequency), solve_rung, check, attempts)
     return grid, components, log
 
 
@@ -535,7 +534,7 @@ def picard_solve(phi: SpectralState, spec: EquationSpec, T: float,
         return {"v": v_vals}
 
     grid, components, log = picard_on_ladder(
-        T, 2.0 * float(np.max(ops.mu)) + 1.0, M + 1, smallness, tol, solve)
+        T, 2.0 * float(np.max(ops.mu)) + 1.0, smallness, tol, solve)
     traj = Trajectory(spec=spec, grid=grid, modes=np.arange(M + 1),
                       values=components["v"], truncation=M,
                       quadrature_tolerance=tol,

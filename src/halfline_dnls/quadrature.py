@@ -23,8 +23,8 @@ whose panels each advance that frequency by ``RADIANS_PER_PANEL`` radians;
 A rung passes when the Chebyshev tail of its solution, measured against
 all rows on each panel (``tail_ratio``), is within tolerance; the cascade
 also asks that two successive rungs agree, which estimates the error built
-up along the march.  A rung whose node array would pass ``NODE_BUDGET``
-ends the climb before it allocates.  The panel sizing, the number of
+up along the march, and ends its climb before a rung whose node array
+would pass ``NODE_BUDGET`` is allocated.  The panel sizing, the number of
 refinements, the node budget and the overflow guard are module constants.
 """
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -58,9 +58,11 @@ RADIANS_PER_PANEL = 8.0
 MAX_REFINEMENTS = 3
 # largest mode magnitude a march may reach before it stops with an error
 OVERFLOW_GUARD = 1e100
-# most node values (rows x panels x q) a rung of a solve may hold: 800 MB
-# of complex128, which admits the 188,927 panels x 9 rows of the N=16,
-# alpha=3 inflation run
+# most node values (rows x panels x q) in the node array of a cascade rung:
+# 800 MB of complex128, which admits the 188,927 panels x 9 rows of the
+# N=16, alpha=3 inflation run.  It bounds that one array, not the solve's
+# peak memory: a degree-k nonlinearity keeps k - 1 more arrays of its size,
+# and the rung check holds a dense output besides
 NODE_BUDGET = 50_000_000
 
 
@@ -243,10 +245,10 @@ def refined_ladder(horizon: float, max_frequency: float):
         yield grid
 
 
-def solve_on_ladder(rungs: Iterable[PanelGrid], rows: int,
+def solve_on_ladder(rungs: Iterable[PanelGrid],
                     solve: Callable[[PanelGrid], object],
                     check: Callable[[PanelGrid, object], None],
-                    attempts: list) -> tuple:
+                    attempts: list, rows: Optional[int] = None) -> tuple:
     """Climb ``rungs`` (grids in increasing size) to the first that passes.
 
     On each rung ``solve(grid)`` returns a solution and ``check(grid,
@@ -255,14 +257,15 @@ def solve_on_ladder(rungs: Iterable[PanelGrid], rows: int,
     solution)`` of the first rung that passes.  A QuadratureError from
     either moves the climb to the next rung, and the last rung's error
     propagates; a failed rung's solution is dropped before the next rung
-    is solved.  A rung whose node array, ``rows`` x panels x q values,
-    would pass ``NODE_BUDGET`` raises QuadratureError naming its panel count
-    before ``solve`` runs, since every later rung is larger.  An error that
-    ends the climb carries ``attempts`` as ``grid_attempts``.
+    is solved.  When ``rows`` is given, a rung whose node array, ``rows`` x
+    panels x q values, would pass ``NODE_BUDGET`` raises QuadratureError
+    naming its panel count before ``solve`` runs, and ends the climb, since
+    every later rung is larger.  An error that ends the climb carries
+    ``attempts`` as ``grid_attempts``.
     """
     failure = None
     for grid in rungs:
-        nodes = rows * grid.n_panels * grid.q
+        nodes = rows * grid.n_panels * grid.q if rows is not None else 0
         if nodes > NODE_BUDGET:
             failure = QuadratureError(
                 f"{grid.n_panels} panels need {nodes:.3g} node values "
@@ -334,37 +337,15 @@ def oscillatory_march(grid: PanelGrid, omega: np.ndarray, forcing: np.ndarray,
     carries are checked against ``OVERFLOW_GUARD``; the error names the
     first panel end past it and the row.  Returns node values with the
     same shape as ``forcing``.
-
-    When ``forcing`` and ``init`` are all zero the solution is zero and is
-    set, not marched: ``_march`` would end with ``J = +0`` and ``J *= ph``,
-    so that product alone gives its bits, signed zeros included.
     """
+    sch = grid.scheme
     if forcing.shape != (omega.size, grid.n_panels, grid.q):
         raise ValueError(f"forcing shape {forcing.shape} does not match "
                          f"({omega.size}, {grid.n_panels}, {grid.q})")
-    ph = _panel_phases(grid, omega)
-    if forcing.any() or np.any(init):
-        return _march(grid, omega, forcing, init, ph)
-    J = np.zeros_like(ph)
-    J *= ph
-    return J
-
-
-def _panel_phases(grid: PanelGrid, omega: np.ndarray) -> np.ndarray:
-    """``e^{i omega (t - a)}`` at every node of every panel [a, b], shape
-    (rows, n_panels, q)."""
+    h = grid.widths()
     dt = grid.node_times() - grid.breaks[:-1, None]      # (n_panels, q)
     ph = 1j * omega[:, None, None] * dt[None, :, :]
     np.exp(ph, out=ph)
-    return ph
-
-
-def _march(grid: PanelGrid, omega: np.ndarray, forcing: np.ndarray,
-           init: np.ndarray, ph: np.ndarray) -> np.ndarray:
-    """The quadrature and carry of ``oscillatory_march``, given the panel
-    phases ``ph``."""
-    sch = grid.scheme
-    h = grid.widths()
     psi = forcing / ph
     J = psi @ sch.antideriv_nodes.T
     J *= 0.5 * h[:, None]

@@ -247,7 +247,7 @@ def test_negligible_high_modes_pass_on_first_grid(monkeypatch, M, panels):
     traj = cascade_integrate(phi, spec, 0.25)
     assert traj.n_panels <= panels
     oracle = fixed_grid_solve(monkeypatch, phi, spec, 0.25, panels)
-    ts = np.linspace(0.0, 0.25, 201)
+    ts = np.linspace(0.0, 0.25, cascade.AGREEMENT_TIMES)
     assert np.max(np.abs(traj.dense_at(ts) - oracle.dense_at(ts))) <= 1e-14
 
 
@@ -274,9 +274,14 @@ def test_background_does_not_mask_under_resolved_mode(monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 0)
     with pytest.raises(QuadratureError) as info:
         cascade_integrate(phi, spec, 8.0)
-    assert info.value.worst_mode == 1
+    err = info.value
+    assert err.tail > 1e-10 and "Chebyshev tail" in str(err)
+    assert err.worst_mode == 1
     monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 3)
-    assert cascade_integrate(phi, spec, 8.0).n_panels > 1
+    traj = cascade_integrate(phi, spec, 8.0)
+    (n_one, tail_one, _), *_ = traj.grid_attempts
+    assert n_one == 1 and tail_one > 1e-10
+    assert traj.n_panels > 1
 
 
 # -- the rung climb ----------------------------------------------------------------
@@ -288,7 +293,7 @@ def test_headline_matches_a_fine_fixed_grid(monkeypatch):
     traj = cascade_integrate(phi, spec, T)
     assert [n for n, _, _ in traj.grid_attempts] == [741, 1481]
     reference = fixed_grid_solve(monkeypatch, phi, spec, T, 11842)
-    ts = np.linspace(0.0, T, 201)
+    ts = np.linspace(0.0, T, cascade.AGREEMENT_TIMES)
     ref = reference.dense_at(ts)
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(traj.dense_at(ts) - ref)) <= 1e-10 * scale
@@ -358,32 +363,6 @@ def test_node_budget_ends_the_climb_with_a_typed_error(monkeypatch, capsys):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "1481 panels" in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize("spec", [
-    EquationSpec.pure_power(1, 2.0),
-    EquationSpec.pure_power(2, 2.0),
-    EquationSpec.pure_power(3, 3.0),
-    EquationSpec(2.0, {1: 0.3 - 0.2j, 2: 0.1j}),
-], ids=["k1", "k2", "k3-alpha3", "complex"])
-def test_zero_rows_are_set_with_the_bits_of_the_march(monkeypatch, spec):
-    # rows whose forcing and initial value are exactly zero are set, not
-    # marched; against marching every row, the trajectory keeps its bits,
-    # the signed zeros included
-    phi = state({0: 0.3 - 0.2j, 4: 0.05}, 16)
-    fast = cascade_integrate(phi, spec, 0.5, restrict_support=False)
-
-    def full_march(grid, omega, forcing, init):
-        return quadrature._march(grid, omega, forcing, init,
-                                 quadrature._panel_phases(grid, omega))
-
-    monkeypatch.setattr(cascade, "oscillatory_march", full_march)
-    marched = cascade_integrate(phi, spec, 0.5, restrict_support=False)
-    assert fast.grid_attempts == marched.grid_attempts
-    assert fast.values.tobytes() == marched.values.tobytes()
-    zero = ~fast.values.any(axis=(1, 2))
-    assert zero[1:].sum() >= 8           # every mode off 4 N is zero
-    assert np.signbit(fast.values[zero].real).any()
 
 
 # -- linear closed forms -----------------------------------------------------------

@@ -462,6 +462,16 @@ def test_ladder_raises_from_the_top_rung(monkeypatch):
         _solve_normal_form(1e-10)
 
 
+def test_picard_ladders_have_no_node_budget(monkeypatch):
+    # the node budget bounds cascade rungs only: with a budget no rung fits
+    # in, both Picard solvers try and accept the rungs they did before
+    solvers = (_solve_normal_form, _solve_gauge)
+    before = [solve(1e-10).grid_attempts for solve in solvers]
+    monkeypatch.setattr(quadrature, "NODE_BUDGET", 0)
+    assert [solve(1e-10).grid_attempts for solve in solvers] == before
+    assert all(before)
+
+
 @pytest.mark.parametrize("solve", [_solve_normal_form, _solve_gauge])
 def test_iteration_error_stops_the_ladder_and_carries_its_log(solve):
     with pytest.raises(MaxIterationsError) as info:

@@ -174,7 +174,7 @@ def _check_at_least(n_pass, attempts):
 
 def test_solve_on_ladder_returns_the_first_rung_that_passes():
     attempts = []
-    grid, solution = solve_on_ladder(_ladder(1, 2, 4, 8), 3,
+    grid, solution = solve_on_ladder(_ladder(1, 2, 4, 8),
                                      lambda g: -g.n_panels,
                                      _check_at_least(4, attempts), attempts)
     assert (grid.n_panels, solution) == (4, -4)
@@ -184,7 +184,7 @@ def test_solve_on_ladder_returns_the_first_rung_that_passes():
 def test_solve_on_ladder_raises_the_last_rungs_error_with_the_record():
     attempts = []
     with pytest.raises(QuadratureError, match="^8 panels too coarse") as info:
-        solve_on_ladder(_ladder(1, 2, 4, 8), 3, lambda g: g.n_panels,
+        solve_on_ladder(_ladder(1, 2, 4, 8), lambda g: g.n_panels,
                         _check_at_least(100, attempts), attempts)
     assert info.value.worst_mode == 8
     assert info.value.grid_attempts is attempts
@@ -196,9 +196,9 @@ def test_solve_on_ladder_stops_at_the_node_budget_before_solving(monkeypatch):
     monkeypatch.setattr(quadrature, "NODE_BUDGET", 200)
     attempts, solved = [], []
     with pytest.raises(QuadratureError) as info:
-        solve_on_ladder(_ladder(1, 2, 4, 8), 3,
+        solve_on_ladder(_ladder(1, 2, 4, 8),
                         lambda g: solved.append(g.n_panels),
-                        _check_at_least(100, attempts), attempts)
+                        _check_at_least(100, attempts), attempts, rows=3)
     err = info.value
     assert solved == [1, 2]            # neither 4 nor 8 panels is solved
     assert str(err).startswith("4 panels need 288 node values")
@@ -253,24 +253,6 @@ def test_march_pure_oscillation():
     for r in range(2):
         exact = init[r] * np.exp(1j * omega[r] * times)
         assert np.max(np.abs(vals[r] - exact)) < 1e-12
-
-
-def test_zero_march_is_set_with_the_bits_of_the_full_march():
-    # forcing and initial values that are all (signed) zeros: the set
-    # solution keeps the bits of the quadrature and carry it skips, over
-    # real and complex omega and one or several carry blocks
-    rng = np.random.default_rng(3)
-    grid = PanelGrid.for_frequency(2.0, 400.0)
-    omega = np.array([150.0, -37.5, 3.0 - 0.2j, 0.0, -90.0 + 1000.0j])
-    signs = rng.choice([-1.0, 1.0], size=(2, 5, grid.n_panels, grid.q))
-    forcing = (0.0 * signs[0] + 1j * (0.0 * signs[1])).astype(complex)
-    init = np.array([0.0, -0.0, complex(-0.0, -0.0), 0.0, -0.0 + 0.0j])
-    fast = oscillatory_march(grid, omega, forcing, init)
-    full = quadrature._march(grid, omega, forcing, init,
-                             quadrature._panel_phases(grid, omega))
-    assert not fast.any()
-    assert np.signbit(fast.real).any() and np.signbit(fast.imag).any()
-    assert fast.tobytes() == full.tobytes()
 
 
 def test_march_forced_mode_against_closed_form():
