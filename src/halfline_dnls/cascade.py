@@ -56,6 +56,14 @@ __all__ = [
 # equispaced times, both ends included, at which two successive rungs of a
 # cascade solve must agree
 AGREEMENT_TIMES = 201
+# the cascade's ladder is sized for this multiple of its fastest frequency.
+# The ladder sized for the frequency itself passes the N=16, alpha=2
+# inflation run's two-rung check on its second rung only for s >= 2.104,
+# and a third rung below that doubles the run's time within the alpha=2
+# regime 2 <= s <= 3.  With the margin every s there passes on the second
+# rung (difference <= 1.6e-11 at s = 2), so the run costs the same over
+# the regime
+LADDER_MARGIN = 1.2
 
 
 def nonlinear_forcing(state: SpectralState, spec: EquationSpec, n: int) -> complex:
@@ -92,15 +100,16 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
     nonlinearity of degree k >= 2 keeps ``k - 1`` arrays the size of the
     trajectory for the powers of ``w``.
 
-    The solve climbs ``quadrature.refined_ladder``, sized for the fastest
-    frequency of the tracked modes, and accepts the first rung where two
-    things hold: the Chebyshev tails, each measured against all marched
-    modes on its panel, are ``<= tol``; and the dense output of the marched
-    modes at ``AGREEMENT_TIMES`` equispaced times differs from the previous
-    rung's by at most ``tol`` times the largest magnitude of the two (step
-    doubling).  The first rung is never accepted.  The returned
-    trajectory's ``grid_attempts`` holds ``(n_panels, tail, difference)``
-    per rung tried, the difference relative and None on the first rung.
+    The solve climbs ``quadrature.refined_ladder``, sized for
+    ``LADDER_MARGIN`` times the fastest frequency of the tracked modes, and
+    accepts the first rung where two things hold: the Chebyshev tails, each
+    measured against all marched modes on its panel, are ``<= tol``; and
+    the dense output of the marched modes at ``AGREEMENT_TIMES`` equispaced
+    times differs from the previous rung's by at most ``tol`` times the
+    largest magnitude of the two (step doubling).  The first rung is never
+    accepted.  The returned trajectory's ``grid_attempts`` holds
+    ``(n_panels, tail, difference)`` per rung tried, the difference
+    relative and None on the first rung.
 
     Raises QuadratureError when no rung passes, naming the last rung's
     panel count, the condition that failed and its worst mode, with the
@@ -184,8 +193,9 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
                 f"{tol:.3e} against {attempts[-2][0]} panels at mode "
                 f"{diff_mode}", worst_mode=diff_mode, tail=tail)
 
-    grid, (traj, _, _) = solve_on_ladder(refined_ladder(T, freq), solve,
-                                         check, attempts, rows=support.size)
+    grid, (traj, _, _) = solve_on_ladder(
+        refined_ladder(T, LADDER_MARGIN * freq), solve, check, attempts,
+        rows=support.size)
     return trajectory(grid, traj.values, attempts)
 
 

@@ -59,7 +59,7 @@ MAX_REFINEMENTS = 3
 # largest mode magnitude a march may reach before it stops with an error
 OVERFLOW_GUARD = 1e100
 # most node values (rows x panels x q) in the node array of a cascade rung:
-# 800 MB of complex128, which admits the 188,927 panels x 9 rows of the
+# 800 MB of complex128, which admits the 226,712 panels x 9 rows of the
 # N=16, alpha=3 inflation run.  It bounds that one array, not the solve's
 # peak memory: a degree-k nonlinearity keeps k - 1 more arrays of its size,
 # and the rung check holds a dense output besides

@@ -287,11 +287,11 @@ def test_background_does_not_mask_under_resolved_mode(monkeypatch):
 # -- the rung climb ----------------------------------------------------------------
 
 def test_headline_matches_a_fine_fixed_grid(monkeypatch):
-    # the ladder accepts 1481 panels, a quarter of the 5921 sized for the
-    # fastest frequency, after trying 741
+    # the ladder accepts 1777 panels, under a third of the 5921 sized for
+    # the fastest frequency, after trying 889
     phi, spec, T = headline()
     traj = cascade_integrate(phi, spec, T)
-    assert [n for n, _, _ in traj.grid_attempts] == [741, 1481]
+    assert [n for n, _, _ in traj.grid_attempts] == [889, 1777]
     reference = fixed_grid_solve(monkeypatch, phi, spec, T, 11842)
     ts = np.linspace(0.0, T, cascade.AGREEMENT_TIMES)
     ref = reference.dense_at(ts)
@@ -299,15 +299,27 @@ def test_headline_matches_a_fine_fixed_grid(monkeypatch):
     assert np.max(np.abs(traj.dense_at(ts) - ref)) <= 1e-10 * scale
 
 
+def test_alpha2_regime_passes_on_the_same_rungs():
+    # s = 2 and s = 3 bound the regime of the N=16, alpha=2 run; without
+    # cascade.LADDER_MARGIN, s below 2.104 needed a third rung
+    def rungs(s):
+        phi = build_inflation_data(16, s, 1, 128)
+        T = inflation_time(16, s, s - 2.0, 1)
+        traj = cascade_integrate(phi, EquationSpec.pure_power(1, 2.0), T)
+        return [n for n, _, _ in traj.grid_attempts]
+
+    assert rungs(2.0) == rungs(3.0) and len(rungs(3.0)) == 2
+
+
 def test_two_rung_check_rejects_a_rung_whose_tail_passes(monkeypatch):
-    # at 16 radians per panel the headline ladder starts at 371 panels; 371
-    # and 741 both pass their tails, but 371 is 1.8e-9 off, so 741 differs
-    # from it by more than tol and is refused; 1481 agrees with 741
+    # at 16 radians per panel the headline ladder starts at 445 panels; 445
+    # and 889 both pass their tails, but 445 is 2.9e-10 off, so 889 differs
+    # from it by more than tol and is refused; 1777 agrees with 889
     monkeypatch.setattr(quadrature, "RADIANS_PER_PANEL", 16.0)
     phi, spec, T = headline()
     traj = cascade_integrate(phi, spec, T)
     (n1, t1, d1), (n2, t2, d2), (n3, t3, d3) = traj.grid_attempts
-    assert (n1, n2, n3) == (371, 741, 1481) and traj.n_panels == n3
+    assert (n1, n2, n3) == (445, 889, 1777) and traj.n_panels == n3
     assert max(t1, t2, t3) <= 1e-10
     assert d1 is None
     assert d2 > 1e-10 >= d3
@@ -320,9 +332,9 @@ def _small_data():
 @pytest.mark.parametrize("data, radians, refinements, panels, condition", [
     # one rung of one panel: 24 nodes cannot resolve 200 radians
     (_small_data, 200.0, 0, [1], "Chebyshev tail"),
-    # 186, 371 and 742 panels: every tail but 186's passes, and 742 is
-    # 1.8e-9 off 371
-    (headline, 128.0, 1, [186, 371, 742], "two-rung difference"),
+    # 223, 445 and 890 panels: every tail but 223's passes, and 890 is
+    # 2.9e-10 off 445
+    (headline, 128.0, 1, [223, 445, 890], "two-rung difference"),
 ])
 def test_last_rung_failure_names_panels_condition_and_mode(
         monkeypatch, data, radians, refinements, panels, condition):
@@ -351,18 +363,18 @@ def test_dispersion_variants_pick_the_same_rung():
 
 
 def test_node_budget_ends_the_climb_with_a_typed_error(monkeypatch, capsys):
-    # 9 rows x 24 nodes: 741 panels fit in the budget, 1481 do not
+    # 9 rows x 24 nodes: 889 panels fit in the budget, 1777 do not
     monkeypatch.setattr(quadrature, "NODE_BUDGET", 9 * 24 * 1000)
     phi, spec, T = headline()
-    with pytest.raises(QuadratureError, match="1481 panels need") as info:
+    with pytest.raises(QuadratureError, match="1777 panels need") as info:
         cascade_integrate(phi, spec, T)
-    assert [n for n, _, _ in info.value.grid_attempts] == [741]
+    assert [n for n, _, _ in info.value.grid_attempts] == [889]
     code = dispatch(["inflate", "--N", "16", "--s", "2.5", "--sigma", "0.5",
                      "--k", "1", "--alpha", "2", "--m-max", "8"])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "1481 panels" in err and "Traceback" not in err
+    assert "1777 panels" in err and "Traceback" not in err
 
 
 # -- linear closed forms -----------------------------------------------------------
