@@ -15,9 +15,9 @@ runner, ``_run``, does all output work.  Data goes to stdout or files, logs
 to stderr.  Every output embeds its RunManifest (parameters, version,
 tolerances, output files, wall-clock); a CSV carries it as its one
 ``# manifest:`` first line.  Exit codes:
-0 all checks passed, 1 an identity failed or a solver gave up, 2 usage
-error or refused input (bad values, unsupported regime, malformed or
-unreadable files).
+0 all checks passed, 1 an identity failed, a solver gave up or memory ran
+out, 2 usage error or refused input (bad values, unsupported regime,
+malformed or unreadable files).
 """
 
 from __future__ import annotations
@@ -420,6 +420,11 @@ def dispatch(argv) -> int:
         return 2
     except RuntimeError as exc:
         _log(f"error: {exc}")
+        return 1
+    except MemoryError as exc:
+        # a solve that fits quadrature.NODE_BUDGET but not the machine
+        _log(f"error: out of memory: {exc}" if str(exc)
+             else "error: out of memory")
         return 1
 
 

@@ -13,15 +13,15 @@ For positive frequencies and ``alpha >= 1`` the phase obeys the lower bound
 so it never vanishes for ``alpha > 1``; that nonvanishing is what allows the
 normal-form reduction to divide by Phi.  This module evaluates Phi exactly
 (arbitrary-precision integers for integer alpha), certifies the lower bound
-by exhaustive enumeration, and enumerates the additive semigroup that
-confines the support of solutions.
+by exhaustive enumeration of the nonincreasing index tuples, built as
+arrays in chunks of leading indices, and enumerates the additive semigroup
+that confines the support of solutions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -116,27 +116,62 @@ class PhaseCertificate:
         return d
 
 
-def _check_block(alpha, k: int, leading: int, dtype) -> tuple:
-    """Check every nonincreasing (k+1)-tuple with largest entry ``leading``.
+def _nonincreasing_tuples(leads, k: int) -> np.ndarray:
+    """Every row ``(l, r_1, ..., r_k)`` with ``l >= r_1 >= ... >= r_k >= 1``
+    for ``l`` in ``leads``, as an ``int64`` array of ``k + 1`` columns.
+
+    Rows come leading index by leading index, each block in the order of
+    ``combinations_with_replacement(range(l, 0, -1), k)``.  The tuples are
+    built level by level (Knuth, TAOCP 4A, 7.2.1.3): each level repeats a
+    row once per value its last entry allows and appends those values,
+    descending.
+    """
+    rows = np.asarray(leads, dtype=np.int64).reshape(-1, 1)
+    for _ in range(k):
+        last = rows[:, -1]
+        # row i spans positions ends_i - last_i .. ends_i - 1 of the next
+        # level, so its new entry at position g is ends_i - g
+        ends = np.repeat(np.cumsum(last), last)
+        rows = np.column_stack([np.repeat(rows, last, axis=0),
+                                ends - np.arange(ends.size)])
+    return rows
+
+
+def _lead_chunks(k: int, index_cap: int):
+    """Consecutive runs of leading indices ``1..index_cap`` whose blocks
+    together hold no more tuples than the largest block,
+    ``C(index_cap + k - 1, k)``."""
+    largest = math.comb(index_cap + k - 1, k)
+    first, rows = 1, 0
+    for lead in range(1, index_cap + 1):
+        size = math.comb(lead + k - 1, k)
+        if rows + size > largest:
+            yield np.arange(first, lead)
+            first, rows = lead, 0
+        rows += size
+    yield np.arange(first, index_cap + 1)
+
+
+def _check_block(alpha, k: int, leads, dtype) -> tuple:
+    """Check every nonincreasing (k+1)-tuple whose largest entry is in
+    ``leads``.
 
     Returns ``(count, counterexample)``: the first violating tuple in
     enumeration order and the number of tuples up to and including it, or
-    the block size and ``None``.  Integer ``alpha`` is evaluated in
+    the number of tuples and ``None``.  Integer ``alpha`` is evaluated in
     ``dtype`` (``int64`` or exact Python ints); other ``alpha`` in floats.
     """
     # tuples are enumerated nonincreasing (sorted representatives only);
     # Phi is permutation symmetric, so this prunes the (k+1)! orderings
-    t = np.array([(leading, *rest) for rest in
-                  combinations_with_replacement(range(leading, 0, -1), k)],
-                 dtype=dtype)
+    t = _nonincreasing_tuples(leads, k).astype(dtype, copy=False)
     if _is_integer_alpha(alpha):
         a = int(alpha)
         phi = -(t.sum(axis=1) ** a) + (t ** a).sum(axis=1)
-        ok = np.abs(phi) >= (a - 1) * leading ** (a - 1) * t[:, 1]
+        ok = np.abs(phi) >= (a - 1) * t[:, 0] ** (a - 1) * t[:, 1]
     else:
         af = float(alpha)
         phi = -np.power(t.sum(axis=1), af) + np.power(t, af).sum(axis=1)
-        bound = (af - 1.0) * math.pow(leading, af - 1.0) * t[:, 1]
+        bound = (af - 1.0) * np.power(t[:, 0], af - 1.0) * t[:, 1]
         ok = np.abs(phi) >= bound * (1.0 - FLOAT_ALPHA_SLACK)
     bad = np.flatnonzero(~ok)
     if bad.size:
@@ -151,10 +186,14 @@ def certify_phase_bound(alpha: float, k: int,
 
     Integer alpha is checked in exact integer arithmetic: ``int64`` while
     ``((k+1) * index_cap)^alpha`` (which bounds every term) fits, Python
-    ints beyond.  The scan runs one leading (largest) index at a time and
-    stops at the first violating tuple; ``tuples_checked`` counts the tuples
-    up to and including it.
+    ints beyond.  The tuples are built as arrays, in chunks of consecutive
+    leading (largest) indices that hold no more tuples than the largest
+    leading index alone, so memory stays bounded by one block.  The scan
+    stops at the first violating tuple; ``tuples_checked`` counts the
+    tuples up to and including it.
     """
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if k < 1:
         raise ValueError("k must be >= 1")
     if index_cap < 1:
@@ -169,8 +208,8 @@ def certify_phase_bound(alpha: float, k: int,
         dtype = object
     checked = 0
     counterexample = None
-    for lead in range(1, index_cap + 1):
-        count, counterexample = _check_block(alpha, k, lead, dtype)
+    for leads in _lead_chunks(k, index_cap):
+        count, counterexample = _check_block(alpha, k, leads, dtype)
         checked += count
         if counterexample is not None:
             break

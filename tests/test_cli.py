@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from halfline_dnls import cli
 from halfline_dnls.cli import RunManifest, build_parser, dispatch
 
 
@@ -297,6 +298,37 @@ def test_phi_file_with_invalid_json_names_the_file(tmp_path, capsys):
                      "--phi", str(phi), "--T", "0.5"]) == 2
     err = capsys.readouterr().err
     assert f"state file {phi}: invalid JSON: Expecting property name" in err
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "1e400"])
+def test_phase_check_non_finite_alpha_is_input_error(capsys, alpha):
+    assert dispatch(["phase-check", "--alpha", alpha, "--k", "1",
+                     "--cap", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: alpha must be finite, got " \
+        f"{float(alpha)}\n"
+
+
+@pytest.mark.parametrize("exc,message", [
+    (MemoryError("Unable to allocate 311. GiB for an array with shape "
+                 "(9, 96727985, 24) and data type complex128"),
+     "error: out of memory: Unable to allocate 311. GiB"),
+    (MemoryError(), "error: out of memory"),
+])
+def test_out_of_memory_is_one_error_line(monkeypatch, capsys, exc, message):
+    def run_experiment(config):
+        raise exc
+
+    # a solve that fits the node budget but not the machine
+    monkeypatch.setattr(cli, "run_experiment", run_experiment)
+    assert dispatch(["inflate", "--N", "5", "--s", "2", "--sigma", "0",
+                     "--k", "1", "--alpha", "2", "--m-max", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def test_inline_phi_with_invalid_json_says_inline(capsys):

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,6 +135,64 @@ def test_certify_stops_at_first_counterexample(monkeypatch, alpha, k, cap,
     assert (cert.passed, cert.tuples_checked, cert.counterexample) == \
         (False, checked, counterexample) == certify_oracle(alpha, k, cap)
     assert cert.to_dict()["counterexample"] == list(counterexample)
+
+
+# k=3, cap=20 scans leads in the chunks 1-12 (1365 tuples), 13-14, 15-16,
+# 17, 18, 19, 20; both violations sit in the second block of a later chunk,
+# so tuples_checked adds the rows of every earlier chunk
+@pytest.mark.parametrize("alpha,slack,checked,counterexample", [
+    (2.2, -1.8, 1925, (14, 14, 1, 1)),
+    (3.3, -2.2, 3856, (16, 5, 1, 1)),
+])
+def test_certify_counts_across_chunks(monkeypatch, alpha, slack, checked,
+                                      counterexample):
+    monkeypatch.setattr(phase, "FLOAT_ALPHA_SLACK", slack)
+    cert = certify_phase_bound(alpha, 3, 20)
+    assert (cert.passed, cert.tuples_checked, cert.counterexample) == \
+        (False, checked, counterexample) == certify_oracle(alpha, 3, 20)
+    assert checked > math.comb(12 + 3, 4)
+
+
+def comprehension_rows(leads, k):
+    """The tuples as the scalar scan enumerates them, block after block."""
+    return [(lead, *rest) for lead in leads for rest in
+            itertools.combinations_with_replacement(range(lead, 0, -1), k)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_tuple_generator_matches_comprehension(k):
+    for lead in range(1, 31):
+        rows = phase._nonincreasing_tuples([lead], k)
+        assert rows.dtype == np.int64
+        assert [tuple(r) for r in rows.tolist()] == \
+            comprehension_rows([lead], k)
+    leads = list(range(1, 31))
+    rows = phase._nonincreasing_tuples(np.array(leads), k)
+    assert rows.shape == (math.comb(30 + k, k + 1), k + 1)
+    assert [tuple(r) for r in rows.tolist()] == comprehension_rows(leads, k)
+
+
+@pytest.mark.parametrize("alpha,k,cap", [
+    (2, 1, 300), (3, 2, 40), (4, 3, 30), (2.5, 4, 12), (20, 3, 10), (2, 5, 1),
+])
+def test_no_chunk_exceeds_the_largest_block(monkeypatch, alpha, k, cap):
+    chunks = []
+    check = phase._check_block
+
+    def spy(alpha, k, leads, dtype):
+        chunks.append([int(lead) for lead in leads])
+        return check(alpha, k, leads, dtype)
+
+    monkeypatch.setattr(phase, "_check_block", spy)
+    cert = certify_phase_bound(alpha, k, cap)
+    assert cert.passed
+    # consecutive leading indices, each once, every chunk within one block
+    assert [lead for chunk in chunks for lead in chunk] == \
+        list(range(1, cap + 1))
+    sizes = [sum(math.comb(lead + k - 1, k) for lead in chunk)
+             for chunk in chunks]
+    assert max(sizes) <= math.comb(cap + k - 1, k)
+    assert sum(sizes) == cert.tuples_checked == math.comb(cap + k, k + 1)
 
 
 def test_certify_rejects_alpha_below_one():
