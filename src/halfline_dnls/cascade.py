@@ -297,10 +297,8 @@ def _shift_frame(traj: Trajectory, m0: complex, shift: complex,
                  spec: EquationSpec, variable: str) -> Trajectory:
     """Multiply mode n by ``e^{i t shift n}`` and add m0 to mode 0; the
     result is a trajectory of ``spec``."""
-    times = traj.grid.node_times()
-    mult = np.exp(1j * shift * traj.modes[:, None, None].astype(float)
-                  * times[None, :, :])
-    vals = traj.values * mult
+    vals = traj.values * traj.grid.node_phases(
+        1j * shift * traj.modes.astype(float))
     init = np.array(traj.initial_state.coeffs)
     init[0] += m0
     r0 = np.searchsorted(traj.modes, 0)

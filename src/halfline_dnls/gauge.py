@@ -254,7 +254,7 @@ def gauge_picard_solve(phi: SpectralState, psi: SpectralState, k: int,
         x = iterate_fixed_point(
             apply,
             np.stack([phi_c, psi_c], axis=1)[:, :, None, None]
-            * np.exp(1j * mu[:, None, None, None] * grid.node_times()),
+            * grid.node_phases(1j * mu)[:, None],
             log, tol, max_iter)
         return {"u": x[:, 0], "gu": x[:, 1]}
 

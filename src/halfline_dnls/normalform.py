@@ -306,7 +306,6 @@ class NormalFormOperators:
                           phi: np.ndarray) -> np.ndarray:
         M1, P, q = v_vals.shape
         sch = grid.scheme
-        times = grid.node_times()
         half_widths = 0.5 * grid.widths()
         out = np.empty_like(v_vals)
         ends = np.empty((M1, P), dtype=complex)
@@ -314,7 +313,7 @@ class NormalFormOperators:
             blk = slice(start, min(start + _MAP_BLOCK_PANELS, P))
             nb = blk.stop - blk.start
             # the block's (nb, q) node values as nb*q columns of one batch
-            E = np.exp(1j * np.outer(self.mu, times[blk]))
+            E = grid.node_phases(1j * self.mu, blk).reshape(M1, nb * q)
             U = v_vals[:, blk, :].reshape(M1, nb * q) * E
             # in place: E is not needed past U, and the block's temporaries
             # set the solver's peak memory

@@ -38,6 +38,11 @@ __all__ = [
 # relative slack for the bound check when alpha is not an integer: the bound
 # itself is sharp, but floating powers are not
 FLOAT_ALPHA_SLACK = 1e-9
+# most bits the largest exact term ``((k+1) * index_cap)^alpha`` of an
+# integer-alpha certificate may have; past it the exact powers dominate the
+# run (k=1, cap=3: alpha 1e6, 3e6 bits, takes 1.6 s, and alpha 3e6, 9e6
+# bits, 8 s)
+MAX_EXACT_BITS = 2**22
 
 
 def _is_integer_alpha(alpha: float) -> bool:
@@ -186,11 +191,13 @@ def certify_phase_bound(alpha: float, k: int,
 
     Integer alpha is checked in exact integer arithmetic: ``int64`` while
     ``((k+1) * index_cap)^alpha`` (which bounds every term) fits, Python
-    ints beyond.  The tuples are built as arrays, in chunks of consecutive
-    leading (largest) indices that hold no more tuples than the largest
-    leading index alone, so memory stays bounded by one block.  The scan
-    stops at the first violating tuple; ``tuples_checked`` counts the
-    tuples up to and including it.
+    ints beyond; an alpha whose largest term would have more than
+    ``MAX_EXACT_BITS`` bits is refused with ValueError.  The tuples are
+    built as arrays, in chunks of consecutive leading (largest) indices
+    that hold no more tuples than the largest leading index alone, so
+    memory stays bounded by one block.  The scan stops at the first
+    violating tuple; ``tuples_checked`` counts the tuples up to and
+    including it.
     """
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
@@ -200,12 +207,20 @@ def certify_phase_bound(alpha: float, k: int,
         raise ValueError("index_cap must be >= 1")
     if alpha < 1:
         raise ValueError("the bound requires alpha >= 1")
+    base = (k + 1) * index_cap
     if not _is_integer_alpha(alpha):
         dtype = float
-    elif ((k + 1) * index_cap) ** int(alpha) < 2**63:
-        dtype = np.int64
     else:
-        dtype = object
+        # the base is at least 2, so a >= 63 never fits int64; testing a
+        # first keeps the int64 test from building a giant power
+        a = int(alpha)
+        bits = a * base.bit_length()
+        if bits > MAX_EXACT_BITS:
+            raise ValueError(
+                f"integer alpha={a} needs exact terms of about {bits} bits "
+                f"at k={k}, cap={index_cap}, above the limit of "
+                f"{MAX_EXACT_BITS} bits")
+        dtype = np.int64 if a < 63 and base ** a < 2**63 else object
     checked = 0
     counterexample = None
     for leads in _lead_chunks(k, index_cap):

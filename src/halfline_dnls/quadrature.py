@@ -11,8 +11,13 @@ antidifferentiated exactly in coefficient space; the same interpolant
 provides dense output between nodes.  The carry from one panel end to the
 next is a linear recurrence, solved in closed form over blocks of panels
 with integrating factors taken from the breaks directly, so its modulus
-error no longer grows with the panel count; its phase error is still set
-by the rounding of ``omega * t``.
+error does not grow with the panel count.  The grid is uniform, so the
+node times of every panel relative to its left break are one vector,
+``PanelGrid.offsets``: the panel phase is one table for all panels, and
+``PanelGrid.node_phases`` builds ``e^{rate t}`` on the nodes from one
+factor per break and one per offset.  Over one panel, the rounding of
+both is the same for every panel (the offset table) or a constant (the
+break factor), so it adds no noise to the Chebyshev tails.
 
 Every solver runs on a ladder of grids, coarsest first, through the one
 climber ``solve_on_ladder``: it solves on a rung, checks the rung, and moves
@@ -64,6 +69,10 @@ OVERFLOW_GUARD = 1e100
 # peak memory: a degree-k nonlinearity keeps k - 1 more arrays of its size,
 # and the rung check holds a dense output besides
 NODE_BUDGET = 50_000_000
+# how far, in ulps of the horizon, a panel width may be from horizon /
+# n_panels; np.linspace breaks were within 1.4 over 4000 random horizons
+# in [1e-3, 1e3] with up to 10^6 panels
+_UNIFORM_ULPS = 4
 
 
 class QuadratureError(RuntimeError):
@@ -139,10 +148,25 @@ def panel_scheme(q: int = DEFAULT_POINTS) -> PanelScheme:
 
 @dataclass(frozen=True, eq=False)
 class PanelGrid:
-    """Uniform panels over [0, T] with a shared node scheme."""
+    """Uniform panels over [0, T] with a shared node scheme.
+
+    Every panel has the width ``horizon / n_panels``, so the node times of
+    each panel relative to its left break are one q-vector, ``offsets``;
+    breaks that are not uniform to within ``_UNIFORM_ULPS`` ulps of the
+    horizon raise ValueError."""
 
     breaks: np.ndarray
     scheme: PanelScheme
+
+    def __post_init__(self):
+        if self.n_panels < 1:
+            raise ValueError("a grid needs at least one panel")
+        slack = _UNIFORM_ULPS * np.spacing(abs(self.horizon))
+        off = np.abs(np.diff(self.breaks) - self.horizon / self.n_panels)
+        if off.max() > slack:
+            raise ValueError(f"panel widths differ from horizon/n_panels by "
+                             f"up to {off.max():.3g}, more than {slack:.3g}: "
+                             "the panels must be uniform")
 
     @classmethod
     def for_frequency(cls, horizon: float, max_frequency: float) -> "PanelGrid":
@@ -187,6 +211,25 @@ class PanelGrid:
         times = 0.5 * (a + b) + 0.5 * (b - a) * self.scheme.nodes[None, :]
         times.flags.writeable = False
         return times
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Node times of every panel relative to its left break, shape
+        (q,): read-only, computed once per grid."""
+        h = self.horizon / self.n_panels
+        offsets = 0.5 * h * (1.0 + self.scheme.nodes)
+        offsets.flags.writeable = False
+        return offsets
+
+    def node_phases(self, rate: np.ndarray, panels: slice = slice(None)
+                    ) -> np.ndarray:
+        """``exp(rate * t)`` at the nodes of ``panels``, shape (rows,
+        panels, q) for a 1-D ``rate`` of rows, as the product of a factor
+        at each panel's left break and one at each offset: rows x (panels +
+        q) exponentials instead of rows x panels x q."""
+        rate = np.asarray(rate)[:, None]
+        at_breaks = np.exp(rate * self.breaks[:-1][panels])
+        return at_breaks[:, :, None] * np.exp(rate * self.offsets)[:, None, :]
 
     def refined(self) -> "PanelGrid":
         breaks = np.linspace(0.0, self.horizon, 2 * self.n_panels + 1)
@@ -320,7 +363,10 @@ def oscillatory_march(grid: PanelGrid, omega: np.ndarray, forcing: np.ndarray,
     """Solve ``u' = i omega u + F`` for every row, over all panels at once.
 
     ``forcing`` holds F at all panel nodes, shape (n_rows, n_panels, q);
-    ``init`` the values at t = 0.  Panel phases, the slow factor
+    ``init`` the values at t = 0.  The panel phase ``e^{i omega (t-a)}``
+    is one (n_rows, 1, q) table on ``grid.offsets``, shared by every panel
+    of the uniform grid, so the values are the solution at ``a_p +
+    offsets``, the nodes of each panel's interpolant.  The slow factor
     ``e^{-i omega (t-a)} F`` and its antiderivatives ``Jend`` over each
     panel are formed for all panels in one pass.  The carry across panel
     ends, ``c_{p+1} = e^{i omega h_p} (c_p + Jend_p)``, is a linear
@@ -343,9 +389,7 @@ def oscillatory_march(grid: PanelGrid, omega: np.ndarray, forcing: np.ndarray,
         raise ValueError(f"forcing shape {forcing.shape} does not match "
                          f"({omega.size}, {grid.n_panels}, {grid.q})")
     h = grid.widths()
-    dt = grid.node_times() - grid.breaks[:-1, None]      # (n_panels, q)
-    ph = 1j * omega[:, None, None] * dt[None, :, :]
-    np.exp(ph, out=ph)
+    ph = np.exp(1j * omega[:, None, None] * grid.offsets)   # (n_rows, 1, q)
     psi = forcing / ph
     J = psi @ sch.antideriv_nodes.T
     J *= 0.5 * h[:, None]

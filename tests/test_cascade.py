@@ -301,14 +301,15 @@ def test_headline_matches_a_fine_fixed_grid(monkeypatch):
 
 def test_alpha2_regime_passes_on_the_same_rungs():
     # s = 2 and s = 3 bound the regime of the N=16, alpha=2 run; without
-    # cascade.LADDER_MARGIN, s below 2.104 needed a third rung
-    def rungs(s):
+    # cascade.LADDER_MARGIN, s below 2.104 needed a third rung.  One panel
+    # phase table for the whole grid keeps the accepted rung's tail at
+    # round-off (1.9e-16); per-panel phases left 1.25e-14 to 1.75e-14
+    for s in (2.0, 2.5, 3.0):
         phi = build_inflation_data(16, s, 1, 128)
         T = inflation_time(16, s, s - 2.0, 1)
         traj = cascade_integrate(phi, EquationSpec.pure_power(1, 2.0), T)
-        return [n for n, _, _ in traj.grid_attempts]
-
-    assert rungs(2.0) == rungs(3.0) and len(rungs(3.0)) == 2
+        assert [n for n, _, _ in traj.grid_attempts] == [889, 1777], s
+        assert traj.grid_attempts[-1][1] <= 1e-15, s
 
 
 def test_two_rung_check_rejects_a_rung_whose_tail_passes(monkeypatch):

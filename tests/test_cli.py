@@ -310,6 +310,22 @@ def test_phase_check_non_finite_alpha_is_input_error(capsys, alpha):
         f"{float(alpha)}\n"
 
 
+def test_phase_check_huge_integer_alpha_is_input_error(capsys):
+    # refused before any power is computed: with exact terms of 3e8 bits
+    # the check was still running after 30 s
+    assert dispatch(["phase-check", "--alpha", "1e8", "--k", "1",
+                     "--cap", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: integer alpha=100000000 needs ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    # 3e5 bits are within the limit and are still certified exactly
+    assert dispatch(["phase-check", "--alpha", "1e5", "--k", "1",
+                     "--cap", "3"]) == 0
+    cert = json.loads(capsys.readouterr().out)["certificate"]
+    assert cert["pass"] is True and cert["tuples_checked"] == 6
+
+
 @pytest.mark.parametrize("exc,message", [
     (MemoryError("Unable to allocate 311. GiB for an array with shape "
                  "(9, 96727985, 24) and data type complex128"),

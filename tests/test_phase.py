@@ -195,6 +195,29 @@ def test_no_chunk_exceeds_the_largest_block(monkeypatch, alpha, k, cap):
     assert sum(sizes) == cert.tuples_checked == math.comb(cap + k, k + 1)
 
 
+@pytest.mark.parametrize("alpha,k,cap,dtype", [
+    (62, 1, 1, np.int64), (63, 1, 1, object), (13, 2, 40, object),
+    (10**6, 1, 3, object), (3 * 10**6, 1, 3, None), (10**100, 2, 5, None),
+])
+def test_certify_limits_the_exact_term_bits(monkeypatch, alpha, k, cap,
+                                            dtype):
+    # the limit is read from bit lengths, and the int64 test powers only
+    # for alpha < 63, so neither builds a term of the largest size
+    dtypes = []
+    monkeypatch.setattr(phase, "_check_block",
+                        lambda alpha, k, leads, dtype: (dtypes.append(dtype)
+                                                        or (1, None)))
+    bits = alpha * ((k + 1) * cap).bit_length()
+    if dtype is None:
+        assert bits > phase.MAX_EXACT_BITS
+        with pytest.raises(ValueError, match=f"about {bits} bits"):
+            certify_phase_bound(alpha, k, cap)
+        assert dtypes == []
+    else:
+        assert certify_phase_bound(alpha, k, cap).passed
+        assert set(dtypes) == {dtype}
+
+
 def test_certify_rejects_alpha_below_one():
     with pytest.raises(ValueError, match="alpha >= 1"):
         certify_phase_bound(0.5, 1, 4)

@@ -158,6 +158,45 @@ def test_node_times_are_computed_once_and_read_only():
         times, 0.5 * (a + b) + 0.5 * (b - a) * grid.scheme.nodes[None, :])
 
 
+def test_offsets_are_computed_once_and_read_only():
+    grid = PanelGrid.for_frequency(2.0, 100.0)
+    offsets = grid.offsets
+    assert grid.offsets is offsets
+    assert not offsets.flags.writeable
+    assert offsets.shape == (grid.q,)
+    # the node times of every panel relative to its left break
+    rel = grid.node_times() - grid.breaks[:-1, None]
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(rel - offsets)) <= 4 * eps * grid.horizon
+
+
+@pytest.mark.parametrize("rate", [
+    80j, -35j,                          # oscillating
+    40.0 - 300j, 3.0,                   # growing
+    -25.0 + 120j, -7.5,                 # decaying
+])
+@pytest.mark.parametrize("panels", [slice(None), slice(17, 41)])
+def test_node_phases_match_exp_on_node_times(rate, panels):
+    grid = PanelGrid.for_frequency(1.5, 2 * 300.0)
+    rates = np.array([rate, 0.5 * rate], dtype=complex)
+    got = grid.node_phases(rates, panels)
+    exact = np.exp(rates[:, None, None] * grid.node_times()[panels])
+    assert got.shape == exact.shape
+    for r in range(rates.size):
+        bound = abs(rates[r]) * grid.horizon * 8 * np.finfo(float).eps
+        assert np.max(np.abs(got[r] - exact[r]) / np.abs(exact[r])) <= bound
+
+
+@pytest.mark.parametrize("breaks", [
+    [0.0, 0.4, 1.0],
+    [0.0, 0.25, 0.5, 0.75 + 1e-15, 1.0],
+    np.linspace(0.0, 1.0, 11) ** 2,
+])
+def test_grid_refuses_non_uniform_breaks(breaks):
+    with pytest.raises(ValueError, match="uniform"):
+        PanelGrid(breaks=np.array(breaks), scheme=panel_scheme())
+
+
 def _ladder(*panels):
     return [PanelGrid.uniform(1.0, n) for n in panels]
 
@@ -306,7 +345,9 @@ def test_march_matches_scalar_reference(omega):
 def test_march_modulus_accuracy(omega):
     # integrating factors taken from the breaks directly keep |u| at
     # e^{-Im(omega) t} to round-off over 1500 panels; a product of 1500
-    # rounded panel steps drifts by 1e-13
+    # rounded panel steps drifts by 1e-13.  One panel phase table for every
+    # panel keeps the Chebyshev tails at round-off too (per-panel phases
+    # read 3.3e-13)
     grid = PanelGrid.for_frequency(20.0, 600.0)
     assert grid.n_panels == 1500
     forcing = np.zeros((1, grid.n_panels, grid.q), dtype=complex)
@@ -314,6 +355,7 @@ def test_march_modulus_accuracy(omega):
                              np.array([1.0 + 0j]))
     exact = np.exp(-omega.imag * grid.node_times())
     assert np.max(np.abs(np.abs(vals[0]) - exact) / exact) <= 1e-14
+    assert tail_ratio(vals, grid.scheme)[0] <= 1e-15
 
 
 def test_guard_names_first_crossing_inside_a_block():
