@@ -35,9 +35,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .phase import support_semigroup
-from .quadrature import (OVERFLOW_GUARD, OverflowGuardError, PanelGrid,
-                         QuadratureError, oscillatory_march, refined_ladder,
-                         solve_on_ladder, tail_ratio)
+from .quadrature import (BLOCK_PANELS, OVERFLOW_GUARD, OverflowGuardError,
+                         PanelGrid, QuadratureError, oscillatory_march,
+                         refined_ladder, require_positive, solve_on_ladder,
+                         tail_ratio)
 from .spectral import (DispersionKind, EquationSpec, SpectralState,
                        dispersion_mu, dispersion_symbol, power)
 from .trajectory import Trajectory
@@ -118,8 +119,7 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
     magnitude passes ``quadrature.OVERFLOW_GUARD``; as modes are solved in
     increasing order, the error names the lowest mode that passes it.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
+    require_positive(T=T, tol=tol)
     M = phi.truncation
     if restrict_support:
         gens = {n for n in range(M + 1) if phi.coeffs[n] != 0}
@@ -368,46 +368,44 @@ def standard_windows(T: float) -> list:
     ]
 
 
-def weak_residual(traj: Trajectory, m: int, window: TimeWindow) -> complex:
-    """Defect of the distributional formulation against the test function
-    ``chi(t, x) = theta(t) e^{-imx}``.
+def weak_residual(traj: Trajectory, window: TimeWindow) -> np.ndarray:
+    """Defect of the distributional formulation against the test functions
+    ``chi(t, x) = theta(t) e^{-imx}``, for every test mode m <= truncation.
 
-    For a true solution the value vanishes up to quadrature error:
+    For a true solution every entry vanishes up to quadrature error:
 
         -int u_m theta' dt - phi_m theta(0) - i mu(m) int u_m theta dt
             = sum_l lambda_l (i m / (l+1)) int (u^{l+1})_m theta dt.
 
-    Returns left minus right.
+    Returns left minus right, shape (truncation + 1,).  The quadrature
+    weights times theta and theta' are tabled once on the grid's nodes, and
+    each power of u is taken on the dense node values of
+    ``quadrature.BLOCK_PANELS`` panels at a time, every mode in one call.
     """
-    if not 0 <= m <= traj.truncation:
-        raise ValueError(f"test mode {m} outside truncation {traj.truncation}")
     if abs(window.horizon - traj.horizon) > 1e-12 * max(1.0, traj.horizon):
         raise ValueError("window horizon differs from trajectory horizon")
-    spec = traj.spec
-    grid = traj.grid
-    sch = grid.scheme
+    spec, grid = traj.spec, traj.grid
+    n = np.arange(traj.truncation + 1)
     times = grid.node_times()
-    widths = grid.widths()
+    wq = 0.5 * grid.widths()[:, None] * grid.scheme.weights
+    theta = wq * window.value(times)
+    int_theta = np.zeros(n.size, dtype=complex)
+    int_dtheta = np.zeros(n.size, dtype=complex)
+    int_theta[traj.modes] = np.tensordot(traj.values, theta, axes=2)
+    int_dtheta[traj.modes] = np.tensordot(
+        traj.values, wq * window.derivative(times), axes=2)
 
-    mu_m = dispersion_mu(spec.alpha, m, spec.dispersion_kind)
-    phi_m = complex(traj.initial_state.coeffs[m])
-    degs = sorted(spec.nonlin_coeffs)
+    # sum_l lambda_l / (l+1) int (u^{l+1})_m theta dt
+    nonlin = np.zeros(n.size, dtype=complex)
+    for start in range(0, grid.n_panels, BLOCK_PANELS):
+        blk = slice(start, start + BLOCK_PANELS)
+        dense = np.zeros((n.size,) + theta[blk].shape, dtype=complex)
+        dense[traj.modes] = traj.values[:, blk]
+        for deg, lam in spec.nonlin_coeffs.items():
+            nonlin += (lam / (deg + 1)) * np.tensordot(
+                power(dense, deg + 1), theta[blk], axes=2)
 
-    int_theta = 0.0 + 0.0j
-    int_dtheta = 0.0 + 0.0j
-    int_pow = {deg: 0.0 + 0.0j for deg in degs}
-    for p in range(grid.n_panels):
-        wq = 0.5 * widths[p] * sch.weights
-        th = window.value(times[p])
-        # modes above m cannot reach mode m of a one-sided product
-        dense = traj.panel_node_values(p, dense=True)[: m + 1]
-        int_theta += np.sum(wq * th * dense[m])
-        int_dtheta += np.sum(wq * window.derivative(times[p]) * dense[m])
-        for deg in degs:
-            int_pow[deg] += np.sum(wq * th * power(dense, deg + 1)[m])
-
-    theta0 = complex(window.value(np.array([0.0]))[0])
-    lhs = -int_dtheta - phi_m * theta0 - 1j * mu_m * int_theta
-    rhs = sum(spec.nonlin_coeffs[deg] * (1j * m / (deg + 1)) * int_pow[deg]
-              for deg in degs)
-    return complex(lhs - rhs)
+    theta0 = float(window.value(np.array([0.0]))[0])
+    mu = dispersion_symbol(spec, n)
+    lhs = -int_dtheta - traj.initial_state.coeffs * theta0 - 1j * mu * int_theta
+    return lhs - 1j * n * nonlin

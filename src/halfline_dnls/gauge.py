@@ -25,7 +25,7 @@ import numpy as np
 
 from .normalform import (ContractionThresholdError, SmallnessReport,
                          iterate_fixed_point, picard_on_ladder)
-from .quadrature import oscillatory_march
+from .quadrature import oscillatory_march, require_positive
 from .spectral import (EquationSpec, SpectralState, _along_modes, _as_coeffs,
                        convolve, derivative_coeffs, dispersion_mu, power,
                        sobolev_norm)
@@ -218,8 +218,7 @@ def gauge_picard_solve(phi: SpectralState, psi: SpectralState, k: int,
     even that grid does not resolve the iterate.  ``log.grid_attempts``
     lists the grids tried.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
+    require_positive(T=T, tol=tol)
     M = phi.truncation
     if psi.truncation != M:
         raise ValueError("phi and psi must share one truncation")

@@ -30,6 +30,7 @@ from .cascade import AGREEMENT_TIMES, cascade_integrate, mean_zero_transform
 from .gauge import compatible_gauge_data, compatibility_defects, gauge_picard_solve
 from .normalform import picard_solve
 from .phase import support_semigroup
+from .quadrature import require_positive
 from .spectral import (EquationSpec, SpectralState, dispersion_symbol,
                        sobolev_norm)
 
@@ -92,10 +93,16 @@ def inflation_time(N: int, s: float, sigma: float, k: int) -> float:
 
 def choose_N(epsilon: float, s: float, sigma: float, k: int) -> int:
     """Smallest N >= 3 with 2/log N < eps, T(N) < min(eps, 1), and
-    N/log N > 1/eps."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    N = 3
+    N/log N > 1/eps.
+
+    ``2/log N < eps`` fails for every N below ``exp(2/eps)``, so the scan
+    starts just below it (the margin absorbs the rounding of exp)."""
+    require_positive(epsilon=epsilon)
+    try:
+        N = max(3, math.floor(math.exp(2.0 / epsilon) * (1.0 - 1e-9)))
+    except OverflowError:
+        raise ValueError(f"epsilon = {epsilon!r} is too small: exp(2/eps) "
+                         "overflows a float") from None
     while True:
         log_n = math.log(N)
         if (2.0 / log_n < epsilon
@@ -128,8 +135,11 @@ class ExperimentConfig:
             raise ValueError("k must be >= 1")
         if self.m_max < 1:
             raise ValueError("m_max must be >= 1")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        for name in ("s", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if self.epsilon is not None:
+            require_positive(epsilon=self.epsilon)
         s0 = minimum_regularity(self.alpha)
         if self.s < s0:
             raise UnsupportedRegimeError(

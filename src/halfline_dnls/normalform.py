@@ -31,22 +31,12 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import (PanelGrid, QuadratureError, grid_ladder,
-                         solve_on_ladder, tail_ratio)
+from .quadrature import (BLOCK_PANELS, PanelGrid, QuadratureError,
+                         grid_ladder, require_positive, solve_on_ladder,
+                         tail_ratio)
 from .spectral import (EquationSpec, SpectralState, convolve, dispersion_mu,
                        power)
 from .trajectory import Trajectory, sup_sobolev_diff
-
-# Panels per block of the fixed-point map: a block's node values are one
-# batch of (M+1, panels * q) columns, so larger blocks pay the Python loop
-# of the truncated products fewer times but hold larger temporaries.
-# Measured with ``bench/run.py --workload verify --seed 1 --seconds 45`` (one
-# scaled run each, 2-core x86-64 VM), blocks of 16, 32 and 64 panels gave a
-# ``latency_p50_s`` of 0.699, 0.663 and 0.664 s at a ``peak_rss_mb`` of
-# 64.6, 65.8 and 68.4 MB; ``picard_solve`` at alpha=3, k=1, M=16, T=1 (1025
-# panels) peaks at 15.1, 16.1 and 18.2 MB under tracemalloc, and at 67.4 MB
-# with the whole grid as one block.  32 is as fast as 64 at a lower peak.
-_MAP_BLOCK_PANELS = 32
 
 __all__ = [
     "NormalFormOperators",
@@ -309,8 +299,8 @@ class NormalFormOperators:
         half_widths = 0.5 * grid.widths()
         out = np.empty_like(v_vals)
         ends = np.empty((M1, P), dtype=complex)
-        for start in range(0, P, _MAP_BLOCK_PANELS):
-            blk = slice(start, min(start + _MAP_BLOCK_PANELS, P))
+        for start in range(0, P, BLOCK_PANELS):
+            blk = slice(start, min(start + BLOCK_PANELS, P))
             nb = blk.stop - blk.start
             # the block's (nb, q) node values as nb*q columns of one batch
             E = grid.node_phases(1j * self.mu, blk).reshape(M1, nb * q)
@@ -502,8 +492,7 @@ def picard_solve(phi: SpectralState, spec: EquationSpec, T: float,
     QuadratureError is raised when even that grid does not resolve the
     iterate.  ``log.grid_attempts`` lists the grids tried.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
+    require_positive(T=T, tol=tol)
     M = phi.truncation
     if abs(phi.coeffs[0]) != 0.0:
         raise ValueError("normal-form solver needs mean-zero data (mode 0 = 0)")

@@ -35,6 +35,7 @@ refinements, the node budget and the overflow guard are module constants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional
@@ -69,6 +70,18 @@ OVERFLOW_GUARD = 1e100
 # peak memory: a degree-k nonlinearity keeps k - 1 more arrays of its size,
 # and the rung check holds a dense output besides
 NODE_BUDGET = 50_000_000
+# Panels per block of a pass over dense (M+1, panels, q) node values (the
+# normal-form map, the weak-formulation residual): a block's node values
+# are one batch of (M+1, panels * q) columns, so larger blocks pay the
+# Python loop of the truncated products fewer times but hold larger
+# temporaries.  Measured on the fixed-point map with ``bench/run.py
+# --workload verify --seed 1 --seconds 45`` (one scaled run each, 2-core
+# x86-64 VM), blocks of 16, 32 and 64 panels gave a ``latency_p50_s`` of
+# 0.699, 0.663 and 0.664 s at a ``peak_rss_mb`` of 64.6, 65.8 and 68.4 MB;
+# ``picard_solve`` at alpha=3, k=1, M=16, T=1 (1025 panels) peaks at 15.1,
+# 16.1 and 18.2 MB under tracemalloc, and at 67.4 MB with the whole grid
+# as one block.  32 is as fast as 64 at a lower peak.
+BLOCK_PANELS = 32
 # how far, in ulps of the horizon, a panel width may be from horizon /
 # n_panels; np.linspace breaks were within 1.4 over 4000 random horizons
 # in [1e-3, 1e3] with up to 10^6 panels
@@ -94,6 +107,14 @@ class OverflowGuardError(RuntimeError):
     def __init__(self, message, time=None):
         super().__init__(message)
         self.time = time
+
+
+def require_positive(**values) -> None:
+    """Raise ValueError naming the first of ``values`` that is not finite
+    and > 0 (a NaN fails every comparison, so it would pass ``x <= 0``)."""
+    for name, x in values.items():
+        if not (x > 0 and math.isfinite(x)):
+            raise ValueError(f"{name} must be positive and finite, got {x!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -97,11 +97,6 @@ class SpectralState:
             c[n] = a
         return cls(c, time)
 
-    def point_value(self, x: float = 0.0) -> complex:
-        """Evaluate the trigonometric polynomial at ``x`` (plain mode sum)."""
-        n = np.arange(self.coeffs.size)
-        return complex(np.sum(self.coeffs * np.exp(1j * n * x)))
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
 

@@ -126,23 +126,6 @@ class Trajectory:
         values = self._evaluate(ns.reshape(-1), ts)
         return values.reshape(ns.shape + values.shape[1:])
 
-    def mode_derivative_values(self, n: int, panel: int) -> np.ndarray:
-        """d/dt of mode n at the nodes of one panel."""
-        r = self._row(n)
-        if r is None:
-            return np.zeros(self.grid.q, dtype=complex)
-        h = self.grid.widths()[panel]
-        return (2.0 / h) * (self.values[r, panel, :] @ self.grid.scheme.deriv_nodes.T)
-
-    def panel_node_values(self, p: int, dense: bool = False) -> np.ndarray:
-        """Node values on panel p: tracked rows, or the dense (M+1, q) array."""
-        if not dense:
-            return self.values[:, p, :]
-        full = np.zeros((self.truncation + 1, self.grid.q), dtype=complex)
-        if self.modes.size:
-            full[self.modes] = self.values[:, p, :]
-        return full
-
     # -- sampled view -------------------------------------------------------
 
     @property

@@ -1,5 +1,6 @@
 """Cascade solver: forcing values, closed forms, residuals, transforms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 
 from halfline_dnls import (DispersionKind, EquationSpec, OverflowGuardError,
                            QuadratureError, SpectralState, Trajectory,
-                           cascade_integrate, linear_solve, mean_zero_inverse,
-                           mean_zero_transform, nonlinear_forcing,
-                           sobolev_norm, standard_windows, weak_residual)
+                           cascade_integrate, compatible_gauge_data,
+                           dispersion_mu, gauge_picard_solve, linear_solve,
+                           mean_zero_inverse, mean_zero_transform,
+                           nonlinear_forcing, power, sobolev_norm,
+                           standard_windows, weak_residual)
 from halfline_dnls import cascade, quadrature
 from halfline_dnls.cli import dispatch
 from halfline_dnls.inflation import build_inflation_data, inflation_time
@@ -418,33 +421,109 @@ def test_linear_matches_cascade_degree_zero():
 
 # -- weak residual -----------------------------------------------------------------
 
+def reference_weak_residual(traj, m, window):
+    """Scalar oracle of ``weak_residual``: the residual of one test mode m
+    by a loop over panels, and the magnitude of its largest term."""
+    spec, grid = traj.spec, traj.grid
+    times, widths = grid.node_times(), grid.widths()
+    degs = sorted(spec.nonlin_coeffs)
+    int_theta = int_dtheta = 0.0 + 0.0j
+    int_pow = dict.fromkeys(degs, 0.0 + 0.0j)
+    # modes above m cannot reach mode m of a one-sided product
+    rows = traj.modes <= m
+    for p in range(grid.n_panels):
+        wq = 0.5 * widths[p] * grid.scheme.weights
+        th = window.value(times[p])
+        dense = np.zeros((m + 1, grid.q), dtype=complex)
+        dense[traj.modes[rows]] = traj.values[rows, p]
+        int_theta += np.sum(wq * th * dense[m])
+        int_dtheta += np.sum(wq * window.derivative(times[p]) * dense[m])
+        for deg in degs:
+            int_pow[deg] += np.sum(wq * th * power(dense, deg + 1)[m])
+    mu_m = dispersion_mu(spec.alpha, m, spec.dispersion_kind)
+    theta0 = complex(window.value(np.array([0.0]))[0])
+    terms = [-int_dtheta, -complex(traj.initial_state.coeffs[m]) * theta0,
+             -1j * mu_m * int_theta]
+    terms += [-spec.nonlin_coeffs[deg] * (1j * m / (deg + 1)) * int_pow[deg]
+              for deg in degs]
+    return complex(sum(terms)), max(abs(t) for t in terms)
+
+
+def closed_form_trajectory():
+    """Criterion 9's degree-0 single-mode solution."""
+    phi = state({4: 1.0}, 12)
+    return cascade_integrate(phi, EquationSpec(2.0, {0: 0.3 - 0.6j}), 1.0)
+
+
+def nonlinear_trajectory():
+    phi = state({0: 0.2, 1: 0.1}, 8)
+    return cascade_integrate(phi, EquationSpec.pure_power(1, 2.0), 1.0)
+
+
+def cubic_trajectory():
+    """k = 3 at alpha = 3 on a constant background."""
+    phi = state({0: 0.25 * np.exp(-0.4j), 1: 0.06, 2: 0.04j}, 10)
+    return cascade_integrate(phi, EquationSpec.pure_power(3, 3.0), 0.5)
+
+
+def gauge_trajectory():
+    """The gauge pipeline's u."""
+    phi = state({1: 0.05}, 10)
+    psi = compatible_gauge_data(phi, 1)
+    return gauge_picard_solve(phi, psi, 1, 0.5, tol=1e-12)[0]
+
+
+def headline_trajectory():
+    phi, spec, T = headline()
+    return cascade_integrate(phi, spec, T)
+
+
+# the oracle costs ~0.2 s per mode and window on the headline's 1777
+# panels, so there it checks the supported modes 0, 16, 32 and 128, one
+# mode off the support, on one window
+@pytest.mark.parametrize("make, modes, windows", [
+    (closed_form_trajectory, None, None),
+    (nonlinear_trajectory, None, None),
+    (cubic_trajectory, None, None),
+    (gauge_trajectory, None, None),
+    (headline_trajectory, (0, 5, 16, 32, 128), ("bump",)),
+], ids=["closed-form", "nonlinear", "cubic", "gauge", "headline"])
+def test_weak_residual_matches_per_mode_oracle(make, modes, windows):
+    traj = make()
+    if modes is None:
+        modes = range(traj.truncation + 1)
+    for window in standard_windows(traj.horizon):
+        if windows is not None and window.name not in windows:
+            continue
+        got = weak_residual(traj, window)
+        assert got.shape == (traj.truncation + 1,)
+        ref = [reference_weak_residual(traj, m, window) for m in modes]
+        scale = max(largest for _, largest in ref)
+        gaps = [abs(got[m] - r) for m, (r, _) in zip(modes, ref)]
+        assert max(gaps) <= 1e-13 * scale, window.name
+
+
 def test_weak_residual_closed_form_single_mode():
-    N, lam, T = 4, 0.3 - 0.6j, 1.0
-    phi = state({N: 1.0}, 12)
-    traj = cascade_integrate(phi, EquationSpec(2.0, {0: lam}), T)
-    for window in standard_windows(T):
-        for m in range(traj.truncation + 1):
-            assert abs(weak_residual(traj, m, window)) < 1e-9, window.name
+    traj = closed_form_trajectory()
+    for window in standard_windows(1.0):
+        assert np.max(np.abs(weak_residual(traj, window))) < 1e-9, window.name
 
 
 def test_weak_residual_zero_trajectory():
     traj = cascade_integrate(SpectralState(np.zeros(7, dtype=complex)),
                              EquationSpec.pure_power(1, 2.0), 1.0)
     for window in standard_windows(1.0):
-        assert weak_residual(traj, 3, window) == 0
+        assert np.all(weak_residual(traj, window) == 0)
 
 
 def test_weak_residual_nonlinear_trajectory():
-    phi = state({0: 0.2, 1: 0.1}, 8)
-    traj = cascade_integrate(phi, EquationSpec.pure_power(1, 2.0), 1.0)
+    traj = nonlinear_trajectory()
     for window in standard_windows(1.0):
-        for m in range(9):
-            assert abs(weak_residual(traj, m, window)) < 1e-9
+        assert np.max(np.abs(weak_residual(traj, window))) < 1e-9
 
 
 def test_weak_residual_detects_violation():
-    phi = state({0: 0.2, 1: 0.1}, 8)
-    traj = cascade_integrate(phi, EquationSpec.pure_power(1, 2.0), 1.0)
+    traj = nonlinear_trajectory()
     tampered_values = traj.values.copy()
     r1 = int(np.searchsorted(traj.modes, 1))
     tampered_values[r1] *= 2.0
@@ -453,7 +532,27 @@ def test_weak_residual_detects_violation():
                           quadrature_tolerance=traj.quadrature_tolerance,
                           initial_state=traj.initial_state)
     window = standard_windows(1.0)[2]
-    assert abs(weak_residual(tampered, 1, window)) > 1e-3
+    assert abs(weak_residual(tampered, window)[1]) > 1e-3
+
+
+def test_weak_residual_of_the_headline():
+    # every test mode and window reads round-off (1.7e-16); scaling the
+    # mode-32 row by 1.001 moves the cosine window's residual to 5.9e-10
+    traj = headline_trajectory()
+    windows = standard_windows(traj.horizon)
+    assert max(np.max(np.abs(weak_residual(traj, w))) for w in windows) \
+        <= 1e-13
+    values = traj.values.copy()
+    values[int(np.searchsorted(traj.modes, 32))] *= 1.001
+    tampered = dataclasses.replace(traj, values=values)
+    assert max(np.max(np.abs(weak_residual(tampered, w))) for w in windows) \
+        > 1e-11
+
+
+def test_weak_residual_refuses_a_window_of_another_horizon():
+    traj = nonlinear_trajectory()
+    with pytest.raises(ValueError, match="horizon"):
+        weak_residual(traj, standard_windows(0.5)[0])
 
 
 # -- mean-zero frame ----------------------------------------------------------------
@@ -491,15 +590,17 @@ def test_recentered_trajectory_solves_recentered_equation(k):
     for j, lam in expected.items():
         assert w.spec.nonlin_coeffs[j] == pytest.approx(lam)
     times = w.grid.node_times()
+    h = w.grid.widths()
     mu = np.array([float(n) ** 3 for n in range(11)])
     for p in (0, w.n_panels // 2, w.n_panels - 1):
+        # d/dt of every tracked mode at the panel's nodes
+        dws = (2.0 / h[p]) * (w.values[:, p] @ w.grid.scheme.deriv_nodes.T)
         for i in (0, w.grid.q // 2):
-            t = times[p, i]
-            dense = w.panel_node_values(p, dense=True)[:, i]
-            ws = SpectralState(dense, time=t)
-            for n in w.modes:
+            dense = np.zeros(w.truncation + 1, dtype=complex)
+            dense[w.modes] = w.values[:, p, i]
+            ws = SpectralState(dense, time=times[p, i])
+            for n, dw in zip(w.modes, dws[:, i]):
                 n = int(n)
-                dw = w.mode_derivative_values(n, p)[i]
                 rhs = (1j * mu[n] * dense[n]
                        + nonlinear_forcing(ws, w.spec, n))
                 assert abs(dw - rhs) < 1e-7

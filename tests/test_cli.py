@@ -276,6 +276,41 @@ def test_simulate_negative_horizon_is_input_error(tmp_path, capsys):
     assert "T must be positive" in capsys.readouterr().err
 
 
+# NaN fails every comparison, so a check written as ``x <= 0`` lets it
+# through; a NaN tol would pass every rung, an infinite T or sigma
+# overflows, and a NaN epsilon is not valid JSON
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--alpha", "2", "--k", "1", "--T", "0.25",
+      "--tol", "nan"], "tol must be positive and finite"),
+    (["simulate", "--alpha", "2", "--k", "1", "--T", "inf"],
+     "T must be positive and finite"),
+    (["simulate", "--alpha", "2", "--k", "1", "--T", "nan"],
+     "T must be positive and finite"),
+    (["picard", "--alpha", "3", "--k", "1", "--T", "nan"],
+     "T must be positive and finite"),
+    (["picard", "--alpha", "3", "--k", "1", "--T", "1", "--tol", "inf"],
+     "tol must be positive and finite"),
+    (["gauge", "--k", "1", "--T", "inf"], "T must be positive and finite"),
+    (["gauge", "--k", "1", "--T", "0.5", "--tol", "nan"],
+     "tol must be positive and finite"),
+    (["inflate", "--N", "16", "--s", "2.5", "--sigma", "inf", "--k", "1",
+      "--alpha", "2"], "sigma must be finite"),
+    (["inflate", "--N", "16", "--s", "nan", "--sigma", "0.5", "--k", "1",
+      "--alpha", "2"], "s must be finite"),
+    (["inflate", "--N", "16", "--s", "2.5", "--sigma", "0.5", "--k", "1",
+      "--alpha", "2", "--epsilon", "nan"],
+     "epsilon must be positive and finite"),
+])
+def test_non_finite_input_is_input_error(tmp_path, capsys, argv, message):
+    if argv[0] != "inflate":
+        argv = argv + ["--phi", _phi_file(tmp_path, {1: (0.05, 0.0)}, 4)]
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_missing_phi_file_is_input_error(tmp_path, capsys):
     missing = str(tmp_path / "nonexistent.json")
     assert dispatch(["simulate", "--alpha", "2", "--k", "1", "--phi", missing,

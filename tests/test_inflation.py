@@ -77,15 +77,38 @@ def test_choose_N_monotone_in_epsilon():
         prev = N
 
 
+def choose_N_by_scan(eps, s, sig, k):
+    """The first N >= 3 that passes all three conditions, by a scan from
+    3."""
+    N = 3
+    while not (2 / math.log(N) < eps
+               and inflation_time(N, s, sig, k) < min(eps, 1.0)
+               and N / math.log(N) > 1 / eps):
+        N += 1
+    return N
+
+
 def test_choose_N_minimality():
-    # independent scan oracle
-    eps, s, sig, k = 0.5, 2.0, 0.0, 1
-    N = choose_N(eps, s, sig, k)
-    for smaller in range(3, N):
-        ok = (2 / math.log(smaller) < eps
-              and inflation_time(smaller, s, sig, k) < min(eps, 1.0)
-              and smaller / math.log(smaller) > 1 / eps)
-        assert not ok
+    for s, sig, k in ((2.0, 0.0, 1), (2.5, 0.5, 2), (3.0, 1.0, 3)):
+        for eps in (1.0, 0.5, 0.25):
+            assert choose_N(eps, s, sig, k) == choose_N_by_scan(eps, s, sig,
+                                                                k)
+
+
+def test_choose_N_starts_at_the_first_condition():
+    # 2/log N < eps fails for every N < exp(2/eps), so the scan starts
+    # there: eps = 0.1 answers without stepping through 4.85e8 values
+    N = choose_N(0.1, 2.0, 0.0, 1)
+    assert N == 485_165_196
+    assert 2 / math.log(N) < 0.1 <= 2 / math.log(N - 1)
+    assert inflation_time(N, 2.0, 0.0, 1) < 0.1 and N / math.log(N) > 10
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.0, -1.0, math.nan])
+def test_choose_N_refuses_epsilon(eps):
+    # 1e-3 would need exp(2000), which overflows a float
+    with pytest.raises(ValueError, match="epsilon"):
+        choose_N(eps, 2.0, 0.0, 1)
 
 
 # -- config validation ---------------------------------------------------------------

@@ -10,10 +10,9 @@ from halfline_dnls import (ContractionThresholdError, EquationSpec,
                            picard_solve, sobolev_norm)
 from halfline_dnls import quadrature
 from halfline_dnls.gauge import gauge_system_rhs
-from halfline_dnls.normalform import (_MAP_BLOCK_PANELS, PicardLog,
-                                      iterate_fixed_point)
-from halfline_dnls.quadrature import (QuadratureError, oscillatory_march,
-                                      panel_scheme)
+from halfline_dnls.normalform import PicardLog, iterate_fixed_point
+from halfline_dnls.quadrature import (BLOCK_PANELS, QuadratureError,
+                                      oscillatory_march, panel_scheme)
 from halfline_dnls.spectral import dispersion_mu
 
 
@@ -276,10 +275,8 @@ def apply_map_oracle(ops, v_vals, grid, phi):
 
 
 # fewer panels than one block, exact multiples of the block, remainders
-@pytest.mark.parametrize("n_panels", [5, _MAP_BLOCK_PANELS,
-                                      _MAP_BLOCK_PANELS + 5,
-                                      2 * _MAP_BLOCK_PANELS,
-                                      2 * _MAP_BLOCK_PANELS + 5])
+@pytest.mark.parametrize("n_panels", [5, BLOCK_PANELS, BLOCK_PANELS + 5,
+                                      2 * BLOCK_PANELS, 2 * BLOCK_PANELS + 5])
 def test_apply_map_matches_per_panel_oracle(n_panels):
     M = 10
     ops = NormalFormOperators(EquationSpec(3.0, {1: 1.0, 2: -0.5j}), M)
