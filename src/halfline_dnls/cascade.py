@@ -202,7 +202,13 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
 def _solve_rows(grid, support, omega, c0, init, weights):
     """Solve the support rows in increasing order on one grid.  Returns the
     node values, the worst Chebyshev tail ratio and the mode it occurs at;
-    tails are measured against all marched rows on each panel."""
+    tails are measured against all marched rows on each panel.
+
+    ``(w^2)(n)`` is symmetric in its two factors, so it is summed over the
+    unordered pairs ``i < rest`` once, plus half of the diagonal square, and
+    doubled; when ``w^2`` is the top power the 2 goes into the forcing's
+    scalar ``i n a_top``.  The higher powers ``w * w^{j-1}`` take every
+    ordered pair."""
     shape = (grid.n_panels, grid.q)
     values = np.empty((support.size,) + shape, dtype=complex)
     start = 1 if support[0] == 0 else 0
@@ -224,15 +230,26 @@ def _solve_rows(grid, support, omega, c0, init, weights):
         g.fill(0.0)
         for j in range(2, top + 1):
             acc = powers[j][r] if j < top else g
-            for i, i_rest in pairs:
-                acc += np.multiply(values[i], powers[j - 1][i_rest], out=prod)
-        g *= 1j * n * weights.get(top, 0.0)
+            if j == 2:
+                for i, i_rest in pairs:
+                    if i <= i_rest:
+                        np.multiply(values[i], values[i_rest], out=prod)
+                        if i == i_rest:
+                            prod *= 0.5
+                        acc += prod
+                if j < top:
+                    acc *= 2.0           # later rows need the true w^2
+            else:
+                for i, i_rest in pairs:
+                    acc += np.multiply(values[i], powers[j - 1][i_rest],
+                                       out=prod)
+        g *= (2.0 if top == 2 else 1.0) * 1j * n * weights.get(top, 0.0)
         for j in range(2, top):
             if j in weights:
                 g += (1j * n * weights[j]) * powers[j][r]
         try:
-            values[r] = oscillatory_march(grid, omega[r:r + 1], g[None],
-                                          init[r:r + 1])[0]
+            oscillatory_march(grid, omega[r:r + 1], g[None], init[r:r + 1],
+                              out=values[r:r + 1])
         except OverflowGuardError as exc:
             raise OverflowGuardError(
                 f"mode {n} exceeded {OVERFLOW_GUARD:g} at t={exc.time:g}",

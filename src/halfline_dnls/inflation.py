@@ -21,6 +21,7 @@ chain on the truncated system and tabulate the norms.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
@@ -95,21 +96,41 @@ def choose_N(epsilon: float, s: float, sigma: float, k: int) -> int:
     """Smallest N >= 3 with 2/log N < eps, T(N) < min(eps, 1), and
     N/log N > 1/eps.
 
-    ``2/log N < eps`` fails for every N below ``exp(2/eps)``, so the scan
-    starts just below it (the margin absorbs the rounding of exp)."""
+    The first and third conditions, once true, stay true as N grows, and so
+    does their conjunction: its first N comes from a gallop and a bisection
+    starting just below ``exp(2/eps)``, where the first condition starts to
+    hold (the margin absorbs the rounding of exp).  ``T(N)`` rises up to
+    ``N = e^{k+1}`` and falls after it, so past an N where the second
+    condition fails it fails until T falls below ``min(eps, 1)``, and then
+    holds for good: a second gallop and bisection from that N find the
+    answer.  No N is scanned one at a time."""
     require_positive(epsilon=epsilon)
     try:
-        N = max(3, math.floor(math.exp(2.0 / epsilon) * (1.0 - 1e-9)))
+        start = max(3, math.floor(math.exp(2.0 / epsilon) * (1.0 - 1e-9)))
     except OverflowError:
         raise ValueError(f"epsilon = {epsilon!r} is too small: exp(2/eps) "
                          "overflows a float") from None
-    while True:
-        log_n = math.log(N)
-        if (2.0 / log_n < epsilon
-                and inflation_time(N, s, sigma, k) < min(epsilon, 1.0)
-                and N / log_n > 1.0 / epsilon):
-            return N
-        N += 1
+    N = _first_true(lambda n: 2.0 / math.log(n) < epsilon
+                    and n / math.log(n) > 1.0 / epsilon, start)
+    return _first_true(
+        lambda n: inflation_time(n, s, sigma, k) < min(epsilon, 1.0), N)
+
+
+def _first_true(holds, lo: int) -> int:
+    """Smallest n >= lo with ``holds(n)``, for a ``holds`` that stays true
+    once true: doubling steps find an n where it holds, then a bisection."""
+    if holds(lo):
+        return lo
+    hi = lo + 1                   # holds(lo) is false, and stays so
+    while not holds(hi):
+        lo, hi = hi, hi + 2 * (hi - lo)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @dataclass(frozen=True)
@@ -129,6 +150,12 @@ class ExperimentConfig:
     quadrature_tol: float = 1e-10
 
     def __post_init__(self):
+        for name in ("N", "k", "m_max"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got "
+                                 f"{getattr(self, name)!r}") from None
         if self.N < 3:
             raise ValueError("N must be >= 3")
         if self.k < 1:

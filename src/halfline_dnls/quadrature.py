@@ -363,36 +363,44 @@ def tail_ratio(values: np.ndarray, scheme: PanelScheme) -> np.ndarray:
     row's interpolants resolve it.  Panels whose largest coefficient is
     below 1e-290 count as resolved (ratio 0).  Returns the largest ratio of
     each row, shape (rows,).
+
+    A row's coefficients are formed as ``coeff_map @ row.T``, in (q,
+    panels) layout, so the tail (the larger of the last two coefficients)
+    and the panel scale (the largest coefficient) are elementwise passes
+    along panel-long rows.  Rows are taken one at a time, so the
+    temporaries stay at one row's size.
     """
     if values.ndim != 3:
         raise ValueError(f"values must have shape (rows, panels, q), "
                          f"got {values.shape}")
     tails = np.empty(values.shape[:2])
     scale = np.zeros(values.shape[1])
-    # one row at a time keeps the temporaries at one row's size
     for r, row in enumerate(values):
-        mag = np.abs(row @ scheme.coeff_map.T)
-        tails[r] = np.max(mag[:, -2:], axis=1)
-        np.maximum(scale, np.max(mag, axis=1), out=scale)
+        mag = np.abs(scheme.coeff_map @ row.T)          # (q, panels)
+        np.maximum(mag[-2], mag[-1], out=tails[r])
+        np.maximum(scale, mag.max(axis=0), out=scale)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(scale > 1e-290, tails / np.maximum(scale, 1e-300), 0.0)
     return np.max(ratio, axis=1, initial=0.0)
 
 
 def oscillatory_march(grid: PanelGrid, omega: np.ndarray, forcing: np.ndarray,
-                      init: np.ndarray) -> np.ndarray:
+                      init: np.ndarray, out: Optional[np.ndarray] = None
+                      ) -> np.ndarray:
     """Solve ``u' = i omega u + F`` for every row, over all panels at once.
 
     ``forcing`` holds F at all panel nodes, shape (n_rows, n_panels, q);
-    ``init`` the values at t = 0.  The panel phase ``e^{i omega (t-a)}``
+    ``init`` the values at t = 0.  The panel phase ``ph = e^{i omega (t-a)}``
     is one (n_rows, 1, q) table on ``grid.offsets``, shared by every panel
     of the uniform grid, so the values are the solution at ``a_p +
     offsets``, the nodes of each panel's interpolant.  The slow factor
-    ``e^{-i omega (t-a)} F`` and its antiderivatives ``Jend`` over each
-    panel are formed for all panels in one pass.  The carry across panel
-    ends, ``c_{p+1} = e^{i omega h_p} (c_p + Jend_p)``, is a linear
-    recurrence, solved in closed form over blocks of panels starting at
-    break s:
+    ``psi = F e^{-i omega (t-a)}`` is F times the conjugate phase table (no
+    division).  Its integral over each panel, ``Jend``, is one product with
+    ``antideriv_end`` scaled by the panel's own width ``h_p``: the breaks
+    are uniform only to within ulps of the horizon, and the carries
+    telescope over them.  The carry across panel ends,
+    ``c_{p+1} = e^{i omega h_p} (c_p + Jend_p)``, is a linear recurrence,
+    solved in closed form over blocks of panels starting at break s:
 
         c_{s+i} = E_i (c_s + sum_{j<i} Jend_{s+j} / E_j),
         E_i = e^{i omega (t_{s+i} - t_s)},
@@ -402,26 +410,31 @@ def oscillatory_march(grid: PanelGrid, omega: np.ndarray, forcing: np.ndarray,
     ``1/|E|`` within ``OVERFLOW_GUARD`` for the largest ``|Im omega|``, so
     rows with real omega take the whole grid in one block.  Each block's
     carries are checked against ``OVERFLOW_GUARD``; the error names the
-    first panel end past it and the row.  Returns node values with the
-    same shape as ``forcing``.
+    first panel end past it and the row.  The node values ``u = ph (c_p +
+    (h/2) antideriv_nodes psi)``, with ``h`` the uniform width, are then
+    one product per row, ``[psi | c_p] @ [[(h/2) antideriv_nodes.T
+    diag(ph)], [ph]]``, with the width and the phase in the (q + 1, q)
+    matrix.  Returns node values with the same shape as ``forcing``,
+    written into ``out`` when it is given.
     """
     sch = grid.scheme
-    if forcing.shape != (omega.size, grid.n_panels, grid.q):
+    rows, n, q = omega.size, grid.n_panels, grid.q
+    if forcing.shape != (rows, n, q):
         raise ValueError(f"forcing shape {forcing.shape} does not match "
-                         f"({omega.size}, {grid.n_panels}, {grid.q})")
-    h = grid.widths()
-    ph = np.exp(1j * omega[:, None, None] * grid.offsets)   # (n_rows, 1, q)
-    psi = forcing / ph
-    J = psi @ sch.antideriv_nodes.T
-    J *= 0.5 * h[:, None]
-    Jend = 0.5 * h * (psi @ sch.antideriv_end)           # (n_rows, n_panels)
-    del psi
+                         f"({rows}, {n}, {q})")
+    h = grid.horizon / n
+    phase = 1j * omega[:, None] * grid.offsets              # (n_rows, q)
+    # [psi | carry] on each panel: the slow factor at the nodes and, in the
+    # last column, the value at the panel's left break
+    slow = np.empty((rows, n, q + 1), dtype=complex)
+    psi = slow[:, :, :q]
+    np.multiply(forcing, np.exp(-phase)[:, None, :], out=psi)
+    Jend = (psi @ sch.antideriv_end) * (0.5 * grid.widths())   # (n_rows, n)
     # |E| <= e^{growth * block} <= OVERFLOW_GUARD, and so is 1/|E|
-    growth = float(np.max(np.abs(omega.imag), initial=0.0) * h.max())
-    n = grid.n_panels
+    growth = float(np.max(np.abs(omega.imag), initial=0.0) * h)
     block = n if growth == 0.0 else int(
         min(n, max(1, np.log(OVERFLOW_GUARD) // growth)))
-    carry = np.empty_like(Jend)          # carry[:, p]: value at breaks[p]
+    carry = slow[:, :, q]                # carry[:, p]: value at breaks[p]
     c = np.array(init, dtype=complex)
     for s in range(0, n, block):
         e = min(s + block, n)
@@ -443,6 +456,9 @@ def oscillatory_march(grid: PanelGrid, omega: np.ndarray, forcing: np.ndarray,
         carry[:, s] = c
         carry[:, s + 1:e] = ends[:, :-1]
         c = ends[:, -1]
-    J += carry[:, :, None]
-    J *= ph
-    return J
+    ph = np.exp(phase)
+    lift = np.empty((rows, q + 1, q), dtype=complex)
+    np.multiply(0.5 * h * sch.antideriv_nodes.T, ph[:, None, :],
+                out=lift[:, :q])
+    lift[:, q] = ph
+    return np.matmul(slow, lift, out=out)

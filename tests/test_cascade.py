@@ -306,7 +306,7 @@ def test_alpha2_regime_passes_on_the_same_rungs():
     # s = 2 and s = 3 bound the regime of the N=16, alpha=2 run; without
     # cascade.LADDER_MARGIN, s below 2.104 needed a third rung.  One panel
     # phase table for the whole grid keeps the accepted rung's tail at
-    # round-off (1.9e-16); per-panel phases left 1.25e-14 to 1.75e-14
+    # round-off (2.1e-16); per-panel phases left 1.25e-14 to 1.75e-14
     for s in (2.0, 2.5, 3.0):
         phi = build_inflation_data(16, s, 1, 128)
         T = inflation_time(16, s, s - 2.0, 1)
@@ -327,6 +327,87 @@ def test_two_rung_check_rejects_a_rung_whose_tail_passes(monkeypatch):
     assert max(t1, t2, t3) <= 1e-10
     assert d1 is None
     assert d2 > 1e-10 >= d3
+
+
+def ordered_pair_solve_rows(grid, support, omega, c0, init, weights,
+                            forcings):
+    """Oracle of ``cascade._solve_rows``: every power, ``w^2`` included, is
+    summed over the ordered pairs, and the forcing of each marched row is
+    appended to ``forcings``."""
+    shape = (grid.n_panels, grid.q)
+    values = np.empty((support.size,) + shape, dtype=complex)
+    start = 1 if support[0] == 0 else 0
+    if start:
+        values[0] = c0
+    row_of = {int(n): r for r, n in enumerate(support)}
+    top = max(weights, default=1)
+    powers = {1: values}
+    powers.update((j, np.zeros_like(values)) for j in range(2, top))
+    g = np.empty(shape, dtype=complex)
+    for r in range(start, support.size):
+        n = int(support[r])
+        pairs = [(i, row_of[n - int(support[i])]) for i in range(start, r)
+                 if n - int(support[i]) in row_of]
+        g.fill(0.0)
+        for j in range(2, top + 1):
+            acc = powers[j][r] if j < top else g
+            for i, i_rest in pairs:
+                acc += values[i] * powers[j - 1][i_rest]
+        g *= 1j * n * weights.get(top, 0.0)
+        for j in range(2, top):
+            if j in weights:
+                g += (1j * n * weights[j]) * powers[j][r]
+        forcings.append(g.copy())
+        values[r] = quadrature.oscillatory_march(
+            grid, omega[r:r + 1], g[None], init[r:r + 1])[0]
+    return values
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_pair_products_match_ordered_pair_oracle(monkeypatch, k):
+    # with a background c0 the top power of w is k + 1 (2, 3, 4): w^2 over
+    # unordered pairs must give the ordered-pair forcing and values, and
+    # w^2 itself must still reach the higher powers of later rows
+    phi = state({0: 0.15 - 0.1j, 1: 0.04, 2: 0.03j, 3: -0.02, 5: 0.01}, 12)
+    spec = EquationSpec.pure_power(k, 3.0)
+    calls = []
+    solve_rows = cascade._solve_rows
+    monkeypatch.setattr(cascade, "_solve_rows",
+                        lambda *a: calls.append(a) or solve_rows(*a))
+    fixed_grid_solve(monkeypatch, phi, spec, 0.5, 64)
+    args = calls[0]
+    assert max(args[-1]) == k + 1
+
+    forcings = []
+    march = cascade.oscillatory_march
+    monkeypatch.setattr(cascade, "oscillatory_march", lambda grid, om, f, *a,
+                        **kw: forcings.append(f[0].copy()) or march(
+                            grid, om, f, *a, **kw))
+    values, _, _ = solve_rows(*args)
+    ref_forcings = []
+    ref = ordered_pair_solve_rows(*args, ref_forcings)
+    assert len(forcings) == len(ref_forcings) == args[1].size - 1
+    for got, want in zip(forcings, ref_forcings):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    for got, want in zip(values, ref):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_unrestricted_off_semigroup_rows_are_exact_zeros(k):
+    # off the semigroup every pair product has a zero factor, so the
+    # forcing and the march give exact zeros; mode 0 is set, not marched
+    c0 = 0.2 - 0.1j
+    phi = state({0: c0, 4: 0.05}, 16)
+    traj = cascade_integrate(phi, EquationSpec.pure_power(k, 2.0), 0.5,
+                             restrict_support=False)
+    for r, n in enumerate(traj.modes):
+        if n == 0:
+            assert np.max(np.abs(traj.values[r] - c0)) == 0.0
+        elif n % 4:
+            assert np.all(traj.values[r] == 0.0), n
+        else:
+            assert np.max(np.abs(traj.values[r])) > 0.0, n
 
 
 def _small_data():

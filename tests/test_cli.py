@@ -451,6 +451,22 @@ def test_batch_malformed_config(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("field,value", [("N", 16.5), ("N", "NaN"),
+                                         ("k", 1.5), ("m_max", 2.0)])
+def test_batch_refuses_a_non_integer_field(tmp_path, capsys, field, value):
+    # a float N used to reach np.zeros(truncation + 1) and end in a
+    # TypeError traceback with exit 1
+    entry = {"N": 16, "s": 2.5, "sigma": 0.5, "k": 1, "alpha": 2.0,
+             "m_max": 2}
+    entry[field] = value
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps([entry]).replace('"NaN"', "NaN"))
+    assert dispatch(["batch", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert f"experiment 0: malformed config: {field} must be an integer" in err
+
+
 def test_batch_config_with_invalid_json_names_the_file(tmp_path, capsys):
     cfg = tmp_path / "batch.json"
     cfg.write_text("{not json")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -102,6 +103,29 @@ def test_choose_N_starts_at_the_first_condition():
     assert N == 485_165_196
     assert 2 / math.log(N) < 0.1 <= 2 / math.log(N - 1)
     assert inflation_time(N, 2.0, 0.0, 1) < 0.1 and N / math.log(N) > 10
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.03])
+def test_choose_N_answers_small_epsilon_at_once(eps):
+    # the first condition alone leaves about 1e-9 exp(2/eps) candidates
+    # after the start (2.4e8 at eps = 0.05); galloping and bisecting on the
+    # monotone conditions checks under a hundred
+    start = time.perf_counter()
+    N = choose_N(eps, 2.0, 0.0, 1)
+    assert time.perf_counter() - start < 0.1
+    assert N > math.exp(2 / eps) * (1 - 1e-9)
+    assert 2 / math.log(N) < eps and N / math.log(N) > 1 / eps
+    assert inflation_time(N, 2.0, 0.0, 1) < eps
+    assert not 2 / math.log(N - 1) < eps
+
+
+def test_choose_N_past_the_peak_of_T():
+    # at k = 3 T(N) peaks near e^4 = 55 and first falls below 1 far past
+    # it; the answer is the first N after the peak, as the scan finds it
+    for s, sig in ((2.0, 0.0), (3.0, 1.0)):
+        N = choose_N(1.0, s, sig, 3)
+        assert N > math.exp(4)
+        assert N == choose_N_by_scan(1.0, s, sig, 3)
 
 
 @pytest.mark.parametrize("eps", [1e-3, 0.0, -1.0, math.nan])

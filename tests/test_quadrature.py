@@ -37,6 +37,52 @@ def reference_march(grid, omega, forcing, init):
     return out
 
 
+def dividing_march(grid, omega, forcing, init):
+    """Oracle of the multiply-only march: the same closed-form carry, with
+    the slow factor formed as ``forcing / ph`` and each panel's antiderivative
+    scaled by its own width ``0.5 * h[:, None]`` on the node array."""
+    sch = grid.scheme
+    h = grid.widths()
+    ph = np.exp(1j * omega[:, None, None] * grid.offsets)
+    psi = forcing / ph
+    J = psi @ sch.antideriv_nodes.T
+    J *= 0.5 * h[:, None]
+    Jend = 0.5 * h * (psi @ sch.antideriv_end)
+    growth = float(np.max(np.abs(omega.imag), initial=0.0) * h.max())
+    n = grid.n_panels
+    block = n if growth == 0.0 else int(
+        min(n, max(1, np.log(OVERFLOW_GUARD) // growth)))
+    carry = np.empty_like(Jend)
+    c = np.array(init, dtype=complex)
+    for s in range(0, n, block):
+        e = min(s + block, n)
+        E = np.exp(1j * omega[:, None]
+                   * (grid.breaks[s:e + 1] - grid.breaks[s]))
+        ends = np.cumsum(Jend[:, s:e] / E[:, :-1], axis=1)
+        ends += c[:, None]
+        ends *= E[:, 1:]
+        carry[:, s] = c
+        carry[:, s + 1:e] = ends[:, :-1]
+        c = ends[:, -1]
+    J += carry[:, :, None]
+    J *= ph
+    return J
+
+
+def rowwise_tail_ratio(values, scheme):
+    """Oracle of ``tail_ratio``: Chebyshev coefficients in (panels, q)
+    layout, ``row @ coeff_map.T``, reduced along each panel's q values."""
+    tails = np.empty(values.shape[:2])
+    scale = np.zeros(values.shape[1])
+    for r, row in enumerate(values):
+        mag = np.abs(row @ scheme.coeff_map.T)
+        tails[r] = np.max(mag[:, -2:], axis=1)
+        np.maximum(scale, np.max(mag, axis=1), out=scale)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.where(scale > 1e-290, tails / np.maximum(scale, 1e-300), 0.0)
+    return np.max(ratio, axis=1, initial=0.0)
+
+
 def test_antiderivative_of_polynomial_is_exact():
     sch = panel_scheme(12)
     x = sch.nodes
@@ -98,6 +144,48 @@ def test_tail_ratio_scale_is_per_panel():
     assert ratios[0] > 1e-3 and ratios[1] < 1e-5
     with pytest.raises(ValueError, match="rows, panels, q"):
         tail_ratio(values[0], sch)
+
+
+def _tail_inputs():
+    """Smooth, rough, negligible and per-panel-scale inputs of 3 rows on
+    40 panels, and the rows of ``test_tail_ratio_scale_is_per_panel``."""
+    sch = panel_scheme(24)
+    rng = np.random.default_rng(5)
+    grid = PanelGrid.uniform(2.0, 40)
+    t = grid.node_times()
+    smooth = np.stack([np.exp(1j * b * t) for b in (3.0, -7.0, 11.0)])
+    rough = np.stack([np.exp(1j * b * t) for b in (900.0, -1300.0, 1700.0)])
+    noise = (rng.standard_normal(smooth.shape)
+             + 1j * rng.standard_normal(smooth.shape))
+    scaled = smooth * np.logspace(-8, 4, 40)[None, :, None]
+    scaled[1] *= 1e-9
+    scaled[2, ::3] += 1e-3 * noise[2, ::3] * np.logspace(-8, 4, 40)[::3, None]
+    per_panel = np.array([
+        [np.exp(3j * sch.nodes), 1e-6 * np.exp(60j * sch.nodes)],
+        [1e-6 * np.exp(60j * sch.nodes), 1e-6 * np.exp(3j * sch.nodes)]])
+    return sch, {"smooth": smooth, "rough": rough, "noise": noise,
+                 "negligible": 1e-300 * rough,
+                 "negligible_and_smooth": np.concatenate([1e-300 * rough,
+                                                          smooth]),
+                 "per_panel_scale": scaled, "per_panel": per_panel}
+
+
+@pytest.mark.parametrize("case", ["smooth", "rough", "noise", "negligible",
+                                  "negligible_and_smooth", "per_panel_scale",
+                                  "per_panel"])
+def test_tail_ratio_matches_rowwise_oracle(case):
+    # the coefficients come from the same 24-term sums in another layout,
+    # so the ratios agree to a few ulps: relative where the tail is
+    # resolved, and of the panel scale where it is round-off
+    sch, inputs = _tail_inputs()
+    values = inputs[case]
+    got = tail_ratio(values, sch)
+    ref = rowwise_tail_ratio(values, sch)
+    eps = np.finfo(float).eps
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 4 * eps * np.maximum(ref, 4 * eps))
+    if case == "negligible":
+        assert np.all(got == 0.0)
 
 
 def test_grid_locate_and_refine():
@@ -339,6 +427,39 @@ def test_march_matches_scalar_reference(omega):
     got = oscillatory_march(grid, omega, forcing, init)
     for r in range(omega.size):
         assert np.max(np.abs(got[r] - ref[r])) <= 1e-13 * np.max(np.abs(ref[r]))
+
+
+@pytest.mark.parametrize("omega", [
+    [40.0, -7.0, 0.0, 150.0],                         # real
+    [12.0 - 3.0j, -5.0 - 1.5j, 2.0 - 6.0j, 90.0 - 0.5j],  # growing
+    [12.0 + 3.0j, -5.0 + 1.5j, 2.0 + 6.0j, 90.0 + 0.5j],  # decaying
+])
+def test_march_matches_dividing_oracle(omega):
+    # the slow factor as a product with the conjugate phase, the uniform
+    # half-width and the carry and phase inside one (q + 1, q) matrix give
+    # the dividing march's values to round-off, row by row
+    rng = np.random.default_rng(23)
+    omega = np.array(omega, dtype=complex)
+    grid = PanelGrid.for_frequency(1.44, 2 * 150.0)
+    times = grid.node_times()
+    forcing = np.stack([
+        (0.3 + 0.1j) * np.exp(1j * b * times) + 0.2 * np.cos(times)
+        for b in rng.uniform(-60.0, 60.0, size=omega.size)])
+    init = np.array([1.0, 2.0j, -0.5 + 0.5j, 0.0])
+    ref = dividing_march(grid, omega, forcing, init)
+    got = oscillatory_march(grid, omega, forcing, init)
+    for r in range(omega.size):
+        assert np.max(np.abs(got[r] - ref[r])) <= 1e-14 * np.max(np.abs(ref[r]))
+
+
+def test_march_writes_into_out():
+    grid = PanelGrid.for_frequency(1.0, 40.0)
+    omega = np.array([7.0 - 0.3j, -3.0])
+    forcing = np.stack([np.cos(2.0 * grid.node_times())] * 2).astype(complex)
+    init = np.array([1.0, 0.5j])
+    out = np.full_like(forcing, np.nan)
+    assert oscillatory_march(grid, omega, forcing, init, out=out) is out
+    assert np.array_equal(out, oscillatory_march(grid, omega, forcing, init))
 
 
 @pytest.mark.parametrize("omega", [300.0 - 0.5j, 300.0 + 0.5j])
