@@ -65,6 +65,10 @@ AGREEMENT_TIMES = 201
 # rung (difference <= 1.6e-11 at s = 2), so the run costs the same over
 # the regime
 LADDER_MARGIN = 1.2
+# doublings of a trajectory's panels that weak_residual tries for a window
+# they do not resolve; the bump window needs 32 panels over any horizon
+# for a tail <= 1e-12
+WINDOW_DOUBLINGS = 8
 
 
 def nonlinear_forcing(state: SpectralState, spec: EquationSpec, n: int) -> complex:
@@ -385,6 +389,39 @@ def standard_windows(T: float) -> list:
     ]
 
 
+def _window_tail(window: TimeWindow, grid: PanelGrid) -> float:
+    """Largest of the last two Chebyshev coefficients of the window, and of
+    its derivative, on any panel of ``grid``, each relative to its largest
+    node value on the whole grid.  The scale is global, not per panel: the
+    residual weighs the window's error by the trajectory, and near a zero of
+    the window a per-panel scale would grow with every refinement."""
+    times = grid.node_times()
+    tail = 0.0
+    for f in (window.value, window.derivative):
+        vals = f(times)
+        scale = np.max(np.abs(vals))
+        if scale > 0:
+            coeffs = np.abs(grid.scheme.coeff_map[-2:] @ vals.T)
+            tail = max(tail, float(np.max(coeffs)) / scale)
+    return tail
+
+
+def _window_grid(traj: Trajectory, window: TimeWindow) -> PanelGrid:
+    """The trajectory's grid when its window tail (``_window_tail``) is
+    within ``traj.quadrature_tolerance``, else the first doubling of it
+    that is.  Raises QuadratureError naming the window after
+    ``WINDOW_DOUBLINGS`` doublings."""
+    grid, doublings, tol = traj.grid, 0, traj.quadrature_tolerance
+    while (tail := _window_tail(window, grid)) > tol:
+        if doublings == WINDOW_DOUBLINGS:
+            raise QuadratureError(
+                f"window {window.name!r} not resolved on {grid.n_panels} "
+                f"panels: Chebyshev tail {tail:.3e} > tol {tol:.3e}",
+                tail=tail)
+        grid, doublings = grid.refined(), doublings + 1
+    return grid
+
+
 def weak_residual(traj: Trajectory, window: TimeWindow) -> np.ndarray:
     """Defect of the distributional formulation against the test functions
     ``chi(t, x) = theta(t) e^{-imx}``, for every test mode m <= truncation.
@@ -394,13 +431,20 @@ def weak_residual(traj: Trajectory, window: TimeWindow) -> np.ndarray:
         -int u_m theta' dt - phi_m theta(0) - i mu(m) int u_m theta dt
             = sum_l lambda_l (i m / (l+1)) int (u^{l+1})_m theta dt.
 
-    Returns left minus right, shape (truncation + 1,).  The quadrature
-    weights times theta and theta' are tabled once on the grid's nodes, and
-    each power of u is taken on the dense node values of
-    ``quadrature.BLOCK_PANELS`` panels at a time, every mode in one call.
+    Returns left minus right, shape (truncation + 1,).  The integrals run
+    on the trajectory's panels when they resolve the window, and otherwise
+    on the doubling of them that does (``_window_grid``), with the
+    trajectory's interpolants evaluated on its nodes
+    (``Trajectory.resampled``).  The quadrature weights times theta and
+    theta' are tabled once on the grid's nodes, and each power of u is
+    taken on the dense node values of ``quadrature.BLOCK_PANELS`` panels at
+    a time, every mode in one call.
     """
     if abs(window.horizon - traj.horizon) > 1e-12 * max(1.0, traj.horizon):
         raise ValueError("window horizon differs from trajectory horizon")
+    grid = _window_grid(traj, window)
+    if grid is not traj.grid:
+        traj = traj.resampled(grid)
     spec, grid = traj.spec, traj.grid
     n = np.arange(traj.truncation + 1)
     times = grid.node_times()

@@ -10,11 +10,11 @@ the pair ``(u, gu)`` with ``gu = e^{-Lambda} u_x`` satisfies a system whose
 nonlinearities carry no derivative, so a plain Duhamel/Picard iteration
 converges for small data.  All ingredients (primitive, exponential, point
 values at x = 0) are computed in coefficient space; the exponential of a
-series with lowest mode >= 1 terminates after M convolution powers and is
-therefore exact at the truncation.  Every function below takes coefficient
-arrays of shape ``(M+1, ...)`` (mode axis first, trailing axes a batch of
-nodes or times), so the solver evaluates its right-hand side on the whole
-panel grid in one call.
+series with lowest mode >= 1 is a power series recurrence that ends at
+the truncation and is therefore exact there.  Every function below takes
+coefficient arrays of shape ``(M+1, ...)`` (mode axis first, trailing axes
+a batch of nodes or times), so the solver evaluates its right-hand side
+on the whole panel grid in one call.
 """
 
 from __future__ import annotations
@@ -119,23 +119,22 @@ def exp_coeffs(lam) -> np.ndarray:
     """Coefficients of ``e^{lam}`` for a one-sided series, column by column
     of an ``(M+1, ...)`` array.
 
-    The positive-mode part has lowest mode >= 1, so its j-th power starts at
-    mode j and the exponential series terminates after M terms: the result
-    is exact at the truncation.  The mode-0 part contributes the factor
-    ``e^{lam(0)}`` of each column.
+    The positive-mode part ``P`` has lowest mode >= 1, so ``E = e^P``
+    solves ``E' = P' E`` mode by mode: ``E_0 = 1`` and
+
+        n E_n = sum_{m=1..n} m P_m E_{n-m}
+
+    (Knuth, TAOCP vol. 2, 4.7), M steps of O(M) products each, and exact at
+    the truncation.  A mode no sum of supported modes reaches stays exactly
+    0.  The mode-0 part contributes the factor ``e^{lam(0)}`` of each
+    column.
     """
     c = _as_coeffs(lam)
-    pos = np.array(c)
-    pos[0] = 0.0
+    dP = _along_modes(np.arange(c.shape[0]), c) * c       # m P_m
     out = np.zeros_like(c)
     out[0] = 1.0
-    term = out.copy()
-    for j in range(1, c.shape[0]):
-        term = convolve(term, pos)
-        term /= j
-        if not np.any(term):
-            break
-        out += term
+    for n in range(1, c.shape[0]):
+        out[n] = np.sum(dP[n:0:-1] * out[:n], axis=0) / n
     return np.exp(c[0]) * out
 
 

@@ -451,15 +451,17 @@ def picard_on_ladder(horizon: float, max_frequency: float,
                      solve: Callable[[PanelGrid, PicardLog], dict]) -> tuple:
     """Run a Picard solve on the coarsest grid of
     ``quadrature.grid_ladder(horizon, max_frequency)`` that resolves it,
-    through ``quadrature.solve_on_ladder``.
+    through ``quadrature.solve_on_ladder``.  The ladder's floor is the grid
+    sized for ``max_frequency / 2**quadrature.PICARD_DEPTH``.
 
     ``solve(grid, log)`` iterates to convergence on ``grid``, recording in
     ``log``, and returns the components ``check_tail`` measures.  The
     first rung whose tail is ``<= tol`` gives ``(grid, components, log)``.
-    A QuadratureError moves on to the next
-    rung, except on the top rung (the grid sized for ``max_frequency``),
-    where it propagates.  Any other error propagates from the rung where it
-    occurs.  Every rung's log shares one ``grid_attempts`` list.
+    A QuadratureError moves on to the next rung, except on the top rung
+    (the grid sized for ``max_frequency``), where it propagates.  Any other
+    error, such as MaxIterationsError or NonContractionError, propagates
+    from the rung where it occurs.  Every rung's log shares one
+    ``grid_attempts`` list.
     """
     attempts = []
 

@@ -21,16 +21,19 @@ break factor), so it adds no noise to the Chebyshev tails.
 
 Every solver runs on a ladder of grids, coarsest first, through the one
 climber ``solve_on_ladder``: it solves on a rung, checks the rung, and moves
-to the next rung when the check raises QuadratureError.  ``grid_ladder``
-gives rungs sized for fractions of the fastest frequency, up to the grid
-whose panels each advance that frequency by ``RADIANS_PER_PANEL`` radians;
-``refined_ladder`` continues it with ``MAX_REFINEMENTS`` panel doublings.
-A rung passes when the Chebyshev tail of its solution, measured against
-all rows on each panel (``tail_ratio``), is within tolerance; the cascade
-also asks that two successive rungs agree, which estimates the error built
-up along the march, and ends its climb before a rung whose node array
-would pass ``NODE_BUDGET`` is allocated.  The panel sizing, the number of
-refinements, the node budget and the overflow guard are module constants.
+to the next rung when the check raises QuadratureError.  Both ladders
+hold rungs sized for fractions ``1/2**j`` of the fastest frequency, up to
+the grid whose panels each advance that frequency by ``RADIANS_PER_PANEL``
+radians.  The Picard solvers' ``grid_ladder`` starts ``PICARD_DEPTH``
+halvings down and stops there; the cascade's ``refined_ladder`` starts
+``MAX_REFINEMENTS`` halvings down and continues with ``MAX_REFINEMENTS``
+panel doublings.  A rung passes when the Chebyshev tail of its solution,
+measured against all rows on each panel (``tail_ratio``), is within
+tolerance; the cascade also asks that two successive rungs agree, which
+estimates the error built up along the march, and ends its climb before a
+rung whose node array would pass ``NODE_BUDGET`` is allocated.  The panel
+sizing, the two ladder depths, the node budget and the overflow guard are
+module constants, read when a ladder is made.
 """
 
 from __future__ import annotations
@@ -60,8 +63,15 @@ __all__ = [
 DEFAULT_POINTS = 24
 # radians of the fastest oscillation allowed per panel
 RADIANS_PER_PANEL = 8.0
-# panel doublings between the coarsest and the finest grid a solver tries
+# the cascade's ladder: halvings of the fastest frequency below the grid
+# sized for it, and doublings above it
 MAX_REFINEMENTS = 3
+# the Picard solvers' ladder: halvings of the fastest frequency below the
+# grid sized for it, its top rung.  On the benchmark's truncation-16 data
+# the normal form accepts its floor (33 panels, tails <= 6.9e-14 against
+# tol 1e-11 over 80 draws), where a floor one halving lower (17 panels)
+# reads tails up to 4.7e-11 and fails
+PICARD_DEPTH = 5
 # largest mode magnitude a march may reach before it stops with an error
 OVERFLOW_GUARD = 1e100
 # most node values (rows x panels x q) in the node array of a cascade rung:
@@ -74,13 +84,11 @@ NODE_BUDGET = 50_000_000
 # normal-form map, the weak-formulation residual): a block's node values
 # are one batch of (M+1, panels * q) columns, so larger blocks pay the
 # Python loop of the truncated products fewer times but hold larger
-# temporaries.  Measured on the fixed-point map with ``bench/run.py
-# --workload verify --seed 1 --seconds 45`` (one scaled run each, 2-core
-# x86-64 VM), blocks of 16, 32 and 64 panels gave a ``latency_p50_s`` of
-# 0.699, 0.663 and 0.664 s at a ``peak_rss_mb`` of 64.6, 65.8 and 68.4 MB;
-# ``picard_solve`` at alpha=3, k=1, M=16, T=1 (1025 panels) peaks at 15.1,
-# 16.1 and 18.2 MB under tracemalloc, and at 67.4 MB with the whole grid
-# as one block.  32 is as fast as 64 at a lower peak.
+# temporaries.  One fixed-point map at alpha=3, k=1, M=16 on the
+# 1025-panel grid sized for its fastest frequency took 34, 33 and 33 ms
+# with blocks of 16, 32 and 64 panels, at tracemalloc peaks of 7.7, 8.7
+# and 10.4 MB, and 75 ms at 57 MB with the whole grid as one block (in
+# process, 2-core x86-64 VM).  32 is as fast as 64 at a lower peak.
 BLOCK_PANELS = 32
 # how far, in ulps of the horizon, a panel width may be from horizon /
 # n_panels; np.linspace breaks were within 1.4 over 4000 random horizons
@@ -281,27 +289,32 @@ def _panel_count(horizon: float, max_frequency: float) -> int:
                               / RADIANS_PER_PANEL)))
 
 
-def _ladder_panels(horizon: float, max_frequency: float) -> list:
-    """Panel counts of the rungs of ``grid_ladder``, ascending."""
+def _ladder_panels(horizon: float, max_frequency: float, depth: int
+                   ) -> list:
+    """Panel counts of the grids ``PanelGrid.for_frequency(horizon,
+    max_frequency / 2**j)`` for ``j = depth, ..., 0``, ascending, equal
+    counts merged."""
     return sorted({_panel_count(horizon, max_frequency / 2**j)
-                   for j in range(MAX_REFINEMENTS + 1)})
+                   for j in range(depth + 1)})
 
 
 def grid_ladder(horizon: float, max_frequency: float) -> list:
-    """The grids ``PanelGrid.for_frequency(horizon, max_frequency / 2**j)``
-    for ``j = MAX_REFINEMENTS, ..., 0``, coarsest first.  Rungs with equal
-    panel counts are one rung, and the last rung is always the grid for
+    """The Picard solvers' ladder: the grids
+    ``PanelGrid.for_frequency(horizon, max_frequency / 2**j)`` for ``j =
+    PICARD_DEPTH, ..., 0``, coarsest first.  Rungs with equal panel counts
+    are one rung, and the last rung is always the grid for
     ``max_frequency`` itself."""
     return [PanelGrid.uniform(horizon, n)
-            for n in _ladder_panels(horizon, max_frequency)]
+            for n in _ladder_panels(horizon, max_frequency, PICARD_DEPTH)]
 
 
 def refined_ladder(horizon: float, max_frequency: float):
-    """The rungs of ``grid_ladder(horizon, max_frequency)``, then
+    """The cascade's ladder: the grids ``PanelGrid.for_frequency(horizon,
+    max_frequency / 2**j)`` for ``j = MAX_REFINEMENTS, ..., 0``, then
     ``MAX_REFINEMENTS`` doublings of its top rung by ``PanelGrid.refined``.
     Each rung is made only when a climb reaches it, so a climb that stops
     early never holds the breaks of the finer rungs."""
-    for n in _ladder_panels(horizon, max_frequency):
+    for n in _ladder_panels(horizon, max_frequency, MAX_REFINEMENTS):
         grid = PanelGrid.uniform(horizon, n)
         yield grid
     for _ in range(MAX_REFINEMENTS):

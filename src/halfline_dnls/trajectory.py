@@ -10,7 +10,7 @@ tracked set are identically zero.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -104,6 +104,17 @@ class Trajectory:
         rows = self.values[idx[tracked][None, :], p[:, None]]
         out[tracked] = (rows * cheb).sum(axis=-1).T
         return out
+
+    def resampled(self, grid: PanelGrid) -> "Trajectory":
+        """The trajectory on the nodes of ``grid``, a grid over the same
+        horizon: every tracked mode's interpolant evaluated there, so on a
+        refinement of ``self.grid`` it holds the same functions up to
+        round-off."""
+        if abs(grid.horizon - self.horizon) > 1e-12 * max(1.0, self.horizon):
+            raise ValueError("grid horizon differs from trajectory horizon")
+        values = self._evaluate(self.modes, grid.node_times().reshape(-1))
+        return replace(self, grid=grid, values=values.reshape(
+            self.modes.size, grid.n_panels, grid.q))
 
     # -- dense output --------------------------------------------------------
 

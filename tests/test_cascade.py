@@ -578,7 +578,11 @@ def test_weak_residual_matches_per_mode_oracle(make, modes, windows):
             continue
         got = weak_residual(traj, window)
         assert got.shape == (traj.truncation + 1,)
-        ref = [reference_weak_residual(traj, m, window) for m in modes]
+        # the oracle integrates on the grid weak_residual resolves the
+        # window on
+        grid = cascade._window_grid(traj, window)
+        on = traj if grid is traj.grid else traj.resampled(grid)
+        ref = [reference_weak_residual(on, m, window) for m in modes]
         scale = max(largest for _, largest in ref)
         gaps = [abs(got[m] - r) for m, (r, _) in zip(modes, ref)]
         assert max(gaps) <= 1e-13 * scale, window.name
@@ -621,6 +625,8 @@ def test_weak_residual_of_the_headline():
     # mode-32 row by 1.001 moves the cosine window's residual to 5.9e-10
     traj = headline_trajectory()
     windows = standard_windows(traj.horizon)
+    # the headline's own panels resolve every window
+    assert all(cascade._window_grid(traj, w) is traj.grid for w in windows)
     assert max(np.max(np.abs(weak_residual(traj, w))) for w in windows) \
         <= 1e-13
     values = traj.values.copy()
@@ -628,6 +634,23 @@ def test_weak_residual_of_the_headline():
     tampered = dataclasses.replace(traj, values=values)
     assert max(np.max(np.abs(weak_residual(tampered, w))) for w in windows) \
         > 1e-11
+
+
+def test_weak_residual_resolves_its_window(monkeypatch):
+    # the gauge solve accepts one panel, where the bump window's tail reads
+    # 1.3e-5 and its residual 1.3e-7; 32 panels resolve the window to the
+    # trajectory's tol 1e-12.  The polynomial quartic window needs no more
+    # panels
+    traj = gauge_trajectory()
+    bump, quartic, _ = standard_windows(traj.horizon)
+    assert traj.n_panels == 1
+    assert cascade._window_grid(traj, bump).n_panels == 32
+    assert cascade._window_grid(traj, quartic) is traj.grid
+    assert np.max(np.abs(weak_residual(traj, bump))) <= 1e-14
+    monkeypatch.setattr(cascade, "WINDOW_DOUBLINGS", 4)
+    with pytest.raises(QuadratureError,
+                       match="window 'bump' not resolved on 16 panels"):
+        weak_residual(traj, bump)
 
 
 def test_weak_residual_refuses_a_window_of_another_horizon():

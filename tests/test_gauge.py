@@ -120,6 +120,41 @@ def test_batched_exp_matches_per_node_oracle(M, B, step, seed):
     assert np.all(got[off] == 0)
 
 
+def taylor_exp(lam):
+    """The batched Taylor series exp_coeffs replaced: one truncated
+    convolution power of the positive-mode part per term."""
+    c = np.asarray(lam, dtype=complex)
+    pos = np.array(c)
+    pos[0] = 0.0
+    out = np.zeros_like(c)
+    out[0] = 1.0
+    term = out.copy()
+    for j in range(1, c.shape[0]):
+        term = convolve(term, pos)
+        term /= j
+        if not np.any(term):
+            break
+        out += term
+    return np.exp(c[0]) * out
+
+
+@pytest.mark.parametrize("step", [1, 2])
+def test_exp_recurrence_matches_taylor_series(step):
+    # one gauge right-hand side's batch at M = 16 on 9 panels; with the
+    # support on the even modes, the odd modes stay exactly 0
+    rng = np.random.default_rng(16)
+    lam = 0.05 * (rng.standard_normal((17, 9, 24))
+                  + 1j * rng.standard_normal((17, 9, 24)))
+    off = np.arange(17) % step != 0
+    lam[off] = 0.0
+    got = exp_coeffs(lam)
+    assert np.max(np.abs(got - taylor_exp(lam))) <= 1e-15
+    assert np.all(got[off] == 0)
+    one = np.zeros_like(lam)
+    one[0] = 1.0
+    assert np.max(np.abs(convolve(got, exp_coeffs(-lam)) - one)) <= 1e-15
+
+
 def test_exp_of_zero():
     assert np.array_equal(exp_coeffs(np.zeros(6, dtype=complex)), delta(0, 5))
 

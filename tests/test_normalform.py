@@ -323,29 +323,40 @@ def test_picard_agrees_with_cascade_k2():
 
 
 def _solve_normal_form(tol, max_iter=40):
+    """The trajectory of v and the log."""
     phi = state({1: 0.05, 2: 0.05}, 12)
     return picard_solve(phi, EquationSpec.pure_power(1, 3.0), 1.0, tol=tol,
-                        max_iter=max_iter)[-1]
+                        max_iter=max_iter)
 
 
 def _solve_gauge(tol, max_iter=60):
+    """The trajectory of u and the log."""
     phi = state({1: 0.05, 2: 0.02}, 12)
     psi = compatible_gauge_data(phi, 1)
-    return gauge_picard_solve(phi, psi, 1, 1.0, tol=tol,
-                              max_iter=max_iter)[-1]
+    traj_u, _, log = gauge_picard_solve(phi, psi, 1, 1.0, tol=tol,
+                                        max_iter=max_iter)
+    return traj_u, log
 
 
 @pytest.mark.parametrize("solve", [_solve_normal_form, _solve_gauge])
-def test_picard_fixed_point_residual(solve):
+def test_picard_fixed_point_residual(solve, monkeypatch):
     # the residual is one more map application after convergence, so for a
     # contraction it lies below the last recorded increment
     tol = 1e-10
-    log = solve(tol)
+    traj, log = solve(tol)
     assert log.converged
     assert log.final_residual <= 10 * tol
     assert log.final_residual < log.iterations[-1][1]
-    # the grid resolves the final iterate to round-off
-    assert 0.0 <= log.tail <= 1e-14
+    assert 0.0 <= log.tail <= tol
+    # the same solve on the ladder's earlier floor (55 and 5 panels), whose
+    # tails read round-off, agrees with it to 2.5e-14 and 1.9e-14
+    monkeypatch.setattr(quadrature, "PICARD_DEPTH", 3)
+    floor, floor_log = solve(tol)
+    assert floor_log.grid_attempts[0][0] == {_solve_normal_form: 55,
+                                             _solve_gauge: 5}[solve]
+    assert traj.n_panels < floor.n_panels
+    ts = np.linspace(0.0, 1.0, 201)
+    assert np.max(np.abs(traj.dense_at(ts) - floor.dense_at(ts))) <= 1e-13
 
 
 @pytest.mark.parametrize("solve, worst", [(_solve_normal_form, "mode 6 of v"),
@@ -434,19 +445,42 @@ def test_ladder_gauge_matches_fixed_grid_oracle():
     assert np.max(np.abs(traj_u.dense_at(ts) - oracle.dense_at(ts))) <= 1e-13
 
 
+def test_truncation_16_is_solved_on_the_ladder_floor():
+    # the benchmark's truncation-16 data: the normal form accepts its first
+    # rung, 33 of the top rung's 1025 panels, and the gauge pair one of its
+    # first two, at most 5 of 65
+    phi = state({1: 0.045, 2: 0.045j}, 16)
+    spec = EquationSpec.pure_power(1, 3.0)
+    traj, log = picard_solve(phi, spec, 1.0)
+    assert [n for n, _ in log.grid_attempts] == [33]
+    ts = np.linspace(0.0, 1.0, 201)
+    oracle = _fixed_grid_normal_form(phi, spec, 1.0)
+    assert oracle.n_panels == 1025
+    assert np.max(np.abs(traj.dense_at(ts) - oracle.dense_at(ts))) <= 1e-13
+    phi = state({1: 0.045, 2: 0.015j}, 16)
+    psi = compatible_gauge_data(phi, 1)
+    traj_u, _, log = gauge_picard_solve(phi, psi, 1, 1.0)
+    assert traj_u.n_panels <= 5 and log.grid_attempts[0][0] == 3
+    oracle = _fixed_grid_gauge(phi, psi, 1, 1.0)
+    assert oracle.n_panels == 65
+    assert np.max(np.abs(traj_u.dense_at(ts) - oracle.dense_at(ts))) <= 1e-13
+
+
 def test_ladder_climbs_past_an_unresolved_coarse_grid():
-    # normal form: 9 panels leave a tail of ~2e-12 > tol = 1e-13, 17 resolve
-    # the iterate; gauge pair: 1 panel leaves ~9e-10 > 1e-10, 2 resolve it
+    # normal form: 3, 5 and 9 panels leave tails above tol = 1e-13, 17
+    # resolve the iterate; gauge pair: 1 panel leaves ~9e-10 > 1e-10, 2
+    # resolve it
     _, nf_log = picard_solve(state({1: 0.05, 2: 0.05}, 8),
                              EquationSpec.pure_power(1, 3.0), 0.5, tol=1e-13)
     phi = state({1: 0.05, 2: 0.02}, 4)
     _, traj_g, g_log = gauge_picard_solve(phi, compatible_gauge_data(phi, 1),
                                           1, 1.0)
-    for log, tol, panels in ((nf_log, 1e-13, [9, 17]),
+    for log, tol, panels in ((nf_log, 1e-13, [3, 5, 9, 17]),
                              (g_log, 1e-10, [1, 2])):
         assert [n for n, _ in log.grid_attempts] == panels
-        (_, coarse), (_, fine) = log.grid_attempts
-        assert coarse > tol >= fine == log.tail
+        *coarse, (_, fine) = log.grid_attempts
+        assert all(tail > tol for _, tail in coarse)
+        assert tol >= fine == log.tail
         assert log.converged
     assert traj_g.n_panels == 2
 
@@ -463,9 +497,9 @@ def test_picard_ladders_have_no_node_budget(monkeypatch):
     # the node budget bounds cascade rungs only: with a budget no rung fits
     # in, both Picard solvers try and accept the rungs they did before
     solvers = (_solve_normal_form, _solve_gauge)
-    before = [solve(1e-10).grid_attempts for solve in solvers]
+    before = [solve(1e-10)[1].grid_attempts for solve in solvers]
     monkeypatch.setattr(quadrature, "NODE_BUDGET", 0)
-    assert [solve(1e-10).grid_attempts for solve in solvers] == before
+    assert [solve(1e-10)[1].grid_attempts for solve in solvers] == before
     assert all(before)
 
 

@@ -200,9 +200,9 @@ def test_grid_locate_and_refine():
 
 
 @pytest.mark.parametrize("horizon, freq, panels", [
-    (1.0, 2 * 16**3 + 1, [129, 257, 513, 1025]),   # normal form, M=16
-    (1.0, 2 * 16**2 + 1, [9, 17, 33, 65]),         # gauge pair, M=16
-    (0.5, 2 * 4**3 + 1, [2, 3, 5, 9]),
+    (1.0, 2 * 16**3 + 1, [33, 65, 129, 257, 513, 1025]),   # normal form, M=16
+    (1.0, 2 * 16**2 + 1, [3, 5, 9, 17, 33, 65]),           # gauge pair, M=16
+    (0.5, 2 * 4**3 + 1, [1, 2, 3, 5, 9]),
     (1.0, 2 * 4**2 + 1, [1, 2, 3, 5]),
 ])
 def test_grid_ladder_rungs(horizon, freq, panels):
@@ -228,9 +228,14 @@ def test_refined_ladder_continues_the_ladder_by_doublings(monkeypatch):
     refined = PanelGrid.refined
     monkeypatch.setattr(PanelGrid, "refined",
                         lambda self: calls.append(1) or refined(self))
-    rungs = refined_ladder(1.0, 2 * 16**2 + 1)
+    # the cascade's rungs start MAX_REFINEMENTS halvings down, where the
+    # Picard solvers' grid_ladder starts PICARD_DEPTH halvings down
+    freq = 2 * 16**2 + 1
+    rungs = refined_ladder(1.0, freq)
     first = [next(rungs).n_panels for _ in range(4)]
-    assert first == [g.n_panels for g in grid_ladder(1.0, 2 * 16**2 + 1)]
+    assert first == [9, 17, 33, 65] == [
+        PanelGrid.for_frequency(1.0, freq / 2**j).n_panels
+        for j in range(quadrature.MAX_REFINEMENTS, -1, -1)]
     assert calls == []                 # a doubling is made when reached
     assert [g.n_panels for g in rungs] == [130, 260, 520]
     assert len(calls) == quadrature.MAX_REFINEMENTS

@@ -57,6 +57,19 @@ def test_dense_output_matches_coefficient_oracle(traj):
         assert np.max(np.abs(got - ref[n])) <= 1e-14 * scale
 
 
+def test_resampled_holds_the_same_interpolants(traj):
+    # on the doubled grid the stored nodes are the old interpolants' values
+    fine = traj.resampled(traj.grid.refined())
+    assert fine.n_panels == 2 * traj.n_panels
+    assert np.array_equal(fine.modes, traj.modes)
+    ts = np.linspace(0.0, traj.horizon, 101)
+    scale = np.max(np.abs(traj.values))
+    assert np.max(np.abs(fine.dense_at(ts) - traj.dense_at(ts))) \
+        <= 1e-14 * scale
+    with pytest.raises(ValueError, match="horizon"):
+        traj.resampled(PanelGrid.uniform(0.5, 4))
+
+
 def mode_values_oracle(traj, n, ts):
     # one time at a time: locate, then one Chebyshev row through chebvander
     r = int(np.searchsorted(traj.modes, n))
