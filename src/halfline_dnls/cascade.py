@@ -14,11 +14,12 @@ turn agrees with the full equation on all retained modes.  The stiff
 dispersive factor is handled by exact integrating factors, so there is no
 step-size stability constraint.
 
-The solve climbs ``quadrature.refined_ladder`` through
-``quadrature.solve_on_ladder`` and accepts a rung by step doubling: its
-Chebyshev tails must pass, and its dense output must agree with the rung
-before it, which bounds the error built up along the march as well as the
-per-panel interpolation error.
+The solve climbs ``quadrature.ladder``, ``MAX_REFINEMENTS`` halvings deep
+and ``MAX_REFINEMENTS`` doublings past the grid sized for its fastest
+frequency, through ``quadrature.solve_on_ladder``, and accepts a rung by
+step doubling: its Chebyshev tails must pass, and its dense output must
+agree with the rung before it, which bounds the error built up along the
+march as well as the per-panel interpolation error.
 
 The module also provides the linear (degree-0) closed form, the
 weak-formulation residual checker, and the transform to the mean-zero
@@ -34,10 +35,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import quadrature
 from .phase import support_semigroup
 from .quadrature import (BLOCK_PANELS, OVERFLOW_GUARD, OverflowGuardError,
-                         PanelGrid, QuadratureError, oscillatory_march,
-                         refined_ladder, require_positive, solve_on_ladder,
+                         PanelGrid, QuadratureError, ladder,
+                         oscillatory_march, require_positive, solve_on_ladder,
                          tail_ratio)
 from .spectral import (DispersionKind, EquationSpec, SpectralState,
                        dispersion_mu, dispersion_symbol, power)
@@ -105,10 +107,10 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
     nonlinearity of degree k >= 2 keeps ``k - 1`` arrays the size of the
     trajectory for the powers of ``w``.
 
-    The solve climbs ``quadrature.refined_ladder``, sized for
-    ``LADDER_MARGIN`` times the fastest frequency of the tracked modes, and
-    accepts the first rung where two things hold: the Chebyshev tails, each
-    measured against all marched modes on its panel, are ``<= tol``; and
+    The solve climbs ``quadrature.ladder``, sized for ``LADDER_MARGIN``
+    times the fastest frequency of the tracked modes, and accepts the first
+    rung where two things hold: the Chebyshev tails, each measured against
+    all marched modes on its panel, are ``<= tol``; and
     the dense output of the marched modes at ``AGREEMENT_TIMES`` equispaced
     times differs from the previous rung's by at most ``tol`` times the
     largest magnitude of the two (step doubling).  The first rung is never
@@ -197,9 +199,10 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
                 f"{tol:.3e} against {attempts[-2][0]} panels at mode "
                 f"{diff_mode}", worst_mode=diff_mode, tail=tail)
 
+    depth = quadrature.MAX_REFINEMENTS
     grid, (traj, _, _) = solve_on_ladder(
-        refined_ladder(T, LADDER_MARGIN * freq), solve, check, attempts,
-        rows=support.size)
+        ladder(T, LADDER_MARGIN * freq, depth, depth), solve, check,
+        attempts, rows=support.size)
     return trajectory(grid, traj.values, attempts)
 
 

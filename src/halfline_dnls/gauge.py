@@ -211,11 +211,10 @@ def gauge_picard_solve(phi: SpectralState, psi: SpectralState, k: int,
     check is reported as the log's ``smallness``.
 
     The solve runs on the coarsest grid of ``normalform.picard_on_ladder``
-    whose final iterate has a Chebyshev tail ``<= tol`` in both components
-    (see ``normalform.check_tail``); the finest grid is sized for the
-    fastest frequency ``2 mu(M) + 1``, and QuadratureError is raised when
-    even that grid does not resolve the iterate.  ``log.grid_attempts``
-    lists the grids tried.
+    whose final iterate has a Chebyshev tail ``<= tol`` in both
+    components; the finest grid is sized for the fastest frequency ``2
+    mu(M) + 1``, and QuadratureError is raised when even that grid does not
+    resolve the iterate.  ``log.grid_attempts`` lists the grids tried.
     """
     require_positive(T=T, tol=tol)
     M = phi.truncation

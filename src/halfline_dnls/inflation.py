@@ -162,7 +162,7 @@ class ExperimentConfig:
             raise ValueError("k must be >= 1")
         if self.m_max < 1:
             raise ValueError("m_max must be >= 1")
-        for name in ("s", "sigma"):
+        for name in ("s", "sigma", "alpha"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.epsilon is not None:
@@ -375,6 +375,10 @@ class CrossValidationConfig:
     k: int
     T: float
     tolerance: Optional[float] = None     # default: 1e-8 (alpha>=3), 1e-6 (alpha=2)
+
+    def __post_init__(self):
+        if self.tolerance is not None:
+            require_positive(tolerance=self.tolerance)
 
     def resolved_tolerance(self) -> float:
         if self.tolerance is not None:

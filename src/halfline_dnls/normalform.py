@@ -31,11 +31,11 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import (BLOCK_PANELS, PanelGrid, QuadratureError,
-                         grid_ladder, require_positive, solve_on_ladder,
-                         tail_ratio)
-from .spectral import (EquationSpec, SpectralState, convolve, dispersion_mu,
-                       power)
+from . import quadrature
+from .quadrature import (BLOCK_PANELS, PanelGrid, QuadratureError, ladder,
+                         require_positive, solve_on_ladder, tail_ratio)
+from .spectral import (EquationSpec, SpectralState, _along_modes,
+                       dispersion_mu, power)
 from .trajectory import Trajectory, sup_sobolev_diff
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "NonContractionError",
     "MaxIterationsError",
     "iterate_fixed_point",
-    "check_tail",
     "picard_on_ladder",
     "picard_solve",
 ]
@@ -154,19 +153,21 @@ def _weighted_contract(W: np.ndarray, U: np.ndarray, last: np.ndarray
                        ) -> np.ndarray:
     """``out[n] = sum W[n, n_1..n_d] U[n_1] ... U[n_d] last[n - n_1 - ...
     - n_d]`` over ``n_1..n_d``, with ``d = W.ndim - 1`` and ``L =
-    U.shape[0]`` target modes.  The first part is an outer shift-and-add
-    whose inner sum, ``W[a + m, a, ...]`` over the ``L - a`` targets m, is
-    a contraction of degree ``d - 1``; degree 1 is the weighted truncated
-    product."""
+    U.shape[0]`` target modes; degree 0 is ``W[n] last[n]``.  The first
+    part is an outer shift-and-add whose inner sum, ``W[a + m, a, ...]``
+    over the ``L - a`` targets m, is a contraction of degree ``d - 1``.  It
+    runs over the live parts a only: rows of U that are nonzero and columns
+    ``W[:, a]`` that are, so modes no composition of supported modes
+    reaches stay exactly 0."""
+    if W.ndim == 1:
+        return _along_modes(W, last) * last
     L = U.shape[0]
-    if W.ndim == 2:
-        return convolve(U, last, weight=W[:, :L])
+    live = (np.any(U, axis=tuple(range(1, U.ndim)))
+            & np.any(W[:, :L], axis=(0,) + tuple(range(2, W.ndim))))
     out = np.zeros_like(U)
-    rows = np.any(U, axis=tuple(range(1, U.ndim)))
-    for a in np.flatnonzero(rows).tolist():
-        if np.any(W[a:, a]):
-            out[a:] += U[a] * _weighted_contract(W[a:, a], U[:L - a],
-                                                 last[:L - a])
+    for a in np.flatnonzero(live).tolist():
+        out[a:] += U[a] * _weighted_contract(W[a:, a], U[:L - a],
+                                             last[:L - a])
     return out
 
 
@@ -230,19 +231,12 @@ class NormalFormOperators:
 
     # -- batched kernels on u-values (columns = times) ----------------------
 
-    def _contract(self, deg: int, U: np.ndarray, last: np.ndarray
-                  ) -> np.ndarray:
-        """Per target mode n, the sum over the ordered compositions
-        ``n = n_1 + ... + n_{deg+1}`` of
-        ``U[n_1] ... U[n_deg] last[n_{deg+1}] / Phi``."""
-        return _weighted_contract(self.weights[deg], U, last)
-
     def _boundary_from_u(self, U: np.ndarray) -> np.ndarray:
         """N without the outer e^{-it mu(n)} factor; U holds e^{it mu} v."""
         out = np.zeros_like(U)
         for deg, lam in self.spec.nonlin_coeffs.items():
             out += (lam / (deg + 1) * self.n_vec[:, None]
-                    * self._contract(deg, U, U))
+                    * _weighted_contract(self.weights[deg], U, U))
         return out
 
     def _velocity_from_u(self, U: np.ndarray) -> np.ndarray:
@@ -259,7 +253,8 @@ class NormalFormOperators:
         """B without the outer e^{-it mu(n)} factor."""
         out = np.zeros_like(U)
         for deg, lam in self.spec.nonlin_coeffs.items():
-            out -= lam * self.n_vec[:, None] * self._contract(deg, U, vel)
+            out -= (lam * self.n_vec[:, None]
+                    * _weighted_contract(self.weights[deg], U, vel))
         return out
 
     def _u_from_v(self, v_cols: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -400,8 +395,9 @@ class PicardLog:
     ``final_residual`` is the sup-in-time H^1 increment of one more map
     application after convergence, not the last recorded increment.
     ``tail`` is the worst Chebyshev tail of the returned iterate, measured
-    by ``check_tail``; ``grid_attempts`` holds ``(n_panels, tail)`` for
-    every grid the solve tried, coarsest first, the failed ones included.
+    by ``picard_on_ladder``; ``grid_attempts`` holds ``(n_panels, tail)``
+    for every grid the solve tried, coarsest first, the failed ones
+    included.
     """
 
     smallness: SmallnessReport
@@ -422,46 +418,26 @@ class PicardLog:
             fh.write(f"{i},{d!r},{'' if r is None else repr(r)}\n")
 
 
-def check_tail(log: PicardLog, grid: PanelGrid, tol: float,
-               components: dict) -> None:
-    """Certify that the grid resolves the converged iterate.
-
-    ``components`` maps a name to node values of shape (M+1, panels, q).
-    Modes >= 1 of each component are measured against each other on each
-    panel (``quadrature.tail_ratio``); mode 0 is constant for the mean-zero
-    data both Picard solvers take.  Records the worst tail in ``log.tail``,
-    appends ``(grid.n_panels, tail)`` to ``log.grid_attempts``, and raises
-    QuadratureError naming the tail's mode when it exceeds ``tol``.
-    """
-    tails = {name: tail_ratio(values[1:], grid.scheme)
-             for name, values in components.items()}
-    name = max(tails, key=lambda k: tails[k].max())
-    mode = int(np.argmax(tails[name])) + 1
-    log.tail = float(tails[name][mode - 1])
-    log.grid_attempts.append((grid.n_panels, log.tail))
-    if log.tail > tol:
-        raise QuadratureError(
-            f"Picard iterate not resolved on {grid.n_panels} panels: "
-            f"Chebyshev tail {log.tail:.3e} > tol {tol:.3e} at mode {mode} "
-            f"of {name}", worst_mode=mode, tail=log.tail)
-
-
 def picard_on_ladder(horizon: float, max_frequency: float,
                      smallness: SmallnessReport, tol: float,
                      solve: Callable[[PanelGrid, PicardLog], dict]) -> tuple:
-    """Run a Picard solve on the coarsest grid of
-    ``quadrature.grid_ladder(horizon, max_frequency)`` that resolves it,
-    through ``quadrature.solve_on_ladder``.  The ladder's floor is the grid
-    sized for ``max_frequency / 2**quadrature.PICARD_DEPTH``.
+    """Run a Picard solve on the coarsest grid of ``quadrature.ladder(
+    horizon, max_frequency, quadrature.PICARD_DEPTH)`` that resolves it,
+    through ``quadrature.solve_on_ladder``.
 
     ``solve(grid, log)`` iterates to convergence on ``grid``, recording in
-    ``log``, and returns the components ``check_tail`` measures.  The
-    first rung whose tail is ``<= tol`` gives ``(grid, components, log)``.
-    A QuadratureError moves on to the next rung, except on the top rung
-    (the grid sized for ``max_frequency``), where it propagates.  Any other
+    ``log``, and returns the components to certify: a name mapped to node
+    values of shape (M+1, panels, q).  Modes >= 1 of each component are
+    measured against each other on each panel (``quadrature.tail_ratio``);
+    mode 0 is constant for the mean-zero data both Picard solvers take.
+    Each rung records its worst tail in ``log.tail`` and appends
+    ``(grid.n_panels, tail)`` to ``log.grid_attempts``, one list that every
+    rung's log shares.  A tail above ``tol`` raises QuadratureError naming
+    its mode, which moves the climb to the next rung, except on the top
+    rung (the grid sized for ``max_frequency``), where it propagates.  The
+    first rung that passes gives ``(grid, components, log)``.  Any other
     error, such as MaxIterationsError or NonContractionError, propagates
-    from the rung where it occurs.  Every rung's log shares one
-    ``grid_attempts`` list.
+    from the rung where it occurs.
     """
     attempts = []
 
@@ -471,10 +447,21 @@ def picard_on_ladder(horizon: float, max_frequency: float,
 
     def check(grid, solved):
         log, components = solved
-        check_tail(log, grid, tol, components)
+        tails = {name: tail_ratio(values[1:], grid.scheme)
+                 for name, values in components.items()}
+        name = max(tails, key=lambda k: tails[k].max())
+        mode = int(np.argmax(tails[name])) + 1
+        log.tail = float(tails[name][mode - 1])
+        attempts.append((grid.n_panels, log.tail))
+        if log.tail > tol:
+            raise QuadratureError(
+                f"Picard iterate not resolved on {grid.n_panels} panels: "
+                f"Chebyshev tail {log.tail:.3e} > tol {tol:.3e} at mode "
+                f"{mode} of {name}", worst_mode=mode, tail=log.tail)
 
     grid, (log, components) = solve_on_ladder(
-        grid_ladder(horizon, max_frequency), solve_rung, check, attempts)
+        ladder(horizon, max_frequency, quadrature.PICARD_DEPTH), solve_rung,
+        check, attempts)
     return grid, components, log
 
 
@@ -489,10 +476,10 @@ def picard_solve(phi: SpectralState, spec: EquationSpec, T: float,
     regime pass ``allow_unsafe=True`` to iterate anyway (no guarantee).
 
     The solve runs on the coarsest grid of ``picard_on_ladder`` whose final
-    iterate has a Chebyshev tail ``<= tol`` (see ``check_tail``); the
-    finest grid is sized for the fastest frequency ``2 max(mu) + 1``, and
-    QuadratureError is raised when even that grid does not resolve the
-    iterate.  ``log.grid_attempts`` lists the grids tried.
+    iterate has a Chebyshev tail ``<= tol``; the finest grid is sized for
+    the fastest frequency ``2 max(mu) + 1``, and QuadratureError is raised
+    when even that grid does not resolve the iterate.  ``log.grid_attempts``
+    lists the grids tried.
     """
     require_positive(T=T, tol=tol)
     M = phi.truncation

@@ -21,25 +21,26 @@ break factor), so it adds no noise to the Chebyshev tails.
 
 Every solver runs on a ladder of grids, coarsest first, through the one
 climber ``solve_on_ladder``: it solves on a rung, checks the rung, and moves
-to the next rung when the check raises QuadratureError.  Both ladders
-hold rungs sized for fractions ``1/2**j`` of the fastest frequency, up to
+to the next rung when the check raises QuadratureError.  The one ladder,
+``ladder(horizon, max_frequency, depth, doublings)``, holds the grids sized
+for fractions ``1/2**j`` of the fastest frequency, ``j = depth..0``, up to
 the grid whose panels each advance that frequency by ``RADIANS_PER_PANEL``
-radians.  The Picard solvers' ``grid_ladder`` starts ``PICARD_DEPTH``
-halvings down and stops there; the cascade's ``refined_ladder`` starts
-``MAX_REFINEMENTS`` halvings down and continues with ``MAX_REFINEMENTS``
-panel doublings.  A rung passes when the Chebyshev tail of its solution,
-measured against all rows on each panel (``tail_ratio``), is within
-tolerance; the cascade also asks that two successive rungs agree, which
-estimates the error built up along the march, and ends its climb before a
-rung whose node array would pass ``NODE_BUDGET`` is allocated.  The panel
-sizing, the two ladder depths, the node budget and the overflow guard are
-module constants, read when a ladder is made.
+radians, then ``doublings`` doublings of that grid.  The Picard solvers
+climb it ``PICARD_DEPTH`` halvings deep with no doublings; the cascade
+``MAX_REFINEMENTS`` halvings deep with ``MAX_REFINEMENTS`` doublings.  A
+rung passes when the Chebyshev tail of its solution, measured against all
+rows on each panel (``tail_ratio``), is within tolerance; the cascade also
+asks that two successive rungs agree, which estimates the error built up
+along the march, and ends its climb before a rung whose node array would
+pass ``NODE_BUDGET`` is allocated.  The panel sizing, the two ladder
+depths, the node budget and the overflow guard are module constants, read
+when a ladder is made.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional
 
@@ -53,8 +54,7 @@ __all__ = [
     "QuadratureError",
     "OverflowGuardError",
     "panel_scheme",
-    "grid_ladder",
-    "refined_ladder",
+    "ladder",
     "solve_on_ladder",
     "oscillatory_march",
     "tail_ratio",
@@ -84,16 +84,16 @@ NODE_BUDGET = 50_000_000
 # normal-form map, the weak-formulation residual): a block's node values
 # are one batch of (M+1, panels * q) columns, so larger blocks pay the
 # Python loop of the truncated products fewer times but hold larger
-# temporaries.  One fixed-point map at alpha=3, k=1, M=16 on the
-# 1025-panel grid sized for its fastest frequency took 34, 33 and 33 ms
-# with blocks of 16, 32 and 64 panels, at tracemalloc peaks of 7.7, 8.7
-# and 10.4 MB, and 75 ms at 57 MB with the whole grid as one block (in
-# process, 2-core x86-64 VM).  32 is as fast as 64 at a lower peak.
-BLOCK_PANELS = 32
-# how far, in ulps of the horizon, a panel width may be from horizon /
-# n_panels; np.linspace breaks were within 1.4 over 4000 random horizons
-# in [1e-3, 1e3] with up to 10^6 panels
-_UNIFORM_ULPS = 4
+# temporaries.  At 64, the normal form's 33-panel floor at truncation 16
+# is one block.  With blocks of 16, 32 and 64 panels, bench/run.py's
+# verify read latency_p50_s 0.072-0.077, 0.073-0.075 and 0.071-0.072 s
+# (seeds 1-3, 15 s runs).  Alone, one map application on that floor took
+# 2.4, 3.5 and 3.5 ms at tracemalloc peaks of 1.3, 2.0 and 2.1 MB, and on
+# the 1025-panel top rung 48, 41 and 40 ms at 8.0, 9.0 and 10.8 MB.  The
+# weak residual of the N=16, alpha=2 headline (129 dense rows, 1777
+# panels) took 0.35, 0.41 and 0.69 s for its three windows, at peaks of
+# 3.2, 5.6 and 10.3 MB (in process, 2-core x86-64 VM, 2 MiB L2 per core).
+BLOCK_PANELS = 64
 
 
 class QuadratureError(RuntimeError):
@@ -177,53 +177,40 @@ def panel_scheme(q: int = DEFAULT_POINTS) -> PanelScheme:
 
 @dataclass(frozen=True, eq=False)
 class PanelGrid:
-    """Uniform panels over [0, T] with a shared node scheme.
+    """``n_panels`` equal panels over [0, horizon] with a shared node scheme.
 
     Every panel has the width ``horizon / n_panels``, so the node times of
-    each panel relative to its left break are one q-vector, ``offsets``;
-    breaks that are not uniform to within ``_UNIFORM_ULPS`` ulps of the
-    horizon raise ValueError."""
+    each panel relative to its left break are one q-vector, ``offsets``.
+    A horizon that is not positive and finite, or fewer than one panel,
+    raises ValueError."""
 
-    breaks: np.ndarray
-    scheme: PanelScheme
+    horizon: float
+    n_panels: int
+    scheme: PanelScheme = field(default_factory=panel_scheme)
 
     def __post_init__(self):
+        require_positive(horizon=self.horizon)
         if self.n_panels < 1:
             raise ValueError("a grid needs at least one panel")
-        slack = _UNIFORM_ULPS * np.spacing(abs(self.horizon))
-        off = np.abs(np.diff(self.breaks) - self.horizon / self.n_panels)
-        if off.max() > slack:
-            raise ValueError(f"panel widths differ from horizon/n_panels by "
-                             f"up to {off.max():.3g}, more than {slack:.3g}: "
-                             "the panels must be uniform")
+        object.__setattr__(self, "horizon", float(self.horizon))
 
     @classmethod
     def for_frequency(cls, horizon: float, max_frequency: float) -> "PanelGrid":
         """The grid whose panels each advance ``max_frequency`` by at most
         ``RADIANS_PER_PANEL`` radians, on the default scheme."""
-        return cls.uniform(horizon, _panel_count(horizon, max_frequency))
+        return cls(horizon, _panel_count(horizon, max_frequency))
 
-    @classmethod
-    def uniform(cls, horizon: float, n_panels: int) -> "PanelGrid":
-        """``n_panels`` equal panels over [0, horizon], on the default
-        scheme."""
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
-        breaks = np.linspace(0.0, horizon, n_panels + 1)
+    @cached_property
+    def breaks(self) -> np.ndarray:
+        """``np.linspace(0, horizon, n_panels + 1)``: read-only, computed
+        once per grid."""
+        breaks = np.linspace(0.0, self.horizon, self.n_panels + 1)
         breaks.flags.writeable = False
-        return cls(breaks=breaks, scheme=panel_scheme())
-
-    @property
-    def n_panels(self) -> int:
-        return self.breaks.size - 1
+        return breaks
 
     @property
     def q(self) -> int:
         return self.scheme.q
-
-    @property
-    def horizon(self) -> float:
-        return float(self.breaks[-1])
 
     def widths(self) -> np.ndarray:
         return np.diff(self.breaks)
@@ -261,9 +248,7 @@ class PanelGrid:
         return at_breaks[:, :, None] * np.exp(rate * self.offsets)[:, None, :]
 
     def refined(self) -> "PanelGrid":
-        breaks = np.linspace(0.0, self.horizon, 2 * self.n_panels + 1)
-        breaks.flags.writeable = False
-        return PanelGrid(breaks=breaks, scheme=self.scheme)
+        return PanelGrid(self.horizon, 2 * self.n_panels, self.scheme)
 
     def locate(self, t):
         """Panel index and local coordinate x in [-1, 1] of each time of
@@ -289,35 +274,20 @@ def _panel_count(horizon: float, max_frequency: float) -> int:
                               / RADIANS_PER_PANEL)))
 
 
-def _ladder_panels(horizon: float, max_frequency: float, depth: int
-                   ) -> list:
-    """Panel counts of the grids ``PanelGrid.for_frequency(horizon,
-    max_frequency / 2**j)`` for ``j = depth, ..., 0``, ascending, equal
-    counts merged."""
-    return sorted({_panel_count(horizon, max_frequency / 2**j)
-                   for j in range(depth + 1)})
-
-
-def grid_ladder(horizon: float, max_frequency: float) -> list:
-    """The Picard solvers' ladder: the grids
-    ``PanelGrid.for_frequency(horizon, max_frequency / 2**j)`` for ``j =
-    PICARD_DEPTH, ..., 0``, coarsest first.  Rungs with equal panel counts
-    are one rung, and the last rung is always the grid for
-    ``max_frequency`` itself."""
-    return [PanelGrid.uniform(horizon, n)
-            for n in _ladder_panels(horizon, max_frequency, PICARD_DEPTH)]
-
-
-def refined_ladder(horizon: float, max_frequency: float):
-    """The cascade's ladder: the grids ``PanelGrid.for_frequency(horizon,
-    max_frequency / 2**j)`` for ``j = MAX_REFINEMENTS, ..., 0``, then
-    ``MAX_REFINEMENTS`` doublings of its top rung by ``PanelGrid.refined``.
-    Each rung is made only when a climb reaches it, so a climb that stops
-    early never holds the breaks of the finer rungs."""
-    for n in _ladder_panels(horizon, max_frequency, MAX_REFINEMENTS):
-        grid = PanelGrid.uniform(horizon, n)
+def ladder(horizon: float, max_frequency: float, depth: int,
+           doublings: int = 0):
+    """The grids ``PanelGrid.for_frequency(horizon, max_frequency / 2**j)``
+    for ``j = depth, ..., 0``, coarsest first, then ``doublings`` doublings
+    of the last of them by ``PanelGrid.refined``.  Rungs with equal panel
+    counts are one rung, and the rung before the doublings is always the
+    grid for ``max_frequency`` itself.  Each rung is made only when a climb
+    reaches it, so a climb that stops early never holds the breaks of the
+    finer rungs."""
+    for n in sorted({_panel_count(horizon, max_frequency / 2**j)
+                     for j in range(depth + 1)}):
+        grid = PanelGrid(horizon, n)
         yield grid
-    for _ in range(MAX_REFINEMENTS):
+    for _ in range(doublings):
         grid = grid.refined()
         yield grid
 

@@ -213,40 +213,33 @@ class EquationSpec:
         )
 
 
-def _product(a: np.ndarray, b: np.ndarray,
-             weight: np.ndarray | None = None) -> np.ndarray:
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``out[n] = sum_{m<=n} a[m] b[n-m]`` along axis 0 by direct
-    shift-and-add.  With ``weight``, of shape ``(M+1, M+1)``, the term of
-    shift m in target n is ``(weight[n, m] a[m]) b[n-m]``.  Rows of ``a``
-    that are zero in every column, and shifts whose weight column is zero,
-    add nothing and are skipped, so modes that no pair of supported modes
-    reaches stay exactly 0."""
+    shift-and-add.  Rows of ``a`` that are zero in every column add nothing
+    and are skipped, so modes that no pair of supported modes reaches stay
+    exactly 0."""
     out = np.zeros_like(a)
     size = a.shape[0]
     rows = np.any(a, axis=tuple(range(1, a.ndim)))
-    if weight is not None:
-        rows &= np.any(weight, axis=0)
     for m in np.flatnonzero(rows).tolist():
-        am = a[m] if weight is None else _along_modes(weight[m:, m], a) * a[m]
-        out[m:] += am * b[: size - m]
+        out[m:] += a[m] * b[: size - m]
     return out
 
 
-def convolve(a, b, weight: np.ndarray | None = None) -> np.ndarray:
+def convolve(a, b) -> np.ndarray:
     """Coefficient product ``(a*b)(n) = sum_{m=0}^{n} a(m) b(n-m)``.
 
     Both inputs are arrays of one shape ``(M+1, ...)``: axis 0 holds the
     modes and the trailing axes are a batch, multiplied column by column.
     Entries ``n <= M`` of the result are exact because no discarded mode can
-    reach them.  ``weight``, of shape ``(M+1, M+1)``, scales the term of
-    shift m in target n by ``weight[n, m]``.
+    reach them.
     """
     ca, cb = _as_coeffs(a), _as_coeffs(b)
     if ca.shape != cb.shape:
         raise TruncationMismatchError(
             f"coefficient arrays differ: truncations {ca.shape[0] - 1} vs "
             f"{cb.shape[0] - 1}, shapes {ca.shape} vs {cb.shape}")
-    return _product(ca, cb, weight)
+    return _product(ca, cb)
 
 
 def power(a, j: int) -> np.ndarray:

@@ -32,9 +32,9 @@ def headline():
 def fixed_grid_solve(monkeypatch, phi, spec, T, n_panels, **kwargs):
     """The cascade on one fixed grid of ``n_panels``: the grid twice as the
     ladder, so the two-rung difference is 0 and the tail check decides."""
-    grid = quadrature.PanelGrid.uniform(T, n_panels)
+    grid = quadrature.PanelGrid(T, n_panels)
     with monkeypatch.context() as m:
-        m.setattr(cascade, "refined_ladder", lambda *_: iter([grid, grid]))
+        m.setattr(cascade, "ladder", lambda *_: iter([grid, grid]))
         return cascade_integrate(phi, spec, T, **kwargs)
 
 

@@ -467,6 +467,39 @@ def test_batch_refuses_a_non_integer_field(tmp_path, capsys, field, value):
     assert f"experiment 0: malformed config: {field} must be an integer" in err
 
 
+@pytest.mark.parametrize("alpha", ["Infinity", "NaN"])
+def test_batch_refuses_a_non_finite_alpha_before_running_any_entry(
+        tmp_path, capsys, monkeypatch, alpha):
+    # a non-finite alpha used to pass ExperimentConfig, so the first entry
+    # ran in full before the second ended the batch with exit 2 and no CSV
+    runs = []
+    monkeypatch.setattr(cli, "run_experiment", runs.append)
+    entry = {"N": 16, "s": 2.5, "sigma": 0.5, "k": 1, "alpha": 2.0}
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps([entry, {**entry, "alpha": "ALPHA"}])
+                   .replace('"ALPHA"', alpha))
+    assert dispatch(["batch", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert runs == [] and captured.out == ""
+    assert captured.err == ("error: experiment 1: malformed config: alpha "
+                            "must be finite\n")
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+def test_cross_validate_refuses_a_tolerance_not_positive_and_finite(
+        tmp_path, capsys, tolerance):
+    # a NaN, zero or negative tolerance failed every solve with exit 1,
+    # and an infinite one passed any disagreement
+    phi = _phi_file(tmp_path, {1: (0.05, 0.0), 2: (0.05, 0.0)}, 8)
+    assert dispatch(["cross-validate", "--alpha", "3", "--k", "1", "--phi",
+                     phi, "--T", "0.5", "--tolerance", tolerance]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: tolerance must be positive and "
+                                   "finite")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_batch_config_with_invalid_json_names_the_file(tmp_path, capsys):
     cfg = tmp_path / "batch.json"
     cfg.write_text("{not json")

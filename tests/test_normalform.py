@@ -10,10 +10,11 @@ from halfline_dnls import (ContractionThresholdError, EquationSpec,
                            picard_solve, sobolev_norm)
 from halfline_dnls import quadrature
 from halfline_dnls.gauge import gauge_system_rhs
-from halfline_dnls.normalform import PicardLog, iterate_fixed_point
+from halfline_dnls.normalform import (PicardLog, _weighted_contract,
+                                      iterate_fixed_point)
 from halfline_dnls.quadrature import (BLOCK_PANELS, QuadratureError,
                                       oscillatory_march, panel_scheme)
-from halfline_dnls.spectral import dispersion_mu
+from halfline_dnls.spectral import _product, dispersion_mu
 
 
 def state(modes, M, time=0.0):
@@ -189,7 +190,7 @@ def test_contract_matches_gather_oracle(coeffs, M, sparse):
     for last in (U, _random_columns(rng, M, 20, sparse)):
         for deg in coeffs:
             ref = contract_oracle(ops, deg, U, last)
-            got = ops._contract(deg, U, last)
+            got = _weighted_contract(ops.weights[deg], U, last)
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref),
                                                                initial=0.0)
             # no composition reaches these modes: exact zeros
@@ -199,6 +200,45 @@ def test_contract_matches_gather_oracle(coeffs, M, sparse):
                 & np.any(last[parts[:, -1]], axis=1)
             reached[target[live]] = True
             assert np.all(got[~reached] == 0)
+
+
+def _batch(rng, M, B, step):
+    """(M+1, B) draws supported on the multiples of ``step``, with a few
+    whole columns zeroed."""
+    a = rng.standard_normal((M + 1, B)) + 1j * rng.standard_normal((M + 1, B))
+    a[np.arange(M + 1) % step != 0] = 0.0
+    a[:, rng.random(B) < 0.2] = 0.0
+    return a
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_weighted_contract_all_ones_is_the_plain_product_bitwise(seed):
+    # degree 1 with every weight 1 multiplies U[a] by 1.0 * last[n - a]:
+    # the truncated product's terms, summed in its order
+    rng = np.random.default_rng(seed)
+    M = 12
+    U, last = _batch(rng, M, 7, 1 + seed % 3), _batch(rng, M, 7, 1)
+    got = _weighted_contract(np.ones((M + 1, M + 1)), U, last)
+    assert np.array_equal(got.view(np.uint64), _product(U, last).view(np.uint64))
+
+
+def test_weighted_contract_degree_1_matches_direct_sum():
+    rng = np.random.default_rng(5)
+    M = 9
+    U, last = _batch(rng, M, 4, 1), _batch(rng, M, 4, 1)
+    W = rng.standard_normal((M + 1, M + 1))
+    W[:, 3] = 0.0                      # a zero weight column is skipped
+    ref = np.zeros_like(U)
+    for n in range(M + 1):
+        for m in range(n + 1):
+            if m != 3:
+                ref[n] += W[n, m] * U[m] * last[n - m]
+    got = _weighted_contract(W, U, last)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # a delta at 3 meets only the zero weight column: exactly zero
+    delta3 = np.zeros((M + 1, 1), dtype=complex)
+    delta3[3] = 1.0
+    assert np.all(_weighted_contract(W, delta3, last[:, :1]) == 0)
 
 
 @pytest.mark.parametrize("coeffs", [{1: 1.0}, {2: 1.0}, {3: 1.0},
@@ -275,13 +315,13 @@ def apply_map_oracle(ops, v_vals, grid, phi):
 
 
 # fewer panels than one block, exact multiples of the block, remainders
-@pytest.mark.parametrize("n_panels", [5, BLOCK_PANELS, BLOCK_PANELS + 5,
-                                      2 * BLOCK_PANELS, 2 * BLOCK_PANELS + 5])
+@pytest.mark.parametrize("n_panels", sorted({
+    5, 32, 37, 64, 69, BLOCK_PANELS, BLOCK_PANELS + 5, 2 * BLOCK_PANELS,
+    2 * BLOCK_PANELS + 5}))
 def test_apply_map_matches_per_panel_oracle(n_panels):
     M = 10
     ops = NormalFormOperators(EquationSpec(3.0, {1: 1.0, 2: -0.5j}), M)
-    grid = PanelGrid(breaks=np.linspace(0.0, 0.3, n_panels + 1),
-                     scheme=panel_scheme(12))
+    grid = PanelGrid(0.3, n_panels, panel_scheme(12))
     rng = np.random.default_rng(n_panels)
     shape = (M + 1, n_panels, grid.q)
     v = 0.05 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from halfline_dnls import (OverflowGuardError, PanelGrid, QuadratureError,
                            quadrature)
-from halfline_dnls.quadrature import (OVERFLOW_GUARD, grid_ladder,
+from halfline_dnls.quadrature import (OVERFLOW_GUARD, ladder,
                                       oscillatory_march, panel_scheme,
-                                      refined_ladder, solve_on_ladder,
-                                      tail_ratio)
+                                      solve_on_ladder, tail_ratio)
 
 
 def reference_march(grid, omega, forcing, init):
@@ -151,7 +150,7 @@ def _tail_inputs():
     40 panels, and the rows of ``test_tail_ratio_scale_is_per_panel``."""
     sch = panel_scheme(24)
     rng = np.random.default_rng(5)
-    grid = PanelGrid.uniform(2.0, 40)
+    grid = PanelGrid(2.0, 40)
     t = grid.node_times()
     smooth = np.stack([np.exp(1j * b * t) for b in (3.0, -7.0, 11.0)])
     rough = np.stack([np.exp(1j * b * t) for b in (900.0, -1300.0, 1700.0)])
@@ -206,7 +205,7 @@ def test_grid_locate_and_refine():
     (1.0, 2 * 4**2 + 1, [1, 2, 3, 5]),
 ])
 def test_grid_ladder_rungs(horizon, freq, panels):
-    rungs = grid_ladder(horizon, freq)
+    rungs = list(ladder(horizon, freq, quadrature.PICARD_DEPTH))
     assert [g.n_panels for g in rungs] == panels
     top = PanelGrid.for_frequency(horizon, freq)
     assert np.array_equal(rungs[-1].breaks, top.breaks)
@@ -218,7 +217,7 @@ def test_grid_ladder_collapses_equal_rungs_and_keeps_the_top(monkeypatch,
                                                              radians, panels):
     # gauge pair at M=12: 289 radians per unit time over T=1
     monkeypatch.setattr(quadrature, "RADIANS_PER_PANEL", radians)
-    rungs = grid_ladder(1.0, 289.0)
+    rungs = list(ladder(1.0, 289.0, quadrature.PICARD_DEPTH))
     assert [g.n_panels for g in rungs] == panels
     assert rungs[-1].n_panels == PanelGrid.for_frequency(1.0, 289.0).n_panels
 
@@ -228,17 +227,42 @@ def test_refined_ladder_continues_the_ladder_by_doublings(monkeypatch):
     refined = PanelGrid.refined
     monkeypatch.setattr(PanelGrid, "refined",
                         lambda self: calls.append(1) or refined(self))
-    # the cascade's rungs start MAX_REFINEMENTS halvings down, where the
-    # Picard solvers' grid_ladder starts PICARD_DEPTH halvings down
+    # the cascade's rungs start MAX_REFINEMENTS halvings down and go on
+    # with MAX_REFINEMENTS doublings of the grid sized for the frequency
     freq = 2 * 16**2 + 1
-    rungs = refined_ladder(1.0, freq)
+    depth = quadrature.MAX_REFINEMENTS
+    rungs = ladder(1.0, freq, depth, depth)
     first = [next(rungs).n_panels for _ in range(4)]
     assert first == [9, 17, 33, 65] == [
         PanelGrid.for_frequency(1.0, freq / 2**j).n_panels
-        for j in range(quadrature.MAX_REFINEMENTS, -1, -1)]
+        for j in range(depth, -1, -1)]
     assert calls == []                 # a doubling is made when reached
     assert [g.n_panels for g in rungs] == [130, 260, 520]
-    assert len(calls) == quadrature.MAX_REFINEMENTS
+    assert len(calls) == depth
+
+
+@pytest.mark.parametrize("horizon, freq, depth, panels", [
+    # the N=16, alpha=2 headline's cascade: T and LADDER_MARGIN * freq
+    (1.441359041754604, 1.2 * 32861.33248261689, "cascade",
+     [889, 1777, 3553, 7105, 14210, 28420, 56840]),
+    (1.0, 2 * 16**3 + 1, "cascade", [129, 257, 513, 1025, 2050, 4100, 8200]),
+    (1.0, 2 * 12**3 + 1, "cascade", [55, 109, 217, 433, 866, 1732, 3464]),
+    # verify's truncation-16 normal form and gauge pair, and truncation 12
+    (1.0, 2 * 16**3 + 1, "picard", [33, 65, 129, 257, 513, 1025]),
+    (1.0, 2 * 16**2 + 1, "picard", [3, 5, 9, 17, 33, 65]),
+    (1.0, 2 * 12**3 + 1, "picard", [14, 28, 55, 109, 217, 433]),
+])
+def test_ladder_keeps_both_solvers_rungs(horizon, freq, depth, panels):
+    # the rungs the cascade and the Picard solvers climbed with one ladder
+    # generator each, and the breaks of every rung bit for bit
+    deep = {"cascade": (quadrature.MAX_REFINEMENTS,) * 2,
+            "picard": (quadrature.PICARD_DEPTH, 0)}[depth]
+    rungs = list(ladder(horizon, freq, *deep))
+    assert [g.n_panels for g in rungs] == panels
+    for grid in rungs:
+        assert grid.horizon == horizon
+        assert np.array_equal(grid.breaks,
+                              np.linspace(0.0, horizon, grid.n_panels + 1))
 
 
 def test_node_times_are_computed_once_and_read_only():
@@ -280,18 +304,29 @@ def test_node_phases_match_exp_on_node_times(rate, panels):
         assert np.max(np.abs(got[r] - exact[r]) / np.abs(exact[r])) <= bound
 
 
-@pytest.mark.parametrize("breaks", [
-    [0.0, 0.4, 1.0],
-    [0.0, 0.25, 0.5, 0.75 + 1e-15, 1.0],
-    np.linspace(0.0, 1.0, 11) ** 2,
-])
-def test_grid_refuses_non_uniform_breaks(breaks):
-    with pytest.raises(ValueError, match="uniform"):
-        PanelGrid(breaks=np.array(breaks), scheme=panel_scheme())
+@pytest.mark.parametrize("n_panels", [0, -3])
+def test_grid_refuses_fewer_than_one_panel(n_panels):
+    with pytest.raises(ValueError, match="at least one panel"):
+        PanelGrid(1.0, n_panels)
+
+
+@pytest.mark.parametrize("horizon", [float("nan"), float("inf"), 0.0, -1.0])
+def test_grid_refuses_a_horizon_not_positive_and_finite(horizon):
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        PanelGrid(horizon, 4)
+
+
+def test_grid_breaks_are_linspace_computed_once_and_read_only():
+    grid = PanelGrid(1.44, 7)
+    breaks = grid.breaks
+    assert grid.breaks is breaks
+    assert not breaks.flags.writeable
+    assert np.array_equal(breaks, np.linspace(0.0, 1.44, 8))
+    assert breaks[-1] == grid.horizon and grid.scheme is panel_scheme()
 
 
 def _ladder(*panels):
-    return [PanelGrid.uniform(1.0, n) for n in panels]
+    return [PanelGrid(1.0, n) for n in panels]
 
 
 def _check_at_least(n_pass, attempts):
@@ -349,8 +384,7 @@ def test_locate_array_matches_each_scalar(n_panels, horizon, at_breaks,
     # breaks, both endpoints (the right one also just past it, within the
     # accepted round-off) and interior times: the array result equals the
     # scalar one element by element, bit for bit
-    grid = PanelGrid(breaks=np.linspace(0.0, horizon, n_panels + 1),
-                     scheme=panel_scheme())
+    grid = PanelGrid(horizon, n_panels)
     breaks = grid.breaks
     ts = np.concatenate([[0.0, horizon, horizon * (1 + 1e-13)],
                          breaks[np.array(at_breaks, dtype=int) % breaks.size],

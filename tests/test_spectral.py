@@ -138,32 +138,6 @@ def test_batched_products_match_column_oracle(M, B, step, j, seed):
         assert np.all(got[:, ~np.any(a, axis=0)][1:] == 0)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_weighted_product_all_ones_is_unweighted_bitwise(seed):
-    rng = np.random.default_rng(seed)
-    M = 12
-    a, b = batch(rng, M, 7, 1 + seed % 3), batch(rng, M, 7, 1)
-    got = _product(a, b, np.ones((M + 1, M + 1)))
-    assert np.array_equal(got.view(np.uint64), _product(a, b).view(np.uint64))
-
-
-def test_weighted_product_matches_direct_sum():
-    rng = np.random.default_rng(5)
-    M = 9
-    a, b = batch(rng, M, 4, 1), batch(rng, M, 4, 1)
-    w = rng.standard_normal((M + 1, M + 1))
-    w[:, 3] = 0.0                      # a zero weight column is skipped
-    ref = np.zeros_like(a)
-    for n in range(M + 1):
-        for m in range(n + 1):
-            if m != 3:
-                ref[n] += w[n, m] * a[m] * b[n - m]
-    got = _product(a, b, w)
-    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
-    # a delta at 3 meets only the zero weight column: exactly zero
-    assert np.all(_product(delta(3, M)[:, None], b, w) == 0)
-
-
 def test_convolve_batch_shape_mismatch():
     with pytest.raises(TruncationMismatchError):
         convolve(np.ones((4, 3), dtype=complex), np.ones((4, 2), dtype=complex))

@@ -11,7 +11,6 @@ from numpy.polynomial.chebyshev import chebval, chebvander
 
 from halfline_dnls import (EquationSpec, PanelGrid, SpectralState, Trajectory,
                            cascade_integrate, sobolev_norm)
-from halfline_dnls.quadrature import panel_scheme
 from halfline_dnls.trajectory import sup_sobolev_diff
 
 
@@ -67,7 +66,7 @@ def test_resampled_holds_the_same_interpolants(traj):
     assert np.max(np.abs(fine.dense_at(ts) - traj.dense_at(ts))) \
         <= 1e-14 * scale
     with pytest.raises(ValueError, match="horizon"):
-        traj.resampled(PanelGrid.uniform(0.5, 4))
+        traj.resampled(PanelGrid(0.5, 4))
 
 
 def mode_values_oracle(traj, n, ts):
@@ -132,8 +131,7 @@ def test_sample_times_cover_endpoints(traj):
 @example(10**5)
 def test_sample_times_at_most_257_with_endpoints(n_panels):
     # only the grid matters: a trajectory with no tracked modes
-    grid = PanelGrid(breaks=np.linspace(0.0, 2.0, n_panels + 1),
-                     scheme=panel_scheme())
+    grid = PanelGrid(2.0, n_panels)
     empty = Trajectory(spec=EquationSpec.pure_power(1, 2.0), grid=grid,
                        modes=np.zeros(0, dtype=int),
                        values=np.zeros((0, n_panels, grid.q), dtype=complex),
