@@ -13,14 +13,16 @@ For positive frequencies and ``alpha >= 1`` the phase obeys the lower bound
 so it never vanishes for ``alpha > 1``; that nonvanishing is what allows the
 normal-form reduction to divide by Phi.  This module evaluates Phi exactly
 (arbitrary-precision integers for integer alpha), certifies the lower bound
-by exhaustive enumeration of the nonincreasing index tuples, built as
-arrays in chunks of leading indices, and enumerates the additive semigroup
-that confines the support of solutions.
+by exhaustive enumeration of the nonincreasing index tuples, and enumerates
+the additive semigroup that confines the support of solutions.  The
+certificate builds one table of the tuples' tails with their sums and power
+sums, and checks each chunk of leading indices against suffixes of it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -157,31 +159,94 @@ def _lead_chunks(k: int, index_cap: int):
     yield np.arange(first, index_cap + 1)
 
 
-def _check_block(alpha, k: int, leads, dtype) -> tuple:
-    """Check every nonincreasing (k+1)-tuple whose largest entry is in
-    ``leads``.
+@dataclass(frozen=True, eq=False)
+class _TailTable:
+    """Every nonincreasing k-tail ``r_1 >= ... >= r_k`` with entries in
+    ``1..index_cap``, in the order of ``combinations_with_replacement(
+    range(index_cap, 0, -1), k)``, with what the phase needs of each.
 
-    Returns ``(count, counterexample)``: the first violating tuple in
-    enumeration order and the number of tuples up to and including it, or
-    the number of tuples and ``None``.  Integer ``alpha`` is evaluated in
-    ``dtype`` (``int64`` or exact Python ints); other ``alpha`` in floats.
+    ``tails`` holds the rows, ``sums`` their sums ``R``, ``power_sums``
+    their ``P = sum r_i^alpha``, ``firsts`` their ``r_1``.  ``powers[m]`` is
+    ``m^alpha`` for ``m <= (k+1) index_cap`` and ``bound_factors[l]`` is
+    ``(alpha-1) l^(alpha-1)`` for ``l <= index_cap``.  The tails allowed
+    under a leading index ``l`` (``r_1 <= l``) are the last
+    ``suffix[l] = C(l+k-1, k)`` rows, in the order of the scalar scan.
+    """
+
+    alpha: float
+    tails: np.ndarray
+    sums: np.ndarray
+    power_sums: np.ndarray
+    firsts: np.ndarray
+    suffix: np.ndarray
+    powers: np.ndarray
+    bound_factors: np.ndarray
+
+    @classmethod
+    def build(cls, alpha, k: int, index_cap: int, dtype) -> "_TailTable":
+        """The table for ``alpha``, evaluated in ``dtype``: ``int64`` or
+        exact Python ints (``object``) for integer ``alpha``, ``float``
+        otherwise."""
+        # the tails with first entry r_1 = cap, cap - 1, ..., 1 in turn,
+        # each followed by its nonincreasing (k-1)-tails
+        tails = _nonincreasing_tuples(np.arange(index_cap, 0, -1), k - 1)
+        firsts = tails[:, 0]
+        # an object array of arange holds Python ints
+        m = np.arange((k + 1) * index_cap + 1).astype(dtype)
+        if _is_integer_alpha(alpha):
+            a = int(alpha)
+            powers = m**a
+            bound_factors = (a - 1) * m[:index_cap + 1] ** (a - 1)
+        else:
+            af = float(alpha)
+            powers = np.power(m, af)
+            bound_factors = (af - 1.0) * np.power(m[:index_cap + 1], af - 1.0)
+        power_sums = powers[firsts]
+        for i in range(1, k):
+            power_sums = power_sums + powers[tails[:, i]]
+        return cls(alpha=alpha, tails=tails, sums=tails.sum(axis=1),
+                   power_sums=power_sums, firsts=firsts,
+                   suffix=np.cumsum(np.bincount(firsts,
+                                                minlength=index_cap + 1)),
+                   powers=powers, bound_factors=bound_factors)
+
+
+def _check_chunk(table: _TailTable, leads: np.ndarray) -> tuple:
+    """Check every nonincreasing tuple ``(l, r_1, ..., r_k)`` whose leading
+    index ``l`` is in ``leads`` (consecutive), in one pass over the chunk.
+
+    Each lead repeats over its suffix of ``table``, reached through an
+    offset row index (a lone lead reads its suffix as a view), and ``Phi =
+    l^alpha + P - (l + R)^alpha`` is checked against ``(alpha-1)
+    l^(alpha-1) r_1``.  Returns ``(count, counterexample)``: the first
+    violating tuple in enumeration order and the number of tuples up to
+    and including it, or the number of tuples and ``None``.
     """
     # tuples are enumerated nonincreasing (sorted representatives only);
     # Phi is permutation symmetric, so this prunes the (k+1)! orderings
-    t = _nonincreasing_tuples(leads, k).astype(dtype, copy=False)
-    if _is_integer_alpha(alpha):
-        a = int(alpha)
-        phi = -(t.sum(axis=1) ** a) + (t ** a).sum(axis=1)
-        ok = np.abs(phi) >= (a - 1) * t[:, 0] ** (a - 1) * t[:, 1]
+    sizes = table.suffix[leads]
+    if leads.size == 1:
+        lead, row = leads, slice(len(table.tails) - sizes[0], None)
     else:
-        af = float(alpha)
-        phi = -np.power(t.sum(axis=1), af) + np.power(t, af).sum(axis=1)
-        bound = (af - 1.0) * np.power(t[:, 0], af - 1.0) * t[:, 1]
+        # lead l's rows start at len(tails) - sizes_l in the table and at
+        # the sum of the sizes before it in the chunk
+        lead = np.repeat(leads, sizes)
+        row = np.repeat(len(table.tails) - np.cumsum(sizes), sizes)
+        row += np.arange(lead.size)
+    phi = table.power_sums[row] + table.powers[lead]
+    phi -= table.powers[lead + table.sums[row]]
+    bound = table.bound_factors[lead] * table.firsts[row]
+    if _is_integer_alpha(table.alpha):
+        ok = np.abs(phi) >= bound
+    else:
+        # P is summed before l^alpha is added, so a float Phi can differ
+        # from a tuple-wise sum in its last bits, far inside the slack
         ok = np.abs(phi) >= bound * (1.0 - FLOAT_ALPHA_SLACK)
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        return int(bad[0]) + 1, tuple(int(n) for n in t[bad[0]])
-    return len(t), None
+    if ok.all():
+        return ok.size, None
+    first = int(np.argmin(ok))
+    lead = int(np.broadcast_to(lead, ok.shape)[first])
+    return first + 1, (lead, *(int(n) for n in table.tails[row][first]))
 
 
 def certify_phase_bound(alpha: float, k: int,
@@ -192,21 +257,33 @@ def certify_phase_bound(alpha: float, k: int,
     Integer alpha is checked in exact integer arithmetic: ``int64`` while
     ``((k+1) * index_cap)^alpha`` (which bounds every term) fits, Python
     ints beyond; an alpha whose largest term would have more than
-    ``MAX_EXACT_BITS`` bits is refused with ValueError.  The tuples are
-    built as arrays, in chunks of consecutive leading (largest) indices
-    that hold no more tuples than the largest leading index alone, so
-    memory stays bounded by one block.  The scan stops at the first
-    violating tuple; ``tuples_checked`` counts the tuples up to and
-    including it.
+    ``MAX_EXACT_BITS`` bits is refused with ValueError, as are a
+    non-integer ``k`` or ``index_cap``.  A nonincreasing tuple is a leading
+    index ``l`` followed by a k-tail with ``r_1 <= l``, so the sums, power
+    sums and first entries of the tails are computed once, in one table of
+    ``C(index_cap + k - 1, k)`` tails (``_TailTable``), and every leading
+    index reads its suffix of it.  The leading indices are checked in
+    chunks of consecutive ones that hold no more tuples than the table, so
+    memory stays bounded by ``C(index_cap + k - 1, k)`` rows of a few
+    arrays, plus the power table of ``(k+1) index_cap + 1`` entries.  The
+    scan stops at the first violating tuple; ``tuples_checked`` counts the
+    tuples up to and including it.
     """
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
+    for name, value in (("k", k), ("index_cap", index_cap)):
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got "
+                             f"{value!r}") from None
     if k < 1:
         raise ValueError("k must be >= 1")
     if index_cap < 1:
         raise ValueError("index_cap must be >= 1")
     if alpha < 1:
         raise ValueError("the bound requires alpha >= 1")
+    k, index_cap = operator.index(k), operator.index(index_cap)
     base = (k + 1) * index_cap
     if not _is_integer_alpha(alpha):
         dtype = float
@@ -221,10 +298,11 @@ def certify_phase_bound(alpha: float, k: int,
                 f"at k={k}, cap={index_cap}, above the limit of "
                 f"{MAX_EXACT_BITS} bits")
         dtype = np.int64 if a < 63 and base ** a < 2**63 else object
+    table = _TailTable.build(alpha, k, index_cap, dtype)
     checked = 0
     counterexample = None
     for leads in _lead_chunks(k, index_cap):
-        count, counterexample = _check_block(alpha, k, leads, dtype)
+        count, counterexample = _check_chunk(table, leads)
         checked += count
         if counterexample is not None:
             break

@@ -269,7 +269,10 @@ class PanelGrid:
 
 
 def _panel_count(horizon: float, max_frequency: float) -> int:
-    """Panels of ``PanelGrid.for_frequency(horizon, max_frequency)``."""
+    """Panels of ``PanelGrid.for_frequency(horizon, max_frequency)``; a
+    horizon or frequency that is not positive and finite raises
+    ValueError."""
+    require_positive(horizon=horizon, max_frequency=max_frequency)
     return max(1, int(np.ceil(horizon * max(max_frequency, 1.0)
                               / RADIANS_PER_PANEL)))
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,36 @@ def certify_oracle(alpha, k, cap):
     return True, checked, None
 
 
+def per_tuple_oracle(alpha, k, cap):
+    """The per-tuple array scan the tail table replaced: every (k+1)-tuple
+    of a chunk of leading indices built as a row and raised to the power
+    alpha entry by entry, in the certificate's dtype; returns (passed,
+    tuples_checked, counterexample)."""
+    base = (k + 1) * cap
+    if not float(alpha).is_integer():
+        dtype = float
+    else:
+        a = int(alpha)
+        dtype = np.int64 if a < 63 and base ** a < 2**63 else object
+    checked = 0
+    for leads in phase._lead_chunks(k, cap):
+        t = phase._nonincreasing_tuples(leads, k).astype(dtype, copy=False)
+        if dtype is not float:
+            phi = -(t.sum(axis=1) ** a) + (t ** a).sum(axis=1)
+            ok = np.abs(phi) >= (a - 1) * t[:, 0] ** (a - 1) * t[:, 1]
+        else:
+            af = float(alpha)
+            phi = -np.power(t.sum(axis=1), af) + np.power(t, af).sum(axis=1)
+            bound = (af - 1.0) * np.power(t[:, 0], af - 1.0) * t[:, 1]
+            ok = np.abs(phi) >= bound * (1.0 - phase.FLOAT_ALPHA_SLACK)
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            return (False, checked + int(bad[0]) + 1,
+                    tuple(int(n) for n in t[bad[0]]))
+        checked += len(t)
+    return True, checked, None
+
+
 @pytest.mark.parametrize("alpha,k,cap,python_ints", [
     (2, 3, 30, False), (4, 2, 30, False), (9, 3, 30, False),
     (13, 2, 40, True), (20, 3, 10, True),
@@ -116,6 +147,18 @@ def test_certify_matches_scalar_oracle(alpha, k, cap, python_ints):
     assert (cert.passed, cert.tuples_checked, cert.counterexample) == \
         certify_oracle(alpha, k, cap)
     assert cert.tuples_checked == math.comb(cap + k, k + 1)
+
+
+# int64, Python ints (((k+1) cap)^alpha >= 2^63) and floats, k = 1 to 4
+@pytest.mark.parametrize("alpha", [1, 2, 4, 9, 13, 20, 1.5, 2.5, 3.7])
+@pytest.mark.parametrize("k,cap", [
+    (1, 1), (1, 40), (2, 17), (2, 40), (3, 30), (3, 40), (4, 1), (4, 21),
+])
+def test_certify_matches_per_tuple_oracle(alpha, k, cap):
+    cert = certify_phase_bound(alpha, k, cap)
+    got = (cert.passed, cert.tuples_checked, cert.counterexample)
+    assert got == per_tuple_oracle(alpha, k, cap)
+    assert got == (True, math.comb(cap + k, k + 1), None)
 
 
 # (2.5, 1, 6): (1, 1) and (2, 2) pass, (2, 1) is the third tuple scanned;
@@ -133,7 +176,8 @@ def test_certify_stops_at_first_counterexample(monkeypatch, alpha, k, cap,
     monkeypatch.setattr(phase, "FLOAT_ALPHA_SLACK", slack)
     cert = certify_phase_bound(alpha, k, cap)
     assert (cert.passed, cert.tuples_checked, cert.counterexample) == \
-        (False, checked, counterexample) == certify_oracle(alpha, k, cap)
+        (False, checked, counterexample) == certify_oracle(alpha, k, cap) \
+        == per_tuple_oracle(alpha, k, cap)
     assert cert.to_dict()["counterexample"] == list(counterexample)
 
 
@@ -149,7 +193,8 @@ def test_certify_counts_across_chunks(monkeypatch, alpha, slack, checked,
     monkeypatch.setattr(phase, "FLOAT_ALPHA_SLACK", slack)
     cert = certify_phase_bound(alpha, 3, 20)
     assert (cert.passed, cert.tuples_checked, cert.counterexample) == \
-        (False, checked, counterexample) == certify_oracle(alpha, 3, 20)
+        (False, checked, counterexample) == certify_oracle(alpha, 3, 20) \
+        == per_tuple_oracle(alpha, 3, 20)
     assert checked > math.comb(12 + 3, 4)
 
 
@@ -172,18 +217,36 @@ def test_tuple_generator_matches_comprehension(k):
     assert [tuple(r) for r in rows.tolist()] == comprehension_rows(leads, k)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_tail_table_suffixes_are_the_blocks_of_each_lead(k):
+    cap = 30
+    table = phase._TailTable.build(2, k, cap, np.int64)
+    tails = [tuple(r) for r in table.tails.tolist()]
+    assert tails == list(itertools.combinations_with_replacement(
+        range(cap, 0, -1), k))
+    assert table.sums.tolist() == [sum(r) for r in tails]
+    assert table.power_sums.tolist() == [sum(n**2 for n in r) for r in tails]
+    assert table.firsts.tolist() == [r[0] for r in tails]
+    for lead in range(1, cap + 1):
+        assert table.suffix[lead] == math.comb(lead + k - 1, k)
+        assert tails[len(tails) - table.suffix[lead]:] == list(
+            itertools.combinations_with_replacement(range(lead, 0, -1), k))
+
+
 @pytest.mark.parametrize("alpha,k,cap", [
     (2, 1, 300), (3, 2, 40), (4, 3, 30), (2.5, 4, 12), (20, 3, 10), (2, 5, 1),
 ])
 def test_no_chunk_exceeds_the_largest_block(monkeypatch, alpha, k, cap):
     chunks = []
-    check = phase._check_block
+    tables = []
+    check = phase._check_chunk
 
-    def spy(alpha, k, leads, dtype):
+    def spy(table, leads):
         chunks.append([int(lead) for lead in leads])
-        return check(alpha, k, leads, dtype)
+        tables.append(table)
+        return check(table, leads)
 
-    monkeypatch.setattr(phase, "_check_block", spy)
+    monkeypatch.setattr(phase, "_check_chunk", spy)
     cert = certify_phase_bound(alpha, k, cap)
     assert cert.passed
     # consecutive leading indices, each once, every chunk within one block
@@ -191,8 +254,35 @@ def test_no_chunk_exceeds_the_largest_block(monkeypatch, alpha, k, cap):
         list(range(1, cap + 1))
     sizes = [sum(math.comb(lead + k - 1, k) for lead in chunk)
              for chunk in chunks]
-    assert max(sizes) <= math.comb(cap + k - 1, k)
+    largest = math.comb(cap + k - 1, k)
+    assert max(sizes) <= largest
     assert sum(sizes) == cert.tuples_checked == math.comb(cap + k, k + 1)
+    # one table per certificate, whose per-tail arrays hold one row per
+    # tail, as many as the largest block; the power table has (k+1) cap + 1
+    assert all(table is tables[0] for table in tables)
+    table = tables[0]
+    for rows in (table.tails, table.sums, table.power_sums, table.firsts):
+        assert len(rows) == largest
+    assert len(table.powers) == (k + 1) * cap + 1
+    assert len(table.bound_factors) == len(table.suffix) == cap + 1
+
+
+@pytest.mark.parametrize("alpha,k,cap", [
+    (3, 2, 300), (2.5, 2, 300), (4, 3, 60), (2, 1, 3000),
+])
+def test_certificate_memory_stays_within_a_few_tail_tables(alpha, k, cap):
+    # every array the certificate allocates holds at most C(cap+k-1, k)
+    # rows, so its peak is a few dozen int64s per tail; a block of all
+    # C(cap+k, k+1) tuples would take 63 to 3001 times one tail table
+    largest = math.comb(cap + k - 1, k)
+    tracemalloc.start()
+    try:
+        cert = certify_phase_bound(alpha, k, cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.tuples_checked == math.comb(cap + k, k + 1)
+    assert peak <= 24 * 8 * largest
 
 
 @pytest.mark.parametrize("alpha,k,cap,dtype", [
@@ -204,9 +294,9 @@ def test_certify_limits_the_exact_term_bits(monkeypatch, alpha, k, cap,
     # the limit is read from bit lengths, and the int64 test powers only
     # for alpha < 63, so neither builds a term of the largest size
     dtypes = []
-    monkeypatch.setattr(phase, "_check_block",
-                        lambda alpha, k, leads, dtype: (dtypes.append(dtype)
-                                                        or (1, None)))
+    monkeypatch.setattr(phase._TailTable, "build", classmethod(
+        lambda cls, alpha, k, cap, dtype: dtypes.append(dtype)))
+    monkeypatch.setattr(phase, "_check_chunk", lambda table, leads: (1, None))
     bits = alpha * ((k + 1) * cap).bit_length()
     if dtype is None:
         assert bits > phase.MAX_EXACT_BITS
@@ -215,7 +305,22 @@ def test_certify_limits_the_exact_term_bits(monkeypatch, alpha, k, cap,
         assert dtypes == []
     else:
         assert certify_phase_bound(alpha, k, cap).passed
-        assert set(dtypes) == {dtype}
+        assert dtypes == [dtype]
+
+
+@pytest.mark.parametrize("k,cap,name", [
+    (2.0, 10, "k"), (1, 10.0, "index_cap"), ("2", 10, "k"),
+    (1, float("nan"), "index_cap"),
+])
+def test_certify_refuses_a_non_integer_k_or_cap(k, cap, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        certify_phase_bound(2, k, cap)
+
+
+def test_certify_takes_numpy_integers():
+    cert = certify_phase_bound(2, np.int64(2), np.int64(10))
+    assert (cert.k, cert.index_cap, cert.tuples_checked) == (2, 10, 220)
+    assert cert.to_dict() == certify_phase_bound(2, 2, 10).to_dict()
 
 
 def test_certify_rejects_alpha_below_one():

@@ -187,6 +187,19 @@ def test_tail_ratio_matches_rowwise_oracle(case):
         assert np.all(got == 0.0)
 
 
+@pytest.mark.parametrize("horizon,freq,name", [
+    (float("inf"), 10.0, "horizon"), (float("nan"), 10.0, "horizon"),
+    (-1.0, 10.0, "horizon"), (1.0, float("nan"), "max_frequency"),
+    (1.0, float("inf"), "max_frequency"), (1.0, 0.0, "max_frequency"),
+])
+def test_grid_sizing_refuses_a_bad_horizon_or_frequency(horizon, freq, name):
+    message = f"^{name} must be positive and finite"
+    with pytest.raises(ValueError, match=message):
+        PanelGrid.for_frequency(horizon, freq)
+    with pytest.raises(ValueError, match=message):
+        list(ladder(horizon, freq, 3, 1))
+
+
 def test_grid_locate_and_refine():
     grid = PanelGrid.for_frequency(2.0, 100.0)
     p, x = grid.locate(0.0)
