@@ -36,13 +36,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import quadrature
-from .phase import support_semigroup
 from .quadrature import (BLOCK_PANELS, OVERFLOW_GUARD, OverflowGuardError,
                          PanelGrid, QuadratureError, ladder,
                          oscillatory_march, require_positive, solve_on_ladder,
                          tail_ratio)
 from .spectral import (DispersionKind, EquationSpec, SpectralState,
-                       dispersion_mu, dispersion_symbol, power)
+                       _product, dispersion_mu, dispersion_symbol, power)
 from .trajectory import Trajectory
 
 __all__ = [
@@ -94,10 +93,11 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
                       ) -> Trajectory:
     """Evolve ``phi`` under ``spec`` up to time T.
 
-    With ``restrict_support`` the solver tracks only the additive semigroup
-    generated by the support of ``phi`` (all other modes are identically
-    zero); otherwise every mode up to the truncation is integrated, which is
-    slower but lets the support confinement emerge numerically.
+    The solver tracks the modes ``0, g, 2g, ... <= M``: with
+    ``restrict_support`` ``g`` is the gcd of the modes of ``phi``, whose
+    sums stay on that lattice, and otherwise 1, which is slower but lets
+    the support confinement emerge numerically.  Lattice modes no sum of
+    data modes reaches are exactly zero; zero data tracks no mode.
 
     Modes are solved in increasing order, each over the whole grid in one
     ``oscillatory_march``.  With ``u = c + w`` (``w`` the modes >= 1), the
@@ -127,11 +127,10 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
     """
     require_positive(T=T, tol=tol)
     M = phi.truncation
-    if restrict_support:
-        gens = {n for n in range(M + 1) if phi.coeffs[n] != 0}
-        support = np.array(sorted(support_semigroup(gens, M)), dtype=int)
-    else:
-        support = np.arange(M + 1)
+    # row r is mode g r; without a positive mode g = 0: the data's own modes
+    nonzero = np.flatnonzero(phi.coeffs)
+    step = int(np.gcd.reduce(nonzero)) if restrict_support else 1
+    support = np.arange(0, M + 1, step) if step else nonzero
 
     def trajectory(grid, values, attempts=()):
         return Trajectory(spec=spec, grid=grid, modes=support, values=values,
@@ -140,14 +139,13 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
                           grid_attempts=tuple(attempts))
 
     # the constant mode 0 is set, not marched, and is not compared
-    marched = support[support > 0]
+    c0 = complex(phi.coeffs[0])
+    marched = support[1:]
     if marched.size == 0:
         # zero or constant data: nothing is marched, and any grid is exact
         grid = PanelGrid.for_frequency(T, 1.0)
-        return trajectory(grid, np.full((support.size, grid.n_panels, grid.q),
-                                        complex(phi.coeffs[0])))
+        return trajectory(grid, np.full((support.size, grid.n_panels, grid.q), c0))
 
-    c0 = complex(phi.coeffs[0]) if support[0] == 0 else 0.0 + 0.0j
     shift = spec.self_coupling(c0)
     mu = dispersion_symbol(spec, support).astype(complex)
     omega = mu + support * shift
@@ -207,49 +205,40 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
 
 
 def _solve_rows(grid, support, omega, c0, init, weights):
-    """Solve the support rows in increasing order on one grid.  Returns the
-    node values, the worst Chebyshev tail ratio and the mode it occurs at;
-    tails are measured against all marched rows on each panel.
+    """Solve the rows of the lattice ``support`` in increasing order on one
+    grid, row 0 set to c0.  Returns the node values, the worst Chebyshev
+    tail ratio (against all marched rows on each panel) and its mode.
 
-    ``(w^2)(n)`` is symmetric in its two factors, so it is summed over the
-    unordered pairs ``i < rest`` once, plus half of the diagonal square, and
-    doubled; when ``w^2`` is the top power the 2 goes into the forcing's
-    scalar ``i n a_top``.  The higher powers ``w * w^{j-1}`` take every
-    ordered pair."""
+    Row r of ``w^j`` is target r of ``spectral._product(w, w^{j-1})`` over
+    the rows below r not exactly zero after their march (a zero row adds
+    only signed zeros to a sum that starts at +0).  ``w^2`` is symmetric:
+    it sums the rows ``m < r - m``, plus half the diagonal square, and is
+    doubled, in the forcing's scalar ``i n a_2`` when it is the top power."""
     shape = (grid.n_panels, grid.q)
     values = np.empty((support.size,) + shape, dtype=complex)
-    start = 1 if support[0] == 0 else 0
-    if start:
-        values[0] = c0
-    row_of = {int(n): r for r, n in enumerate(support)}
+    values[0] = c0
     top = max(weights, default=1)
     # powers[j] holds (w^j) on every row; w^1 is the trajectory itself
     powers = {1: values}
     powers.update((j, np.zeros_like(values)) for j in range(2, top))
     g = np.empty(shape, dtype=complex)
-    prod = np.empty(shape, dtype=complex)
-    for r in range(start, support.size):
+    live = []                    # marched rows that are not exactly zero
+    for r in range(1, support.size):
         n = int(support[r])
-        pairs = [(i, row_of[n - int(support[i])]) for i in range(start, r)
-                 if n - int(support[i]) in row_of]
         # powers below the top are kept for later rows; (w^top)(n) is
         # summed in place into the forcing i n sum_j a_j (w^j)(n)
         g.fill(0.0)
         for j in range(2, top + 1):
             acc = powers[j][r] if j < top else g
             if j == 2:
-                for i, i_rest in pairs:
-                    if i <= i_rest:
-                        np.multiply(values[i], values[i_rest], out=prod)
-                        if i == i_rest:
-                            prod *= 0.5
-                        acc += prod
+                _product(values, values, acc[None], r,
+                         [m for m in live if 2 * m < r])
+                if r % 2 == 0 and r // 2 in live:
+                    acc += values[r // 2] * values[r // 2] * 0.5
                 if j < top:
                     acc *= 2.0           # later rows need the true w^2
             else:
-                for i, i_rest in pairs:
-                    acc += np.multiply(values[i], powers[j - 1][i_rest],
-                                       out=prod)
+                _product(values, powers[j - 1], acc[None], r, live)
         g *= (2.0 if top == 2 else 1.0) * 1j * n * weights.get(top, 0.0)
         for j in range(2, top):
             if j in weights:
@@ -261,11 +250,13 @@ def _solve_rows(grid, support, omega, c0, init, weights):
             raise OverflowGuardError(
                 f"mode {n} exceeded {OVERFLOW_GUARD:g} at t={exc.time:g}",
                 time=exc.time) from None
+        if np.any(values[r]):
+            live.append(r)
     # the constant mode 0 is set, not marched: it is not checked and does
     # not set the scale of the marched rows
-    ratios = tail_ratio(values[start:], grid.scheme)
+    ratios = tail_ratio(values[1:], grid.scheme)
     worst = int(np.argmax(ratios))
-    return values, float(ratios[worst]), int(support[start + worst])
+    return values, float(ratios[worst]), int(support[1 + worst])
 
 
 # -- closed forms --------------------------------------------------------------
@@ -325,9 +316,8 @@ def _shift_frame(traj: Trajectory, m0: complex, shift: complex,
         1j * shift * traj.modes.astype(float))
     init = np.array(traj.initial_state.coeffs)
     init[0] += m0
-    r0 = np.searchsorted(traj.modes, 0)
-    if r0 < traj.modes.size and traj.modes[r0] == 0:
-        vals[r0] += m0
+    if traj.modes.size and traj.modes[0] == 0:
+        vals[0] += m0
     return Trajectory(spec=spec, grid=traj.grid, modes=traj.modes,
                       values=vals, truncation=traj.truncation,
                       quadrature_tolerance=traj.quadrature_tolerance,
@@ -440,8 +430,9 @@ def weak_residual(traj: Trajectory, window: TimeWindow) -> np.ndarray:
     trajectory's interpolants evaluated on its nodes
     (``Trajectory.resampled``).  The quadrature weights times theta and
     theta' are tabled once on the grid's nodes, and each power of u is
-    taken on the dense node values of ``quadrature.BLOCK_PANELS`` panels at
-    a time, every mode in one call.
+    taken on the node values of ``quadrature.BLOCK_PANELS`` panels at a
+    time, every mode ``g j`` (``g`` the gcd of the tracked modes) in one
+    call; no other mode is reached.
     """
     if abs(window.horizon - traj.horizon) > 1e-12 * max(1.0, traj.horizon):
         raise ValueError("window horizon differs from trajectory horizon")
@@ -459,14 +450,16 @@ def weak_residual(traj: Trajectory, window: TimeWindow) -> np.ndarray:
     int_dtheta[traj.modes] = np.tensordot(
         traj.values, wq * window.derivative(times), axes=2)
 
-    # sum_l lambda_l / (l+1) int (u^{l+1})_m theta dt
+    # sum_l lambda_l / (l+1) int (u^{l+1})_m theta dt, on the rows g j
+    step = int(np.gcd.reduce(traj.modes)) or 1
     nonlin = np.zeros(n.size, dtype=complex)
+    on_lattice = nonlin[::step]
     for start in range(0, grid.n_panels, BLOCK_PANELS):
         blk = slice(start, start + BLOCK_PANELS)
-        dense = np.zeros((n.size,) + theta[blk].shape, dtype=complex)
-        dense[traj.modes] = traj.values[:, blk]
+        dense = np.zeros((on_lattice.size,) + theta[blk].shape, dtype=complex)
+        dense[traj.modes // step] = traj.values[:, blk]
         for deg, lam in spec.nonlin_coeffs.items():
-            nonlin += (lam / (deg + 1)) * np.tensordot(
+            on_lattice += (lam / (deg + 1)) * np.tensordot(
                 power(dense, deg + 1), theta[blk], axes=2)
 
     theta0 = float(window.value(np.array([0.0]))[0])

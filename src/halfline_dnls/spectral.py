@@ -213,16 +213,21 @@ class EquationSpec:
         )
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``out[n] = sum_{m<=n} a[m] b[n-m]`` along axis 0 by direct
-    shift-and-add.  Rows of ``a`` that are zero in every column add nothing
-    and are skipped, so modes that no pair of supported modes reaches stay
-    exactly 0."""
-    out = np.zeros_like(a)
-    size = a.shape[0]
-    rows = np.any(a, axis=tuple(range(1, a.ndim)))
-    for m in np.flatnonzero(rows).tolist():
-        out[m:] += a[m] * b[: size - m]
+def _product(a: np.ndarray, b: np.ndarray, out=None, start: int = 0,
+             live=None) -> np.ndarray:
+    """``out[n - start] += sum_{m in live, m <= n} a[m] b[n-m]`` along axis
+    0 by direct shift-and-add, in increasing m, for the targets ``n >=
+    start`` that ``out`` holds.  By default ``out`` is a new zero array like
+    ``a``, ``start`` 0 and ``live`` the rows of ``a`` nonzero in some
+    column, so modes no pair of supported modes reaches stay exactly 0."""
+    out = np.zeros_like(a) if out is None else out
+    if live is None:
+        live = np.flatnonzero(np.any(a, axis=tuple(range(1, a.ndim)))).tolist()
+    stop = start + out.shape[0]
+    for m in live:
+        first = max(start, m)
+        if first < stop:
+            out[first - start:] += a[m] * b[first - m: stop - m]
     return out
 
 

@@ -38,7 +38,8 @@ def sup_sobolev_diff(a: np.ndarray, b: np.ndarray, s: float = 1.0) -> float:
 class Trajectory:
     """Piecewise-Chebyshev history of a truncated one-sided spectrum.
 
-    ``modes`` lists the tracked frequencies (sorted ascending);
+    ``modes`` lists the tracked frequencies, strictly increasing within
+    ``[0, truncation]`` (others are refused with ValueError);
     ``values[r, p, i]`` is mode ``modes[r]`` at node ``i`` of panel ``p``.
     ``grid_attempts`` is the rung record of the cascade solve that made the
     trajectory (see ``cascade.cascade_integrate``), and empty otherwise; the
@@ -57,6 +58,9 @@ class Trajectory:
 
     def __post_init__(self):
         m = np.asarray(self.modes, dtype=int)
+        if np.any(np.diff(m) <= 0) or np.any((m < 0) | (m > self.truncation)):
+            raise ValueError(f"modes {m.tolist()} are not strictly increasing "
+                             f"within [0, {self.truncation}]")
         v = np.asarray(self.values, dtype=complex)
         if v.shape != (m.size, self.grid.n_panels, self.grid.q):
             raise ValueError(f"values shape {v.shape} does not match grid/modes")

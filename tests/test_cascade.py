@@ -12,7 +12,8 @@ from halfline_dnls import (DispersionKind, EquationSpec, OverflowGuardError,
                            dispersion_mu, gauge_picard_solve, linear_solve,
                            mean_zero_inverse, mean_zero_transform,
                            nonlinear_forcing, power, sobolev_norm,
-                           standard_windows, weak_residual)
+                           standard_windows, support_semigroup,
+                           weak_residual)
 from halfline_dnls import cascade, quadrature
 from halfline_dnls.cli import dispatch
 from halfline_dnls.inflation import build_inflation_data, inflation_time
@@ -393,6 +394,150 @@ def test_pair_products_match_ordered_pair_oracle(monkeypatch, k):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def semigroup_solve_rows(grid, support, omega, c0, init, weights):
+    """Byte oracle of ``cascade._solve_rows``, in its form before the
+    lattice: rows on the support semigroup alone (mode 0 among them only
+    when the data has it), and every power summed over a pair list built
+    from a mode-to-row map, zero rows included."""
+    shape = (grid.n_panels, grid.q)
+    values = np.empty((support.size,) + shape, dtype=complex)
+    start = 1 if support[0] == 0 else 0
+    if start:
+        values[0] = c0
+    row_of = {int(n): r for r, n in enumerate(support)}
+    top = max(weights, default=1)
+    powers = {1: values}
+    powers.update((j, np.zeros_like(values)) for j in range(2, top))
+    g = np.empty(shape, dtype=complex)
+    prod = np.empty(shape, dtype=complex)
+    for r in range(start, support.size):
+        n = int(support[r])
+        pairs = [(i, row_of[n - int(support[i])]) for i in range(start, r)
+                 if n - int(support[i]) in row_of]
+        g.fill(0.0)
+        for j in range(2, top + 1):
+            acc = powers[j][r] if j < top else g
+            if j == 2:
+                for i, i_rest in pairs:
+                    if i <= i_rest:
+                        np.multiply(values[i], values[i_rest], out=prod)
+                        if i == i_rest:
+                            prod *= 0.5
+                        acc += prod
+                if j < top:
+                    acc *= 2.0
+            else:
+                for i, i_rest in pairs:
+                    acc += np.multiply(values[i], powers[j - 1][i_rest],
+                                       out=prod)
+        g *= (2.0 if top == 2 else 1.0) * 1j * n * weights.get(top, 0.0)
+        for j in range(2, top):
+            if j in weights:
+                g += (1j * n * weights[j]) * powers[j][r]
+        quadrature.oscillatory_march(grid, omega[r:r + 1], g[None],
+                                     init[r:r + 1], out=values[r:r + 1])
+    ratios = quadrature.tail_ratio(values[start:], grid.scheme)
+    worst = int(np.argmax(ratios))
+    return values, float(ratios[worst]), int(support[start + worst])
+
+
+class _Captured(Exception):
+    """Carries the arguments of a ``_solve_rows`` call out of the solve."""
+
+
+def solve_rows_args(monkeypatch, phi, spec, T, n_panels, restrict):
+    """The arguments ``cascade_integrate`` passes ``_solve_rows`` on one
+    grid of ``n_panels``."""
+    grid = quadrature.PanelGrid(T, n_panels)
+
+    def capture(*args):
+        raise _Captured(args)
+
+    with monkeypatch.context() as m:
+        m.setattr(cascade, "ladder", lambda *_: iter([grid]))
+        m.setattr(cascade, "_solve_rows", capture)
+        with pytest.raises(_Captured) as info:
+            cascade_integrate(phi, spec, T, restrict_support=restrict)
+    return info.value.args[0]
+
+
+def _inflation_case(k, M, restrict, panels):
+    return lambda: (build_inflation_data(16, 2.5, k, M),
+                    EquationSpec.pure_power(k, 2.0),
+                    inflation_time(16, 2.5, 0.5, k), restrict, panels)
+
+
+BACKGROUND = {0: 0.15 - 0.1j, 1: 0.04, 2: 0.03j, 3: -0.02, 5: 0.01}
+LATTICE_CASES = {
+    "headline": _inflation_case(1, 128, True, 1777),
+    "headline-unrestricted": _inflation_case(1, 128, False, 256),
+    "k2-truncation-64": _inflation_case(2, 64, True, 256),
+    "cross-validate-alpha2": lambda: (
+        state({1: 0.05, 2: 0.05}, 8), EquationSpec.pure_power(1, 2.0), 1.0,
+        True, 16),
+    "cross-validate-alpha3": lambda: (
+        state({1: 0.045, 2: 0.045j}, 16), EquationSpec.pure_power(1, 3.0),
+        1.0, True, 64),
+    **{f"background-k{k}": (lambda k=k: (
+        state(BACKGROUND, 12), EquationSpec.pure_power(k, 3.0), 0.5, True,
+        64)) for k in (1, 2, 3)},
+    **{f"unrestricted-k{k}": (lambda k=k: (
+        state({0: 0.2 - 0.1j, 4: 0.05}, 16), EquationSpec.pure_power(k, 2.0),
+        0.5, False, 32)) for k in (1, 2, 3)},
+    "gap-2-3": lambda: (state({2: 0.05, 3: 0.03}, 12),
+                        EquationSpec.pure_power(2, 2.0), 0.5, True, 16),
+    "gap-0-4-6": lambda: (state({0: 0.1, 4: 0.05, 6: 0.03}, 13),
+                          EquationSpec.pure_power(1, 2.0), 0.5, True, 16),
+}
+
+
+@pytest.mark.parametrize("case", list(LATTICE_CASES))
+def test_lattice_rows_match_the_semigroup_oracle_bitwise(monkeypatch, case):
+    # the lattice holds every semigroup row with the oracle's bits, signed
+    # zeros included, and the same tail and worst mode; its other rows are
+    # exact zeros
+    phi, spec, T, restrict, panels = LATTICE_CASES[case]()
+    args = solve_rows_args(monkeypatch, phi, spec, T, panels, restrict)
+    grid, lattice, omega, c0, init, weights = args
+    values, tail, mode = cascade._solve_rows(*args)
+    support = lattice
+    if restrict:
+        gens = np.flatnonzero(phi.coeffs).tolist()
+        support = np.array(sorted(support_semigroup(gens, phi.truncation)))
+    rows = np.searchsorted(lattice, support)
+    assert np.array_equal(lattice[rows], support)
+    ref, ref_tail, ref_mode = semigroup_solve_rows(
+        grid, support, omega[rows], c0 if support[0] == 0 else 0j,
+        init[rows], weights)
+    assert np.array_equal(values[rows].view(np.int64), ref.view(np.int64))
+    assert (tail, mode) == (ref_tail, ref_mode)
+    assert not np.any(np.delete(values, rows, axis=0))
+
+
+def test_mean_zero_data_tracks_mode_zero_as_a_set_row():
+    # row 0 is set to +0 in every bit, not marched
+    phi = state({1: 0.05, 2: 0.05}, 8)
+    traj = cascade_integrate(phi, EquationSpec.pure_power(1, 2.0), 1.0)
+    assert traj.modes.tolist() == list(range(9))
+    assert not np.any(traj.values[0].view(np.int64))
+
+
+def test_data_on_the_multiples_of_three_tracks_their_lattice():
+    phi = state({0: 0.2, 3: 0.1}, 12)
+    traj = cascade_integrate(phi, EquationSpec.pure_power(1, 2.0), 0.6)
+    assert traj.modes.tolist() == [0, 3, 6, 9, 12]
+
+
+def test_gap_modes_of_the_lattice_are_exact_zeros():
+    # gcd(2, 3) = 1, so every mode is tracked; mode 1 is no sum of data
+    # modes and stays exactly 0, every other mode is reached
+    phi = state({2: 0.05, 3: 0.03}, 12)
+    traj = cascade_integrate(phi, EquationSpec.pure_power(1, 2.0), 0.5)
+    assert traj.modes.tolist() == list(range(13))
+    assert np.all(traj.values[1] == 0)
+    assert all(np.any(traj.values[r]) for r in range(2, 13))
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_unrestricted_off_semigroup_rows_are_exact_zeros(k):
     # off the semigroup every pair product has a zero factor, so the
@@ -586,6 +731,64 @@ def test_weak_residual_matches_per_mode_oracle(make, modes, windows):
         scale = max(largest for _, largest in ref)
         gaps = [abs(got[m] - r) for m, (r, _) in zip(modes, ref)]
         assert max(gaps) <= 1e-13 * scale, window.name
+
+
+def dense_weak_residual(traj, window):
+    """Oracle of ``weak_residual`` in its form before the lattice: each
+    power taken on the dense rows of every mode ``0..truncation``."""
+    grid = cascade._window_grid(traj, window)
+    if grid is not traj.grid:
+        traj = traj.resampled(grid)
+    spec, grid = traj.spec, traj.grid
+    n = np.arange(traj.truncation + 1)
+    times = grid.node_times()
+    wq = 0.5 * grid.widths()[:, None] * grid.scheme.weights
+    theta = wq * window.value(times)
+    int_theta = np.zeros(n.size, dtype=complex)
+    int_dtheta = np.zeros(n.size, dtype=complex)
+    int_theta[traj.modes] = np.tensordot(traj.values, theta, axes=2)
+    int_dtheta[traj.modes] = np.tensordot(
+        traj.values, wq * window.derivative(times), axes=2)
+    nonlin = np.zeros(n.size, dtype=complex)
+    for start in range(0, grid.n_panels, quadrature.BLOCK_PANELS):
+        blk = slice(start, start + quadrature.BLOCK_PANELS)
+        dense = np.zeros((n.size,) + theta[blk].shape, dtype=complex)
+        dense[traj.modes] = traj.values[:, blk]
+        for deg, lam in spec.nonlin_coeffs.items():
+            nonlin += (lam / (deg + 1)) * np.tensordot(
+                power(dense, deg + 1), theta[blk], axes=2)
+    theta0 = float(window.value(np.array([0.0]))[0])
+    mu = dispersion_mu(spec.alpha, n, spec.dispersion_kind)
+    lhs = -int_dtheta - traj.initial_state.coeffs * theta0 - 1j * mu * int_theta
+    return lhs - 1j * n * nonlin
+
+
+def multiples_of_three_trajectory():
+    """Mean-zero data on the multiples of 3: lattice rows 0, 3, ..., 18."""
+    phi = state({3: 0.05, 6: -0.02j}, 18)
+    return cascade_integrate(phi, EquationSpec.pure_power(2, 2.0), 0.5)
+
+
+@pytest.mark.parametrize("make, step", [
+    (closed_form_trajectory, 4),
+    (nonlinear_trajectory, 1),
+    (cubic_trajectory, 1),
+    (gauge_trajectory, 1),
+    (multiples_of_three_trajectory, 3),
+    (headline_trajectory, 16),
+], ids=["closed-form", "nonlinear", "cubic", "gauge", "multiples-of-3",
+        "headline"])
+def test_weak_residual_on_the_lattice_matches_dense_rows_bitwise(make, step):
+    # the powers on the rows g j give the dense rows' bits there, and the
+    # modes off the lattice read exactly 0
+    traj = make()
+    on = np.arange(0, traj.truncation + 1, step)
+    assert np.gcd.reduce(traj.modes) == step
+    for window in standard_windows(traj.horizon):
+        got = weak_residual(traj, window)
+        ref = dense_weak_residual(traj, window)
+        assert np.array_equal(got[on].view(np.int64), ref[on].view(np.int64))
+        assert np.all(np.delete(got, on) == 0), window.name
 
 
 def test_weak_residual_closed_form_single_mode():

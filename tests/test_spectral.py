@@ -138,6 +138,60 @@ def test_batched_products_match_column_oracle(M, B, step, j, seed):
         assert np.all(got[:, ~np.any(a, axis=0)][1:] == 0)
 
 
+def shift_and_add(a, b):
+    """The product kernel's default expression: every nonzero row of ``a``
+    shifted and added over all targets."""
+    out = np.zeros_like(a)
+    for m in np.flatnonzero(np.any(a, axis=tuple(range(1, a.ndim)))):
+        out[m:] += a[m] * b[: a.shape[0] - m]
+    return out
+
+
+def rows_with_zeros(rng, M, shape):
+    """An (M+1, *shape) draw with a few whole rows zero, one of them -0."""
+    a = rng.standard_normal((M + 1,) + shape) \
+        + 1j * rng.standard_normal((M + 1,) + shape)
+    a[rng.random(M + 1) < 0.3] = 0.0
+    a[M // 2] = -0.0
+    return a
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_product_targets_match_the_full_product_bitwise(seed):
+    # a one-row buffer at every target, and a range of targets, give the
+    # bits of the full product: with the nonzero rows of ``a`` as ``live``
+    # and with every row, since a zero row adds only signed zeros to a sum
+    # that starts at +0
+    rng = np.random.default_rng(seed)
+    M, shape = 10, (3, 4)
+    a, b = rows_with_zeros(rng, M, shape), rows_with_zeros(rng, M, shape)
+    full = _product(a, b)
+    assert np.array_equal(full.view(np.int64), shift_and_add(a, b).view(np.int64))
+    nonzero = np.flatnonzero(np.any(a, axis=(1, 2))).tolist()
+    assert len(nonzero) < M + 1
+    for live in (nonzero, list(range(M + 1))):
+        for n in range(M + 1):
+            one = np.zeros((1,) + shape, dtype=complex)
+            assert _product(a, b, one, start=n, live=live) is one
+            assert np.array_equal(one[0].view(np.int64),
+                                  full[n].view(np.int64)), n
+        for start, stop in ((0, M + 1), (3, 7), (M, M + 1)):
+            part = np.zeros((stop - start,) + shape, dtype=complex)
+            _product(a, b, part, start=start, live=live)
+            assert np.array_equal(part.view(np.int64),
+                                  full[start:stop].view(np.int64))
+
+
+def test_product_into_a_view_writes_in_place():
+    # the cascade passes one row of a larger array as the buffer
+    rng = np.random.default_rng(7)
+    a, b = rows_with_zeros(rng, 6, (5,)), rows_with_zeros(rng, 6, (5,))
+    store = np.zeros((7, 5), dtype=complex)
+    _product(a, b, store[4][None], start=4)
+    assert np.array_equal(store[4], _product(a, b)[4])
+    assert not np.any(np.delete(store, 4, axis=0))
+
+
 def test_convolve_batch_shape_mismatch():
     with pytest.raises(TruncationMismatchError):
         convolve(np.ones((4, 3), dtype=complex), np.ones((4, 2), dtype=complex))

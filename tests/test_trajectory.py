@@ -20,6 +20,17 @@ def traj():
     return cascade_integrate(phi, EquationSpec.pure_power(1, 2.0), 1.0)
 
 
+@pytest.mark.parametrize("modes", [[3, 1], [1, 1], [1, 9], [-1, 1]])
+def test_modes_out_of_order_or_range_are_refused(traj, modes):
+    # dense output indexes rows by mode, so such a list would lose or
+    # misplace rows without an error ([3, 1] read all zeros)
+    values = np.ones((2, traj.n_panels, traj.grid.q), dtype=complex)
+    with pytest.raises(ValueError, match=rf"modes \[{modes[0]}, {modes[1]}\]"):
+        Trajectory(spec=traj.spec, grid=traj.grid, modes=np.array(modes),
+                   values=values, truncation=8, quadrature_tolerance=1e-10,
+                   initial_state=traj.initial_state)
+
+
 def test_dense_output_matches_nodes(traj):
     # evaluating the interpolant at a node reproduces the stored value
     p = traj.n_panels // 2
