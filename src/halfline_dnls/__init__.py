@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 
 from .spectral import (DispersionKind, EquationSpec, SpectralState,
                        TruncationMismatchError, convolve, derivative_coeffs,
-                       dispersion_apply, dispersion_mu, dispersion_symbol,
-                       power, sobolev_norm)
+                       dispersion_mu, dispersion_symbol, power, sobolev_norm)
 from .phase import (PhaseCertificate, PhaseTuple, certify_phase_bound,
                     phase_lower_bound, resonance_phase, support_semigroup)
 from .quadrature import OverflowGuardError, PanelGrid, QuadratureError
@@ -41,7 +40,6 @@ __all__ = [
     "DispersionKind", "EquationSpec", "SpectralState",
     "TruncationMismatchError", "convolve", "power", "sobolev_norm",
     "derivative_coeffs", "dispersion_mu", "dispersion_symbol",
-    "dispersion_apply",
     # phase analysis
     "PhaseTuple", "PhaseCertificate", "resonance_phase", "phase_lower_bound",
     "certify_phase_bound", "support_semigroup",

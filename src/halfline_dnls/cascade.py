@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import comb
 from typing import Callable, Optional
 
 import numpy as np
@@ -103,9 +102,9 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
     ``oscillatory_march``.  With ``u = c + w`` (``w`` the modes >= 1), the
     forcing of mode n is ``i n sum_j a_j (w^j)(n)`` over ``j >= 2``, where
     ``(w^j)(n) = sum_{0<m<n} w(m) (w^{j-1})(n-m)`` needs only solved modes
-    and ``a_j`` collects the binomial terms of ``(c + w)^{l+1}``.  A
-    nonlinearity of degree k >= 2 keeps ``k - 1`` arrays the size of the
-    trajectory for the powers of ``w``.
+    and ``a_j = lambda'_{j-1} / j`` over the coefficients of
+    ``spec.recentered(c)``.  A nonlinearity of degree k >= 2 keeps
+    ``k - 1`` arrays the size of the trajectory for the powers of ``w``.
 
     The solve climbs ``quadrature.ladder``, sized for ``LADDER_MARGIN``
     times the fastest frequency of the tracked modes, and accepts the first
@@ -151,13 +150,10 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
     omega = mu + support * shift
     freq = 2.0 * float(np.max(np.abs(mu) + support * abs(shift))) + 1.0
 
-    # a_j = sum_l lambda_l C(l+1, j) c^(l+1-j) / (l+1); j = 1 is the shift
-    weights = {}
-    for deg, lam in spec.nonlin_coeffs.items():
-        for j in range(2, deg + 2):
-            weights[j] = weights.get(j, 0.0) + (
-                lam * comb(deg + 1, j) * c0 ** (deg + 1 - j) / (deg + 1))
-    weights = {j: a for j, a in weights.items() if a != 0}
+    # a_{i+1} = lambda'_i / (i+1) of the recentered equation; a_1 is the shift
+    weights = {} if spec.max_degree == 0 else {
+        i + 1: lam / (i + 1)
+        for i, lam in spec.recentered(c0).nonlin_coeffs.items()}
     init = phi.coeffs[support]
     times = np.linspace(0.0, T, AGREEMENT_TIMES)
     attempts = []

@@ -102,8 +102,14 @@ def choose_N(epsilon: float, s: float, sigma: float, k: int) -> int:
     ``N = e^{k+1}`` and falls after it, so past an N where the second
     condition fails it fails until T falls below ``min(eps, 1)``, and then
     holds for good: a second gallop and bisection from that N find the
-    answer.  No N is scanned one at a time."""
+    answer.  No N is scanned one at a time.  A non-finite ``s`` or
+    ``sigma``, or a ``k`` that is not an integer >= 1, raises ValueError."""
     require_positive(epsilon=epsilon)
+    for name, x in (("s", s), ("sigma", sigma)):
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x!r}")
+    if not (isinstance(k, (int, np.integer)) and k >= 1):
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     try:
         start = max(3, math.floor(math.exp(2.0 / epsilon) * (1.0 - 1e-9)))
     except OverflowError:
@@ -244,9 +250,9 @@ class NormReport:
     CSV_HEADER = ("N,s,sigma,k,alpha,T,phi_norm_hs,w_carrier_abs,"
                   "u_norm_hsigma_lower,status")
 
-    def csv_row(self, status: Optional[str] = None) -> str:
+    def csv_row(self) -> str:
         cfg = self.config
-        status = status or ("pass" if self.passed else "fail")
+        status = "pass" if self.passed else "fail"
         return (f"{cfg.N},{cfg.s!r},{cfg.sigma!r},{cfg.k},{cfg.alpha!r},"
                 f"{self.T!r},{self.phi_norm_hs!r},{self.carrier_target_abs!r},"
                 f"{self.uT_norm_hsigma_lower!r},{status}")
@@ -418,14 +424,13 @@ def cross_validate(config: CrossValidationConfig) -> CrossReport:
     max mode-wise sup-in-time coefficient disagreement (in the original
     frame).  alpha = 2 routes through the gauge system, alpha >= 3 through
     the normal form (recentering first when the data has nonzero mean).
+    The independent pipeline runs first, so data it refuses (a mean at
+    alpha = 2, data outside the contraction ball) costs no cascade solve.
     """
     phi, alpha, k, T = config.phi, config.alpha, config.k, config.T
     minimum_regularity(alpha)     # validates the regime
-    tol = config.resolved_tolerance()
     spec = EquationSpec.pure_power(k, alpha)
-    traj_u = cascade_integrate(phi, spec, T, tol=CASCADE_TOL)
     ts = np.linspace(0.0, T, N_COMPARE)
-    u_cascade = traj_u.dense_at(ts)
     n = np.arange(phi.truncation + 1)
 
     if alpha == 2:
@@ -437,29 +442,28 @@ def cross_validate(config: CrossValidationConfig) -> CrossReport:
             phi, psi, k, T, tol=PICARD_TOL)
         u_other = gu_traj.dense_at(ts)
         defect = float(np.max(compatibility_defects(gu_traj, gg_traj, k, ts)))
-        disagreement = float(np.max(np.abs(u_cascade - u_other)))
-        return CrossReport(pipelines=("cascade", "gauge"),
-                           max_disagreement=disagreement, tolerance=tol,
-                           n_compare=N_COMPARE, gauge_defect=defect,
-                           log=log)
+        pipelines = ("cascade", "gauge")
+    else:
+        # recenter, solve for w in normal form, then map back to the
+        # original frame; mean-zero data is the case m0 = 0
+        m0 = complex(phi.coeffs[0])
+        w_spec = spec.recentered(m0)
+        w0 = np.array(phi.coeffs)
+        w0[0] = 0.0
+        v_traj, log = picard_solve(SpectralState(w0, phi.time), w_spec, T,
+                                   tol=PICARD_TOL)
+        v_vals = v_traj.dense_at(ts)
+        mu = dispersion_symbol(w_spec, n)
+        w_vals = v_vals * np.exp(1j * np.outer(mu, ts))
+        shift = spec.self_coupling(m0)
+        u_other = w_vals * np.exp(1j * shift * np.outer(n, ts))
+        u_other[0, :] += m0
+        defect = None
+        pipelines = ("cascade", "normal-form" if m0 == 0
+                     else "normal-form-recentered")
 
-    # recenter, solve the polynomial equation for w in normal form, then
-    # map back to the original frame; mean-zero data is the case m0 = 0
-    m0 = complex(phi.coeffs[0])
-    w_spec = spec.recentered(m0)
-    w0 = np.array(phi.coeffs)
-    w0[0] = 0.0
-    v_traj, log = picard_solve(SpectralState(w0, phi.time), w_spec, T,
-                               tol=PICARD_TOL)
-    v_vals = v_traj.dense_at(ts)
-    mu = dispersion_symbol(w_spec, n)
-    w_vals = v_vals * np.exp(1j * np.outer(mu, ts))
-    shift = spec.self_coupling(m0)
-    u_other = w_vals * np.exp(1j * shift * np.outer(n, ts))
-    u_other[0, :] += m0
-    pipelines = ("cascade", "normal-form" if m0 == 0
-                 else "normal-form-recentered")
-
+    u_cascade = cascade_integrate(phi, spec, T, tol=CASCADE_TOL).dense_at(ts)
     disagreement = float(np.max(np.abs(u_cascade - u_other)))
     return CrossReport(pipelines=pipelines, max_disagreement=disagreement,
-                       tolerance=tol, n_compare=N_COMPARE, log=log)
+                       tolerance=config.resolved_tolerance(),
+                       n_compare=N_COMPARE, gauge_defect=defect, log=log)

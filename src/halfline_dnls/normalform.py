@@ -321,20 +321,6 @@ class NormalFormOperators:
         out += carry[:, :, None]
         return out
 
-    def integral_map(self, v_traj: Trajectory, phi: SpectralState) -> Trajectory:
-        """One application of the fixed-point map to a trajectory of v."""
-        dense = np.zeros((self.truncation + 1, v_traj.n_panels, v_traj.grid.q),
-                         dtype=complex)
-        if v_traj.modes.size:
-            dense[v_traj.modes] = v_traj.values
-        new = self._apply_map_tensor(dense, v_traj.grid,
-                                     np.asarray(phi.coeffs, dtype=complex))
-        return Trajectory(spec=v_traj.spec, grid=v_traj.grid,
-                          modes=np.arange(self.truncation + 1), values=new,
-                          truncation=self.truncation,
-                          quadrature_tolerance=v_traj.quadrature_tolerance,
-                          initial_state=phi, variable="v")
-
     # -- certified constants ----------------------------------------------------
 
     def young_constants(self) -> tuple:

@@ -148,26 +148,19 @@ class PanelScheme:
 
 @lru_cache(maxsize=8)
 def panel_scheme(q: int = DEFAULT_POINTS) -> PanelScheme:
+    """The cached ``PanelScheme`` of q >= 4 Gauss-Legendre points; its
+    maps are numpy's ``chebint`` (vanishing at -1) and ``chebder`` of eye(q)."""
     if q < 4:
         raise ValueError("need at least 4 points per panel")
     x, w = leggauss(q)
     V = _cheb.chebvander(x, q - 1)            # V[i, j] = T_j(x_i)
     A = np.linalg.inv(V)                      # node values -> cheb coeffs
-    # antiderivative with value 0 at x = -1, as a coeff -> coeff map
-    S = np.zeros((q + 1, q))
-    for j in range(q):
-        e = np.zeros(q)
-        e[j] = 1.0
-        S[:, j] = _cheb.chebint(e, lbnd=-1)
+    S = _cheb.chebint(np.eye(q), lbnd=-1)     # shape (q + 1, q)
     Vq1 = _cheb.chebvander(x, q)
     P = Vq1 @ S @ A
     end = (_cheb.chebvander(np.array([1.0]), q) @ S @ A)[0]
-    # derivative, coeff -> coeff, then back to node values
     D = np.zeros((q, q))
-    for j in range(1, q):
-        e = np.zeros(q)
-        e[j] = 1.0
-        D[: q - 1, j] = _cheb.chebder(e)
+    D[: q - 1] = _cheb.chebder(np.eye(q))
     DN = V @ D @ A
     for arr in (x, w, A, P, end, DN):
         arr.flags.writeable = False

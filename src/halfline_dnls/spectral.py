@@ -17,7 +17,6 @@ coefficient vector of a constant ``c`` is ``c * delta_0``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
@@ -36,7 +35,6 @@ __all__ = [
     "derivative_coeffs",
     "dispersion_mu",
     "dispersion_symbol",
-    "dispersion_apply",
 ]
 
 
@@ -97,9 +95,6 @@ class SpectralState:
             c[n] = a
         return cls(c, time)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     def to_dict(self) -> dict:
         return {
             "time": self.time,
@@ -110,10 +105,6 @@ class SpectralState:
     def from_dict(cls, d: dict) -> "SpectralState":
         coeffs = np.array([complex(re, im) for re, im in d["coeffs"]])
         return cls(coeffs, float(d.get("time", 0.0)))
-
-    @classmethod
-    def from_json(cls, s: str) -> "SpectralState":
-        return cls.from_dict(json.loads(s))
 
 
 def _validate_nonlin(coeffs: Mapping[int, complex]) -> dict:
@@ -318,9 +309,3 @@ def dispersion_symbol(spec: EquationSpec, n):
     """``mu(n)`` of the equation's dispersion on nonnegative frequencies."""
     return dispersion_mu(spec.alpha, n, spec.dispersion_kind)
 
-
-def dispersion_apply(u: SpectralState, spec: EquationSpec, t: float) -> SpectralState:
-    """Free evolution for a duration ``t``: multiply mode n by ``e^{i t mu(n)}``."""
-    n = np.arange(u.coeffs.size)
-    mu = dispersion_symbol(spec, n)
-    return SpectralState(u.coeffs * np.exp(1j * t * mu), time=u.time + t)

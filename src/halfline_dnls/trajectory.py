@@ -9,11 +9,11 @@ tracked set are identically zero.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+from numpy.polynomial import chebyshev as _cheb
 
 from .quadrature import PanelGrid
 from .spectral import EquationSpec, SpectralState
@@ -86,21 +86,16 @@ class Trajectory:
     def _evaluate(self, ns: np.ndarray, ts) -> np.ndarray:
         """Modes ``ns`` (1-D) at each time of ``ts`` (a scalar is one time),
         shape (ns.size, len(ts)); untracked modes are 0.  One locate, one
-        Chebyshev row per time (a stack of one vector-matrix product per
-        time), and one elementwise contraction over (times, rows, q) that
-        copies only the tracked rows asked for, on the panels of ``ts``.
-        No sum depends on how many times or rows are asked for, so a time
-        gives the same bits alone as in any batch of times, and a mode the
-        same bits alone as among all modes."""
+        Chebyshev row per time (its ``chebvander`` row times ``coeff_map``),
+        and one elementwise contraction over (times, rows, q) that copies
+        only the tracked rows asked for, on the panels of ``ts``.  No sum
+        depends on how many times or rows are asked for, so a time gives
+        the same bits alone as in any batch of times, and a mode the same
+        bits alone as among all modes."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         p, x = self.grid.locate(ts)
-        # T_0(x), ..., T_{q-1}(x) by chebvander's recurrence (bit-identical
-        # to it); times coeff_map, the row that evaluates the panel's
-        # interpolant at x
-        tx = [np.ones_like(x), x]
-        for _ in range(2, self.grid.q):
-            tx.append(2.0 * x * tx[-1] - tx[-2])
-        cheb = np.array(tx).T[:, None, :] @ self.grid.scheme.coeff_map
+        cheb = (_cheb.chebvander(x, self.grid.q - 1)[:, None, :]
+                @ self.grid.scheme.coeff_map)
         idx = np.searchsorted(self.modes, ns)
         tracked = idx < self.modes.size
         tracked[tracked] = self.modes[idx[tracked]] == ns[tracked]
@@ -161,9 +156,6 @@ class Trajectory:
         dense = self._evaluate(np.arange(self.truncation + 1), ts)
         return [SpectralState(c, time=float(t)) for t, c in zip(ts, dense.T)]
 
-    def final_state(self) -> SpectralState:
-        return self.state_at(self.horizon)
-
     # -- norms ---------------------------------------------------------------
 
     def sup_sobolev_norm(self, s: float) -> float:
@@ -187,9 +179,6 @@ class Trajectory:
             "tracked_modes": [int(n) for n in self.modes],
             "samples": [state.to_dict() for state in self.samples],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
     def write_csv(self, fh) -> None:
         """Rows (t, n, abs, arg) for each sample time and tracked mode."""

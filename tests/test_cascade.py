@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from math import comb
 
 import numpy as np
 import pytest
@@ -512,6 +513,56 @@ def test_lattice_rows_match_the_semigroup_oracle_bitwise(monkeypatch, case):
     assert np.array_equal(values[rows].view(np.int64), ref.view(np.int64))
     assert (tail, mode) == (ref_tail, ref_mode)
     assert not np.any(np.delete(values, rows, axis=0))
+
+
+def binomial_weights(spec, c0):
+    """Oracle of the forcing weights: ``a_j = sum_l lambda_l C(l+1, j)
+    c^(l+1-j) / (l+1)`` for j >= 2 (the binomial terms of ``(c + w)^{l+1}``),
+    zeros dropped."""
+    weights = {}
+    for deg, lam in spec.nonlin_coeffs.items():
+        for j in range(2, deg + 2):
+            weights[j] = weights.get(j, 0.0) + (
+                lam * comb(deg + 1, j) * c0 ** (deg + 1 - j) / (deg + 1))
+    return {j: a for j, a in weights.items() if a != 0}
+
+
+WEIGHT_CASES = {
+    **{case: LATTICE_CASES[case] for case in (
+        "headline", "k2-truncation-64", "cross-validate-alpha3",
+        "background-k1", "background-k2", "background-k3",
+        "unrestricted-k1", "unrestricted-k2", "unrestricted-k3")},
+    "mixed-degrees": lambda: (
+        state(BACKGROUND, 12), EquationSpec(2.0, {0: 0.3, 1: -0.5j, 3: 0.8}),
+        0.5, True, 64),
+    "transport-and-degree-1": lambda: (
+        state(BACKGROUND, 12), EquationSpec(2.0, {0: 0.3, 1: 1.0 + 0.5j}),
+        0.5, True, 64),
+    "transport-alone": lambda: (
+        state(BACKGROUND, 12), EquationSpec(2.0, {0: 0.3}), 0.5, True, 16),
+}
+
+
+@pytest.mark.parametrize("case", list(WEIGHT_CASES))
+def test_forcing_weights_match_the_binomial_oracle(monkeypatch, case):
+    # bitwise up to degree 1; at higher degrees the recentered sums round
+    # differently, within 1e-15 relative, in the weights and node values
+    phi, spec, T, restrict, panels = WEIGHT_CASES[case]()
+    args = solve_rows_args(monkeypatch, phi, spec, T, panels, restrict)
+    weights, c0 = args[5], args[3]
+    ref = binomial_weights(spec, c0)
+    assert sorted(weights) == sorted(ref)
+    values = cascade._solve_rows(*args)[0]
+    ref_values = cascade._solve_rows(*args[:5], ref)[0]
+    if spec.max_degree <= 1:
+        assert all(np.array([weights[j]]).view(np.int64).tolist()
+                   == np.array([ref[j]]).view(np.int64).tolist() for j in ref)
+        assert np.array_equal(values.view(np.int64), ref_values.view(np.int64))
+    else:
+        for j in ref:
+            assert abs(weights[j] - ref[j]) <= 1e-15 * abs(ref[j])
+        assert np.max(np.abs(values - ref_values)) \
+            <= 1e-15 * np.max(np.abs(ref_values))
 
 
 def test_mean_zero_data_tracks_mode_zero_as_a_set_row():

@@ -135,6 +135,23 @@ def test_choose_N_refuses_epsilon(eps):
         choose_N(eps, 2.0, 0.0, 1)
 
 
+@pytest.mark.parametrize("s, sigma, k, name", [
+    (math.nan, 0.0, 1, "s"), (math.inf, 0.0, 1, "s"),
+    (2.0, math.nan, 1, "sigma"), (2.0, -math.inf, 1, "sigma"),
+    (2.0, 0.0, 0, "k"), (2.0, 0.0, -1, "k"), (2.0, 0.0, 1.5, "k"),
+    (2.0, 0.0, 1.0, "k"),
+])
+def test_choose_N_refuses_s_sigma_and_k(s, sigma, k, name):
+    # a NaN s galloped into an OverflowError, and k = 0 gave an N whose
+    # data build_inflation_data cannot make
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        choose_N(0.5, s, sigma, k)
+
+
+def test_choose_N_accepts_a_numpy_integer_k():
+    assert choose_N(0.5, 2.0, 0.0, np.int64(2)) == choose_N(0.5, 2.0, 0.0, 2)
+
+
 # -- config validation ---------------------------------------------------------------
 
 def test_config_rejects_open_regime():
@@ -277,6 +294,27 @@ def test_cross_validate_alpha2_requires_mean_zero():
     phi = SpectralState.from_modes({0: 0.1, 1: 0.02}, 8)
     with pytest.raises(ValueError, match="mean-zero"):
         cross_validate(CrossValidationConfig(phi=phi, alpha=2.0, k=1, T=0.5))
+
+
+@pytest.mark.parametrize("alpha, modes, match", [
+    (2.0, {0: 0.05, 1: 0.04, 2: 0.01}, "mean-zero"),
+    (3.0, {1: 0.3, 2: 0.3}, "contraction ball"),
+])
+def test_cross_validate_refuses_before_any_cascade_solve(monkeypatch, alpha,
+                                                         modes, match):
+    # the independent pipeline runs first: data it refuses costs no cascade
+    from halfline_dnls import (ContractionThresholdError,
+                               CrossValidationConfig, SpectralState,
+                               cross_validate, inflation)
+
+    def no_cascade(*args, **kwargs):
+        raise AssertionError("cascade_integrate called")
+
+    monkeypatch.setattr(inflation, "cascade_integrate", no_cascade)
+    phi = SpectralState.from_modes(modes, 48)
+    with pytest.raises(ValueError, match=match) as info:
+        cross_validate(CrossValidationConfig(phi=phi, alpha=alpha, k=1, T=1.0))
+    assert (alpha == 3.0) == isinstance(info.value, ContractionThresholdError)
 
 
 def test_report_serialization(small_report):

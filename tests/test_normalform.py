@@ -1,5 +1,7 @@
 """Normal-form operators, the fixed-point map, and the Picard solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -277,13 +279,21 @@ def _constant_trajectory(phi, T, freq):
                       initial_state=phi, variable="v")
 
 
+def _map_trajectory(ops, traj, phi):
+    """One application of the fixed-point map to the trajectory ``traj``
+    of v (every mode tracked), as the trajectory of its image."""
+    values = ops._apply_map_tensor(traj.values, traj.grid,
+                                   np.asarray(phi.coeffs, dtype=complex))
+    return dataclasses.replace(traj, values=values, initial_state=phi)
+
+
 def test_integral_map_on_constant_data():
     # the first Picard iterate: value phi at t = 0, boundary-term increment
     # at later times
     phi = state({1: 0.04, 2: 0.03}, 8)
     ops = NormalFormOperators(EquationSpec.pure_power(1, 3.0), 8)
     traj = _constant_trajectory(phi, 0.5, 2 * 8.0**3)
-    out = ops.integral_map(traj, phi)
+    out = _map_trajectory(ops, traj, phi)
     assert np.max(np.abs(out.coeffs_at(0.0) - phi.coeffs)) < 1e-12
     t = 0.3
     direct = (np.asarray(phi.coeffs)
@@ -335,7 +345,7 @@ def test_apply_map_matches_per_panel_oracle(n_panels):
 def test_integral_map_zero_data():
     phi = SpectralState(np.zeros(7, dtype=complex))
     ops = NormalFormOperators(EquationSpec.pure_power(1, 3.0), 6)
-    out = ops.integral_map(_constant_trajectory(phi, 0.4, 500.0), phi)
+    out = _map_trajectory(ops, _constant_trajectory(phi, 0.4, 500.0), phi)
     assert np.max(np.abs(out.values)) == 0.0
 
 

@@ -111,6 +111,35 @@ def test_derivative_matrix():
     assert np.max(np.abs(got - (5 * x**4 - 4 * x))) < 1e-11
 
 
+def unit_vector_maps(q):
+    """Oracle of ``panel_scheme``'s coefficient maps: ``chebint`` (vanishing
+    at -1) and ``chebder`` of each unit vector, one column at a time."""
+    cheb = np.polynomial.chebyshev
+    S = np.zeros((q + 1, q))
+    D = np.zeros((q, q))
+    for j in range(q):
+        e = np.zeros(q)
+        e[j] = 1.0
+        S[:, j] = cheb.chebint(e, lbnd=-1)
+        if j:
+            D[: q - 1, j] = cheb.chebder(e)
+    return S, D
+
+
+@pytest.mark.parametrize("q", [4, 12, 16, 24])
+def test_panel_maps_match_the_unit_vector_oracle_bitwise(q):
+    cheb = np.polynomial.chebyshev
+    sch = panel_scheme(q)
+    S, D = unit_vector_maps(q)
+    A = sch.coeff_map
+    P = cheb.chebvander(sch.nodes, q) @ S @ A
+    end = (cheb.chebvander(np.array([1.0]), q) @ S @ A)[0]
+    DN = cheb.chebvander(sch.nodes, q - 1) @ D @ A
+    for got, ref in ((sch.antideriv_nodes, P), (sch.antideriv_end, end),
+                     (sch.deriv_nodes, DN)):
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
 def test_tail_ratio_flags_unresolved():
     # one row on one panel
     sch = panel_scheme(24)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from halfline_dnls import (DispersionKind, EquationSpec, SpectralState,
                            TruncationMismatchError, convolve,
-                           derivative_coeffs, dispersion_apply,
-                           dispersion_symbol, power, sobolev_norm)
+                           derivative_coeffs, dispersion_symbol,
+                           linear_solve, power, sobolev_norm)
 from halfline_dnls.spectral import _product
 
 
@@ -343,12 +343,35 @@ def test_derivative_multiplier():
     assert np.array_equal(out, 1j * np.arange(5) * c)
 
 
-def test_dispersion_apply_at_zero_time_is_identity():
+def test_free_evolution_at_zero_time_is_identity():
     spec = EquationSpec.pure_power(1, 2.5)
     u = SpectralState(np.array([1.0, 2.0j, 3.0]), time=0.5)
-    out = dispersion_apply(u, spec, 0.0)
+    out = linear_solve(u, 0.0, 0.0, spec.alpha, spec.dispersion_kind)
     assert np.array_equal(out.coeffs, u.coeffs)
     assert out.time == 0.5
+
+
+def dispersion_apply_oracle(u, spec, t):
+    """The former ``spectral.dispersion_apply``: free evolution for a
+    duration ``t``, mode n times ``e^{i t mu(n)}``."""
+    mu = dispersion_symbol(spec, np.arange(u.coeffs.size))
+    return SpectralState(u.coeffs * np.exp(1j * t * mu), time=u.time + t)
+
+
+@pytest.mark.parametrize("kind", list(DispersionKind))
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 2.5, 3.0])
+def test_free_evolution_is_linear_solve_without_transport_bitwise(alpha,
+                                                                  kind):
+    spec = EquationSpec.pure_power(1, alpha, kind=kind)
+    rng = np.random.default_rng(int(4 * alpha))
+    u = SpectralState(rng.standard_normal(17) + 1j * rng.standard_normal(17),
+                      time=0.25)
+    for t in (0.0, 0.3, 1.7):
+        ref = dispersion_apply_oracle(u, spec, t)
+        out = linear_solve(u, 0.0, t, alpha, kind)
+        assert np.array_equal(out.coeffs.view(np.int64),
+                              ref.coeffs.view(np.int64))
+        assert out.time == ref.time
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0, 4.0])
@@ -383,14 +406,14 @@ def test_state_truncation_and_immutability():
 
 def test_state_json_round_trip():
     u = SpectralState(np.array([1.0 + 2.0j, -0.5, 0.25j]), time=0.75)
-    v = SpectralState.from_json(u.to_json())
+    v = SpectralState.from_dict(json.loads(json.dumps(u.to_dict())))
     assert v.time == u.time
     assert np.array_equal(v.coeffs, u.coeffs)
 
 
 def test_state_json_schema():
     u = SpectralState.from_modes({1: 1j}, 2, time=0.5)
-    doc = json.loads(u.to_json())
+    doc = json.loads(json.dumps(u.to_dict()))
     assert doc == {"time": 0.5, "coeffs": [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]}
 
 

@@ -120,6 +120,31 @@ def test_batched_values_equal_one_time_values_bitwise(traj):
         assert np.array_equal(state.coeffs, traj.coeffs_at(t))
 
 
+def recurrence_values(traj, ns, ts):
+    """Oracle of ``Trajectory._evaluate``: the Chebyshev rows by the
+    three-term recurrence ``T_j = 2 x T_{j-1} - T_{j-2}``, written out."""
+    p, x = traj.grid.locate(np.asarray(ts, dtype=float))
+    tx = [np.ones_like(x), x]
+    for _ in range(2, traj.grid.q):
+        tx.append(2.0 * x * tx[-1] - tx[-2])
+    cheb = np.array(tx).T[:, None, :] @ traj.grid.scheme.coeff_map
+    rows = traj.values[np.searchsorted(traj.modes, ns)[None, :], p[:, None]]
+    return np.ascontiguousarray((rows * cheb).sum(axis=-1).T)
+
+
+def test_dense_values_match_the_recurrence_oracle_bitwise(traj):
+    breaks = traj.grid.breaks
+    ts = np.concatenate([breaks[::4], breaks[1:-1:7] * (1 + 1e-13),
+                         np.random.default_rng(6).uniform(0.0, traj.horizon,
+                                                          30)])
+    got = np.ascontiguousarray(traj.mode_values(traj.modes, ts))
+    ref = recurrence_values(traj, traj.modes, ts)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    for t in ts[:5]:
+        alone = traj.mode_values(traj.modes, [t])
+        assert np.array_equal(alone, recurrence_values(traj, traj.modes, [t]))
+
+
 def test_mode_values_reject_times_outside_horizon(traj):
     with pytest.raises(ValueError, match="outside"):
         traj.mode_values(1, [0.5, -1e-3])
@@ -171,7 +196,7 @@ def test_one_mode_gives_the_bits_of_all_modes():
 def test_state_at_endpoints(traj):
     s0 = traj.state_at(0.0)
     assert np.max(np.abs(s0.coeffs - traj.initial_state.coeffs)) < 1e-12
-    assert traj.final_state().time == traj.horizon
+    assert traj.state_at(traj.horizon).time == traj.horizon
 
 
 def test_sup_norm_vs_samples(traj):
@@ -190,7 +215,7 @@ def test_mode_values_outside_support_are_zero():
 
 
 def test_json_shape(traj):
-    doc = json.loads(traj.to_json())
+    doc = json.loads(json.dumps(traj.to_dict()))
     assert doc["truncation"] == 8
     assert doc["tracked_modes"] == [0, 1, 2, 3, 4, 5, 6, 7, 8]
     first = doc["samples"][0]
