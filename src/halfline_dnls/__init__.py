@@ -29,10 +29,9 @@ from .gauge import (GaugeWeight, SecularSlopeError, compatibility_defects,
                     compatible_gauge_data, conjugation_defect, exp_coeffs,
                     gauge_exp, gauge_lambda, gauge_picard_solve,
                     gauge_system_rhs, primitive_from_zero)
-from .inflation import (CrossValidationConfig, ExperimentConfig, NormReport,
-                        UnsupportedRegimeError, build_inflation_data, choose_N,
-                        cross_validate, inflation_time, minimum_regularity,
-                        run_experiment)
+from .inflation import (ExperimentConfig, NormReport, UnsupportedRegimeError,
+                        build_inflation_data, choose_N, cross_validate,
+                        inflation_time, minimum_regularity, run_experiment)
 
 __all__ = [
     "__version__",
@@ -60,5 +59,5 @@ __all__ = [
     "UnsupportedRegimeError", "minimum_regularity", "build_inflation_data",
     "inflation_time",
     "choose_N", "ExperimentConfig", "NormReport", "run_experiment",
-    "CrossValidationConfig", "cross_validate",
+    "cross_validate",
 ]

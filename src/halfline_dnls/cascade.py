@@ -133,9 +133,8 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
 
     def trajectory(grid, values, attempts=()):
         return Trajectory(spec=spec, grid=grid, modes=support, values=values,
-                          truncation=M, quadrature_tolerance=tol,
-                          initial_state=phi, variable="u",
-                          grid_attempts=tuple(attempts))
+                          quadrature_tolerance=tol, initial_state=phi,
+                          variable="u", grid_attempts=tuple(attempts))
 
     # the constant mode 0 is set, not marched, and is not compared
     c0 = complex(phi.coeffs[0])
@@ -315,7 +314,7 @@ def _shift_frame(traj: Trajectory, m0: complex, shift: complex,
     if traj.modes.size and traj.modes[0] == 0:
         vals[0] += m0
     return Trajectory(spec=spec, grid=traj.grid, modes=traj.modes,
-                      values=vals, truncation=traj.truncation,
+                      values=vals,
                       quadrature_tolerance=traj.quadrature_tolerance,
                       initial_state=SpectralState(init, traj.initial_state.time),
                       variable=variable)

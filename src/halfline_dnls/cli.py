@@ -37,9 +37,8 @@ from . import __version__
 from .cascade import cascade_integrate
 from .gauge import (compatibility_defects, compatible_gauge_data,
                     gauge_picard_solve)
-from .inflation import (CrossValidationConfig, ExperimentConfig, NormReport,
-                        UnsupportedRegimeError, cross_validate,
-                        run_experiment)
+from .inflation import (ExperimentConfig, NormReport, UnsupportedRegimeError,
+                        cross_validate, run_experiment)
 from .normalform import MaxIterationsError, NonContractionError, picard_solve
 from .phase import certify_phase_bound
 from .spectral import DispersionKind, EquationSpec, SpectralState
@@ -231,7 +230,8 @@ def _cmd_gauge(args) -> _Result:
         log, doc = exc.log, {}
     else:
         ts = traj_u.sample_times
-        defects = compatibility_defects(traj_u, traj_g, args.k, ts)
+        defects = compatibility_defects(traj_u.dense_at(ts),
+                                        traj_g.dense_at(ts), args.k)
         doc = {"u": traj_u.to_dict(), "gu": traj_g.to_dict(),
                "gauge_identity_defects": [[float(t), float(d)]
                                           for t, d in zip(ts, defects)]}
@@ -266,10 +266,8 @@ def _cmd_inflate(args) -> _Result:
 
 
 def _cmd_cross_validate(args) -> _Result:
-    phi = _load_state(args.phi)
-    config = CrossValidationConfig(phi=phi, alpha=args.alpha, k=args.k,
-                                   T=args.T, tolerance=args.tolerance)
-    report = cross_validate(config)
+    report = cross_validate(_load_state(args.phi), args.alpha, args.k, args.T,
+                            args.tolerance)
     return _Result(
         passed=report.passed,
         parameters={"alpha": args.alpha, "k": args.k, "T": args.T},

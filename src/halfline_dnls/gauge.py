@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .normalform import (ContractionThresholdError, SmallnessReport,
-                         iterate_fixed_point, picard_on_ladder)
+from .normalform import SmallnessReport, iterate_fixed_point, picard_on_ladder
 from .quadrature import oscillatory_march, require_positive
 from .spectral import (EquationSpec, SpectralState, _along_modes, _as_coeffs,
                        convolve, derivative_coeffs, dispersion_mu, power,
@@ -190,11 +189,16 @@ def gauge_system_rhs(u, gu, k: int) -> tuple:
     return f_rhs, g_rhs
 
 
+def _twisted_derivative(u, k: int) -> np.ndarray:
+    """``e^{-Lambda(u)} u_x``, column by column of an ``(M+1, ...)`` array."""
+    cu = _as_coeffs(u)
+    lam = gauge_lambda(cu, k)
+    return convolve(exp_coeffs(-lam.periodic_coeffs), derivative_coeffs(cu))
+
+
 def compatible_gauge_data(phi: SpectralState, k: int) -> SpectralState:
     """The twisted-derivative data ``e^{-Lambda(phi)} phi_x`` matching phi."""
-    lam = gauge_lambda(phi.coeffs, k)
-    psi = convolve(exp_coeffs(-lam.periodic_coeffs), derivative_coeffs(phi.coeffs))
-    return SpectralState(psi, time=phi.time)
+    return SpectralState(_twisted_derivative(phi, k), time=phi.time)
 
 
 def gauge_picard_solve(phi: SpectralState, psi: SpectralState, k: int,
@@ -207,8 +211,8 @@ def gauge_picard_solve(phi: SpectralState, psi: SpectralState, k: int,
     ``(trajectory of u, trajectory of gu, PicardLog)``.
 
     Data with ``|phi|_H1 + |psi|_H1`` above ``SMALLNESS_THRESHOLD`` is
-    refused with ContractionThresholdError unless ``allow_unsafe``; the
-    check is reported as the log's ``smallness``.
+    refused by ``picard_on_ladder`` unless ``allow_unsafe``; the check is
+    reported as the log's ``smallness``.
 
     The solve runs on the coarsest grid of ``normalform.picard_on_ladder``
     whose final iterate has a Chebyshev tail ``<= tol`` in both
@@ -228,11 +232,6 @@ def gauge_picard_solve(phi: SpectralState, psi: SpectralState, k: int,
         accepted=lhs <= SMALLNESS_THRESHOLD, phi_h1=phi_h1, lhs=lhs,
         rhs=SMALLNESS_THRESHOLD, boundary_constants={},
         bulk_kernel_constants={}, horizon=T)
-    if not smallness.accepted and not allow_unsafe:
-        raise ContractionThresholdError(
-            f"|phi|_H1 + |psi|_H1 = {lhs:.4g} exceeds the smallness "
-            f"threshold {SMALLNESS_THRESHOLD}; pass allow_unsafe=True to "
-            "iterate anyway")
 
     spec = EquationSpec.pure_power(k, 2.0)
     mu = dispersion_mu(2.0, np.arange(M + 1)).astype(complex)
@@ -256,32 +255,27 @@ def gauge_picard_solve(phi: SpectralState, psi: SpectralState, k: int,
         return {"u": x[:, 0], "gu": x[:, 1]}
 
     grid, components, log = picard_on_ladder(
-        T, 2.0 * float(mu[-1].real) + 1.0, smallness, tol, solve)
+        T, 2.0 * float(mu[-1].real) + 1.0, smallness, tol, solve,
+        allow_unsafe)
     modes = np.arange(M + 1)
     traj_u = Trajectory(spec=spec, grid=grid, modes=modes,
-                        values=components["u"], truncation=M,
-                        quadrature_tolerance=tol, initial_state=phi,
-                        variable="u")
+                        values=components["u"], quadrature_tolerance=tol,
+                        initial_state=phi, variable="u")
     traj_g = Trajectory(spec=spec, grid=grid, modes=modes,
-                        values=components["gu"], truncation=M,
-                        quadrature_tolerance=tol, initial_state=psi,
-                        variable="gu")
+                        values=components["gu"], quadrature_tolerance=tol,
+                        initial_state=psi, variable="gu")
     return traj_u, traj_g, log
 
 
-def compatibility_defects(traj_u: Trajectory, traj_gu: Trajectory, k: int,
-                          ts=None) -> np.ndarray:
-    """H^0 norm of ``gu - e^{-Lambda(u)} u_x`` at each sample time.
+def compatibility_defects(u, gu, k: int) -> np.ndarray:
+    """H^0 norm of ``gu - e^{-Lambda(u)} u_x``, one per column of the
+    ``(M+1, ...)`` arrays ``u`` and ``gu`` (for instance both trajectories'
+    ``dense_at`` of the same times).
 
     Small values certify that the pair stayed on the gauge relation it was
     initialized with.
     """
-    if ts is None:
-        ts = traj_u.sample_times
-    cu = traj_u.dense_at(ts)
-    lam = gauge_lambda(cu, k)
-    target = convolve(exp_coeffs(-lam.periodic_coeffs), derivative_coeffs(cu))
-    return np.linalg.norm(traj_gu.dense_at(ts) - target, axis=0)
+    return np.linalg.norm(_as_coeffs(gu) - _twisted_derivative(u, k), axis=0)
 
 
 def conjugation_defect(f, f_t, lam, lam_t) -> float:

@@ -44,7 +44,6 @@ __all__ = [
     "CheckResult",
     "NormReport",
     "run_experiment",
-    "CrossValidationConfig",
     "CrossReport",
     "cross_validate",
 ]
@@ -362,32 +361,11 @@ def run_experiment(config: ExperimentConfig,
 
 # -- cross-pipeline validation ---------------------------------------------------
 
-# solver tolerances of the two pipelines and the number of equispaced
-# comparison times on [0, T], the times at which the cascade also compares
-# two rungs
+# solver tolerances of the two pipelines; they are compared at the
+# cascade.AGREEMENT_TIMES equispaced times on [0, T] at which the cascade
+# also compares two rungs
 CASCADE_TOL = 1e-10
 PICARD_TOL = 1e-11
-N_COMPARE = AGREEMENT_TIMES
-
-
-@dataclass(frozen=True)
-class CrossValidationConfig:
-    """Compare the cascade against the independent uniqueness pipeline."""
-
-    phi: SpectralState
-    alpha: float
-    k: int
-    T: float
-    tolerance: Optional[float] = None     # default: 1e-8 (alpha>=3), 1e-6 (alpha=2)
-
-    def __post_init__(self):
-        if self.tolerance is not None:
-            require_positive(tolerance=self.tolerance)
-
-    def resolved_tolerance(self) -> float:
-        if self.tolerance is not None:
-            return self.tolerance
-        return 1e-6 if self.alpha == 2 else 1e-8
 
 
 @dataclass
@@ -419,18 +397,23 @@ class CrossReport:
         return d
 
 
-def cross_validate(config: CrossValidationConfig) -> CrossReport:
-    """Solve the same data with two independent pipelines and report the
-    max mode-wise sup-in-time coefficient disagreement (in the original
-    frame).  alpha = 2 routes through the gauge system, alpha >= 3 through
-    the normal form (recentering first when the data has nonzero mean).
-    The independent pipeline runs first, so data it refuses (a mean at
-    alpha = 2, data outside the contraction ball) costs no cascade solve.
+def cross_validate(phi: SpectralState, alpha: float, k: int, T: float,
+                   tolerance: Optional[float] = None) -> CrossReport:
+    """Solve ``phi`` of the equation ``u^k u_x`` at dispersion ``alpha``
+    with two independent pipelines up to time ``T`` and report the max
+    mode-wise sup-in-time coefficient disagreement (in the original frame)
+    against ``tolerance``, by default 1e-6 at alpha = 2 and 1e-8 otherwise.
+    alpha = 2 routes through the gauge system, alpha >= 3 through the
+    normal form (recentering first when the data has nonzero mean).  The
+    independent pipeline runs first, so data it refuses (a mean at alpha =
+    2, data outside the contraction ball) costs no cascade solve.
     """
-    phi, alpha, k, T = config.phi, config.alpha, config.k, config.T
+    if tolerance is None:
+        tolerance = 1e-6 if alpha == 2 else 1e-8
+    require_positive(tolerance=tolerance)
     minimum_regularity(alpha)     # validates the regime
     spec = EquationSpec.pure_power(k, alpha)
-    ts = np.linspace(0.0, T, N_COMPARE)
+    ts = np.linspace(0.0, T, AGREEMENT_TIMES)
     n = np.arange(phi.truncation + 1)
 
     if alpha == 2:
@@ -441,7 +424,8 @@ def cross_validate(config: CrossValidationConfig) -> CrossReport:
         gu_traj, gg_traj, log = gauge_picard_solve(
             phi, psi, k, T, tol=PICARD_TOL)
         u_other = gu_traj.dense_at(ts)
-        defect = float(np.max(compatibility_defects(gu_traj, gg_traj, k, ts)))
+        defect = float(np.max(compatibility_defects(
+            u_other, gg_traj.dense_at(ts), k)))
         pipelines = ("cascade", "gauge")
     else:
         # recenter, solve for w in normal form, then map back to the
@@ -465,5 +449,5 @@ def cross_validate(config: CrossValidationConfig) -> CrossReport:
     u_cascade = cascade_integrate(phi, spec, T, tol=CASCADE_TOL).dense_at(ts)
     disagreement = float(np.max(np.abs(u_cascade - u_other)))
     return CrossReport(pipelines=pipelines, max_disagreement=disagreement,
-                       tolerance=config.resolved_tolerance(),
-                       n_compare=N_COMPARE, gauge_defect=defect, log=log)
+                       tolerance=tolerance, n_compare=AGREEMENT_TIMES,
+                       gauge_defect=defect, log=log)

@@ -406,10 +406,14 @@ class PicardLog:
 
 def picard_on_ladder(horizon: float, max_frequency: float,
                      smallness: SmallnessReport, tol: float,
-                     solve: Callable[[PanelGrid, PicardLog], dict]) -> tuple:
+                     solve: Callable[[PanelGrid, PicardLog], dict],
+                     allow_unsafe: bool = False) -> tuple:
     """Run a Picard solve on the coarsest grid of ``quadrature.ladder(
     horizon, max_frequency, quadrature.PICARD_DEPTH)`` that resolves it,
     through ``quadrature.solve_on_ladder``.
+
+    Data that ``smallness`` does not accept is refused with
+    ContractionThresholdError before any rung, unless ``allow_unsafe``.
 
     ``solve(grid, log)`` iterates to convergence on ``grid``, recording in
     ``log``, and returns the components to certify: a name mapped to node
@@ -425,6 +429,11 @@ def picard_on_ladder(horizon: float, max_frequency: float,
     error, such as MaxIterationsError or NonContractionError, propagates
     from the rung where it occurs.
     """
+    if not (smallness.accepted or allow_unsafe):
+        raise ContractionThresholdError(
+            f"|phi|_H1 = {smallness.phi_h1:.4g}: the data fails the "
+            f"contraction ball check (smallness lhs {smallness.lhs:.4g} is "
+            f"not below rhs {smallness.rhs:.4g})")
     attempts = []
 
     def solve_rung(grid):
@@ -458,8 +467,8 @@ def picard_solve(phi: SpectralState, spec: EquationSpec, T: float,
     increment drops below ``tol``.
 
     Returns ``(trajectory of v, PicardLog)``.  The contraction is certified
-    only for ``alpha >= 3`` and data inside the smallness ball; outside that
-    regime pass ``allow_unsafe=True`` to iterate anyway (no guarantee).
+    only for ``alpha >= 3`` and data inside the smallness ball, which
+    ``picard_on_ladder`` checks; ``allow_unsafe=True`` iterates anyway.
 
     The solve runs on the coarsest grid of ``picard_on_ladder`` whose final
     iterate has a Chebyshev tail ``<= tol``; the finest grid is sized for
@@ -476,13 +485,6 @@ def picard_solve(phi: SpectralState, spec: EquationSpec, T: float,
             f"alpha={spec.alpha} is below the certified normal-form range "
             "(alpha >= 3); pass allow_unsafe=True to iterate anyway")
     ops = NormalFormOperators(spec, M)
-    smallness = ops.smallness_report(phi, T)
-    if not smallness.accepted and not allow_unsafe:
-        raise ContractionThresholdError(
-            f"|phi|_H1 = {smallness.phi_h1:.4g} fails the contraction "
-            f"ball check (lhs {smallness.lhs:.4g} >= rhs "
-            f"{smallness.rhs:.4g}); pass allow_unsafe=True to override")
-
     phi_c = np.asarray(phi.coeffs, dtype=complex)
 
     def solve(grid, log):
@@ -497,9 +499,9 @@ def picard_solve(phi: SpectralState, spec: EquationSpec, T: float,
         return {"v": v_vals}
 
     grid, components, log = picard_on_ladder(
-        T, 2.0 * float(np.max(ops.mu)) + 1.0, smallness, tol, solve)
+        T, 2.0 * float(np.max(ops.mu)) + 1.0, ops.smallness_report(phi, T),
+        tol, solve, allow_unsafe)
     traj = Trajectory(spec=spec, grid=grid, modes=np.arange(M + 1),
-                      values=components["v"], truncation=M,
-                      quadrature_tolerance=tol,
+                      values=components["v"], quadrature_tolerance=tol,
                       initial_state=phi, variable="v")
     return traj, log

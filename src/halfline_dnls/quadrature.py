@@ -263,11 +263,14 @@ class PanelGrid:
 
 def _panel_count(horizon: float, max_frequency: float) -> int:
     """Panels of ``PanelGrid.for_frequency(horizon, max_frequency)``; a
-    horizon or frequency that is not positive and finite raises
-    ValueError."""
+    horizon or frequency that is not positive and finite, or a count past
+    the largest float, raises ValueError."""
     require_positive(horizon=horizon, max_frequency=max_frequency)
-    return max(1, int(np.ceil(horizon * max(max_frequency, 1.0)
-                              / RADIANS_PER_PANEL)))
+    panels = horizon * max(max_frequency, 1.0) / RADIANS_PER_PANEL
+    if not math.isfinite(panels):
+        raise ValueError(f"horizon {horizon!r} at frequency {max_frequency!r} "
+                         "needs more panels than a float can count")
+    return max(1, int(np.ceil(panels)))
 
 
 def ladder(horizon: float, max_frequency: float, depth: int,

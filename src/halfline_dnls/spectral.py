@@ -114,6 +114,9 @@ def _validate_nonlin(coeffs: Mapping[int, complex]) -> dict:
         if deg < 0:
             raise ValueError("nonlinearity degrees must be >= 0")
         lam = complex(lam)
+        if not np.isfinite(lam):
+            raise ValueError(f"nonlinearity coefficient of degree {deg} must "
+                             f"be finite, got {lam!r}")
         if lam != 0:
             out[deg] = lam
     if not out:
@@ -284,11 +287,20 @@ def dispersion_mu(alpha: float, n, kind: DispersionKind = DispersionKind.SCHRODI
     """``mu(n)`` for nonnegative integer frequencies ``n``.
 
     Integer ``alpha`` is evaluated in exact integer arithmetic before
-    conversion, so SCHRODINGER and AIRY_TYPE agree bit for bit there.
+    conversion, so SCHRODINGER and AIRY_TYPE agree bit for bit there.  A
+    ``mu(n)`` past the largest float raises ValueError.
     """
     n_arr = np.atleast_1d(np.asarray(n))
     if np.any(n_arr < 0):
         raise ValueError("one-sided states have no negative frequencies")
+    top = int(n_arr.max(initial=0))
+    try:
+        # a float power first: an overflow is refused before any exact
+        # integer power is formed
+        float(top) ** float(alpha)
+    except OverflowError:
+        raise ValueError(f"mu(n) of mode n = {top} overflows a float at "
+                         f"alpha = {alpha!r}") from None
     if float(alpha).is_integer():
         a = int(alpha)
         if kind is DispersionKind.SCHRODINGER:

@@ -50,7 +50,6 @@ class Trajectory:
     grid: PanelGrid
     modes: np.ndarray
     values: np.ndarray
-    truncation: int
     quadrature_tolerance: float
     initial_state: SpectralState
     variable: str = "u"
@@ -68,6 +67,10 @@ class Trajectory:
         object.__setattr__(self, "values", v)
 
     # -- basic geometry ----------------------------------------------------
+
+    @property
+    def truncation(self) -> int:
+        return self.initial_state.truncation
 
     @property
     def horizon(self) -> float:

@@ -10,12 +10,11 @@ import time
 import numpy as np
 import pytest
 
-from halfline_dnls import (CrossValidationConfig, DispersionKind,
-                           EquationSpec, ExperimentConfig, SpectralState,
-                           cascade_integrate, certify_phase_bound,
-                           conjugation_defect, cross_validate, linear_solve,
-                           run_experiment, sobolev_norm, standard_windows,
-                           weak_residual)
+from halfline_dnls import (DispersionKind, EquationSpec, ExperimentConfig,
+                           SpectralState, cascade_integrate,
+                           certify_phase_bound, conjugation_defect,
+                           cross_validate, linear_solve, run_experiment,
+                           sobolev_norm, standard_windows, weak_residual)
 
 
 def _report(name, passed, detail):
@@ -90,8 +89,7 @@ def test_04_growth_trend_across_N():
 
 def test_05_uniqueness_witness_alpha3():
     phi = SpectralState.from_modes({1: 0.05, 2: 0.05}, 16)
-    report = cross_validate(CrossValidationConfig(
-        phi=phi, alpha=3.0, k=1, T=1.0))
+    report = cross_validate(phi, alpha=3.0, k=1, T=1.0)
     ratios = report.log.ratios
     geometric = all(r < 1.0 for r in ratios) and max(ratios) < 0.5
     ok = report.max_disagreement <= 1e-8 and geometric
@@ -103,8 +101,7 @@ def test_05_uniqueness_witness_alpha3():
 
 def test_06_uniqueness_witness_alpha2():
     phi = SpectralState.from_modes({1: 0.05}, 16)
-    report = cross_validate(CrossValidationConfig(
-        phi=phi, alpha=2.0, k=1, T=1.0))
+    report = cross_validate(phi, alpha=2.0, k=1, T=1.0)
     ok = report.max_disagreement <= 1e-6 and report.gauge_defect <= 1e-6
     _report("criterion 6 (cascade vs gauge, alpha=2)", ok,
             f"difference {report.max_disagreement:.2e} <= 1e-6; twisted-"

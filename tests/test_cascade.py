@@ -867,7 +867,7 @@ def test_weak_residual_detects_violation():
     r1 = int(np.searchsorted(traj.modes, 1))
     tampered_values[r1] *= 2.0
     tampered = Trajectory(spec=traj.spec, grid=traj.grid, modes=traj.modes,
-                          values=tampered_values, truncation=traj.truncation,
+                          values=tampered_values,
                           quadrature_tolerance=traj.quadrature_tolerance,
                           initial_state=traj.initial_state)
     window = standard_windows(1.0)[2]

@@ -500,6 +500,60 @@ def test_cross_validate_refuses_a_tolerance_not_positive_and_finite(
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("alpha, modes, M", [
+    ("3", {1: (0.3, 0.0), 2: (0.3, 0.0)}, 48),
+    ("2", {1: (0.3, 0.0)}, 16),
+])
+def test_cross_validate_refuses_data_outside_the_contraction_ball(
+        tmp_path, capsys, alpha, modes, M):
+    # cross-validate cannot override the check, so the refusal must not
+    # tell its user to "pass allow_unsafe=True"
+    phi = _phi_file(tmp_path, modes, M)
+    assert dispatch(["cross-validate", "--alpha", alpha, "--k", "1",
+                     "--phi", phi, "--T", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.count("error:") == 1 and "contraction ball" in err
+    assert "allow_unsafe" not in err and "Traceback" not in err
+
+
+_ALPHA_300 = ["--k", "1", "--alpha", "300"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["inflate", "--N", "16", "--s", "2.5", "--sigma", "0.5"] + _ALPHA_300,
+     "mu(n) of mode n = 128 overflows a float at alpha = 300.0"),
+    (["inflate", "--N", "16", "--s", "2.5", "--sigma", "0.5", "--k", "1",
+      "--alpha", "300.5"],
+     "mu(n) of mode n = 128 overflows a float at alpha = 300.5"),
+    (["simulate", "--T", "1"] + _ALPHA_300,
+     "mu(n) of mode n = 16 overflows a float at alpha = 300.0"),
+    (["picard", "--T", "1"] + _ALPHA_300,
+     "mu(n) of mode n = 16 overflows a float at alpha = 300.0"),
+    (["cross-validate", "--T", "1"] + _ALPHA_300,
+     "mu(n) of mode n = 16 overflows a float at alpha = 300.0"),
+    (["inflate", "--N", "16", "--s", "2.5", "--sigma", "1e306", "--k", "1",
+      "--alpha", "2"], "horizon 4.8"),
+    (["batch"], "mu(n) of mode n = 128 overflows a float at alpha = 300"),
+])
+def test_overflowing_input_is_input_error(tmp_path, capsys, argv, message):
+    # each ended in an uncaught OverflowError (exit 1, a traceback)
+    if argv[0] == "batch":
+        cfg = tmp_path / "batch.json"
+        cfg.write_text(json.dumps([{"N": 16, "s": 2.5, "sigma": 0.5, "k": 1,
+                                    "alpha": 300}]))
+        argv = argv + [str(cfg)]
+    elif argv[0] != "inflate":
+        argv = argv + ["--phi", _phi_file(tmp_path, {1: (0.05, 0.0)}, 16)]
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_batch_config_with_invalid_json_names_the_file(tmp_path, capsys):
     cfg = tmp_path / "batch.json"
     cfg.write_text("{not json")

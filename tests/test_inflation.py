@@ -249,11 +249,10 @@ def test_experiment_unrestricted_support(small_report):
 # -- cross-pipeline validation -------------------------------------------------------
 
 def test_cross_validate_zero_data():
-    from halfline_dnls import CrossValidationConfig, SpectralState, cross_validate
+    from halfline_dnls import SpectralState, cross_validate
     z = SpectralState(np.zeros(9, dtype=complex))
     for alpha in (2.0, 3.0):
-        rep = cross_validate(CrossValidationConfig(phi=z, alpha=alpha, k=1,
-                                                   T=0.5))
+        rep = cross_validate(z, alpha=alpha, k=1, T=0.5)
         assert rep.max_disagreement == 0.0
         assert rep.passed
 
@@ -261,9 +260,9 @@ def test_cross_validate_zero_data():
 def test_cross_validate_recentered_route():
     # nonzero mean forces the recentering detour through the polynomial
     # nonlinearity; the two pipelines must still agree in the original frame
-    from halfline_dnls import CrossValidationConfig, SpectralState, cross_validate
+    from halfline_dnls import SpectralState, cross_validate
     phi = SpectralState.from_modes({0: 0.25 * np.exp(-0.3j), 1: 0.04}, 10)
-    rep = cross_validate(CrossValidationConfig(phi=phi, alpha=3.0, k=1, T=0.8))
+    rep = cross_validate(phi, alpha=3.0, k=1, T=0.8)
     assert rep.pipelines == ("cascade", "normal-form-recentered")
     assert rep.max_disagreement <= 1e-8
     assert rep.passed
@@ -272,16 +271,16 @@ def test_cross_validate_recentered_route():
 def test_cross_validate_mean_zero_is_the_m0_zero_case():
     # mean-zero data runs the recentered route at m0 = 0; it must give the
     # bits of the direct route (normal form of the equation itself)
-    from halfline_dnls import (CrossValidationConfig, EquationSpec,
-                               SpectralState, cascade_integrate,
+    from halfline_dnls import (EquationSpec, SpectralState, cascade_integrate,
                                cross_validate, picard_solve)
-    from halfline_dnls.inflation import CASCADE_TOL, N_COMPARE, PICARD_TOL
+    from halfline_dnls.cascade import AGREEMENT_TIMES
+    from halfline_dnls.inflation import CASCADE_TOL, PICARD_TOL
     from halfline_dnls.spectral import dispersion_symbol
     phi = SpectralState.from_modes({1: 0.04, 2: 0.03j}, 8)
     spec, T = EquationSpec.pure_power(1, 3.0), 0.5
-    rep = cross_validate(CrossValidationConfig(phi=phi, alpha=3.0, k=1, T=T))
+    rep = cross_validate(phi, alpha=3.0, k=1, T=T)
     assert rep.pipelines == ("cascade", "normal-form")
-    ts = np.linspace(0.0, T, N_COMPARE)
+    ts = np.linspace(0.0, T, AGREEMENT_TIMES)
     u = cascade_integrate(phi, spec, T, tol=CASCADE_TOL).dense_at(ts)
     v, _ = picard_solve(phi, spec, T, tol=PICARD_TOL)
     mu = dispersion_symbol(spec, np.arange(9))
@@ -290,10 +289,10 @@ def test_cross_validate_mean_zero_is_the_m0_zero_case():
 
 
 def test_cross_validate_alpha2_requires_mean_zero():
-    from halfline_dnls import CrossValidationConfig, SpectralState, cross_validate
+    from halfline_dnls import SpectralState, cross_validate
     phi = SpectralState.from_modes({0: 0.1, 1: 0.02}, 8)
     with pytest.raises(ValueError, match="mean-zero"):
-        cross_validate(CrossValidationConfig(phi=phi, alpha=2.0, k=1, T=0.5))
+        cross_validate(phi, alpha=2.0, k=1, T=0.5)
 
 
 @pytest.mark.parametrize("alpha, modes, match", [
@@ -303,8 +302,7 @@ def test_cross_validate_alpha2_requires_mean_zero():
 def test_cross_validate_refuses_before_any_cascade_solve(monkeypatch, alpha,
                                                          modes, match):
     # the independent pipeline runs first: data it refuses costs no cascade
-    from halfline_dnls import (ContractionThresholdError,
-                               CrossValidationConfig, SpectralState,
+    from halfline_dnls import (ContractionThresholdError, SpectralState,
                                cross_validate, inflation)
 
     def no_cascade(*args, **kwargs):
@@ -313,7 +311,7 @@ def test_cross_validate_refuses_before_any_cascade_solve(monkeypatch, alpha,
     monkeypatch.setattr(inflation, "cascade_integrate", no_cascade)
     phi = SpectralState.from_modes(modes, 48)
     with pytest.raises(ValueError, match=match) as info:
-        cross_validate(CrossValidationConfig(phi=phi, alpha=alpha, k=1, T=1.0))
+        cross_validate(phi, alpha=alpha, k=1, T=1.0)
     assert (alpha == 3.0) == isinstance(info.value, ContractionThresholdError)
 
 

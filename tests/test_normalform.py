@@ -275,7 +275,7 @@ def _constant_trajectory(phi, T, freq):
         (phi.coeffs.size, grid.n_panels, grid.q)).copy()
     return Trajectory(spec=EquationSpec.pure_power(1, 3.0), grid=grid,
                       modes=np.arange(phi.coeffs.size), values=vals,
-                      truncation=phi.truncation, quadrature_tolerance=1e-10,
+                      quadrature_tolerance=1e-10,
                       initial_state=phi, variable="v")
 
 
@@ -444,7 +444,7 @@ def _fixed_grid_normal_form(phi, spec, T, tol=1e-10):
                         (M + 1, grid.n_panels, grid.q)).copy(),
         log, tol, 40)
     return Trajectory(spec=spec, grid=grid, modes=np.arange(M + 1), values=v,
-                      truncation=M, quadrature_tolerance=tol,
+                      quadrature_tolerance=tol,
                       initial_state=phi, variable="v")
 
 
@@ -466,7 +466,7 @@ def _fixed_grid_gauge(phi, psi, k, T, tol=1e-10):
           * np.exp(1j * mu[:, None, None, None] * grid.node_times()))
     x = iterate_fixed_point(apply, x0, PicardLog(smallness=None), tol, 60)
     return Trajectory(spec=EquationSpec.pure_power(k, 2.0), grid=grid,
-                      modes=np.arange(M + 1), values=x[:, 0], truncation=M,
+                      modes=np.arange(M + 1), values=x[:, 0],
                       quadrature_tolerance=tol, initial_state=phi,
                       variable="u")
 

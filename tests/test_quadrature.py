@@ -229,6 +229,15 @@ def test_grid_sizing_refuses_a_bad_horizon_or_frequency(horizon, freq, name):
         list(ladder(horizon, freq, 3, 1))
 
 
+def test_grid_sizing_refuses_a_panel_count_past_the_largest_float():
+    # int(np.ceil(inf)) raised OverflowError
+    message = r"horizon 1e\+306 at frequency 1e\+20 needs more panels"
+    with pytest.raises(ValueError, match=message):
+        PanelGrid.for_frequency(1e306, 1e20)
+    with pytest.raises(ValueError, match=message):
+        list(ladder(1e306, 1e20, 3, 1))
+
+
 def test_grid_locate_and_refine():
     grid = PanelGrid.for_frequency(2.0, 100.0)
     p, x = grid.locate(0.0)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 from halfline_dnls import (DispersionKind, EquationSpec, SpectralState,
                            TruncationMismatchError, convolve,
-                           derivative_coeffs, dispersion_symbol,
-                           linear_solve, power, sobolev_norm)
+                           derivative_coeffs, dispersion_mu,
+                           dispersion_symbol, linear_solve, power,
+                           sobolev_norm)
 from halfline_dnls.spectral import _product
 
 
@@ -390,6 +392,19 @@ def test_dispersion_kinds_close_for_fractional_alpha():
     assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
 
 
+@pytest.mark.parametrize("kind", list(DispersionKind))
+@pytest.mark.parametrize("alpha", [300.0, 300.5])
+def test_dispersion_past_the_largest_float_is_refused(alpha, kind):
+    # 128^300 overflowed float() with an OverflowError, and a fractional
+    # alpha returned inf with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"mode n = 128 overflows a "
+                                             rf"float at alpha = {alpha}"):
+            dispersion_mu(alpha, np.arange(129), kind)
+    assert np.isfinite(dispersion_mu(alpha, np.arange(10), kind)).all()
+
+
 # -- types ------------------------------------------------------------------------
 
 def test_state_rejects_nan():
@@ -420,6 +435,19 @@ def test_state_json_schema():
 def test_equation_spec_requires_nonzero_coefficient():
     with pytest.raises(ValueError):
         EquationSpec(2.0, {1: 0.0})
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"),
+                                 complex(0.5, float("nan"))])
+def test_equation_spec_refuses_a_non_finite_coefficient(lam):
+    # a NaN coefficient was accepted and failed the cascade later with
+    # "max_frequency must be positive and finite, got nan"
+    message = "coefficient of degree 2 must be finite"
+    with pytest.raises(ValueError, match=message):
+        EquationSpec(2.0, {1: 1.0, 2: lam})
+    with pytest.raises(ValueError, match=message):
+        EquationSpec.from_dict({"alpha": 2.0, "nonlin_coeffs": {
+            "1": [1.0, 0.0], "2": [lam.real, lam.imag]}})
 
 
 def test_equation_spec_round_trip():

@@ -2,6 +2,7 @@
 
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,8 +28,16 @@ def test_modes_out_of_order_or_range_are_refused(traj, modes):
     values = np.ones((2, traj.n_panels, traj.grid.q), dtype=complex)
     with pytest.raises(ValueError, match=rf"modes \[{modes[0]}, {modes[1]}\]"):
         Trajectory(spec=traj.spec, grid=traj.grid, modes=np.array(modes),
-                   values=values, truncation=8, quadrature_tolerance=1e-10,
+                   values=values, quadrature_tolerance=1e-10,
                    initial_state=traj.initial_state)
+
+
+def test_truncation_is_the_initial_states(traj):
+    # a field of its own could disagree with the data: a replace() that set
+    # it to 8 on a truncation-16 solve failed later in weak_residual
+    assert traj.truncation == traj.initial_state.truncation == 8
+    with pytest.raises(TypeError):
+        replace(traj, truncation=4)
 
 
 def test_dense_output_matches_nodes(traj):
@@ -171,7 +180,7 @@ def test_sample_times_at_most_257_with_endpoints(n_panels):
     empty = Trajectory(spec=EquationSpec.pure_power(1, 2.0), grid=grid,
                        modes=np.zeros(0, dtype=int),
                        values=np.zeros((0, n_panels, grid.q), dtype=complex),
-                       truncation=1, quadrature_tolerance=1e-10,
+                       quadrature_tolerance=1e-10,
                        initial_state=SpectralState(np.zeros(2)))
     ts = empty.sample_times
     assert ts.size <= 257
