@@ -307,7 +307,9 @@ def _cmd_batch(args) -> _Result:
             continue
         try:
             report = run_experiment(config)
-        except RuntimeError as exc:
+        except (RuntimeError, ValueError) as exc:
+            # the entry's own failure (a solver that gave up, or a value
+            # such as mu(n) that overflows): its row, not the batch's
             _log(f"experiment {i}: error: {exc}")
             rows.append(_flagged_row(entry, "error"))
             passed = False

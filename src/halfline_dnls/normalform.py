@@ -407,10 +407,13 @@ class PicardLog:
 def picard_on_ladder(horizon: float, max_frequency: float,
                      smallness: SmallnessReport, tol: float,
                      solve: Callable[[PanelGrid, PicardLog], dict],
-                     allow_unsafe: bool = False) -> tuple:
+                     allow_unsafe: bool = False, *, rows: int) -> tuple:
     """Run a Picard solve on the coarsest grid of ``quadrature.ladder(
     horizon, max_frequency, quadrature.PICARD_DEPTH)`` that resolves it,
-    through ``quadrature.solve_on_ladder``.
+    through ``quadrature.solve_on_ladder``.  ``rows``, the rows of the
+    iterate (modes times components), goes to the climb, which refuses a
+    rung whose iterate would pass ``quadrature.NODE_BUDGET`` before it is
+    solved.
 
     Data that ``smallness`` does not accept is refused with
     ContractionThresholdError before any rung, unless ``allow_unsafe``.
@@ -456,7 +459,7 @@ def picard_on_ladder(horizon: float, max_frequency: float,
 
     grid, (log, components) = solve_on_ladder(
         ladder(horizon, max_frequency, quadrature.PICARD_DEPTH), solve_rung,
-        check, attempts)
+        check, attempts, rows)
     return grid, components, log
 
 
@@ -482,8 +485,8 @@ def picard_solve(phi: SpectralState, spec: EquationSpec, T: float,
         raise ValueError("normal-form solver needs mean-zero data (mode 0 = 0)")
     if spec.alpha < 3 and not allow_unsafe:
         raise ValueError(
-            f"alpha={spec.alpha} is below the certified normal-form range "
-            "(alpha >= 3); pass allow_unsafe=True to iterate anyway")
+            f"alpha = {spec.alpha}: the normal-form contraction is "
+            "certified only for alpha >= 3")
     ops = NormalFormOperators(spec, M)
     phi_c = np.asarray(phi.coeffs, dtype=complex)
 
@@ -500,7 +503,7 @@ def picard_solve(phi: SpectralState, spec: EquationSpec, T: float,
 
     grid, components, log = picard_on_ladder(
         T, 2.0 * float(np.max(ops.mu)) + 1.0, ops.smallness_report(phi, T),
-        tol, solve, allow_unsafe)
+        tol, solve, allow_unsafe, rows=M + 1)
     traj = Trajectory(spec=spec, grid=grid, modes=np.arange(M + 1),
                       values=components["v"], quadrature_tolerance=tol,
                       initial_state=phi, variable="v")

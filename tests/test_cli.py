@@ -7,6 +7,7 @@ import pytest
 
 from halfline_dnls import cli
 from halfline_dnls.cli import RunManifest, build_parser, dispatch
+from halfline_dnls.inflation import NormReport
 
 
 def _phi_file(tmp_path, modes, M, name="phi.json"):
@@ -536,22 +537,65 @@ _ALPHA_300 = ["--k", "1", "--alpha", "300"]
      "mu(n) of mode n = 16 overflows a float at alpha = 300.0"),
     (["inflate", "--N", "16", "--s", "2.5", "--sigma", "1e306", "--k", "1",
       "--alpha", "2"], "horizon 4.8"),
-    (["batch"], "mu(n) of mode n = 128 overflows a float at alpha = 300"),
 ])
 def test_overflowing_input_is_input_error(tmp_path, capsys, argv, message):
     # each ended in an uncaught OverflowError (exit 1, a traceback)
-    if argv[0] == "batch":
-        cfg = tmp_path / "batch.json"
-        cfg.write_text(json.dumps([{"N": 16, "s": 2.5, "sigma": 0.5, "k": 1,
-                                    "alpha": 300}]))
-        argv = argv + [str(cfg)]
-    elif argv[0] != "inflate":
+    if argv[0] != "inflate":
         argv = argv + ["--phi", _phi_file(tmp_path, {1: (0.05, 0.0)}, 16)]
     assert dispatch(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_batch_entry_that_fails_is_its_own_error_row(tmp_path, capsys):
+    # mu(n) overflowing at alpha = 300 is the second entry's failure: the
+    # first entry's row is still written, and the batch exits 1
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps([
+        {"N": 4, "s": 2.0, "sigma": 0.0, "k": 1, "alpha": 2.0, "m_max": 2},
+        {"N": 16, "s": 2.5, "sigma": 0.5, "k": 1, "alpha": 300}]))
+    assert dispatch(["batch", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()[1:]
+    assert rows[0] == NormReport.CSV_HEADER and len(rows) == 3
+    assert rows[1].endswith(",pass")
+    assert rows[2] == "16,2.5,0.5,1,300,,,,,error"
+    assert captured.err == ("experiment 1: error: mu(n) of mode n = 128 "
+                            "overflows a float at alpha = 300.0\n")
+
+
+_PHI8 = {1: (0.05, 0.0)}
+
+
+@pytest.mark.parametrize("command, panels", [
+    ("simulate", "3.17e+269"), ("picard", "6.60e+268"),
+    ("cross-validate", "6.60e+268")])
+def test_huge_solve_is_refused_naming_its_rung(tmp_path, capsys, command,
+                                               panels):
+    # at truncation 8, mu(8) = 8^300 is a float, but no rung fits the node
+    # budget: the climb refuses its first rung before allocating it, and
+    # names its 270-digit panel count to 3 significant digits
+    phi = _phi_file(tmp_path, _PHI8, 8)
+    assert dispatch([command, "--phi", phi, "--T", "1"] + _ALPHA_300) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith(f"error: {panels} panels need ")
+    assert "(9 rows x 24 per panel), above the node budget 5.00e+07" in err
+    assert err.count("\n") == 1 and len(err) < 200
+
+
+def test_picard_alpha_refusal_names_no_library_keyword(tmp_path, capsys):
+    phi = _phi_file(tmp_path, {1: (0.05, 0.0)}, 2)
+    assert dispatch(["picard", "--alpha", "2.5", "--k", "1", "--T", "1",
+                     "--phi", phi]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: alpha = 2.5: the normal-form contraction "
+                            "is certified only for alpha >= 3\n")
+    assert "allow_unsafe=True" not in captured.err
 
 
 def test_batch_config_with_invalid_json_names_the_file(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import io
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebval, chebvander
 
 from halfline_dnls import (EquationSpec, PanelGrid, SpectralState, Trajectory,
-                           cascade_integrate, sobolev_norm)
+                           cascade_integrate, sobolev_norm, trajectory)
+from halfline_dnls.inflation import build_inflation_data, inflation_time
 from halfline_dnls.trajectory import sup_sobolev_diff
 
 
@@ -154,6 +156,43 @@ def test_dense_values_match_the_recurrence_oracle_bitwise(traj):
         assert np.array_equal(alone, recurrence_values(traj, traj.modes, [t]))
 
 
+@pytest.mark.parametrize("rows", [slice(None), slice(1, None), slice(4, 5)])
+def test_dense_blocks_match_the_recurrence_oracle_bitwise(traj, rows):
+    # times go through dense output in blocks of DENSE_BLOCK_BYTES: one
+    # time, a block less one, a block, and a block plus one give the bits
+    # of the one-shot oracle
+    modes = traj.modes[rows]
+    block = trajectory.DENSE_BLOCK_BYTES // (modes.size * traj.grid.q * 16)
+    rng = np.random.default_rng(block)
+    for count in (1, block - 1, block, block + 1):
+        ts = rng.uniform(0.0, traj.horizon, count)
+        got = traj.mode_values(modes, ts)
+        ref = recurrence_values(traj, modes, ts)
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_resampled_on_a_doubled_headline_grid_keeps_temporaries_small():
+    # 9 rows at 85,296 node times: the values alone are 12.3 MB, and the
+    # Chebyshev rows of all times 16.4 MB (twice, while they are made); one
+    # (times, rows, q) complex array of the whole grid would be 295 MB
+    phi = build_inflation_data(16, 2.5, 1, 128)
+    head = cascade_integrate(phi, EquationSpec.pure_power(1, 2.0),
+                             inflation_time(16, 2.5, 0.5, 1))
+    grid = head.grid.refined()
+    assert (head.modes.size, grid.n_panels) == (9, 3554)
+    tracemalloc.start()
+    try:
+        fine = head.resampled(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+    # the values are the interpolants at the nodes, whatever their block
+    panels = slice(None, None, 97)
+    assert fine.values[:, panels].reshape(9, -1).tobytes() == head.mode_values(
+        head.modes, grid.node_times()[panels].reshape(-1)).tobytes()
+
+
 def test_mode_values_reject_times_outside_horizon(traj):
     with pytest.raises(ValueError, match="outside"):
         traj.mode_values(1, [0.5, -1e-3])
@@ -242,6 +281,34 @@ def test_csv_output(traj):
     for line in lines[1:]:
         t, n, a, arg = line.split(",")
         float(t), int(n), float(a), float(arg)
+
+
+def sup_sobolev_diff_loop(a, b, s=1.0):
+    # the per-mode loop: a sum over the modes in order, from +0
+    n = np.arange(a.shape[0], dtype=float)
+    w = (1.0 + n * n) ** float(s)
+    sq = np.zeros(a.shape[1:])
+    for m in range(a.shape[0]):
+        d = a[m] - b[m]
+        sq += w[m] * (d.real * d.real + d.imag * d.imag)
+    return float(np.sqrt(np.max(sq)))
+
+
+@pytest.mark.parametrize("shape", [(9,), (1, 7), (17, 33, 24),
+                                   (17, 2, 5, 24), (40, 3, 50)])
+@pytest.mark.parametrize("budget", [16, 4096, 1 << 19])
+def test_sup_sobolev_diff_matches_the_per_mode_loop_bitwise(monkeypatch,
+                                                            shape, budget):
+    # blocks of one trailing entry, of a few, and of the default budget
+    monkeypatch.setattr(trajectory, "DENSE_BLOCK_BYTES", budget)
+    rng = np.random.default_rng(budget + len(shape))
+    for s, scale in ((0.0, 1.0), (1.0, 1e-150), (2.5, 1e100)):
+        a, b = ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                * scale for _ in range(2))
+        b[0] = a[0]
+        got = sup_sobolev_diff(a, b, s)
+        assert np.float64(got).tobytes() \
+            == np.float64(sup_sobolev_diff_loop(a, b, s)).tobytes()
 
 
 def sup_sobolev_diff_oracle(a, b, s=1.0):
