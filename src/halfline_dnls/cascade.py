@@ -124,15 +124,6 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
     magnitude passes ``quadrature.OVERFLOW_GUARD``; as modes are solved in
     increasing order, the error names the lowest mode that passes it.
     """
-    return _solve_sampled(phi, spec, T, tol, restrict_support)[0]
-
-
-def _solve_sampled(phi: SpectralState, spec: EquationSpec, T: float,
-                   tol: float, restrict_support: bool = True) -> tuple:
-    """The trajectory of ``cascade_integrate`` and the dense output of its
-    tracked modes at ``np.linspace(0, T, AGREEMENT_TIMES)``, shape (tracked
-    modes, AGREEMENT_TIMES): the samples the accepted rung's check took,
-    mode 0 among them, or one evaluation when no mode is marched."""
     require_positive(T=T, tol=tol)
     M = phi.truncation
     # row r is mode g r; without a positive mode g = 0: the data's own modes
@@ -148,13 +139,10 @@ def _solve_sampled(phi: SpectralState, spec: EquationSpec, T: float,
     # the constant mode 0 is set, not marched, and is not compared
     c0 = complex(phi.coeffs[0])
     marched = support[1:]
-    times = np.linspace(0.0, T, AGREEMENT_TIMES)
     if marched.size == 0:
         # zero or constant data: nothing is marched, and any grid is exact
         grid = PanelGrid.for_frequency(T, 1.0)
-        traj = trajectory(
-            grid, np.full((support.size, grid.n_panels, grid.q), c0))
-        return traj, traj._evaluate(support, times)
+        return trajectory(grid, np.full((support.size, grid.n_panels, grid.q), c0))
 
     shift = spec.self_coupling(c0)
     mu = dispersion_symbol(spec, support).astype(complex)
@@ -166,8 +154,9 @@ def _solve_sampled(phi: SpectralState, spec: EquationSpec, T: float,
         i + 1: lam / (i + 1)
         for i, lam in spec.recentered(c0).nonlin_coeffs.items()}
     init = phi.coeffs[support]
+    times = np.linspace(0.0, T, AGREEMENT_TIMES)
     attempts = []
-    previous = None          # dense output of the rung before, mode 0 too
+    previous = None          # dense output of the rung before
 
     def solve(grid):
         values, tail, mode = _solve_rows(grid, support, omega, c0, init,
@@ -177,12 +166,11 @@ def _solve_sampled(phi: SpectralState, spec: EquationSpec, T: float,
     def check(grid, solved):
         nonlocal previous
         traj, tail, tail_mode = solved
-        dense = traj._evaluate(support, times)
+        dense = traj._evaluate(marched, times)
         difference = diff_mode = None
         if previous is not None:
-            now, before = dense[1:], previous[1:]
-            gaps = np.max(np.abs(now - before), axis=1)
-            scale = max(np.abs(now).max(), np.abs(before).max())
+            gaps = np.max(np.abs(dense - previous), axis=1)
+            scale = max(np.abs(dense).max(), np.abs(previous).max())
             worst = int(np.argmax(gaps))
             difference = float(gaps[worst] / scale) if scale else 0.0
             diff_mode = int(marched[worst])
@@ -208,7 +196,7 @@ def _solve_sampled(phi: SpectralState, spec: EquationSpec, T: float,
     grid, (traj, _, _) = solve_on_ladder(
         ladder(T, LADDER_MARGIN * freq, depth, depth), solve, check,
         attempts, rows=support.size)
-    return trajectory(grid, traj.values, attempts), previous
+    return trajectory(grid, traj.values, attempts)
 
 
 def _solve_rows(grid, support, omega, c0, init, weights):

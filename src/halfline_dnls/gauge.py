@@ -256,7 +256,7 @@ def gauge_picard_solve(phi: SpectralState, psi: SpectralState, k: int,
 
     grid, components, log = picard_on_ladder(
         T, 2.0 * float(mu[-1].real) + 1.0, smallness, tol, solve,
-        allow_unsafe, rows=2 * (M + 1))
+        allow_unsafe)
     modes = np.arange(M + 1)
     traj_u = Trajectory(spec=spec, grid=grid, modes=modes,
                         values=components["u"], quadrature_tolerance=tol,

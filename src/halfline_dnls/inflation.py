@@ -27,8 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cascade import (AGREEMENT_TIMES, _solve_sampled, cascade_integrate,
-                      mean_zero_transform)
+from .cascade import AGREEMENT_TIMES, cascade_integrate, mean_zero_transform
 from .gauge import compatible_gauge_data, compatibility_defects, gauge_picard_solve
 from .normalform import picard_solve
 from .quadrature import require_positive
@@ -447,10 +446,7 @@ def cross_validate(phi: SpectralState, alpha: float, k: int, T: float,
         pipelines = ("cascade", "normal-form" if m0 == 0
                      else "normal-form-recentered")
 
-    # the cascade's rung check sampled its tracked modes at these times
-    traj, samples = _solve_sampled(phi, spec, T, CASCADE_TOL)
-    u_cascade = np.zeros_like(u_other)
-    u_cascade[traj.modes] = samples
+    u_cascade = cascade_integrate(phi, spec, T, tol=CASCADE_TOL).dense_at(ts)
     disagreement = float(np.max(np.abs(u_cascade - u_other)))
     return CrossReport(pipelines=pipelines, max_disagreement=disagreement,
                        tolerance=tolerance, n_compare=AGREEMENT_TIMES,

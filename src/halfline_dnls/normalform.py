@@ -407,13 +407,10 @@ class PicardLog:
 def picard_on_ladder(horizon: float, max_frequency: float,
                      smallness: SmallnessReport, tol: float,
                      solve: Callable[[PanelGrid, PicardLog], dict],
-                     allow_unsafe: bool = False, *, rows: int) -> tuple:
+                     allow_unsafe: bool = False) -> tuple:
     """Run a Picard solve on the coarsest grid of ``quadrature.ladder(
     horizon, max_frequency, quadrature.PICARD_DEPTH)`` that resolves it,
-    through ``quadrature.solve_on_ladder``.  ``rows``, the rows of the
-    iterate (modes times components), goes to the climb, which refuses a
-    rung whose iterate would pass ``quadrature.NODE_BUDGET`` before it is
-    solved.
+    through ``quadrature.solve_on_ladder``.
 
     Data that ``smallness`` does not accept is refused with
     ContractionThresholdError before any rung, unless ``allow_unsafe``.
@@ -459,7 +456,7 @@ def picard_on_ladder(horizon: float, max_frequency: float,
 
     grid, (log, components) = solve_on_ladder(
         ladder(horizon, max_frequency, quadrature.PICARD_DEPTH), solve_rung,
-        check, attempts, rows)
+        check, attempts)
     return grid, components, log
 
 
@@ -503,7 +500,7 @@ def picard_solve(phi: SpectralState, spec: EquationSpec, T: float,
 
     grid, components, log = picard_on_ladder(
         T, 2.0 * float(np.max(ops.mu)) + 1.0, ops.smallness_report(phi, T),
-        tol, solve, allow_unsafe, rows=M + 1)
+        tol, solve, allow_unsafe)
     traj = Trajectory(spec=spec, grid=grid, modes=np.arange(M + 1),
                       values=components["v"], quadrature_tolerance=tol,
                       initial_state=phi, variable="v")

@@ -31,10 +31,11 @@ climb it ``PICARD_DEPTH`` halvings deep with no doublings; the cascade
 rung passes when the Chebyshev tail of its solution, measured against all
 rows on each panel (``tail_ratio``), is within tolerance; the cascade also
 asks that two successive rungs agree, which estimates the error built up
-along the march.  Every climb ends before a rung whose node array would
-pass ``NODE_BUDGET`` is allocated.  The panel sizing, the two ladder
-depths, the node budget and the overflow guard are module constants, read
-when a ladder is made.
+along the march, and ends its climb before a rung whose node array would
+pass ``NODE_BUDGET`` is allocated.  Every climb ends at a rung that numpy
+cannot allocate, with an error that names its panel count.  The panel
+sizing, the two ladder depths, the node budget and the overflow guard are
+module constants, read when a ladder is made.
 """
 
 from __future__ import annotations
@@ -74,12 +75,11 @@ MAX_REFINEMENTS = 3
 PICARD_DEPTH = 5
 # largest mode magnitude a march may reach before it stops with an error
 OVERFLOW_GUARD = 1e100
-# most node values (rows x panels x q) in the node array of a rung, the
-# cascade's solution or a Picard iterate: 800 MB of complex128, which
-# admits the 226,712 panels x 9 rows of the N=16, alpha=3 inflation run.
-# It bounds that one array, not the solve's peak memory: a degree-k
-# nonlinearity keeps k - 1 more arrays of its size in the cascade, a
-# Picard map its own temporaries, and a rung check a dense output besides
+# most node values (rows x panels x q) in the node array of a cascade rung:
+# 800 MB of complex128, which admits the 226,712 panels x 9 rows of the
+# N=16, alpha=3 inflation run.  It bounds that one array, not the solve's
+# peak memory: a degree-k nonlinearity keeps k - 1 more arrays of its size,
+# and the rung check holds a dense output besides
 NODE_BUDGET = 50_000_000
 # Panels per block of a pass over dense (M+1, panels, q) node values (the
 # normal-form map, the weak-formulation residual): a block's node values
@@ -307,46 +307,46 @@ def solve_on_ladder(rungs: Iterable[PanelGrid],
     is solved.  When ``rows`` is given, a rung whose node array, ``rows`` x
     panels x q values, would pass ``NODE_BUDGET`` raises QuadratureError
     naming its panel count before ``solve`` runs, and ends the climb, since
-    every later rung is larger.  An error that ends the climb carries
-    ``attempts`` as ``grid_attempts``.
+    every later rung is larger.  So does, for any climb, a rung with more
+    node values than a numpy array can address, and a MemoryError on a
+    rung.  An error that ends the climb carries ``attempts`` as
+    ``grid_attempts``.
     """
     failure = None
     for grid in rungs:
-        nodes = rows * grid.n_panels * grid.q if rows is not None else 0
-        if nodes > NODE_BUDGET:
-            failure = QuadratureError(
-                f"{_count(grid.n_panels)} panels need {_count(nodes)} node "
-                f"values ({rows} rows x {grid.q} per panel), above the node "
-                f"budget {_count(NODE_BUDGET)}"
-                + (f"; the rung before failed: {failure}" if failure else ""),
-                worst_mode=getattr(failure, "worst_mode", None),
-                tail=getattr(failure, "tail", None))
-            break
-        try:
-            solution = solve(grid)
-            check(grid, solution)
-        except QuadratureError as exc:
-            # without its traceback the error keeps no frame, and so no
-            # solution, alive while the next rung is solved
-            failure = exc.with_traceback(None)
-            solution = None
-            continue
-        return grid, solution
+        # a count sized for a huge frequency can have hundreds of digits
+        panels = (grid.n_panels if grid.n_panels < 10**6
+                  else f"{grid.n_panels:.3g}")
+        nodes = float(grid.n_panels) * grid.q * (rows or 1)
+        if rows is not None and nodes > NODE_BUDGET:
+            refusal = (f"{panels} panels need {nodes:.3g} node values "
+                       f"({rows} rows x {grid.q} per panel), above the node "
+                       f"budget {NODE_BUDGET:.3g}")
+        elif 16 * nodes > np.iinfo(np.intp).max:
+            refusal = (f"{panels} panels of {grid.q} nodes: more complex "
+                       "node values than a numpy array can address")
+        else:
+            try:
+                solution = solve(grid)
+                check(grid, solution)
+            except QuadratureError as exc:
+                # without its traceback the error keeps no frame, and so no
+                # solution, alive while the next rung is solved
+                failure = exc.with_traceback(None)
+                solution = None
+                continue
+            except MemoryError as exc:
+                refusal = f"{panels} panels: out of memory: {exc}"
+            else:
+                return grid, solution
+        failure = QuadratureError(
+            refusal
+            + (f"; the rung before failed: {failure}" if failure else ""),
+            worst_mode=getattr(failure, "worst_mode", None),
+            tail=getattr(failure, "tail", None))
+        break
     failure.grid_attempts = attempts
     raise failure
-
-
-def _count(n: int) -> str:
-    """A panel or node count for a message: exact below a million, else to
-    3 significant digits in integer arithmetic, since the count of a rung
-    sized for a huge frequency can pass the largest float."""
-    if n < 10**6:
-        return str(n)
-    exp = len(str(n)) - 3
-    lead = (2 * n + 10**exp) // (2 * 10**exp)      # 3 digits, half up
-    if lead == 1000:
-        lead, exp = 100, exp + 1
-    return f"{lead // 100}.{lead % 100:02d}e+{exp + 2:02d}"
 
 
 def tail_ratio(values: np.ndarray, scheme: PanelScheme) -> np.ndarray:

@@ -20,44 +20,30 @@ from .spectral import EquationSpec, SpectralState
 
 __all__ = ["Trajectory", "sup_sobolev_diff"]
 
-# Bytes of the one complex buffer of a dense-output block (rows x times x
-# q), which holds the gathered node values and is multiplied in place by
-# the Chebyshev rows; also of the complex difference in a block of
-# sup_sobolev_diff.  At 512 KiB, a quarter of a 2 MiB L2, 17 modes x 201
-# times on grids of 5, 33 and 308 panels took 0.45, 0.44 and 0.53 ms
-# (0.58, 0.60 and 0.71 ms as one unblocked contraction), the same within
-# noise from 256 KiB to 1 MiB, and 0.5-0.6 ms at 64 KiB.  Resampling the
-# N=16, alpha=2 headline (9 rows) onto its doubled grid, 85,296 times, took
-# 81-95 ms from 256 KiB to 1 MiB and 122 ms at 64 KiB, against 232 ms in one
-# block, at a tracemalloc peak of 47 MB (342 MB in one block, 633 MB as one
-# contraction).  Medians of 7 runs, in process, 2-core x86-64 VM.
+# Bytes of the complex node values copied for one block of dense output
+# (rows x times x q), which are multiplied in place by the Chebyshev rows
+# and summed over q.  At 512 KiB, a quarter of a 2 MiB L2, 17 modes x 201
+# times on grids of 5, 33 and 308 panels took 0.46, 0.51 and 0.58 ms (0.74,
+# 0.68 and 0.88 ms as one unblocked contraction), within noise of 256 KiB
+# and 1 MiB, and 0.56-0.66 ms at 64 KiB.  Resampling the N=16, alpha=2
+# headline (9 rows) onto its doubled grid, 85,296 times, took 97-104 ms
+# from 256 KiB to 1 MiB and 164 ms at 64 KiB, against 291 ms as one
+# contraction, at a tracemalloc peak of 34 MB (632 MB as one contraction).
+# Medians of 9 to 31 runs, in process, 2-core x86-64 VM.
 DENSE_BLOCK_BYTES = 1 << 19
 
 
 def sup_sobolev_diff(a: np.ndarray, b: np.ndarray, s: float = 1.0) -> float:
     """sup over the trailing axes of the H^s distance of two dense node-value
-    tensors shaped (modes, ...).
-
-    The trailing entries are taken in blocks whose complex difference holds
-    at most ``DENSE_BLOCK_BYTES``.  On each block the weighted squared
-    moduli ``w_m (re^2 + im^2)`` of all modes are formed at once, then
-    summed over the modes in order from +0, one in-place add per mode."""
-    modes = a.shape[0]
-    n = np.arange(modes, dtype=float)
-    w = ((1.0 + n * n) ** float(s))[:, None]
-    a, b = a.reshape(modes, -1), b.reshape(modes, -1)
-    width = max(1, DENSE_BLOCK_BYTES // (16 * modes))
-    tops = []
-    for start in range(0, a.shape[1], width):
-        d = a[:, start:start + width] - b[:, start:start + width]
-        terms = d.real * d.real
-        terms += d.imag * d.imag
-        terms *= w
-        sq = np.zeros(terms.shape[1])
-        for term in terms:
-            sq += term
-        tops.append(np.max(sq))
-    return float(np.sqrt(np.max(tops)))
+    tensors shaped (modes, ...)."""
+    n = np.arange(a.shape[0], dtype=float)
+    w = (1.0 + n * n) ** float(s)
+    # one mode at a time: temporaries of one mode's size, not the tensor's
+    sq = np.zeros(a.shape[1:])
+    for m in range(a.shape[0]):
+        d = a[m] - b[m]
+        sq += w[m] * (d.real * d.real + d.imag * d.imag)
+    return float(np.sqrt(np.max(sq)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +104,7 @@ class Trajectory:
         Chebyshev row per time (its ``chebvander`` row times
         ``coeff_map``), then one elementwise contraction per block of times:
         the node values of the tracked rows asked for, on the panels of the
-        block's times, are gathered into one buffer of at most
+        block's times, are copied into one array of at most
         ``DENSE_BLOCK_BYTES`` (rows x times x q), multiplied in place by the
         Chebyshev rows and summed over q by numpy's pairwise sum.  No sum
         depends on how many times or rows are asked for, so a time gives
@@ -131,27 +117,15 @@ class Trajectory:
         tracked = idx < self.modes.size
         tracked[tracked] = self.modes[idx[tracked]] == ns[tracked]
         rows = idx[tracked]
-        out = np.zeros((ns.size, ts.size), dtype=complex)
-        if rows.size == 0:
-            return out
-        found = out if tracked.all() else np.empty((rows.size, ts.size),
-                                                   dtype=complex)
         cheb = (_cheb.chebvander(x, q - 1)[:, None, :]
                 @ self.grid.scheme.coeff_map)[:, 0]
-        # the node values as lines of q, line r * n_panels + p on panel p
-        lines = self.values.reshape(-1, q)
-        first = rows[:, None] * self.n_panels
-        block = max(1, DENSE_BLOCK_BYTES // (rows.size * q * 16))
-        buf = np.empty(rows.size * min(block, ts.size) * q, dtype=complex)
+        out = np.zeros((ns.size, ts.size), dtype=complex)
+        block = max(1, DENSE_BLOCK_BYTES // (16 * q * max(1, rows.size)))
         for start in range(0, ts.size, block):
             t = slice(start, start + block)
-            gathered = buf[:rows.size * p[t].size * q].reshape(
-                rows.size, -1, q)
-            np.take(lines, first + p[t], axis=0, out=gathered, mode="clip")
-            gathered *= cheb[t]
-            gathered.sum(axis=-1, out=found[:, t])
-        if found is not out:
-            out[tracked] = found
+            g = self.values[rows[:, None], p[t]]
+            g *= cheb[t]
+            out[tracked, t] = g.sum(axis=-1)
         return out
 
     def resampled(self, grid: PanelGrid) -> "Trajectory":

@@ -289,18 +289,15 @@ def test_cross_validate_mean_zero_is_the_m0_zero_case():
 
 
 @pytest.mark.parametrize("alpha, modes, evaluations", [
-    (3.0, {1: 0.045, 2: 0.045j}, 3),     # v, then the cascade's two rungs
-    (2.0, {1: 0.03, 2: 0.02j}, 4),       # u and gu, then the two rungs
+    (3.0, {1: 0.045, 2: 0.045j}, 4),     # v, the cascade's two rungs, u
+    (2.0, {1: 0.03, 2: 0.02j}, 5),       # u and gu, the two rungs, u
 ])
-def test_cross_validate_evaluates_each_trajectory_once(monkeypatch, alpha,
-                                                       modes, evaluations):
-    # the accepted cascade is not evaluated again: its rung check already
-    # sampled every tracked mode at the compared times, with the bits of the
-    # returned trajectory's dense output there
-    from halfline_dnls import (EquationSpec, SpectralState, Trajectory,
-                               cross_validate)
-    from halfline_dnls.cascade import AGREEMENT_TIMES, _solve_sampled
-    from halfline_dnls.inflation import CASCADE_TOL
+def test_cross_validate_evaluations_are_pinned(monkeypatch, alpha, modes,
+                                               evaluations):
+    # each dense evaluation of a cross-validation is counted: the other
+    # pipeline's trajectories, the cascade's rung checks, and the accepted
+    # cascade at the compared times
+    from halfline_dnls import SpectralState, Trajectory, cross_validate
     phi = SpectralState.from_modes(modes, 16)
     calls = []
     evaluate = Trajectory._evaluate
@@ -311,13 +308,7 @@ def test_cross_validate_evaluates_each_trajectory_once(monkeypatch, alpha,
 
     monkeypatch.setattr(Trajectory, "_evaluate", counted)
     assert cross_validate(phi, alpha=alpha, k=1, T=1.0).passed
-    assert len(calls) == evaluations and calls[-2:] == ["u", "u"]
-    monkeypatch.setattr(Trajectory, "_evaluate", evaluate)
-    traj, samples = _solve_sampled(phi, EquationSpec.pure_power(1, alpha),
-                                   1.0, CASCADE_TOL)
-    assert len(traj.grid_attempts) == 2
-    dense = traj.dense_at(np.linspace(0.0, 1.0, AGREEMENT_TIMES))
-    assert samples.tobytes() == dense[traj.modes].tobytes()
+    assert len(calls) == evaluations and calls[-3:] == ["u", "u", "u"]
 
 
 def test_cross_validate_alpha2_requires_mean_zero():
@@ -338,10 +329,9 @@ def test_cross_validate_refuses_before_any_cascade_solve(monkeypatch, alpha,
                                cross_validate, inflation)
 
     def no_cascade(*args, **kwargs):
-        raise AssertionError("cascade solve called")
+        raise AssertionError("cascade_integrate called")
 
     monkeypatch.setattr(inflation, "cascade_integrate", no_cascade)
-    monkeypatch.setattr(inflation, "_solve_sampled", no_cascade)
     phi = SpectralState.from_modes(modes, 48)
     with pytest.raises(ValueError, match=match) as info:
         cross_validate(phi, alpha=alpha, k=1, T=1.0)

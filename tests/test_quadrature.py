@@ -425,6 +425,27 @@ def test_solve_on_ladder_stops_at_the_node_budget_before_solving(monkeypatch):
     assert err.grid_attempts is attempts
 
 
+def test_solve_on_ladder_ends_the_climb_at_a_rung_out_of_memory():
+    # a rung that cannot be allocated names its panel count, and no larger
+    # rung is tried
+    attempts, solved = [], []
+
+    def solve(grid):
+        solved.append(grid.n_panels)
+        if grid.n_panels == 4:
+            raise MemoryError("Unable to allocate 1. TiB")
+        return grid.n_panels
+
+    with pytest.raises(QuadratureError) as info:
+        solve_on_ladder(_ladder(1, 2, 4, 8), solve,
+                        _check_at_least(100, attempts), attempts)
+    err = info.value
+    assert solved == [1, 2, 4]
+    assert str(err) == ("4 panels: out of memory: Unable to allocate 1. TiB; "
+                        "the rung before failed: 2 panels too coarse")
+    assert err.grid_attempts is attempts
+
+
 @settings(max_examples=60, deadline=None)
 @given(n_panels=st.integers(1, 300),
        horizon=st.floats(1e-3, 1e3, allow_nan=False),

@@ -283,34 +283,6 @@ def test_csv_output(traj):
         float(t), int(n), float(a), float(arg)
 
 
-def sup_sobolev_diff_loop(a, b, s=1.0):
-    # the per-mode loop: a sum over the modes in order, from +0
-    n = np.arange(a.shape[0], dtype=float)
-    w = (1.0 + n * n) ** float(s)
-    sq = np.zeros(a.shape[1:])
-    for m in range(a.shape[0]):
-        d = a[m] - b[m]
-        sq += w[m] * (d.real * d.real + d.imag * d.imag)
-    return float(np.sqrt(np.max(sq)))
-
-
-@pytest.mark.parametrize("shape", [(9,), (1, 7), (17, 33, 24),
-                                   (17, 2, 5, 24), (40, 3, 50)])
-@pytest.mark.parametrize("budget", [16, 4096, 1 << 19])
-def test_sup_sobolev_diff_matches_the_per_mode_loop_bitwise(monkeypatch,
-                                                            shape, budget):
-    # blocks of one trailing entry, of a few, and of the default budget
-    monkeypatch.setattr(trajectory, "DENSE_BLOCK_BYTES", budget)
-    rng = np.random.default_rng(budget + len(shape))
-    for s, scale in ((0.0, 1.0), (1.0, 1e-150), (2.5, 1e100)):
-        a, b = ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-                * scale for _ in range(2))
-        b[0] = a[0]
-        got = sup_sobolev_diff(a, b, s)
-        assert np.float64(got).tobytes() \
-            == np.float64(sup_sobolev_diff_loop(a, b, s)).tobytes()
-
-
 def sup_sobolev_diff_oracle(a, b, s=1.0):
     # whole-tensor einsum of the weighted squared moduli
     n = np.arange(a.shape[0], dtype=float)
