@@ -35,10 +35,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import quadrature
-from .quadrature import (BLOCK_PANELS, OVERFLOW_GUARD, OverflowGuardError,
-                         PanelGrid, QuadratureError, ladder,
-                         oscillatory_march, require_positive, solve_on_ladder,
-                         tail_ratio)
+from .quadrature import (BLOCK_PANELS, OverflowGuardError, PanelGrid,
+                         QuadratureError, ladder, oscillatory_march,
+                         require_positive, solve_on_ladder, tail_ratio)
 from .spectral import (DispersionKind, EquationSpec, SpectralState,
                        _product, dispersion_mu, dispersion_symbol, power)
 from .trajectory import Trajectory
@@ -121,8 +120,9 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
     panel count, the condition that failed and its worst mode, with the
     rung record as ``grid_attempts``; also when a rung would pass
     ``quadrature.NODE_BUDGET``.  Raises OverflowGuardError when a mode
-    magnitude passes ``quadrature.OVERFLOW_GUARD``; as modes are solved in
-    increasing order, the error names the lowest mode that passes it.
+    magnitude passes ``quadrature.OVERFLOW_GUARD`` or is not a number; as
+    modes are solved in increasing order, the error names the lowest mode
+    where that happens.
     """
     require_positive(T=T, tol=tol)
     M = phi.truncation
@@ -177,7 +177,7 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
         previous = dense
         attempts.append((grid.n_panels, tail, difference))
         where = f"cascade not resolved on {grid.n_panels} panels"
-        if tail > tol:
+        if not tail <= tol:          # a NaN fails it too
             raise QuadratureError(
                 f"{where}: Chebyshev tail {tail:.3e} > tol {tol:.3e} at "
                 f"mode {tail_mode}", worst_mode=tail_mode, tail=tail)
@@ -186,7 +186,7 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
                 f"{where}: no coarser rung to compare it with (tail "
                 f"{tail:.3e}, worst at mode {tail_mode})",
                 worst_mode=tail_mode, tail=tail)
-        if difference > tol:
+        if not difference <= tol:
             raise QuadratureError(
                 f"{where}: two-rung difference {difference:.3e} > tol "
                 f"{tol:.3e} against {attempts[-2][0]} panels at mode "
@@ -202,7 +202,9 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
 def _solve_rows(grid, support, omega, c0, init, weights):
     """Solve the rows of the lattice ``support`` in increasing order on one
     grid, row 0 set to c0.  Returns the node values, the worst Chebyshev
-    tail ratio (against all marched rows on each panel) and its mode.
+    tail ratio (against all rows not exactly zero on each panel) and its
+    mode.  A row whose initial value is 0 and whose forcing no product of
+    live rows reaches is set to +0 and not marched.
 
     Row r of ``w^j`` is target r of ``spectral._product(w, w^{j-1})`` over
     the rows below r not exactly zero after their march (a zero row adds
@@ -218,8 +220,17 @@ def _solve_rows(grid, support, omega, c0, init, weights):
     powers.update((j, np.zeros_like(values)) for j in range(2, top))
     g = np.empty(shape, dtype=complex)
     live = []                    # marched rows that are not exactly zero
+    # reached[r]: row r is live, or a product of live rows may reach it
+    reached = np.zeros(support.size, dtype=bool)
     for r in range(1, support.size):
         n = int(support[r])
+        # every term of the forcing multiplies a live row m by row r - m of
+        # a power of w, which is zero unless r - m is reached
+        forced = bool(reached[r - np.array(live, dtype=int)].any())
+        if not (forced or init[r]):
+            values[r] = 0.0      # +0, as a march of the zero forcing gives
+            continue
+        reached[r] = forced
         # powers below the top are kept for later rows; (w^top)(n) is
         # summed in place into the forcing i n sum_j a_j (w^j)(n)
         g.fill(0.0)
@@ -243,15 +254,19 @@ def _solve_rows(grid, support, omega, c0, init, weights):
                               out=values[r:r + 1])
         except OverflowGuardError as exc:
             raise OverflowGuardError(
-                f"mode {n} exceeded {OVERFLOW_GUARD:g} at t={exc.time:g}",
-                time=exc.time) from None
+                f"mode {n} {exc.breach} at t={exc.time:g}",
+                time=exc.time, breach=exc.breach) from None
         if np.any(values[r]):
             live.append(r)
-    # the constant mode 0 is set, not marched: it is not checked and does
-    # not set the scale of the marched rows
-    ratios = tail_ratio(values[1:], grid.scheme)
+            reached[r] = True
+    # the constant mode 0 is set, not marched, and a zero row has no tail:
+    # neither is checked or sets the scale of the live rows.  A fancy index
+    # copies the rows, so a solve whose rows are all live keeps the slice
+    checked = live or [1]
+    ratios = tail_ratio(values[1:] if len(checked) == support.size - 1
+                        else values[checked], grid.scheme)
     worst = int(np.argmax(ratios))
-    return values, float(ratios[worst]), int(support[1 + worst])
+    return values, float(ratios[worst]), int(support[checked[worst]])
 
 
 # -- closed forms --------------------------------------------------------------

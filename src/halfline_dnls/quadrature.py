@@ -29,7 +29,13 @@ radians, then ``doublings`` doublings of that grid.  The Picard solvers
 climb it ``PICARD_DEPTH`` halvings deep with no doublings; the cascade
 ``MAX_REFINEMENTS`` halvings deep with ``MAX_REFINEMENTS`` doublings.  A
 rung passes when the Chebyshev tail of its solution, measured against all
-rows on each panel (``tail_ratio``), is within tolerance; the cascade also
+rows on each panel (``tail_ratio``), is within tolerance.  The check forms
+every row's last two coefficients, but all of them only for the rows whose
+Cauchy-Schwarz bound, ``coeff_bound`` times the row's node norm, can reach
+the largest coefficient on some panel; the others cannot change it, so the
+ratios are those of a full transform of every row, bit for bit.  A panel
+that is not finite fails the check, and a march stops at a carry that is
+not a number as at one past ``OVERFLOW_GUARD``.  The cascade also
 asks that two successive rungs agree, which estimates the error built up
 along the march, and ends its climb before a rung whose node array would
 pass ``NODE_BUDGET`` is allocated.  Every climb ends at a rung that numpy
@@ -111,11 +117,13 @@ class QuadratureError(RuntimeError):
 
 
 class OverflowGuardError(RuntimeError):
-    """A mode magnitude exceeded ``OVERFLOW_GUARD`` at ``time``."""
+    """A mode magnitude exceeded ``OVERFLOW_GUARD``, or was not a number, at
+    ``time``; ``breach`` says which, as the message does."""
 
-    def __init__(self, message, time=None):
+    def __init__(self, message, time=None, breach=None):
         super().__init__(message)
         self.time = time
+        self.breach = breach or f"exceeded {OVERFLOW_GUARD:g}"
 
 
 def require_positive(**values) -> None:
@@ -135,7 +143,9 @@ class PanelScheme:
     interpolant.  ``antideriv_nodes`` and ``antideriv_end`` give node/right-
     endpoint values of the antiderivative vanishing at -1 (multiply by h/2
     for a panel of width h); ``deriv_nodes`` gives node values of d/dx
-    (multiply by 2/h).
+    (multiply by 2/h).  ``coeff_bound`` is the largest row 2-norm of
+    ``coeff_map`` times ``1 + 1e-12``: times a panel's node 2-norm it bounds
+    every computed Chebyshev coefficient there, rounding included.
     """
 
     q: int
@@ -145,6 +155,7 @@ class PanelScheme:
     antideriv_nodes: np.ndarray
     antideriv_end: np.ndarray
     deriv_nodes: np.ndarray
+    coeff_bound: float
 
 
 @lru_cache(maxsize=8)
@@ -165,8 +176,10 @@ def panel_scheme(q: int = DEFAULT_POINTS) -> PanelScheme:
     DN = V @ D @ A
     for arr in (x, w, A, P, end, DN):
         arr.flags.writeable = False
+    bound = float(np.linalg.norm(A, axis=1).max()) * (1 + 1e-12)
     return PanelScheme(q=q, nodes=x, weights=w, coeff_map=A,
-                       antideriv_nodes=P, antideriv_end=end, deriv_nodes=DN)
+                       antideriv_nodes=P, antideriv_end=end, deriv_nodes=DN,
+                       coeff_bound=bound)
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,26 +370,46 @@ def tail_ratio(values: np.ndarray, scheme: PanelScheme) -> np.ndarray:
     row against all rows keeps rows of negligible size (round-off of the
     others) from counting as unresolved.  A small ratio certifies that the
     row's interpolants resolve it.  Panels whose largest coefficient is
-    below 1e-290 count as resolved (ratio 0).  Returns the largest ratio of
-    each row, shape (rows,).
+    below 1e-290 count as resolved (ratio 0); a panel with a coefficient
+    that is not finite counts as unresolved for every row (ratio inf).
+    Returns the largest ratio of each row, shape (rows,).
 
-    A row's coefficients are formed as ``coeff_map @ row.T``, in (q,
-    panels) layout, so the tail (the larger of the last two coefficients)
-    and the panel scale (the largest coefficient) are elementwise passes
-    along panel-long rows.  Rows are taken one at a time, so the
+    Only the rows that can set some panel's scale get their full
+    coefficients.  On a panel ``|c_k| <= |coeff_map[k]|_2 |u|_2``
+    (Cauchy-Schwarz), so ``scheme.coeff_bound`` times a row's node 2-norm
+    bounds its largest coefficient there.  The squared norms of all rows
+    come from one pass over the float view, floored at 1e-300 so that
+    squares that underflow still give a bound; one that overflows gives
+    inf.  Rows are visited in decreasing order of their largest bound, and
+    a row whose bound is below the running scale on every panel cannot
+    raise it, so its full transform, ``coeff_map @ row.T`` in (q, panels)
+    layout, is skipped.  Every row's tail comes from ``coeff_map[-2:] @
+    row.T``, whichever path it took, so the result does not depend on which
+    rows were skipped: the ratios are bit for bit those of a full transform
+    of every row wherever the BLAS forms the last two rows of that product
+    alone as it does within it.  Rows are taken one at a time, so the
     temporaries stay at one row's size.
     """
     if values.ndim != 3:
         raise ValueError(f"values must have shape (rows, panels, q), "
                          f"got {values.shape}")
+    flat = values.view(float)
+    bound = np.einsum("rpk,rpk->rp", flat, flat)
+    np.sqrt(np.maximum(bound, 1e-300, out=bound), out=bound)
+    bound *= scheme.coeff_bound
     tails = np.empty(values.shape[:2])
     scale = np.zeros(values.shape[1])
-    for r, row in enumerate(values):
-        mag = np.abs(scheme.coeff_map @ row.T)          # (q, panels)
-        np.maximum(mag[-2], mag[-1], out=tails[r])
-        np.maximum(scale, mag.max(axis=0), out=scale)
+    last = scheme.coeff_map[-2:]
+    for r in np.argsort(-bound.max(axis=1, initial=0.0), kind="stable"):
+        row = values[r]
+        mag = np.abs(last @ row.T)                      # (2, panels)
+        np.maximum(mag[0], mag[1], out=tails[r])
+        if not (bound[r] < scale).all():
+            mag = np.abs(scheme.coeff_map @ row.T)      # (q, panels)
+            np.maximum(scale, mag.max(axis=0), out=scale)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(scale > 1e-290, tails / np.maximum(scale, 1e-300), 0.0)
+    ratio[:, ~np.isfinite(scale)] = np.inf
     return np.max(ratio, axis=1, initial=0.0)
 
 
@@ -406,12 +439,12 @@ def oscillatory_march(grid: PanelGrid, omega: np.ndarray, forcing: np.ndarray,
     ``1/|E|`` within ``OVERFLOW_GUARD`` for the largest ``|Im omega|``, so
     rows with real omega take the whole grid in one block.  Each block's
     carries are checked against ``OVERFLOW_GUARD``; the error names the
-    first panel end past it and the row.  The node values ``u = ph (c_p +
-    (h/2) antideriv_nodes psi)``, with ``h`` the uniform width, are then
-    one product per row, ``[psi | c_p] @ [[(h/2) antideriv_nodes.T
-    diag(ph)], [ph]]``, with the width and the phase in the (q + 1, q)
-    matrix.  Returns node values with the same shape as ``forcing``,
-    written into ``out`` when it is given.
+    first panel end past it, or where a carry is not a number, and the
+    row.  The node values ``u = ph (c_p + (h/2) antideriv_nodes psi)``,
+    with ``h`` the uniform width, are then one product per row, ``[psi |
+    c_p] @ [[(h/2) antideriv_nodes.T diag(ph)], [ph]]``, with the width and
+    the phase in the (q + 1, q) matrix.  Returns node values with the same
+    shape as ``forcing``, written into ``out`` when it is given.
     """
     sch = grid.scheme
     rows, n, q = omega.size, grid.n_panels, grid.q
@@ -439,16 +472,19 @@ def oscillatory_march(grid: PanelGrid, omega: np.ndarray, forcing: np.ndarray,
         ends = np.cumsum(Jend[:, s:e] / E[:, :-1], axis=1)
         ends += c[:, None]
         ends *= E[:, 1:]                 # values at breaks[s+1 .. e]
-        over = np.abs(ends) > OVERFLOW_GUARD
+        mags = np.abs(ends)
+        # a NaN fails every comparison, so only ``<=`` catches it
+        over = ~(mags <= OVERFLOW_GUARD)
         if over.any():
             i = int(np.argmax(over.any(axis=0)))
-            n_bad = int(np.argmax(np.abs(ends[:, i])))
+            n_bad = int(np.argmax(mags[:, i]))     # a NaN is the argmax
             t_bad = float(grid.breaks[s + i + 1])
+            breach = (f"exceeded {OVERFLOW_GUARD:g}"
+                      if mags[n_bad, i] > OVERFLOW_GUARD else "is not a number")
             raise OverflowGuardError(
-                f"mode magnitude exceeded {OVERFLOW_GUARD:g} at t="
-                f"{t_bad:g} (mode row {n_bad}); "
+                f"mode magnitude {breach} at t={t_bad:g} (mode row {n_bad}); "
                 "growing background makes the truncated system blow up",
-                time=t_bad)
+                time=t_bad, breach=breach)
         carry[:, s] = c
         carry[:, s + 1:e] = ends[:, :-1]
         c = ends[:, -1]

@@ -241,6 +241,18 @@ def test_overflow_guard_trips():
         cascade_integrate(phi, spec, 1.0)
 
 
+def test_a_rung_that_is_not_a_number_ends_in_the_overflow_guard():
+    # u^4 of modes of size 1e80 overflows the forcing of mode 4 to inf and
+    # its march to NaN.  The guard missed the NaN (it failed ``> 1e100``),
+    # the tail check read the NaN panels as ratio 0, and the two-rung check
+    # let the NaN difference through, so the second rung was accepted
+    phi = state({1: 1e80, 2: 1e80}, 8)
+    with np.errstate(all="ignore"), pytest.raises(
+            OverflowGuardError, match=r"^mode 4 is not a number at t=") as info:
+        cascade_integrate(phi, EquationSpec.pure_power(3, 2.0), 1e-3)
+    assert info.value.breach == "is not a number"
+
+
 @pytest.mark.parametrize("M,panels", [(56, 197), (64, 257)])
 def test_negligible_high_modes_pass_on_first_grid(monkeypatch, M, panels):
     # modes near 0.05^M are round-off of the state: measured against their
@@ -513,6 +525,44 @@ def test_lattice_rows_match_the_semigroup_oracle_bitwise(monkeypatch, case):
     assert np.array_equal(values[rows].view(np.int64), ref.view(np.int64))
     assert (tail, mode) == (ref_tail, ref_mode)
     assert not np.any(np.delete(values, rows, axis=0))
+
+
+ZERO_ROW_CASES = {
+    # no row is live, and the tail check reads the zero row of mode 1
+    "constant": lambda: (state({0: 0.1}, 8), EquationSpec.pure_power(1, 2.0),
+                         0.5, 4, 8),
+    "modes-0-2-3": lambda: (state({0: 0.1, 2: 0.05, 3: 0.03}, 12),
+                            EquationSpec.pure_power(1, 2.0), 0.5, 16, 1),
+    "modes-0-2-3-k3": lambda: (state({0: 0.1, 2: 0.05, 3: 0.03}, 12),
+                               EquationSpec.pure_power(3, 2.0), 0.5, 16, 1),
+    "headline-unrestricted": lambda: (
+        build_inflation_data(16, 2.5, 1, 128), EquationSpec.pure_power(1, 2.0),
+        inflation_time(16, 2.5, 0.5, 1), 256, 120),
+    **{f"unrestricted-k{k}": (lambda k=k: (
+        state({0: 0.2 - 0.1j, 4: 0.05}, 16), EquationSpec.pure_power(k, 2.0),
+        0.5, 32, 12)) for k in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("case", list(ZERO_ROW_CASES))
+def test_zero_rows_are_set_not_marched_with_the_marched_bits(monkeypatch,
+                                                             case):
+    # a row with initial value 0 that no product of live rows reaches is
+    # set to +0: the bits a march of its zero forcing gives, signed zeros
+    # included, and the same tail and worst mode as when every row is
+    # marched and checked
+    phi, spec, T, panels, zero_rows = ZERO_ROW_CASES[case]()
+    args = solve_rows_args(monkeypatch, phi, spec, T, panels, False)
+    marched = []
+    march = cascade.oscillatory_march
+    monkeypatch.setattr(cascade, "oscillatory_march", lambda grid, om, *a,
+                        **kw: marched.append(om) or march(grid, om, *a, **kw))
+    values, tail, mode = cascade._solve_rows(*args)
+    lattice = args[1]
+    assert len(marched) == lattice.size - 1 - zero_rows
+    ref, ref_tail, ref_mode = semigroup_solve_rows(*args)
+    assert np.array_equal(values.view(np.int64), ref.view(np.int64))
+    assert (tail, mode) == (ref_tail, ref_mode)
 
 
 def binomial_weights(spec, c0):

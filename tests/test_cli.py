@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from halfline_dnls import cli
@@ -587,6 +588,21 @@ def test_huge_solve_is_refused_naming_its_rung(tmp_path, capsys, command,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {refusal}\n"
+
+
+def test_simulate_that_overflows_to_nan_is_a_failed_solve(tmp_path, capsys):
+    # valid data whose forcing overflows to NaN: the overflow guard names
+    # the mode (exit 1), where the NaN trajectory used to be accepted and
+    # its output refused as malformed (exit 2)
+    phi = _phi_file(tmp_path, {1: (1e80, 0.0), 2: (1e80, 0.0)}, 8)
+    with np.errstate(all="ignore"):
+        code = dispatch(["simulate", "--alpha", "2", "--k", "3", "--T",
+                         "0.001", "--modes", "8", "--phi", phi])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: mode 4 is not a number at t=")
+    assert captured.err.count("\n") == 1
 
 
 def test_picard_alpha_refusal_names_no_library_keyword(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Panel scheme exactness and the oscillatory integrating-factor march."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,23 @@ def rowwise_tail_ratio(values, scheme):
         mag = np.abs(row @ scheme.coeff_map.T)
         tails[r] = np.max(mag[:, -2:], axis=1)
         np.maximum(scale, np.max(mag, axis=1), out=scale)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.where(scale > 1e-290, tails / np.maximum(scale, 1e-300), 0.0)
+    return np.max(ratio, axis=1, initial=0.0)
+
+
+def full_transform_tail_ratio(values, scheme):
+    """Bitwise oracle of ``tail_ratio``: every row's full Chebyshev
+    coefficients, ``coeff_map @ row.T`` in (q, panels) layout, one row at a
+    time, with the tail read off the full transform (the implementation
+    before rows that cannot set a panel's scale skipped it).  Finite input
+    only: a non-finite panel reads 0 here and inf in ``tail_ratio``."""
+    tails = np.empty(values.shape[:2])
+    scale = np.zeros(values.shape[1])
+    for r, row in enumerate(values):
+        mag = np.abs(scheme.coeff_map @ row.T)
+        np.maximum(mag[-2], mag[-1], out=tails[r])
+        np.maximum(scale, mag.max(axis=0), out=scale)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(scale > 1e-290, tails / np.maximum(scale, 1e-300), 0.0)
     return np.max(ratio, axis=1, initial=0.0)
@@ -214,6 +233,111 @@ def test_tail_ratio_matches_rowwise_oracle(case):
     assert np.all(np.abs(got - ref) <= 4 * eps * np.maximum(ref, 4 * eps))
     if case == "negligible":
         assert np.all(got == 0.0)
+
+
+def _scale_inputs():
+    """The inputs of ``_tail_inputs`` and inputs of ``tail_ratio`` that
+    stress the bound on each row's largest coefficient: a headline-sized
+    rung of 8 rows on 1777 panels, a dominant row that changes from panel
+    to panel, a row that dominates one panel only, rows whose squares
+    underflow (near 1e-200 and 1e-300) or overflow (near 1e160), exact
+    zero rows, one row and one panel."""
+    sch = panel_scheme(24)
+    rng = np.random.default_rng(23)
+    grid = PanelGrid(3.0, 1777)
+    t = grid.node_times()
+    decay = np.exp(-2.5 * np.arange(8))[:, None, None]
+    headline = decay * np.stack([np.exp(1j * b * t)
+                                 for b in 40.0 * np.arange(8)])
+    few = PanelGrid(2.0, 40).node_times()
+    waves = np.stack([np.exp(1j * b * few) for b in (3.0, -7.0, 11.0, 500.0)])
+    # row p % 4 leads panel p by 1e6
+    rotating = waves * np.where(np.arange(40)[None, :, None] % 4
+                                == np.arange(4)[:, None, None], 1e6, 1.0)
+    # row 3 leads panel 17 alone, row 0 every other panel
+    one_panel = waves * np.array([1.0, 1e-3, 1e-6, 1e-9])[:, None, None]
+    one_panel[3, 17] *= 1e12
+    noise = (rng.standard_normal(waves.shape)
+             + 1j * rng.standard_normal(waves.shape))
+    tiny = np.stack([1e-200 * waves[0], 1e-300 * noise[1],
+                     3e-308 * waves[2], 1e-310 * noise[3]])
+    zeros = waves.copy()
+    zeros[[0, 2]] = 0.0
+    huge = np.stack([1e150 * waves[0], 1e160 * noise[1], waves[2],
+                     1e155 * waves[3]])
+    return sch, {
+        **_tail_inputs()[1],
+        "headline": headline, "rotating": rotating, "one_panel": one_panel,
+        "underflow": tiny, "underflow_beside_one": np.concatenate(
+            [tiny, waves[:1]]),
+        "zero_rows": zeros, "all_zero": np.zeros_like(waves),
+        "overflow": huge, "one_row": waves[3:], "one_panel_only":
+            noise[:, 5:6] * np.logspace(-3, 3, 4)[:, None, None]}
+
+
+SCALE_CASES = list(_scale_inputs()[1])
+
+
+@pytest.mark.parametrize("case", SCALE_CASES)
+def test_tail_ratio_matches_the_full_transform_oracle_bitwise(case):
+    # skipping the full transform of rows whose bound is below the scale
+    # changes no bit: rows that cannot set a panel's scale do not, and every
+    # tail is the last two coefficients of the same product
+    sch, inputs = _scale_inputs()
+    values = inputs[case]
+    got = tail_ratio(values, sch)
+    ref = full_transform_tail_ratio(values, sch)
+    assert got.shape == ref.shape == (values.shape[0],)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+class _CountingMap(np.ndarray):
+    """A ``coeff_map`` that counts the full (q x q) transforms it makes."""
+
+    full = 0
+
+    def __matmul__(self, other):
+        if self.shape[0] == self.shape[1]:
+            _CountingMap.full += 1
+        return np.asarray(self) @ other
+
+
+@pytest.mark.parametrize("case", SCALE_CASES)
+def test_tail_ratio_does_not_depend_on_which_rows_are_skipped(case):
+    # an infinite bound sends every row through its full transform
+    sch, inputs = _scale_inputs()
+    values = inputs[case]
+    full = tail_ratio(values, dataclasses.replace(sch, coeff_bound=np.inf))
+    got = tail_ratio(values, sch)
+    assert np.array_equal(got.view(np.int64), full.view(np.int64))
+
+
+def test_tail_ratio_transforms_only_rows_that_can_set_a_scale():
+    sch, inputs = _scale_inputs()
+    counting = dataclasses.replace(
+        sch, coeff_map=sch.coeff_map.view(_CountingMap))
+    for case, transforms in (("headline", 1), ("rotating", 4),
+                             ("one_panel", 2), ("zero_rows", 2)):
+        _CountingMap.full = 0
+        tail_ratio(inputs[case], counting)
+        assert _CountingMap.full == transforms, case
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0)])
+def test_tail_ratio_reports_a_non_finite_panel_as_unresolved(bad):
+    # a NaN or inf used to give its panel a scale that fails ``> 1e-290``
+    # and so the ratio 0; now every row on that panel reads inf
+    sch = panel_scheme(24)
+    values = np.stack([np.exp(1j * b * PanelGrid(1.0, 5).node_times())
+                       for b in (2.0, 5.0)])
+    node = values.copy()
+    node[1, 3, 7] = bad
+    whole = values.copy()
+    whole[0] = bad
+    with np.errstate(invalid="ignore"):
+        assert np.all(tail_ratio(node, sch) == np.inf)
+        assert np.all(tail_ratio(whole, sch) == np.inf)
+    assert np.all(np.isfinite(tail_ratio(values, sch)))
 
 
 @pytest.mark.parametrize("horizon,freq,name", [
@@ -518,6 +642,20 @@ def test_march_growing_mode_and_overflow_guard():
     with pytest.raises(OverflowGuardError):
         oscillatory_march(grid, np.array([-500.0j]), forcing,
                           np.array([1.0 + 0j]))
+
+
+def test_guard_names_a_carry_that_is_not_a_number():
+    # a NaN fails ``> OVERFLOW_GUARD``; the guard asks ``<=`` instead
+    grid = PanelGrid(1.0, 8)
+    forcing = np.zeros((2, grid.n_panels, grid.q), dtype=complex)
+    forcing[1, 5, 3] = np.nan
+    with pytest.raises(OverflowGuardError,
+                       match=r"^mode magnitude is not a number at t=0\.75 "
+                       r"\(mode row 1\)") as info:
+        oscillatory_march(grid, np.array([1.0, 2.0]), forcing,
+                          np.array([1.0, 0.0], dtype=complex))
+    assert info.value.time == grid.breaks[6]
+    assert info.value.breach == "is not a number"
 
 
 @pytest.mark.parametrize("omega", [
