@@ -7,8 +7,8 @@ plus a self-interaction through the constant background: with
     d/dt u_n = i (mu(n) + n * sum_l lambda_l c^l) u_n + g_n(t),
 
 where g_n collects products of strictly lower supported modes.  Solving the
-modes in increasing order, each over all of [0, T] in one
-``quadrature.oscillatory_march`` before the next, therefore yields, up to
+modes in increasing order, each over all of [0, T] in one march of a
+``quadrature.OscillatoryMarch`` before the next, therefore yields, up to
 quadrature error, the *exact* solution of the truncated system, which in
 turn agrees with the full equation on all retained modes.  The stiff
 dispersive factor is handled by exact integrating factors, so there is no
@@ -35,9 +35,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import quadrature
-from .quadrature import (BLOCK_PANELS, OverflowGuardError, PanelGrid,
-                         QuadratureError, ladder, oscillatory_march,
-                         require_positive, solve_on_ladder, tail_ratio)
+from .quadrature import (BLOCK_PANELS, OscillatoryMarch, OverflowGuardError,
+                         PanelGrid, QuadratureError, ladder, require_positive,
+                         solve_on_ladder, tail_ratio)
 from .spectral import (DispersionKind, EquationSpec, SpectralState,
                        _product, dispersion_mu, dispersion_symbol, power)
 from .trajectory import Trajectory
@@ -98,11 +98,11 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
     data modes reaches are exactly zero; zero data tracks no mode.
 
     Modes are solved in increasing order, each over the whole grid in one
-    ``oscillatory_march``.  With ``u = c + w`` (``w`` the modes >= 1), the
-    forcing of mode n is ``i n sum_j a_j (w^j)(n)`` over ``j >= 2``, where
-    ``(w^j)(n) = sum_{0<m<n} w(m) (w^{j-1})(n-m)`` needs only solved modes
-    and ``a_j = lambda'_{j-1} / j`` over the coefficients of
-    ``spec.recentered(c)``.  A nonlinearity of degree k >= 2 keeps
+    march of the rung's ``OscillatoryMarch``.  With ``u = c + w`` (``w``
+    the modes >= 1), the forcing of mode n is ``i n sum_j a_j (w^j)(n)``
+    over ``j >= 2``, where ``(w^j)(n) = sum_{0<m<n} w(m) (w^{j-1})(n-m)``
+    needs only solved modes and ``a_j = lambda'_{j-1} / j`` over the
+    coefficients of ``spec.recentered(c)``.  A nonlinearity of degree k >= 2 keeps
     ``k - 1`` arrays the size of the trajectory for the powers of ``w``.
 
     The solve climbs ``quadrature.ladder``, sized for ``LADDER_MARGIN``
@@ -159,14 +159,17 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
     previous = None          # dense output of the rung before
 
     def solve(grid):
-        values, tail, mode = _solve_rows(grid, support, omega, c0, init,
-                                         weights)
-        return trajectory(grid, values), tail, mode
+        values, tail, mode, live = _solve_rows(grid, support, omega, c0,
+                                               init, weights)
+        return trajectory(grid, values), tail, mode, live
 
     def check(grid, solved):
         nonlocal previous
-        traj, tail, tail_mode = solved
-        dense = traj._evaluate(marched, times)
+        traj, tail, tail_mode, live = solved
+        # a row that is not live is exactly zero, and so is its dense output
+        dense = np.zeros((marched.size, times.size), dtype=complex)
+        dense[np.array(live, dtype=int) - 1] = traj._evaluate(
+            support[live], times)
         difference = diff_mode = None
         if previous is not None:
             gaps = np.max(np.abs(dense - previous), axis=1)
@@ -193,18 +196,24 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
                 f"{diff_mode}", worst_mode=diff_mode, tail=tail)
 
     depth = quadrature.MAX_REFINEMENTS
-    grid, (traj, _, _) = solve_on_ladder(
+    grid, (traj, *_) = solve_on_ladder(
         ladder(T, LADDER_MARGIN * freq, depth, depth), solve, check,
         attempts, rows=support.size)
     return trajectory(grid, traj.values, attempts)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _solve_rows(grid, support, omega, c0, init, weights):
     """Solve the rows of the lattice ``support`` in increasing order on one
     grid, row 0 set to c0.  Returns the node values, the worst Chebyshev
-    tail ratio (against all rows not exactly zero on each panel) and its
-    mode.  A row whose initial value is 0 and whose forcing no product of
-    live rows reaches is set to +0 and not marched.
+    tail ratio (against all rows not exactly zero on each panel), its mode
+    and the live rows, those marched that are not exactly zero.  A row
+    whose initial value is 0 and whose forcing no product of live rows
+    reaches is set to +0 and not marched.  Each row that is marched is one
+    ``apply`` of the grid's ``OscillatoryMarch``, set up once for all rows.
+    numpy's overflow and invalid-value warnings are off: the march's guard
+    names the mode where a value passes ``OVERFLOW_GUARD`` or is not a
+    number.
 
     Row r of ``w^j`` is target r of ``spectral._product(w, w^{j-1})`` over
     the rows below r not exactly zero after their march (a zero row adds
@@ -219,6 +228,7 @@ def _solve_rows(grid, support, omega, c0, init, weights):
     powers = {1: values}
     powers.update((j, np.zeros_like(values)) for j in range(2, top))
     g = np.empty(shape, dtype=complex)
+    march = OscillatoryMarch(grid, omega)
     live = []                    # marched rows that are not exactly zero
     # reached[r]: row r is live, or a product of live rows may reach it
     reached = np.zeros(support.size, dtype=bool)
@@ -250,8 +260,8 @@ def _solve_rows(grid, support, omega, c0, init, weights):
             if j in weights:
                 g += (1j * n * weights[j]) * powers[j][r]
         try:
-            oscillatory_march(grid, omega[r:r + 1], g[None], init[r:r + 1],
-                              out=values[r:r + 1])
+            march.apply(g[None], init[r:r + 1], slice(r, r + 1),
+                        out=values[r:r + 1])
         except OverflowGuardError as exc:
             raise OverflowGuardError(
                 f"mode {n} {exc.breach} at t={exc.time:g}",
@@ -259,6 +269,8 @@ def _solve_rows(grid, support, omega, c0, init, weights):
         if np.any(values[r]):
             live.append(r)
             reached[r] = True
+    # the tail check sets the rung's peak memory, and needs no march tables
+    del march
     # the constant mode 0 is set, not marched, and a zero row has no tail:
     # neither is checked or sets the scale of the live rows.  A fancy index
     # copies the rows, so a solve whose rows are all live keeps the slice
@@ -266,7 +278,7 @@ def _solve_rows(grid, support, omega, c0, init, weights):
     ratios = tail_ratio(values[1:] if len(checked) == support.size - 1
                         else values[checked], grid.scheme)
     worst = int(np.argmax(ratios))
-    return values, float(ratios[worst]), int(support[checked[worst]])
+    return values, float(ratios[worst]), int(support[checked[worst]]), live
 
 
 # -- closed forms --------------------------------------------------------------

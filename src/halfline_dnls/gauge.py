@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .normalform import SmallnessReport, iterate_fixed_point, picard_on_ladder
-from .quadrature import oscillatory_march, require_positive
+from .quadrature import OscillatoryMarch, require_positive
 from .spectral import (EquationSpec, SpectralState, _along_modes, _as_coeffs,
                        convolve, derivative_coeffs, dispersion_mu, power,
                        sobolev_norm)
@@ -239,13 +239,15 @@ def gauge_picard_solve(phi: SpectralState, psi: SpectralState, k: int,
     psi_c = np.asarray(psi.coeffs, dtype=complex)
 
     # iterates stack u and gu on axis 1: shape (M+1, 2, n_panels, q), so one
-    # sup-in-time increment covers both components
+    # sup-in-time increment covers both components.  Both march on the
+    # rung's one setup
     def solve(grid, log):
+        march = OscillatoryMarch(grid, mu)
+
         def apply(x):
             f_rhs, g_rhs = gauge_system_rhs(x[:, 0], x[:, 1], k)
-            return np.stack([oscillatory_march(grid, mu, f_rhs, phi_c),
-                             oscillatory_march(grid, mu, g_rhs, psi_c)],
-                            axis=1)
+            return np.stack([march.apply(f_rhs, phi_c),
+                             march.apply(g_rhs, psi_c)], axis=1)
 
         x = iterate_fixed_point(
             apply,

@@ -79,12 +79,14 @@ def iterate_fixed_point(apply: Callable[[np.ndarray], np.ndarray],
     ``(modes, ...)`` until the sup-in-time H^1 increment is ``<= tol``.
 
     Records ``(iteration, increment, ratio)`` in ``log``; on convergence
-    sets ``log.final_residual`` to the increment of one more application of
-    ``apply`` and returns the last iterate.  Raises NonContractionError
-    after two non-contracting steps in a row (unless within 10 tol) and
-    MaxIterationsError when ``max_iter`` applications do not converge;
-    either carries ``log`` as its ``log``.  The initial iterate is not kept
-    once the first application is done.
+    makes the last iterate read-only, keeps it and ``apply`` in ``log``,
+    and returns it.  ``log.final_residual``, the increment of one more
+    application of ``apply``, is computed from them when first read, so a
+    solve whose residual nobody reads costs one application less.  Raises
+    NonContractionError after two non-contracting steps in a row (unless
+    within 10 tol) and MaxIterationsError when ``max_iter`` applications
+    do not converge; either carries ``log`` as its ``log``.  The initial
+    iterate is not kept once the first application is done.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -98,7 +100,9 @@ def iterate_fixed_point(apply: Callable[[np.ndarray], np.ndarray],
         x = new
         if diff <= tol:
             log.converged = True
-            log.final_residual = sup_sobolev_diff(apply(x), x)
+            # read-only, so the residual read later is that of this iterate
+            x.flags.writeable = False
+            log._residual = (apply, x)
             return x
         if ratio is not None and ratio >= 1.0:
             bad_ratios += 1
@@ -379,19 +383,29 @@ class PicardLog:
     """Convergence history of a fixed-point iteration (normal form or gauge).
 
     ``final_residual`` is the sup-in-time H^1 increment of one more map
-    application after convergence, not the last recorded increment.
-    ``tail`` is the worst Chebyshev tail of the returned iterate, measured
-    by ``picard_on_ladder``; ``grid_attempts`` holds ``(n_panels, tail)``
-    for every grid the solve tried, coarsest first, the failed ones
-    included.
+    application after convergence, not the last recorded increment; it is
+    computed when first read, from the map and the converged iterate that
+    ``iterate_fixed_point`` keeps, and is NaN for a log that did not
+    converge.  ``tail`` is the worst Chebyshev tail of the returned
+    iterate, measured by ``picard_on_ladder``; ``grid_attempts`` holds
+    ``(n_panels, tail)`` for every grid the solve tried, coarsest first,
+    the failed ones included.
     """
 
     smallness: SmallnessReport
     iterations: list = field(default_factory=list)   # (iter, sup-H1 diff, ratio)
     converged: bool = False
-    final_residual: float = float("nan")
     tail: float = float("nan")
     grid_attempts: list = field(default_factory=list)
+    # (map, converged iterate) until final_residual is read, then its value
+    _residual: object = field(default=None, repr=False, compare=False)
+
+    @property
+    def final_residual(self) -> float:
+        if isinstance(self._residual, tuple):
+            apply, x = self._residual
+            self._residual = sup_sobolev_diff(apply(x), x)
+        return float("nan") if self._residual is None else self._residual
 
     @property
     def ratios(self) -> list:

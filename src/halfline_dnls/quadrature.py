@@ -17,7 +17,15 @@ node times of every panel relative to its left break are one vector,
 ``PanelGrid.node_phases`` builds ``e^{rate t}`` on the nodes from one
 factor per break and one per offset.  Over one panel, the rounding of
 both is the same for every panel (the offset table) or a constant (the
-break factor), so it adds no noise to the Chebyshev tails.
+break factor), so it adds no noise to the Chebyshev tails.  The march is a
+setup and an application: ``OscillatoryMarch(grid, omega)`` builds the
+phase tables and the node-value matrices of every row once, and its
+``apply`` marches one forcing on some of the rows, with the block length
+and break factors of those rows alone, so a row's bits do not depend on
+the rows marched with it.  The cascade sets up once per rung and marches
+its rows one at a time; the gauge solver sets up once per rung and marches
+all rows in every Picard iteration.  ``oscillatory_march`` is the one-shot
+form of the two.
 
 Every solver runs on a ladder of grids, coarsest first, through the one
 climber ``solve_on_ladder``: it solves on a rung, checks the rung, and moves
@@ -63,6 +71,7 @@ __all__ = [
     "panel_scheme",
     "ladder",
     "solve_on_ladder",
+    "OscillatoryMarch",
     "oscillatory_march",
     "tail_ratio",
 ]
@@ -413,84 +422,119 @@ def tail_ratio(values: np.ndarray, scheme: PanelScheme) -> np.ndarray:
     return np.max(ratio, axis=1, initial=0.0)
 
 
+class OscillatoryMarch:
+    """``u' = i omega u + F`` on ``grid`` for the rows of ``omega``: the
+    tables every forcing's march reads, built once.
+
+    The panel phase ``ph = e^{i omega (t-a)}`` is one (rows, q) table on
+    ``grid.offsets``, shared by every panel of the uniform grid, so the
+    values are the solution at ``a_p + offsets``, the nodes of each panel's
+    interpolant.  The setup holds its conjugate, ``slow_phase``, the
+    panels' half-widths and, per row, ``growth = |Im omega| h`` and the
+    (q + 1, q) ``lift`` matrix ``[[(h/2) antideriv_nodes.T diag(ph)],
+    [ph]]``, ``h`` the uniform width.  ``apply`` marches one forcing on
+    some of the rows with these tables; the cascade applies one setup to
+    its rows one at a time, and the gauge to all rows in every Picard
+    iteration.  Every table is elementwise in the row, so a row's march
+    gives the same bits whichever rows the setup holds.
+    """
+
+    def __init__(self, grid: PanelGrid, omega: np.ndarray):
+        q, h = grid.q, grid.horizon / grid.n_panels
+        self.grid = grid
+        self.omega = omega
+        self.growth = np.abs(omega.imag) * h
+        phase = 1j * omega[:, None] * grid.offsets              # (rows, q)
+        self.slow_phase = np.exp(-phase)
+        self.half_widths = 0.5 * grid.widths()
+        ph = np.exp(phase)
+        self.lift = np.empty((omega.size, q + 1, q), dtype=complex)
+        np.multiply(0.5 * h * grid.scheme.antideriv_nodes.T, ph[:, None, :],
+                    out=self.lift[:, :q])
+        self.lift[:, q] = ph
+
+    def apply(self, forcing: np.ndarray, init: np.ndarray,
+              rows: slice = slice(None), out: Optional[np.ndarray] = None
+              ) -> np.ndarray:
+        """March the rows ``rows`` of the setup: ``forcing`` holds F at all
+        panel nodes, shape (len(rows), n_panels, q); ``init`` the values at
+        t = 0.
+
+        The slow factor ``psi = F e^{-i omega (t-a)}`` is F times
+        ``slow_phase`` (no division).  Its integral over each panel,
+        ``Jend``, is one product with ``antideriv_end`` scaled by the
+        panel's own width ``h_p``: the breaks are uniform only to within
+        ulps of the horizon, and the carries telescope over them.  The
+        carry across panel ends, ``c_{p+1} = e^{i omega h_p} (c_p +
+        Jend_p)``, is a linear recurrence, solved in closed form over blocks
+        of panels starting at break s:
+
+            c_{s+i} = E_i (c_s + sum_{j<i} Jend_{s+j} / E_j),
+            E_i = e^{i omega (t_{s+i} - t_s)},
+
+        with each ``E_i`` computed from the breaks directly, not as a
+        product of panel steps.  A block spans as many panels as keep
+        ``|E|`` and ``1/|E|`` within ``OVERFLOW_GUARD`` for the largest
+        ``|Im omega|`` of the rows marched, so rows with real omega take
+        the whole grid in one block; the block length and the ``E`` are
+        those of the marched rows alone, so a row gives the same bits
+        marched alone as with the others.  Each block's carries are checked
+        against ``OVERFLOW_GUARD``; the error names the first panel end
+        past it, or where a carry is not a number, and the row among those
+        marched.  The node values ``u = ph (c_p + (h/2) antideriv_nodes
+        psi)`` are then one product per row, ``[psi | c_p] @ lift``.
+        Returns node values with the same shape as ``forcing``, written
+        into ``out`` when it is given.
+        """
+        grid = self.grid
+        omega = self.omega[rows]
+        rows_n, n, q = omega.size, grid.n_panels, grid.q
+        if forcing.shape != (rows_n, n, q):
+            raise ValueError(f"forcing shape {forcing.shape} does not match "
+                             f"({rows_n}, {n}, {q})")
+        # [psi | carry] on each panel: the slow factor at the nodes and, in
+        # the last column, the value at the panel's left break
+        slow = np.empty((rows_n, n, q + 1), dtype=complex)
+        psi = slow[:, :, :q]
+        np.multiply(forcing, self.slow_phase[rows, None, :], out=psi)
+        Jend = (psi @ grid.scheme.antideriv_end) * self.half_widths
+        # |E| <= e^{growth * block} <= OVERFLOW_GUARD, and so is 1/|E|
+        growth = float(np.max(self.growth[rows], initial=0.0))
+        block = n if growth == 0.0 else int(
+            min(n, max(1, np.log(OVERFLOW_GUARD) // growth)))
+        carry = slow[:, :, q]            # carry[:, p]: value at breaks[p]
+        c = np.array(init, dtype=complex)
+        for s in range(0, n, block):
+            e = min(s + block, n)
+            E = np.exp(1j * omega[:, None]
+                       * (grid.breaks[s:e + 1] - grid.breaks[s]))
+            ends = np.cumsum(Jend[:, s:e] / E[:, :-1], axis=1)
+            ends += c[:, None]
+            ends *= E[:, 1:]             # values at breaks[s+1 .. e]
+            mags = np.abs(ends)
+            # a NaN is the largest magnitude and fails every comparison, so
+            # only ``<=`` catches it
+            if not mags.max(initial=0.0) <= OVERFLOW_GUARD:
+                i = int(np.argmax((~(mags <= OVERFLOW_GUARD)).any(axis=0)))
+                n_bad = int(np.argmax(mags[:, i]))     # a NaN is the argmax
+                t_bad = float(grid.breaks[s + i + 1])
+                breach = (f"exceeded {OVERFLOW_GUARD:g}"
+                          if mags[n_bad, i] > OVERFLOW_GUARD
+                          else "is not a number")
+                raise OverflowGuardError(
+                    f"mode magnitude {breach} at t={t_bad:g} (mode row "
+                    f"{n_bad}); growing background makes the truncated "
+                    "system blow up", time=t_bad, breach=breach)
+            carry[:, s] = c
+            carry[:, s + 1:e] = ends[:, :-1]
+            c = ends[:, -1]
+        return np.matmul(slow, self.lift[rows], out=out)
+
+
 def oscillatory_march(grid: PanelGrid, omega: np.ndarray, forcing: np.ndarray,
                       init: np.ndarray, out: Optional[np.ndarray] = None
                       ) -> np.ndarray:
-    """Solve ``u' = i omega u + F`` for every row, over all panels at once.
-
-    ``forcing`` holds F at all panel nodes, shape (n_rows, n_panels, q);
-    ``init`` the values at t = 0.  The panel phase ``ph = e^{i omega (t-a)}``
-    is one (n_rows, 1, q) table on ``grid.offsets``, shared by every panel
-    of the uniform grid, so the values are the solution at ``a_p +
-    offsets``, the nodes of each panel's interpolant.  The slow factor
-    ``psi = F e^{-i omega (t-a)}`` is F times the conjugate phase table (no
-    division).  Its integral over each panel, ``Jend``, is one product with
-    ``antideriv_end`` scaled by the panel's own width ``h_p``: the breaks
-    are uniform only to within ulps of the horizon, and the carries
-    telescope over them.  The carry across panel ends,
-    ``c_{p+1} = e^{i omega h_p} (c_p + Jend_p)``, is a linear recurrence,
-    solved in closed form over blocks of panels starting at break s:
-
-        c_{s+i} = E_i (c_s + sum_{j<i} Jend_{s+j} / E_j),
-        E_i = e^{i omega (t_{s+i} - t_s)},
-
-    with each ``E_i`` computed from the breaks directly, not as a product
-    of panel steps.  A block spans as many panels as keep ``|E|`` and
-    ``1/|E|`` within ``OVERFLOW_GUARD`` for the largest ``|Im omega|``, so
-    rows with real omega take the whole grid in one block.  Each block's
-    carries are checked against ``OVERFLOW_GUARD``; the error names the
-    first panel end past it, or where a carry is not a number, and the
-    row.  The node values ``u = ph (c_p + (h/2) antideriv_nodes psi)``,
-    with ``h`` the uniform width, are then one product per row, ``[psi |
-    c_p] @ [[(h/2) antideriv_nodes.T diag(ph)], [ph]]``, with the width and
-    the phase in the (q + 1, q) matrix.  Returns node values with the same
-    shape as ``forcing``, written into ``out`` when it is given.
-    """
-    sch = grid.scheme
-    rows, n, q = omega.size, grid.n_panels, grid.q
-    if forcing.shape != (rows, n, q):
-        raise ValueError(f"forcing shape {forcing.shape} does not match "
-                         f"({rows}, {n}, {q})")
-    h = grid.horizon / n
-    phase = 1j * omega[:, None] * grid.offsets              # (n_rows, q)
-    # [psi | carry] on each panel: the slow factor at the nodes and, in the
-    # last column, the value at the panel's left break
-    slow = np.empty((rows, n, q + 1), dtype=complex)
-    psi = slow[:, :, :q]
-    np.multiply(forcing, np.exp(-phase)[:, None, :], out=psi)
-    Jend = (psi @ sch.antideriv_end) * (0.5 * grid.widths())   # (n_rows, n)
-    # |E| <= e^{growth * block} <= OVERFLOW_GUARD, and so is 1/|E|
-    growth = float(np.max(np.abs(omega.imag), initial=0.0) * h)
-    block = n if growth == 0.0 else int(
-        min(n, max(1, np.log(OVERFLOW_GUARD) // growth)))
-    carry = slow[:, :, q]                # carry[:, p]: value at breaks[p]
-    c = np.array(init, dtype=complex)
-    for s in range(0, n, block):
-        e = min(s + block, n)
-        E = np.exp(1j * omega[:, None]
-                   * (grid.breaks[s:e + 1] - grid.breaks[s]))
-        ends = np.cumsum(Jend[:, s:e] / E[:, :-1], axis=1)
-        ends += c[:, None]
-        ends *= E[:, 1:]                 # values at breaks[s+1 .. e]
-        mags = np.abs(ends)
-        # a NaN fails every comparison, so only ``<=`` catches it
-        over = ~(mags <= OVERFLOW_GUARD)
-        if over.any():
-            i = int(np.argmax(over.any(axis=0)))
-            n_bad = int(np.argmax(mags[:, i]))     # a NaN is the argmax
-            t_bad = float(grid.breaks[s + i + 1])
-            breach = (f"exceeded {OVERFLOW_GUARD:g}"
-                      if mags[n_bad, i] > OVERFLOW_GUARD else "is not a number")
-            raise OverflowGuardError(
-                f"mode magnitude {breach} at t={t_bad:g} (mode row {n_bad}); "
-                "growing background makes the truncated system blow up",
-                time=t_bad, breach=breach)
-        carry[:, s] = c
-        carry[:, s + 1:e] = ends[:, :-1]
-        c = ends[:, -1]
-    ph = np.exp(phase)
-    lift = np.empty((rows, q + 1, q), dtype=complex)
-    np.multiply(0.5 * h * sch.antideriv_nodes.T, ph[:, None, :],
-                out=lift[:, :q])
-    lift[:, q] = ph
-    return np.matmul(slow, lift, out=out)
+    """Solve ``u' = i omega u + F`` for every row, over all panels at once:
+    ``OscillatoryMarch(grid, omega).apply(forcing, init, out=out)``, the
+    one-shot form for a forcing of shape (n_rows, n_panels, q)."""
+    return OscillatoryMarch(grid, omega).apply(forcing, init, out=out)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from math import comb
 
 import numpy as np
@@ -253,6 +254,17 @@ def test_a_rung_that_is_not_a_number_ends_in_the_overflow_guard():
     assert info.value.breach == "is not a number"
 
 
+def test_a_rung_that_is_not_a_number_warns_of_nothing():
+    # the guard names the mode; the overflow to inf and the NaN it leads
+    # to raise no numpy warning on the way
+    phi = state({1: 1e80, 2: 1e80}, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowGuardError,
+                           match=r"^mode 4 is not a number at t="):
+            cascade_integrate(phi, EquationSpec.pure_power(3, 2.0), 1e-3)
+
+
 @pytest.mark.parametrize("M,panels", [(56, 197), (64, 257)])
 def test_negligible_high_modes_pass_on_first_grid(monkeypatch, M, panels):
     # modes near 0.05^M are round-off of the state: measured against their
@@ -393,11 +405,12 @@ def test_pair_products_match_ordered_pair_oracle(monkeypatch, k):
     assert max(args[-1]) == k + 1
 
     forcings = []
-    march = cascade.oscillatory_march
-    monkeypatch.setattr(cascade, "oscillatory_march", lambda grid, om, f, *a,
-                        **kw: forcings.append(f[0].copy()) or march(
-                            grid, om, f, *a, **kw))
-    values, _, _ = solve_rows(*args)
+    apply = quadrature.OscillatoryMarch.apply
+    with monkeypatch.context() as m:
+        m.setattr(quadrature.OscillatoryMarch, "apply", lambda self, f, *a,
+                  **kw: forcings.append(f[0].copy()) or apply(self, f, *a,
+                                                               **kw))
+        values, _, _, _ = solve_rows(*args)
     ref_forcings = []
     ref = ordered_pair_solve_rows(*args, ref_forcings)
     assert len(forcings) == len(ref_forcings) == args[1].size - 1
@@ -512,7 +525,7 @@ def test_lattice_rows_match_the_semigroup_oracle_bitwise(monkeypatch, case):
     phi, spec, T, restrict, panels = LATTICE_CASES[case]()
     args = solve_rows_args(monkeypatch, phi, spec, T, panels, restrict)
     grid, lattice, omega, c0, init, weights = args
-    values, tail, mode = cascade._solve_rows(*args)
+    values, tail, mode, _ = cascade._solve_rows(*args)
     support = lattice
     if restrict:
         gens = np.flatnonzero(phi.coeffs).tolist()
@@ -554,15 +567,42 @@ def test_zero_rows_are_set_not_marched_with_the_marched_bits(monkeypatch,
     phi, spec, T, panels, zero_rows = ZERO_ROW_CASES[case]()
     args = solve_rows_args(monkeypatch, phi, spec, T, panels, False)
     marched = []
-    march = cascade.oscillatory_march
-    monkeypatch.setattr(cascade, "oscillatory_march", lambda grid, om, *a,
-                        **kw: marched.append(om) or march(grid, om, *a, **kw))
-    values, tail, mode = cascade._solve_rows(*args)
+    apply = quadrature.OscillatoryMarch.apply
+    monkeypatch.setattr(quadrature.OscillatoryMarch, "apply", lambda self, f,
+                        *a, **kw: marched.append(f) or apply(self, f, *a,
+                                                             **kw))
+    values, tail, mode, _ = cascade._solve_rows(*args)
     lattice = args[1]
     assert len(marched) == lattice.size - 1 - zero_rows
     ref, ref_tail, ref_mode = semigroup_solve_rows(*args)
     assert np.array_equal(values.view(np.int64), ref.view(np.int64))
     assert (tail, mode) == (ref_tail, ref_mode)
+
+
+@pytest.mark.parametrize("case", ["headline-unrestricted", "gap-0-4-6"])
+def test_rung_check_evaluates_live_rows_with_every_rows_bits(monkeypatch,
+                                                             case):
+    # the rung check evaluates only the live rows; the rows set to +0 add
+    # gaps of 0, so the rung record is bit for bit that of a check that
+    # evaluates every marched row
+    if case == "headline-unrestricted":
+        (phi, spec, T), restrict = headline(), False
+    else:
+        phi, spec, T, restrict, _ = LATTICE_CASES[case]()
+    rows = []                    # rows of each dense evaluation
+    evaluate = Trajectory._evaluate
+    monkeypatch.setattr(Trajectory, "_evaluate", lambda self, ns, ts:
+                        rows.append(ns.size) or evaluate(self, ns, ts))
+    got = cascade_integrate(phi, spec, T, restrict_support=restrict)
+    live_rows, rows[:] = max(rows), []
+    solve_rows = cascade._solve_rows
+    monkeypatch.setattr(cascade, "_solve_rows", lambda *a: solve_rows(*a)[:3]
+                        + (list(range(1, a[1].size)),))
+    ref = cascade_integrate(phi, spec, T, restrict_support=restrict)
+    assert live_rows < max(rows) == got.modes.size - 1
+    assert [tuple(map(repr, a)) for a in got.grid_attempts] \
+        == [tuple(map(repr, a)) for a in ref.grid_attempts]
+    assert np.array_equal(got.values.view(np.int64), ref.values.view(np.int64))
 
 
 def binomial_weights(spec, c0):

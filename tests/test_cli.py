@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -603,6 +607,22 @@ def test_simulate_that_overflows_to_nan_is_a_failed_solve(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: mode 4 is not a number at t=")
     assert captured.err.count("\n") == 1
+
+
+def test_simulate_that_overflows_prints_only_its_error_line(tmp_path):
+    # in a fresh interpreter, with numpy's default error handling: the
+    # overflow to inf and the NaN it leads to print no RuntimeWarning
+    phi = _phi_file(tmp_path, {1: (1e80, 0.0), 2: (1e80, 0.0)}, 8)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "halfline_dnls.cli", "simulate", "--alpha",
+         "2", "--k", "3", "--T", "0.001", "--modes", "8", "--phi", phi],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: mode 4 is not a number at t=")
+    assert proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_picard_alpha_refusal_names_no_library_keyword(tmp_path, capsys):

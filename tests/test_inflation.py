@@ -10,6 +10,7 @@ import pytest
 from halfline_dnls import (ExperimentConfig, UnsupportedRegimeError,
                            build_inflation_data, choose_N, inflation_time,
                            minimum_regularity, run_experiment, sobolev_norm)
+from halfline_dnls import gauge, normalform
 
 
 # -- data -----------------------------------------------------------------------
@@ -309,6 +310,39 @@ def test_cross_validate_evaluations_are_pinned(monkeypatch, alpha, modes,
     monkeypatch.setattr(Trajectory, "_evaluate", counted)
     assert cross_validate(phi, alpha=alpha, k=1, T=1.0).passed
     assert len(calls) == evaluations and calls[-3:] == ["u", "u", "u"]
+
+
+@pytest.mark.parametrize("alpha, modes, owner, name, arg", [
+    # the position of the map's (M+1, panels, q) node values among its
+    # arguments, self included
+    (3.0, {1: 0.045, 2: 0.045j}, normalform.NormalFormOperators,
+     "_apply_map_tensor", 1),
+    (2.0, {1: 0.03, 2: 0.02j}, gauge, "gauge_system_rhs", 0),
+])
+def test_cross_validate_applies_the_map_once_per_iteration(
+        monkeypatch, alpha, modes, owner, name, arg):
+    # a cross-validation never reads the log's final residual, so the
+    # accepted rung applies the map once per recorded iteration; the first
+    # read of the residual applies it once more, and later reads do not
+    from halfline_dnls import SpectralState, cross_validate
+    original = getattr(owner, name)
+    panels = []
+
+    def counted(*args):
+        panels.append(args[arg].shape[1])
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    log = cross_validate(SpectralState.from_modes(modes, 16), alpha=alpha,
+                         k=1, T=1.0).log
+    accepted = log.grid_attempts[-1][0]
+    assert log.converged
+    assert panels.count(accepted) == len(log.iterations)
+    residual = log.final_residual
+    assert 0.0 <= residual < log.iterations[-1][1]
+    assert panels.count(accepted) == len(log.iterations) + 1
+    assert log.final_residual == residual
+    assert panels.count(accepted) == len(log.iterations) + 1
 
 
 def test_cross_validate_alpha2_requires_mean_zero():

@@ -17,6 +17,7 @@ from halfline_dnls.normalform import (PicardLog, _weighted_contract,
 from halfline_dnls.quadrature import (BLOCK_PANELS, QuadratureError,
                                       oscillatory_march, panel_scheme)
 from halfline_dnls.spectral import _product, dispersion_mu
+from halfline_dnls.trajectory import sup_sobolev_diff
 
 
 def state(modes, M, time=0.0):
@@ -420,6 +421,46 @@ def test_picard_under_resolved_grid_raises_naming_mode(solve, worst,
     with pytest.raises(QuadratureError, match=f"at {worst}$") as info:
         solve(1e-10)
     assert info.value.worst_mode == 6 and info.value.tail > 1e-10
+
+
+def test_picard_final_residual_is_the_eager_one_bit_for_bit():
+    # read lazily from the read-only converged iterate, the residual is the
+    # increment of one more map application, as an eager one computes it
+    phi = state({1: 0.05, 2: 0.05}, 12)
+    spec = EquationSpec.pure_power(1, 3.0)
+    traj, log = picard_solve(phi, spec, 1.0)
+    x = traj.values
+    assert not x.flags.writeable
+    ops = NormalFormOperators(spec, 12)
+    eager = sup_sobolev_diff(ops._apply_map_tensor(
+        x, traj.grid, np.asarray(phi.coeffs, dtype=complex)), x)
+    assert np.array([log.final_residual]).view(np.int64) \
+        == np.array([eager]).view(np.int64)
+
+
+def test_gauge_final_residual_is_the_eager_one_bit_for_bit():
+    # the gauge map marched by the one-shot form, as before the setup
+    phi = state({1: 0.05, 2: 0.02}, 12)
+    psi = compatible_gauge_data(phi, 1)
+    traj_u, traj_g, log = gauge_picard_solve(phi, psi, 1, 1.0)
+    grid = traj_u.grid
+    mu = dispersion_mu(2.0, np.arange(13)).astype(complex)
+    x = np.stack([traj_u.values, traj_g.values], axis=1)
+    f_rhs, g_rhs = gauge_system_rhs(x[:, 0], x[:, 1], 1)
+    applied = np.stack([
+        oscillatory_march(grid, mu, f_rhs, np.asarray(phi.coeffs, complex)),
+        oscillatory_march(grid, mu, g_rhs, np.asarray(psi.coeffs, complex))],
+        axis=1)
+    eager = sup_sobolev_diff(applied, x)
+    assert np.array([log.final_residual]).view(np.int64) \
+        == np.array([eager]).view(np.int64)
+
+
+def test_a_log_that_did_not_converge_reads_no_residual():
+    assert np.isnan(PicardLog(smallness=None).final_residual)
+    with pytest.raises(MaxIterationsError) as info:
+        _solve_normal_form(1e-10, max_iter=1)
+    assert np.isnan(info.value.log.final_residual)
 
 
 @pytest.mark.parametrize("solve", [_solve_normal_form, _solve_gauge])

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfline_dnls import (OverflowGuardError, PanelGrid, QuadratureError,
+from halfline_dnls import (EquationSpec, OverflowGuardError, PanelGrid,
+                           QuadratureError, SpectralState, cascade_integrate,
+                           compatible_gauge_data, gauge_picard_solve,
                            quadrature)
-from halfline_dnls.quadrature import (OVERFLOW_GUARD, ladder,
-                                      oscillatory_march, panel_scheme,
+from halfline_dnls.inflation import build_inflation_data, inflation_time
+from halfline_dnls.quadrature import (OVERFLOW_GUARD, OscillatoryMarch,
+                                      ladder, oscillatory_march, panel_scheme,
                                       solve_on_ladder, tail_ratio)
 
 
@@ -764,3 +767,116 @@ def test_march_strong_decay_in_blocks():
     assert np.all(np.isfinite(got))
     for r in range(omega.size):
         assert np.max(np.abs(got[r] - ref[r])) <= 1e-13 * np.max(np.abs(ref[r]))
+
+
+def one_shot_march(grid, omega, forcing, init):
+    """Bitwise oracle of ``OscillatoryMarch.apply``: the march as one call
+    that builds its own phase tables and lift matrices for the rows it is
+    given, as it was before the setup was split from the application."""
+    sch = grid.scheme
+    rows, n, q = omega.size, grid.n_panels, grid.q
+    h = grid.horizon / n
+    phase = 1j * omega[:, None] * grid.offsets
+    slow = np.empty((rows, n, q + 1), dtype=complex)
+    psi = slow[:, :, :q]
+    np.multiply(forcing, np.exp(-phase)[:, None, :], out=psi)
+    Jend = (psi @ sch.antideriv_end) * (0.5 * grid.widths())
+    growth = float(np.max(np.abs(omega.imag), initial=0.0) * h)
+    block = n if growth == 0.0 else int(
+        min(n, max(1, np.log(OVERFLOW_GUARD) // growth)))
+    carry = slow[:, :, q]
+    c = np.array(init, dtype=complex)
+    for s in range(0, n, block):
+        e = min(s + block, n)
+        E = np.exp(1j * omega[:, None]
+                   * (grid.breaks[s:e + 1] - grid.breaks[s]))
+        ends = np.cumsum(Jend[:, s:e] / E[:, :-1], axis=1)
+        ends += c[:, None]
+        ends *= E[:, 1:]
+        if not np.all(np.abs(ends) <= OVERFLOW_GUARD):
+            raise OverflowGuardError("past the guard")
+        carry[:, s] = c
+        carry[:, s + 1:e] = ends[:, :-1]
+        c = ends[:, -1]
+    ph = np.exp(phase)
+    lift = np.empty((rows, q + 1, q), dtype=complex)
+    np.multiply(0.5 * h * sch.antideriv_nodes.T, ph[:, None, :],
+                out=lift[:, :q])
+    lift[:, q] = ph
+    return np.matmul(slow, lift)
+
+
+def recorded_applications(monkeypatch):
+    """Every ``OscillatoryMarch.apply`` from here on, as (grid, omega of
+    the rows marched, forcing, init, result), copied when it returns."""
+    calls = []
+    apply = OscillatoryMarch.apply
+
+    def spy(self, forcing, init, rows=slice(None), out=None):
+        got = apply(self, forcing, init, rows, out)
+        calls.append((self.grid, self.omega[rows].copy(), forcing.copy(),
+                      np.array(init), got.copy()))
+        return got
+
+    monkeypatch.setattr(OscillatoryMarch, "apply", spy)
+    return calls
+
+
+def assert_one_shot_bits(calls):
+    assert calls
+    for grid, omega, forcing, init, got in calls:
+        want = one_shot_march(grid, omega, forcing, init)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_headline_rung_marches_row_by_row_with_the_one_shot_bits(
+        monkeypatch):
+    # one setup for the rung's nine rows, applied to one row at a time
+    phi, spec = build_inflation_data(16, 2.5, 1, 128), \
+        EquationSpec.pure_power(1, 2.0)
+    T = inflation_time(16, 2.5, 0.5, 1)
+    grid = PanelGrid(T, 889)
+    monkeypatch.setattr("halfline_dnls.cascade.ladder",
+                        lambda *_: iter([grid, grid]))
+    calls = recorded_applications(monkeypatch)
+    cascade_integrate(phi, spec, T)
+    assert len(calls) == 2 * 8
+    assert all(omega.size == 1 for _, omega, *_ in calls)
+    assert_one_shot_bits(calls)
+
+
+def test_growing_rows_march_in_blocks_with_the_one_shot_bits():
+    # the block length is that of the rows marched: row 0 alone takes the
+    # whole grid in one block; the growing row 1 takes two, and the fast
+    # decaying row 2, alone or with others, takes blocks of 57 panels
+    rng = np.random.default_rng(5)
+    grid = PanelGrid.for_frequency(5.0, 4001.0)
+    omega = np.array([3.0, 1.0 - 60.0j, 2.0 + 2000.0j, -7.0])
+    blocks = [-(-grid.n_panels // int(min(grid.n_panels, np.log(
+        OVERFLOW_GUARD) // (abs(w.imag) * 5.0 / grid.n_panels))))
+        if w.imag else 1 for w in omega]
+    assert blocks == [1, 2, 44, 1]
+    times = grid.node_times()
+    forcing = np.stack([(0.5 + 0.2j) * np.exp(1j * b * times)
+                        for b in rng.uniform(-9.0, 9.0, omega.size)])
+    # row 1 grows by e^300 over the horizon: small enough to stay finite
+    forcing[1] *= 1e-150
+    init = np.array([1.0 + 1.0j, -0.5e-150, 0.25j, 2.0])
+    march = OscillatoryMarch(grid, omega)
+    for rows in (slice(0, 1), slice(1, 2), slice(2, 3), slice(1, 3),
+                 slice(None)):
+        got = march.apply(forcing[rows], init[rows], rows)
+        want = one_shot_march(grid, omega[rows], forcing[rows], init[rows])
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_gauge_marches_every_row_with_the_one_shot_bits(monkeypatch):
+    # the gauge applies one setup per rung to all rows, twice an iteration
+    phi = SpectralState.from_modes({1: 0.03, 2: 0.02j}, 8)
+    calls = recorded_applications(monkeypatch)
+    *_, log = gauge_picard_solve(phi, compatible_gauge_data(phi, 1), 1, 1.0)
+    # the failed rungs' iterations are not in the log
+    assert len(calls) % 2 == 0 and len(calls) >= 2 * len(log.iterations)
+    assert all(omega.size == 9 for _, omega, *_ in calls)
+    assert_one_shot_bits(calls)
