@@ -131,10 +131,12 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
     step = int(np.gcd.reduce(nonzero)) if restrict_support else 1
     support = np.arange(0, M + 1, step) if step else nonzero
 
-    def trajectory(grid, values, attempts=()):
+    attempts = []
+
+    def trajectory(grid, values):
         return Trajectory(spec=spec, grid=grid, modes=support, values=values,
                           quadrature_tolerance=tol, initial_state=phi,
-                          variable="u", grid_attempts=tuple(attempts))
+                          variable="u", grid_attempts=attempts)
 
     # the constant mode 0 is set, not marched, and is not compared
     c0 = complex(phi.coeffs[0])
@@ -155,17 +157,13 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
         for i, lam in spec.recentered(c0).nonlin_coeffs.items()}
     init = phi.coeffs[support]
     times = np.linspace(0.0, T, AGREEMENT_TIMES)
-    attempts = []
     previous = None          # dense output of the rung before
 
     def solve(grid):
-        values, tail, mode, live = _solve_rows(grid, support, omega, c0,
-                                               init, weights)
-        return trajectory(grid, values), tail, mode, live
-
-    def check(grid, solved):
         nonlocal previous
-        traj, tail, tail_mode, live = solved
+        values, tail, tail_mode, live = _solve_rows(grid, support, omega, c0,
+                                                    init, weights)
+        traj = trajectory(grid, values)
         # a row that is not live is exactly zero, and so is its dense output
         dense = np.zeros((marched.size, times.size), dtype=complex)
         dense[np.array(live, dtype=int) - 1] = traj._evaluate(
@@ -194,12 +192,12 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
                 f"{where}: two-rung difference {difference:.3e} > tol "
                 f"{tol:.3e} against {attempts[-2][0]} panels at mode "
                 f"{diff_mode}", worst_mode=diff_mode, tail=tail)
+        return traj
 
     depth = quadrature.MAX_REFINEMENTS
-    grid, (traj, *_) = solve_on_ladder(
-        ladder(T, LADDER_MARGIN * freq, depth, depth), solve, check,
-        attempts, rows=support.size)
-    return trajectory(grid, traj.values, attempts)
+    _, traj = solve_on_ladder(ladder(T, LADDER_MARGIN * freq, depth, depth),
+                              solve, attempts, rows=support.size)
+    return traj
 
 
 @np.errstate(over="ignore", invalid="ignore")

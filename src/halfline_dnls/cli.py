@@ -102,7 +102,7 @@ def _load_state(arg: str, modes: int | None = None) -> SpectralState:
             doc = _parse_json(fh.read(), f"state file {arg}")
     try:
         state = SpectralState.from_dict(doc)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state {arg!r}: {exc!r}") from exc
     if modes is not None and state.truncation != modes:
         if state.truncation < modes:

@@ -23,12 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .normalform import SmallnessReport, iterate_fixed_point, picard_on_ladder
+from .normalform import SmallnessReport, picard_on_ladder
 from .quadrature import OscillatoryMarch, require_positive
 from .spectral import (EquationSpec, SpectralState, _along_modes, _as_coeffs,
                        convolve, derivative_coeffs, dispersion_mu, power,
                        sobolev_norm)
-from .trajectory import Trajectory
 
 __all__ = [
     "GaugeWeight",
@@ -204,21 +203,15 @@ def compatible_gauge_data(phi: SpectralState, k: int) -> SpectralState:
 def gauge_picard_solve(phi: SpectralState, psi: SpectralState, k: int,
                        T: float, tol: float = 1e-10, max_iter: int = 60,
                        allow_unsafe: bool = False) -> tuple:
-    """Picard iteration on the Duhamel form of the gauge system.
+    """Picard iteration on the Duhamel form of the gauge system, from the
+    free evolutions of ``(phi, psi)``, until the sup-in-time H^1 increment
+    of both components is below ``tol``, on the grid that
+    ``normalform.picard_on_ladder`` accepts; its ladder is sized for the
+    fastest frequency ``2 mu(M) + 1``.
 
-    Starts from the free evolutions of ``(phi, psi)`` and iterates until the
-    sup-in-time H^1 increment of both components is below ``tol``.  Returns
-    ``(trajectory of u, trajectory of gu, PicardLog)``.
-
-    Data with ``|phi|_H1 + |psi|_H1`` above ``SMALLNESS_THRESHOLD`` is
-    refused by ``picard_on_ladder`` unless ``allow_unsafe``; the check is
-    reported as the log's ``smallness``.
-
-    The solve runs on the coarsest grid of ``normalform.picard_on_ladder``
-    whose final iterate has a Chebyshev tail ``<= tol`` in both
-    components; the finest grid is sized for the fastest frequency ``2
-    mu(M) + 1``, and QuadratureError is raised when even that grid does not
-    resolve the iterate.  ``log.grid_attempts`` lists the grids tried.
+    Returns ``(trajectory of u, trajectory of gu, PicardLog)``.  Data with
+    ``|phi|_H1 + |psi|_H1`` above ``SMALLNESS_THRESHOLD`` is refused unless
+    ``allow_unsafe``; the check is reported as the log's ``smallness``.
     """
     require_positive(T=T, tol=tol)
     M = phi.truncation
@@ -233,15 +226,12 @@ def gauge_picard_solve(phi: SpectralState, psi: SpectralState, k: int,
         rhs=SMALLNESS_THRESHOLD, boundary_constants={},
         bulk_kernel_constants={}, horizon=T)
 
-    spec = EquationSpec.pure_power(k, 2.0)
     mu = dispersion_mu(2.0, np.arange(M + 1)).astype(complex)
     phi_c = np.asarray(phi.coeffs, dtype=complex)
     psi_c = np.asarray(psi.coeffs, dtype=complex)
 
-    # iterates stack u and gu on axis 1: shape (M+1, 2, n_panels, q), so one
-    # sup-in-time increment covers both components.  Both march on the
-    # rung's one setup
-    def solve(grid, log):
+    # u and gu both march on the rung's one setup
+    def setup(grid):
         march = OscillatoryMarch(grid, mu)
 
         def apply(x):
@@ -249,24 +239,13 @@ def gauge_picard_solve(phi: SpectralState, psi: SpectralState, k: int,
             return np.stack([march.apply(f_rhs, phi_c),
                              march.apply(g_rhs, psi_c)], axis=1)
 
-        x = iterate_fixed_point(
-            apply,
-            np.stack([phi_c, psi_c], axis=1)[:, :, None, None]
-            * grid.node_phases(1j * mu)[:, None],
-            log, tol, max_iter)
-        return {"u": x[:, 0], "gu": x[:, 1]}
+        return apply, (np.stack([phi_c, psi_c], axis=1)[:, :, None, None]
+                       * grid.node_phases(1j * mu)[:, None])
 
-    grid, components, log = picard_on_ladder(
-        T, 2.0 * float(mu[-1].real) + 1.0, smallness, tol, solve,
+    return picard_on_ladder(
+        EquationSpec.pure_power(k, 2.0), {"u": phi, "gu": psi}, T,
+        2.0 * float(mu[-1].real) + 1.0, smallness, tol, max_iter, setup,
         allow_unsafe)
-    modes = np.arange(M + 1)
-    traj_u = Trajectory(spec=spec, grid=grid, modes=modes,
-                        values=components["u"], quadrature_tolerance=tol,
-                        initial_state=phi, variable="u")
-    traj_g = Trajectory(spec=spec, grid=grid, modes=modes,
-                        values=components["gu"], quadrature_tolerance=tol,
-                        initial_state=psi, variable="gu")
-    return traj_u, traj_g, log
 
 
 def compatibility_defects(u, gu, k: int) -> np.ndarray:

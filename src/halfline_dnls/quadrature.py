@@ -28,8 +28,9 @@ all rows in every Picard iteration.  ``oscillatory_march`` is the one-shot
 form of the two.
 
 Every solver runs on a ladder of grids, coarsest first, through the one
-climber ``solve_on_ladder``: it solves on a rung, checks the rung, and moves
-to the next rung when the check raises QuadratureError.  The one ladder,
+climber ``solve_on_ladder``: it calls one rung function, which returns the
+solution of a rung that resolves it, and moves to the next rung when that
+function raises QuadratureError.  The one ladder,
 ``ladder(horizon, max_frequency, depth, doublings)``, holds the grids sized
 for fractions ``1/2**j`` of the fastest frequency, ``j = depth..0``, up to
 the grid whose panels each advance that frequency by ``RADIANS_PER_PANEL``
@@ -106,9 +107,10 @@ NODE_BUDGET = 50_000_000
 # (seeds 1-3, 15 s runs).  Alone, one map application on that floor took
 # 2.4, 3.5 and 3.5 ms at tracemalloc peaks of 1.3, 2.0 and 2.1 MB, and on
 # the 1025-panel top rung 48, 41 and 40 ms at 8.0, 9.0 and 10.8 MB.  The
-# weak residual of the N=16, alpha=2 headline (129 dense rows, 1777
-# panels) took 0.35, 0.41 and 0.69 s for its three windows, at peaks of
-# 3.2, 5.6 and 10.3 MB (in process, 2-core x86-64 VM, 2 MiB L2 per core).
+# weak residual of the N=16, alpha=2 headline (its 9 lattice rows, 1777
+# panels) took 73, 60 and 51 ms for its three windows together (medians of
+# 32 interleaved runs), at one peak of 2.3 MB that its whole-grid tables
+# set (in process, 2-core x86-64 VM, 2 MiB L2 per core).
 BLOCK_PANELS = 64
 
 
@@ -316,23 +318,21 @@ def ladder(horizon: float, max_frequency: float, depth: int,
 
 def solve_on_ladder(rungs: Iterable[PanelGrid],
                     solve: Callable[[PanelGrid], object],
-                    check: Callable[[PanelGrid, object], None],
                     attempts: list, rows: Optional[int] = None) -> tuple:
     """Climb ``rungs`` (grids in increasing size) to the first that passes.
 
-    On each rung ``solve(grid)`` returns a solution and ``check(grid,
-    solution)`` raises QuadratureError when the rung does not resolve it,
-    recording the rung in ``attempts`` as it goes.  Returns ``(grid,
-    solution)`` of the first rung that passes.  A QuadratureError from
-    either moves the climb to the next rung, and the last rung's error
-    propagates; a failed rung's solution is dropped before the next rung
-    is solved.  When ``rows`` is given, a rung whose node array, ``rows`` x
-    panels x q values, would pass ``NODE_BUDGET`` raises QuadratureError
-    naming its panel count before ``solve`` runs, and ends the climb, since
-    every later rung is larger.  So does, for any climb, a rung with more
-    node values than a numpy array can address, and a MemoryError on a
-    rung.  An error that ends the climb carries ``attempts`` as
-    ``grid_attempts``.
+    On each rung ``solve(grid)`` returns the solution when the rung resolves
+    it and raises QuadratureError when it does not, recording the rung in
+    ``attempts`` as it goes.  Returns ``(grid, solution)`` of the first rung
+    that passes.  A QuadratureError moves the climb to the next rung, and
+    the last rung's error propagates; a failed rung's solution is dropped
+    before the next rung is solved.  When ``rows`` is given, a rung whose
+    node array, ``rows`` x panels x q values, would pass ``NODE_BUDGET``
+    raises QuadratureError naming its panel count before ``solve`` runs,
+    and ends the climb, since every later rung is larger.  So does, for any
+    climb, a rung with more node values than a numpy array can address, and
+    a MemoryError on a rung.  An error that ends the climb carries
+    ``attempts`` as ``grid_attempts``.
     """
     failure = None
     for grid in rungs:
@@ -350,12 +350,10 @@ def solve_on_ladder(rungs: Iterable[PanelGrid],
         else:
             try:
                 solution = solve(grid)
-                check(grid, solution)
             except QuadratureError as exc:
                 # without its traceback the error keeps no frame, and so no
                 # solution, alive while the next rung is solved
                 failure = exc.with_traceback(None)
-                solution = None
                 continue
             except MemoryError as exc:
                 refusal = f"{panels} panels: out of memory: {exc}"

@@ -103,8 +103,17 @@ class SpectralState:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SpectralState":
-        coeffs = np.array([complex(re, im) for re, im in d["coeffs"]])
-        return cls(coeffs, float(d.get("time", 0.0)))
+        """Inverse of ``to_dict``; an entry of ``coeffs`` that is not a
+        ``[re, im]`` pair raises ValueError naming its index."""
+        coeffs = []
+        for i, entry in enumerate(d["coeffs"]):
+            try:
+                re, im = entry
+            except (TypeError, ValueError):
+                raise ValueError(f"coeffs entry {i} is not a [re, im] pair: "
+                                 f"{entry!r}") from None
+            coeffs.append(complex(re, im))
+        return cls(np.array(coeffs), float(d.get("time", 0.0)))
 
 
 def _validate_nonlin(coeffs: Mapping[int, complex]) -> dict:

@@ -9,7 +9,7 @@ tracked set are identically zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -54,8 +54,9 @@ class Trajectory:
     ``[0, truncation]`` (others are refused with ValueError);
     ``values[r, p, i]`` is mode ``modes[r]`` at node ``i`` of panel ``p``.
     ``grid_attempts`` is the rung record of the cascade solve that made the
-    trajectory (see ``cascade.cascade_integrate``), and empty otherwise; the
-    Picard solvers keep theirs in their ``PicardLog``.
+    trajectory (see ``cascade.cascade_integrate``), the list that solve
+    appended each rung to, and empty otherwise; the Picard solvers keep
+    theirs in their ``PicardLog``.
     """
 
     spec: EquationSpec
@@ -65,7 +66,7 @@ class Trajectory:
     quadrature_tolerance: float
     initial_state: SpectralState
     variable: str = "u"
-    grid_attempts: tuple = ()
+    grid_attempts: list = field(default_factory=list)
 
     def __post_init__(self):
         m = np.asarray(self.modes, dtype=int)

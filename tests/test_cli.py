@@ -332,6 +332,22 @@ def test_malformed_phi_is_input_error(capsys):
     assert "malformed state" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", [[0.1], [0.1, 0, 3]])
+@pytest.mark.parametrize("flag", ["--phi", "--psi"])
+def test_coefficient_entry_that_is_not_a_pair_is_named(capsys, entry, flag):
+    # --psi is read after --phi, so a bad --phi is refused first
+    bad = json.dumps({"time": 0, "coeffs": [[0, 0], entry]})
+    good = '{"time": 0, "coeffs": [[0, 0], [0.01, 0]]}'
+    data = {"--phi": good, "--psi": good, flag: bad}
+    assert dispatch(["gauge", "--k", "1", "--T", "0.5",
+                     "--phi", data["--phi"], "--psi", data["--psi"]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: malformed state {bad!r}: ValueError("
+                            f"'coeffs entry 1 is not a [re, im] pair: "
+                            f"{entry!r}')\n")
+
+
 def test_phi_file_with_invalid_json_names_the_file(tmp_path, capsys):
     phi = tmp_path / "phi.json"
     phi.write_text("{not json")

@@ -10,7 +10,7 @@ from halfline_dnls import (ContractionThresholdError, EquationSpec,
                            SpectralState, Trajectory, cascade_integrate,
                            compatible_gauge_data, gauge_picard_solve,
                            picard_solve, sobolev_norm)
-from halfline_dnls import quadrature
+from halfline_dnls import normalform, quadrature
 from halfline_dnls.gauge import gauge_system_rhs
 from halfline_dnls.normalform import (PicardLog, _weighted_contract,
                                       iterate_fixed_point)
@@ -557,15 +557,23 @@ def test_truncation_16_is_solved_on_the_ladder_floor():
     assert np.max(np.abs(traj_u.dense_at(ts) - oracle.dense_at(ts))) <= 1e-13
 
 
-def test_ladder_climbs_past_an_unresolved_coarse_grid():
-    # normal form: 3, 5 and 9 panels leave tails above tol = 1e-13, 17
-    # resolve the iterate; gauge pair: 1 panel leaves ~9e-10 > 1e-10, 2
-    # resolve it
-    _, nf_log = picard_solve(state({1: 0.05, 2: 0.05}, 8),
-                             EquationSpec.pure_power(1, 3.0), 0.5, tol=1e-13)
+def _climbing_normal_form():
+    """The normal form on rungs of 3, 5 and 9 panels that leave tails above
+    tol = 1e-13, and 17 that resolve the iterate."""
+    return picard_solve(state({1: 0.05, 2: 0.05}, 8),
+                        EquationSpec.pure_power(1, 3.0), 0.5, tol=1e-13)
+
+
+def _climbing_gauge():
+    """The gauge pair on a rung of 1 panel that leaves a tail of ~9e-10 >
+    tol = 1e-10, and 2 that resolve the iterate."""
     phi = state({1: 0.05, 2: 0.02}, 4)
-    _, traj_g, g_log = gauge_picard_solve(phi, compatible_gauge_data(phi, 1),
-                                          1, 1.0)
+    return gauge_picard_solve(phi, compatible_gauge_data(phi, 1), 1, 1.0)
+
+
+def test_ladder_climbs_past_an_unresolved_coarse_grid():
+    _, nf_log = _climbing_normal_form()
+    _, traj_g, g_log = _climbing_gauge()
     for log, tol, panels in ((nf_log, 1e-13, [3, 5, 9, 17]),
                              (g_log, 1e-10, [1, 2])):
         assert [n for n, _ in log.grid_attempts] == panels
@@ -601,6 +609,45 @@ def test_iteration_error_stops_the_ladder_and_carries_its_log(solve):
     log = info.value.log
     assert not log.converged and len(log.iterations) == 1
     assert log.grid_attempts == []        # raised on the coarsest rung
+
+
+@pytest.mark.parametrize("solve, panels", [(_solve_normal_form, [1, 2, 4]),
+                                           (_solve_gauge, [1])])
+def test_top_rung_error_carries_every_rung_tried(solve, panels, monkeypatch):
+    # 1000 radians per panel: no rung resolves the iterate, and the error
+    # of the top rung records all of them, its own last
+    monkeypatch.setattr(quadrature, "RADIANS_PER_PANEL", 1000.0)
+    with pytest.raises(QuadratureError) as info:
+        solve(1e-10)
+    err = info.value
+    assert [n for n, _ in err.grid_attempts] == panels
+    assert all(tail > 1e-10 for _, tail in err.grid_attempts)
+    assert err.grid_attempts[-1][1] == err.tail
+
+
+@pytest.mark.parametrize("solve, first", [(_climbing_normal_form, 3),
+                                          (_climbing_gauge, 1)])
+def test_iteration_error_on_a_later_rung_carries_the_earlier_rungs(
+        solve, first, monkeypatch):
+    # the second rung's iteration gets one application, and gives up: its
+    # log holds that iteration and the record of the first rung
+    iterate = normalform.iterate_fixed_point
+    calls = []
+
+    def one_step_after_the_first(apply, x, log, tol, max_iter):
+        calls.append(log)
+        return iterate(apply, x, log, tol, max_iter if len(calls) == 1 else 1)
+
+    unresolved = solve()[-1].grid_attempts[0]
+    monkeypatch.setattr(normalform, "iterate_fixed_point",
+                        one_step_after_the_first)
+    with pytest.raises(MaxIterationsError) as info:
+        solve()
+    log = info.value.log
+    assert len(calls) == 2 and log is calls[1]
+    assert not log.converged and len(log.iterations) == 1
+    assert log.grid_attempts == [unresolved] and unresolved[0] == first
+    assert calls[0].grid_attempts is log.grid_attempts
 
 
 def test_picard_ratios_shrink_with_data():

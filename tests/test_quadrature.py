@@ -507,21 +507,24 @@ def _ladder(*panels):
     return [PanelGrid(1.0, n) for n in panels]
 
 
-def _check_at_least(n_pass, attempts):
-    """A check recording each rung and passing from ``n_pass`` panels."""
-    def check(grid, solution):
+def _passing_from(n_pass, attempts, solve):
+    """A rung function that solves with ``solve``, then records the rung
+    and checks it, passing from ``n_pass`` panels."""
+    def rung(grid):
+        solution = solve(grid)
         attempts.append((grid.n_panels, solution))
         if grid.n_panels < n_pass:
             raise QuadratureError(f"{grid.n_panels} panels too coarse",
                                   worst_mode=grid.n_panels, tail=1.0)
-    return check
+        return solution
+    return rung
 
 
 def test_solve_on_ladder_returns_the_first_rung_that_passes():
     attempts = []
-    grid, solution = solve_on_ladder(_ladder(1, 2, 4, 8),
-                                     lambda g: -g.n_panels,
-                                     _check_at_least(4, attempts), attempts)
+    grid, solution = solve_on_ladder(
+        _ladder(1, 2, 4, 8), _passing_from(4, attempts, lambda g: -g.n_panels),
+        attempts)
     assert (grid.n_panels, solution) == (4, -4)
     assert attempts == [(1, -1), (2, -2), (4, -4)]
 
@@ -529,8 +532,9 @@ def test_solve_on_ladder_returns_the_first_rung_that_passes():
 def test_solve_on_ladder_raises_the_last_rungs_error_with_the_record():
     attempts = []
     with pytest.raises(QuadratureError, match="^8 panels too coarse") as info:
-        solve_on_ladder(_ladder(1, 2, 4, 8), lambda g: g.n_panels,
-                        _check_at_least(100, attempts), attempts)
+        solve_on_ladder(_ladder(1, 2, 4, 8),
+                        _passing_from(100, attempts, lambda g: g.n_panels),
+                        attempts)
     assert info.value.worst_mode == 8
     assert info.value.grid_attempts is attempts
     assert [n for n, _ in attempts] == [1, 2, 4, 8]
@@ -542,8 +546,9 @@ def test_solve_on_ladder_stops_at_the_node_budget_before_solving(monkeypatch):
     attempts, solved = [], []
     with pytest.raises(QuadratureError) as info:
         solve_on_ladder(_ladder(1, 2, 4, 8),
-                        lambda g: solved.append(g.n_panels),
-                        _check_at_least(100, attempts), attempts, rows=3)
+                        _passing_from(100, attempts,
+                                      lambda g: solved.append(g.n_panels)),
+                        attempts, rows=3)
     err = info.value
     assert solved == [1, 2]            # neither 4 nor 8 panels is solved
     assert str(err).startswith("4 panels need 288 node values")
@@ -564,8 +569,8 @@ def test_solve_on_ladder_ends_the_climb_at_a_rung_out_of_memory():
         return grid.n_panels
 
     with pytest.raises(QuadratureError) as info:
-        solve_on_ladder(_ladder(1, 2, 4, 8), solve,
-                        _check_at_least(100, attempts), attempts)
+        solve_on_ladder(_ladder(1, 2, 4, 8),
+                        _passing_from(100, attempts, solve), attempts)
     err = info.value
     assert solved == [1, 2, 4]
     assert str(err) == ("4 panels: out of memory: Unable to allocate 1. TiB; "
