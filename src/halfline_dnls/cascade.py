@@ -14,12 +14,17 @@ turn agrees with the full equation on all retained modes.  The stiff
 dispersive factor is handled by exact integrating factors, so there is no
 step-size stability constraint.
 
-The solve climbs ``quadrature.ladder``, ``MAX_REFINEMENTS`` halvings deep
-and ``MAX_REFINEMENTS`` doublings past the grid sized for its fastest
-frequency, through ``quadrature.solve_on_ladder``, and accepts a rung by
-step doubling: its Chebyshev tails must pass, and its dense output must
-agree with the rung before it, which bounds the error built up along the
-march as well as the per-panel interpolation error.
+The solve climbs from the floor of ``quadrature.ladder``, ``MAX_REFINEMENTS``
+halvings below the grid sized for its fastest frequency, to that grid
+doubled ``MAX_REFINEMENTS`` times, through ``quadrature.solve_on_ladder``
+(``_climb``).  A rung is accepted when its Chebyshev tails pass and its
+dense output agrees with the rung before it, which bounds the error built
+up along the march as well as the per-panel interpolation error.  The rung
+after one whose tails pass is 3/2 its size, not twice: the rung returned
+is within the measured difference of the true solution whenever the
+refinement at least halves the error, which at a ratio of 3/2 needs an
+order of convergence p >= 1.71 (on the N=16, alpha=2 headline p is at
+least 5.8).  After a rung whose tails fail, the next one is twice its size.
 
 The module also provides the linear (degree-0) closed form, the
 weak-formulation residual checker, and the transform to the mean-zero
@@ -36,7 +41,7 @@ import numpy as np
 
 from . import quadrature
 from .quadrature import (BLOCK_PANELS, OscillatoryMarch, OverflowGuardError,
-                         PanelGrid, QuadratureError, ladder, require_positive,
+                         PanelGrid, QuadratureError, require_positive,
                          solve_on_ladder, tail_ratio)
 from .spectral import (DispersionKind, EquationSpec, SpectralState,
                        _product, dispersion_mu, dispersion_symbol, power)
@@ -56,13 +61,13 @@ __all__ = [
 # equispaced times, both ends included, at which two successive rungs of a
 # cascade solve must agree
 AGREEMENT_TIMES = 201
-# the cascade's ladder is sized for this multiple of its fastest frequency.
-# The ladder sized for the frequency itself passes the N=16, alpha=2
-# inflation run's two-rung check on its second rung only for s >= 2.104,
-# and a third rung below that doubles the run's time within the alpha=2
-# regime 2 <= s <= 3.  With the margin every s there passes on the second
-# rung (difference <= 1.6e-11 at s = 2), so the run costs the same over
-# the regime
+# the cascade's climb is sized for this multiple of its fastest frequency.
+# Sized for the frequency itself, the N=16, alpha=2 inflation run passed
+# the two-rung check on its second rung (741 and 1481 panels, when rungs
+# doubled) only for s >= 2.104, and a third rung below that doubled the
+# run's time within the alpha=2 regime 2 <= s <= 3.  With the margin every
+# s there accepts its second rung (889 and 1334 panels; difference <=
+# 1.6e-11 at s = 2), so the run costs the same over the regime
 LADDER_MARGIN = 1.2
 # doublings of a trajectory's panels that weak_residual tries for a window
 # they do not resolve; the bump window needs 32 panels over any horizon
@@ -105,14 +110,14 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
     coefficients of ``spec.recentered(c)``.  A nonlinearity of degree k >= 2 keeps
     ``k - 1`` arrays the size of the trajectory for the powers of ``w``.
 
-    The solve climbs ``quadrature.ladder``, sized for ``LADDER_MARGIN``
+    The solve climbs the rungs of ``_climb``, sized for ``LADDER_MARGIN``
     times the fastest frequency of the tracked modes, and accepts the first
     rung where two things hold: the Chebyshev tails, each measured against
     all marched modes on its panel, are ``<= tol``; and
     the dense output of the marched modes at ``AGREEMENT_TIMES`` equispaced
     times differs from the previous rung's by at most ``tol`` times the
-    largest magnitude of the two (step doubling).  The first rung is never
-    accepted.  The returned trajectory's ``grid_attempts`` holds
+    largest magnitude of the two.  The first rung is never accepted.  The
+    returned trajectory's ``grid_attempts`` holds
     ``(n_panels, tail, difference)`` per rung tried, the difference
     relative and None on the first rung.
 
@@ -194,10 +199,26 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
                 f"{diff_mode}", worst_mode=diff_mode, tail=tail)
         return traj
 
+    return solve_on_ladder(_climb(T, LADDER_MARGIN * freq, attempts, tol),
+                           solve, attempts, rows=support.size)
+
+
+def _climb(horizon, max_frequency, attempts, tol):
+    """The cascade's rungs: the grid for ``max_frequency / 2**MAX_REFINEMENTS``
+    (the floor of ``quadrature.ladder`` that deep), then after a rung of n
+    panels ``ceil(3n/2)`` panels when its tail, ``attempts[-1][1]``, is
+    ``<= tol`` and 2n when it is not (a NaN included), up to the grid for
+    ``max_frequency`` doubled ``MAX_REFINEMENTS`` times, the last rung.
+    After a tail that passes only the two-rung check is left, and a rung
+    3/2 as fine is enough for it (see the module docstring)."""
     depth = quadrature.MAX_REFINEMENTS
-    _, traj = solve_on_ladder(ladder(T, LADDER_MARGIN * freq, depth, depth),
-                              solve, attempts, rows=support.size)
-    return traj
+    n = PanelGrid.for_frequency(horizon, max_frequency / 2**depth).n_panels
+    top = PanelGrid.for_frequency(horizon, max_frequency).n_panels << depth
+    while True:
+        yield PanelGrid(horizon, n)
+        if n >= top:
+            return
+        n = min(top, (3 * n + 1) // 2 if attempts[-1][1] <= tol else 2 * n)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -481,10 +481,9 @@ def picard_on_ladder(spec: EquationSpec, initial: dict, horizon: float,
                                 initial_state=initial[name], variable=name)
                      for c, name in enumerate(names)) + (log,)
 
-    _, solved = solve_on_ladder(
+    return solve_on_ladder(
         ladder(horizon, max_frequency, quadrature.PICARD_DEPTH), solve,
         attempts)
-    return solved
 
 
 def picard_solve(phi: SpectralState, spec: EquationSpec, T: float,

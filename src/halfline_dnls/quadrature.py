@@ -31,18 +31,20 @@ Every solver runs on a ladder of grids, coarsest first, through the one
 climber ``solve_on_ladder``: it calls one rung function, which returns the
 solution of a rung that resolves it, and moves to the next rung when that
 function raises QuadratureError.  The one ladder,
-``ladder(horizon, max_frequency, depth, doublings)``, holds the grids sized
-for fractions ``1/2**j`` of the fastest frequency, ``j = depth..0``, up to
-the grid whose panels each advance that frequency by ``RADIANS_PER_PANEL``
-radians, then ``doublings`` doublings of that grid.  The Picard solvers
-climb it ``PICARD_DEPTH`` halvings deep with no doublings; the cascade
-``MAX_REFINEMENTS`` halvings deep with ``MAX_REFINEMENTS`` doublings.  A
-rung passes when the Chebyshev tail of its solution, measured against all
-rows on each panel (``tail_ratio``), is within tolerance.  The check forms
-every row's last two coefficients, but all of them only for the rows whose
-Cauchy-Schwarz bound, ``coeff_bound`` times the row's node norm, can reach
-the largest coefficient on some panel; the others cannot change it, so the
-ratios are those of a full transform of every row, bit for bit.  A panel
+``ladder(horizon, max_frequency, depth)``, holds the grids sized for
+fractions ``1/2**j`` of the fastest frequency, ``j = depth..0``, up to the
+grid whose panels each advance that frequency by ``RADIANS_PER_PANEL``
+radians.  The Picard solvers climb it ``PICARD_DEPTH`` halvings deep.  The
+cascade starts at its floor ``MAX_REFINEMENTS`` halvings deep and goes on
+by its own rule up to that grid doubled ``MAX_REFINEMENTS`` times: 3/2 the
+panels after a rung whose tails pass, twice after one whose tails fail
+(``cascade._climb``).  A rung passes when the Chebyshev tail of its
+solution, measured against all rows on each panel (``tail_ratio``), is
+within tolerance.  The check forms every row's last two coefficients, but
+all of them only for the rows whose Cauchy-Schwarz bound, ``coeff_bound``
+times the row's node norm, can reach the largest coefficient on some
+panel; the others cannot change it, so the ratios are those of a full
+transform of every row, bit for bit.  A panel
 that is not finite fails the check, and a march stops at a carry that is
 not a number as at one past ``OVERFLOW_GUARD``.  The cascade also
 asks that two successive rungs agree, which estimates the error built up
@@ -80,8 +82,8 @@ __all__ = [
 DEFAULT_POINTS = 24
 # radians of the fastest oscillation allowed per panel
 RADIANS_PER_PANEL = 8.0
-# the cascade's ladder: halvings of the fastest frequency below the grid
-# sized for it, and doublings above it
+# the cascade's climb: halvings of the fastest frequency below the grid
+# sized for it to its first rung, and doublings of that grid to its last
 MAX_REFINEMENTS = 3
 # the Picard solvers' ladder: halvings of the fastest frequency below the
 # grid sized for it, its top rung.  On the benchmark's truncation-16 data
@@ -92,8 +94,8 @@ PICARD_DEPTH = 5
 # largest mode magnitude a march may reach before it stops with an error
 OVERFLOW_GUARD = 1e100
 # most node values (rows x panels x q) in the node array of a cascade rung:
-# 800 MB of complex128, which admits the 226,712 panels x 9 rows of the
-# N=16, alpha=3 inflation run.  It bounds that one array, not the solve's
+# 800 MB of complex128, which admits the accepted 170,034 panels x 9 rows
+# of the N=16, alpha=3 inflation run.  It bounds that one array, not the solve's
 # peak memory: a degree-k nonlinearity keeps k - 1 more arrays of its size,
 # and the rung check holds a dense output besides
 NODE_BUDGET = 50_000_000
@@ -298,35 +300,29 @@ def _panel_count(horizon: float, max_frequency: float) -> int:
     return max(1, int(np.ceil(panels)))
 
 
-def ladder(horizon: float, max_frequency: float, depth: int,
-           doublings: int = 0):
+def ladder(horizon: float, max_frequency: float, depth: int):
     """The grids ``PanelGrid.for_frequency(horizon, max_frequency / 2**j)``
-    for ``j = depth, ..., 0``, coarsest first, then ``doublings`` doublings
-    of the last of them by ``PanelGrid.refined``.  Rungs with equal panel
-    counts are one rung, and the rung before the doublings is always the
-    grid for ``max_frequency`` itself.  Each rung is made only when a climb
-    reaches it, so a climb that stops early never holds the breaks of the
-    finer rungs."""
+    for ``j = depth, ..., 0``, coarsest first.  Rungs with equal panel
+    counts are one rung, and the last rung is always the grid for
+    ``max_frequency`` itself.  Each rung is made only when a climb reaches
+    it, so a climb that stops early never holds the breaks of the finer
+    rungs."""
     for n in sorted({_panel_count(horizon, max_frequency / 2**j)
                      for j in range(depth + 1)}):
-        grid = PanelGrid(horizon, n)
-        yield grid
-    for _ in range(doublings):
-        grid = grid.refined()
-        yield grid
+        yield PanelGrid(horizon, n)
 
 
 def solve_on_ladder(rungs: Iterable[PanelGrid],
                     solve: Callable[[PanelGrid], object],
-                    attempts: list, rows: Optional[int] = None) -> tuple:
+                    attempts: list, rows: Optional[int] = None) -> object:
     """Climb ``rungs`` (grids in increasing size) to the first that passes.
 
     On each rung ``solve(grid)`` returns the solution when the rung resolves
     it and raises QuadratureError when it does not, recording the rung in
-    ``attempts`` as it goes.  Returns ``(grid, solution)`` of the first rung
-    that passes.  A QuadratureError moves the climb to the next rung, and
-    the last rung's error propagates; a failed rung's solution is dropped
-    before the next rung is solved.  When ``rows`` is given, a rung whose
+    ``attempts`` as it goes.  Returns the solution of the first rung that
+    passes, which holds its own grid.  A QuadratureError moves the climb to
+    the next rung, and the last rung's error propagates; a failed rung's
+    solution is dropped before the next rung is solved.  When ``rows`` is given, a rung whose
     node array, ``rows`` x panels x q values, would pass ``NODE_BUDGET``
     raises QuadratureError naming its panel count before ``solve`` runs,
     and ends the climb, since every later rung is larger.  So does, for any
@@ -358,7 +354,7 @@ def solve_on_ladder(rungs: Iterable[PanelGrid],
             except MemoryError as exc:
                 refusal = f"{panels} panels: out of memory: {exc}"
             else:
-                return grid, solution
+                return solution
         failure = QuadratureError(
             refusal
             + (f"; the rung before failed: {failure}" if failure else ""),

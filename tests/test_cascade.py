@@ -34,10 +34,10 @@ def headline():
 
 def fixed_grid_solve(monkeypatch, phi, spec, T, n_panels, **kwargs):
     """The cascade on one fixed grid of ``n_panels``: the grid twice as the
-    ladder, so the two-rung difference is 0 and the tail check decides."""
+    climb, so the two-rung difference is 0 and the tail check decides."""
     grid = quadrature.PanelGrid(T, n_panels)
     with monkeypatch.context() as m:
-        m.setattr(cascade, "ladder", lambda *_: iter([grid, grid]))
+        m.setattr(cascade, "_climb", lambda *_: iter([grid, grid]))
         return cascade_integrate(phi, spec, T, **kwargs)
 
 
@@ -315,44 +315,78 @@ def test_background_does_not_mask_under_resolved_mode(monkeypatch):
 
 # -- the rung climb ----------------------------------------------------------------
 
+def alpha2_regime(s):
+    """The N=16, alpha=2 run at truncation 128 with s = sigma + 2."""
+    return (build_inflation_data(16, s, 1, 128),
+            EquationSpec.pure_power(1, 2.0), inflation_time(16, s, s - 2.0, 1))
+
+
 def test_headline_matches_a_fine_fixed_grid(monkeypatch):
-    # the ladder accepts 1777 panels, under a third of the 5921 sized for
-    # the fastest frequency, after trying 889
-    phi, spec, T = headline()
-    traj = cascade_integrate(phi, spec, T)
-    assert [n for n, _, _ in traj.grid_attempts] == [889, 1777]
-    reference = fixed_grid_solve(monkeypatch, phi, spec, T, 11842)
-    ts = np.linspace(0.0, T, cascade.AGREEMENT_TIMES)
-    ref = reference.dense_at(ts)
-    scale = np.max(np.abs(ref))
-    assert np.max(np.abs(traj.dense_at(ts) - ref)) <= 1e-10 * scale
+    # step doubling is the oracle of the 3/2 climb: over the alpha=2 regime
+    # the accepted rung (1334 panels) is within tol of a grid 8.9 times as
+    # fine, twice the 5921 panels sized for the fastest frequency
+    for s in (2.0, 2.5, 3.0):
+        phi, spec, T = alpha2_regime(s)
+        ts = np.linspace(0.0, T, cascade.AGREEMENT_TIMES)
+        traj = cascade_integrate(phi, spec, T)
+        reference = fixed_grid_solve(monkeypatch, phi, spec, T, 11842)
+        ref = reference.dense_at(ts)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(traj.dense_at(ts) - ref)) <= 1e-10 * scale, s
 
 
 def test_alpha2_regime_passes_on_the_same_rungs():
     # s = 2 and s = 3 bound the regime of the N=16, alpha=2 run; without
     # cascade.LADDER_MARGIN, s below 2.104 needed a third rung.  One panel
     # phase table for the whole grid keeps the accepted rung's tail at
-    # round-off (2.1e-16); per-panel phases left 1.25e-14 to 1.75e-14
+    # round-off (2.0e-16); per-panel phases left 1.25e-14 to 1.75e-14
     for s in (2.0, 2.5, 3.0):
-        phi = build_inflation_data(16, s, 1, 128)
-        T = inflation_time(16, s, s - 2.0, 1)
-        traj = cascade_integrate(phi, EquationSpec.pure_power(1, 2.0), T)
-        assert [n for n, _, _ in traj.grid_attempts] == [889, 1777], s
+        traj = cascade_integrate(*alpha2_regime(s))
+        assert [n for n, _, _ in traj.grid_attempts] == [889, 1334], s
         assert traj.grid_attempts[-1][1] <= 1e-15, s
 
 
 def test_two_rung_check_rejects_a_rung_whose_tail_passes(monkeypatch):
-    # at 16 radians per panel the headline ladder starts at 445 panels; 445
-    # and 889 both pass their tails, but 445 is 2.9e-10 off, so 889 differs
-    # from it by more than tol and is refused; 1777 agrees with 889
+    # at 16 radians per panel the headline climb starts at 445 panels; 445
+    # and 668 both pass their tails, but 445 is 2.9e-10 off, so 668 differs
+    # from it by more than tol and is refused; 1002 agrees with 668
     monkeypatch.setattr(quadrature, "RADIANS_PER_PANEL", 16.0)
     phi, spec, T = headline()
     traj = cascade_integrate(phi, spec, T)
     (n1, t1, d1), (n2, t2, d2), (n3, t3, d3) = traj.grid_attempts
-    assert (n1, n2, n3) == (445, 889, 1777) and traj.n_panels == n3
+    assert (n1, n2, n3) == (445, 668, 1002) and traj.n_panels == n3
     assert max(t1, t2, t3) <= 1e-10
     assert d1 is None
-    assert d2 > 1e-10 >= d3
+    assert 2.8e-10 < d2 < 2.9e-10 and d3 <= 1e-10
+
+
+def _fed_climb(tails):
+    """The panels of the rungs of ``cascade._climb`` at tol 1e-10 over T = 1
+    at 513 radians per unit time, the i-th rung's tail reading
+    ``tails[i]``: the floor is 9 panels, and the top 65 doubled
+    ``MAX_REFINEMENTS`` times, 520."""
+    attempts = []
+    for grid, tail in zip(cascade._climb(1.0, 513.0, attempts, 1e-10),
+                          tails):
+        attempts.append((grid.n_panels, tail, None))
+    return [n for n, _, _ in attempts]
+
+
+def test_climb_grows_by_half_after_a_passing_tail_and_doubles_otherwise():
+    nan = float("nan")
+    # ceil(3n/2) after a tail <= tol (tol itself included), 2n after one
+    # above it or not a number
+    assert _fed_climb([1e-12, 1e-10, 1e-12, 1e-12]) == [9, 14, 21, 32]
+    assert _fed_climb([1e-9, nan, 1e-12, 1e-12]) == [9, 18, 36, 54]
+    assert _fed_climb([nan, 1e-12, nan, 1e-12]) == [9, 18, 27, 54]
+
+
+def test_climb_whose_tails_all_fail_stops_at_the_top_rung():
+    # the doublings of the floor pass the top, which is the last rung
+    assert _fed_climb([1.0] * 20) == [9, 18, 36, 72, 144, 288, 520]
+    # so does a climb of passing tails, in more rungs
+    rungs = _fed_climb([0.0] * 20)
+    assert rungs[-1] == 520 and rungs[-2] * 3 / 2 > 520
 
 
 def ordered_pair_solve_rows(grid, support, omega, c0, init, weights,
@@ -480,7 +514,7 @@ def solve_rows_args(monkeypatch, phi, spec, T, n_panels, restrict):
         raise _Captured(args)
 
     with monkeypatch.context() as m:
-        m.setattr(cascade, "ladder", lambda *_: iter([grid]))
+        m.setattr(cascade, "_climb", lambda *_: iter([grid]))
         m.setattr(cascade, "_solve_rows", capture)
         with pytest.raises(_Captured) as info:
             cascade_integrate(phi, spec, T, restrict_support=restrict)
@@ -703,9 +737,10 @@ def _small_data():
 @pytest.mark.parametrize("data, radians, refinements, panels, condition", [
     # one rung of one panel: 24 nodes cannot resolve 200 radians
     (_small_data, 200.0, 0, [1], "Chebyshev tail"),
-    # 223, 445 and 890 panels: every tail but 223's passes, and 890 is
-    # 2.9e-10 off 445
-    (headline, 128.0, 1, [223, 445, 890], "two-rung difference"),
+    # 112, 224 and 446 panels: 112 and 224 fail their tails, so each is
+    # doubled, up to the top of 446 (223 panels doubled once), which passes
+    # its tail but is 1.4e-7 off 224
+    (headline, 256.0, 1, [112, 224, 446], "two-rung difference"),
 ])
 def test_last_rung_failure_names_panels_condition_and_mode(
         monkeypatch, data, radians, refinements, panels, condition):
@@ -734,10 +769,10 @@ def test_dispersion_variants_pick_the_same_rung():
 
 
 def test_node_budget_ends_the_climb_with_a_typed_error(monkeypatch, capsys):
-    # 9 rows x 24 nodes: 889 panels fit in the budget, 1777 do not
+    # 9 rows x 24 nodes: 889 panels fit in the budget, 1334 do not
     monkeypatch.setattr(quadrature, "NODE_BUDGET", 9 * 24 * 1000)
     phi, spec, T = headline()
-    with pytest.raises(QuadratureError, match="1777 panels need") as info:
+    with pytest.raises(QuadratureError, match="1334 panels need") as info:
         cascade_integrate(phi, spec, T)
     assert [n for n, _, _ in info.value.grid_attempts] == [889]
     code = dispatch(["inflate", "--N", "16", "--s", "2.5", "--sigma", "0.5",
@@ -745,7 +780,7 @@ def test_node_budget_ends_the_climb_with_a_typed_error(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "1777 panels" in err and "Traceback" not in err
+    assert "1334 panels" in err and "Traceback" not in err
 
 
 # -- linear closed forms -----------------------------------------------------------

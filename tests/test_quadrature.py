@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfline_dnls import (EquationSpec, OverflowGuardError, PanelGrid,
-                           QuadratureError, SpectralState, cascade_integrate,
-                           compatible_gauge_data, gauge_picard_solve,
-                           quadrature)
+                           QuadratureError, SpectralState, cascade,
+                           cascade_integrate, compatible_gauge_data,
+                           gauge_picard_solve, quadrature)
 from halfline_dnls.inflation import build_inflation_data, inflation_time
 from halfline_dnls.quadrature import (OVERFLOW_GUARD, OscillatoryMarch,
                                       ladder, oscillatory_march, panel_scheme,
@@ -353,7 +353,7 @@ def test_grid_sizing_refuses_a_bad_horizon_or_frequency(horizon, freq, name):
     with pytest.raises(ValueError, match=message):
         PanelGrid.for_frequency(horizon, freq)
     with pytest.raises(ValueError, match=message):
-        list(ladder(horizon, freq, 3, 1))
+        list(ladder(horizon, freq, 3))
 
 
 def test_grid_sizing_refuses_a_panel_count_past_the_largest_float():
@@ -362,7 +362,7 @@ def test_grid_sizing_refuses_a_panel_count_past_the_largest_float():
     with pytest.raises(ValueError, match=message):
         PanelGrid.for_frequency(1e306, 1e20)
     with pytest.raises(ValueError, match=message):
-        list(ladder(1e306, 1e20, 3, 1))
+        list(ladder(1e306, 1e20, 3))
 
 
 def test_grid_locate_and_refine():
@@ -400,42 +400,28 @@ def test_grid_ladder_collapses_equal_rungs_and_keeps_the_top(monkeypatch,
     assert rungs[-1].n_panels == PanelGrid.for_frequency(1.0, 289.0).n_panels
 
 
-def test_refined_ladder_continues_the_ladder_by_doublings(monkeypatch):
-    calls = []
-    refined = PanelGrid.refined
-    monkeypatch.setattr(PanelGrid, "refined",
-                        lambda self: calls.append(1) or refined(self))
-    # the cascade's rungs start MAX_REFINEMENTS halvings down and go on
-    # with MAX_REFINEMENTS doublings of the grid sized for the frequency
-    freq = 2 * 16**2 + 1
-    depth = quadrature.MAX_REFINEMENTS
-    rungs = ladder(1.0, freq, depth, depth)
-    first = [next(rungs).n_panels for _ in range(4)]
-    assert first == [9, 17, 33, 65] == [
-        PanelGrid.for_frequency(1.0, freq / 2**j).n_panels
-        for j in range(depth, -1, -1)]
-    assert calls == []                 # a doubling is made when reached
-    assert [g.n_panels for g in rungs] == [130, 260, 520]
-    assert len(calls) == depth
-
-
 @pytest.mark.parametrize("horizon, freq, depth, panels", [
-    # the N=16, alpha=2 headline's cascade: T and LADDER_MARGIN * freq
+    # the N=16, alpha=2 headline's cascade: T and LADDER_MARGIN * freq.  The
+    # cascade's rungs are those of a climb whose every tail fails: the
+    # floor of the ladder MAX_REFINEMENTS halvings deep, doubled up to the
+    # grid sized for the frequency doubled MAX_REFINEMENTS times
     (1.441359041754604, 1.2 * 32861.33248261689, "cascade",
-     [889, 1777, 3553, 7105, 14210, 28420, 56840]),
-    (1.0, 2 * 16**3 + 1, "cascade", [129, 257, 513, 1025, 2050, 4100, 8200]),
-    (1.0, 2 * 12**3 + 1, "cascade", [55, 109, 217, 433, 866, 1732, 3464]),
+     [889, 1778, 3556, 7112, 14224, 28448, 56840]),
+    (1.0, 2 * 16**3 + 1, "cascade", [129, 258, 516, 1032, 2064, 4128, 8200]),
+    (1.0, 2 * 12**3 + 1, "cascade", [55, 110, 220, 440, 880, 1760, 3464]),
     # verify's truncation-16 normal form and gauge pair, and truncation 12
     (1.0, 2 * 16**3 + 1, "picard", [33, 65, 129, 257, 513, 1025]),
     (1.0, 2 * 16**2 + 1, "picard", [3, 5, 9, 17, 33, 65]),
     (1.0, 2 * 12**3 + 1, "picard", [14, 28, 55, 109, 217, 433]),
 ])
 def test_ladder_keeps_both_solvers_rungs(horizon, freq, depth, panels):
-    # the rungs the cascade and the Picard solvers climbed with one ladder
-    # generator each, and the breaks of every rung bit for bit
-    deep = {"cascade": (quadrature.MAX_REFINEMENTS,) * 2,
-            "picard": (quadrature.PICARD_DEPTH, 0)}[depth]
-    rungs = list(ladder(horizon, freq, *deep))
+    # the rungs the cascade and the Picard solvers climb, one generator
+    # each, and the breaks of every rung bit for bit
+    if depth == "cascade":
+        failed = [(None, float("nan"), None)]
+        rungs = list(cascade._climb(horizon, freq, failed, 1e-10))
+    else:
+        rungs = list(ladder(horizon, freq, quadrature.PICARD_DEPTH))
     assert [g.n_panels for g in rungs] == panels
     for grid in rungs:
         assert grid.horizon == horizon
@@ -522,10 +508,10 @@ def _passing_from(n_pass, attempts, solve):
 
 def test_solve_on_ladder_returns_the_first_rung_that_passes():
     attempts = []
-    grid, solution = solve_on_ladder(
+    solution = solve_on_ladder(
         _ladder(1, 2, 4, 8), _passing_from(4, attempts, lambda g: -g.n_panels),
         attempts)
-    assert (grid.n_panels, solution) == (4, -4)
+    assert solution == -4
     assert attempts == [(1, -1), (2, -2), (4, -4)]
 
 
@@ -841,7 +827,7 @@ def test_headline_rung_marches_row_by_row_with_the_one_shot_bits(
         EquationSpec.pure_power(1, 2.0)
     T = inflation_time(16, 2.5, 0.5, 1)
     grid = PanelGrid(T, 889)
-    monkeypatch.setattr("halfline_dnls.cascade.ladder",
+    monkeypatch.setattr("halfline_dnls.cascade._climb",
                         lambda *_: iter([grid, grid]))
     calls = recorded_applications(monkeypatch)
     cascade_integrate(phi, spec, T)
