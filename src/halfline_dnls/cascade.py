@@ -14,17 +14,18 @@ turn agrees with the full equation on all retained modes.  The stiff
 dispersive factor is handled by exact integrating factors, so there is no
 step-size stability constraint.
 
-The solve climbs from the floor of ``quadrature.ladder``, ``MAX_REFINEMENTS``
-halvings below the grid sized for its fastest frequency, to that grid
-doubled ``MAX_REFINEMENTS`` times, through ``quadrature.solve_on_ladder``
-(``_climb``).  A rung is accepted when its Chebyshev tails pass and its
-dense output agrees with the rung before it, which bounds the error built
-up along the march as well as the per-panel interpolation error.  The rung
-after one whose tails pass is 3/2 its size, not twice: the rung returned
-is within the measured difference of the true solution whenever the
-refinement at least halves the error, which at a ratio of 3/2 needs an
-order of convergence p >= 1.71 (on the N=16, alpha=2 headline p is at
-least 5.8).  After a rung whose tails fail, the next one is twice its size.
+The solve climbs ``quadrature.solve_on_ladder`` from the grid sized for
+``1/2**MAX_REFINEMENTS`` of its fastest frequency to the grid sized for
+that frequency, doubled ``MAX_REFINEMENTS`` times.  A rung is accepted
+when its Chebyshev tails pass and its dense output agrees with the rung
+before it, which bounds the error built up along the march as well as
+the per-panel interpolation error.  Every refusal carries the rung's
+tail, so the rung after one whose tails pass is 3/2 its size, not twice:
+the rung returned is within the measured difference of the true solution
+whenever the refinement at least halves the error, which at a ratio of
+3/2 needs an order of convergence p >= 1.71 (on the N=16, alpha=2
+headline p is at least 5.8).  After a rung whose tails fail, the next one
+is twice its size.
 
 The module also provides the linear (degree-0) closed form, the
 weak-formulation residual checker, and the transform to the mean-zero
@@ -61,13 +62,14 @@ __all__ = [
 # equispaced times, both ends included, at which two successive rungs of a
 # cascade solve must agree
 AGREEMENT_TIMES = 201
-# the cascade's climb is sized for this multiple of its fastest frequency.
-# Sized for the frequency itself, the N=16, alpha=2 inflation run passed
-# the two-rung check on its second rung (741 and 1481 panels, when rungs
-# doubled) only for s >= 2.104, and a third rung below that doubled the
-# run's time within the alpha=2 regime 2 <= s <= 3.  With the margin every
-# s there accepts its second rung (889 and 1334 panels; difference <=
-# 1.6e-11 at s = 2), so the run costs the same over the regime
+# the cascade's ladder, its first rung and its top alike, is sized for
+# this multiple of its fastest frequency.  Sized for the frequency itself,
+# the N=16, alpha=2 inflation run passed the two-rung check on its second
+# rung (741 and 1481 panels, when rungs doubled) only for s >= 2.104, and
+# a third rung below that doubled the run's time within the alpha=2 regime
+# 2 <= s <= 3.  With the margin every s there accepts its second rung (889
+# and 1334 panels; difference <= 1.6e-11 at s = 2), so the run costs the
+# same over the regime
 LADDER_MARGIN = 1.2
 # doublings of a trajectory's panels that weak_residual tries for a window
 # they do not resolve; the bump window needs 32 panels over any horizon
@@ -110,11 +112,11 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
     coefficients of ``spec.recentered(c)``.  A nonlinearity of degree k >= 2 keeps
     ``k - 1`` arrays the size of the trajectory for the powers of ``w``.
 
-    The solve climbs the rungs of ``_climb``, sized for ``LADDER_MARGIN``
-    times the fastest frequency of the tracked modes, and accepts the first
-    rung where two things hold: the Chebyshev tails, each measured against
-    all marched modes on its panel, are ``<= tol``; and
-    the dense output of the marched modes at ``AGREEMENT_TIMES`` equispaced
+    The solve climbs the ladder of the module docstring, sized for
+    ``LADDER_MARGIN`` times the fastest frequency of the tracked modes, and
+    accepts the first rung where two things hold: the Chebyshev tails,
+    each measured against all marched modes on its panel, are ``<= tol``;
+    and the dense output of the marched modes at ``AGREEMENT_TIMES`` equispaced
     times differs from the previous rung's by at most ``tol`` times the
     largest magnitude of the two.  The first rung is never accepted.  The
     returned trajectory's ``grid_attempts`` holds
@@ -154,7 +156,8 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
     shift = spec.self_coupling(c0)
     mu = dispersion_symbol(spec, support).astype(complex)
     omega = mu + support * shift
-    freq = 2.0 * float(np.max(np.abs(mu) + support * abs(shift))) + 1.0
+    freq = LADDER_MARGIN * (
+        2.0 * float(np.max(np.abs(mu) + support * abs(shift))) + 1.0)
 
     # a_{i+1} = lambda'_i / (i+1) of the recentered equation; a_1 is the shift
     weights = {} if spec.max_degree == 0 else {
@@ -199,26 +202,11 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
                 f"{diff_mode}", worst_mode=diff_mode, tail=tail)
         return traj
 
-    return solve_on_ladder(_climb(T, LADDER_MARGIN * freq, attempts, tol),
-                           solve, attempts, rows=support.size)
-
-
-def _climb(horizon, max_frequency, attempts, tol):
-    """The cascade's rungs: the grid for ``max_frequency / 2**MAX_REFINEMENTS``
-    (the floor of ``quadrature.ladder`` that deep), then after a rung of n
-    panels ``ceil(3n/2)`` panels when its tail, ``attempts[-1][1]``, is
-    ``<= tol`` and 2n when it is not (a NaN included), up to the grid for
-    ``max_frequency`` doubled ``MAX_REFINEMENTS`` times, the last rung.
-    After a tail that passes only the two-rung check is left, and a rung
-    3/2 as fine is enough for it (see the module docstring)."""
     depth = quadrature.MAX_REFINEMENTS
-    n = PanelGrid.for_frequency(horizon, max_frequency / 2**depth).n_panels
-    top = PanelGrid.for_frequency(horizon, max_frequency).n_panels << depth
-    while True:
-        yield PanelGrid(horizon, n)
-        if n >= top:
-            return
-        n = min(top, (3 * n + 1) // 2 if attempts[-1][1] <= tol else 2 * n)
+    return solve_on_ladder(
+        PanelGrid.for_frequency(T, freq / 2**depth),
+        PanelGrid.for_frequency(T, freq).n_panels << depth, tol, solve,
+        attempts, rows=support.size)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -445,15 +433,18 @@ def _window_grid(traj: Trajectory, window: TimeWindow) -> PanelGrid:
     within ``traj.quadrature_tolerance``, else the first doubling of it
     that is.  Raises QuadratureError naming the window after
     ``WINDOW_DOUBLINGS`` doublings."""
-    grid, doublings, tol = traj.grid, 0, traj.quadrature_tolerance
-    while (tail := _window_tail(window, grid)) > tol:
-        if doublings == WINDOW_DOUBLINGS:
+    tol = traj.quadrature_tolerance
+
+    def resolves(grid):
+        if (tail := _window_tail(window, grid)) > tol:
             raise QuadratureError(
                 f"window {window.name!r} not resolved on {grid.n_panels} "
                 f"panels: Chebyshev tail {tail:.3e} > tol {tol:.3e}",
                 tail=tail)
-        grid, doublings = grid.refined(), doublings + 1
-    return grid
+        return grid
+
+    return solve_on_ladder(traj.grid, traj.n_panels << WINDOW_DOUBLINGS, tol,
+                           resolves, [])
 
 
 def weak_residual(traj: Trajectory, window: TimeWindow) -> np.ndarray:

@@ -184,6 +184,8 @@ def _log_doc(log) -> dict:
 
 
 def _cmd_simulate(args) -> _Result:
+    if args.modes is not None and args.modes < 1:
+        raise ValueError(f"--modes must be >= 1, got {args.modes}")
     phi = _load_state(args.phi, args.modes)
     spec = EquationSpec.pure_power(args.k, args.alpha,
                                    kind=DispersionKind(args.dispersion))

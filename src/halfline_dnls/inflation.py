@@ -171,6 +171,10 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be finite")
         if self.epsilon is not None:
             require_positive(epsilon=self.epsilon)
+        require_positive(identity_tol=self.identity_tol,
+                         value_tol=self.value_tol,
+                         exponent_tol=self.exponent_tol,
+                         quadrature_tol=self.quadrature_tol)
         s0 = minimum_regularity(self.alpha)
         if self.s < s0:
             raise UnsupportedRegimeError(

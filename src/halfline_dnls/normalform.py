@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature
-from .quadrature import (BLOCK_PANELS, PanelGrid, QuadratureError, ladder,
+from .quadrature import (BLOCK_PANELS, PanelGrid, QuadratureError,
                          require_positive, solve_on_ladder, tail_ratio)
 from .spectral import (EquationSpec, SpectralState, _along_modes,
                        dispersion_mu, power)
@@ -423,9 +423,10 @@ def picard_on_ladder(spec: EquationSpec, initial: dict, horizon: float,
                      tol: float, max_iter: int,
                      setup: Callable[[PanelGrid], tuple],
                      allow_unsafe: bool = False) -> tuple:
-    """Iterate a Picard map to convergence on the coarsest grid of
-    ``quadrature.ladder(horizon, max_frequency, quadrature.PICARD_DEPTH)``
-    that resolves its iterate, through ``quadrature.solve_on_ladder``.
+    """Iterate a Picard map to convergence on the coarsest rung that
+    resolves its iterate, through ``quadrature.solve_on_ladder``: the grid
+    sized for ``max_frequency / 2**quadrature.PICARD_DEPTH``, then its
+    doublings, up to the grid sized for ``max_frequency``.
 
     ``initial`` maps each component's name to its data, all of one
     truncation M; the iterates stack the components on axis 1, shape
@@ -482,7 +483,9 @@ def picard_on_ladder(spec: EquationSpec, initial: dict, horizon: float,
                      for c, name in enumerate(names)) + (log,)
 
     return solve_on_ladder(
-        ladder(horizon, max_frequency, quadrature.PICARD_DEPTH), solve,
+        PanelGrid.for_frequency(horizon,
+                                max_frequency / 2**quadrature.PICARD_DEPTH),
+        PanelGrid.for_frequency(horizon, max_frequency).n_panels, tol, solve,
         attempts)
 
 

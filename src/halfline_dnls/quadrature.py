@@ -30,15 +30,16 @@ form of the two.
 Every solver runs on a ladder of grids, coarsest first, through the one
 climber ``solve_on_ladder``: it calls one rung function, which returns the
 solution of a rung that resolves it, and moves to the next rung when that
-function raises QuadratureError.  The one ladder,
-``ladder(horizon, max_frequency, depth)``, holds the grids sized for
-fractions ``1/2**j`` of the fastest frequency, ``j = depth..0``, up to the
-grid whose panels each advance that frequency by ``RADIANS_PER_PANEL``
-radians.  The Picard solvers climb it ``PICARD_DEPTH`` halvings deep.  The
-cascade starts at its floor ``MAX_REFINEMENTS`` halvings deep and goes on
-by its own rule up to that grid doubled ``MAX_REFINEMENTS`` times: 3/2 the
-panels after a rung whose tails pass, twice after one whose tails fail
-(``cascade._climb``).  A rung passes when the Chebyshev tail of its
+function raises QuadratureError.  The climber makes the rungs itself, from
+a first grid up to a top panel count: 3/2 the panels after a rung whose
+error carries a tail that passes, twice after any other.  The Picard
+solvers climb from the grid sized for ``1/2**PICARD_DEPTH`` of the fastest
+frequency to the grid whose panels each advance that frequency by
+``RADIANS_PER_PANEL`` radians; a tail that passes ends their climb, so
+their rungs double.  The cascade climbs from ``MAX_REFINEMENTS`` halvings
+below that grid to that grid doubled ``MAX_REFINEMENTS`` times, and the
+weak residual from a trajectory's grid to ``cascade.WINDOW_DOUBLINGS``
+doublings of it.  A rung passes when the Chebyshev tail of its
 solution, measured against all rows on each panel (``tail_ratio``), is
 within tolerance.  The check forms every row's last two coefficients, but
 all of them only for the rows whose Cauchy-Schwarz bound, ``coeff_bound``
@@ -52,15 +53,16 @@ along the march, and ends its climb before a rung whose node array would
 pass ``NODE_BUDGET`` is allocated.  Every climb ends at a rung that numpy
 cannot allocate, with an error that names its panel count.  The panel
 sizing, the two ladder depths, the node budget and the overflow guard are
-module constants, read when a ladder is made.
+module constants, read when a climb starts.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -72,7 +74,6 @@ __all__ = [
     "QuadratureError",
     "OverflowGuardError",
     "panel_scheme",
-    "ladder",
     "solve_on_ladder",
     "OscillatoryMarch",
     "oscillatory_march",
@@ -140,10 +141,11 @@ class OverflowGuardError(RuntimeError):
 
 
 def require_positive(**values) -> None:
-    """Raise ValueError naming the first of ``values`` that is not finite
-    and > 0 (a NaN fails every comparison, so it would pass ``x <= 0``)."""
+    """Raise ValueError naming the first of ``values`` that is not a real
+    number in (0, inf) (a NaN fails every comparison, so it would pass
+    ``x <= 0``; a string or None would raise TypeError)."""
     for name, x in values.items():
-        if not (x > 0 and math.isfinite(x)):
+        if not (isinstance(x, numbers.Real) and 0 < x < math.inf):
             raise ValueError(f"{name} must be positive and finite, got {x!r}")
 
 
@@ -300,42 +302,31 @@ def _panel_count(horizon: float, max_frequency: float) -> int:
     return max(1, int(np.ceil(panels)))
 
 
-def ladder(horizon: float, max_frequency: float, depth: int):
-    """The grids ``PanelGrid.for_frequency(horizon, max_frequency / 2**j)``
-    for ``j = depth, ..., 0``, coarsest first.  Rungs with equal panel
-    counts are one rung, and the last rung is always the grid for
-    ``max_frequency`` itself.  Each rung is made only when a climb reaches
-    it, so a climb that stops early never holds the breaks of the finer
-    rungs."""
-    for n in sorted({_panel_count(horizon, max_frequency / 2**j)
-                     for j in range(depth + 1)}):
-        yield PanelGrid(horizon, n)
-
-
-def solve_on_ladder(rungs: Iterable[PanelGrid],
+def solve_on_ladder(first: PanelGrid, top: int, tol: float,
                     solve: Callable[[PanelGrid], object],
                     attempts: list, rows: Optional[int] = None) -> object:
-    """Climb ``rungs`` (grids in increasing size) to the first that passes.
+    """Climb from the grid ``first`` to the first rung that passes.
 
     On each rung ``solve(grid)`` returns the solution when the rung resolves
     it and raises QuadratureError when it does not, recording the rung in
-    ``attempts`` as it goes.  Returns the solution of the first rung that
-    passes, which holds its own grid.  A QuadratureError moves the climb to
-    the next rung, and the last rung's error propagates; a failed rung's
-    solution is dropped before the next rung is solved.  When ``rows`` is given, a rung whose
-    node array, ``rows`` x panels x q values, would pass ``NODE_BUDGET``
-    raises QuadratureError naming its panel count before ``solve`` runs,
-    and ends the climb, since every later rung is larger.  So does, for any
-    climb, a rung with more node values than a numpy array can address, and
-    a MemoryError on a rung.  An error that ends the climb carries
-    ``attempts`` as ``grid_attempts``.
+    ``attempts`` as it goes; a failed rung's solution is dropped before the
+    next rung is solved.  After n panels the next rung is ``PanelGrid(
+    first.horizon, n', first.scheme)``, n' = ``(3n + 1) // 2`` when the
+    error's tail is ``<= tol`` and 2n otherwise (a tail above ``tol``, NaN
+    or None), capped at ``top``, the last rung, whose error propagates.
+    When ``rows`` is given, a rung whose node array, ``rows`` x panels x q
+    values, would pass ``NODE_BUDGET`` raises QuadratureError naming its
+    panel count before ``solve`` runs, and ends the climb, since every
+    later rung is larger.  So does, for any climb, a rung with more node
+    values than a numpy array can address, and a MemoryError on a rung.
+    An error that ends the climb carries ``attempts`` as ``grid_attempts``.
     """
-    failure = None
-    for grid in rungs:
+    grid, failure = first, None
+    while True:
         # a count sized for a huge frequency can have hundreds of digits
-        panels = (grid.n_panels if grid.n_panels < 10**6
-                  else f"{grid.n_panels:.3g}")
-        nodes = float(grid.n_panels) * grid.q * (rows or 1)
+        n = grid.n_panels
+        panels = n if n < 10**6 else f"{n:.3g}"
+        nodes = float(n) * grid.q * (rows or 1)
         if rows is not None and nodes > NODE_BUDGET:
             refusal = (f"{panels} panels need {nodes:.3g} node values "
                        f"({rows} rows x {grid.q} per panel), above the node "
@@ -345,16 +336,19 @@ def solve_on_ladder(rungs: Iterable[PanelGrid],
                        "node values than a numpy array can address")
         else:
             try:
-                solution = solve(grid)
+                return solve(grid)
             except QuadratureError as exc:
                 # without its traceback the error keeps no frame, and so no
                 # solution, alive while the next rung is solved
                 failure = exc.with_traceback(None)
+                if n >= top:
+                    break
+                grows = exc.tail is not None and exc.tail <= tol
+                n = min(top, (3 * n + 1) // 2 if grows else 2 * n)
+                grid = PanelGrid(first.horizon, n, first.scheme)
                 continue
             except MemoryError as exc:
                 refusal = f"{panels} panels: out of memory: {exc}"
-            else:
-                return solution
         failure = QuadratureError(
             refusal
             + (f"; the rung before failed: {failure}" if failure else ""),

@@ -32,12 +32,27 @@ def headline():
             EquationSpec.pure_power(1, 2.0), inflation_time(16, 2.5, 0.5, 1))
 
 
+def climb_on(*grids):
+    """A stand-in for the cascade's ``solve_on_ladder`` that solves the
+    rungs ``grids`` in order, whatever the solve's own sizing, and returns
+    the first solution; the last rung's error propagates."""
+    def climb(first, top, tol, solve, attempts, rows=None):
+        *coarse, last = grids
+        for grid in coarse:
+            try:
+                return solve(grid)
+            except QuadratureError:
+                pass
+        return solve(last)
+    return climb
+
+
 def fixed_grid_solve(monkeypatch, phi, spec, T, n_panels, **kwargs):
     """The cascade on one fixed grid of ``n_panels``: the grid twice as the
     climb, so the two-rung difference is 0 and the tail check decides."""
     grid = quadrature.PanelGrid(T, n_panels)
     with monkeypatch.context() as m:
-        m.setattr(cascade, "_climb", lambda *_: iter([grid, grid]))
+        m.setattr(cascade, "solve_on_ladder", climb_on(grid, grid))
         return cascade_integrate(phi, spec, T, **kwargs)
 
 
@@ -361,15 +376,24 @@ def test_two_rung_check_rejects_a_rung_whose_tail_passes(monkeypatch):
 
 
 def _fed_climb(tails):
-    """The panels of the rungs of ``cascade._climb`` at tol 1e-10 over T = 1
-    at 513 radians per unit time, the i-th rung's tail reading
+    """The panels of the rungs of the cascade's climb at tol 1e-10 over
+    T = 1 at 513 radians per unit time, the i-th rung's tail reading
     ``tails[i]``: the floor is 9 panels, and the top 65 doubled
-    ``MAX_REFINEMENTS`` times, 520."""
-    attempts = []
-    for grid, tail in zip(cascade._climb(1.0, 513.0, attempts, 1e-10),
-                          tails):
-        attempts.append((grid.n_panels, tail, None))
-    return [n for n, _, _ in attempts]
+    ``MAX_REFINEMENTS`` times, 520.  Every rung is refused, as the
+    cascade refuses one, with its tail."""
+    depth, panels = quadrature.MAX_REFINEMENTS, []
+
+    def refuse(grid):
+        panels.append(grid.n_panels)
+        raise QuadratureError("refused", tail=tails[len(panels) - 1])
+
+    # the climb ends at its top rung, or at the rung past the last tail
+    with pytest.raises((QuadratureError, IndexError)):
+        quadrature.solve_on_ladder(
+            quadrature.PanelGrid.for_frequency(1.0, 513.0 / 2**depth),
+            quadrature.PanelGrid.for_frequency(1.0, 513.0).n_panels << depth,
+            1e-10, refuse, [])
+    return panels[:len(tails)]
 
 
 def test_climb_grows_by_half_after_a_passing_tail_and_doubles_otherwise():
@@ -514,7 +538,7 @@ def solve_rows_args(monkeypatch, phi, spec, T, n_panels, restrict):
         raise _Captured(args)
 
     with monkeypatch.context() as m:
-        m.setattr(cascade, "_climb", lambda *_: iter([grid]))
+        m.setattr(cascade, "solve_on_ladder", climb_on(grid))
         m.setattr(cascade, "_solve_rows", capture)
         with pytest.raises(_Captured) as info:
             cascade_integrate(phi, spec, T, restrict_support=restrict)
@@ -1030,6 +1054,23 @@ def test_weak_residual_resolves_its_window(monkeypatch):
     with pytest.raises(QuadratureError,
                        match="window 'bump' not resolved on 16 panels"):
         weak_residual(traj, bump)
+
+
+def test_window_rungs_keep_the_trajectorys_scheme_and_grid():
+    # on 12 nodes per panel the window's rungs are made on the trajectory's
+    # own scheme, and a grid that resolves the window is the trajectory's
+    # grid object itself
+    traj = gauge_trajectory()
+    on12 = traj.resampled(quadrature.PanelGrid(traj.horizon, 1,
+                                               quadrature.panel_scheme(12)))
+    bump, quartic, _ = standard_windows(traj.horizon)
+    grid = cascade._window_grid(on12, bump)
+    assert grid.scheme is on12.grid.scheme and grid.horizon == traj.horizon
+    assert grid.n_panels > 32 and grid.n_panels & (grid.n_panels - 1) == 0
+    assert cascade._window_tail(bump, grid) <= traj.quadrature_tolerance
+    half = quadrature.PanelGrid(traj.horizon, grid.n_panels // 2, grid.scheme)
+    assert cascade._window_tail(bump, half) > traj.quadrature_tolerance
+    assert cascade._window_grid(on12, quartic) is on12.grid
 
 
 def test_weak_residual_refuses_a_window_of_another_horizon():

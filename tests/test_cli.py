@@ -282,6 +282,19 @@ def test_simulate_negative_horizon_is_input_error(tmp_path, capsys):
     assert "T must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("modes", ["-3", "0"])
+def test_simulate_modes_below_one_is_input_error(tmp_path, capsys, modes):
+    # a negative truncation used to slice the data from its end: -3 on
+    # truncation-4 data whose modes 3 and 4 are zero ran at truncation 2
+    phi = _phi_file(tmp_path, {0: (0.2, 0.0), 1: (0.1, 0.0),
+                               2: (0.05, 0.0)}, 4)
+    assert dispatch(["simulate", "--alpha", "2", "--k", "1", "--T", "0.25",
+                     "--modes", modes, "--phi", phi]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --modes must be >= 1, got {modes}\n"
+
+
 # NaN fails every comparison, so a check written as ``x <= 0`` lets it
 # through; a NaN tol would pass every rung, an infinite T or sigma
 # overflows, and a NaN epsilon is not valid JSON
@@ -487,6 +500,28 @@ def test_batch_refuses_a_non_integer_field(tmp_path, capsys, field, value):
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "Traceback" not in err
     assert f"experiment 0: malformed config: {field} must be an integer" in err
+
+
+@pytest.mark.parametrize("field, value", [("identity_tol", "abc"),
+                                          ("quadrature_tol", -1),
+                                          ("value_tol", 0),
+                                          ("exponent_tol", "NaN")])
+def test_batch_refuses_a_tolerance_not_positive_and_finite(
+        tmp_path, capsys, monkeypatch, field, value):
+    # "abc" ended in a TypeError traceback, and -1 in an error row, both
+    # with exit 1 after the entries before had run
+    runs = []
+    monkeypatch.setattr(cli, "run_experiment", runs.append)
+    entry = {"N": 16, "s": 2.5, "sigma": 0.5, "k": 1, "alpha": 2.0}
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps([entry, {**entry, field: value}])
+                   .replace('"NaN"', "NaN"))
+    assert dispatch(["batch", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert runs == [] and captured.out == ""
+    assert captured.err.startswith(f"error: experiment 1: malformed config: "
+                                   f"{field} must be positive and finite")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("alpha", ["Infinity", "NaN"])

@@ -167,6 +167,19 @@ def test_config_rejects_low_regularity():
         ExperimentConfig(N=8, s=0.5, sigma=0.0, k=1, alpha=3.0)
 
 
+@pytest.mark.parametrize("name", ["identity_tol", "value_tol",
+                                  "exponent_tol", "quadrature_tol"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, "abc",
+                                   None])
+def test_config_refuses_a_tolerance_not_positive_and_finite(name, value):
+    # a string tolerance ended the run in a TypeError, and a negative one
+    # failed its solve or its check
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be positive and finite, got "):
+        ExperimentConfig(N=8, s=2.0, sigma=0.0, k=1, alpha=2.0,
+                         **{name: value})
+
+
 def test_minimum_regularity_values():
     assert minimum_regularity(2.0) == 2.0
     assert minimum_regularity(3.0) == 1.0

@@ -1,6 +1,7 @@
 """Panel scheme exactness and the oscillatory integrating-factor march."""
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from halfline_dnls import (EquationSpec, OverflowGuardError, PanelGrid,
                            cascade_integrate, compatible_gauge_data,
                            gauge_picard_solve, quadrature)
 from halfline_dnls.inflation import build_inflation_data, inflation_time
+from halfline_dnls.normalform import picard_on_ladder
 from halfline_dnls.quadrature import (OVERFLOW_GUARD, OscillatoryMarch,
-                                      ladder, oscillatory_march, panel_scheme,
+                                      oscillatory_march, panel_scheme,
                                       solve_on_ladder, tail_ratio)
 
 
@@ -353,7 +355,7 @@ def test_grid_sizing_refuses_a_bad_horizon_or_frequency(horizon, freq, name):
     with pytest.raises(ValueError, match=message):
         PanelGrid.for_frequency(horizon, freq)
     with pytest.raises(ValueError, match=message):
-        list(ladder(horizon, freq, 3))
+        picard_ladder_sized_for(horizon, freq)
 
 
 def test_grid_sizing_refuses_a_panel_count_past_the_largest_float():
@@ -361,8 +363,21 @@ def test_grid_sizing_refuses_a_panel_count_past_the_largest_float():
     message = r"horizon 1e\+306 at frequency 1e\+20 needs more panels"
     with pytest.raises(ValueError, match=message):
         PanelGrid.for_frequency(1e306, 1e20)
+    # the Picard floor, for 1e20 / 2**5, is sized first
+    message = r"horizon 1e\+306 at frequency 3\.125e\+18 needs more panels"
     with pytest.raises(ValueError, match=message):
-        list(ladder(1e306, 1e20, 3))
+        picard_ladder_sized_for(1e306, 1e20)
+
+
+def picard_ladder_sized_for(horizon, freq):
+    """``normalform.picard_on_ladder`` sized for ``freq`` over ``horizon``,
+    on a map that no rung may reach: the sizing decides before any rung."""
+    def setup(grid):
+        raise AssertionError(f"rung of {grid.n_panels} panels solved")
+
+    return picard_on_ladder(EquationSpec.pure_power(1, 3.0), {}, horizon,
+                            freq, types.SimpleNamespace(accepted=True),
+                            1e-10, 1, setup)
 
 
 def test_grid_locate_and_refine():
@@ -376,14 +391,48 @@ def test_grid_locate_and_refine():
     assert fine.horizon == grid.horizon
 
 
+def climbed(first, top, tails, tol=1e-10):
+    """The rungs ``solve_on_ladder`` climbs from ``first`` to ``top`` when
+    every rung fails, the i-th with the tail ``tails[i]`` (None: an error
+    with no tail), and every rung past ``tails`` with its last."""
+    grids = []
+
+    def fail(grid):
+        grids.append(grid)
+        tail = tails[min(len(grids), len(tails)) - 1]
+        raise QuadratureError(f"{grid.n_panels} panels", tail=tail)
+
+    with pytest.raises(QuadratureError, match=f"^{top} panels$"):
+        solve_on_ladder(first, top, tol, fail, [])
+    return grids
+
+
+def picard_rungs(horizon, freq):
+    """Every rung of a Picard climb whose tails all fail, sized as
+    ``normalform.picard_on_ladder`` sizes it."""
+    return climbed(
+        PanelGrid.for_frequency(horizon, freq / 2**quadrature.PICARD_DEPTH),
+        PanelGrid.for_frequency(horizon, freq).n_panels, [1.0])
+
+
+def cascade_rungs(horizon, freq):
+    """Every rung of a cascade climb whose tails all fail, sized as
+    ``cascade.cascade_integrate`` sizes it for ``freq`` (margin included)."""
+    depth = quadrature.MAX_REFINEMENTS
+    return climbed(PanelGrid.for_frequency(horizon, freq / 2**depth),
+                   PanelGrid.for_frequency(horizon, freq).n_panels << depth,
+                   [float("nan")])
+
+
 @pytest.mark.parametrize("horizon, freq, panels", [
-    (1.0, 2 * 16**3 + 1, [33, 65, 129, 257, 513, 1025]),   # normal form, M=16
-    (1.0, 2 * 16**2 + 1, [3, 5, 9, 17, 33, 65]),           # gauge pair, M=16
-    (0.5, 2 * 4**3 + 1, [1, 2, 3, 5, 9]),
-    (1.0, 2 * 4**2 + 1, [1, 2, 3, 5]),
+    (1.0, 2 * 16**3 + 1, [33, 66, 132, 264, 528, 1025]),   # normal form, M=16
+    (1.0, 2 * 16**2 + 1, [3, 6, 12, 24, 48, 65]),          # gauge pair, M=16
+    (0.5, 2 * 4**3 + 1, [1, 2, 4, 8, 9]),
+    (1.0, 2 * 4**2 + 1, [1, 2, 4, 5]),
 ])
 def test_grid_ladder_rungs(horizon, freq, panels):
-    rungs = list(ladder(horizon, freq, quadrature.PICARD_DEPTH))
+    # the Picard floor, doubled up to the grid sized for the frequency
+    rungs = picard_rungs(horizon, freq)
     assert [g.n_panels for g in rungs] == panels
     top = PanelGrid.for_frequency(horizon, freq)
     assert np.array_equal(rungs[-1].breaks, top.breaks)
@@ -393,9 +442,10 @@ def test_grid_ladder_rungs(horizon, freq, panels):
 @pytest.mark.parametrize("radians, panels", [(1000.0, [1]), (200.0, [1, 2])])
 def test_grid_ladder_collapses_equal_rungs_and_keeps_the_top(monkeypatch,
                                                              radians, panels):
-    # gauge pair at M=12: 289 radians per unit time over T=1
+    # gauge pair at M=12: 289 radians per unit time over T=1.  A floor
+    # sized as the top is the one rung, and no rung is climbed twice
     monkeypatch.setattr(quadrature, "RADIANS_PER_PANEL", radians)
-    rungs = list(ladder(1.0, 289.0, quadrature.PICARD_DEPTH))
+    rungs = picard_rungs(1.0, 289.0)
     assert [g.n_panels for g in rungs] == panels
     assert rungs[-1].n_panels == PanelGrid.for_frequency(1.0, 289.0).n_panels
 
@@ -403,30 +453,49 @@ def test_grid_ladder_collapses_equal_rungs_and_keeps_the_top(monkeypatch,
 @pytest.mark.parametrize("horizon, freq, depth, panels", [
     # the N=16, alpha=2 headline's cascade: T and LADDER_MARGIN * freq.  The
     # cascade's rungs are those of a climb whose every tail fails: the
-    # floor of the ladder MAX_REFINEMENTS halvings deep, doubled up to the
-    # grid sized for the frequency doubled MAX_REFINEMENTS times
+    # floor MAX_REFINEMENTS halvings deep, doubled up to the grid sized for
+    # the frequency doubled MAX_REFINEMENTS times
     (1.441359041754604, 1.2 * 32861.33248261689, "cascade",
      [889, 1778, 3556, 7112, 14224, 28448, 56840]),
     (1.0, 2 * 16**3 + 1, "cascade", [129, 258, 516, 1032, 2064, 4128, 8200]),
     (1.0, 2 * 12**3 + 1, "cascade", [55, 110, 220, 440, 880, 1760, 3464]),
     # verify's truncation-16 normal form and gauge pair, and truncation 12
-    (1.0, 2 * 16**3 + 1, "picard", [33, 65, 129, 257, 513, 1025]),
-    (1.0, 2 * 16**2 + 1, "picard", [3, 5, 9, 17, 33, 65]),
-    (1.0, 2 * 12**3 + 1, "picard", [14, 28, 55, 109, 217, 433]),
+    (1.0, 2 * 16**3 + 1, "picard", [33, 66, 132, 264, 528, 1025]),
+    (1.0, 2 * 16**2 + 1, "picard", [3, 6, 12, 24, 48, 65]),
+    (1.0, 2 * 12**3 + 1, "picard", [14, 28, 56, 112, 224, 433]),
 ])
 def test_ladder_keeps_both_solvers_rungs(horizon, freq, depth, panels):
-    # the rungs the cascade and the Picard solvers climb, one generator
-    # each, and the breaks of every rung bit for bit
-    if depth == "cascade":
-        failed = [(None, float("nan"), None)]
-        rungs = list(cascade._climb(horizon, freq, failed, 1e-10))
-    else:
-        rungs = list(ladder(horizon, freq, quadrature.PICARD_DEPTH))
+    # the rungs the one climber makes for the cascade and the Picard
+    # solvers, and the breaks of every rung bit for bit
+    rungs = (cascade_rungs if depth == "cascade" else picard_rungs)(horizon,
+                                                                   freq)
     assert [g.n_panels for g in rungs] == panels
     for grid in rungs:
-        assert grid.horizon == horizon
+        assert grid.horizon == horizon and grid.scheme is panel_scheme()
         assert np.array_equal(grid.breaks,
                               np.linspace(0.0, horizon, grid.n_panels + 1))
+
+
+def test_climb_doubles_after_an_error_with_no_tail():
+    # an error that carries no tail, like one whose tail fails, doubles
+    rungs = climbed(PanelGrid(1.0, 3), 40, [None])
+    assert [g.n_panels for g in rungs] == [3, 6, 12, 24, 40]
+    rungs = climbed(PanelGrid(1.0, 3), 40, [1e-12, None, 1e-12, 1e-12])
+    assert [g.n_panels for g in rungs] == [3, 5, 10, 15, 23, 35, 40]
+
+
+def test_climb_stops_at_top_and_keeps_the_first_grid_and_scheme():
+    # the first rung is the grid given, each later one is made on its
+    # scheme, and the rung of top panels is the last, whose error propagates
+    first = PanelGrid(2.0, 3, panel_scheme(8))
+    for tails, panels in (([1.0], [3, 6, 7]), ([0.0], [3, 5, 7])):
+        rungs = climbed(first, 7, tails)
+        assert [g.n_panels for g in rungs] == panels
+        assert rungs[0] is first
+        assert all(g.scheme is first.scheme and g.horizon == 2.0
+                   for g in rungs)
+    # a first grid at the top is the only rung
+    assert climbed(first, 3, [1.0]) == [first]
 
 
 def test_node_times_are_computed_once_and_read_only():
@@ -489,10 +558,6 @@ def test_grid_breaks_are_linspace_computed_once_and_read_only():
     assert breaks[-1] == grid.horizon and grid.scheme is panel_scheme()
 
 
-def _ladder(*panels):
-    return [PanelGrid(1.0, n) for n in panels]
-
-
 def _passing_from(n_pass, attempts, solve):
     """A rung function that solves with ``solve``, then records the rung
     and checks it, passing from ``n_pass`` panels."""
@@ -509,8 +574,8 @@ def _passing_from(n_pass, attempts, solve):
 def test_solve_on_ladder_returns_the_first_rung_that_passes():
     attempts = []
     solution = solve_on_ladder(
-        _ladder(1, 2, 4, 8), _passing_from(4, attempts, lambda g: -g.n_panels),
-        attempts)
+        PanelGrid(1.0, 1), 8, 1e-10,
+        _passing_from(4, attempts, lambda g: -g.n_panels), attempts)
     assert solution == -4
     assert attempts == [(1, -1), (2, -2), (4, -4)]
 
@@ -518,7 +583,7 @@ def test_solve_on_ladder_returns_the_first_rung_that_passes():
 def test_solve_on_ladder_raises_the_last_rungs_error_with_the_record():
     attempts = []
     with pytest.raises(QuadratureError, match="^8 panels too coarse") as info:
-        solve_on_ladder(_ladder(1, 2, 4, 8),
+        solve_on_ladder(PanelGrid(1.0, 1), 8, 1e-10,
                         _passing_from(100, attempts, lambda g: g.n_panels),
                         attempts)
     assert info.value.worst_mode == 8
@@ -531,7 +596,7 @@ def test_solve_on_ladder_stops_at_the_node_budget_before_solving(monkeypatch):
     monkeypatch.setattr(quadrature, "NODE_BUDGET", 200)
     attempts, solved = [], []
     with pytest.raises(QuadratureError) as info:
-        solve_on_ladder(_ladder(1, 2, 4, 8),
+        solve_on_ladder(PanelGrid(1.0, 1), 8, 1e-10,
                         _passing_from(100, attempts,
                                       lambda g: solved.append(g.n_panels)),
                         attempts, rows=3)
@@ -555,7 +620,7 @@ def test_solve_on_ladder_ends_the_climb_at_a_rung_out_of_memory():
         return grid.n_panels
 
     with pytest.raises(QuadratureError) as info:
-        solve_on_ladder(_ladder(1, 2, 4, 8),
+        solve_on_ladder(PanelGrid(1.0, 1), 8, 1e-10,
                         _passing_from(100, attempts, solve), attempts)
     err = info.value
     assert solved == [1, 2, 4]
@@ -827,8 +892,14 @@ def test_headline_rung_marches_row_by_row_with_the_one_shot_bits(
         EquationSpec.pure_power(1, 2.0)
     T = inflation_time(16, 2.5, 0.5, 1)
     grid = PanelGrid(T, 889)
-    monkeypatch.setattr("halfline_dnls.cascade._climb",
-                        lambda *_: iter([grid, grid]))
+
+    def climb_twice(first, top, tol, solve, attempts, rows=None):
+        # the grid with no rung before it is refused, then accepted
+        with pytest.raises(QuadratureError, match="no coarser rung"):
+            solve(grid)
+        return solve(grid)
+
+    monkeypatch.setattr(cascade, "solve_on_ladder", climb_twice)
     calls = recorded_applications(monkeypatch)
     cascade_integrate(phi, spec, T)
     assert len(calls) == 2 * 8
