@@ -20,12 +20,15 @@ that frequency, doubled ``MAX_REFINEMENTS`` times.  A rung is accepted
 when its Chebyshev tails pass and its dense output agrees with the rung
 before it, which bounds the error built up along the march as well as
 the per-panel interpolation error.  Every refusal carries the rung's
-tail, so the rung after one whose tails pass is 3/2 its size, not twice:
+tail, so the rung after one whose tails pass is 5/4 its size, not twice:
 the rung returned is within the measured difference of the true solution
 whenever the refinement at least halves the error, which at a ratio of
-3/2 needs an order of convergence p >= 1.71 (on the N=16, alpha=2
-headline p is at least 5.8).  After a rung whose tails fail, the next one
-is twice its size.
+5/4 needs an order of convergence p >= 3.11.  Once the tails pass, the
+panel interpolants converge spectrally: on the N=16, alpha=2 headline
+889 -> 1112 panels take the error from 1.6e-11 to 1.3e-13 at s = 2
+(p about 22), and at k = 2 and at alpha = 3 (truncation 64) every pair
+of rungs whose errors lie above the reference's round-off gives p >= 11.
+After a rung whose tails fail, the next one is twice its size.
 
 The module also provides the linear (degree-0) closed form, the
 weak-formulation residual checker, and the transform to the mean-zero
@@ -68,8 +71,9 @@ AGREEMENT_TIMES = 201
 # rung (741 and 1481 panels, when rungs doubled) only for s >= 2.104, and
 # a third rung below that doubled the run's time within the alpha=2 regime
 # 2 <= s <= 3.  With the margin every s there accepts its second rung (889
-# and 1334 panels; difference <= 1.6e-11 at s = 2), so the run costs the
-# same over the regime
+# and 1112 panels; difference <= 1.6e-11 at s = 2, where 889 -> 1112 cuts
+# the error 120 times, past the 2 that the ratio 5/4 needs at order
+# p >= 3.11), so the run costs the same over the regime
 LADDER_MARGIN = 1.2
 # doublings of a trajectory's panels that weak_residual tries for a window
 # they do not resolve; the bump window needs 32 panels over any horizon

@@ -152,7 +152,8 @@ def _run(args) -> int:
     if result.csv is not None and (csv_path or result.doc is None):
         _write(csv_path, write_csv)
     if result.doc is not None:
-        text = json.dumps({"manifest": manifest, **result.doc}, indent=2,
+        # one line: without indent the stdlib encodes with its C encoder
+        text = json.dumps({"manifest": manifest, **result.doc},
                           sort_keys=True)
         _write(out, lambda fh: fh.write(text + "\n"))
     return 0 if result.passed else 1

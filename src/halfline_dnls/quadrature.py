@@ -31,7 +31,7 @@ Every solver runs on a ladder of grids, coarsest first, through the one
 climber ``solve_on_ladder``: it calls one rung function, which returns the
 solution of a rung that resolves it, and moves to the next rung when that
 function raises QuadratureError.  The climber makes the rungs itself, from
-a first grid up to a top panel count: 3/2 the panels after a rung whose
+a first grid up to a top panel count: 5/4 the panels after a rung whose
 error carries a tail that passes, twice after any other.  The Picard
 solvers climb from the grid sized for ``1/2**PICARD_DEPTH`` of the fastest
 frequency to the grid whose panels each advance that frequency by
@@ -311,9 +311,10 @@ def solve_on_ladder(first: PanelGrid, top: int, tol: float,
     it and raises QuadratureError when it does not, recording the rung in
     ``attempts`` as it goes; a failed rung's solution is dropped before the
     next rung is solved.  After n panels the next rung is ``PanelGrid(
-    first.horizon, n', first.scheme)``, n' = ``(3n + 1) // 2`` when the
-    error's tail is ``<= tol`` and 2n otherwise (a tail above ``tol``, NaN
-    or None), capped at ``top``, the last rung, whose error propagates.
+    first.horizon, n', first.scheme)``, n' = ``(5n + 3) // 4``
+    (ceil(5n/4)) when the error's tail is ``<= tol`` and 2n otherwise (a
+    tail above ``tol``, NaN or None), capped at ``top``, the last rung,
+    whose error propagates.
     When ``rows`` is given, a rung whose node array, ``rows`` x panels x q
     values, would pass ``NODE_BUDGET`` raises QuadratureError naming its
     panel count before ``solve`` runs, and ends the climb, since every
@@ -344,7 +345,7 @@ def solve_on_ladder(first: PanelGrid, top: int, tol: float,
                 if n >= top:
                     break
                 grows = exc.tail is not None and exc.tail <= tol
-                n = min(top, (3 * n + 1) // 2 if grows else 2 * n)
+                n = min(top, (5 * n + 3) // 4 if grows else 2 * n)
                 grid = PanelGrid(first.horizon, n, first.scheme)
                 continue
             except MemoryError as exc:

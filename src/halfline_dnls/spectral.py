@@ -98,7 +98,8 @@ class SpectralState:
     def to_dict(self) -> dict:
         return {
             "time": self.time,
-            "coeffs": [[float(z.real), float(z.imag)] for z in self.coeffs],
+            "coeffs": np.stack([self.coeffs.real, self.coeffs.imag],
+                               axis=-1).tolist(),
         }
 
     @classmethod

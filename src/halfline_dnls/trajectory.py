@@ -125,7 +125,10 @@ class Trajectory:
         for start in range(0, ts.size, block):
             t = slice(start, start + block)
             g = self.values[rows[:, None], p[t]]
-            g *= cheb[t]
+            # complex Chebyshev rows, cast per block: a complex-by-float
+            # multiply casts them in numpy's slower buffered path, to the
+            # same bits
+            g *= cheb[t].astype(complex)
             out[tracked, t] = g.sum(axis=-1)
         return out
 

@@ -1,9 +1,13 @@
 """Cascade solver: forcing values, closed forms, residuals, transforms."""
 
 import dataclasses
+import importlib.util
+import json
 import math
+import sys
 import warnings
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -337,8 +341,8 @@ def alpha2_regime(s):
 
 
 def test_headline_matches_a_fine_fixed_grid(monkeypatch):
-    # step doubling is the oracle of the 3/2 climb: over the alpha=2 regime
-    # the accepted rung (1334 panels) is within tol of a grid 8.9 times as
+    # step doubling is the oracle of the 5/4 climb: over the alpha=2 regime
+    # the accepted rung (1112 panels) is within tol of a grid 10.6 times as
     # fine, twice the 5921 panels sized for the fastest frequency
     for s in (2.0, 2.5, 3.0):
         phi, spec, T = alpha2_regime(s)
@@ -350,29 +354,103 @@ def test_headline_matches_a_fine_fixed_grid(monkeypatch):
         assert np.max(np.abs(traj.dense_at(ts) - ref)) <= 1e-10 * scale, s
 
 
+def _verify_draws():
+    """The data, equation and horizon of every cascade solve of the seed-1
+    ``verify`` benchmark op (``bench/workloads.py``), at its tolerance."""
+    from halfline_dnls.inflation import CASCADE_TOL
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module      # its dataclasses look themselves up
+    try:
+        spec.loader.exec_module(module)
+        ops = module.generate(module.WORKLOADS["verify"], 1)
+    finally:
+        del sys.modules[spec.name]
+    for draw in (op[key] for op in ops for key in ("gauge", "normal_form")):
+        phi = SpectralState.from_dict(json.loads(draw["phi"]))
+        yield (phi, EquationSpec.pure_power(draw["k"], float(draw["alpha"])),
+               draw["T"], {"tol": CASCADE_TOL})
+
+
+def _headline_at(s, k=1, alpha=2.0, m_max=8, **kwargs):
+    """The N=16 run at sigma = s - 2, truncation 16 m_max, as the one case
+    of a list of (data, equation, horizon, cascade keywords)."""
+    return [(build_inflation_data(16, s, k, 16 * m_max),
+             EquationSpec.pure_power(k, alpha),
+             inflation_time(16, s, s - 2.0, k), kwargs)]
+
+
+QUARTER_STEP_CASES = {
+    "s=2": lambda: _headline_at(2.0),
+    "s=2.5": lambda: _headline_at(2.5),
+    "s=3": lambda: _headline_at(3.0),
+    "unrestricted": lambda: _headline_at(2.5, restrict_support=False),
+    "k=2": lambda: _headline_at(2.5, k=2),
+    "alpha=3,m_max=4": lambda: _headline_at(2.5, alpha=3.0, m_max=4),
+    "verify-seed-1": _verify_draws,
+}
+
+
+@pytest.mark.parametrize("case", list(QUARTER_STEP_CASES))
+def test_quarter_step_climb_against_step_doubling(monkeypatch, case):
+    # step doubling is the oracle of the rung 5/4 the size of a rung whose
+    # tails pass: the accepted rung is within tol of a grid at least four
+    # times as fine, and on the pairs (n, ceil(5n/4)) from the floor and
+    # from one halving below it, a difference <= tol bounds the finer
+    # rung's error, down to the reference's round-off (1e-13)
+    for phi, spec, T, kwargs in QUARTER_STEP_CASES[case]():
+        tol = kwargs.get("tol", 1e-10)
+        ts = np.linspace(0.0, T, cascade.AGREEMENT_TIMES)
+
+        def marched(n_panels, **solve_kwargs):
+            traj = fixed_grid_solve(monkeypatch, phi, spec, T, n_panels,
+                                    **{**kwargs, **solve_kwargs})
+            return traj.mode_values(traj.modes[traj.modes != 0], ts)
+
+        traj = cascade_integrate(phi, spec, T, **kwargs)
+        floor = traj.grid_attempts[0][0]
+        pairs = [(n, (5 * n + 3) // 4) for n in ((floor + 1) // 2, floor)]
+        assert traj.grid_attempts[1][0] == pairs[-1][1], case
+        ref = marched(4 * traj.n_panels)
+        scale = np.max(np.abs(ref))
+        got = traj.mode_values(traj.modes[traj.modes != 0], ts)
+        assert np.max(np.abs(got - ref)) <= tol * scale, case
+        for n, m in pairs:
+            # a tol of 1 lets a fixed rung whose tails fail be compared too
+            coarse, fine = marched(n, tol=1.0), marched(m, tol=1.0)
+            difference = np.max(np.abs(fine - coarse)) / max(
+                np.max(np.abs(coarse)), np.max(np.abs(fine)))
+            error = np.max(np.abs(fine - ref)) / scale
+            if difference <= tol:
+                assert error <= max(difference, 1e-13), (case, n, m)
+
+
 def test_alpha2_regime_passes_on_the_same_rungs():
     # s = 2 and s = 3 bound the regime of the N=16, alpha=2 run; without
     # cascade.LADDER_MARGIN, s below 2.104 needed a third rung.  One panel
     # phase table for the whole grid keeps the accepted rung's tail at
-    # round-off (2.0e-16); per-panel phases left 1.25e-14 to 1.75e-14
+    # round-off (1.9e-16) from s = 2.25 up; per-panel phases left 1.25e-14
+    # to 1.75e-14.  At s = 2 the 1112 panels leave 1.1e-14, the decay of
+    # 889's 1.0e-12, not round-off
     for s in (2.0, 2.5, 3.0):
         traj = cascade_integrate(*alpha2_regime(s))
-        assert [n for n, _, _ in traj.grid_attempts] == [889, 1334], s
-        assert traj.grid_attempts[-1][1] <= 1e-15, s
+        assert [n for n, _, _ in traj.grid_attempts] == [889, 1112], s
+        assert traj.grid_attempts[-1][1] <= (1.2e-14 if s == 2 else 1e-15), s
 
 
 def test_two_rung_check_rejects_a_rung_whose_tail_passes(monkeypatch):
     # at 16 radians per panel the headline climb starts at 445 panels; 445
-    # and 668 both pass their tails, but 445 is 2.9e-10 off, so 668 differs
-    # from it by more than tol and is refused; 1002 agrees with 668
+    # and 557 both pass their tails, but 445 is 2.9e-10 off, so 557 differs
+    # from it by more than tol and is refused; 697 agrees with 557 (1.1e-11)
     monkeypatch.setattr(quadrature, "RADIANS_PER_PANEL", 16.0)
     phi, spec, T = headline()
     traj = cascade_integrate(phi, spec, T)
     (n1, t1, d1), (n2, t2, d2), (n3, t3, d3) = traj.grid_attempts
-    assert (n1, n2, n3) == (445, 668, 1002) and traj.n_panels == n3
+    assert (n1, n2, n3) == (445, 557, 697) and traj.n_panels == n3
     assert max(t1, t2, t3) <= 1e-10
     assert d1 is None
-    assert 2.8e-10 < d2 < 2.9e-10 and d3 <= 1e-10
+    assert 2.9e-10 < d2 < 3.0e-10 and d3 <= 1e-10
 
 
 def _fed_climb(tails):
@@ -396,13 +474,13 @@ def _fed_climb(tails):
     return panels[:len(tails)]
 
 
-def test_climb_grows_by_half_after_a_passing_tail_and_doubles_otherwise():
+def test_climb_grows_by_a_quarter_after_a_passing_tail_and_doubles_otherwise():
     nan = float("nan")
-    # ceil(3n/2) after a tail <= tol (tol itself included), 2n after one
+    # ceil(5n/4) after a tail <= tol (tol itself included), 2n after one
     # above it or not a number
-    assert _fed_climb([1e-12, 1e-10, 1e-12, 1e-12]) == [9, 14, 21, 32]
-    assert _fed_climb([1e-9, nan, 1e-12, 1e-12]) == [9, 18, 36, 54]
-    assert _fed_climb([nan, 1e-12, nan, 1e-12]) == [9, 18, 27, 54]
+    assert _fed_climb([1e-12, 1e-10, 1e-12, 1e-12]) == [9, 12, 15, 19]
+    assert _fed_climb([1e-9, nan, 1e-12, 1e-12]) == [9, 18, 36, 45]
+    assert _fed_climb([nan, 1e-12, nan, 1e-12]) == [9, 18, 23, 46]
 
 
 def test_climb_whose_tails_all_fail_stops_at_the_top_rung():
@@ -410,7 +488,7 @@ def test_climb_whose_tails_all_fail_stops_at_the_top_rung():
     assert _fed_climb([1.0] * 20) == [9, 18, 36, 72, 144, 288, 520]
     # so does a climb of passing tails, in more rungs
     rungs = _fed_climb([0.0] * 20)
-    assert rungs[-1] == 520 and rungs[-2] * 3 / 2 > 520
+    assert rungs[-1] == 520 and rungs[-2] * 5 / 4 > 520
 
 
 def ordered_pair_solve_rows(grid, support, omega, c0, init, weights,
@@ -793,10 +871,10 @@ def test_dispersion_variants_pick_the_same_rung():
 
 
 def test_node_budget_ends_the_climb_with_a_typed_error(monkeypatch, capsys):
-    # 9 rows x 24 nodes: 889 panels fit in the budget, 1334 do not
+    # 9 rows x 24 nodes: 889 panels fit in the budget, 1112 do not
     monkeypatch.setattr(quadrature, "NODE_BUDGET", 9 * 24 * 1000)
     phi, spec, T = headline()
-    with pytest.raises(QuadratureError, match="1334 panels need") as info:
+    with pytest.raises(QuadratureError, match="1112 panels need") as info:
         cascade_integrate(phi, spec, T)
     assert [n for n, _, _ in info.value.grid_attempts] == [889]
     code = dispatch(["inflate", "--N", "16", "--s", "2.5", "--sigma", "0.5",
@@ -804,7 +882,7 @@ def test_node_budget_ends_the_climb_with_a_typed_error(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "1334 panels" in err and "Traceback" not in err
+    assert "1112 panels" in err and "Traceback" not in err
 
 
 # -- linear closed forms -----------------------------------------------------------

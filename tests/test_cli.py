@@ -115,6 +115,26 @@ def test_csv_manifest_line_is_the_json_manifest(tmp_path, capsys, command):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c != "batch"])
+def test_json_on_stdout_is_one_line_of_the_indented_document(
+        tmp_path, capsys, monkeypatch, command):
+    # the document is written on one line, which json.loads to the object
+    # of its old indent=2 encoding: same keys, key order and float reprs
+    argv, _ = _file_run(tmp_path, command)
+    dumps, docs = json.dumps, []
+
+    def recording_dumps(obj, **kwargs):
+        docs.append(obj)
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", recording_dumps)
+    assert dispatch(argv) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert (dumps(json.loads(out), indent=2, sort_keys=True)
+            == dumps(docs[-1], indent=2, sort_keys=True))
+
+
 def test_dispatch_reuses_one_parser(tmp_path, capsys):
     assert build_parser() is build_parser()
     # the shared parser keeps nothing from one call to the next

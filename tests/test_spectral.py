@@ -432,6 +432,18 @@ def test_state_json_schema():
     assert doc == {"time": 0.5, "coeffs": [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]}
 
 
+def test_state_json_coefficients_are_each_entry_as_a_float():
+    # one tolist of the stacked parts gives the floats that float() of each
+    # part gave, bit for bit: signed zeros, subnormals and the largest float
+    c = np.array([0.0, -0.0, complex(-0.0, 1.5), complex(5e-324, -0.0),
+                  complex(np.pi, -np.e),
+                  complex(-1.7976931348623157e308, 0.1)])
+    got = SpectralState(c).to_dict()["coeffs"]
+    old = [[float(z.real), float(z.imag)] for z in c]
+    assert all(type(x) is float for pair in got for x in pair)
+    assert np.array(got).tobytes() == np.array(old).tobytes()
+
+
 def test_equation_spec_requires_nonzero_coefficient():
     with pytest.raises(ValueError):
         EquationSpec(2.0, {1: 0.0})
