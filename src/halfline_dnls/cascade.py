@@ -15,20 +15,27 @@ dispersive factor is handled by exact integrating factors, so there is no
 step-size stability constraint.
 
 The solve climbs ``quadrature.solve_on_ladder`` from the grid sized for
-``1/2**MAX_REFINEMENTS`` of its fastest frequency to the grid sized for
-that frequency, doubled ``MAX_REFINEMENTS`` times.  A rung is accepted
-when its Chebyshev tails pass and its dense output agrees with the rung
-before it, which bounds the error built up along the march as well as
-the per-panel interpolation error.  Every refusal carries the rung's
-tail, so the rung after one whose tails pass is 5/4 its size, not twice:
-the rung returned is within the measured difference of the true solution
-whenever the refinement at least halves the error, which at a ratio of
-5/4 needs an order of convergence p >= 3.11.  Once the tails pass, the
-panel interpolants converge spectrally: on the N=16, alpha=2 headline
-889 -> 1112 panels take the error from 1.6e-11 to 1.3e-13 at s = 2
-(p about 22), and at k = 2 and at alpha = 3 (truncation 64) every pair
-of rungs whose errors lie above the reference's round-off gives p >= 11.
-After a rung whose tails fail, the next one is twice its size.
+``1/2**(MAX_REFINEMENTS + 2)`` of its fastest frequency to the grid sized
+for that frequency, doubled ``MAX_REFINEMENTS`` times.  A rung is
+accepted when its Chebyshev tails pass and its dense output agrees with
+the rung before it, which bounds the error built up along the march as
+well as the per-panel interpolation error.  A rung whose tails fail is no
+comparison base: its dense output is not formed, and the rung after it
+cannot be accepted.  Every refusal carries the rung's tail, which sizes
+the next rung.  The first rung is cheap, and when its tails fail they
+predict the second, two to four times its size (step-size control, as in
+Hairer-Norsett-Wanner, *Solving ODEs I*, sec. II.4).  On the N=16,
+alpha=2 headline the climb goes from 223 panels to 892, 576 and 446 at
+s = 2, 2.5 and 3, each passing its tails: over those steps panels x tail
+falls at order 11, 11.5 and 14.5.  The rung after one whose tails pass
+is 5/4 its size: the rung returned is within the measured difference of
+the true solution whenever the refinement at least halves the error,
+which at a ratio of 5/4 needs an order of convergence p >= 3.11.  Once the
+tails pass, the panel interpolants converge spectrally: at s = 2, 892 ->
+1115 panels take the error from 1.5e-11 to 1.9e-13 (p about 19), and at
+k = 2 and at alpha = 3 (truncation 64) every pair of rungs whose errors
+lie above the reference's round-off gives p >= 11.  After any later rung
+whose tails fail, the next one is twice its size.
 
 The module also provides the linear (degree-0) closed form, the
 weak-formulation residual checker, and the transform to the mean-zero
@@ -67,13 +74,14 @@ __all__ = [
 AGREEMENT_TIMES = 201
 # the cascade's ladder, its first rung and its top alike, is sized for
 # this multiple of its fastest frequency.  Sized for the frequency itself,
-# the N=16, alpha=2 inflation run passed the two-rung check on its second
-# rung (741 and 1481 panels, when rungs doubled) only for s >= 2.104, and
-# a third rung below that doubled the run's time within the alpha=2 regime
-# 2 <= s <= 3.  With the margin every s there accepts its second rung (889
-# and 1112 panels; difference <= 1.6e-11 at s = 2, where 889 -> 1112 cuts
-# the error 120 times, past the 2 that the ratio 5/4 needs at order
-# p >= 3.11), so the run costs the same over the regime
+# the N=16, alpha=2 inflation run climbs from 186 panels, whose tail at
+# s = 2 and 2.1 predicts more than the step's largest, 744 panels; 744 is
+# 7.0e-10 off, so 930 is refused against it and a fourth rung, 1163, is
+# solved (3023 panels in all).  With the margin every s of the alpha=2
+# regime 2 <= s <= 3 passes on its third rung, the first 223 panels (at
+# s = 2, 892 and 1115 panels, 2230 in all; difference <= 1.5e-11, and
+# 892 -> 1115 cuts the error 76 times, past the 2 that the ratio 5/4
+# needs at order p >= 3.11)
 LADDER_MARGIN = 1.2
 # doublings of a trajectory's panels that weak_residual tries for a window
 # they do not resolve; the bump window needs 32 panels over any horizon
@@ -120,12 +128,14 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
     ``LADDER_MARGIN`` times the fastest frequency of the tracked modes, and
     accepts the first rung where two things hold: the Chebyshev tails,
     each measured against all marched modes on its panel, are ``<= tol``;
-    and the dense output of the marched modes at ``AGREEMENT_TIMES`` equispaced
-    times differs from the previous rung's by at most ``tol`` times the
-    largest magnitude of the two.  The first rung is never accepted.  The
-    returned trajectory's ``grid_attempts`` holds
-    ``(n_panels, tail, difference)`` per rung tried, the difference
-    relative and None on the first rung.
+    and the dense output of the marched modes at ``AGREEMENT_TIMES``
+    equispaced times differs from the previous rung's by at most ``tol``
+    times the largest magnitude of the two.  A rung whose tails fail forms
+    no dense output, so neither it nor the rung after it can be accepted;
+    the first rung is never accepted.  The returned trajectory's
+    ``grid_attempts`` holds ``(n_panels, tail, difference)`` per rung
+    tried, the difference relative, and None on the first rung, on a rung
+    whose tails fail and on the rung after one.
 
     Raises QuadratureError when no rung passes, naming the last rung's
     panel count, the condition that failed and its worst mode, with the
@@ -175,6 +185,14 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
         nonlocal previous
         values, tail, tail_mode, live = _solve_rows(grid, support, omega, c0,
                                                     init, weights)
+        where = f"cascade not resolved on {grid.n_panels} panels"
+        if not tail <= tol:          # a NaN fails it too
+            # an unresolved rung is no comparison base: no dense output
+            previous = None
+            attempts.append((grid.n_panels, tail, None))
+            raise QuadratureError(
+                f"{where}: Chebyshev tail {tail:.3e} > tol {tol:.3e} at "
+                f"mode {tail_mode}", worst_mode=tail_mode, tail=tail)
         traj = trajectory(grid, values)
         # a row that is not live is exactly zero, and so is its dense output
         dense = np.zeros((marched.size, times.size), dtype=complex)
@@ -189,11 +207,6 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
             diff_mode = int(marched[worst])
         previous = dense
         attempts.append((grid.n_panels, tail, difference))
-        where = f"cascade not resolved on {grid.n_panels} panels"
-        if not tail <= tol:          # a NaN fails it too
-            raise QuadratureError(
-                f"{where}: Chebyshev tail {tail:.3e} > tol {tol:.3e} at "
-                f"mode {tail_mode}", worst_mode=tail_mode, tail=tail)
         if difference is None:
             raise QuadratureError(
                 f"{where}: no coarser rung to compare it with (tail "
@@ -208,7 +221,7 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
 
     depth = quadrature.MAX_REFINEMENTS
     return solve_on_ladder(
-        PanelGrid.for_frequency(T, freq / 2**depth),
+        PanelGrid.for_frequency(T, freq / 2**(depth + 2)),
         PanelGrid.for_frequency(T, freq).n_panels << depth, tol, solve,
         attempts, rows=support.size)
 

@@ -32,28 +32,30 @@ climber ``solve_on_ladder``: it calls one rung function, which returns the
 solution of a rung that resolves it, and moves to the next rung when that
 function raises QuadratureError.  The climber makes the rungs itself, from
 a first grid up to a top panel count: 5/4 the panels after a rung whose
-error carries a tail that passes, twice after any other.  The Picard
-solvers climb from the grid sized for ``1/2**PICARD_DEPTH`` of the fastest
-frequency to the grid whose panels each advance that frequency by
-``RADIANS_PER_PANEL`` radians; a tail that passes ends their climb, so
-their rungs double.  The cascade climbs from ``MAX_REFINEMENTS`` halvings
-below that grid to that grid doubled ``MAX_REFINEMENTS`` times, and the
-weak residual from a trajectory's grid to ``cascade.WINDOW_DOUBLINGS``
-doublings of it.  A rung passes when the Chebyshev tail of its
-solution, measured against all rows on each panel (``tail_ratio``), is
-within tolerance.  The check forms every row's last two coefficients, but
-all of them only for the rows whose Cauchy-Schwarz bound, ``coeff_bound``
-times the row's node norm, can reach the largest coefficient on some
-panel; the others cannot change it, so the ratios are those of a full
-transform of every row, bit for bit.  A panel
-that is not finite fails the check, and a march stops at a carry that is
-not a number as at one past ``OVERFLOW_GUARD``.  The cascade also
-asks that two successive rungs agree, which estimates the error built up
-along the march, and ends its climb before a rung whose node array would
-pass ``NODE_BUDGET`` is allocated.  Every climb ends at a rung that numpy
-cannot allocate, with an error that names its panel count.  The panel
-sizing, the two ladder depths, the node budget and the overflow guard are
-module constants, read when a climb starts.
+error carries a tail that passes; after the first rung, when its tail
+fails but is finite, the panels the tail predicts, two to four times as
+many (``FIRST_STEP_ORDER``, ``FIRST_STEP_RANGE``); twice after any other.
+The Picard solvers climb from the grid sized for ``1/2**PICARD_DEPTH`` of
+the fastest frequency to the grid whose panels each advance that frequency
+by ``RADIANS_PER_PANEL`` radians; a tail that passes ends their climb.  The
+cascade climbs from the grid sized for ``1/2**(MAX_REFINEMENTS + 2)`` of
+its fastest frequency to the grid sized for that frequency doubled
+``MAX_REFINEMENTS`` times, and the weak residual from a trajectory's grid
+to ``cascade.WINDOW_DOUBLINGS`` doublings of it.  A rung passes when the
+Chebyshev tail of its solution, measured against all rows on each panel
+(``tail_ratio``), is within tolerance.  The check forms every row's last
+two coefficients, but all of them only for the rows whose Cauchy-Schwarz
+bound, ``coeff_bound`` times the row's node norm, can reach the largest
+coefficient on some panel; the others cannot change it, so the ratios are
+those of a full transform of every row, bit for bit.  A panel that is not
+finite fails the check, and a march stops at a carry that is not a number
+as at one past ``OVERFLOW_GUARD``.  The cascade also asks that a rung
+agree with the resolved rung before it, which estimates the error built
+up along the march, and ends its climb before a rung whose node array
+would pass ``NODE_BUDGET`` is allocated.  Every climb ends at a rung that
+numpy cannot allocate, with an error that names its panel count.  The
+panel sizing, the two ladder depths, the first step, the node budget and
+the overflow guard are module constants, read when a climb starts.
 """
 
 from __future__ import annotations
@@ -83,9 +85,21 @@ __all__ = [
 DEFAULT_POINTS = 24
 # radians of the fastest oscillation allowed per panel
 RADIANS_PER_PANEL = 8.0
-# the cascade's climb: halvings of the fastest frequency below the grid
-# sized for it to its first rung, and doublings of that grid to its last
+# the cascade's climb: doublings of the grid sized for its fastest
+# frequency to its last rung; its first rung is sized for that frequency
+# halved MAX_REFINEMENTS + 2 times
 MAX_REFINEMENTS = 3
+# the step after a climb's first rung when its tail t fails but is finite:
+# n panels grow by (n t / tol) ** (1 / FIRST_STEP_ORDER), clamped to
+# FIRST_STEP_RANGE: the rung where panels x tail, falling at that order,
+# reaches tol.  On the N=16, alpha=2 headline the cascade's 223 panels
+# predict 892 (the clamp's four times) at s = 2, 576 at s = 2.5 and 446
+# from s = 2.8 up, each passing its tail; over those steps panels x tail
+# falls at order 11, 11.5 and 14.5 (its local order between 223 and 892
+# panels at s = 2 ranges from 1.8 to 19).  The clamp keeps the step at
+# least the doubling it replaces and at most two doublings
+FIRST_STEP_ORDER = 12
+FIRST_STEP_RANGE = (2.0, 4.0)
 # the Picard solvers' ladder: halvings of the fastest frequency below the
 # grid sized for it, its top rung.  On the benchmark's truncation-16 data
 # the normal form accepts its floor (33 panels, tails <= 6.9e-14 against
@@ -95,10 +109,10 @@ PICARD_DEPTH = 5
 # largest mode magnitude a march may reach before it stops with an error
 OVERFLOW_GUARD = 1e100
 # most node values (rows x panels x q) in the node array of a cascade rung:
-# 800 MB of complex128, which admits the accepted 170,034 panels x 9 rows
-# of the N=16, alpha=3 inflation run.  It bounds that one array, not the solve's
-# peak memory: a degree-k nonlinearity keeps k - 1 more arrays of its size,
-# and the rung check holds a dense output besides
+# 800 MB of complex128, 231,481 panels x 9 rows, so 6.5 times the 35,424
+# panels that the N=16, alpha=3 inflation run accepts.  It bounds that one
+# array, not the solve's peak memory: a degree-k nonlinearity keeps k - 1
+# more arrays of its size, and the rung check holds a dense output besides
 NODE_BUDGET = 50_000_000
 # Panels per block of a pass over dense (M+1, panels, q) node values (the
 # normal-form map, the weak-formulation residual): a block's node values
@@ -311,10 +325,13 @@ def solve_on_ladder(first: PanelGrid, top: int, tol: float,
     it and raises QuadratureError when it does not, recording the rung in
     ``attempts`` as it goes; a failed rung's solution is dropped before the
     next rung is solved.  After n panels the next rung is ``PanelGrid(
-    first.horizon, n', first.scheme)``, n' = ``(5n + 3) // 4``
-    (ceil(5n/4)) when the error's tail is ``<= tol`` and 2n otherwise (a
-    tail above ``tol``, NaN or None), capped at ``top``, the last rung,
-    whose error propagates.
+    first.horizon, n', first.scheme)``, capped at ``top``, the last rung,
+    whose error propagates.  n' is ``(5n + 3) // 4`` (ceil(5n/4)) when the
+    error's tail is ``<= tol``.  When the rung is ``first`` and its tail t
+    fails but is finite, n' is ``ceil(n f)``, f = ``(n t / tol) ** (1 /
+    FIRST_STEP_ORDER)`` clamped to ``FIRST_STEP_RANGE``: the rung where
+    panels x tail, falling at that order, reaches ``tol``.  Otherwise (a
+    later tail above ``tol``, an infinite or NaN tail, or None) n' is 2n.
     When ``rows`` is given, a rung whose node array, ``rows`` x panels x q
     values, would pass ``NODE_BUDGET`` raises QuadratureError naming its
     panel count before ``solve`` runs, and ends the climb, since every
@@ -344,8 +361,7 @@ def solve_on_ladder(first: PanelGrid, top: int, tol: float,
                 failure = exc.with_traceback(None)
                 if n >= top:
                     break
-                grows = exc.tail is not None and exc.tail <= tol
-                n = min(top, (5 * n + 3) // 4 if grows else 2 * n)
+                n = min(top, _next_rung(n, exc.tail, tol, grid is first))
                 grid = PanelGrid(first.horizon, n, first.scheme)
                 continue
             except MemoryError as exc:
@@ -358,6 +374,19 @@ def solve_on_ladder(first: PanelGrid, top: int, tol: float,
         break
     failure.grid_attempts = attempts
     raise failure
+
+
+def _next_rung(n: int, tail: Optional[float], tol: float, first: bool) -> int:
+    """Panels of the rung after one of n panels whose error carries
+    ``tail``, as ``solve_on_ladder`` sizes it; ``first``: the rung is the
+    climb's first."""
+    if tail is not None and tail <= tol:
+        return (5 * n + 3) // 4
+    if first and tail is not None and math.isfinite(tail):
+        low, high = FIRST_STEP_RANGE
+        factor = (n * tail / tol) ** (1 / FIRST_STEP_ORDER)
+        return math.ceil(n * min(high, max(low, factor)))
+    return 2 * n
 
 
 def tail_ratio(values: np.ndarray, scheme: PanelScheme) -> np.ndarray:

@@ -341,9 +341,10 @@ def alpha2_regime(s):
 
 
 def test_headline_matches_a_fine_fixed_grid(monkeypatch):
-    # step doubling is the oracle of the 5/4 climb: over the alpha=2 regime
-    # the accepted rung (1112 panels) is within tol of a grid 10.6 times as
-    # fine, twice the 5921 panels sized for the fastest frequency
+    # step doubling is the oracle of the climb: over the alpha=2 regime the
+    # accepted rung (1115, 720 and 558 panels) is within tol of a grid 10.6
+    # to 21 times as fine, twice the 5921 panels sized for the fastest
+    # frequency
     for s in (2.0, 2.5, 3.0):
         phi, spec, T = alpha2_regime(s)
         ts = np.linspace(0.0, T, cascade.AGREEMENT_TIMES)
@@ -387,6 +388,7 @@ QUARTER_STEP_CASES = {
     "s=3": lambda: _headline_at(3.0),
     "unrestricted": lambda: _headline_at(2.5, restrict_support=False),
     "k=2": lambda: _headline_at(2.5, k=2),
+    "k=3,m_max=4": lambda: _headline_at(2.5, k=3, m_max=4),
     "alpha=3,m_max=4": lambda: _headline_at(2.5, alpha=3.0, m_max=4),
     "verify-seed-1": _verify_draws,
 }
@@ -394,71 +396,100 @@ QUARTER_STEP_CASES = {
 
 @pytest.mark.parametrize("case", list(QUARTER_STEP_CASES))
 def test_quarter_step_climb_against_step_doubling(monkeypatch, case):
-    # step doubling is the oracle of the rung 5/4 the size of a rung whose
-    # tails pass: the accepted rung is within tol of a grid at least four
-    # times as fine, and on the pairs (n, ceil(5n/4)) from the floor and
-    # from one halving below it, a difference <= tol bounds the finer
-    # rung's error, down to the reference's round-off (1e-13)
+    # step doubling is the oracle of the climb: the accepted rung, checked
+    # against the rung 4/5 its size whose tails pass, is within tol of a
+    # grid four times as fine, and their difference bounds its error, down
+    # to the reference's round-off (5.8e-13 at alpha = 3 and 8.8e-13 at
+    # k = 3, where the accepted rungs differ by 4.5e-13 and 7.5e-13)
     for phi, spec, T, kwargs in QUARTER_STEP_CASES[case]():
         tol = kwargs.get("tol", 1e-10)
         ts = np.linspace(0.0, T, cascade.AGREEMENT_TIMES)
-
-        def marched(n_panels, **solve_kwargs):
-            traj = fixed_grid_solve(monkeypatch, phi, spec, T, n_panels,
-                                    **{**kwargs, **solve_kwargs})
-            return traj.mode_values(traj.modes[traj.modes != 0], ts)
-
         traj = cascade_integrate(phi, spec, T, **kwargs)
-        floor = traj.grid_attempts[0][0]
-        pairs = [(n, (5 * n + 3) // 4) for n in ((floor + 1) // 2, floor)]
-        assert traj.grid_attempts[1][0] == pairs[-1][1], case
-        ref = marched(4 * traj.n_panels)
+        (n, tail_n, _), (m, tail_m, difference) = traj.grid_attempts[-2:]
+        assert m == traj.n_panels == (5 * n + 3) // 4, case
+        assert max(tail_n, tail_m) <= tol and difference <= tol, case
+        reference = fixed_grid_solve(monkeypatch, phi, spec, T,
+                                     4 * traj.n_panels, **kwargs)
+        marched = traj.modes[traj.modes != 0]
+        ref = reference.mode_values(marched, ts)
         scale = np.max(np.abs(ref))
-        got = traj.mode_values(traj.modes[traj.modes != 0], ts)
-        assert np.max(np.abs(got - ref)) <= tol * scale, case
-        for n, m in pairs:
-            # a tol of 1 lets a fixed rung whose tails fail be compared too
-            coarse, fine = marched(n, tol=1.0), marched(m, tol=1.0)
-            difference = np.max(np.abs(fine - coarse)) / max(
-                np.max(np.abs(coarse)), np.max(np.abs(fine)))
-            error = np.max(np.abs(fine - ref)) / scale
-            if difference <= tol:
-                assert error <= max(difference, 1e-13), (case, n, m)
+        error = np.max(np.abs(traj.mode_values(marched, ts) - ref)) / scale
+        assert error <= tol, case
+        assert error <= max(difference, 1e-12), case
 
 
 def test_alpha2_regime_passes_on_the_same_rungs():
-    # s = 2 and s = 3 bound the regime of the N=16, alpha=2 run; without
-    # cascade.LADDER_MARGIN, s below 2.104 needed a third rung.  One panel
-    # phase table for the whole grid keeps the accepted rung's tail at
-    # round-off (1.9e-16) from s = 2.25 up; per-panel phases left 1.25e-14
-    # to 1.75e-14.  At s = 2 the 1112 panels leave 1.1e-14, the decay of
-    # 889's 1.0e-12, not round-off
-    for s in (2.0, 2.5, 3.0):
+    # s = 2 and s = 3 bound the regime of the N=16, alpha=2 run: every s
+    # there climbs from the same 223 panels and passes on its third rung.
+    # The first rung's tail sizes the second, which passes its tail and is
+    # checked against a rung 5/4 its size; the accepted rung's tail is the
+    # decay of the second's (at s = 2, 892 panels' 8.9e-13 -> 1.0e-14)
+    regime = {2.0: ([223, 892, 1115], 1.2e-14),
+              2.5: ([223, 576, 720], 4e-15),
+              3.0: ([223, 446, 558], 3e-16)}
+    for s in (2.0, 2.25, 2.5, 2.75, 3.0):
         traj = cascade_integrate(*alpha2_regime(s))
-        assert [n for n, _, _ in traj.grid_attempts] == [889, 1112], s
-        assert traj.grid_attempts[-1][1] <= (1.2e-14 if s == 2 else 1e-15), s
+        (first, _, _), *later = traj.grid_attempts
+        assert first == 223 and len(later) == 2, s
+        if s in regime:
+            panels, tail = regime[s]
+            assert [first] + [n for n, _, _ in later] == panels, s
+            assert later[-1][1] <= tail, s
 
 
 def test_two_rung_check_rejects_a_rung_whose_tail_passes(monkeypatch):
-    # at 16 radians per panel the headline climb starts at 445 panels; 445
-    # and 557 both pass their tails, but 445 is 2.9e-10 off, so 557 differs
-    # from it by more than tol and is refused; 697 agrees with 557 (1.1e-11)
+    # at 16 radians per panel the headline climb starts at 112 panels, whose
+    # tail fails and sizes the next rung, 444; 444 and 555 both pass their
+    # tails, but 444 is 3.0e-10 off, so 555 differs from it by more than
+    # tol and is refused; 694 agrees with 555 (1.2e-11)
     monkeypatch.setattr(quadrature, "RADIANS_PER_PANEL", 16.0)
     phi, spec, T = headline()
     traj = cascade_integrate(phi, spec, T)
-    (n1, t1, d1), (n2, t2, d2), (n3, t3, d3) = traj.grid_attempts
-    assert (n1, n2, n3) == (445, 557, 697) and traj.n_panels == n3
-    assert max(t1, t2, t3) <= 1e-10
-    assert d1 is None
-    assert 2.9e-10 < d2 < 3.0e-10 and d3 <= 1e-10
+    (n0, t0, d0), (n1, t1, d1), (n2, t2, d2), (n3, t3, d3) = \
+        traj.grid_attempts
+    assert (n0, n1, n2, n3) == (112, 444, 555, 694) and traj.n_panels == n3
+    assert t0 > 1e-10 and max(t1, t2, t3) <= 1e-10
+    assert d0 is None and d1 is None
+    assert 3.0e-10 < d2 < 3.05e-10 and d3 <= 1e-10
+
+
+def test_an_unresolved_rung_is_no_comparison_base(monkeypatch):
+    # a rung whose tail fails gets no dense output: the rung check never
+    # evaluates it, and neither its record nor the next rung's carries a
+    # difference, so the next rung cannot be accepted against it
+    evaluated = []
+    evaluate = Trajectory._evaluate
+    monkeypatch.setattr(Trajectory, "_evaluate", lambda self, ns, ts:
+                        evaluated.append(self.n_panels)
+                        or evaluate(self, ns, ts))
+    traj = cascade_integrate(*headline())
+    (n0, t0, d0), (n1, t1, d1), (n2, t2, d2) = traj.grid_attempts
+    assert (n0, n1, n2) == (223, 576, 720) and t0 > 1e-10
+    assert d0 is None and d1 is None and d2 <= 1e-10
+    assert evaluated == [576, 720]
+    # a later rung whose tail fails (576 panels made to read a tail of 1)
+    # is doubled, and the rung after it is checked only against the next
+    solve_rows = cascade._solve_rows
+
+    def unresolved_at_576(grid, *args):
+        values, tail, mode, live = solve_rows(grid, *args)
+        return values, (1.0 if grid.n_panels == 576 else tail), mode, live
+
+    monkeypatch.setattr(cascade, "_solve_rows", unresolved_at_576)
+    evaluated.clear()
+    traj = cascade_integrate(*headline())
+    assert [n for n, _, _ in traj.grid_attempts] == [223, 576, 1152, 1440]
+    assert [d is None for _, _, d in traj.grid_attempts] \
+        == [True, True, True, False]
+    assert evaluated == [1152, 1440]
 
 
 def _fed_climb(tails):
     """The panels of the rungs of the cascade's climb at tol 1e-10 over
     T = 1 at 513 radians per unit time, the i-th rung's tail reading
-    ``tails[i]``: the floor is 9 panels, and the top 65 doubled
-    ``MAX_REFINEMENTS`` times, 520.  Every rung is refused, as the
-    cascade refuses one, with its tail."""
+    ``tails[i]``: the first rung is 3 panels, sized ``MAX_REFINEMENTS + 2``
+    halvings deep, and the top 65 doubled ``MAX_REFINEMENTS`` times, 520.
+    Every rung is refused, as the cascade refuses one, with its tail."""
     depth, panels = quadrature.MAX_REFINEMENTS, []
 
     def refuse(grid):
@@ -468,7 +499,7 @@ def _fed_climb(tails):
     # the climb ends at its top rung, or at the rung past the last tail
     with pytest.raises((QuadratureError, IndexError)):
         quadrature.solve_on_ladder(
-            quadrature.PanelGrid.for_frequency(1.0, 513.0 / 2**depth),
+            quadrature.PanelGrid.for_frequency(1.0, 513.0 / 2**(depth + 2)),
             quadrature.PanelGrid.for_frequency(1.0, 513.0).n_panels << depth,
             1e-10, refuse, [])
     return panels[:len(tails)]
@@ -477,17 +508,19 @@ def _fed_climb(tails):
 def test_climb_grows_by_a_quarter_after_a_passing_tail_and_doubles_otherwise():
     nan = float("nan")
     # ceil(5n/4) after a tail <= tol (tol itself included), 2n after one
-    # above it or not a number
-    assert _fed_climb([1e-12, 1e-10, 1e-12, 1e-12]) == [9, 12, 15, 19]
-    assert _fed_climb([1e-9, nan, 1e-12, 1e-12]) == [9, 18, 36, 45]
-    assert _fed_climb([nan, 1e-12, nan, 1e-12]) == [9, 18, 23, 46]
+    # above it or not a number; the first rung's 1e-9 predicts a step below
+    # the doubling, and is clamped to it
+    assert _fed_climb([1e-12, 1e-10, 1e-12, 1e-12]) == [3, 4, 5, 7]
+    assert _fed_climb([1e-9, nan, 1e-12, 1e-12]) == [3, 6, 12, 15]
+    assert _fed_climb([nan, 1e-12, nan, 1e-12]) == [3, 6, 8, 16]
 
 
 def test_climb_whose_tails_all_fail_stops_at_the_top_rung():
-    # the doublings of the floor pass the top, which is the last rung
-    assert _fed_climb([1.0] * 20) == [9, 18, 36, 72, 144, 288, 520]
+    # the first rung's tail of 1 predicts four times its panels, and the
+    # doublings of that rung pass the top, which is the last rung
+    assert _fed_climb([1.0] * 20) == [3, 12, 24, 48, 96, 192, 384, 520]
     # so does a climb of passing tails, in more rungs
-    rungs = _fed_climb([0.0] * 20)
+    rungs = _fed_climb([0.0] * 30)
     assert rungs[-1] == 520 and rungs[-2] * 5 / 4 > 520
 
 
@@ -839,10 +872,14 @@ def _small_data():
 @pytest.mark.parametrize("data, radians, refinements, panels, condition", [
     # one rung of one panel: 24 nodes cannot resolve 200 radians
     (_small_data, 200.0, 0, [1], "Chebyshev tail"),
-    # 112, 224 and 446 panels: 112 and 224 fail their tails, so each is
-    # doubled, up to the top of 446 (223 panels doubled once), which passes
-    # its tail but is 1.4e-7 off 224
-    (headline, 256.0, 1, [112, 224, 446], "two-rung difference"),
+    # 28, 112 and 224 panels fail their tails, so the top of 446 (223
+    # panels doubled once), which passes its own, has no rung to compare
+    # it with
+    (headline, 256.0, 1, [28, 112, 224, 446], "no coarser rung"),
+    # 108, 426 and 431 panels: 108 fails its tail, which sizes 426; 426
+    # passes its tail, and the top of 431 (the grid sized for the fastest
+    # frequency) passes its own but is 2.5e-10 off 426
+    (headline, 132.0, 0, [108, 426, 431], "two-rung difference"),
 ])
 def test_last_rung_failure_names_panels_condition_and_mode(
         monkeypatch, data, radians, refinements, panels, condition):
@@ -871,18 +908,18 @@ def test_dispersion_variants_pick_the_same_rung():
 
 
 def test_node_budget_ends_the_climb_with_a_typed_error(monkeypatch, capsys):
-    # 9 rows x 24 nodes: 889 panels fit in the budget, 1112 do not
-    monkeypatch.setattr(quadrature, "NODE_BUDGET", 9 * 24 * 1000)
+    # 9 rows x 24 nodes: 223 and 576 panels fit in the budget, 720 do not
+    monkeypatch.setattr(quadrature, "NODE_BUDGET", 9 * 24 * 700)
     phi, spec, T = headline()
-    with pytest.raises(QuadratureError, match="1112 panels need") as info:
+    with pytest.raises(QuadratureError, match="720 panels need") as info:
         cascade_integrate(phi, spec, T)
-    assert [n for n, _, _ in info.value.grid_attempts] == [889]
+    assert [n for n, _, _ in info.value.grid_attempts] == [223, 576]
     code = dispatch(["inflate", "--N", "16", "--s", "2.5", "--sigma", "0.5",
                      "--k", "1", "--alpha", "2", "--m-max", "8"])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "1112 panels" in err and "Traceback" not in err
+    assert "720 panels" in err and "Traceback" not in err
 
 
 # -- linear closed forms -----------------------------------------------------------

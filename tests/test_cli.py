@@ -284,6 +284,24 @@ def test_inflate_reports_the_cascade_rungs(capsys):
     assert max(tail_last, diff_last) <= rep["config"]["quadrature_tol"]
 
 
+def test_inflate_lists_the_first_rung_and_null_for_unresolved_rungs(capsys):
+    # the headline climbs from 223 panels, whose tail fails and sizes the
+    # next rung; a rung whose tail fails is no comparison base, so its
+    # difference is null, as is the difference of the rung after it
+    code = dispatch(["inflate", "--N", "16", "--s", "2.5", "--sigma", "0.5",
+                     "--k", "1", "--alpha", "2", "--m-max", "8"])
+    assert code == 0
+    text = capsys.readouterr().out
+    rep = json.loads(text)["report"]
+    tol = rep["config"]["quadrature_tol"]
+    attempts = rep["grid_attempts"]
+    assert [n for n, _, _ in attempts] == [223, 576, 720]
+    assert attempts[0][1] > tol and attempts[0][2] is None
+    assert all(diff is None for _, tail, diff in attempts if tail > tol)
+    assert attempts[1][2] is None and attempts[2][2] <= tol
+    assert text.count("null]") >= 2
+
+
 def test_cross_validate(tmp_path, capsys):
     phi = _phi_file(tmp_path, {1: (0.05, 0.0), 2: (0.05, 0.0)}, 8)
     code = dispatch(["cross-validate", "--alpha", "3", "--k", "1",
@@ -646,7 +664,7 @@ _PHI8 = {1: (0.05, 0.0)}
 
 
 @pytest.mark.parametrize("command, refusal", [
-    ("simulate", "3.17e+269 panels need 6.85e+271 node values (9 rows x 24 "
+    ("simulate", "7.92e+268 panels need 1.71e+271 node values (9 rows x 24 "
                  "per panel), above the node budget 5e+07"),
     ("picard", "6.6e+268 panels of 24 nodes: more complex node values than "
                "a numpy array can address"),

@@ -408,30 +408,32 @@ def climbed(first, top, tails, tol=1e-10):
 
 
 def picard_rungs(horizon, freq):
-    """Every rung of a Picard climb whose tails all fail, sized as
-    ``normalform.picard_on_ladder`` sizes it."""
+    """Every rung of a Picard climb whose tails all read 1, sized as
+    ``normalform.picard_on_ladder`` sizes it: the first rung's tail
+    predicts the largest step, four times its panels."""
     return climbed(
         PanelGrid.for_frequency(horizon, freq / 2**quadrature.PICARD_DEPTH),
         PanelGrid.for_frequency(horizon, freq).n_panels, [1.0])
 
 
 def cascade_rungs(horizon, freq):
-    """Every rung of a cascade climb whose tails all fail, sized as
+    """Every rung of a cascade climb whose tails are all NaN, sized as
     ``cascade.cascade_integrate`` sizes it for ``freq`` (margin included)."""
     depth = quadrature.MAX_REFINEMENTS
-    return climbed(PanelGrid.for_frequency(horizon, freq / 2**depth),
+    return climbed(PanelGrid.for_frequency(horizon, freq / 2**(depth + 2)),
                    PanelGrid.for_frequency(horizon, freq).n_panels << depth,
                    [float("nan")])
 
 
 @pytest.mark.parametrize("horizon, freq, panels", [
-    (1.0, 2 * 16**3 + 1, [33, 66, 132, 264, 528, 1025]),   # normal form, M=16
-    (1.0, 2 * 16**2 + 1, [3, 6, 12, 24, 48, 65]),          # gauge pair, M=16
-    (0.5, 2 * 4**3 + 1, [1, 2, 4, 8, 9]),
-    (1.0, 2 * 4**2 + 1, [1, 2, 4, 5]),
+    (1.0, 2 * 16**3 + 1, [33, 132, 264, 528, 1025]),       # normal form, M=16
+    (1.0, 2 * 16**2 + 1, [3, 12, 24, 48, 65]),             # gauge pair, M=16
+    (0.5, 2 * 4**3 + 1, [1, 4, 8, 9]),
+    (1.0, 2 * 4**2 + 1, [1, 4, 5]),
 ])
 def test_grid_ladder_rungs(horizon, freq, panels):
-    # the Picard floor, doubled up to the grid sized for the frequency
+    # the Picard floor, four times it, then doubled up to the grid sized
+    # for the frequency
     rungs = picard_rungs(horizon, freq)
     assert [g.n_panels for g in rungs] == panels
     top = PanelGrid.for_frequency(horizon, freq)
@@ -452,17 +454,19 @@ def test_grid_ladder_collapses_equal_rungs_and_keeps_the_top(monkeypatch,
 
 @pytest.mark.parametrize("horizon, freq, depth, panels", [
     # the N=16, alpha=2 headline's cascade: T and LADDER_MARGIN * freq.  The
-    # cascade's rungs are those of a climb whose every tail fails: the
-    # floor MAX_REFINEMENTS halvings deep, doubled up to the grid sized for
-    # the frequency doubled MAX_REFINEMENTS times
+    # cascade's rungs are those of a climb whose every tail is NaN: the
+    # floor MAX_REFINEMENTS + 2 halvings deep, doubled up to the grid sized
+    # for the frequency doubled MAX_REFINEMENTS times
     (1.441359041754604, 1.2 * 32861.33248261689, "cascade",
-     [889, 1778, 3556, 7112, 14224, 28448, 56840]),
-    (1.0, 2 * 16**3 + 1, "cascade", [129, 258, 516, 1032, 2064, 4128, 8200]),
-    (1.0, 2 * 12**3 + 1, "cascade", [55, 110, 220, 440, 880, 1760, 3464]),
+     [223, 446, 892, 1784, 3568, 7136, 14272, 28544, 56840]),
+    (1.0, 2 * 16**3 + 1, "cascade",
+     [33, 66, 132, 264, 528, 1056, 2112, 4224, 8200]),
+    (1.0, 2 * 12**3 + 1, "cascade",
+     [14, 28, 56, 112, 224, 448, 896, 1792, 3464]),
     # verify's truncation-16 normal form and gauge pair, and truncation 12
-    (1.0, 2 * 16**3 + 1, "picard", [33, 66, 132, 264, 528, 1025]),
-    (1.0, 2 * 16**2 + 1, "picard", [3, 6, 12, 24, 48, 65]),
-    (1.0, 2 * 12**3 + 1, "picard", [14, 28, 56, 112, 224, 433]),
+    (1.0, 2 * 16**3 + 1, "picard", [33, 132, 264, 528, 1025]),
+    (1.0, 2 * 16**2 + 1, "picard", [3, 12, 24, 48, 65]),
+    (1.0, 2 * 12**3 + 1, "picard", [14, 56, 112, 224, 433]),
 ])
 def test_ladder_keeps_both_solvers_rungs(horizon, freq, depth, panels):
     # the rungs the one climber makes for the cascade and the Picard
@@ -484,11 +488,41 @@ def test_climb_doubles_after_an_error_with_no_tail():
     assert [g.n_panels for g in rungs] == [3, 4, 8, 10, 13, 17, 22, 28, 35, 40]
 
 
+def test_only_the_first_rungs_failing_tail_predicts_the_step():
+    # from n panels a finite tail t > tol predicts ceil(n (n t / tol)^(1/12))
+    # panels, clamped to 2n and 4n: 100 panels at 1e-9, 1e-6 and 1e-3 give
+    # factors 1.78, 3.16 and 5.62.  A tail that is not finite predicts
+    # nothing, and doubles, as does the same tail on a later rung
+    nan, inf = float("nan"), float("inf")
+    for tail, second in ((1e-9, 200), (1e-6, 317), (1e-3, 400), (nan, 200),
+                         (inf, 200)):
+        rungs = climbed(PanelGrid(1.0, 100), 10_000, [tail])
+        assert [g.n_panels for g in rungs] == [100, second] + [
+            second << i for i in range(1, 10) if second << i < 10_000] \
+            + [10_000]
+    # a tail that passes first, then fails, is not predicted from
+    rungs = climbed(PanelGrid(1.0, 100), 1000, [1e-12, 1e-3])
+    assert [g.n_panels for g in rungs] == [100, 125, 250, 500, 1000]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 10**6),
+       tail=st.floats(1.01e-10, 1e300),
+       top=st.integers(1, 10**7))
+def test_first_step_is_clamped_to_two_to_four_times_and_to_top(n, tail, top):
+    rungs = [g.n_panels for g in climbed(PanelGrid(1.0, n), max(n, top),
+                                         [tail])]
+    if n >= top:
+        assert rungs == [n]
+    else:
+        assert min(top, 2 * n) <= rungs[1] <= min(top, 4 * n)
+
+
 def test_climb_stops_at_top_and_keeps_the_first_grid_and_scheme():
     # the first rung is the grid given, each later one is made on its
     # scheme, and the rung of top panels is the last, whose error propagates
     first = PanelGrid(2.0, 3, panel_scheme(8))
-    for tails, panels in (([1.0], [3, 6, 7]), ([0.0], [3, 4, 5, 7])):
+    for tails, panels in (([1.0], [3, 7]), ([0.0], [3, 4, 5, 7])):
         rungs = climbed(first, 7, tails)
         assert [g.n_panels for g in rungs] == panels
         assert rungs[0] is first
@@ -577,7 +611,7 @@ def test_solve_on_ladder_returns_the_first_rung_that_passes():
         PanelGrid(1.0, 1), 8, 1e-10,
         _passing_from(4, attempts, lambda g: -g.n_panels), attempts)
     assert solution == -4
-    assert attempts == [(1, -1), (2, -2), (4, -4)]
+    assert attempts == [(1, -1), (4, -4)]
 
 
 def test_solve_on_ladder_raises_the_last_rungs_error_with_the_record():
@@ -588,11 +622,12 @@ def test_solve_on_ladder_raises_the_last_rungs_error_with_the_record():
                         attempts)
     assert info.value.worst_mode == 8
     assert info.value.grid_attempts is attempts
-    assert [n for n, _ in attempts] == [1, 2, 4, 8]
+    assert [n for n, _ in attempts] == [1, 4, 8]
 
 
 def test_solve_on_ladder_stops_at_the_node_budget_before_solving(monkeypatch):
-    # 3 rows x 4 panels x 24 nodes = 288 node values pass a budget of 200
+    # 3 rows x 4 panels x 24 nodes = 288 node values pass a budget of 200;
+    # the first rung's tail of 1 makes the rung after it 4 panels
     monkeypatch.setattr(quadrature, "NODE_BUDGET", 200)
     attempts, solved = [], []
     with pytest.raises(QuadratureError) as info:
@@ -601,10 +636,10 @@ def test_solve_on_ladder_stops_at_the_node_budget_before_solving(monkeypatch):
                                       lambda g: solved.append(g.n_panels)),
                         attempts, rows=3)
     err = info.value
-    assert solved == [1, 2]            # neither 4 nor 8 panels is solved
+    assert solved == [1]               # neither 4 nor 8 panels is solved
     assert str(err).startswith("4 panels need 288 node values")
-    assert "2 panels too coarse" in str(err)
-    assert (err.worst_mode, err.tail) == (2, 1.0)
+    assert "1 panels too coarse" in str(err)
+    assert (err.worst_mode, err.tail) == (1, 1.0)
     assert err.grid_attempts is attempts
 
 
@@ -623,9 +658,9 @@ def test_solve_on_ladder_ends_the_climb_at_a_rung_out_of_memory():
         solve_on_ladder(PanelGrid(1.0, 1), 8, 1e-10,
                         _passing_from(100, attempts, solve), attempts)
     err = info.value
-    assert solved == [1, 2, 4]
+    assert solved == [1, 4]
     assert str(err) == ("4 panels: out of memory: Unable to allocate 1. TiB; "
-                        "the rung before failed: 2 panels too coarse")
+                        "the rung before failed: 1 panels too coarse")
     assert err.grid_attempts is attempts
 
 

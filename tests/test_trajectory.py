@@ -172,14 +172,14 @@ def test_dense_blocks_match_the_recurrence_oracle_bitwise(traj, rows):
 
 
 def test_resampled_on_a_doubled_headline_grid_keeps_temporaries_small():
-    # 9 rows at 53,376 node times: the values alone are 7.7 MB, and the
-    # Chebyshev rows of all times 10.2 MB (twice, while they are made); one
-    # (times, rows, q) complex array of the whole grid would be 184 MB
+    # 9 rows at 34,560 node times: the values alone are 5.0 MB, and the
+    # Chebyshev rows of all times 6.6 MB (twice, while they are made); one
+    # (times, rows, q) complex array of the whole grid would be 119 MB
     phi = build_inflation_data(16, 2.5, 1, 128)
     head = cascade_integrate(phi, EquationSpec.pure_power(1, 2.0),
                              inflation_time(16, 2.5, 0.5, 1))
     grid = head.grid.refined()
-    assert (head.modes.size, grid.n_panels) == (9, 2224)
+    assert (head.modes.size, grid.n_panels) == (9, 1440)
     tracemalloc.start()
     try:
         fine = head.resampled(grid)
