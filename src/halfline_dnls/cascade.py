@@ -208,8 +208,10 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
         previous = dense
         attempts.append((grid.n_panels, tail, difference))
         if difference is None:
+            failed = sum(not t <= tol for _, t, _ in attempts[:-1])
             raise QuadratureError(
-                f"{where}: no coarser rung to compare it with (tail "
+                f"{where}: no resolved coarser rung to compare it with "
+                f"({failed} coarser rungs failed their tails; tail "
                 f"{tail:.3e}, worst at mode {tail_mode})",
                 worst_mode=tail_mode, tail=tail)
         if not difference <= tol:
@@ -491,7 +493,7 @@ def weak_residual(traj: Trajectory, window: TimeWindow) -> np.ndarray:
     spec, grid = traj.spec, traj.grid
     n = np.arange(traj.truncation + 1)
     times = grid.node_times()
-    wq = 0.5 * grid.widths()[:, None] * grid.scheme.weights
+    wq = 0.5 * grid.h * grid.scheme.weights
     theta = wq * window.value(times)
     int_theta = np.zeros(n.size, dtype=complex)
     int_dtheta = np.zeros(n.size, dtype=complex)

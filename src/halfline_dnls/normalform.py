@@ -295,7 +295,7 @@ class NormalFormOperators:
                           phi: np.ndarray) -> np.ndarray:
         M1, P, q = v_vals.shape
         sch = grid.scheme
-        half_widths = 0.5 * grid.widths()
+        hw = 0.5 * grid.h
         out = np.empty_like(v_vals)
         ends = np.empty((M1, P), dtype=complex)
         for start in range(0, P, BLOCK_PANELS):
@@ -313,9 +313,8 @@ class NormalFormOperators:
             b_vals = self._bulk_from_u(U, vel)
             b_vals *= Ec
             b_vals = b_vals.reshape(M1, nb, q)
-            hw = half_widths[blk]
             out[:, blk, :] = (n_vals.reshape(M1, nb, q)
-                              + hw[:, None] * (b_vals @ sch.antideriv_nodes.T))
+                              + hw * (b_vals @ sch.antideriv_nodes.T))
             ends[:, blk] = hw * (b_vals @ sch.antideriv_end)
         # bulk integral up to the left end of each panel: exclusive running
         # sum of the panels' end integrals

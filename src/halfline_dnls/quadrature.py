@@ -8,54 +8,43 @@ by exact integrating factors ``e^{i omega_n (t - a)}`` on short panels.  On
 each panel the slow factor ``e^{-i omega_n (t-a)} F_n`` is sampled at
 Gauss-Legendre nodes, represented by its Chebyshev interpolant, and
 antidifferentiated exactly in coefficient space; the same interpolant
-provides dense output between nodes.  The carry from one panel end to the
-next is a linear recurrence, solved in closed form over blocks of panels
-with integrating factors taken from the breaks directly, so its modulus
-error does not grow with the panel count.  The grid is uniform, so the
-node times of every panel relative to its left break are one vector,
-``PanelGrid.offsets``: the panel phase is one table for all panels, and
-``PanelGrid.node_phases`` builds ``e^{rate t}`` on the nodes from one
-factor per break and one per offset.  Over one panel, the rounding of
-both is the same for every panel (the offset table) or a constant (the
-break factor), so it adds no noise to the Chebyshev tails.  The march is a
-setup and an application: ``OscillatoryMarch(grid, omega)`` builds the
-phase tables and the node-value matrices of every row once, and its
-``apply`` marches one forcing on some of the rows, with the block length
-and break factors of those rows alone, so a row's bits do not depend on
-the rows marched with it.  The cascade sets up once per rung and marches
-its rows one at a time; the gauge solver sets up once per rung and marches
-all rows in every Picard iteration.  ``oscillatory_march`` is the one-shot
-form of the two.
+provides dense output between nodes.  Every solver reads the panel
+geometry from ``PanelGrid`` alone: the one width ``h`` of its equal
+panels, the node offsets from a panel's left break (``offsets``), and
+``break_phases``, ``e^{rate j h}`` at break j with its phase ``j Im(rate
+h)`` exact.  No width or phase differs from panel to panel by rounding,
+which a fast mode's forcing, cancelling to a small part of its size, would
+amplify.  ``node_phases`` builds ``e^{rate t}`` on the nodes from one
+break factor per panel and one factor per offset.  The carry from one
+panel end to the next is a linear recurrence, solved in closed form over
+blocks of panels with the factors of ``break_phases``, so its modulus
+error does not grow with the panel count.  ``OscillatoryMarch(grid,
+omega)`` builds the tables of every row once, and its ``apply`` marches
+one forcing on some of the rows, with the block length of those rows
+alone, so a row's bits do not depend on the rows marched with it.  The
+cascade sets up once per rung and marches its rows one at a time; the
+gauge solver sets up once per rung and marches all rows in every Picard
+iteration.  ``oscillatory_march`` is the one-shot form of the two.
 
 Every solver runs on a ladder of grids, coarsest first, through the one
-climber ``solve_on_ladder``: it calls one rung function, which returns the
-solution of a rung that resolves it, and moves to the next rung when that
-function raises QuadratureError.  The climber makes the rungs itself, from
-a first grid up to a top panel count: 5/4 the panels after a rung whose
-error carries a tail that passes; after the first rung, when its tail
-fails but is finite, the panels the tail predicts, two to four times as
-many (``FIRST_STEP_ORDER``, ``FIRST_STEP_RANGE``); twice after any other.
-The Picard solvers climb from the grid sized for ``1/2**PICARD_DEPTH`` of
-the fastest frequency to the grid whose panels each advance that frequency
-by ``RADIANS_PER_PANEL`` radians; a tail that passes ends their climb.  The
-cascade climbs from the grid sized for ``1/2**(MAX_REFINEMENTS + 2)`` of
-its fastest frequency to the grid sized for that frequency doubled
-``MAX_REFINEMENTS`` times, and the weak residual from a trajectory's grid
-to ``cascade.WINDOW_DOUBLINGS`` doublings of it.  A rung passes when the
-Chebyshev tail of its solution, measured against all rows on each panel
-(``tail_ratio``), is within tolerance.  The check forms every row's last
-two coefficients, but all of them only for the rows whose Cauchy-Schwarz
-bound, ``coeff_bound`` times the row's node norm, can reach the largest
-coefficient on some panel; the others cannot change it, so the ratios are
-those of a full transform of every row, bit for bit.  A panel that is not
-finite fails the check, and a march stops at a carry that is not a number
-as at one past ``OVERFLOW_GUARD``.  The cascade also asks that a rung
-agree with the resolved rung before it, which estimates the error built
-up along the march, and ends its climb before a rung whose node array
-would pass ``NODE_BUDGET`` is allocated.  Every climb ends at a rung that
-numpy cannot allocate, with an error that names its panel count.  The
-panel sizing, the two ladder depths, the first step, the node budget and
-the overflow guard are module constants, read when a climb starts.
+climber ``solve_on_ladder``, which makes the rungs itself and moves on
+when a rung's function raises QuadratureError.  The Picard solvers climb
+from the grid sized for ``1/2**PICARD_DEPTH`` of the fastest frequency to
+the grid whose panels each advance that frequency by ``RADIANS_PER_PANEL``
+radians.  The cascade climbs from the grid sized for ``1/2**
+(MAX_REFINEMENTS + 2)`` of its fastest frequency to the grid sized for
+that frequency doubled ``MAX_REFINEMENTS`` times, and the weak residual
+from a trajectory's grid to ``cascade.WINDOW_DOUBLINGS`` doublings of it.
+A rung passes when the Chebyshev tail of its solution, measured against
+all rows on each panel (``tail_ratio``), is within tolerance; a panel
+that is not finite fails, and a march stops at a carry that is not a
+number as at one past ``OVERFLOW_GUARD``.  The cascade also asks that a
+rung agree with the resolved rung before it, which estimates the error
+built up along the march, and ends its climb before a rung whose node
+array would pass ``NODE_BUDGET``.  Every climb ends at a rung that numpy
+cannot allocate, with an error that names its panel count.  The panel
+sizing, the two ladder depths, the first step, the node budget and the
+overflow guard are module constants, read when a climb starts.
 """
 
 from __future__ import annotations
@@ -215,10 +204,11 @@ def panel_scheme(q: int = DEFAULT_POINTS) -> PanelScheme:
 class PanelGrid:
     """``n_panels`` equal panels over [0, horizon] with a shared node scheme.
 
-    Every panel has the width ``horizon / n_panels``, so the node times of
-    each panel relative to its left break are one q-vector, ``offsets``.
-    A horizon that is not positive and finite, or fewer than one panel,
-    raises ValueError."""
+    Every panel has the width ``h``, so the node times of each panel
+    relative to its left break are one q-vector, ``offsets``, and
+    ``e^{rate t}`` at break j is ``e^{rate j h}`` (``break_phases``); the
+    rounded ``breaks`` place the nodes and locate times.  A horizon not
+    positive and finite, or fewer than one panel, raises ValueError."""
 
     horizon: float
     n_panels: int
@@ -236,6 +226,11 @@ class PanelGrid:
         ``RADIANS_PER_PANEL`` radians, on the default scheme."""
         return cls(horizon, _panel_count(horizon, max_frequency))
 
+    @property
+    def h(self) -> float:
+        """The width of every panel, ``horizon / n_panels``."""
+        return self.horizon / self.n_panels
+
     @cached_property
     def breaks(self) -> np.ndarray:
         """``np.linspace(0, horizon, n_panels + 1)``: read-only, computed
@@ -248,9 +243,6 @@ class PanelGrid:
     def q(self) -> int:
         return self.scheme.q
 
-    def widths(self) -> np.ndarray:
-        return np.diff(self.breaks)
-
     def node_times(self) -> np.ndarray:
         """All node times, shape (n_panels, q): one read-only array per
         grid, computed on the first call."""
@@ -258,9 +250,7 @@ class PanelGrid:
 
     @cached_property
     def _node_times(self) -> np.ndarray:
-        a = self.breaks[:-1, None]
-        b = self.breaks[1:, None]
-        times = 0.5 * (a + b) + 0.5 * (b - a) * self.scheme.nodes[None, :]
+        times = self.breaks[:-1, None] + self.offsets
         times.flags.writeable = False
         return times
 
@@ -268,20 +258,37 @@ class PanelGrid:
     def offsets(self) -> np.ndarray:
         """Node times of every panel relative to its left break, shape
         (q,): read-only, computed once per grid."""
-        h = self.horizon / self.n_panels
-        offsets = 0.5 * h * (1.0 + self.scheme.nodes)
+        offsets = 0.5 * self.h * (1.0 + self.scheme.nodes)
         offsets.flags.writeable = False
         return offsets
+
+    def break_phases(self, rate: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """``e^{rate j h}`` at the break indices ``j``, shape (rows, j.size)
+        for a 1-D ``rate`` of rows.
+
+        ``theta = Im(rate h)`` is split (Veltkamp; Dekker, Numer. Math. 18,
+        1971) into a 26-bit head and the tail ``theta - head``: ``j head``
+        is exact for j < 2^27, a bound no grid reaches, since 2^27 panels
+        hold a node array above 50 GB.  Only ``e^{Re(rate h) j + i tail
+        j}``, of phase below ``2^-26 |j theta|``, rounds its exponent.  The
+        factors of a row do not depend on the other rows."""
+        step = np.asarray(rate)[:, None] * self.h
+        split = step.imag * (2.0**27 + 1.0)
+        head = split - (split - step.imag)
+        phases = np.exp(1j * (head * j))
+        phases *= np.exp(step.real * j + 1j * ((step.imag - head) * j))
+        return phases
 
     def node_phases(self, rate: np.ndarray, panels: slice = slice(None)
                     ) -> np.ndarray:
         """``exp(rate * t)`` at the nodes of ``panels``, shape (rows,
-        panels, q) for a 1-D ``rate`` of rows, as the product of a factor
-        at each panel's left break and one at each offset: rows x (panels +
-        q) exponentials instead of rows x panels x q."""
-        rate = np.asarray(rate)[:, None]
-        at_breaks = np.exp(rate * self.breaks[:-1][panels])
-        return at_breaks[:, :, None] * np.exp(rate * self.offsets)[:, None, :]
+        panels, q) for a 1-D ``rate`` of rows: ``break_phases`` at each
+        panel's left break times a factor per offset, rows x (panels + q)
+        exponentials."""
+        rate = np.asarray(rate)
+        at_breaks = self.break_phases(rate, np.arange(self.n_panels)[panels])
+        return (at_breaks[:, :, None]
+                * np.exp(rate[:, None] * self.offsets)[:, None, :])
 
     def refined(self) -> "PanelGrid":
         return PanelGrid(self.horizon, 2 * self.n_panels, self.scheme)
@@ -445,26 +452,26 @@ class OscillatoryMarch:
     tables every forcing's march reads, built once.
 
     The panel phase ``ph = e^{i omega (t-a)}`` is one (rows, q) table on
-    ``grid.offsets``, shared by every panel of the uniform grid, so the
-    values are the solution at ``a_p + offsets``, the nodes of each panel's
-    interpolant.  The setup holds its conjugate, ``slow_phase``, the
-    panels' half-widths and, per row, ``growth = |Im omega| h`` and the
-    (q + 1, q) ``lift`` matrix ``[[(h/2) antideriv_nodes.T diag(ph)],
-    [ph]]``, ``h`` the uniform width.  ``apply`` marches one forcing on
-    some of the rows with these tables; the cascade applies one setup to
-    its rows one at a time, and the gauge to all rows in every Picard
-    iteration.  Every table is elementwise in the row, so a row's march
-    gives the same bits whichever rows the setup holds.
+    ``grid.offsets``, shared by every panel, so the values are the solution
+    at ``a_p + offsets``, the nodes of each panel's interpolant.  The setup
+    holds its conjugate, ``slow_phase``, and, per row, ``growth = |Im
+    omega| h``, the carry factors ``steps[:, j] = e^{i omega j h}``
+    (``grid.break_phases``, j = 0..n_panels), and the (q + 1, q) ``lift``
+    matrix ``[[(h/2) antideriv_nodes.T diag(ph)], [ph]]``.  Every table is
+    elementwise in the row, so a row's march gives the same bits whichever
+    rows the setup holds.
     """
 
     def __init__(self, grid: PanelGrid, omega: np.ndarray):
-        q, h = grid.q, grid.horizon / grid.n_panels
+        q, h, n = grid.q, grid.h, grid.n_panels
         self.grid = grid
         self.omega = omega
         self.growth = np.abs(omega.imag) * h
         phase = 1j * omega[:, None] * grid.offsets              # (rows, q)
         self.slow_phase = np.exp(-phase)
-        self.half_widths = 0.5 * grid.widths()
+        # a row's factors past its own block may overflow; none is read
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.steps = grid.break_phases(1j * omega, np.arange(n + 1))
         ph = np.exp(phase)
         self.lift = np.empty((omega.size, q + 1, q), dtype=complex)
         np.multiply(0.5 * h * grid.scheme.antideriv_nodes.T, ph[:, None, :],
@@ -479,34 +486,27 @@ class OscillatoryMarch:
         t = 0.
 
         The slow factor ``psi = F e^{-i omega (t-a)}`` is F times
-        ``slow_phase`` (no division).  Its integral over each panel,
-        ``Jend``, is one product with ``antideriv_end`` scaled by the
-        panel's own width ``h_p``: the breaks are uniform only to within
-        ulps of the horizon, and the carries telescope over them.  The
-        carry across panel ends, ``c_{p+1} = e^{i omega h_p} (c_p +
-        Jend_p)``, is a linear recurrence, solved in closed form over blocks
-        of panels starting at break s:
+        ``slow_phase``.  Its integral over each panel, ``Jend``, is one
+        product with ``antideriv_end`` scaled by ``h/2``.  The carry across
+        panel ends, ``c_{p+1} = e^{i omega h} (c_p + Jend_p)``, is solved in
+        closed form over blocks of panels starting at break s:
 
             c_{s+i} = E_i (c_s + sum_{j<i} Jend_{s+j} / E_j),
-            E_i = e^{i omega (t_{s+i} - t_s)},
+            E_i = e^{i omega i h} = steps[:, i],
 
-        with each ``E_i`` computed from the breaks directly, not as a
-        product of panel steps.  A block spans as many panels as keep
+        one table for every block.  A block spans as many panels as keep
         ``|E|`` and ``1/|E|`` within ``OVERFLOW_GUARD`` for the largest
-        ``|Im omega|`` of the rows marched, so rows with real omega take
-        the whole grid in one block; the block length and the ``E`` are
-        those of the marched rows alone, so a row gives the same bits
-        marched alone as with the others.  Each block's carries are checked
-        against ``OVERFLOW_GUARD``; the error names the first panel end
-        past it, or where a carry is not a number, and the row among those
-        marched.  The node values ``u = ph (c_p + (h/2) antideriv_nodes
-        psi)`` are then one product per row, ``[psi | c_p] @ lift``.
-        Returns node values with the same shape as ``forcing``, written
-        into ``out`` when it is given.
+        ``|Im omega|`` of the rows marched (the whole grid for real omega),
+        so a row gives the same bits marched alone as with the others.  The
+        error at a carry past ``OVERFLOW_GUARD``, or not a number, names the
+        first such panel end and the row among those marched.  The node
+        values ``u = ph (c_p + (h/2) antideriv_nodes psi)`` are then one
+        product per row, ``[psi | c_p] @ lift``.  Returns node values with
+        the same shape as ``forcing``, written into ``out`` when it is
+        given.
         """
         grid = self.grid
-        omega = self.omega[rows]
-        rows_n, n, q = omega.size, grid.n_panels, grid.q
+        rows_n, n, q = self.omega[rows].size, grid.n_panels, grid.q
         if forcing.shape != (rows_n, n, q):
             raise ValueError(f"forcing shape {forcing.shape} does not match "
                              f"({rows_n}, {n}, {q})")
@@ -515,20 +515,19 @@ class OscillatoryMarch:
         slow = np.empty((rows_n, n, q + 1), dtype=complex)
         psi = slow[:, :, :q]
         np.multiply(forcing, self.slow_phase[rows, None, :], out=psi)
-        Jend = (psi @ grid.scheme.antideriv_end) * self.half_widths
+        Jend = (psi @ grid.scheme.antideriv_end) * (0.5 * grid.h)
         # |E| <= e^{growth * block} <= OVERFLOW_GUARD, and so is 1/|E|
         growth = float(np.max(self.growth[rows], initial=0.0))
         block = n if growth == 0.0 else int(
             min(n, max(1, np.log(OVERFLOW_GUARD) // growth)))
+        E = self.steps[rows, :block + 1]
         carry = slow[:, :, q]            # carry[:, p]: value at breaks[p]
         c = np.array(init, dtype=complex)
         for s in range(0, n, block):
-            e = min(s + block, n)
-            E = np.exp(1j * omega[:, None]
-                       * (grid.breaks[s:e + 1] - grid.breaks[s]))
-            ends = np.cumsum(Jend[:, s:e] / E[:, :-1], axis=1)
+            m = min(block, n - s)
+            ends = np.cumsum(Jend[:, s:s + m] / E[:, :m], axis=1)
             ends += c[:, None]
-            ends *= E[:, 1:]             # values at breaks[s+1 .. e]
+            ends *= E[:, 1:m + 1]        # values at breaks[s+1 .. s+m]
             mags = np.abs(ends)
             # a NaN is the largest magnitude and fails every comparison, so
             # only ``<=`` catches it
@@ -544,7 +543,7 @@ class OscillatoryMarch:
                     f"{n_bad}); growing background makes the truncated "
                     "system blow up", time=t_bad, breach=breach)
             carry[:, s] = c
-            carry[:, s + 1:e] = ends[:, :-1]
+            carry[:, s + 1:s + m] = ends[:, :-1]
             c = ends[:, -1]
         return np.matmul(slow, self.lift[rows], out=out)
 

@@ -355,6 +355,34 @@ def test_headline_matches_a_fine_fixed_grid(monkeypatch):
         assert np.max(np.abs(traj.dense_at(ts) - ref)) <= 1e-10 * scale, s
 
 
+def test_low_regularity_rows_agree_on_two_fixed_grids(monkeypatch):
+    # the N = 149 instance of eps = 0.4, s = sigma = -1, k = 1, alpha = 2:
+    # row 8N's largest value is about 1e-5 of the integral of its forcing's
+    # magnitude, so an error that jumps from panel to panel, which nothing
+    # cancels, is amplified about 1e5 times.  Widths and carry phases from
+    # the rounded breaks put rows 4N-8N 4.3e-10 to 1.2e-9 apart on these
+    # grids; from the one width h and exact phases, 2.7e-12 at most
+    N = 149
+    phi, spec = build_inflation_data(N, -1.0, 1, 8 * N), \
+        EquationSpec.pure_power(1, 2.0)
+    T = inflation_time(N, -1.0, -1.0, 1)
+    ts = np.linspace(0.0, T, cascade.AGREEMENT_TIMES)
+    dense = []
+    for n_panels in (17912, 35824):
+        args = solve_rows_args(monkeypatch, phi, spec, T, n_panels, True)
+        grid, support = args[:2]
+        values = cascade._solve_rows(*args)[0]
+        traj = Trajectory(spec=spec, grid=grid, modes=support, values=values,
+                          quadrature_tolerance=1e-10, initial_state=phi)
+        dense.append(traj._evaluate(support, ts))
+        del values, traj
+    coarse, fine = dense
+    assert support.tolist() == [N * r for r in range(9)]
+    for r in range(1, support.size):
+        gap = np.max(np.abs(coarse[r] - fine[r])) / np.max(np.abs(fine[r]))
+        assert gap <= 1e-11, (support[r], gap)
+
+
 def _verify_draws():
     """The data, equation and horizon of every cascade solve of the seed-1
     ``verify`` benchmark op (``bench/workloads.py``), at its tolerance."""
@@ -873,9 +901,11 @@ def _small_data():
     # one rung of one panel: 24 nodes cannot resolve 200 radians
     (_small_data, 200.0, 0, [1], "Chebyshev tail"),
     # 28, 112 and 224 panels fail their tails, so the top of 446 (223
-    # panels doubled once), which passes its own, has no rung to compare
-    # it with
-    (headline, 256.0, 1, [28, 112, 224, 446], "no coarser rung"),
+    # panels doubled once), which passes its own, has no resolved rung to
+    # compare it with
+    (headline, 256.0, 1, [28, 112, 224, 446],
+     "no resolved coarser rung to compare it with (3 coarser rungs failed "
+     "their tails; tail"),
     # 108, 426 and 431 panels: 108 fails its tail, which sizes 426; 426
     # passes its tail, and the top of 431 (the grid sized for the fastest
     # frequency) passes its own but is 2.5e-10 off 426
@@ -966,14 +996,14 @@ def reference_weak_residual(traj, m, window):
     """Scalar oracle of ``weak_residual``: the residual of one test mode m
     by a loop over panels, and the magnitude of its largest term."""
     spec, grid = traj.spec, traj.grid
-    times, widths = grid.node_times(), grid.widths()
+    times = grid.node_times()
     degs = sorted(spec.nonlin_coeffs)
     int_theta = int_dtheta = 0.0 + 0.0j
     int_pow = dict.fromkeys(degs, 0.0 + 0.0j)
     # modes above m cannot reach mode m of a one-sided product
     rows = traj.modes <= m
     for p in range(grid.n_panels):
-        wq = 0.5 * widths[p] * grid.scheme.weights
+        wq = 0.5 * grid.h * grid.scheme.weights
         th = window.value(times[p])
         dense = np.zeros((m + 1, grid.q), dtype=complex)
         dense[traj.modes[rows]] = traj.values[rows, p]
@@ -1057,7 +1087,7 @@ def dense_weak_residual(traj, window):
     spec, grid = traj.spec, traj.grid
     n = np.arange(traj.truncation + 1)
     times = grid.node_times()
-    wq = 0.5 * grid.widths()[:, None] * grid.scheme.weights
+    wq = 0.5 * grid.h * grid.scheme.weights
     theta = wq * window.value(times)
     int_theta = np.zeros(n.size, dtype=complex)
     int_dtheta = np.zeros(n.size, dtype=complex)
@@ -1229,11 +1259,10 @@ def test_recentered_trajectory_solves_recentered_equation(k):
     for j, lam in expected.items():
         assert w.spec.nonlin_coeffs[j] == pytest.approx(lam)
     times = w.grid.node_times()
-    h = w.grid.widths()
     mu = np.array([float(n) ** 3 for n in range(11)])
     for p in (0, w.n_panels // 2, w.n_panels - 1):
         # d/dt of every tracked mode at the panel's nodes
-        dws = (2.0 / h[p]) * (w.values[:, p] @ w.grid.scheme.deriv_nodes.T)
+        dws = (2.0 / w.grid.h) * (w.values[:, p] @ w.grid.scheme.deriv_nodes.T)
         for i in (0, w.grid.q // 2):
             dense = np.zeros(w.truncation + 1, dtype=complex)
             dense[w.modes] = w.values[:, p, i]

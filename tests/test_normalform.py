@@ -308,7 +308,6 @@ def apply_map_oracle(ops, v_vals, grid, phi):
     the bulk integral carried across panels as a running sum."""
     sch = grid.scheme
     times = grid.node_times()
-    widths = grid.widths()
     n_phi0 = ops.boundary_term(phi, 0.0)
     out = np.empty_like(v_vals)
     carry = np.zeros(ops.truncation + 1, dtype=complex)
@@ -318,10 +317,10 @@ def apply_map_oracle(ops, v_vals, grid, phi):
         Ec = np.conj(E)
         n_vals = ops._boundary_from_u(U) * Ec
         b_vals = ops._bulk_from_u(U, ops._velocity_from_u(U)) * Ec
-        J = 0.5 * widths[p] * (b_vals @ sch.antideriv_nodes.T)
+        J = 0.5 * grid.h * (b_vals @ sch.antideriv_nodes.T)
         out[:, p, :] = (phi[:, None] + n_vals - n_phi0[:, None]
                         + carry[:, None] + J)
-        carry = carry + 0.5 * widths[p] * (b_vals @ sch.antideriv_end)
+        carry = carry + 0.5 * grid.h * (b_vals @ sch.antideriv_end)
     return out
 
 

@@ -1,7 +1,9 @@
 """Panel scheme exactness and the oscillatory integrating-factor march."""
 
 import dataclasses
+import math
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,9 +28,8 @@ def reference_march(grid, omega, forcing, init):
     out = np.empty_like(forcing)
     carry = np.array(init, dtype=complex)
     times = grid.node_times()
-    widths = grid.widths()
+    h = grid.h
     for p in range(grid.n_panels):
-        h = widths[p]
         dt = times[p] - grid.breaks[p]
         ph = np.exp(1j * omega[:, None] * dt[None, :])
         psi = forcing[:, p, :] / ph
@@ -45,16 +46,17 @@ def reference_march(grid, omega, forcing, init):
 
 def dividing_march(grid, omega, forcing, init):
     """Oracle of the multiply-only march: the same closed-form carry, with
-    the slow factor formed as ``forcing / ph`` and each panel's antiderivative
-    scaled by its own width ``0.5 * h[:, None]`` on the node array."""
+    the slow factor formed as ``forcing / ph``, each panel's antiderivative
+    scaled by ``0.5 * h`` on the node array, and each block's factors ``E``
+    made anew from ``grid.break_phases``."""
     sch = grid.scheme
-    h = grid.widths()
+    h = grid.h
     ph = np.exp(1j * omega[:, None, None] * grid.offsets)
     psi = forcing / ph
     J = psi @ sch.antideriv_nodes.T
-    J *= 0.5 * h[:, None]
+    J *= 0.5 * h
     Jend = 0.5 * h * (psi @ sch.antideriv_end)
-    growth = float(np.max(np.abs(omega.imag), initial=0.0) * h.max())
+    growth = float(np.max(np.abs(omega.imag), initial=0.0) * h)
     n = grid.n_panels
     block = n if growth == 0.0 else int(
         min(n, max(1, np.log(OVERFLOW_GUARD) // growth)))
@@ -62,8 +64,7 @@ def dividing_march(grid, omega, forcing, init):
     c = np.array(init, dtype=complex)
     for s in range(0, n, block):
         e = min(s + block, n)
-        E = np.exp(1j * omega[:, None]
-                   * (grid.breaks[s:e + 1] - grid.breaks[s]))
+        E = grid.break_phases(1j * omega, np.arange(e - s + 1))
         ends = np.cumsum(Jend[:, s:e] / E[:, :-1], axis=1)
         ends += c[:, None]
         ends *= E[:, 1:]
@@ -537,9 +538,7 @@ def test_node_times_are_computed_once_and_read_only():
     times = grid.node_times()
     assert grid.node_times() is times
     assert not times.flags.writeable
-    a, b = grid.breaks[:-1, None], grid.breaks[1:, None]
-    assert np.array_equal(
-        times, 0.5 * (a + b) + 0.5 * (b - a) * grid.scheme.nodes[None, :])
+    assert np.array_equal(times, grid.breaks[:-1, None] + grid.offsets)
 
 
 def test_offsets_are_computed_once_and_read_only():
@@ -569,6 +568,28 @@ def test_node_phases_match_exp_on_node_times(rate, panels):
     for r in range(rates.size):
         bound = abs(rates[r]) * grid.horizon * 8 * np.finfo(float).eps
         assert np.max(np.abs(got[r] - exact[r]) / np.abs(exact[r])) <= bound
+
+
+def test_break_phases_are_exact_at_a_large_phase():
+    # row 8N of the N = 149 case turns through 2.4e5 rad over the horizon,
+    # where one ulp of a rounded phase j h omega is 2.9e-11 rad.  The
+    # oracle takes the float theta = Im(rate h) exactly, times j, reduced
+    # by a 40-digit pi
+    pi = Fraction("3.141592653589793238462643383279502884197")
+    grid = PanelGrid(math.log(149) ** 2 / 149, 44780)
+    omega = 1192.0 ** 2
+    rates = 1j * np.array([omega, omega + 0.25j, omega - 1e-3j, 3.0])
+    j = np.array([0, 1, 2, 12345, 44779, 44780])
+    got = grid.break_phases(rates, j)
+    assert got.shape == (rates.size, j.size)
+    assert grid.h * omega * j[-1] > 2.3e5
+    for r, step in enumerate(rates * grid.h):
+        for i, jj in enumerate(j.tolist()):
+            x = Fraction(float(step.imag)) * jj
+            x -= round(x / (2 * pi)) * 2 * pi
+            want = (math.exp(float(step.real) * jj)
+                    * complex(math.cos(float(x)), math.sin(float(x))))
+            assert abs(got[r, i] - want) <= 1e-15 * abs(want), (r, jj)
 
 
 @pytest.mark.parametrize("n_panels", [0, -3])
@@ -807,7 +828,7 @@ def test_march_writes_into_out():
 
 @pytest.mark.parametrize("omega", [300.0 - 0.5j, 300.0 + 0.5j])
 def test_march_modulus_accuracy(omega):
-    # integrating factors taken from the breaks directly keep |u| at
+    # integrating factors e^{i omega j h} taken directly keep |u| at
     # e^{-Im(omega) t} to round-off over 1500 panels; a product of 1500
     # rounded panel steps drifts by 1e-13.  One panel phase table for every
     # panel keeps the Chebyshev tails at round-off too (per-panel phases
@@ -835,7 +856,7 @@ def test_guard_names_first_crossing_inside_a_block():
                      0.8e100 * np.exp(-55.0 * t51), 1.0], dtype=complex)
     with pytest.raises(OverflowGuardError, match=r"\(mode row 0\)") as ref:
         reference_march(grid, omega, forcing, init)
-    block = int(np.log(OVERFLOW_GUARD) // (55.0 * grid.widths().max()))
+    block = int(np.log(OVERFLOW_GUARD) // (55.0 * grid.h))
     p_ref = int(np.searchsorted(grid.breaks, ref.value.time))
     assert block < grid.n_panels and p_ref % block != 0
     with pytest.raises(OverflowGuardError, match=r"\(mode row 0\)") as got:
@@ -871,7 +892,7 @@ def one_shot_march(grid, omega, forcing, init):
     slow = np.empty((rows, n, q + 1), dtype=complex)
     psi = slow[:, :, :q]
     np.multiply(forcing, np.exp(-phase)[:, None, :], out=psi)
-    Jend = (psi @ sch.antideriv_end) * (0.5 * grid.widths())
+    Jend = (psi @ sch.antideriv_end) * (0.5 * h)
     growth = float(np.max(np.abs(omega.imag), initial=0.0) * h)
     block = n if growth == 0.0 else int(
         min(n, max(1, np.log(OVERFLOW_GUARD) // growth)))
@@ -879,8 +900,7 @@ def one_shot_march(grid, omega, forcing, init):
     c = np.array(init, dtype=complex)
     for s in range(0, n, block):
         e = min(s + block, n)
-        E = np.exp(1j * omega[:, None]
-                   * (grid.breaks[s:e + 1] - grid.breaks[s]))
+        E = grid.break_phases(1j * omega, np.arange(e - s + 1))
         ends = np.cumsum(Jend[:, s:e] / E[:, :-1], axis=1)
         ends += c[:, None]
         ends *= E[:, 1:]
@@ -930,7 +950,9 @@ def test_headline_rung_marches_row_by_row_with_the_one_shot_bits(
 
     def climb_twice(first, top, tol, solve, attempts, rows=None):
         # the grid with no rung before it is refused, then accepted
-        with pytest.raises(QuadratureError, match="no coarser rung"):
+        with pytest.raises(QuadratureError, match=(
+                r"no resolved coarser rung to compare it with \(0 coarser "
+                r"rungs failed their tails; tail")):
             solve(grid)
         return solve(grid)
 
