@@ -236,16 +236,17 @@ def _solve_rows(grid, support, omega, c0, init, weights):
     and the live rows, those marched that are not exactly zero.  A row
     whose initial value is 0 and whose forcing no product of live rows
     reaches is set to +0 and not marched.  Each row that is marched is one
-    ``apply`` of the grid's ``OscillatoryMarch``, set up once for all rows.
-    numpy's overflow and invalid-value warnings are off: the march's guard
-    names the mode where a value passes ``OVERFLOW_GUARD`` or is not a
-    number.
+    ``apply`` of the grid's ``OscillatoryMarch``, set up once for all rows
+    with the weights ``i n a_top``: it is given ``g = (w^top)(n) + sum_j
+    (a_j / a_top) (w^j)(n)``, formed in its own array.  numpy's overflow
+    and invalid-value warnings are off: the march's guard names the mode
+    where a value passes ``OVERFLOW_GUARD`` or is not a number.
 
     Row r of ``w^j`` is target r of ``spectral._product(w, w^{j-1})`` over
     the rows below r not exactly zero after their march (a zero row adds
     only signed zeros to a sum that starts at +0).  ``w^2`` is symmetric:
     it sums the rows ``m < r - m``, plus half the diagonal square, and is
-    doubled, in the forcing's scalar ``i n a_2`` when it is the top power."""
+    doubled, in the weight ``2 i n a_2`` when it is the top power."""
     shape = (grid.n_panels, grid.q)
     values = np.empty((support.size,) + shape, dtype=complex)
     values[0] = c0
@@ -254,7 +255,9 @@ def _solve_rows(grid, support, omega, c0, init, weights):
     powers = {1: values}
     powers.update((j, np.zeros_like(values)) for j in range(2, top))
     g = np.empty(shape, dtype=complex)
-    march = OscillatoryMarch(grid, omega)
+    # row r's forcing is g times i n a_top, doubled for the half sum of w^2
+    march = OscillatoryMarch(grid, omega, (
+        (2.0 if top == 2 else 1.0) * 1j * weights.get(top, 0.0)) * support)
     live = []                    # marched rows that are not exactly zero
     # reached[r]: row r is live, or a product of live rows may reach it
     reached = np.zeros(support.size, dtype=bool)
@@ -268,7 +271,7 @@ def _solve_rows(grid, support, omega, c0, init, weights):
             continue
         reached[r] = forced
         # powers below the top are kept for later rows; (w^top)(n) is
-        # summed in place into the forcing i n sum_j a_j (w^j)(n)
+        # summed in place into g, the forcing over its weight
         g.fill(0.0)
         for j in range(2, top + 1):
             acc = powers[j][r] if j < top else g
@@ -281,10 +284,9 @@ def _solve_rows(grid, support, omega, c0, init, weights):
                     acc *= 2.0           # later rows need the true w^2
             else:
                 _product(values, powers[j - 1], acc[None], r, live)
-        g *= (2.0 if top == 2 else 1.0) * 1j * n * weights.get(top, 0.0)
         for j in range(2, top):
             if j in weights:
-                g += (1j * n * weights[j]) * powers[j][r]
+                g += (weights[j] / weights[top]) * powers[j][r]
         try:
             march.apply(g[None], init[r:r + 1], slice(r, r + 1),
                         out=values[r:r + 1])

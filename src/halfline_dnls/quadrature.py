@@ -2,7 +2,7 @@
 
 The solvers in this package integrate scalar ODEs of the form
 
-    d/dt u_n = i omega_n u_n + F_n(t)
+    d/dt u_n = i omega_n u_n + w_n F_n(t)
 
 by exact integrating factors ``e^{i omega_n (t - a)}`` on short panels.  On
 each panel the slow factor ``e^{-i omega_n (t-a)} F_n`` is sampled at
@@ -12,19 +12,22 @@ provides dense output between nodes.  Every solver reads the panel
 geometry from ``PanelGrid`` alone: the one width ``h`` of its equal
 panels, the node offsets from a panel's left break (``offsets``), and
 ``break_phases``, ``e^{rate j h}`` at break j with its phase ``j Im(rate
-h)`` exact.  No width or phase differs from panel to panel by rounding,
-which a fast mode's forcing, cancelling to a small part of its size, would
+h)`` exact, tabled as products of a factor at ``64 a`` and one at ``b <
+64``.  No width or phase differs from panel to panel by rounding, which a
+fast mode's forcing, cancelling to a small part of its size, would
 amplify.  ``node_phases`` builds ``e^{rate t}`` on the nodes from one
 break factor per panel and one factor per offset.  The carry from one
 panel end to the next is a linear recurrence, solved in closed form over
 blocks of panels with the factors of ``break_phases``, so its modulus
 error does not grow with the panel count.  ``OscillatoryMarch(grid,
-omega)`` builds the tables of every row once, and its ``apply`` marches
-one forcing on some of the rows, with the block length of those rows
-alone, so a row's bits do not depend on the rows marched with it.  The
-cascade sets up once per rung and marches its rows one at a time; the
-gauge solver sets up once per rung and marches all rows in every Picard
-iteration.  ``oscillatory_march`` is the one-shot form of the two.
+omega, weight)`` builds the tables of every row once, with the slow phase,
+the row's weight ``w_n`` and the half-width folded into them, and its
+``apply`` marches one forcing on some of the rows in one product per row,
+with the block length of those rows alone, so a row's bits do not depend
+on the rows marched with it.  The cascade sets up once per rung and
+marches its rows one at a time; the gauge solver (unit weights) sets up
+once per rung and marches all rows in every Picard iteration.
+``oscillatory_march`` is the one-shot form of the two, with unit weights.
 
 Every solver runs on a ladder of grids, coarsest first, through the one
 climber ``solve_on_ladder``, which makes the rungs itself and moves on
@@ -268,16 +271,29 @@ class PanelGrid:
 
         ``theta = Im(rate h)`` is split (Veltkamp; Dekker, Numer. Math. 18,
         1971) into a 26-bit head and the tail ``theta - head``: ``j head``
-        is exact for j < 2^27, a bound no grid reaches, since 2^27 panels
-        hold a node array above 50 GB.  Only ``e^{Re(rate h) j + i tail
-        j}``, of phase below ``2^-26 |j theta|``, rounds its exponent.  The
-        factors of a row do not depend on the other rows."""
+        is exact for 0 <= j < 2^27; any other j raises ValueError (2^27
+        panels hold a node array above 50 GB).  Only ``e^{Re(rate h) j + i
+        tail j}``, of phase below ``2^-26 |j theta|``, rounds its exponent.
+        The factor at ``j = 64 a + b`` is the product of the exact factors
+        at ``64 a`` and at ``b``: a call takes rows x ((max(j) - min(j)) / 64
+        + 65) pairs of exponentials, and a factor depends on its row and j
+        alone."""
+        j = np.asarray(j)
+        if (bad := (j < 0) | (j >= 2**27)).any():
+            raise ValueError(f"break index {j[bad][0]} outside [0, 2**27)")
         step = np.asarray(rate)[:, None] * self.h
         split = step.imag * (2.0**27 + 1.0)
         head = split - (split - step.imag)
-        phases = np.exp(1j * (head * j))
-        phases *= np.exp(step.real * j + 1j * ((step.imag - head) * j))
-        return phases
+
+        def exact(k):
+            phases = np.exp(1j * (head * k))
+            phases *= np.exp(step.real * k + 1j * ((step.imag - head) * k))
+            return phases
+
+        high, low = np.divmod(j, 64)
+        base = high.min(initial=2**21)       # 2**27 / 64: above every a
+        above = exact(64 * np.arange(base, high.max(initial=base) + 1))
+        return above[:, high - base] * exact(np.arange(64))[:, low]
 
     def node_phases(self, rate: np.ndarray, panels: slice = slice(None)
                     ) -> np.ndarray:
@@ -296,7 +312,9 @@ class PanelGrid:
     def locate(self, t):
         """Panel index and local coordinate x in [-1, 1] of each time of
         ``t``: arrays of both for an array of times (one searchsorted), an
-        ``(int, float)`` pair for a scalar time."""
+        ``(int, float)`` pair for a scalar time.  ``x = 2 (t - breaks[p]) /
+        h - 1`` with the one width h, as the nodes sit at ``breaks[p] +
+        offsets``; the horizon is x = 1 on the last panel."""
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         inside = (ts >= 0.0) & (ts <= self.horizon * (1 + 1e-12))
         if not inside.all():
@@ -304,8 +322,8 @@ class PanelGrid:
                              f"[0, {self.horizon}]")
         p = np.clip(np.searchsorted(self.breaks, ts, side="right") - 1,
                     0, self.n_panels - 1)
-        a, b = self.breaks[p], self.breaks[p + 1]
-        x = np.clip(2.0 * (ts - a) / (b - a) - 1.0, -1.0, 1.0)
+        x = np.clip(2.0 * (ts - self.breaks[p]) / self.h - 1.0, -1.0, 1.0)
+        x[ts >= self.horizon] = 1.0      # the horizon ends the last panel
         if np.ndim(t) == 0:
             return int(p[0]), float(x[0])
         return p, x
@@ -448,35 +466,42 @@ def tail_ratio(values: np.ndarray, scheme: PanelScheme) -> np.ndarray:
 
 
 class OscillatoryMarch:
-    """``u' = i omega u + F`` on ``grid`` for the rows of ``omega``: the
-    tables every forcing's march reads, built once.
+    """``u' = i omega u + w F`` on ``grid`` for the rows of ``omega`` and
+    ``weight`` (ones if None): the tables every forcing's march reads.
 
     The panel phase ``ph = e^{i omega (t-a)}`` is one (rows, q) table on
     ``grid.offsets``, shared by every panel, so the values are the solution
-    at ``a_p + offsets``, the nodes of each panel's interpolant.  The setup
-    holds its conjugate, ``slow_phase``, and, per row, ``growth = |Im
-    omega| h``, the carry factors ``steps[:, j] = e^{i omega j h}``
-    (``grid.break_phases``, j = 0..n_panels), and the (q + 1, q) ``lift``
-    matrix ``[[(h/2) antideriv_nodes.T diag(ph)], [ph]]``.  Every table is
-    elementwise in the row, so a row's march gives the same bits whichever
-    rows the setup holds.
+    at ``a_p + offsets``, the nodes of each panel's interpolant.  With
+    ``sw = w (h/2) e^{-i omega (t-a)}``, the slow phase times the weight
+    and the half-width, the setup holds, per row, ``growth = |Im omega|
+    h``, the carry factors ``steps[:, j] = e^{i omega j h}``
+    (``grid.break_phases``, j = 0..n_panels), the panel-end row ``end = sw
+    antideriv_end`` and the (q + 1, q) ``lift`` matrix ``[[diag(sw)
+    antideriv_nodes.T diag(ph)], [ph]]``.  Every table is elementwise in
+    the row, so a row's march gives the same bits whichever rows the setup
+    holds.  ``apply`` copies each forcing into one (rows, n_panels, q + 1)
+    buffer of the setup, made for the widest ``apply``.
     """
 
-    def __init__(self, grid: PanelGrid, omega: np.ndarray):
+    def __init__(self, grid: PanelGrid, omega: np.ndarray,
+                 weight: Optional[np.ndarray] = None):
         q, h, n = grid.q, grid.h, grid.n_panels
         self.grid = grid
         self.omega = omega
         self.growth = np.abs(omega.imag) * h
         phase = 1j * omega[:, None] * grid.offsets              # (rows, q)
-        self.slow_phase = np.exp(-phase)
+        self.weight = np.ones(omega.size) if weight is None else weight
+        sw = np.exp(-phase) * (0.5 * h * self.weight)[:, None]
         # a row's factors past its own block may overflow; none is read
         with np.errstate(over="ignore", invalid="ignore"):
             self.steps = grid.break_phases(1j * omega, np.arange(n + 1))
         ph = np.exp(phase)
+        self.end = sw * grid.scheme.antideriv_end
         self.lift = np.empty((omega.size, q + 1, q), dtype=complex)
-        np.multiply(0.5 * h * grid.scheme.antideriv_nodes.T, ph[:, None, :],
-                    out=self.lift[:, :q])
+        np.multiply(sw[:, :, None] * grid.scheme.antideriv_nodes.T,
+                    ph[:, None, :], out=self.lift[:, :q])
         self.lift[:, q] = ph
+        self._buffer = np.empty((0, n, q + 1), dtype=complex)
 
     def apply(self, forcing: np.ndarray, init: np.ndarray,
               rows: slice = slice(None), out: Optional[np.ndarray] = None
@@ -485,11 +510,11 @@ class OscillatoryMarch:
         panel nodes, shape (len(rows), n_panels, q); ``init`` the values at
         t = 0.
 
-        The slow factor ``psi = F e^{-i omega (t-a)}`` is F times
-        ``slow_phase``.  Its integral over each panel, ``Jend``, is one
-        product with ``antideriv_end`` scaled by ``h/2``.  The carry across
-        panel ends, ``c_{p+1} = e^{i omega h} (c_p + Jend_p)``, is solved in
-        closed form over blocks of panels starting at break s:
+        The weighted integral of the slow factor ``F e^{-i omega (t-a)}``
+        over each panel, ``Jend``, is one product of F with ``end``.  The
+        carry across panel ends, ``c_{p+1} = e^{i omega h} (c_p +
+        Jend_p)``, is solved in closed form over blocks of panels starting
+        at break s:
 
             c_{s+i} = E_i (c_s + sum_{j<i} Jend_{s+j} / E_j),
             E_i = e^{i omega i h} = steps[:, i],
@@ -500,9 +525,9 @@ class OscillatoryMarch:
         so a row gives the same bits marched alone as with the others.  The
         error at a carry past ``OVERFLOW_GUARD``, or not a number, names the
         first such panel end and the row among those marched.  The node
-        values ``u = ph (c_p + (h/2) antideriv_nodes psi)`` are then one
-        product per row, ``[psi | c_p] @ lift``.  Returns node values with
-        the same shape as ``forcing``, written into ``out`` when it is
+        values ``u = ph (c_p + w (h/2) antideriv_nodes (F / ph))`` are then
+        one product per row, ``[F | c_p] @ lift``.  Returns node values
+        with the same shape as ``forcing``, written into ``out`` when it is
         given.
         """
         grid = self.grid
@@ -510,18 +535,19 @@ class OscillatoryMarch:
         if forcing.shape != (rows_n, n, q):
             raise ValueError(f"forcing shape {forcing.shape} does not match "
                              f"({rows_n}, {n}, {q})")
-        # [psi | carry] on each panel: the slow factor at the nodes and, in
-        # the last column, the value at the panel's left break
-        slow = np.empty((rows_n, n, q + 1), dtype=complex)
-        psi = slow[:, :, :q]
-        np.multiply(forcing, self.slow_phase[rows, None, :], out=psi)
-        Jend = (psi @ grid.scheme.antideriv_end) * (0.5 * grid.h)
+        if len(self._buffer) < rows_n:
+            self._buffer = np.empty((rows_n, n, q + 1), dtype=complex)
+        # [F | carry] on each panel: the forcing at the nodes and, in the
+        # last column, the value at the panel's left break
+        buf = self._buffer[:rows_n]
+        buf[:, :, :q] = forcing
+        Jend = np.matmul(forcing, self.end[rows, :, None])[:, :, 0]
         # |E| <= e^{growth * block} <= OVERFLOW_GUARD, and so is 1/|E|
         growth = float(np.max(self.growth[rows], initial=0.0))
         block = n if growth == 0.0 else int(
             min(n, max(1, np.log(OVERFLOW_GUARD) // growth)))
         E = self.steps[rows, :block + 1]
-        carry = slow[:, :, q]            # carry[:, p]: value at breaks[p]
+        carry = buf[:, :, q]             # carry[:, p]: value at breaks[p]
         c = np.array(init, dtype=complex)
         for s in range(0, n, block):
             m = min(block, n - s)
@@ -545,7 +571,7 @@ class OscillatoryMarch:
             carry[:, s] = c
             carry[:, s + 1:s + m] = ends[:, :-1]
             c = ends[:, -1]
-        return np.matmul(slow, self.lift[rows], out=out)
+        return np.matmul(buf, self.lift[rows], out=out)
 
 
 def oscillatory_march(grid: PanelGrid, omega: np.ndarray, forcing: np.ndarray,

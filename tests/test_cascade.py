@@ -555,8 +555,10 @@ def test_climb_whose_tails_all_fail_stops_at_the_top_rung():
 def ordered_pair_solve_rows(grid, support, omega, c0, init, weights,
                             forcings):
     """Oracle of ``cascade._solve_rows``: every power, ``w^2`` included, is
-    summed over the ordered pairs, and the forcing of each marched row is
-    appended to ``forcings``."""
+    summed over the ordered pairs, each row is marched with its forcing
+    ``w^top + sum_j (a_j / a_top) w^j`` over the weight ``i n a_top``, and
+    the forcing ``i n sum_j a_j w^j`` of each marched row is appended to
+    ``forcings``."""
     shape = (grid.n_panels, grid.q)
     values = np.empty((support.size,) + shape, dtype=complex)
     start = 1 if support[0] == 0 else 0
@@ -576,13 +578,14 @@ def ordered_pair_solve_rows(grid, support, omega, c0, init, weights,
             acc = powers[j][r] if j < top else g
             for i, i_rest in pairs:
                 acc += values[i] * powers[j - 1][i_rest]
-        g *= 1j * n * weights.get(top, 0.0)
         for j in range(2, top):
             if j in weights:
-                g += (1j * n * weights[j]) * powers[j][r]
-        forcings.append(g.copy())
-        values[r] = quadrature.oscillatory_march(
-            grid, omega[r:r + 1], g[None], init[r:r + 1])[0]
+                g += (weights[j] / weights[top]) * powers[j][r]
+        weight = 1j * n * weights.get(top, 0.0)
+        forcings.append(weight * g)
+        values[r] = quadrature.OscillatoryMarch(
+            grid, omega[r:r + 1], np.array([weight])).apply(
+                g[None], init[r:r + 1])[0]
     return values
 
 
@@ -604,9 +607,10 @@ def test_pair_products_match_ordered_pair_oracle(monkeypatch, k):
     forcings = []
     apply = quadrature.OscillatoryMarch.apply
     with monkeypatch.context() as m:
-        m.setattr(quadrature.OscillatoryMarch, "apply", lambda self, f, *a,
-                  **kw: forcings.append(f[0].copy()) or apply(self, f, *a,
-                                                               **kw))
+        # the march is given the forcing over its row's weight
+        m.setattr(quadrature.OscillatoryMarch, "apply", lambda self, f, init,
+                  rows, **kw: forcings.append(self.weight[rows][0] * f[0])
+                  or apply(self, f, init, rows, **kw))
         values, _, _, _ = solve_rows(*args)
     ref_forcings = []
     ref = ordered_pair_solve_rows(*args, ref_forcings)
@@ -621,7 +625,10 @@ def semigroup_solve_rows(grid, support, omega, c0, init, weights):
     """Byte oracle of ``cascade._solve_rows``, in its form before the
     lattice: rows on the support semigroup alone (mode 0 among them only
     when the data has it), and every power summed over a pair list built
-    from a mode-to-row map, zero rows included."""
+    from a mode-to-row map, zero rows included.  Each row is marched alone
+    on a setup of its own, with its weight ``i n a_top`` (doubled when
+    ``w^2`` is the top power) folded into the march and the lower powers
+    scaled by ``a_j / a_top``."""
     shape = (grid.n_panels, grid.q)
     values = np.empty((support.size,) + shape, dtype=complex)
     start = 1 if support[0] == 0 else 0
@@ -653,12 +660,13 @@ def semigroup_solve_rows(grid, support, omega, c0, init, weights):
                 for i, i_rest in pairs:
                     acc += np.multiply(values[i], powers[j - 1][i_rest],
                                        out=prod)
-        g *= (2.0 if top == 2 else 1.0) * 1j * n * weights.get(top, 0.0)
         for j in range(2, top):
             if j in weights:
-                g += (1j * n * weights[j]) * powers[j][r]
-        quadrature.oscillatory_march(grid, omega[r:r + 1], g[None],
-                                     init[r:r + 1], out=values[r:r + 1])
+                g += (weights[j] / weights[top]) * powers[j][r]
+        weight = ((2.0 if top == 2 else 1.0) * 1j
+                  * weights.get(top, 0.0)) * support[r:r + 1]
+        quadrature.OscillatoryMarch(grid, omega[r:r + 1], weight).apply(
+            g[None], init[r:r + 1], out=values[r:r + 1])
     ratios = quadrature.tail_ratio(values[start:], grid.scheme)
     worst = int(np.argmax(ratios))
     return values, float(ratios[worst]), int(support[start + worst])

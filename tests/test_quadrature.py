@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from halfline_dnls.normalform import picard_on_ladder
 from halfline_dnls.quadrature import (OVERFLOW_GUARD, OscillatoryMarch,
                                       oscillatory_march, panel_scheme,
                                       solve_on_ladder, tail_ratio)
+from halfline_dnls.spectral import dispersion_symbol
 
 
 def reference_march(grid, omega, forcing, init):
@@ -592,6 +594,28 @@ def test_break_phases_are_exact_at_a_large_phase():
             assert abs(got[r, i] - want) <= 1e-15 * abs(want), (r, jj)
 
 
+def test_break_phases_take_every_index_below_two_to_the_27():
+    # j head is exact up to 2^27 - 1, the last index taken, with the same
+    # 40-digit reduction as above
+    pi = Fraction("3.141592653589793238462643383279502884197")
+    grid = PanelGrid(1.0, 1000)
+    step = 1j * 0.37 * grid.h
+    j = 2**27 - 1
+    got = grid.break_phases(np.array([0.37j]), np.array([j]))
+    x = Fraction(float(step.imag)) * j
+    x -= round(x / (2 * pi)) * 2 * pi
+    want = complex(math.cos(float(x)), math.sin(float(x)))
+    assert got.shape == (1, 1)
+    assert abs(got[0, 0] - want) <= 1e-15
+
+
+@pytest.mark.parametrize("bad", [2**27, -1])
+def test_break_phases_refuse_an_index_outside_the_exact_range(bad):
+    grid = PanelGrid(1.0, 10)
+    with pytest.raises(ValueError, match=rf"^break index {bad} outside "):
+        grid.break_phases(np.array([2.0j]), np.array([0, 5, bad, 3, -2]))
+
+
 @pytest.mark.parametrize("n_panels", [0, -3])
 def test_grid_refuses_fewer_than_one_panel(n_panels):
     with pytest.raises(ValueError, match="at least one panel"):
@@ -711,6 +735,17 @@ def test_locate_array_matches_each_scalar(n_panels, horizon, at_breaks,
     assert grid.locate(horizon) == (n_panels - 1, 1.0)
 
 
+def test_locate_maps_node_times_to_the_scheme_nodes_with_the_one_width():
+    # the N = 149 case's 44,780 panels: the rounded width b - a moved x by
+    # up to 1.45e-11 at the node times; the one width h moves it by less
+    # than 1e-11
+    grid = PanelGrid(math.log(149) ** 2 / 149, 44780)
+    times = grid.node_times()
+    ps, xs = grid.locate(times.ravel())
+    assert np.array_equal(ps, np.repeat(np.arange(grid.n_panels), grid.q))
+    assert np.max(np.abs(xs.reshape(times.shape) - grid.scheme.nodes)) <= 1e-11
+
+
 def test_locate_rejects_times_outside_and_names_them():
     grid = PanelGrid.for_frequency(2.0, 100.0)
     with pytest.raises(ValueError, match="time -0.5 outside"):
@@ -816,6 +851,30 @@ def test_march_matches_dividing_oracle(omega):
         assert np.max(np.abs(got[r] - ref[r])) <= 1e-14 * np.max(np.abs(ref[r]))
 
 
+@pytest.mark.parametrize("omega", [
+    [40.0, -7.0, 0.0, 150.0],                         # real
+    [12.0 - 3.0j, -5.0 - 1.5j, 2.0 - 6.0j, 90.0 - 0.5j],  # growing
+    [12.0 + 3.0j, -5.0 + 1.5j, 2.0 + 6.0j, 90.0 + 0.5j],  # decaying
+])
+def test_weighted_march_matches_the_dividing_oracle_of_the_weighted_forcing(
+        omega):
+    # the weight w folded into the march's tables gives the march of the
+    # forcing w F to round-off, row by row
+    rng = np.random.default_rng(29)
+    omega = np.array(omega, dtype=complex)
+    grid = PanelGrid.for_frequency(1.44, 2 * 150.0)
+    times = grid.node_times()
+    forcing = np.stack([
+        (0.3 + 0.1j) * np.exp(1j * b * times) + 0.2 * np.cos(times)
+        for b in rng.uniform(-60.0, 60.0, size=omega.size)])
+    weight = np.array([2.0j * 16 * 0.7, -3.5 + 0.25j, 1e-3, 40.0])
+    init = np.array([1.0, 2.0j, -0.5 + 0.5j, 0.0])
+    ref = dividing_march(grid, omega, weight[:, None, None] * forcing, init)
+    got = OscillatoryMarch(grid, omega, weight).apply(forcing, init)
+    for r in range(omega.size):
+        assert np.max(np.abs(got[r] - ref[r])) <= 1e-14 * np.max(np.abs(ref[r]))
+
+
 def test_march_writes_into_out():
     grid = PanelGrid.for_frequency(1.0, 40.0)
     omega = np.array([7.0 - 0.3j, -3.0])
@@ -881,18 +940,21 @@ def test_march_strong_decay_in_blocks():
         assert np.max(np.abs(got[r] - ref[r])) <= 1e-13 * np.max(np.abs(ref[r]))
 
 
-def one_shot_march(grid, omega, forcing, init):
+def one_shot_march(grid, omega, forcing, init, weight=None):
     """Bitwise oracle of ``OscillatoryMarch.apply``: the march as one call
-    that builds its own phase tables and lift matrices for the rows it is
-    given, as it was before the setup was split from the application."""
+    that builds its own phase tables, panel-end rows and lift matrices for
+    the rows it is given, with the weight ``weight`` (ones when None) and
+    the half-width folded into the slow phase, ``sw = w (h/2) e^{-i omega
+    (t-a)}``, and the forcing copied into a fresh ``[F | carry]`` array."""
     sch = grid.scheme
     rows, n, q = omega.size, grid.n_panels, grid.q
     h = grid.horizon / n
     phase = 1j * omega[:, None] * grid.offsets
+    w = np.ones(rows) if weight is None else weight
+    sw = np.exp(-phase) * (0.5 * h * w)[:, None]
     slow = np.empty((rows, n, q + 1), dtype=complex)
-    psi = slow[:, :, :q]
-    np.multiply(forcing, np.exp(-phase)[:, None, :], out=psi)
-    Jend = (psi @ sch.antideriv_end) * (0.5 * h)
+    slow[:, :, :q] = forcing
+    Jend = np.matmul(forcing, (sw * sch.antideriv_end)[:, :, None])[:, :, 0]
     growth = float(np.max(np.abs(omega.imag), initial=0.0) * h)
     block = n if growth == 0.0 else int(
         min(n, max(1, np.log(OVERFLOW_GUARD) // growth)))
@@ -911,7 +973,7 @@ def one_shot_march(grid, omega, forcing, init):
         c = ends[:, -1]
     ph = np.exp(phase)
     lift = np.empty((rows, q + 1, q), dtype=complex)
-    np.multiply(0.5 * h * sch.antideriv_nodes.T, ph[:, None, :],
+    np.multiply(sw[:, :, None] * sch.antideriv_nodes.T, ph[:, None, :],
                 out=lift[:, :q])
     lift[:, q] = ph
     return np.matmul(slow, lift)
@@ -919,14 +981,15 @@ def one_shot_march(grid, omega, forcing, init):
 
 def recorded_applications(monkeypatch):
     """Every ``OscillatoryMarch.apply`` from here on, as (grid, omega of
-    the rows marched, forcing, init, result), copied when it returns."""
+    the rows marched, forcing, init, their weights, result), copied when it
+    returns."""
     calls = []
     apply = OscillatoryMarch.apply
 
     def spy(self, forcing, init, rows=slice(None), out=None):
         got = apply(self, forcing, init, rows, out)
         calls.append((self.grid, self.omega[rows].copy(), forcing.copy(),
-                      np.array(init), got.copy()))
+                      np.array(init), self.weight[rows].copy(), got.copy()))
         return got
 
     monkeypatch.setattr(OscillatoryMarch, "apply", spy)
@@ -935,8 +998,8 @@ def recorded_applications(monkeypatch):
 
 def assert_one_shot_bits(calls):
     assert calls
-    for grid, omega, forcing, init, got in calls:
-        want = one_shot_march(grid, omega, forcing, init)
+    for grid, omega, forcing, init, weight, got in calls:
+        want = one_shot_march(grid, omega, forcing, init, weight)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -962,6 +1025,31 @@ def test_headline_rung_marches_row_by_row_with_the_one_shot_bits(
     assert len(calls) == 2 * 8
     assert all(omega.size == 1 for _, omega, *_ in calls)
     assert_one_shot_bits(calls)
+
+
+def test_a_row_marched_again_into_out_allocates_no_node_array():
+    # the [F | carry] buffer is the setup's, made on the first apply: the
+    # second march of one row of the headline's 720-panel rung, written
+    # into ``out``, allocates less than one node array of its row (276 KB)
+    phi = build_inflation_data(16, 2.5, 1, 128)
+    spec = EquationSpec.pure_power(1, 2.0)
+    support = np.arange(0, 129, 16)
+    omega = (dispersion_symbol(spec, support)
+             + support * spec.self_coupling(phi.coeffs[0])).astype(complex)
+    grid = PanelGrid(inflation_time(16, 2.5, 0.5, 1), 720)
+    march = OscillatoryMarch(grid, omega, 1j * support)
+    forcing = np.cos(3.0 * grid.node_times())[None].astype(complex)
+    out = np.empty_like(forcing)
+    init = np.array([0.25 + 0.5j])
+    march.apply(forcing, init, slice(4, 5), out=out)
+    tracemalloc.start()
+    try:
+        march.apply(forcing, init, slice(4, 5), out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert np.array_equal(out, march.apply(forcing, init, slice(4, 5)))
 
 
 def test_growing_rows_march_in_blocks_with_the_one_shot_bits():
