@@ -271,19 +271,24 @@ def _solve_rows(grid, support, omega, c0, init, weights):
             continue
         reached[r] = forced
         # powers below the top are kept for later rows; (w^top)(n) is
-        # summed in place into g, the forcing over its weight
-        g.fill(0.0)
+        # summed in place into g, the forcing over its weight.  Its first
+        # term is written into g, not added to a zeroed g: a sum from +0
+        # would differ only where every term is a zero and the first a -0
         for j in range(2, top + 1):
             acc = powers[j][r] if j < top else g
+            other = values if j == 2 else powers[j - 1]
+            terms = [m for m in live if 2 * m < r] if j == 2 else live
+            if j == top and terms:
+                np.multiply(values[terms[0]], other[r - terms[0]], out=g)
+                terms = terms[1:]
+            elif j == top:
+                g.fill(0.0)
+            _product(values, other, acc[None], r, terms)
             if j == 2:
-                _product(values, values, acc[None], r,
-                         [m for m in live if 2 * m < r])
                 if r % 2 == 0 and r // 2 in live:
                     acc += values[r // 2] * values[r // 2] * 0.5
                 if j < top:
                     acc *= 2.0           # later rows need the true w^2
-            else:
-                _product(values, powers[j - 1], acc[None], r, live)
         for j in range(2, top):
             if j in weights:
                 g += (weights[j] / weights[top]) * powers[j][r]

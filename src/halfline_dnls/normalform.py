@@ -153,8 +153,8 @@ def _weight_tensor(M: int, deg: int, mu: np.ndarray) -> np.ndarray:
     return W
 
 
-def _weighted_contract(W: np.ndarray, U: np.ndarray, last: np.ndarray
-                       ) -> np.ndarray:
+def _weighted_contract(W: np.ndarray, U: np.ndarray, last: np.ndarray,
+                       out=None, spare=None) -> np.ndarray:
     """``out[n] = sum W[n, n_1..n_d] U[n_1] ... U[n_d] last[n - n_1 - ...
     - n_d]`` over ``n_1..n_d``, with ``d = W.ndim - 1`` and ``L =
     U.shape[0]`` target modes; degree 0 is ``W[n] last[n]``.  The first
@@ -162,16 +162,31 @@ def _weighted_contract(W: np.ndarray, U: np.ndarray, last: np.ndarray
     over the ``L - a`` targets m, is a contraction of degree ``d - 1``.  It
     runs over the live parts a only: rows of U that are nonzero and columns
     ``W[:, a]`` that are, so modes no composition of supported modes
-    reaches stay exactly 0."""
+    reaches stay exactly 0.
+
+    The result is written into ``out`` when it is given, an array of U's
+    shape.  Each level's inner sums are made in an array popped from
+    ``spare``, a list of work arrays with U's trailing shape and at least
+    its rows, and appended back: d of them serve degree d.  When it runs
+    short, or is not given, new arrays are made, with the same bits."""
     if W.ndim == 1:
-        return _along_modes(W, last) * last
+        return np.multiply(_along_modes(W, last), last, out=out)
     L = U.shape[0]
     live = (np.any(U, axis=tuple(range(1, U.ndim)))
             & np.any(W[:, :L], axis=(0,) + tuple(range(2, W.ndim))))
-    out = np.zeros_like(U)
+    if out is None:
+        out = np.zeros_like(U)
+    else:
+        out.fill(0.0)
+    spare = [] if spare is None else spare
+    inner = spare.pop() if spare else None
     for a in np.flatnonzero(live).tolist():
-        out[a:] += U[a] * _weighted_contract(W[a:, a], U[:L - a],
-                                             last[:L - a])
+        term = _weighted_contract(W[a:, a], U[:L - a], last[:L - a],
+                                  None if inner is None else inner[:L - a],
+                                  spare)
+        out[a:] += np.multiply(U[a], term, out=term)
+    if inner is not None:
+        spare.append(inner)
     return out
 
 
@@ -235,31 +250,65 @@ class NormalFormOperators:
 
     # -- batched kernels on u-values (columns = times) ----------------------
 
-    def _boundary_from_u(self, U: np.ndarray) -> np.ndarray:
-        """N without the outer e^{-it mu(n)} factor; U holds e^{it mu} v."""
-        out = np.zeros_like(U)
-        for deg, lam in self.spec.nonlin_coeffs.items():
-            out += (lam / (deg + 1) * self.n_vec[:, None]
-                    * _weighted_contract(self.weights[deg], U, U))
-        return out
+    # The batched kernels below take ``out``, an array of U's shape that
+    # receives the result, and ``spare``, a list of work arrays like U that
+    # they pop and append back (see ``_weighted_contract``).  Without them,
+    # or when ``spare`` runs short, they make new arrays, with the same bits.
 
-    def _velocity_from_u(self, U: np.ndarray) -> np.ndarray:
+    def _boundary_from_u(self, U: np.ndarray, out=None, spare=None
+                         ) -> np.ndarray:
+        """N without the outer e^{-it mu(n)} factor; U holds e^{it mu} v."""
+        return self._contract_sum(U, U, out, spare, np.add, lambda deg, lam: (
+            lam / (deg + 1) * self.n_vec[:, None]))
+
+    def _velocity_from_u(self, U: np.ndarray, spare=None) -> np.ndarray:
         """i n e^{it mu(n)} d/dt v_n expressed through convolution powers of
         the positive part of u; this is what the time derivative inserts
-        into the bulk term.  Columns of U are times."""
-        pos = np.array(U)
+        into the bulk term.  Columns of U are times.  The result is an array
+        popped from ``spare``, which also lends the positive part, the
+        powers (``spectral.power``: two arrays for a square, four for a
+        higher power) and, for several degrees, their running sum."""
+        spare = [] if spare is None else spare
+        pos = spare.pop() if spare else np.empty_like(U)
+        pos[...] = U
         pos[0] = 0.0
-        out = sum(lam / (deg + 1) * power(pos, deg + 1)
-                  for deg, lam in self.spec.nonlin_coeffs.items())
-        return 1j * self.n_vec[:, None] * out
-
-    def _bulk_from_u(self, U: np.ndarray, vel: np.ndarray) -> np.ndarray:
-        """B without the outer e^{-it mu(n)} factor."""
-        out = np.zeros_like(U)
+        out = None
         for deg, lam in self.spec.nonlin_coeffs.items():
-            out -= (lam * self.n_vec[:, None]
-                    * _weighted_contract(self.weights[deg], U, vel))
-        return out
+            term = power(pos, deg + 1, spare)
+            np.multiply(lam / (deg + 1), term, out=term)
+            if out is None:
+                out = np.add(0, term, out=term)   # a sum from 0: -0 is +0
+            else:
+                out += term
+                spare.append(term)
+        spare.append(pos)
+        return np.multiply(1j * self.n_vec[:, None], out, out=out)
+
+    def _bulk_from_u(self, U: np.ndarray, vel: np.ndarray, out=None,
+                     spare=None) -> np.ndarray:
+        """B without the outer e^{-it mu(n)} factor."""
+        return self._contract_sum(U, vel, out, spare, np.subtract,
+                                  lambda deg, lam: lam * self.n_vec[:, None])
+
+    def _contract_sum(self, U, last, out, spare, accumulate, weight
+                      ) -> np.ndarray:
+        """``accumulate`` (``np.add`` or ``np.subtract``) from 0 the terms
+        ``weight(deg, lam) * _weighted_contract(W_deg, U, last)`` over the
+        nonlinearity's degrees.  The first term is made in ``out`` and each
+        other in an array popped from ``spare``; a contraction of degree d
+        borrows d more."""
+        spare = [] if spare is None else spare
+        total = None
+        for deg, lam in self.spec.nonlin_coeffs.items():
+            into = out if total is None else spare.pop() if spare else None
+            term = _weighted_contract(self.weights[deg], U, last, into, spare)
+            np.multiply(weight(deg, lam), term, out=term)
+            if total is None:
+                total = accumulate(0, term, out=term)    # a sum from 0
+            else:
+                accumulate(total, term, out=total)
+                spare.append(term)
+        return total
 
     def _u_from_v(self, v_cols: np.ndarray, t: np.ndarray) -> np.ndarray:
         return v_cols * np.exp(1j * np.outer(self.mu, t))
@@ -291,31 +340,62 @@ class NormalFormOperators:
 
     # -- the fixed-point map ---------------------------------------------------
 
+    def _map_workspace(self, grid: PanelGrid) -> list:
+        """Work arrays for ``_apply_map_tensor`` on ``grid``, which every
+        block of every application reuses: ``M+1`` rows by the columns of
+        one block, ``min(n_panels, BLOCK_PANELS) * q``.  Two hold the
+        block's phases and u-values.  The batched kernels borrow the others
+        and the block of the map's result, which is written last: at top
+        degree d, d + 2 arrays for a contraction (its result, the velocity
+        or the bulk integral, and one per level), three for the velocity's
+        square and five for a higher power, and one more for several
+        degrees.  Each is allocated on its own: one array holding them all
+        would, once freed, raise glibc's mmap and trim thresholds (which
+        follow the largest block the process frees) for every later
+        array."""
+        coeffs = self.spec.nonlin_coeffs
+        d = max(coeffs)
+        lent = max(d + 2, 3 if d == 1 else 5) + (len(coeffs) > 1)
+        shape = (self.truncation + 1, min(grid.n_panels, BLOCK_PANELS)
+                 * grid.q)
+        return [np.empty(shape, dtype=complex) for _ in range(1 + lent)]
+
     def _apply_map_tensor(self, v_vals: np.ndarray, grid: PanelGrid,
-                          phi: np.ndarray) -> np.ndarray:
+                          phi: np.ndarray, work=None) -> np.ndarray:
+        """The fixed-point map on the node values ``v_vals`` of ``grid``,
+        block by block in the arrays of ``work``, a ``_map_workspace`` of
+        the grid (a new one by default); any workspace gives the same
+        bits."""
         M1, P, q = v_vals.shape
         sch = grid.scheme
         hw = 0.5 * grid.h
+        if work is None:
+            work = self._map_workspace(grid)
         out = np.empty_like(v_vals)
         ends = np.empty((M1, P), dtype=complex)
         for start in range(0, P, BLOCK_PANELS):
             blk = slice(start, min(start + BLOCK_PANELS, P))
             nb = blk.stop - blk.start
             # the block's (nb, q) node values as nb*q columns of one batch
-            E = grid.node_phases(1j * self.mu, blk).reshape(M1, nb * q)
-            U = v_vals[:, blk, :].reshape(M1, nb * q) * E
-            # in place: E is not needed past U, and the block's temporaries
-            # set the solver's peak memory
+            E, U, *spare = (w[:, :nb * q] for w in work)
+            # the block of ``out`` is lent too, until the block is written
+            spare.append(out[:, blk, :].reshape(M1, nb * q))
+            grid.node_phases(1j * self.mu, blk, out=E.reshape(M1, nb, q))
+            np.multiply(v_vals[:, blk, :].reshape(M1, nb * q), E, out=U)
             Ec = np.conj(E, out=E)
-            n_vals = self._boundary_from_u(U)
-            n_vals *= Ec
-            vel = self._velocity_from_u(U)
-            b_vals = self._bulk_from_u(U, vel)
+            vel = self._velocity_from_u(U, spare)
+            b_vals = self._bulk_from_u(U, vel, spare.pop(), spare)
             b_vals *= Ec
             b_vals = b_vals.reshape(M1, nb, q)
-            out[:, blk, :] = (n_vals.reshape(M1, nb, q)
-                              + hw * (b_vals @ sch.antideriv_nodes.T))
-            ends[:, blk] = hw * (b_vals @ sch.antideriv_end)
+            np.matmul(b_vals, sch.antideriv_end, out=ends[:, blk])
+            np.multiply(hw, ends[:, blk], out=ends[:, blk])
+            integral = np.matmul(b_vals, sch.antideriv_nodes.T,
+                                 out=vel.reshape(M1, nb, q))
+            spare.append(b_vals.reshape(M1, nb * q))
+            n_vals = self._boundary_from_u(U, spare.pop(), spare)
+            n_vals *= Ec
+            np.add(n_vals.reshape(M1, nb, q),
+                   np.multiply(hw, integral, out=integral), out=out[:, blk, :])
         # bulk integral up to the left end of each panel: exclusive running
         # sum of the panels' end integrals
         carry = np.zeros_like(ends)
@@ -513,10 +593,13 @@ def picard_solve(phi: SpectralState, spec: EquationSpec, T: float,
 
     # the iterates are a stack of one component, v
     def setup(grid):
-        # a copy, not a broadcast view of phi: with the view, the heap left
-        # by one solve raised the peak RSS of later solves in the same
-        # process (by up to ~4 MB on the benchmark's verify workload)
-        return (lambda v: ops._apply_map_tensor(v[:, 0], grid, phi_c)[:, None],
+        # one workspace for every application on the grid.  The first
+        # iterate is a copy, not a broadcast view of phi: with the view, the
+        # heap left by one solve raised the peak RSS of later solves in the
+        # same process (by up to ~4 MB on the benchmark's verify workload)
+        work = ops._map_workspace(grid)
+        return (lambda v: ops._apply_map_tensor(v[:, 0], grid, phi_c,
+                                                work)[:, None],
                 np.broadcast_to(phi_c[:, None, None, None],
                                 (M + 1, 1, grid.n_panels, grid.q)).copy())
 

@@ -110,13 +110,13 @@ NODE_BUDGET = 50_000_000
 # normal-form map, the weak-formulation residual): a block's node values
 # are one batch of (M+1, panels * q) columns, so larger blocks pay the
 # Python loop of the truncated products fewer times but hold larger
-# temporaries.  At 64, the normal form's 33-panel floor at truncation 16
-# is one block.  With blocks of 16, 32 and 64 panels, bench/run.py's
-# verify read latency_p50_s 0.072-0.077, 0.073-0.075 and 0.071-0.072 s
-# (seeds 1-3, 15 s runs).  Alone, one map application on that floor took
-# 2.4, 3.5 and 3.5 ms at tracemalloc peaks of 1.3, 2.0 and 2.1 MB, and on
-# the 1025-panel top rung 48, 41 and 40 ms at 8.0, 9.0 and 10.8 MB.  The
-# weak residual of the N=16, alpha=2 headline (its 9 lattice rows, 1777
+# arrays; the map keeps its work arrays of one block for a whole solve.
+# At 64, the normal form's 33-panel floor at truncation 16 is one block.
+# In the benchmark's verify process (seed 1, the calibration kernel between
+# calls, 120 ops alternating the block size), the map took 13.0, 11.5 and
+# 7.0 ms per op with blocks of 16, 32 and 64 panels, at 196, 308 and 287
+# minor page faults per op: at 32 the floor splits into 32 panels and one.
+# The weak residual of the N=16, alpha=2 headline (its 9 lattice rows, 1777
 # panels) took 73, 60 and 51 ms for its three windows together (medians of
 # 32 interleaved runs), at one peak of 2.3 MB that its whole-grid tables
 # set (in process, 2-core x86-64 VM, 2 MiB L2 per core).
@@ -295,16 +295,17 @@ class PanelGrid:
         above = exact(64 * np.arange(base, high.max(initial=base) + 1))
         return above[:, high - base] * exact(np.arange(64))[:, low]
 
-    def node_phases(self, rate: np.ndarray, panels: slice = slice(None)
-                    ) -> np.ndarray:
+    def node_phases(self, rate: np.ndarray, panels: slice = slice(None),
+                    out=None) -> np.ndarray:
         """``exp(rate * t)`` at the nodes of ``panels``, shape (rows,
         panels, q) for a 1-D ``rate`` of rows: ``break_phases`` at each
         panel's left break times a factor per offset, rows x (panels + q)
-        exponentials."""
+        exponentials.  Written into ``out`` when it is given."""
         rate = np.asarray(rate)
         at_breaks = self.break_phases(rate, np.arange(self.n_panels)[panels])
-        return (at_breaks[:, :, None]
-                * np.exp(rate[:, None] * self.offsets)[:, None, :])
+        return np.multiply(at_breaks[:, :, None],
+                           np.exp(rate[:, None] * self.offsets)[:, None, :],
+                           out=out)
 
     def refined(self) -> "PanelGrid":
         return PanelGrid(self.horizon, 2 * self.n_panels, self.scheme)

@@ -218,12 +218,15 @@ class EquationSpec:
 
 
 def _product(a: np.ndarray, b: np.ndarray, out=None, start: int = 0,
-             live=None) -> np.ndarray:
+             live=None, scratch=None) -> np.ndarray:
     """``out[n - start] += sum_{m in live, m <= n} a[m] b[n-m]`` along axis
     0 by direct shift-and-add, in increasing m, for the targets ``n >=
     start`` that ``out`` holds.  By default ``out`` is a new zero array like
     ``a``, ``start`` 0 and ``live`` the rows of ``a`` nonzero in some
-    column, so modes no pair of supported modes reaches stay exactly 0."""
+    column, so modes no pair of supported modes reaches stay exactly 0.
+    Each term ``a[m] b[n-m]`` is formed in ``scratch`` when it is given, an
+    array with at least ``out``'s rows and its trailing shape, and in a new
+    array otherwise; the sums are the same."""
     out = np.zeros_like(a) if out is None else out
     if live is None:
         live = np.flatnonzero(np.any(a, axis=tuple(range(1, a.ndim)))).tolist()
@@ -231,7 +234,9 @@ def _product(a: np.ndarray, b: np.ndarray, out=None, start: int = 0,
     for m in live:
         first = max(start, m)
         if first < stop:
-            out[first - start:] += a[m] * b[first - m: stop - m]
+            term = None if scratch is None else scratch[:stop - first]
+            out[first - start:] += np.multiply(a[m], b[first - m: stop - m],
+                                               out=term)
     return out
 
 
@@ -251,25 +256,57 @@ def convolve(a, b) -> np.ndarray:
     return _product(ca, cb)
 
 
-def power(a, j: int) -> np.ndarray:
+def power(a, j: int, spare=None) -> np.ndarray:
     """j-fold coefficient product of an ``(M+1, ...)`` array, column by
     column; ``j = 0`` returns the identity delta_0 in every column and
-    ``j = 1`` a copy of ``a``."""
+    ``j = 1`` a copy of ``a``.
+
+    ``spare`` is a list of work arrays shaped like ``a``.  The powers are
+    made in arrays popped from it, those freed on the way are appended
+    back, and its last array holds each product's terms; the result is one
+    of its arrays, no longer in it.  Two suffice for ``j = 2`` and four for
+    ``j >= 3``; when it runs short, or is not given, new arrays are made,
+    with the same bits."""
     c = _as_coeffs(a)
     if j < 0:
         raise ValueError("power exponent must be >= 0")
+    spare = [] if spare is None else spare
+
+    def take():
+        return spare.pop() if spare else np.empty_like(c)
+
+    def product(x, y):
+        out = take()
+        out.fill(0.0)
+        return _product(x, y, out, scratch=spare[-1] if spare else None)
+
     # binary powering from the lowest set bit: bit_length - 1 squarings and
-    # popcount - 1 further products, each exact on the retained modes
-    out = None
+    # popcount - 1 further products, each exact on the retained modes.  A
+    # power made here becomes the result in place of a copy; ``a`` is copied
+    base, out = c, None
     while j:
         if j & 1:
-            out = c.copy() if out is None else _product(out, c)
+            if out is not None:
+                prod = product(out, c)
+                spare.append(out)
+                out = prod
+            elif c is base:
+                out = take()
+                out[...] = c
+            else:
+                out = c
         j >>= 1
         if j:
-            c = _product(c, c)
+            square = product(c, c)
+            if c is not base and c is not out:
+                spare.append(c)
+            c = square
     if out is None:
-        out = np.zeros_like(c)
+        out = take()
+        out.fill(0.0)
         out[0] = 1.0
+    elif c is not base and c is not out:
+        spare.append(c)
     return out
 
 

@@ -20,17 +20,19 @@ from .spectral import EquationSpec, SpectralState
 
 __all__ = ["Trajectory", "sup_sobolev_diff"]
 
-# Bytes of the complex node values copied for one block of dense output
-# (rows x times x q), which are multiplied in place by the Chebyshev rows
-# and summed over q.  At 512 KiB, a quarter of a 2 MiB L2, 17 modes x 201
-# times on grids of 5, 33 and 308 panels took 0.46, 0.51 and 0.58 ms (0.74,
-# 0.68 and 0.88 ms as one unblocked contraction), within noise of 256 KiB
-# and 1 MiB, and 0.56-0.66 ms at 64 KiB.  Resampling the N=16, alpha=2
-# headline (9 rows) onto its doubled grid, 85,296 times, took 97-104 ms
-# from 256 KiB to 1 MiB and 164 ms at 64 KiB, against 291 ms as one
-# contraction, at a tracemalloc peak of 34 MB (632 MB as one contraction).
-# Medians of 9 to 31 runs, in process, 2-core x86-64 VM.
-DENSE_BLOCK_BYTES = 1 << 19
+# Bytes of the complex node values gathered for one block of dense output
+# (times x rows x q) into one array that every block of a call reuses, to
+# be multiplied in place by the Chebyshev rows and summed over q.  Below
+# 128 KiB, glibc's default mmap threshold, that array and numpy's buffer
+# for the multiply come from the heap whatever larger arrays the process
+# has freed.  In the benchmark's verify process (seed 1, the calibration
+# kernel between calls, 120 ops alternating the size), dense output took
+# 5.02 ms per op at 96 KiB and 5.55 ms at 64 KiB, with no minor page fault,
+# and 5.04 ms at 512 KiB with 286 faults per op.  Alone, resampling the
+# N=16, alpha=2 headline (9 rows) onto its doubled grid, 34,560 times, took
+# 51 ms at 96 KiB against 45 ms at 512 KiB (medians of 7 runs, in process,
+# 2-core x86-64 VM).
+DENSE_BLOCK_BYTES = 3 << 15
 
 
 def sup_sobolev_diff(a: np.ndarray, b: np.ndarray, s: float = 1.0) -> float:
@@ -73,7 +75,8 @@ class Trajectory:
         if np.any(np.diff(m) <= 0) or np.any((m < 0) | (m > self.truncation)):
             raise ValueError(f"modes {m.tolist()} are not strictly increasing "
                              f"within [0, {self.truncation}]")
-        v = np.asarray(self.values, dtype=complex)
+        # C-contiguous, which dense output reads as rows of q node values
+        v = np.ascontiguousarray(self.values, dtype=complex)
         if v.shape != (m.size, self.grid.n_panels, self.grid.q):
             raise ValueError(f"values shape {v.shape} does not match grid/modes")
         object.__setattr__(self, "modes", m)
@@ -105,9 +108,10 @@ class Trajectory:
         Chebyshev row per time (its ``chebvander`` row times
         ``coeff_map``), then one elementwise contraction per block of times:
         the node values of the tracked rows asked for, on the panels of the
-        block's times, are copied into one array of at most
-        ``DENSE_BLOCK_BYTES`` (rows x times x q), multiplied in place by the
-        Chebyshev rows and summed over q by numpy's pairwise sum.  No sum
+        block's times, are gathered into an array of at most
+        ``DENSE_BLOCK_BYTES`` (times x rows x q) that every block reuses,
+        multiplied in place by the Chebyshev rows and summed over q by
+        numpy's pairwise sum.  No sum
         depends on how many times or rows are asked for, so a time gives
         the same bits alone as in any batch of times, and a mode the same
         bits alone as among all modes."""
@@ -120,16 +124,28 @@ class Trajectory:
         rows = idx[tracked]
         cheb = (_cheb.chebvander(x, q - 1)[:, None, :]
                 @ self.grid.scheme.coeff_map)[:, 0]
-        out = np.zeros((ns.size, ts.size), dtype=complex)
         block = max(1, DENSE_BLOCK_BYTES // (16 * q * max(1, rows.size)))
+        # a panel's q node values of a row are one row of ``nodes``, as
+        # ``values`` is C-contiguous; the Chebyshev rows are cast per block
+        # into an array of their own (a complex-by-float multiply casts them
+        # in numpy's slower buffered path, to the same bits)
+        nodes = self.values.reshape(-1, q)
+        at = p[:, None] + rows * self.n_panels
+        size = min(block, ts.size)
+        gathered = np.empty(size * rows.size * q, dtype=complex)
+        rows_c = np.empty((size, q), dtype=complex)
+        vals = np.empty((ts.size, rows.size), dtype=complex)
         for start in range(0, ts.size, block):
             t = slice(start, start + block)
-            g = self.values[rows[:, None], p[t]]
-            # complex Chebyshev rows, cast per block: a complex-by-float
-            # multiply casts them in numpy's slower buffered path, to the
-            # same bits
-            g *= cheb[t].astype(complex)
-            out[tracked, t] = g.sum(axis=-1)
+            nt = min(block, ts.size - start)
+            g = gathered[:nt * rows.size * q].reshape(nt, rows.size, q)
+            np.take(nodes, at[t], axis=0, out=g, mode="clip")
+            c = rows_c[:nt]
+            c[...] = cheb[t]
+            g *= c[:, None, :]
+            np.sum(g, axis=-1, out=vals[t])
+        out = np.zeros((ns.size, ts.size), dtype=complex)
+        out[tracked] = vals.T
         return out
 
     def resampled(self, grid: PanelGrid) -> "Trajectory":

@@ -302,6 +302,18 @@ def test_cross_validate_mean_zero_is_the_m0_zero_case():
     assert rep.max_disagreement == float(np.max(np.abs(u - direct)))
 
 
+def test_cross_validate_alpha3_k2_runs_the_degree_2_normal_form():
+    # k = 2 contracts the normal form's degree-2 weights (two levels of
+    # _weighted_contract) end to end; on the console-script check's
+    # truncation-16 data the pipelines agree to 8.9e-14
+    from halfline_dnls import SpectralState, cross_validate
+    phi = SpectralState.from_modes({1: 0.045, 2: 0.045j}, 16)
+    rep = cross_validate(phi, alpha=3.0, k=2, T=1.0)
+    assert rep.pipelines == ("cascade", "normal-form")
+    assert rep.passed
+    assert rep.max_disagreement <= 1e-8
+
+
 @pytest.mark.parametrize("alpha, modes, evaluations", [
     (3.0, {1: 0.045, 2: 0.045j}, 4),     # v, the cascade's two rungs, u
     (2.0, {1: 0.03, 2: 0.02j}, 5),       # u and gu, the two rungs, u
