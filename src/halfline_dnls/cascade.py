@@ -254,7 +254,9 @@ def _solve_rows(grid, support, omega, c0, init, weights):
     # powers[j] holds (w^j) on every row; w^1 is the trajectory itself
     powers = {1: values}
     powers.update((j, np.zeros_like(values)) for j in range(2, top))
-    g = np.empty(shape, dtype=complex)
+    # +0 stays the forcing of a spec with no power above w^1 (top < 2),
+    # whose rows write no term into g
+    g = np.zeros(shape, dtype=complex)
     # row r's forcing is g times i n a_top, doubled for the half sum of w^2
     march = OscillatoryMarch(grid, omega, (
         (2.0 if top == 2 else 1.0) * 1j * weights.get(top, 0.0)) * support)
