@@ -442,14 +442,17 @@ def standard_windows(T: float) -> list:
 def _window_tail(window: TimeWindow, grid: PanelGrid) -> float:
     """Largest of the last two Chebyshev coefficients of the window, and of
     its derivative, on any panel of ``grid``, each relative to its largest
-    node value on the whole grid.  The scale is global, not per panel: the
-    residual weighs the window's error by the trajectory, and near a zero of
-    the window a per-panel scale would grow with every refinement."""
+    node value on the whole grid (inf for a value that is not finite).  The
+    scale is global, not per panel: the residual weighs the window's error
+    by the trajectory, and near a zero of the window a per-panel scale would
+    grow with every refinement."""
     times = grid.node_times()
     tail = 0.0
     for f in (window.value, window.derivative):
         vals = f(times)
         scale = np.max(np.abs(vals))
+        if not np.isfinite(scale):
+            return np.inf
         if scale > 0:
             coeffs = np.abs(grid.scheme.coeff_map[-2:] @ vals.T)
             tail = max(tail, float(np.max(coeffs)) / scale)
@@ -458,13 +461,14 @@ def _window_tail(window: TimeWindow, grid: PanelGrid) -> float:
 
 def _window_grid(traj: Trajectory, window: TimeWindow) -> PanelGrid:
     """The trajectory's grid when its window tail (``_window_tail``) is
-    within ``traj.quadrature_tolerance``, else the first doubling of it
-    that is.  Raises QuadratureError naming the window after
-    ``WINDOW_DOUBLINGS`` doublings."""
+    within ``traj.quadrature_tolerance``, else the first rung that is of the
+    ``solve_on_ladder`` climb from it (the second rung sized by the first
+    tail, later ones doubled).  Raises QuadratureError naming the window
+    after ``WINDOW_DOUBLINGS`` doublings."""
     tol = traj.quadrature_tolerance
 
     def resolves(grid):
-        if (tail := _window_tail(window, grid)) > tol:
+        if not (tail := _window_tail(window, grid)) <= tol:
             raise QuadratureError(
                 f"window {window.name!r} not resolved on {grid.n_panels} "
                 f"panels: Chebyshev tail {tail:.3e} > tol {tol:.3e}",
@@ -486,7 +490,7 @@ def weak_residual(traj: Trajectory, window: TimeWindow) -> np.ndarray:
 
     Returns left minus right, shape (truncation + 1,).  The integrals run
     on the trajectory's panels when they resolve the window, and otherwise
-    on the doubling of them that does (``_window_grid``), with the
+    on the first finer rung that does (``_window_grid``), with the
     trajectory's interpolants evaluated on its nodes
     (``Trajectory.resampled``).  The quadrature weights times theta and
     theta' are tabled once on the grid's nodes, and each power of u is

@@ -16,8 +16,8 @@ to stderr.  Every output embeds its RunManifest (parameters, version,
 tolerances, output files, wall-clock); a CSV carries it as its one
 ``# manifest:`` first line.  Exit codes:
 0 all checks passed, 1 an identity failed, a solver gave up or memory ran
-out, 2 usage error or refused input (bad values, unsupported regime,
-malformed or unreadable files).
+out, 2 usage error or refused input (bad values, a regime ``cross-validate``
+does not support, malformed or unreadable files).
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from . import __version__
 from .cascade import cascade_integrate
 from .gauge import (compatibility_defects, compatible_gauge_data,
                     gauge_picard_solve)
-from .inflation import (ExperimentConfig, NormReport, UnsupportedRegimeError,
-                        cross_validate, run_experiment)
+from .inflation import (ExperimentConfig, NormReport, cross_validate,
+                        run_experiment)
 from .normalform import MaxIterationsError, NonContractionError, picard_solve
 from .phase import certify_phase_bound
 from .spectral import DispersionKind, EquationSpec, SpectralState
@@ -278,12 +278,6 @@ def _cmd_cross_validate(args) -> _Result:
         doc={"report": report.to_dict()})
 
 
-def _flagged_row(entry: dict, tag: str) -> str:
-    """A summary row for an experiment that gave no report."""
-    keys = ("N", "s", "sigma", "k", "alpha")
-    return ",".join([str(entry.get(key)) for key in keys] + [""] * 4 + [tag])
-
-
 def _cmd_batch(args) -> _Result:
     with open(args.config, encoding="utf-8") as fh:
         doc = _parse_json(fh.read(), f"batch config {args.config}")
@@ -291,30 +285,25 @@ def _cmd_batch(args) -> _Result:
     if not isinstance(entries, list):
         raise ValueError(f"batch config {args.config}: expected a list of "
                          "experiment configs")
-    # every entry is parsed before any runs; None flags an unsupported regime
+    # every entry is parsed before any runs
     configs = []
     for i, entry in enumerate(entries):
         try:
             configs.append(ExperimentConfig.from_dict(entry))
-        except UnsupportedRegimeError:
-            configs.append(None)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"experiment {i}: malformed config: {exc}") \
                 from exc
 
     rows, passed = [NormReport.CSV_HEADER], True
-    for i, (entry, config) in enumerate(zip(entries, configs)):
-        if config is None:
-            _log(f"experiment {i}: unsupported-regime")
-            rows.append(_flagged_row(entry, "unsupported-regime"))
-            continue
+    for i, config in enumerate(configs):
         try:
             report = run_experiment(config)
         except (RuntimeError, ValueError) as exc:
             # the entry's own failure (a solver that gave up, or a value
             # such as mu(n) that overflows): its row, not the batch's
             _log(f"experiment {i}: error: {exc}")
-            rows.append(_flagged_row(entry, "error"))
+            rows.append(f"{config.N},{config.s},{config.sigma},{config.k},"
+                        f"{config.alpha},,,,,error")
             passed = False
             continue
         rows.append(report.csv_row())

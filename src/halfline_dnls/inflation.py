@@ -56,12 +56,13 @@ SCOPE_NOTE = (
 
 
 class UnsupportedRegimeError(ValueError):
-    """Parameters outside the regimes the pipelines support: alpha not 2
-    and below 3, or data regularity s below the required s0."""
+    """An alpha outside the uniqueness pipelines' regimes (2 or >= 3),
+    raised by ``cross_validate``; inflation runs at every alpha >= 1."""
 
 
 def minimum_regularity(alpha: float) -> float:
-    """Smallest data regularity the uniqueness pipelines support."""
+    """Smallest data regularity the uniqueness pipelines support; raises
+    UnsupportedRegimeError outside their alphas (``cross_validate`` asks)."""
     if alpha == 2:
         return 2.0
     if alpha >= 3:
@@ -169,17 +170,14 @@ class ExperimentConfig:
         for name in ("s", "sigma", "alpha"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if self.alpha < 1:
+            raise ValueError(f"alpha must be >= 1, got {self.alpha!r}")
         if self.epsilon is not None:
             require_positive(epsilon=self.epsilon)
         require_positive(identity_tol=self.identity_tol,
                          value_tol=self.value_tol,
                          exponent_tol=self.exponent_tol,
                          quadrature_tol=self.quadrature_tol)
-        s0 = minimum_regularity(self.alpha)
-        if self.s < s0:
-            raise UnsupportedRegimeError(
-                f"s = {self.s} below the required s0 = {s0} "
-                f"for alpha = {self.alpha}")
 
     @property
     def truncation(self) -> int:

@@ -83,10 +83,11 @@ def iterate_fixed_point(apply: Callable[[np.ndarray], np.ndarray],
     and returns it.  ``log.final_residual``, the increment of one more
     application of ``apply``, is computed from them when first read, so a
     solve whose residual nobody reads costs one application less.  Raises
-    NonContractionError after two non-contracting steps in a row (unless
-    within 10 tol) and MaxIterationsError when ``max_iter`` applications
-    do not converge; either carries ``log`` as its ``log``.  The initial
-    iterate is not kept once the first application is done.
+    NonContractionError at the first increment that is not finite, or after
+    two non-contracting steps in a row (unless within 10 tol), and
+    MaxIterationsError when ``max_iter`` applications do not converge;
+    either carries ``log`` as its ``log``.  The initial iterate is not kept
+    once the first application is done.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -98,6 +99,10 @@ def iterate_fixed_point(apply: Callable[[np.ndarray], np.ndarray],
         ratio = None if prev_diff in (None, 0.0) else diff / prev_diff
         log.iterations.append((it, diff, ratio))
         x = new
+        if not np.isfinite(diff):     # a NaN ratio passes for contraction
+            raise NonContractionError(
+                f"iterates stopped contracting (increment {diff} at "
+                f"iteration {it} is not finite)", log=log)
         if diff <= tol:
             log.converged = True
             # read-only, so the residual read later is that of this iterate

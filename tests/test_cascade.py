@@ -1209,6 +1209,35 @@ def test_weak_residual_resolves_its_window(monkeypatch):
         weak_residual(traj, bump)
 
 
+@pytest.mark.parametrize("broken", ["value", "derivative"])
+def test_a_window_that_is_not_a_number_is_never_resolved(broken):
+    # a NaN window value used to drop out of the tail (NaN > 0 is false):
+    # the 3 panels read a tail of 5.7e-17 and every residual mode read NaN
+    T = 0.5
+    traj = cascade_integrate(state({1: 0.1, 2: 0.05j}, 8),
+                             EquationSpec.pure_power(1, 2.0), T)
+    assert traj.n_panels == 3
+    bump = standard_windows(T)[0]
+
+    def nan_past(f):
+        def g(t):
+            out = np.array(f(t), dtype=float)
+            out[np.atleast_1d(t) > 0.7 * T] = np.nan
+            return out
+        return g
+
+    parts = {"value": bump.value, "derivative": bump.derivative}
+    parts[broken] = nan_past(parts[broken])
+    window = cascade.TimeWindow("nan-tail", T, parts["value"],
+                                parts["derivative"])
+    assert cascade._window_tail(window, traj.grid) == math.inf
+    top = traj.n_panels << cascade.WINDOW_DOUBLINGS
+    with pytest.raises(QuadratureError,
+                       match=f"^window 'nan-tail' not resolved on {top} "
+                             "panels: Chebyshev tail inf > tol"):
+        weak_residual(traj, window)
+
+
 def test_window_rungs_keep_the_trajectorys_scheme_and_grid():
     # on 12 nodes per panel the window's rungs are made on the trajectory's
     # own scheme, and a grid that resolves the window is the trajectory's

@@ -476,6 +476,21 @@ def test_cross_validate_unsupported_regime(tmp_path, capsys):
     assert "outside the supported regimes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["1.5", "2.5"])
+def test_inflate_runs_where_cross_validate_refuses_the_regime(
+        tmp_path, capsys, alpha):
+    # the regime check guards the uniqueness pipelines alone
+    phi = _phi_file(tmp_path, {1: (0.05, 0.0)}, 8)
+    assert dispatch(["cross-validate", "--alpha", alpha, "--k", "1",
+                     "--phi", phi, "--T", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: alpha = {float(alpha)} is outside the "
+                          "supported regimes") and err.count("\n") == 1
+    assert dispatch(["inflate", "--N", "16", "--s", "2.5", "--sigma", "0.5",
+                     "--k", "1", "--alpha", alpha]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["passed"] is True
+
+
 def test_batch_empty_list(tmp_path, capsys):
     cfg = tmp_path / "batch.json"
     cfg.write_text(json.dumps({"experiments": []}))
@@ -502,7 +517,8 @@ def test_batch_three_rows(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_batch_flags_unsupported_regime(tmp_path, capsys):
+def test_batch_runs_an_entry_between_alpha_2_and_3(tmp_path, capsys):
+    # 2 < alpha < 3 is open for uniqueness, not for the inflation chain
     entries = [
         {"N": 4, "s": 2.0, "sigma": 0.0, "k": 1, "alpha": 2.0, "m_max": 2},
         {"N": 4, "s": 2.0, "sigma": 0.0, "k": 1, "alpha": 2.5, "m_max": 2},
@@ -510,11 +526,13 @@ def test_batch_flags_unsupported_regime(tmp_path, capsys):
     cfg = tmp_path / "batch.json"
     cfg.write_text(json.dumps({"experiments": entries}))
     code = dispatch(["batch", str(cfg)])
-    out = capsys.readouterr().out
-    assert code == 0           # flagged, not failed
-    rows = [ln for ln in out.splitlines() if ln and not ln.startswith("#")]
-    assert rows[1].endswith(",pass")
-    assert rows[2].endswith(",unsupported-regime")
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    rows = [ln for ln in captured.out.splitlines()
+            if ln and not ln.startswith("#")]
+    assert len(rows) == 3
+    assert all(row.endswith(",pass") for row in rows[1:])
+    assert rows[2].startswith("4,2.0,0.0,1,2.5,")
 
 
 def test_batch_malformed_config(tmp_path, capsys):
@@ -578,6 +596,20 @@ def test_batch_refuses_a_non_finite_alpha_before_running_any_entry(
     assert runs == [] and captured.out == ""
     assert captured.err == ("error: experiment 1: malformed config: alpha "
                             "must be finite\n")
+
+
+def test_batch_refuses_an_alpha_below_1_before_running_any_entry(
+        tmp_path, capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr(cli, "run_experiment", runs.append)
+    entry = {"N": 16, "s": 2.5, "sigma": 0.5, "k": 1, "alpha": 2.0}
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps([entry, {**entry, "alpha": 0.5}]))
+    assert dispatch(["batch", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert runs == [] and captured.out == ""
+    assert captured.err == ("error: experiment 1: malformed config: alpha "
+                            "must be >= 1, got 0.5\n")
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])

@@ -7,9 +7,9 @@ import time
 import numpy as np
 import pytest
 
-from halfline_dnls import (ExperimentConfig, UnsupportedRegimeError,
-                           build_inflation_data, choose_N, inflation_time,
-                           minimum_regularity, run_experiment, sobolev_norm)
+from halfline_dnls import (ExperimentConfig, build_inflation_data, choose_N,
+                           inflation_time, minimum_regularity, run_experiment,
+                           sobolev_norm)
 from halfline_dnls import gauge, normalform
 
 
@@ -155,16 +155,26 @@ def test_choose_N_accepts_a_numpy_integer_k():
 
 # -- config validation ---------------------------------------------------------------
 
-def test_config_rejects_open_regime():
-    with pytest.raises(UnsupportedRegimeError, match="open problem"):
-        ExperimentConfig(N=8, s=2.0, sigma=0.0, k=1, alpha=2.5)
+def test_config_runs_alpha_between_2_and_3():
+    # the window 2 < alpha < 3 is open for uniqueness only: the inflation
+    # chain runs the cascade alone, and it passes there
+    assert run_experiment(ExperimentConfig(N=8, s=2.0, sigma=0.0, k=1,
+                                           alpha=2.5)).passed
 
 
-def test_config_rejects_low_regularity():
-    with pytest.raises(UnsupportedRegimeError, match="below the required"):
-        ExperimentConfig(N=8, s=1.0, sigma=0.0, k=1, alpha=2.0)
-    with pytest.raises(UnsupportedRegimeError, match="below the required"):
-        ExperimentConfig(N=8, s=0.5, sigma=0.0, k=1, alpha=3.0)
+def test_config_runs_s_below_the_uniqueness_floor():
+    # minimum_regularity bounds the uniqueness witnesses, not inflation
+    for s, alpha in ((1.0, 2.0), (0.5, 3.0)):
+        assert s < minimum_regularity(alpha)
+        assert run_experiment(ExperimentConfig(N=8, s=s, sigma=0.0, k=1,
+                                               alpha=alpha)).passed
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.0, -2.0])
+def test_config_refuses_alpha_below_1(alpha):
+    # the domain of EquationSpec, checked before any run
+    with pytest.raises(ValueError, match="^alpha must be >= 1, got "):
+        ExperimentConfig(N=8, s=2.0, sigma=0.0, k=1, alpha=alpha)
 
 
 @pytest.mark.parametrize("name", ["identity_tol", "value_tol",
@@ -260,6 +270,32 @@ def test_experiment_unrestricted_support(small_report):
     assert rep.checks["support_containment"].note == "all modes integrated"
 
 
+@pytest.mark.parametrize("config", [
+    dict(alpha=2.0, k=1, s=1.0, sigma=1.0),
+    dict(alpha=2.0, k=1, s=-2.0, sigma=-2.0),
+    dict(alpha=2.0, k=1, s=-1.0, sigma=0.5),
+    dict(alpha=3.0, k=1, s=0.0, sigma=0.0, m_max=4),
+    dict(alpha=3.0, k=1, s=-1.0, sigma=-1.0, m_max=4),
+    dict(alpha=1.0, k=1, s=2.5, sigma=0.5),
+    dict(alpha=2.5, k=1, s=2.5, sigma=0.5),
+    dict(alpha=2.0, k=2, s=0.5, sigma=0.5),
+    dict(alpha=2.0, k=3, s=-1.0, sigma=-1.0),
+    dict(alpha=2.0, k=1, s=-1.0, sigma=-1.0, N=149, epsilon=0.4),
+], ids=lambda c: ",".join(f"{k}={v}" for k, v in c.items()))
+def test_inflation_passes_over_the_papers_range(config):
+    # the paper proves norm inflation in H^s for every real s: the chain
+    # holds below the uniqueness floors, at every alpha >= 1 and k up to 3
+    config = ExperimentConfig(**{"N": 16, **config})
+    report = run_experiment(config)
+    assert report.passed, {n: c.defect for n, c in report.checks.items()
+                           if not c.passed}
+    if config.epsilon is not None:
+        # N = 149 = choose_N(0.4, -1, -1, 1)
+        assert config.N == choose_N(config.epsilon, config.s, config.sigma,
+                                    config.k)
+        assert report.checks["epsilon_conditions"].passed
+
+
 # -- cross-pipeline validation -------------------------------------------------------
 
 def test_cross_validate_zero_data():
@@ -310,6 +346,22 @@ def test_cross_validate_alpha3_k2_runs_the_degree_2_normal_form():
     phi = SpectralState.from_modes({1: 0.045, 2: 0.045j}, 16)
     rep = cross_validate(phi, alpha=3.0, k=2, T=1.0)
     assert rep.pipelines == ("cascade", "normal-form")
+    assert rep.passed
+    assert rep.max_disagreement <= 1e-8
+
+
+@pytest.mark.parametrize("mean, pipeline", [
+    (0.0, "normal-form"),                          # degree 3 alone
+    (0.03 - 0.02j, "normal-form-recentered"),      # degrees 1, 2 and 3
+])
+def test_cross_validate_alpha3_k3_runs_the_degree_3_normal_form(mean,
+                                                                pipeline):
+    # the console-script check's truncation-16 data, with and without a
+    # mean: both routes agree to 2.2e-14
+    from halfline_dnls import SpectralState, cross_validate
+    phi = SpectralState.from_modes({0: mean, 1: 0.045, 2: 0.045j}, 16)
+    rep = cross_validate(phi, alpha=3.0, k=3, T=1.0)
+    assert rep.pipelines == ("cascade", pipeline)
     assert rep.passed
     assert rep.max_disagreement <= 1e-8
 

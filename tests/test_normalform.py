@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from halfline_dnls import (ContractionThresholdError, EquationSpec,
-                           MaxIterationsError, NormalFormOperators, PanelGrid,
+                           MaxIterationsError, NonContractionError,
+                           NormalFormOperators, PanelGrid,
                            SpectralState, Trajectory, cascade_integrate,
                            compatible_gauge_data, gauge_picard_solve,
                            picard_solve, sobolev_norm)
@@ -530,6 +531,31 @@ def test_a_log_that_did_not_converge_reads_no_residual():
     with pytest.raises(MaxIterationsError) as info:
         _solve_normal_form(1e-10, max_iter=1)
     assert np.isnan(info.value.log.final_residual)
+
+
+def test_an_increment_that_is_not_finite_stops_the_iteration():
+    # the NaN ratio after it used to reset the count of bad ratios, so the
+    # solve ran all 40 map applications and ended in MaxIterationsError
+    phi = state({1: 1e40, 2: 1e40j}, 8)
+    with np.errstate(all="ignore"), pytest.raises(
+            NonContractionError,
+            match=r"^iterates stopped contracting \(increment nan at "
+                  r"iteration 2 is not finite\)$") as info:
+        picard_solve(phi, EquationSpec.pure_power(1, 3.0), 1.0,
+                     allow_unsafe=True)
+    iterations = info.value.log.iterations
+    assert len(iterations) == 2 and np.isfinite(iterations[0][1])
+    assert not info.value.log.converged
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_map_that_returns_no_number_stops_at_its_first_application(bad):
+    x0 = np.zeros((3, 2, 4), dtype=complex)
+    with pytest.raises(NonContractionError, match="iteration 1 is not "
+                                                   "finite") as info:
+        iterate_fixed_point(lambda x: np.full_like(x, bad), x0,
+                            PicardLog(smallness=None), 1e-10, 40)
+    assert len(info.value.log.iterations) == 1
 
 
 @pytest.mark.parametrize("solve", [_solve_normal_form, _solve_gauge])
