@@ -67,9 +67,11 @@ def minimum_regularity(alpha: float) -> float:
         return 2.0
     if alpha >= 3:
         return 1.0
-    raise UnsupportedRegimeError(
-        f"alpha = {alpha} is outside the supported regimes (2 or >= 3); "
-        "the window 2 < alpha < 3 is an open problem")
+    message = (f"alpha = {alpha} is outside the supported regimes "
+               "(2 or >= 3)")
+    if 2 < alpha < 3:
+        message += "; the window 2 < alpha < 3 is an open problem"
+    raise UnsupportedRegimeError(message)
 
 
 def build_inflation_data(N: int, s: float, k: int, truncation: int

@@ -72,6 +72,7 @@ class MaxIterationsError(_IterationFailure):
     """Iteration budget exhausted before reaching tolerance."""
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def iterate_fixed_point(apply: Callable[[np.ndarray], np.ndarray],
                         x: np.ndarray, log: "PicardLog", tol: float,
                         max_iter: int) -> np.ndarray:
@@ -86,8 +87,11 @@ def iterate_fixed_point(apply: Callable[[np.ndarray], np.ndarray],
     NonContractionError at the first increment that is not finite, or after
     two non-contracting steps in a row (unless within 10 tol), and
     MaxIterationsError when ``max_iter`` applications do not converge;
-    either carries ``log`` as its ``log``.  The initial iterate is not kept
-    once the first application is done.
+    either carries ``log`` as its ``log``.  numpy's overflow and
+    invalid-value warnings are off, in the map and the increments alike:
+    an iterate that overflows ends in that error, which names the
+    increment that is not finite.  The initial iterate is not kept once
+    the first application is done.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -488,7 +492,10 @@ class PicardLog:
     def final_residual(self) -> float:
         if isinstance(self._residual, tuple):
             apply, x = self._residual
-            self._residual = sup_sobolev_diff(apply(x), x)
+            # as in ``iterate_fixed_point``: a residual that overflows reads
+            # inf or NaN, without numpy's warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._residual = sup_sobolev_diff(apply(x), x)
         return float("nan") if self._residual is None else self._residual
 
     @property

@@ -275,25 +275,30 @@ class PanelGrid:
         panels hold a node array above 50 GB).  Only ``e^{Re(rate h) j + i
         tail j}``, of phase below ``2^-26 |j theta|``, rounds its exponent.
         The factor at ``j = 64 a + b`` is the product of the exact factors
-        at ``64 a`` and at ``b``: a call takes rows x ((max(j) - min(j)) / 64
-        + 65) pairs of exponentials, and a factor depends on its row and j
-        alone."""
-        j = np.asarray(j)
-        if (bad := (j < 0) | (j >= 2**27)).any():
-            raise ValueError(f"break index {j[bad][0]} outside [0, 2**27)")
-        step = np.asarray(rate)[:, None] * self.h
+        at ``64 a`` and at ``b``, tabled together for the a from ``min(j) //
+        64`` to ``max(j) // 64`` and the b that ``j`` can use (those from
+        ``min(j) % 64`` to ``max(j) % 64`` when all of ``j`` lies in one
+        run of 64, else all 64): a call takes at most rows x ((max(j) -
+        min(j)) / 64 + 65) pairs of exponentials, and a factor depends on
+        its row and j alone."""
+        j, rate = np.asarray(j), np.asarray(rate)
+        if j.size == 0:
+            return np.empty((rate.size,) + j.shape, dtype=complex)
+        lo, hi = int(j.min()), int(j.max())
+        if lo < 0 or hi >= 2**27:
+            bad = j[(j < 0) | (j >= 2**27)][0]
+            raise ValueError(f"break index {bad} outside [0, 2**27)")
+        step = rate[:, None] * self.h
         split = step.imag * (2.0**27 + 1.0)
         head = split - (split - step.imag)
-
-        def exact(k):
-            phases = np.exp(1j * (head * k))
-            phases *= np.exp(step.real * k + 1j * ((step.imag - head) * k))
-            return phases
-
+        a0, a1 = lo // 64, hi // 64
+        b0, b1 = (lo % 64, hi % 64) if a0 == a1 else (0, 63)
+        # the columns: the factors at 64 a0 .. 64 a1, then at b0 .. b1
+        k = np.concatenate((64 * np.arange(a0, a1 + 1), np.arange(b0, b1 + 1)))
+        table = np.exp(1j * (head * k))
+        table *= np.exp(step.real * k + 1j * ((step.imag - head) * k))
         high, low = np.divmod(j, 64)
-        base = high.min(initial=2**21)       # 2**27 / 64: above every a
-        above = exact(64 * np.arange(base, high.max(initial=base) + 1))
-        return above[:, high - base] * exact(np.arange(64))[:, low]
+        return table[:, high - a0] * table[:, low + (a1 - a0 + 1 - b0)]
 
     def node_phases(self, rate: np.ndarray, panels: slice = slice(None),
                     out=None) -> np.ndarray:
@@ -303,9 +308,13 @@ class PanelGrid:
         exponentials.  Written into ``out`` when it is given."""
         rate = np.asarray(rate)
         at_breaks = self.break_phases(rate, np.arange(self.n_panels)[panels])
-        return np.multiply(at_breaks[:, :, None],
-                           np.exp(rate[:, None] * self.offsets)[:, None, :],
-                           out=out)
+        if out is None:
+            out = np.empty(at_breaks.shape + (self.q,), dtype=complex)
+        # copied, then multiplied in place: numpy (2.4) buffers each operand
+        # that a ufunc broadcasts, in up to 128 KiB, and the copy takes none
+        out[...] = at_breaks[:, :, None]
+        out *= np.exp(rate[:, None] * self.offsets)[:, None, :]
+        return out
 
     def refined(self) -> "PanelGrid":
         return PanelGrid(self.horizon, 2 * self.n_panels, self.scheme)
@@ -436,12 +445,18 @@ def tail_ratio(values: np.ndarray, scheme: PanelScheme) -> np.ndarray:
     inf.  Rows are visited in decreasing order of their largest bound, and
     a row whose bound is below the running scale on every panel cannot
     raise it, so its full transform, ``coeff_map @ row.T`` in (q, panels)
-    layout, is skipped.  Every row's tail comes from ``coeff_map[-2:] @
+    layout, is skipped; once a row's largest bound is below the least
+    scale, so are the bounds of every row after it, and the visit ends
+    there, unless a row's bound is NaN (it sorts last, and is
+    transformed).  Every row's tail comes from ``coeff_map[-2:] @
     row.T``, whichever path it took, so the result does not depend on which
     rows were skipped: the ratios are bit for bit those of a full transform
     of every row wherever the BLAS forms the last two rows of that product
-    alone as it does within it.  Rows are taken one at a time, so the
-    temporaries stay at one row's size.
+    alone as it does within it.  The full transforms are taken one row at
+    a time, then the tails in one stacked product per chunk of rows, whose
+    (rows, 2, panels) result holds at most the node values of
+    ``BLOCK_PANELS`` panels of a row (one row per product from q / 2 x
+    BLOCK_PANELS panels on), so the temporaries stay at one row's size.
     """
     if values.ndim != 3:
         raise ValueError(f"values must have shape (rows, panels, q), "
@@ -450,16 +465,29 @@ def tail_ratio(values: np.ndarray, scheme: PanelScheme) -> np.ndarray:
     bound = np.einsum("rpk,rpk->rp", flat, flat)
     np.sqrt(np.maximum(bound, 1e-300, out=bound), out=bound)
     bound *= scheme.coeff_bound
-    tails = np.empty(values.shape[:2])
     scale = np.zeros(values.shape[1])
-    last = scheme.coeff_map[-2:]
-    for r in np.argsort(-bound.max(axis=1, initial=0.0), kind="stable"):
-        row = values[r]
-        mag = np.abs(last @ row.T)                      # (2, panels)
-        np.maximum(mag[0], mag[1], out=tails[r])
+    peaks = bound.max(axis=1, initial=0.0)
+    order = np.argsort(-peaks, kind="stable").tolist()
+    peaks = peaks.tolist()
+    # a NaN peak sorts last and must be visited; without one, the visit
+    # ends at the first row whose peak is below the least panel's scale
+    ends = not (order and math.isnan(peaks[order[-1]]))
+    floor = 0.0
+    for r in order:
+        if peaks[r] < floor:
+            break
         if not (bound[r] < scale).all():
-            mag = np.abs(scheme.coeff_map @ row.T)      # (q, panels)
+            mag = np.abs(scheme.coeff_map @ values[r].T)    # (q, panels)
             np.maximum(scale, mag.max(axis=0), out=scale)
+            if ends:
+                floor = float(scale.min())
+    tails = np.empty(values.shape[:2])
+    last = scheme.coeff_map[-2:]
+    chunk = max(1, BLOCK_PANELS * scheme.q // (2 * max(1, values.shape[1])))
+    for r in range(0, values.shape[0], chunk):
+        rows = values[r:r + chunk]
+        mag = np.abs(last @ rows.transpose(0, 2, 1))    # (chunk, 2, panels)
+        np.maximum(mag[:, 0], mag[:, 1], out=tails[r:r + chunk])
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(scale > 1e-290, tails / np.maximum(scale, 1e-300), 0.0)
     ratio[:, ~np.isfinite(scale)] = np.inf
@@ -474,11 +502,12 @@ class OscillatoryMarch:
     ``grid.offsets``, shared by every panel, so the values are the solution
     at ``a_p + offsets``, the nodes of each panel's interpolant.  With
     ``sw = w (h/2) e^{-i omega (t-a)}``, the slow phase times the weight
-    and the half-width, the setup holds, per row, ``growth = |Im omega|
-    h``, the carry factors ``steps[:, j] = e^{i omega j h}``
-    (``grid.break_phases``, j = 0..n_panels), the panel-end row ``end = sw
-    antideriv_end`` and the (q + 1, q) ``lift`` matrix ``[[diag(sw)
-    antideriv_nodes.T diag(ph)], [ph]]``.  Every table is elementwise in
+    and the half-width, the setup holds, per row, the carry factors
+    ``steps[:, j] = e^{i omega j h}`` (``grid.break_phases``, j =
+    0..n_panels), the length of its carry blocks (see ``apply``), the
+    panel-end row ``end = sw antideriv_end`` and the (q + 1, q) ``lift``
+    matrix ``[[diag(sw) antideriv_nodes.T diag(ph)], [ph]]``, built in
+    place in its own array.  Every table is elementwise in
     the row, so a row's march gives the same bits whichever rows the setup
     holds.  ``apply`` copies each forcing into one (rows, n_panels, q + 1)
     buffer of the setup, made for the widest ``apply``.
@@ -489,7 +518,6 @@ class OscillatoryMarch:
         q, h, n = grid.q, grid.h, grid.n_panels
         self.grid = grid
         self.omega = omega
-        self.growth = np.abs(omega.imag) * h
         phase = 1j * omega[:, None] * grid.offsets              # (rows, q)
         self.weight = np.ones(omega.size) if weight is None else weight
         sw = np.exp(-phase) * (0.5 * h * self.weight)[:, None]
@@ -498,10 +526,19 @@ class OscillatoryMarch:
             self.steps = grid.break_phases(1j * omega, np.arange(n + 1))
         ph = np.exp(phase)
         self.end = sw * grid.scheme.antideriv_end
+        # a (rows, q, q) temporary would pass glibc's mmap threshold from
+        # 15 rows on
         self.lift = np.empty((omega.size, q + 1, q), dtype=complex)
-        np.multiply(sw[:, :, None] * grid.scheme.antideriv_nodes.T,
-                    ph[:, None, :], out=self.lift[:, :q])
+        np.multiply(sw[:, :, None], grid.scheme.antideriv_nodes.T,
+                    out=self.lift[:, :q])
+        self.lift[:, :q] *= ph[:, None, :]
         self.lift[:, q] = ph
+        # each row's carry block: the most panels over which e^{growth
+        # panels}, growth = |Im omega| h, stays within OVERFLOW_GUARD (all
+        # of them for real omega)
+        guard = np.log(OVERFLOW_GUARD)
+        self._blocks = [n if g == 0.0 else int(min(n, max(1, guard // g)))
+                        for g in (np.abs(omega.imag) * h).tolist()]
         self._buffer = np.empty((0, n, q + 1), dtype=complex)
 
     def apply(self, forcing: np.ndarray, init: np.ndarray,
@@ -532,7 +569,8 @@ class OscillatoryMarch:
         given.
         """
         grid = self.grid
-        rows_n, n, q = self.omega[rows].size, grid.n_panels, grid.q
+        blocks = self._blocks[rows]
+        rows_n, n, q = len(blocks), grid.n_panels, grid.q
         if forcing.shape != (rows_n, n, q):
             raise ValueError(f"forcing shape {forcing.shape} does not match "
                              f"({rows_n}, {n}, {q})")
@@ -543,10 +581,9 @@ class OscillatoryMarch:
         buf = self._buffer[:rows_n]
         buf[:, :, :q] = forcing
         Jend = np.matmul(forcing, self.end[rows, :, None])[:, :, 0]
-        # |E| <= e^{growth * block} <= OVERFLOW_GUARD, and so is 1/|E|
-        growth = float(np.max(self.growth[rows], initial=0.0))
-        block = n if growth == 0.0 else int(
-            min(n, max(1, np.log(OVERFLOW_GUARD) // growth)))
+        # the shortest block of the rows marched: that of the row with the
+        # largest growth, so |E| and 1/|E| stay within OVERFLOW_GUARD
+        block = min(blocks, default=n)
         E = self.steps[rows, :block + 1]
         carry = buf[:, :, q]             # carry[:, p]: value at breaks[p]
         c = np.array(init, dtype=complex)

@@ -746,6 +746,38 @@ def test_simulate_that_overflows_prints_only_its_error_line(tmp_path):
     assert proc.stderr.count("\n") == 1, proc.stderr
 
 
+def test_unsafe_picard_that_overflows_prints_only_its_error_line(tmp_path):
+    # in a fresh interpreter, with numpy's default error handling: iterates
+    # that overflow to inf and then NaN end the solve with one error line
+    # and no RuntimeWarning from the map or the increments
+    phi = _phi_file(tmp_path, {1: (1e40, 0.0), 2: (0.0, 1e40)}, 8)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "halfline_dnls.cli", "picard",
+         "--allow-unsafe", "--alpha", "3", "--k", "1", "--T", "0.5",
+         "--phi", phi], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: iterates stopped contracting")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert json.loads(proc.stdout)["converged"] is False
+
+
+@pytest.mark.parametrize("alpha, window", [("1.5", False), ("2.5", True)])
+def test_cross_validate_names_the_open_window_only_inside_it(tmp_path, capsys,
+                                                            alpha, window):
+    phi = _phi_file(tmp_path, {1: (0.05, 0.0)}, 8)
+    assert dispatch(["cross-validate", "--alpha", alpha, "--k", "1",
+                     "--phi", phi, "--T", "0.5"]) == 2
+    refusal = (f"error: alpha = {alpha} is outside the supported regimes "
+               "(2 or >= 3)")
+    if window:
+        refusal += "; the window 2 < alpha < 3 is an open problem"
+    assert capsys.readouterr().err == refusal + "\n"
+
+
 def test_picard_alpha_refusal_names_no_library_keyword(tmp_path, capsys):
     phi = _phi_file(tmp_path, {1: (0.05, 0.0)}, 2)
     assert dispatch(["picard", "--alpha", "2.5", "--k", "1", "--T", "1",

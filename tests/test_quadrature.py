@@ -348,6 +348,58 @@ def test_tail_ratio_reports_a_non_finite_panel_as_unresolved(bad):
     assert np.all(np.isfinite(tail_ratio(values, sch)))
 
 
+def full_transform_panel_ratios(values, scheme):
+    """``full_transform_tail_ratio`` with the non-finite rule of
+    ``tail_ratio``: every row reads inf on a panel whose scale is not
+    finite."""
+    tails = np.empty(values.shape[:2])
+    scale = np.zeros(values.shape[1])
+    for r, row in enumerate(values):
+        mag = np.abs(scheme.coeff_map @ row.T)
+        np.maximum(mag[-2], mag[-1], out=tails[r])
+        np.maximum(scale, mag.max(axis=0), out=scale)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.where(scale > 1e-290, tails / np.maximum(scale, 1e-300), 0.0)
+    ratio[:, ~np.isfinite(scale)] = np.inf
+    return np.max(ratio, axis=1, initial=0.0)
+
+
+def _spectrum_nodes(rows, panels):
+    """Node values of a decaying spectrum: row r is e^{i r^2 t} / 4^r on
+    ``panels`` panels over [0, 1]."""
+    t = PanelGrid(1.0, panels).node_times()
+    return np.stack([np.exp(1j * r * r * t) / 4.0**r for r in range(rows)])
+
+
+# (rows, panels): one value of one row; the benchmark's truncation-16
+# Picard floor and cascade rungs, in one chunk of tails; rungs whose tails
+# take several chunks (7 rows per chunk at 100 panels) or one row each
+TAIL_SHAPES = [(1, 1), (16, 3), (16, 39), (16, 100), (3, 800)]
+
+
+@pytest.mark.parametrize("rows, panels", TAIL_SHAPES)
+@pytest.mark.parametrize("kind", ["spectrum", "noise", "not_finite"])
+def test_tail_ratio_in_chunks_matches_the_full_transform_oracle_bitwise(
+        rows, panels, kind):
+    # the last two coefficients of several rows in one stacked product give
+    # the bits of each row's own full transform
+    sch = panel_scheme(24)
+    values = _spectrum_nodes(rows, panels)
+    if kind == "noise":
+        rng = np.random.default_rng(rows * panels)
+        values = (rng.standard_normal(values.shape)
+                  + 1j * rng.standard_normal(values.shape))
+    elif kind == "not_finite":
+        values[rows // 2, panels // 2, 5] = np.nan
+    with np.errstate(invalid="ignore"):
+        got = tail_ratio(values, sch)
+        ref = full_transform_panel_ratios(values, sch)
+    assert got.shape == ref.shape == (rows,)
+    assert got.tobytes() == ref.tobytes()
+    if kind == "not_finite":
+        assert np.all(got == np.inf)
+
+
 @pytest.mark.parametrize("horizon,freq,name", [
     (float("inf"), 10.0, "horizon"), (float("nan"), 10.0, "horizon"),
     (-1.0, 10.0, "horizon"), (1.0, float("nan"), "max_frequency"),
@@ -614,6 +666,90 @@ def test_break_phases_refuse_an_index_outside_the_exact_range(bad):
     grid = PanelGrid(1.0, 10)
     with pytest.raises(ValueError, match=rf"^break index {bad} outside "):
         grid.break_phases(np.array([2.0j]), np.array([0, 5, bad, 3, -2]))
+
+
+def all_low_factors_break_phases(grid, rate, j):
+    """Bitwise oracle of ``PanelGrid.break_phases``: the factors at ``64 a``
+    for the a that ``j`` spans, times all 64 factors at ``b < 64`` in one
+    table, whichever b ``j`` uses."""
+    step = np.asarray(rate)[:, None] * grid.h
+    split = step.imag * (2.0**27 + 1.0)
+    head = split - (split - step.imag)
+
+    def exact(k):
+        phases = np.exp(1j * (head * k))
+        phases *= np.exp(step.real * k + 1j * ((step.imag - head) * k))
+        return phases
+
+    high, low = np.divmod(j, 64)
+    base = high.min(initial=2**21)
+    above = exact(64 * np.arange(base, high.max(initial=base) + 1))
+    return above[:, high - base] * exact(np.arange(64))[:, low]
+
+
+# oscillating, growing and decaying rows, at the benchmark's truncation-16
+# frequencies and at the headline's fastest
+BREAK_RATES = 1j * np.concatenate([np.arange(17.0) ** 2, [1.7e4 - 3.0j,
+                                                          5e3 + 0.25j]])
+BREAK_INDICES = {"zero": np.array([0]), "0..4": np.arange(5),
+                 "0..63": np.arange(64), "0..64": np.arange(65),
+                 "0..65": np.arange(66), "100..170": np.arange(100, 171),
+                 "0..720": np.arange(721), "63,64": np.array([63, 64]),
+                 "unsorted": np.array([130, 7, 66, 7, 0])}
+
+
+@pytest.mark.parametrize("indices", list(BREAK_INDICES))
+@pytest.mark.parametrize("n_panels", [4, 720])
+def test_break_phases_match_the_all_low_factors_oracle_bitwise(indices,
+                                                                n_panels):
+    # tabling only the low factors that the indices use changes no bit:
+    # each factor is elementwise in its row and index
+    grid = PanelGrid(1.25, n_panels)
+    j = BREAK_INDICES[indices]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = grid.break_phases(BREAK_RATES, j)
+        ref = all_low_factors_break_phases(grid, BREAK_RATES, j)
+    assert got.shape == ref.shape == (BREAK_RATES.size, j.size)
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_break_phases_of_no_index_are_an_empty_table():
+    got = PanelGrid(1.0, 4).break_phases(BREAK_RATES, np.arange(0))
+    assert got.shape == (BREAK_RATES.size, 0) and got.dtype == complex
+
+
+@pytest.mark.parametrize("panels", [slice(None), slice(5, 30), slice(64, 100)])
+@pytest.mark.parametrize("into_out", [False, True])
+def test_node_phases_match_the_broadcast_product_oracle_bitwise(panels,
+                                                                into_out):
+    # the break factors copied into the result and multiplied there in
+    # place give the bits of their broadcast product with the offsets'
+    grid = PanelGrid(1.25, 100)
+    rates = BREAK_RATES[:17]
+    j = np.arange(grid.n_panels)[panels]
+    ref = np.multiply(
+        all_low_factors_break_phases(grid, rates, j)[:, :, None],
+        np.exp(rates[:, None] * grid.offsets)[:, None, :])
+    if into_out:
+        out = np.full(ref.shape, np.nan, dtype=complex)
+        got = grid.node_phases(rates, panels, out=out)
+        assert got is out
+    else:
+        got = grid.node_phases(rates, panels)
+    assert got.shape == (rates.size, j.size, grid.q)
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_node_phases_write_into_a_strided_out():
+    # the normal-form map hands in a block of a wider work array
+    grid = PanelGrid(1.0, 33)
+    rates = BREAK_RATES[:17]
+    work = np.zeros((rates.size, 64 * grid.q), dtype=complex)
+    out = work[:, :grid.n_panels * grid.q].reshape(rates.size,
+                                                   grid.n_panels, grid.q)
+    grid.node_phases(rates, out=out)
+    assert np.array_equal(out, grid.node_phases(rates))
+    assert not work[:, grid.n_panels * grid.q:].any()
 
 
 @pytest.mark.parametrize("n_panels", [0, -3])
@@ -1076,6 +1212,24 @@ def test_growing_rows_march_in_blocks_with_the_one_shot_bits():
         want = one_shot_march(grid, omega[rows], forcing[rows], init[rows])
         assert np.all(np.isfinite(got))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("rows", [1, 17])
+def test_march_setup_builds_its_lift_with_the_broadcast_product_bits(rows):
+    # the lift is multiplied in place in its own array, in the order of
+    # the (rows, q, q) product it replaces
+    grid = PanelGrid(1.0, 39)
+    omega = np.arange(rows, dtype=float) ** 2 + 0.5j * np.arange(rows)
+    weight = 1j * np.arange(rows)
+    march = OscillatoryMarch(grid, omega, weight)
+    phase = 1j * omega[:, None] * grid.offsets
+    sw = np.exp(-phase) * (0.5 * grid.h * weight)[:, None]
+    ph = np.exp(phase)
+    want = np.multiply(sw[:, :, None] * grid.scheme.antideriv_nodes.T,
+                       ph[:, None, :])
+    assert march.lift.shape == (rows, grid.q + 1, grid.q)
+    assert march.lift[:, :grid.q].tobytes() == want.tobytes()
+    assert march.lift[:, grid.q].tobytes() == ph.tobytes()
 
 
 def test_gauge_marches_every_row_with_the_one_shot_bits(monkeypatch):

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -322,3 +323,40 @@ def test_sup_sobolev_diff_matches_einsum_oracle(shape, s):
     ref = sup_sobolev_diff_oracle(a, b, s)
     assert sup_sobolev_diff(a, b, s) == pytest.approx(ref, rel=1e-14)
     assert sup_sobolev_diff(a, a, s) == 0.0
+
+
+def per_mode_sup_sobolev_diff(a, b, s=1.0):
+    """Bitwise oracle of ``sup_sobolev_diff``: one mode at a time, each
+    weighted square added to a running sum from mode 0."""
+    n = np.arange(a.shape[0], dtype=float)
+    w = (1.0 + n * n) ** float(s)
+    sq = np.zeros(a.shape[1:])
+    for m in range(a.shape[0]):
+        d = a[m] - b[m]
+        sq += w[m] * (d.real * d.real + d.imag * d.imag)
+    return float(np.sqrt(np.max(sq)))
+
+
+# blocks of 8 modes for a (32, 24) panel block of node values
+@pytest.mark.parametrize("modes", [1, 7, 8, 9, 17])
+@pytest.mark.parametrize("entries", ["finite", "inf", "nan", "inf_minus_inf"])
+def test_sup_sobolev_diff_in_blocks_matches_the_per_mode_oracle_bitwise(
+        modes, entries):
+    shape = (modes, 1, 32, 24)
+    assert trajectory.DENSE_BLOCK_BYTES // (16 * 32 * 24) == 8
+    rng = np.random.default_rng(modes)
+    a, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for _ in range(2))
+    a *= np.logspace(0, -12, modes)[:, None, None, None]
+    if entries == "inf":
+        a[modes - 1, 0, 3, 5] = complex(np.inf, 1.0)
+    elif entries == "nan":
+        b[modes // 2, 0, 7, 2] = complex(0.0, np.nan)
+    elif entries == "inf_minus_inf":
+        a[0, 0, 1, 1] = b[0, 0, 1, 1] = np.inf
+    for s in (0.0, 1.0, 2.5):
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = sup_sobolev_diff(a, b, s)
+            ref = per_mode_sup_sobolev_diff(a, b, s)
+        assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+    assert math.isfinite(got) == (entries == "finite")
