@@ -16,26 +16,33 @@ step-size stability constraint.
 
 The solve climbs ``quadrature.solve_on_ladder`` from the grid sized for
 ``1/2**(MAX_REFINEMENTS + 2)`` of its fastest frequency to the grid sized
-for that frequency, doubled ``MAX_REFINEMENTS`` times.  A rung is
-accepted when its Chebyshev tails pass and its dense output agrees with
-the rung before it, which bounds the error built up along the march as
-well as the per-panel interpolation error.  A rung whose tails fail is no
-comparison base: its dense output is not formed, and the rung after it
-cannot be accepted.  Every refusal carries the rung's tail, which sizes
-the next rung.  The first rung is cheap, and when its tails fail they
-predict the second, two to four times its size (step-size control, as in
-Hairer-Norsett-Wanner, *Solving ODEs I*, sec. II.4).  On the N=16,
-alpha=2 headline the climb goes from 223 panels to 892, 576 and 446 at
-s = 2, 2.5 and 3, each passing its tails: over those steps panels x tail
-falls at order 11, 11.5 and 14.5.  The rung after one whose tails pass
-is 5/4 its size: the rung returned is within the measured difference of
-the true solution whenever the refinement at least halves the error,
-which at a ratio of 5/4 needs an order of convergence p >= 3.11.  Once the
-tails pass, the panel interpolants converge spectrally: at s = 2, 892 ->
-1115 panels take the error from 1.5e-11 to 1.9e-13 (p about 19), and at
-k = 2 and at alpha = 3 (truncation 64) every pair of rungs whose errors
-lie above the reference's round-off gives p >= 11.  After any later rung
-whose tails fail, the next one is twice its size.
+for that frequency, doubled ``MAX_REFINEMENTS`` times, and accepts the
+first rung whose Chebyshev tails and error estimate pass, the lowest
+included.  The estimate is made inside the march, with no second rung and no
+dense output.  A node value integrates the degree q - 1 interpolant of its
+panel's slow factor up to the node, so its error is of the size of the
+next Chebyshev coefficient, which the last two bound from above (Trefethen,
+*Approximation Theory and Approximation Practice*, ch. 7-8); the carry
+across a panel is the Gauss rule, exact to degree 2q - 1, and its error is
+round-off.  So the error of a rung sits inside its panels: each row's own
+local estimate, what lower rows' estimates feed into its forcing, and a
+round-off bound of its carries, none summed along the march.  Measured
+against grids four times as fine, the estimate reads 3.9 to 640 times the
+node error above their own estimate, 44 and 140 times on the 223 and 576
+panels of the N=16, alpha=2 headline.  A solve whose round-off alone passes the tolerance ends at once
+(``quadrature.RoundoffError``): no finer rung rounds less.
+
+Every refusal carries the rung's tail, which sizes the next rung.  The
+first rung is cheap, and when its tails fail they predict the second, two
+to four times its size (step-size control, as in Hairer-Norsett-Wanner,
+*Solving ODEs I*, sec. II.4).  On the N=16, alpha=2 headline the climb
+goes from 223 panels to 892, 576 and 446 at s = 2, 2.5 and 3, each passing
+its tails: over those steps panels x tail falls at order 11, 11.5 and
+14.5.  The rung after one whose tails pass and whose estimate fails is 5/4
+its size, and after any later rung whose tails fail the next one is twice
+its size.  The headline accepts 446 panels at s >= 2.8, 720 at s = 2.5
+(576 panels estimate 9.8e-10, against an error of 7.1e-12) and 1115 at
+s = 2.
 
 The module also provides the linear (degree-0) closed form, the
 weak-formulation residual checker, and the transform to the mean-zero
@@ -52,8 +59,8 @@ import numpy as np
 
 from . import quadrature
 from .quadrature import (BLOCK_PANELS, OscillatoryMarch, OverflowGuardError,
-                         PanelGrid, QuadratureError, require_positive,
-                         solve_on_ladder, tail_ratio)
+                         PanelGrid, QuadratureError, RoundoffError,
+                         require_positive, solve_on_ladder, tail_ratio)
 from .spectral import (DispersionKind, EquationSpec, SpectralState,
                        _product, dispersion_mu, dispersion_symbol, power)
 from .trajectory import Trajectory
@@ -69,19 +76,15 @@ __all__ = [
     "weak_residual",
 ]
 
-# equispaced times, both ends included, at which two successive rungs of a
-# cascade solve must agree
+# equispaced times, both ends included, at which cross-validation compares
+# the cascade with another pipeline
 AGREEMENT_TIMES = 201
 # the cascade's ladder, its first rung and its top alike, is sized for
 # this multiple of its fastest frequency.  Sized for the frequency itself,
 # the N=16, alpha=2 inflation run climbs from 186 panels, whose tail at
-# s = 2 and 2.1 predicts more than the step's largest, 744 panels; 744 is
-# 7.0e-10 off, so 930 is refused against it and a fourth rung, 1163, is
-# solved (3023 panels in all).  With the margin every s of the alpha=2
-# regime 2 <= s <= 3 passes on its third rung, the first 223 panels (at
-# s = 2, 892 and 1115 panels, 2230 in all; difference <= 1.5e-11, and
-# 892 -> 1115 cuts the error 76 times, past the 2 that the ratio 5/4
-# needs at order p >= 3.11)
+# s = 2 and 2.1 predicts more than the step's largest, 744 panels.  With
+# the margin every s of the alpha=2 regime 2 <= s <= 3 climbs from 223
+# panels, whose tail predicts a rung that passes its own
 LADDER_MARGIN = 1.2
 # doublings of a trajectory's panels that weak_residual tries for a window
 # they do not resolve; the bump window needs 32 panels over any horizon
@@ -128,19 +131,18 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
     ``LADDER_MARGIN`` times the fastest frequency of the tracked modes, and
     accepts the first rung where two things hold: the Chebyshev tails,
     each measured against all marched modes on its panel, are ``<= tol``;
-    and the dense output of the marched modes at ``AGREEMENT_TIMES``
-    equispaced times differs from the previous rung's by at most ``tol``
-    times the largest magnitude of the two.  A rung whose tails fail forms
-    no dense output, so neither it nor the rung after it can be accepted;
-    the first rung is never accepted.  The returned trajectory's
-    ``grid_attempts`` holds ``(n_panels, tail, difference)`` per rung
-    tried, the difference relative, and None on the first rung, on a rung
-    whose tails fail and on the rung after one.
+    and so is the rung's error estimate (``_solve_rows``), relative to the
+    largest magnitude of the marched modes.  The first rung can be
+    accepted.  The returned trajectory's ``grid_attempts`` holds
+    ``(n_panels, tail, estimate)`` per rung tried.
 
     Raises QuadratureError when no rung passes, naming the last rung's
     panel count, the condition that failed and its worst mode, with the
     rung record as ``grid_attempts``; also when a rung would pass
-    ``quadrature.NODE_BUDGET``.  Raises OverflowGuardError when a mode
+    ``quadrature.NODE_BUDGET``.  Raises its subclass RoundoffError, on the
+    first rung where it holds, when the round-off part of the estimate
+    alone exceeds ``tol``; its ``floor`` is that part, the smallest
+    tolerance the solve can meet.  Raises OverflowGuardError when a mode
     magnitude passes ``quadrature.OVERFLOW_GUARD`` or is not a number; as
     modes are solved in increasing order, the error names the lowest mode
     where that happens.
@@ -178,48 +180,27 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
         i + 1: lam / (i + 1)
         for i, lam in spec.recentered(c0).nonlin_coeffs.items()}
     init = phi.coeffs[support]
-    times = np.linspace(0.0, T, AGREEMENT_TIMES)
-    previous = None          # dense output of the rung before
 
     def solve(grid):
-        nonlocal previous
-        values, tail, tail_mode, live = _solve_rows(grid, support, omega, c0,
-                                                    init, weights)
+        values, tail, tail_mode, estimate, mode, rounding = _solve_rows(
+            grid, support, omega, c0, init, weights)
+        attempts.append((grid.n_panels, tail, estimate))
         where = f"cascade not resolved on {grid.n_panels} panels"
+        if not rounding <= tol:
+            raise RoundoffError(
+                f"cascade cannot meet tol {tol:.3e}: on {grid.n_panels} "
+                f"panels the round-off of its march alone bounds the error "
+                f"by {rounding:.3e}, the smallest tolerance it can meet",
+                floor=rounding, worst_mode=mode, tail=tail)
         if not tail <= tol:          # a NaN fails it too
-            # an unresolved rung is no comparison base: no dense output
-            previous = None
-            attempts.append((grid.n_panels, tail, None))
             raise QuadratureError(
                 f"{where}: Chebyshev tail {tail:.3e} > tol {tol:.3e} at "
                 f"mode {tail_mode}", worst_mode=tail_mode, tail=tail)
-        traj = trajectory(grid, values)
-        # a row that is not live is exactly zero, and so is its dense output
-        dense = np.zeros((marched.size, times.size), dtype=complex)
-        dense[np.array(live, dtype=int) - 1] = traj._evaluate(
-            support[live], times)
-        difference = diff_mode = None
-        if previous is not None:
-            gaps = np.max(np.abs(dense - previous), axis=1)
-            scale = max(np.abs(dense).max(), np.abs(previous).max())
-            worst = int(np.argmax(gaps))
-            difference = float(gaps[worst] / scale) if scale else 0.0
-            diff_mode = int(marched[worst])
-        previous = dense
-        attempts.append((grid.n_panels, tail, difference))
-        if difference is None:
-            failed = sum(not t <= tol for _, t, _ in attempts[:-1])
+        if not estimate <= tol:
             raise QuadratureError(
-                f"{where}: no resolved coarser rung to compare it with "
-                f"({failed} coarser rungs failed their tails; tail "
-                f"{tail:.3e}, worst at mode {tail_mode})",
-                worst_mode=tail_mode, tail=tail)
-        if not difference <= tol:
-            raise QuadratureError(
-                f"{where}: two-rung difference {difference:.3e} > tol "
-                f"{tol:.3e} against {attempts[-2][0]} panels at mode "
-                f"{diff_mode}", worst_mode=diff_mode, tail=tail)
-        return traj
+                f"{where}: error estimate {estimate:.3e} > tol {tol:.3e} "
+                f"at mode {mode}", worst_mode=mode, tail=tail)
+        return trajectory(grid, values)
 
     depth = quadrature.MAX_REFINEMENTS
     return solve_on_ladder(
@@ -232,21 +213,27 @@ def cascade_integrate(phi: SpectralState, spec: EquationSpec, T: float,
 def _solve_rows(grid, support, omega, c0, init, weights):
     """Solve the rows of the lattice ``support`` in increasing order on one
     grid, row 0 set to c0.  Returns the node values, the worst Chebyshev
-    tail ratio (against all rows not exactly zero on each panel), its mode
-    and the live rows, those marched that are not exactly zero.  A row
-    whose initial value is 0 and whose forcing no product of live rows
-    reaches is set to +0 and not marched.  Each row that is marched is one
-    ``apply`` of the grid's ``OscillatoryMarch``, set up once for all rows
-    with the weights ``i n a_top``: it is given ``g = (w^top)(n) + sum_j
-    (a_j / a_top) (w^j)(n)``, formed in its own array.  numpy's overflow
-    and invalid-value warnings are off: the march's guard names the mode
-    where a value passes ``OVERFLOW_GUARD`` or is not a number.
+    tail ratio (against all rows not exactly zero on each panel) and its
+    mode, then the rung's error estimate, its mode and its round-off part,
+    both relative to the largest node value of the marched rows.  A row
+    whose initial value is 0 and whose forcing no product of live rows (the
+    marched rows not exactly zero) reaches is set to +0 and not marched.
+    Each row that is marched is one ``apply`` of the grid's
+    ``OscillatoryMarch``, set up once for all rows with the weights ``i n
+    a_top``: it is given ``g = (w^top)(n) + sum_j (a_j / a_top) (w^j)(n)``,
+    formed in its own array.  numpy's overflow and invalid-value warnings
+    are off: the march's guard names the mode where a value passes
+    ``OVERFLOW_GUARD`` or is not a number.
 
     Row r of ``w^j`` is target r of ``spectral._product(w, w^{j-1})`` over
     the rows below r not exactly zero after their march (a zero row adds
     only signed zeros to a sum that starts at +0).  ``w^2`` is symmetric:
     it sums the rows ``m < r - m``, plus half the diagonal square, and is
-    doubled, in the weight ``2 i n a_2`` when it is the top power."""
+    doubled, in the weight ``2 i n a_2`` when it is the top power.
+
+    Each march also estimates its own error on each panel
+    (``OscillatoryMarch.apply``), which ``_rung_estimate`` completes once
+    every row is marched."""
     shape = (grid.n_panels, grid.q)
     values = np.empty((support.size,) + shape, dtype=complex)
     values[0] = c0
@@ -254,6 +241,9 @@ def _solve_rows(grid, support, omega, c0, init, weights):
     # powers[j] holds (w^j) on every row; w^1 is the trajectory itself
     powers = {1: values}
     powers.update((j, np.zeros_like(values)) for j in range(2, top))
+    # each row's error estimate on each panel and its round-off part: a
+    # row's march writes its own, and the rows below feed the first
+    estimate = np.zeros((2, support.size, grid.n_panels))
     # +0 stays the forcing of a spec with no power above w^1 (top < 2),
     # whose rows write no term into g
     g = np.zeros(shape, dtype=complex)
@@ -296,7 +286,7 @@ def _solve_rows(grid, support, omega, c0, init, weights):
                 g += (weights[j] / weights[top]) * powers[j][r]
         try:
             march.apply(g[None], init[r:r + 1], slice(r, r + 1),
-                        out=values[r:r + 1])
+                        out=values[r:r + 1], error=estimate[:, r:r + 1])
         except OverflowGuardError as exc:
             raise OverflowGuardError(
                 f"mode {n} {exc.breach} at t={exc.time:g}",
@@ -313,7 +303,66 @@ def _solve_rows(grid, support, omega, c0, init, weights):
     ratios = tail_ratio(values[1:] if len(checked) == support.size - 1
                         else values[checked], grid.scheme)
     worst = int(np.argmax(ratios))
-    return values, float(ratios[worst]), int(support[checked[worst]]), live
+    total, mode, rounding = _rung_estimate(grid, support, omega, weights,
+                                           powers, estimate, live)
+    return (values, float(ratios[worst]), int(support[checked[worst]]),
+            total, mode, rounding)
+
+
+def _rung_estimate(grid, support, omega, weights, powers, estimate, live):
+    """The rung's error estimate from the marches' ``estimate``, the local
+    estimate and the carry's round-off bound of each row on each panel,
+    completed in place.  In increasing r, row r's error takes what the
+    lower rows' errors feed in through the linearised forcing over the
+    panel's width, ``h sum_m |dF_r / dw_m| e_m`` with ``dF_r / dw_m = i n
+    sum_j j a_j (w^{j-1})(r - m)``, each factor at its largest magnitude on
+    the panel (``2 |a_2| n sum_m |w_{r-m}| e_m`` for k = 1), the sum over
+    the live rows m in increasing order.  Its round-off part, which is not
+    fed to later rows, takes ``eps t |omega| |u|`` at the panel's right
+    break t: a value is read at its time rounded.  Returns the largest
+    total of a row, its mode, and the largest round-off part, both relative
+    to the largest marched value."""
+    error, rounding = estimate
+    peaks = {j: _panel_peaks(p) for j, p in powers.items()}
+    # fed[j][r]: the sum over m for the power j, pushed up by each live row
+    fed = {j: np.zeros(error.shape) for j in sorted(weights) if j >= 2}
+    scratch = np.empty(error.shape)
+    is_live = np.zeros(support.size, dtype=bool)
+    is_live[live] = True
+    for r in range(1, support.size):
+        # a row that was not marched reads +0: no live row reaches it
+        for j, into in fed.items():
+            into[r] *= grid.h * int(support[r]) * j * abs(weights[j])
+            error[r] += into[r]
+        if is_live[r]:
+            # row r feeds every row above it, the sum over m in increasing
+            # order in each
+            span = support.size - 1 - r
+            for j, into in fed.items():
+                term = np.multiply(peaks[j - 1][1:span + 1], error[r],
+                                   out=scratch[:span])
+                into[r + 1:] += term
+    # a node value is the value at its time rounded: it may miss the value
+    # at the time it is read at by eps t |u'|, about eps t |omega u|
+    marched = peaks[1][1:]
+    rounding[1:] += (2.0**-52 * grid.breaks[1:]) * (np.abs(omega[1:])[:, None]
+                                                     * marched)
+    # every row zero is exact
+    scale = float(marched.max(initial=0.0)) or np.inf
+    rows = (error + rounding).max(axis=1)
+    bad = int(np.argmax(rows))
+    return (float(rows[bad] / scale), int(support[bad]),
+            float(rounding.max() / scale))
+
+
+def _panel_peaks(rows):
+    """The larger magnitude of ``rows``, (rows, panels, q) complex, at the
+    first and last node of each panel, shape (rows, panels): a row's
+    modulus varies little within a panel, and a maximum over the q nodes
+    of each panel, a reduction along a short axis, would cost a third of
+    the row's march."""
+    peaks = np.abs(rows[:, :, 0])
+    return np.maximum(peaks, np.abs(rows[:, :, -1]), out=peaks)
 
 
 # -- closed forms --------------------------------------------------------------

@@ -32,6 +32,7 @@ from .spectral import (EquationSpec, SpectralState, _along_modes, _as_coeffs,
 __all__ = [
     "GaugeWeight",
     "SecularSlopeError",
+    "GaugeDataOverflowError",
     "primitive_from_zero",
     "gauge_lambda",
     "exp_coeffs",
@@ -52,6 +53,11 @@ SMALLNESS_THRESHOLD = 0.25
 
 class SecularSlopeError(ValueError):
     """A primitive that must be periodic picked up a linear-in-x part."""
+
+
+class GaugeDataOverflowError(RuntimeError):
+    """The compatible gauge data of finite data is not finite: ``e^{-Lambda}``
+    overflows for data of its size."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,6 +119,7 @@ def gauge_lambda(u, k: int) -> GaugeWeight:
     return primitive_from_zero(g)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def exp_coeffs(lam) -> np.ndarray:
     """Coefficients of ``e^{lam}`` for a one-sided series, column by column
     of an ``(M+1, ...)`` array.
@@ -125,7 +132,9 @@ def exp_coeffs(lam) -> np.ndarray:
     (Knuth, TAOCP vol. 2, 4.7), M steps of O(M) products each, and exact at
     the truncation.  A mode no sum of supported modes reaches stays exactly
     0.  The mode-0 part contributes the factor ``e^{lam(0)}`` of each
-    column.
+    column.  numpy's overflow and invalid-value warnings are off: a series
+    too large for float64 gives inf or NaN coefficients, which callers
+    check.
     """
     c = _as_coeffs(lam)
     dP = _along_modes(np.arange(c.shape[0]), c) * c       # m P_m
@@ -196,8 +205,17 @@ def _twisted_derivative(u, k: int) -> np.ndarray:
 
 
 def compatible_gauge_data(phi: SpectralState, k: int) -> SpectralState:
-    """The twisted-derivative data ``e^{-Lambda(phi)} phi_x`` matching phi."""
-    return SpectralState(_twisted_derivative(phi, k), time=phi.time)
+    """The twisted-derivative data ``e^{-Lambda(phi)} phi_x`` matching phi.
+    Raises GaugeDataOverflowError, naming its lowest such mode, when a
+    coefficient is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = _twisted_derivative(phi, k)
+    bad = np.flatnonzero(~np.isfinite(psi))
+    if bad.size:
+        raise GaugeDataOverflowError(
+            f"compatible gauge data e^(-Lambda(phi)) phi_x is not finite "
+            f"at mode {bad[0]}: e^(-Lambda) overflows for data of this size")
+    return SpectralState(psi, time=phi.time)
 
 
 def gauge_picard_solve(phi: SpectralState, psi: SpectralState, k: int,

@@ -24,7 +24,11 @@ omega, weight)`` builds the tables of every row once, with the slow phase,
 the row's weight ``w_n`` and the half-width folded into them, and its
 ``apply`` marches one forcing on some of the rows in one product per row,
 with the block length of those rows alone, so a row's bits do not depend
-on the rows marched with it.  The cascade sets up once per rung and
+on the rows marched with it.  Asked for it, ``apply`` also estimates its
+error on each panel, from the last two Chebyshev coefficients of the slow
+factor (one more (q, 2) product per row, beside the panel-end integrals)
+and from a running bound of the carry's round-off, and leaves the node
+values bit for bit as they are.  The cascade sets up once per rung and
 marches its rows one at a time; the gauge solver (unit weights) sets up
 once per rung and marches all rows in every Picard iteration.
 ``oscillatory_march`` is the one-shot form of the two, with unit weights.
@@ -41,10 +45,11 @@ from a trajectory's grid to ``cascade.WINDOW_DOUBLINGS`` doublings of it.
 A rung passes when the Chebyshev tail of its solution, measured against
 all rows on each panel (``tail_ratio``), is within tolerance; a panel
 that is not finite fails, and a march stops at a carry that is not a
-number as at one past ``OVERFLOW_GUARD``.  The cascade also asks that a
-rung agree with the resolved rung before it, which estimates the error
-built up along the march, and ends its climb before a rung whose node
-array would pass ``NODE_BUDGET``.  Every climb ends at a rung that numpy
+number as at one past ``OVERFLOW_GUARD``.  The cascade also asks that the
+rung's error estimate, made inside its march, be within tolerance, ends
+its climb at once when the estimate's round-off part alone is not
+(``RoundoffError``), and ends it before a rung whose node array would
+pass ``NODE_BUDGET``.  Every climb ends at a rung that numpy
 cannot allocate, with an error that names its panel count.  The panel
 sizing, the two ladder depths, the first step, the node budget and the
 overflow guard are module constants, read when a climb starts.
@@ -66,6 +71,7 @@ __all__ = [
     "PanelScheme",
     "PanelGrid",
     "QuadratureError",
+    "RoundoffError",
     "OverflowGuardError",
     "panel_scheme",
     "solve_on_ladder",
@@ -101,10 +107,10 @@ PICARD_DEPTH = 5
 # largest mode magnitude a march may reach before it stops with an error
 OVERFLOW_GUARD = 1e100
 # most node values (rows x panels x q) in the node array of a cascade rung:
-# 800 MB of complex128, 231,481 panels x 9 rows, so 6.5 times the 35,424
+# 800 MB of complex128, 231,481 panels x 9 rows, so 8.2 times the 28,339
 # panels that the N=16, alpha=3 inflation run accepts.  It bounds that one
 # array, not the solve's peak memory: a degree-k nonlinearity keeps k - 1
-# more arrays of its size, and the rung check holds a dense output besides
+# more arrays of its size
 NODE_BUDGET = 50_000_000
 # Panels per block of a pass over dense (M+1, panels, q) node values (the
 # normal-form map, the weak-formulation residual): a block's node values
@@ -134,6 +140,16 @@ class QuadratureError(RuntimeError):
         self.worst_mode = worst_mode
         self.tail = tail
         self.grid_attempts = []
+
+
+class RoundoffError(QuadratureError):
+    """A tolerance below the round-off of a solve: ``floor``, the smallest
+    tolerance the solve can meet, exceeds it.  A finer rung rounds as
+    much, so ``solve_on_ladder`` ends its climb at this error."""
+
+    def __init__(self, message, floor, worst_mode=None, tail=None):
+        super().__init__(message, worst_mode=worst_mode, tail=tail)
+        self.floor = floor
 
 
 class OverflowGuardError(RuntimeError):
@@ -394,7 +410,7 @@ def solve_on_ladder(first: PanelGrid, top: int, tol: float,
                 # without its traceback the error keeps no frame, and so no
                 # solution, alive while the next rung is solved
                 failure = exc.with_traceback(None)
-                if n >= top:
+                if n >= top or isinstance(exc, RoundoffError):
                     break
                 n = min(top, _next_rung(n, exc.tail, tol, grid is first))
                 grid = PanelGrid(first.horizon, n, first.scheme)
@@ -507,9 +523,12 @@ class OscillatoryMarch:
     0..n_panels), the length of its carry blocks (see ``apply``), the
     panel-end row ``end = sw antideriv_end`` and the (q + 1, q) ``lift``
     matrix ``[[diag(sw) antideriv_nodes.T diag(ph)], [ph]]``, built in
-    place in its own array.  Every table is elementwise in
-    the row, so a row's march gives the same bits whichever rows the setup
-    holds.  ``apply`` copies each forcing into one (rows, n_panels, q + 1)
+    place in its own array, and the (q, 2) matrix ``diag(sw)
+    coeff_map[-2:].T``, which sends F to the last two Chebyshev
+    coefficients of the weighted slow factor, kept as ``tail``, its (2q, 4)
+    real form on the float view of F.  Every table is elementwise
+    in the row, so a row's march gives the same bits whichever rows the
+    setup holds.  ``apply`` copies each forcing into one (rows, n_panels, q + 1)
     buffer of the setup, made for the widest ``apply``.
     """
 
@@ -533,6 +552,16 @@ class OscillatoryMarch:
                     out=self.lift[:, :q])
         self.lift[:, :q] *= ph[:, None, :]
         self.lift[:, q] = ph
+        # the last two Chebyshev coefficients of the weighted slow factor
+        # sw F from F's node values, apply's local error estimate, as the
+        # real map of the float views: a complex (q, 2) product per row
+        # costs twice the real one
+        tail = sw[:, :, None] * grid.scheme.coeff_map[-2:].T     # (rows, q, 2)
+        self.tail = np.empty((omega.size, 2 * q, 4))
+        self.tail[:, 0::2, 0::2] = tail.real
+        self.tail[:, 0::2, 1::2] = tail.imag
+        self.tail[:, 1::2, 0::2] = -tail.imag
+        self.tail[:, 1::2, 1::2] = tail.real
         # each row's carry block: the most panels over which e^{growth
         # panels}, growth = |Im omega| h, stays within OVERFLOW_GUARD (all
         # of them for real omega)
@@ -542,8 +571,8 @@ class OscillatoryMarch:
         self._buffer = np.empty((0, n, q + 1), dtype=complex)
 
     def apply(self, forcing: np.ndarray, init: np.ndarray,
-              rows: slice = slice(None), out: Optional[np.ndarray] = None
-              ) -> np.ndarray:
+              rows: slice = slice(None), out: Optional[np.ndarray] = None,
+              error: Optional[np.ndarray] = None) -> np.ndarray:
         """March the rows ``rows`` of the setup: ``forcing`` holds F at all
         panel nodes, shape (len(rows), n_panels, q); ``init`` the values at
         t = 0.
@@ -567,6 +596,17 @@ class OscillatoryMarch:
         one product per row, ``[F | c_p] @ lift``.  Returns node values
         with the same shape as ``forcing``, written into ``out`` when it is
         given.
+
+        When ``error``, a float array of shape (2, len(rows), n_panels), is
+        given, the march also estimates its error on each panel, and leaves
+        every bit of the node values as they are.  ``error[0]`` is the
+        local estimate ``max(|c_{q-2}|, |c_{q-1}|)`` of the slow factor
+        times ``w (h/2)``: a node value integrates the degree q - 1
+        interpolant of the slow factor up to the node, whose error is of
+        the size of the next Chebyshev coefficient, where ``Jend``, the
+        q-point Gauss rule, is exact to degree 2q - 1.  ``error[1]`` is a
+        running bound of the carry's round-off at each panel's right break:
+        ``eps`` times the partial sums of ``|Jend / E|``, times ``|E|``.
         """
         grid = self.grid
         blocks = self._blocks[rows]
@@ -581,6 +621,10 @@ class OscillatoryMarch:
         buf = self._buffer[:rows_n]
         buf[:, :, :q] = forcing
         Jend = np.matmul(forcing, self.end[rows, :, None])[:, :, 0]
+        if error is not None:
+            local = np.abs(np.matmul(buf[:, :, :q].view(float),
+                                     self.tail[rows]).view(complex))
+            np.maximum(local[:, :, 0], local[:, :, 1], out=error[0])
         # the shortest block of the rows marched: that of the row with the
         # largest growth, so |E| and 1/|E| stay within OVERFLOW_GUARD
         block = min(blocks, default=n)
@@ -589,7 +633,8 @@ class OscillatoryMarch:
         c = np.array(init, dtype=complex)
         for s in range(0, n, block):
             m = min(block, n - s)
-            ends = np.cumsum(Jend[:, s:s + m] / E[:, :m], axis=1)
+            terms = Jend[:, s:s + m] / E[:, :m]
+            ends = np.cumsum(terms, axis=1)
             ends += c[:, None]
             ends *= E[:, 1:m + 1]        # values at breaks[s+1 .. s+m]
             mags = np.abs(ends)
@@ -609,6 +654,13 @@ class OscillatoryMarch:
             carry[:, s] = c
             carry[:, s + 1:s + m] = ends[:, :-1]
             c = ends[:, -1]
+            if error is not None:
+                # the bound at breaks[s+1 .. s+m], from the one at break s
+                run = np.cumsum(np.abs(terms), axis=1, out=error[1][:, s:s + m])
+                run *= 2.0**-52          # float64's machine epsilon
+                if s:
+                    run += error[1][:, s - 1:s]
+                run *= np.abs(E[:, 1:m + 1])
         return np.matmul(buf, self.lift[rows], out=out)
 
 

@@ -277,17 +277,18 @@ def test_inflate_reports_the_cascade_rungs(capsys):
                      "--k", "1", "--alpha", "2", "--m-max", "2"])
     assert code == 0
     rep = json.loads(capsys.readouterr().out)["report"]
-    (n0, _, diff0), *rest = rep["grid_attempts"]
-    assert diff0 is None and rest
-    n_last, tail_last, diff_last = rest[-1]
-    assert n_last > n0
-    assert max(tail_last, diff_last) <= rep["config"]["quadrature_tol"]
+    tol = rep["config"]["quadrature_tol"]
+    *refused, (n_last, tail_last, estimate_last) = rep["grid_attempts"]
+    # 5 panels fail their tails, 20 their estimate, and 40 pass both
+    assert [n for n, _, _ in refused] == [5, 20] and n_last == 40
+    assert all(max(tail, estimate) > tol for _, tail, estimate in refused)
+    assert max(tail_last, estimate_last) <= tol
 
 
-def test_inflate_lists_the_first_rung_and_null_for_unresolved_rungs(capsys):
+def test_inflate_lists_every_rung_with_its_tail_and_estimate(capsys):
     # the headline climbs from 223 panels, whose tail fails and sizes the
-    # next rung; a rung whose tail fails is no comparison base, so its
-    # difference is null, as is the difference of the rung after it
+    # next rung; 576 panels pass their tail but not their estimate
+    # (9.8e-10), and 720 pass both.  Every rung records both, none null
     code = dispatch(["inflate", "--N", "16", "--s", "2.5", "--sigma", "0.5",
                      "--k", "1", "--alpha", "2", "--m-max", "8"])
     assert code == 0
@@ -296,10 +297,10 @@ def test_inflate_lists_the_first_rung_and_null_for_unresolved_rungs(capsys):
     tol = rep["config"]["quadrature_tol"]
     attempts = rep["grid_attempts"]
     assert [n for n, _, _ in attempts] == [223, 576, 720]
-    assert attempts[0][1] > tol and attempts[0][2] is None
-    assert all(diff is None for _, tail, diff in attempts if tail > tol)
-    assert attempts[1][2] is None and attempts[2][2] <= tol
-    assert text.count("null]") >= 2
+    assert attempts[0][1] > tol and attempts[0][2] > tol
+    assert attempts[1][1] <= tol < attempts[1][2]
+    assert max(attempts[2][1:]) <= tol
+    assert all(x is not None for attempt in attempts for x in attempt)
 
 
 def test_cross_validate(tmp_path, capsys):
@@ -763,6 +764,50 @@ def test_unsafe_picard_that_overflows_prints_only_its_error_line(tmp_path):
     assert proc.stderr.count("\n") == 1, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert json.loads(proc.stdout)["converged"] is False
+
+
+def test_unsafe_gauge_on_data_that_overflows_prints_only_its_error_line(
+        tmp_path):
+    # in a fresh interpreter, with numpy's default error handling: the
+    # compatible data e^{-Lambda(phi)} phi_x of finite data overflows, which
+    # is a typed solver error (exit 1), not an input error, and no
+    # RuntimeWarning is written on the way
+    phi = _phi_file(tmp_path, {1: (1e40, 0.0), 2: (0.0, 1e40)}, 8)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "halfline_dnls.cli", "gauge",
+         "--allow-unsafe", "--k", "1", "--T", "0.5", "--phi", phi],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: compatible gauge data "), \
+        proc.stderr
+    assert "is not finite at mode" in proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_a_tolerance_below_round_off_ends_on_the_first_rung(tmp_path,
+                                                            capsys):
+    # the alpha = 2 headline at quadrature_tol 1e-14 climbed 21 rungs to
+    # 56,840 panels before it failed; the round-off part of its first
+    # rung's estimate reads 8.2e-14, so its climb ends there, naming that
+    # figure as the smallest tolerance it can meet
+    config = tmp_path / "tight.json"
+    config.write_text(json.dumps([{"N": 16, "s": 2.5, "sigma": 0.5, "k": 1,
+                                   "alpha": 2, "quadrature_tol": 1e-14}]))
+    assert dispatch(["batch", str(config)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err
+    assert err.startswith("experiment 0: error: cascade cannot meet tol "
+                          "1.000e-14: on 223 panels "), err
+    assert err.count("error:") == 1 and err.count("\n") == 1
+    floor = float(err.split("bounds the error by ")[1].split(",")[0])
+    assert 1e-14 < floor < 1e-13
+    assert err.rstrip().endswith("the smallest tolerance it can meet")
+    assert "Traceback" not in err
+    assert captured.out.splitlines()[-1].endswith(",error")
 
 
 @pytest.mark.parametrize("alpha, window", [("1.5", False), ("2.5", True)])

@@ -1122,8 +1122,8 @@ def recorded_applications(monkeypatch):
     calls = []
     apply = OscillatoryMarch.apply
 
-    def spy(self, forcing, init, rows=slice(None), out=None):
-        got = apply(self, forcing, init, rows, out)
+    def spy(self, forcing, init, rows=slice(None), out=None, error=None):
+        got = apply(self, forcing, init, rows, out, error)
         calls.append((self.grid, self.omega[rows].copy(), forcing.copy(),
                       np.array(init), self.weight[rows].copy(), got.copy()))
         return got
@@ -1147,18 +1147,14 @@ def test_headline_rung_marches_row_by_row_with_the_one_shot_bits(
     T = inflation_time(16, 2.5, 0.5, 1)
     grid = PanelGrid(T, 889)
 
-    def climb_twice(first, top, tol, solve, attempts, rows=None):
-        # the grid with no rung before it is refused, then accepted
-        with pytest.raises(QuadratureError, match=(
-                r"no resolved coarser rung to compare it with \(0 coarser "
-                r"rungs failed their tails; tail")):
-            solve(grid)
+    def climb_once(first, top, tol, solve, attempts, rows=None):
+        # the grid, a first rung, is accepted on its error estimate
         return solve(grid)
 
-    monkeypatch.setattr(cascade, "solve_on_ladder", climb_twice)
+    monkeypatch.setattr(cascade, "solve_on_ladder", climb_once)
     calls = recorded_applications(monkeypatch)
-    cascade_integrate(phi, spec, T)
-    assert len(calls) == 2 * 8
+    assert cascade_integrate(phi, spec, T).grid is grid
+    assert len(calls) == 8
     assert all(omega.size == 1 for _, omega, *_ in calls)
     assert_one_shot_bits(calls)
 
@@ -1212,6 +1208,48 @@ def test_growing_rows_march_in_blocks_with_the_one_shot_bits():
         want = one_shot_march(grid, omega[rows], forcing[rows], init[rows])
         assert np.all(np.isfinite(got))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_march_error_estimate_keeps_the_node_bits_and_meets_its_oracle():
+    # asked for its error, the march returns the same bits, whichever rows
+    # are marched together; the local estimate is (h/2) |w| times the
+    # larger of the slow factor's last two Chebyshev coefficients, and the
+    # round-off bound at break p + 1 is eps sum_{j <= p} |J_j| |E_{p+1-j}|,
+    # which the blocks only regroup
+    rng = np.random.default_rng(7)
+    grid = PanelGrid.for_frequency(5.0, 4001.0)
+    omega = np.array([3.0, 1.0 - 60.0j, 2.0 + 2000.0j, -7.0])
+    weight = np.array([1.0, 2.0j, -0.5, 3.0 + 1.0j])
+    times = grid.node_times()
+    forcing = np.stack([(0.5 + 0.2j) * np.exp(1j * b * times)
+                        for b in rng.uniform(-9.0, 9.0, omega.size)])
+    forcing[1] *= 1e-150
+    init = np.array([1.0 + 1.0j, -0.5e-150, 0.25j, 2.0])
+    sw = (np.exp(-1j * omega[:, None] * grid.offsets)
+          * (0.5 * grid.h * weight)[:, None])
+    slow = sw[:, None, :] * forcing                        # (rows, n, q)
+    local = np.abs(slow @ grid.scheme.coeff_map[-2:].T).max(axis=2)
+    J = np.abs(slow @ grid.scheme.antideriv_end)           # (rows, n)
+    decay = np.exp(-omega.imag * grid.h)
+    rounding = np.empty(J.shape)
+    bound = np.zeros(omega.size)
+    for p in range(grid.n_panels):
+        bound = decay * (bound + 2.0**-52 * J[:, p])
+        rounding[:, p] = bound
+    march = OscillatoryMarch(grid, omega, weight)
+    for rows in (slice(0, 1), slice(1, 2), slice(2, 3), slice(1, 3),
+                 slice(None)):
+        plain = march.apply(forcing[rows], init[rows], rows)
+        error = np.full((2, len(omega[rows]), grid.n_panels), np.nan)
+        got = march.apply(forcing[rows], init[rows], rows, error=error)
+        assert np.array_equal(got.view(np.int64), plain.view(np.int64))
+        for i, r in enumerate(range(omega.size)[rows]):
+            # a smooth row's coefficients are round-off of its slow factor
+            floor = 1e-14 * np.abs(slow[r]).max()
+            np.testing.assert_allclose(error[0, i], local[r], rtol=1e-9,
+                                       atol=floor)
+            np.testing.assert_allclose(error[1, i], rounding[r], rtol=1e-9,
+                                       atol=0.0)
 
 
 @pytest.mark.parametrize("rows", [1, 17])
