@@ -22,16 +22,15 @@ from .trajectory import Trajectory
 from .cascade import (TimeWindow, cascade_integrate, linear_solve,
                       mean_zero_inverse, mean_zero_transform,
                       nonlinear_forcing, standard_windows, weak_residual)
-from .normalform import (ContractionThresholdError, MaxIterationsError,
-                         NonContractionError, NormalFormOperators, PicardLog,
-                         picard_solve)
+from .normalform import (MaxIterationsError, NonContractionError,
+                         NormalFormOperators, PicardLog, picard_solve)
 from .gauge import (GaugeWeight, SecularSlopeError, compatibility_defects,
                     compatible_gauge_data, conjugation_defect, exp_coeffs,
                     gauge_exp, gauge_lambda, gauge_picard_solve,
                     gauge_system_rhs, primitive_from_zero)
-from .inflation import (ExperimentConfig, NormReport, UnsupportedRegimeError,
-                        build_inflation_data, choose_N, cross_validate,
-                        inflation_time, minimum_regularity, run_experiment)
+from .inflation import (ExperimentConfig, NormReport, build_inflation_data,
+                        choose_N, cross_validate, inflation_time,
+                        run_experiment)
 
 __all__ = [
     "__version__",
@@ -50,14 +49,12 @@ __all__ = [
     "standard_windows", "weak_residual",
     # normal form
     "NormalFormOperators", "PicardLog", "picard_solve",
-    "ContractionThresholdError", "NonContractionError", "MaxIterationsError",
+    "NonContractionError", "MaxIterationsError",
     # gauge
     "GaugeWeight", "SecularSlopeError", "primitive_from_zero", "gauge_lambda",
     "exp_coeffs", "gauge_exp", "gauge_system_rhs", "compatible_gauge_data",
     "gauge_picard_solve", "compatibility_defects", "conjugation_defect",
     # inflation lab
-    "UnsupportedRegimeError", "minimum_regularity", "build_inflation_data",
-    "inflation_time",
-    "choose_N", "ExperimentConfig", "NormReport", "run_experiment",
-    "cross_validate",
+    "build_inflation_data", "inflation_time", "choose_N", "ExperimentConfig",
+    "NormReport", "run_experiment", "cross_validate",
 ]

@@ -16,8 +16,10 @@ to stderr.  Every output embeds its RunManifest (parameters, version,
 tolerances, output files, wall-clock); a CSV carries it as its one
 ``# manifest:`` first line.  Exit codes:
 0 all checks passed, 1 an identity failed, a solver gave up or memory ran
-out, 2 usage error or refused input (bad values, a regime ``cross-validate``
-does not support, malformed or unreadable files).
+out, 2 usage error or refused input (bad values such as alpha <= 1 for the
+normal form, malformed or unreadable files).  A Picard solve outside its
+smallness ball is no refusal: it iterates, and its output reports the
+verdict.
 """
 
 from __future__ import annotations
@@ -205,8 +207,7 @@ def _cmd_picard(args) -> _Result:
     spec = EquationSpec.pure_power(args.k, args.alpha)
     try:
         traj, log = picard_solve(phi, spec, args.T, tol=args.tol,
-                                 max_iter=args.max_iter,
-                                 allow_unsafe=args.allow_unsafe)
+                                 max_iter=args.max_iter)
         doc = {"trajectory": traj.to_dict()}
     except _FAILED_SOLVE as exc:
         # a failed solve still reports its iteration history
@@ -225,9 +226,8 @@ def _cmd_gauge(args) -> _Result:
     psi = (_load_state(args.psi, phi.truncation) if args.psi
            else compatible_gauge_data(phi, args.k))
     try:
-        traj_u, traj_g, log = gauge_picard_solve(
-            phi, psi, args.k, args.T, tol=args.tol,
-            allow_unsafe=args.allow_unsafe)
+        traj_u, traj_g, log = gauge_picard_solve(phi, psi, args.k, args.T,
+                                                 tol=args.tol)
     except _FAILED_SOLVE as exc:
         _log(f"error: {exc}")
         log, doc = exc.log, {}
@@ -344,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--T", type=float, required=True)
     pp.add_argument("--tol", type=float, default=1e-10)
     pp.add_argument("--max-iter", type=int, default=40)
-    pp.add_argument("--allow-unsafe", action="store_true")
     pp.add_argument("--out", default=None)
     pp.add_argument("--log-csv", default=None)
     pp.set_defaults(func=_cmd_picard)
@@ -356,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="twisted data; defaults to the compatible one")
     gp.add_argument("--T", type=float, required=True)
     gp.add_argument("--tol", type=float, default=1e-10)
-    gp.add_argument("--allow-unsafe", action="store_true")
     gp.add_argument("--out", default=None)
     gp.set_defaults(func=_cmd_gauge)
 
@@ -406,8 +404,7 @@ def dispatch(argv) -> int:
     try:
         return _run(args)
     except (ValueError, OSError) as exc:
-        # refused input (including UnsupportedRegimeError) or a file that
-        # cannot be read or written
+        # refused input or a file that cannot be read or written
         _log(f"error: {exc}")
         return 2
     except RuntimeError as exc:

@@ -46,8 +46,9 @@ __all__ = [
 
 MEAN_TOL = 1e-12
 SLOPE_TOL = 1e-10
-# bound on |phi|_H1 + |psi|_H1 for the Picard iteration: a pragmatic
-# stand-in for the contraction smallness condition
+# bound on |phi|_H1 + |psi|_H1 below which the Picard log's smallness
+# verdict accepts the data: a pragmatic stand-in for the contraction
+# smallness condition, reported, not enforced
 SMALLNESS_THRESHOLD = 0.25
 
 
@@ -219,17 +220,18 @@ def compatible_gauge_data(phi: SpectralState, k: int) -> SpectralState:
 
 
 def gauge_picard_solve(phi: SpectralState, psi: SpectralState, k: int,
-                       T: float, tol: float = 1e-10, max_iter: int = 60,
-                       allow_unsafe: bool = False) -> tuple:
+                       T: float, tol: float = 1e-10,
+                       max_iter: int = 60) -> tuple:
     """Picard iteration on the Duhamel form of the gauge system, from the
     free evolutions of ``(phi, psi)``, until the sup-in-time H^1 increment
     of both components is below ``tol``, on the grid that
     ``normalform.picard_on_ladder`` accepts; its ladder is sized for the
     fastest frequency ``2 mu(M) + 1``.
 
-    Returns ``(trajectory of u, trajectory of gu, PicardLog)``.  Data with
-    ``|phi|_H1 + |psi|_H1`` above ``SMALLNESS_THRESHOLD`` is refused unless
-    ``allow_unsafe``; the check is reported as the log's ``smallness``.
+    Returns ``(trajectory of u, trajectory of gu, PicardLog)``.  The log's
+    ``smallness`` accepts data with ``|phi|_H1 + |psi|_H1`` at most
+    ``SMALLNESS_THRESHOLD``; data it does not accept is iterated all the
+    same.
     """
     require_positive(T=T, tol=tol)
     M = phi.truncation
@@ -262,8 +264,7 @@ def gauge_picard_solve(phi: SpectralState, psi: SpectralState, k: int,
 
     return picard_on_ladder(
         EquationSpec.pure_power(k, 2.0), {"u": phi, "gu": psi}, T,
-        2.0 * float(mu[-1].real) + 1.0, smallness, tol, max_iter, setup,
-        allow_unsafe)
+        2.0 * float(mu[-1].real) + 1.0, smallness, tol, max_iter, setup)
 
 
 def compatibility_defects(u, gu, k: int) -> np.ndarray:

@@ -35,8 +35,6 @@ from .spectral import (EquationSpec, SpectralState, dispersion_symbol,
                        sobolev_norm)
 
 __all__ = [
-    "UnsupportedRegimeError",
-    "minimum_regularity",
     "build_inflation_data",
     "inflation_time",
     "choose_N",
@@ -53,25 +51,6 @@ SCOPE_NOTE = (
     "solution; existence for the untruncated flow is not numerically "
     "decidable.  The reported H^sigma lower bound is the single carrier-mode "
     "contribution N^sigma |u(T, N)|.")
-
-
-class UnsupportedRegimeError(ValueError):
-    """An alpha outside the uniqueness pipelines' regimes (2 or >= 3),
-    raised by ``cross_validate``; inflation runs at every alpha >= 1."""
-
-
-def minimum_regularity(alpha: float) -> float:
-    """Smallest data regularity the uniqueness pipelines support; raises
-    UnsupportedRegimeError outside their alphas (``cross_validate`` asks)."""
-    if alpha == 2:
-        return 2.0
-    if alpha >= 3:
-        return 1.0
-    message = (f"alpha = {alpha} is outside the supported regimes "
-               "(2 or >= 3)")
-    if 2 < alpha < 3:
-        message += "; the window 2 < alpha < 3 is an open problem"
-    raise UnsupportedRegimeError(message)
 
 
 def build_inflation_data(N: int, s: float, k: int, truncation: int
@@ -397,6 +376,7 @@ class CrossReport:
             "tolerance": self.tolerance,
             "n_compare": self.n_compare,
             "passed": self.passed,
+            "smallness": self.log.smallness.to_dict(),
         }
         if self.gauge_defect is not None:
             d["gauge_identity_defect"] = self.gauge_defect
@@ -408,24 +388,26 @@ def cross_validate(phi: SpectralState, alpha: float, k: int, T: float,
     """Solve ``phi`` of the equation ``u^k u_x`` at dispersion ``alpha``
     with two independent pipelines up to time ``T`` and report the max
     mode-wise sup-in-time coefficient disagreement (in the original frame)
-    against ``tolerance``, by default 1e-6 at alpha = 2 and 1e-8 otherwise.
-    alpha = 2 routes through the gauge system, alpha >= 3 through the
-    normal form (recentering first when the data has nonzero mean).  The
-    independent pipeline runs first, so data it refuses (a mean at alpha =
-    2, data outside the contraction ball) costs no cascade solve.
+    against ``tolerance``, by default 1e-6 for the gauge and 1e-8 for the
+    normal form.  Mean-zero data at alpha = 2 routes through the gauge
+    system, every other alpha > 1 through the normal form (recentering
+    first when the data has nonzero mean); at alpha <= 1 the phases vanish
+    and the normal form refuses.  The independent pipeline runs first, so
+    data it cannot solve costs no cascade solve.  The report carries that
+    pipeline's smallness verdict.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    m0 = complex(phi.coeffs[0])
+    gauge_route = alpha == 2 and m0 == 0
     if tolerance is None:
-        tolerance = 1e-6 if alpha == 2 else 1e-8
+        tolerance = 1e-6 if gauge_route else 1e-8
     require_positive(tolerance=tolerance)
-    minimum_regularity(alpha)     # validates the regime
     spec = EquationSpec.pure_power(k, alpha)
     ts = np.linspace(0.0, T, AGREEMENT_TIMES)
     n = np.arange(phi.truncation + 1)
 
-    if alpha == 2:
-        if abs(phi.coeffs[0]) != 0:
-            raise ValueError("alpha = 2 cross-validation needs mean-zero data "
-                             "(the gauge weight requires it)")
+    if gauge_route:
         psi = compatible_gauge_data(phi, k)
         gu_traj, gg_traj, log = gauge_picard_solve(
             phi, psi, k, T, tol=PICARD_TOL)
@@ -436,7 +418,6 @@ def cross_validate(phi: SpectralState, alpha: float, k: int, T: float,
     else:
         # recenter, solve for w in normal form, then map back to the
         # original frame; mean-zero data is the case m0 = 0
-        m0 = complex(phi.coeffs[0])
         w_spec = spec.recentered(m0)
         w0 = np.array(phi.coeffs)
         w0[0] = 0.0

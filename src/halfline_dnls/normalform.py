@@ -42,17 +42,12 @@ __all__ = [
     "NormalFormOperators",
     "PicardLog",
     "SmallnessReport",
-    "ContractionThresholdError",
     "NonContractionError",
     "MaxIterationsError",
     "iterate_fixed_point",
     "picard_on_ladder",
     "picard_solve",
 ]
-
-
-class ContractionThresholdError(ValueError):
-    """Initial data too large for the certified contraction ball."""
 
 
 class _IterationFailure(RuntimeError):
@@ -512,8 +507,7 @@ class PicardLog:
 def picard_on_ladder(spec: EquationSpec, initial: dict, horizon: float,
                      max_frequency: float, smallness: SmallnessReport,
                      tol: float, max_iter: int,
-                     setup: Callable[[PanelGrid], tuple],
-                     allow_unsafe: bool = False) -> tuple:
+                     setup: Callable[[PanelGrid], tuple]) -> tuple:
     """Iterate a Picard map to convergence on the coarsest rung that
     resolves its iterate, through ``quadrature.solve_on_ladder``: the grid
     sized for ``max_frequency / 2**quadrature.PICARD_DEPTH``, then its
@@ -523,8 +517,9 @@ def picard_on_ladder(spec: EquationSpec, initial: dict, horizon: float,
     truncation M; the iterates stack the components on axis 1, shape
     (M+1, components, panels, q), so one sup-in-time increment covers all
     of them.  ``setup(grid)`` returns the map on ``grid`` and its first
-    iterate.  Data that ``smallness`` does not accept is refused with
-    ContractionThresholdError before any rung, unless ``allow_unsafe``.
+    iterate.  ``smallness`` is a verdict the log reports, not a gate: data
+    it does not accept is iterated all the same, and an iteration that
+    diverges ends in NonContractionError or MaxIterationsError.
 
     On each rung the map is iterated by ``iterate_fixed_point``, with a
     ``PicardLog`` of ``smallness`` whose ``grid_attempts`` is one list that
@@ -540,11 +535,6 @@ def picard_on_ladder(spec: EquationSpec, initial: dict, horizon: float,
     where it occurs.  Returns one Trajectory of ``spec`` per component of
     ``initial``, in its order and named after it, then the log.
     """
-    if not (smallness.accepted or allow_unsafe):
-        raise ContractionThresholdError(
-            f"|phi|_H1 = {smallness.phi_h1:.4g}: the data fails the "
-            f"contraction ball check (smallness lhs {smallness.lhs:.4g} is "
-            f"not below rhs {smallness.rhs:.4g})")
     names = list(initial)
     attempts = []
 
@@ -581,25 +571,21 @@ def picard_on_ladder(spec: EquationSpec, initial: dict, horizon: float,
 
 
 def picard_solve(phi: SpectralState, spec: EquationSpec, T: float,
-                 tol: float = 1e-10, max_iter: int = 40,
-                 allow_unsafe: bool = False) -> tuple:
+                 tol: float = 1e-10, max_iter: int = 40) -> tuple:
     """Iterate the reduced map from ``v = phi`` until the sup-in-time H^1
     increment drops below ``tol``, on the grid that ``picard_on_ladder``
     accepts; its ladder is sized for the fastest frequency ``2 max(mu) +
     1``.
 
-    Returns ``(trajectory of v, PicardLog)``.  The contraction is certified
-    only for ``alpha >= 3`` and data inside the smallness ball;
-    ``allow_unsafe=True`` iterates anyway.
+    Returns ``(trajectory of v, PicardLog)``.  Every alpha > 1 iterates:
+    the phases are nonzero at every finite truncation, so the map is
+    defined.  The contraction is certified only where the log's
+    ``smallness`` accepts the data; elsewhere the Picard ratios observe it.
     """
     require_positive(T=T, tol=tol)
     M = phi.truncation
     if abs(phi.coeffs[0]) != 0.0:
         raise ValueError("normal-form solver needs mean-zero data (mode 0 = 0)")
-    if spec.alpha < 3 and not allow_unsafe:
-        raise ValueError(
-            f"alpha = {spec.alpha}: the normal-form contraction is "
-            "certified only for alpha >= 3")
     ops = NormalFormOperators(spec, M)
     phi_c = np.asarray(phi.coeffs, dtype=complex)
 
@@ -617,4 +603,4 @@ def picard_solve(phi: SpectralState, spec: EquationSpec, T: float,
 
     return picard_on_ladder(
         spec, {"v": phi}, T, 2.0 * float(np.max(ops.mu)) + 1.0,
-        ops.smallness_report(phi, T), tol, max_iter, setup, allow_unsafe)
+        ops.smallness_report(phi, T), tol, max_iter, setup)

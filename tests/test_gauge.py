@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfline_dnls import (ContractionThresholdError, EquationSpec,
+from halfline_dnls import (EquationSpec, NonContractionError,
                            SecularSlopeError, SpectralState, cascade_integrate,
                            compatibility_defects, compatible_gauge_data,
                            conjugation_defect, convolve, exp_coeffs,
                            gauge_exp, gauge_lambda,
                            gauge_picard_solve, gauge_system_rhs,
                            picard_solve, primitive_from_zero, sobolev_norm)
-from halfline_dnls.gauge import point_value
+from halfline_dnls.gauge import SMALLNESS_THRESHOLD, point_value
 
 
 def delta(n, M, amp=1.0):
@@ -300,22 +300,28 @@ def test_gauge_solver_reports_smallness():
     assert rep.lhs == rep.phi_h1 + sobolev_norm(psi, 1.0)
 
 
-def test_gauge_solver_rejects_large_data():
+def test_gauge_solver_iterates_large_data_and_reports_its_verdict():
+    # |phi|_H1 + |psi|_H1 = 1.3 is above the threshold: the log's verdict
+    # does not certify the contraction, and the iterates contract all the
+    # same
     phi = SpectralState.from_modes({1: 0.5}, 8)
-    psi = compatible_gauge_data(phi, 1)
-    with pytest.raises(ValueError, match="smallness"):
-        gauge_picard_solve(phi, psi, 1, 1.0)
+    *_, log = gauge_picard_solve(phi, compatible_gauge_data(phi, 1), 1, 1.0)
+    assert log.converged and not log.smallness.accepted
+    assert log.smallness.lhs > log.smallness.rhs == SMALLNESS_THRESHOLD
 
 
-def test_both_picard_solvers_refuse_large_data_alike():
-    # one exception type for data outside the smallness ball, so callers
-    # (and the CLI's exit 2) treat the normal form and the gauge the same
-    phi = SpectralState.from_modes({1: 0.5}, 8)
-    with pytest.raises(ContractionThresholdError, match="smallness"):
+def test_both_picard_solvers_stop_on_divergent_data_alike():
+    # data far outside the smallness ball is iterated, not refused; both
+    # solvers stop with one exception type (the CLI's exit 1), whose log
+    # carries the verdict that did not accept the data
+    phi = SpectralState.from_modes({1: 1.0, 2: 1.0}, 8)
+    with pytest.raises(NonContractionError, match="iteration 3") as gauge:
         gauge_picard_solve(phi, compatible_gauge_data(phi, 1), 1, 1.0)
-    with pytest.raises(ContractionThresholdError, match="contraction ball"):
+    with pytest.raises(NonContractionError, match="iteration 3") as normal:
         picard_solve(SpectralState.from_modes({1: 5.0}, 6),
                      EquationSpec.pure_power(1, 3.0), 0.5)
+    for info in (gauge, normal):
+        assert not info.value.log.smallness.accepted
 
 
 def test_gauge_solver_requires_mean_zero():

@@ -7,10 +7,12 @@ import time
 import numpy as np
 import pytest
 
-from halfline_dnls import (ExperimentConfig, build_inflation_data, choose_N,
-                           inflation_time, minimum_regularity, run_experiment,
+from halfline_dnls import (EquationSpec, ExperimentConfig,
+                           NonContractionError, NormalFormOperators,
+                           SpectralState, build_inflation_data, choose_N,
+                           cross_validate, inflation_time, run_experiment,
                            sobolev_norm)
-from halfline_dnls import gauge, normalform
+from halfline_dnls import gauge, inflation, normalform
 
 
 # -- data -----------------------------------------------------------------------
@@ -163,9 +165,9 @@ def test_config_runs_alpha_between_2_and_3():
 
 
 def test_config_runs_s_below_the_uniqueness_floor():
-    # minimum_regularity bounds the uniqueness witnesses, not inflation
+    # the uniqueness theorem's floor (s >= 2 at alpha = 2, s >= 1 at
+    # alpha >= 3) bounds its witnesses, not inflation
     for s, alpha in ((1.0, 2.0), (0.5, 3.0)):
-        assert s < minimum_regularity(alpha)
         assert run_experiment(ExperimentConfig(N=8, s=s, sigma=0.0, k=1,
                                                alpha=alpha)).passed
 
@@ -188,12 +190,6 @@ def test_config_refuses_a_tolerance_not_positive_and_finite(name, value):
                        match=f"^{name} must be positive and finite, got "):
         ExperimentConfig(N=8, s=2.0, sigma=0.0, k=1, alpha=2.0,
                          **{name: value})
-
-
-def test_minimum_regularity_values():
-    assert minimum_regularity(2.0) == 2.0
-    assert minimum_regularity(3.0) == 1.0
-    assert minimum_regularity(4.5) == 1.0
 
 
 # -- experiments -----------------------------------------------------------------------
@@ -423,31 +419,74 @@ def test_cross_validate_applies_the_map_once_per_iteration(
     assert panels.count(accepted) == len(log.iterations) + 1
 
 
-def test_cross_validate_alpha2_requires_mean_zero():
-    from halfline_dnls import SpectralState, cross_validate
+def test_cross_validate_alpha2_with_a_mean_takes_the_recentered_normal_form():
+    # the gauge weight needs mean-zero data; the normal form does not
     phi = SpectralState.from_modes({0: 0.1, 1: 0.02}, 8)
-    with pytest.raises(ValueError, match="mean-zero"):
-        cross_validate(phi, alpha=2.0, k=1, T=0.5)
+    rep = cross_validate(phi, alpha=2.0, k=1, T=0.5)
+    assert rep.pipelines == ("cascade", "normal-form-recentered")
+    assert rep.tolerance == 1e-8 and rep.passed
 
 
-@pytest.mark.parametrize("alpha, modes, match", [
-    (2.0, {0: 0.05, 1: 0.04, 2: 0.01}, "mean-zero"),
-    (3.0, {1: 0.3, 2: 0.3}, "contraction ball"),
+def _forbid(monkeypatch, *names):
+    """Make each named solver of ``inflation`` fail its test if called."""
+    for name in names:
+        def called(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} called")
+        monkeypatch.setattr(inflation, name, called)
+
+
+@pytest.mark.parametrize("alpha, modes, M, T", [
+    (3.0, {1: 5.0}, 6, 0.5),            # the normal form
+    (2.0, {1: 1.0, 2: 1.0}, 8, 1.0),    # the gauge
 ])
 def test_cross_validate_refuses_before_any_cascade_solve(monkeypatch, alpha,
-                                                         modes, match):
-    # the independent pipeline runs first: data it refuses costs no cascade
-    from halfline_dnls import (ContractionThresholdError, SpectralState,
-                               cross_validate, inflation)
+                                                         modes, M, T):
+    # the independent pipeline runs first: data whose iterates stop
+    # contracting costs no cascade solve, and its log keeps the verdict
+    _forbid(monkeypatch, "cascade_integrate")
+    phi = SpectralState.from_modes(modes, M)
+    with pytest.raises(NonContractionError, match="iteration 3") as info:
+        cross_validate(phi, alpha=alpha, k=1, T=T)
+    assert not info.value.log.smallness.accepted
 
-    def no_cascade(*args, **kwargs):
-        raise AssertionError("cascade_integrate called")
 
-    monkeypatch.setattr(inflation, "cascade_integrate", no_cascade)
-    phi = SpectralState.from_modes(modes, 48)
-    with pytest.raises(ValueError, match=match) as info:
-        cross_validate(phi, alpha=alpha, k=1, T=1.0)
-    assert (alpha == 3.0) == isinstance(info.value, ContractionThresholdError)
+@pytest.mark.parametrize("alpha, k, match", [
+    (2.0, 0, "k must be >= 1"),
+    (3.0, 0, "k must be >= 1"),
+    (1.0, 1, r"normal form requires alpha > 1 \(nonzero phases\)"),
+])
+def test_cross_validate_refuses_k_and_alpha_before_any_solve(monkeypatch,
+                                                            alpha, k, match):
+    # k < 1 is refused alike at every alpha, before any solve; alpha = 1
+    # is refused by the normal form's operators, before any cascade solve
+    _forbid(monkeypatch, "cascade_integrate",
+            *(("compatible_gauge_data", "gauge_picard_solve", "picard_solve")
+              if k < 1 else ()))
+    phi = SpectralState.from_modes({1: 0.045, 2: 0.045j}, 16)
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        cross_validate(phi, alpha=alpha, k=k, T=1.0)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("m0, alpha", [
+    (m0, alpha) for m0 in (0.0, 0.1) for alpha in (1.25, 1.5, 2.0, 2.5)
+    if alpha != 2.0 or m0 != 0.0])     # mean-zero data at 2 takes the gauge
+def test_cross_validate_runs_the_normal_form_at_every_alpha_above_1(m0, alpha,
+                                                                    k):
+    # every resonance phase is nonzero at finite truncation for alpha > 1,
+    # so the normal form is defined there, certified or not (the verdict
+    # accepts 3 of these 14 cases); the report carries the verdict of the
+    # equation it solved
+    phi = SpectralState.from_modes({0: m0, 1: 0.05, 2: 0.05j}, 16)
+    rep = cross_validate(phi, alpha=alpha, k=k, T=1.0)
+    assert rep.pipelines == ("cascade", "normal-form-recentered" if m0
+                             else "normal-form")
+    assert rep.tolerance == 1e-8 and rep.passed
+    ops = NormalFormOperators(EquationSpec.pure_power(k, alpha).recentered(m0),
+                              16)
+    w = SpectralState.from_modes({1: 0.05, 2: 0.05j}, 16)
+    assert (rep.to_dict()["smallness"]
+            == ops.smallness_report(w, 1.0).to_dict())
 
 
 def test_report_serialization(small_report):

@@ -6,10 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from halfline_dnls import (ContractionThresholdError, EquationSpec,
-                           MaxIterationsError, NonContractionError,
-                           NormalFormOperators, PanelGrid,
-                           SpectralState, Trajectory, cascade_integrate,
+from halfline_dnls import (EquationSpec, MaxIterationsError,
+                           NonContractionError, NormalFormOperators,
+                           PanelGrid, SpectralState, Trajectory,
+                           cascade_integrate,
                            compatible_gauge_data, gauge_picard_solve,
                            picard_solve, sobolev_norm)
 from halfline_dnls import normalform, quadrature
@@ -352,7 +352,7 @@ def picard_setup(monkeypatch, phi, spec, T=1.0):
     """The ``setup(grid)`` of ``picard_solve(phi, spec, T)``: its map on a
     grid, with the map's workspace, and its first iterate."""
     def capture(spec, initial, horizon, max_frequency, smallness, tol,
-                max_iter, setup, allow_unsafe=False):
+                max_iter, setup):
         raise _Setup(setup)
 
     monkeypatch.setattr(normalform, "picard_on_ladder", capture)
@@ -541,8 +541,7 @@ def test_an_increment_that_is_not_finite_stops_the_iteration():
             NonContractionError,
             match=r"^iterates stopped contracting \(increment nan at "
                   r"iteration 2 is not finite\)$") as info:
-        picard_solve(phi, EquationSpec.pure_power(1, 3.0), 1.0,
-                     allow_unsafe=True)
+        picard_solve(phi, EquationSpec.pure_power(1, 3.0), 1.0)
     iterations = info.value.log.iterations
     assert len(iterations) == 2 and np.isfinite(iterations[0][1])
     assert not info.value.log.converged
@@ -763,26 +762,25 @@ def test_picard_support_preservation():
     assert np.max(np.abs(odd)) == 0.0
 
 
-def test_picard_rejects_large_data():
-    with pytest.raises(ContractionThresholdError):
-        picard_solve(state({1: 0.8}, 8), EquationSpec.pure_power(1, 3.0), 1.0)
-
-
-def test_picard_rejects_low_alpha_without_flag():
-    with pytest.raises(ValueError, match="alpha"):
-        picard_solve(state({1: 0.01}, 8), EquationSpec.pure_power(1, 2.0), 0.5)
-
-
-def test_picard_unsafe_flag_runs_low_alpha():
-    phi = state({1: 0.01}, 8)
-    spec = EquationSpec.pure_power(1, 2.5)
-    traj, log = picard_solve(phi, spec, 0.2, allow_unsafe=True)
-    assert log.converged
-    u_traj = cascade_integrate(phi, spec, 0.2)
-    mu = dispersion_mu(2.5, np.arange(9))
-    t = 0.2
-    u_from_v = traj.coeffs_at(t) * np.exp(1j * mu * t)
-    assert np.max(np.abs(u_from_v - u_traj.coeffs_at(t))) < 1e-9
+@pytest.mark.parametrize("alpha, modes, T, accepted", [
+    # outside the smallness ball at alpha = 3
+    (3.0, {1: 0.8}, 1.0, False),
+    # below alpha = 3, where no ball is certified
+    (2.5, {1: 0.01}, 0.2, True),
+    (2.0, {1: 0.01}, 0.5, True),
+    (1.5, {1: 0.05, 2: 0.05j}, 1.0, False),
+])
+def test_picard_iterates_and_reports_its_verdict(alpha, modes, T, accepted):
+    # every alpha > 1 and every size of data is iterated; the smallness
+    # verdict is reported, and the solution is the cascade's
+    phi = state(modes, 8)
+    spec = EquationSpec.pure_power(1, alpha)
+    traj, log = picard_solve(phi, spec, T)
+    assert log.converged and log.smallness.accepted is accepted
+    u_traj = cascade_integrate(phi, spec, T)
+    mu = dispersion_mu(alpha, np.arange(9))
+    u_from_v = traj.coeffs_at(T) * np.exp(1j * mu * T)
+    assert np.max(np.abs(u_from_v - u_traj.coeffs_at(T))) < 1e-9
 
 
 def test_picard_dispersion_kind_irrelevant_on_one_sided_data():
